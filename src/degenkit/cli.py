@@ -281,19 +281,8 @@ def cmd_psi(args: argparse.Namespace) -> int:
 def cmd_curve(args: argparse.Namespace) -> int:
     graph, echo = _load(args.file, "graph")
     result = curve_equivalences(graph)
-    verdict = result.verdict
     report = _base_report("curve", echo)
-    mu, mus, deficit = toric_rank_profile(result.datum)
-    report["rank_profile"] = {"mu": mu, "branch_mu": list(mus), "deficit": deficit}
-    report["verdict"] = {
-        "toric_additive": verdict.toric_additive,
-        "weakly_toric_additive": verdict.weakly_toric_additive,
-        "failing_primes": list(verdict.failing_primes),
-    }
-    report["purity_cokernel"] = {
-        "invariant_factors": list(verdict.purity_torsion.invariant_factors),
-        "free_rank": verdict.purity_free_rank,
-    }
+    report.update(_datum_common(result.datum))
     report["curve"] = {
         "vertices": len(graph.vertices),
         "edges": len(graph.edges),

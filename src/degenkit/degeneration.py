@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from . import intmat
@@ -25,8 +26,8 @@ from .lattice import (
     FinAb,
     Lattice,
     LatticeMap,
+    cokernel,
     is_prime,
-    smith_normal_form,
 )
 
 
@@ -171,6 +172,20 @@ class DegenDatum:
                 return ov
         return None
 
+    # -- memos: the datum is immutable, so neither can go stale -----------------
+
+    @cached_property
+    def violations(self) -> tuple[Violation, ...]:
+        return tuple(validate(self))
+
+    @cached_property
+    def verdict(self) -> Verdict:
+        """All three toric-additivity verdicts from one purity SNF."""
+        torsion, free_rank = cokernel(purity_matrix(self))
+        weakly = free_rank == 0
+        failing = tuple(q for q in torsion.primes() if q != self.residue_char)
+        return Verdict(weakly and torsion.is_trivial, weakly, failing, torsion, free_rank)
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -314,23 +329,15 @@ def _override_violations(datum: DegenDatum, ov: StratumOverride) -> list[Violati
 
 
 def require_valid(datum: DegenDatum) -> None:
-    violations = validate(datum)
-    if violations:
+    if datum.violations:
         raise InputError("invalid degeneration datum: "
-                         + "; ".join(str(v) for v in violations))
+                         + "; ".join(str(v) for v in datum.violations))
 
 
 def analyze(datum: DegenDatum) -> Verdict:
     """All three toric-additivity verdicts from one purity SNF."""
     require_valid(datum)
-    pur = purity_matrix(datum)
-    facs = smith_normal_form(pur).invariant_factors
-    torsion = FinAb(tuple(d for d in facs if d > 1))
-    free_rank = pur.nrows - len(facs)
-    weakly = free_rank == 0
-    ta = weakly and torsion.is_trivial
-    failing = tuple(q for q in torsion.primes() if q != datum.residue_char)
-    return Verdict(ta, weakly, failing, torsion, free_rank)
+    return datum.verdict
 
 
 def is_l_toric_additive(datum: DegenDatum, l: int) -> bool:
@@ -339,14 +346,10 @@ def is_l_toric_additive(datum: DegenDatum, l: int) -> bool:
         raise InputError(f"l must be prime, got {l}")
     if l == datum.residue_char:
         raise InputError("prime equals residue characteristic")
-    require_valid(datum)
-    pur = purity_matrix(datum)
-    if pur.nrows != pur.ncols:
-        return False
-    facs = smith_normal_form(pur).invariant_factors
-    if len(facs) < pur.ncols:
-        return False
-    return all(d % l for d in facs)
+    verdict = analyze(datum)
+    # the purity map is injective, so weak toric additivity means it is square
+    return verdict.weakly_toric_additive and all(
+        d % l for d in verdict.purity_torsion.invariant_factors)
 
 
 def toric_rank_profile(datum: DegenDatum) -> tuple[int, tuple[int, ...], int]:

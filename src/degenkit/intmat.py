@@ -57,28 +57,8 @@ def matmul(a: IntMatrix, ar: int, ac: int, b: IntMatrix, br: int, bc: int) -> In
     return out
 
 
-def matvec(a: IntMatrix, ar: int, ac: int, v: list[int]) -> list[int]:
-    if len(v) != ac:
-        raise ValueError("vector length mismatch")
-    return [sum(a[i][k] * v[k] for k in range(ac)) for i in range(ar)]
-
-
-def mat_eq(a: IntMatrix, b: IntMatrix) -> bool:
-    return a == b
-
-
 def is_zero(m: IntMatrix) -> bool:
     return all(all(v == 0 for v in row) for row in m)
-
-
-def vstack(mats: list[IntMatrix], ncols: int) -> IntMatrix:
-    out: IntMatrix = []
-    for m in mats:
-        for row in m:
-            if len(row) != ncols:
-                raise ValueError("column count mismatch in vstack")
-            out.append(row[:])
-    return out
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -294,10 +274,6 @@ def leading_principal_minors(m: IntMatrix, n: int) -> list[int]:
     return [bareiss_det([row[:k] for row in m[:k]], k) for k in range(1, n + 1)]
 
 
-def is_unimodular(m: IntMatrix, n: int) -> bool:
-    return abs(bareiss_det(m, n)) == 1
-
-
 def column_lattice_index(m: IntMatrix, nrows: int, ncols: int) -> int | None:
     """Index of the column span in Z^nrows; None when the span has lower rank."""
     h, r = _hnf_with_rank(m, nrows, ncols)
@@ -347,11 +323,3 @@ def integral_solve(a: IntMatrix, nrows: int, ncols: int,
             elif ub[i][j]:
                 return None
     return matmul(v, ncols, ncols, y, ncols, bcols)
-
-
-def in_column_lattice(m: IntMatrix, nrows: int, ncols: int, vec: list[int]) -> bool:
-    return integral_solve(m, nrows, ncols, [[x] for x in vec], 1) is not None
-
-
-def mat_mod(m: IntMatrix, mod: int) -> IntMatrix:
-    return [[v % mod for v in row] for row in m]

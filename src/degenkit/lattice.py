@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import prod
 
 from . import intmat
-from .errors import FalsificationError, InputError
+from .errors import InputError
 
 Rows = tuple[tuple[int, ...], ...]
 
@@ -134,9 +134,6 @@ class LatticeMap:
             raise InputError("sum of maps needs equal source and target")
         rows = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)]
         return LatticeMap(self.source, self.target, _freeze(rows))
-
-    def apply(self, vec: list[int]) -> list[int]:
-        return intmat.matvec(self.rows(), self.nrows, self.ncols, list(vec))
 
     def rank_of_image(self) -> int:
         return intmat.rank(self.rows(), self.nrows, self.ncols)
@@ -353,19 +350,3 @@ def image_lattices_equal(a: LatticeMap, b: LatticeMap) -> bool:
     if a.target != b.target:
         return False
     return a.image_hnf() == b.image_hnf()
-
-
-def sublattice_quotient(amb_basis: LatticeMap, sub_basis: LatticeMap) -> FinAb:
-    """Invariants of (lattice spanned by amb_basis)/(lattice spanned by sub_basis).
-
-    Both maps give full-column-rank bases into the same ambient lattice and the
-    second lattice must be contained in the first with finite index.
-    """
-    c = intmat.integral_solve(amb_basis.rows(), amb_basis.nrows, amb_basis.ncols,
-                              sub_basis.rows(), sub_basis.ncols)
-    if c is None:
-        raise FalsificationError("claimed sublattice is not contained in the ambient one")
-    facs = intmat.invariant_factors(c, amb_basis.ncols, sub_basis.ncols)
-    if len(facs) < amb_basis.ncols:
-        raise FalsificationError("sublattice has infinite index in quotient computation")
-    return FinAb(tuple(d for d in facs if d > 1))

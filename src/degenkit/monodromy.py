@@ -10,8 +10,7 @@ where B and B' are bases of the primal and dual stratum images.  When the
 restricted purity map is injective we keep the closed-point coordinates
 (B = restricted purity itself), which reproduces the closed-point pairing
 matrices exactly; otherwise a canonical Hermite basis of the image is used.
-The component group of a nondegenerate pairing is its cokernel, cross-checked
-against the kernel of the same map tensored with Q/Z on every call.
+The component group of a nondegenerate pairing is its cokernel.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from .degeneration import (
     Branch,
     DegenDatum,
     pairing_violation,
-    purity_matrix,
     require_valid,
 )
 from .errors import FalsificationError, InputError
@@ -85,11 +83,6 @@ class ComposedPairing:
         return self.stratum.active
 
 
-def _is_toric_additive(datum: DegenDatum) -> bool:
-    pur = purity_matrix(datum)
-    return pur.nrows == pur.ncols and abs(pur.determinant()) == 1
-
-
 def _restricted_purity(datum: DegenDatum, active: tuple[int, ...], dual: bool) -> LatticeMap:
     if dual:
         maps = [datum.dual_sp(j) for j in active]
@@ -129,7 +122,7 @@ def stratum_lattice(datum: DegenDatum, active: tuple[int, ...] | list[int],
         proj = LatticeMap.from_rows(proj_rows, source_rank=restricted.ncols,
                                     target_rank=inc.ncols)
         return StratumData(Lattice(inc.ncols), inc, proj, active, overridden=True)
-    heuristic = (len(active) < datum.n) and not _is_toric_additive(datum)
+    heuristic = (len(active) < datum.n) and not datum.verdict.toric_additive
     if restricted.is_injective():
         # Y is the source lattice itself, in its own basis
         return StratumData(restricted.source, restricted,
@@ -169,13 +162,9 @@ def compose_trait(datum: DegenDatum, profile: TraitProfile) -> ComposedPairing:
 
 def component_group(phi: LatticeMap) -> FinAb:
     """Component group of a nondegenerate pairing: coker(phi) = ker(phi ⊗ Q/Z)."""
-    if phi.nrows != phi.ncols or not phi.is_injective():
-        raise InputError("degenerate pairing")
     coker, free_rank = cokernel(phi)
-    via_qz = torsion_kernel_qz(phi)
-    if free_rank != 0 or via_qz.divisible_rank != 0 or coker != via_qz.torsion():
-        raise FalsificationError(
-            f"cokernel {coker} disagrees with Q/Z-kernel {via_qz} for an injective pairing")
+    if free_rank or phi.nrows != phi.ncols:
+        raise InputError("degenerate pairing")
     return coker
 
 

@@ -30,6 +30,7 @@ from .lattice import (
     FinAb,
     Lattice,
     LatticeMap,
+    cokernel,
     image_lattices_equal,
     kernel_saturated,
     l_part,
@@ -173,8 +174,7 @@ def _coordinates_in_presentation(phi: LatticeMap, vec: list[Fraction]) -> list[i
     facs = dec.invariant_factors
     v = dec.V.rows()
     n = phi.ncols
-    vec_cols = [[f] for f in vec]
-    t = _solve_unimodular(v, n, vec_cols)
+    t = intmat.solve_rational(v, n, [[f] for f in vec], 1)
     coords: list[int] = []
     for k, d in enumerate(facs):
         val = t[k][0] * d
@@ -183,23 +183,6 @@ def _coordinates_in_presentation(phi: LatticeMap, vec: list[Fraction]) -> list[i
         if d > 1:
             coords.append(int(val) % d)
     return coords
-
-
-def _solve_unimodular(m: list[list[int]], n: int,
-                      b: list[list[Fraction]]) -> list[list[Fraction]]:
-    aug = [[Fraction(m[i][j]) for j in range(n)] + list(b[i]) for i in range(n)]
-    bc = len(b[0]) if b else 0
-    for k in range(n):
-        piv = next(i for i in range(k, n) if aug[i][k] != 0)
-        if piv != k:
-            aug[k], aug[piv] = aug[piv], aug[k]
-        inv = 1 / aug[k][k]
-        aug[k] = [x * inv for x in aug[k]]
-        for i in range(n):
-            if i != k and aug[i][k]:
-                f = aug[i][k]
-                aug[i] = [xi - f * xk for xi, xk in zip(aug[i], aug[k])]
-    return [row[n:] for row in aug]
 
 
 def trait_surjectivity_check(datum: DegenDatum, profile: TraitProfile) -> TraitSurjectivity:
@@ -240,7 +223,8 @@ def trait_surjectivity_check(datum: DegenDatum, profile: TraitProfile) -> TraitS
         raise InputError("dual stratum is not full; cannot transport the Psi generators")
     columns: list[list[int]] = []
     for g in ambient_gens:
-        y = [row[0] for row in _solve_fraction_system(bprime.rows(), bprime.nrows, [[x] for x in g])]
+        y = [row[0] for row in intmat.solve_rational(bprime.rows(), bprime.nrows,
+                                                     [[x] for x in g], 1)]
         columns.append(_coordinates_in_presentation(composed.matrix, y))
 
     ups_facs = list(upsilon.invariant_factors)
@@ -257,11 +241,6 @@ def trait_surjectivity_check(datum: DegenDatum, profile: TraitProfile) -> TraitS
     surjective = len(facs) == nrows and all(d == 1 for d in facs)
     return TraitSurjectivity(upsilon, psi_active,
                              tuple(tuple(r) for r in mat), surjective, composed)
-
-
-def _solve_fraction_system(m: list[list[int]], n: int,
-                           b: list[list[Fraction]]) -> list[list[Fraction]]:
-    return _solve_unimodular(m, n, b)
 
 
 def converse_check(p_map: LatticeMap, q_map: LatticeMap,
@@ -289,8 +268,8 @@ def converse_check(p_map: LatticeMap, q_map: LatticeMap,
     psi = LatticeMap.block_diagonal([psi1, psi2])
     at_psi = a.transpose().compose(psi)
     at_psi_a = at_psi.compose(a)
-    coker1, free1 = _coker_full(at_psi)
-    coker2, free2 = _coker_full(at_psi_a)
+    coker1, free1 = cokernel(at_psi)
+    coker2, free2 = cokernel(at_psi_a)
     images_equal = image_lattices_equal(at_psi, at_psi_a)
     invariants_equal = coker1 == coker2 and free1 == free2
     if images_equal and not invariants_equal:
@@ -336,11 +315,6 @@ def converse_check(p_map: LatticeMap, q_map: LatticeMap,
                                chi1=chi1, chi2=chi2, idempotent=True,
                                kernel_decomposition=True, p_restricted_iso=True,
                                a_is_isomorphism=True)
-
-
-def _coker_full(m: LatticeMap) -> tuple[FinAb, int]:
-    facs = smith_normal_form(m).invariant_factors
-    return FinAb(tuple(d for d in facs if d > 1)), m.nrows - len(facs)
 
 
 def converse_inputs_from_datum(datum: DegenDatum) -> tuple[LatticeMap, LatticeMap,

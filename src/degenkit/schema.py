@@ -33,7 +33,7 @@ def load_document(path: str | Path) -> DegenDatum | DualGraph:
 def parse_json_bytes(raw: bytes, where: str) -> dict:
     try:
         data = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # also bad UTF-8 and integer literals over the digit limit
         raise InputError(f"{where}: not valid JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise InputError(f"{where}: top level must be a JSON object")

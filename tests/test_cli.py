@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from degenkit import cli
+from degenkit import cli, degeneration
 from degenkit.curves import CurveReport
 from degenkit.lattice import FinAb
 
@@ -49,6 +49,29 @@ def test_reports_are_byte_identical_across_runs(capsys):
     _, first, _ = run_cli(capsys, argv)
     _, second, _ = run_cli(capsys, argv)
     assert first == second
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["analyze", "example_3_4"], 1),
+    (["trait", "example_3_4", "--profile", "1,1", "--l", "2"], 1),
+    (["oracle", "example_3_4", "--l", "2", "--profile", "1,1"], 1),
+    (["converse", "example_3_4"], 1),
+    (["psi", "example_3_4"], 1),
+    (["psi", "example_3_4", "--kummer", "2,3"], 2),   # the rescaled datum is a second one
+    (["curve", "genus2_graph"], 1),
+])
+def test_each_datum_is_validated_once(capsys, monkeypatch, argv, expected):
+    calls = []
+    original = degeneration.validate
+
+    def counting(datum):
+        calls.append(datum)
+        return original(datum)
+
+    monkeypatch.setattr(degeneration, "validate", counting)
+    code, _, err = run_cli(capsys, argv)
+    assert code == 0, err
+    assert len(calls) == expected
 
 
 def test_human_and_json_numerics_agree(capsys):
@@ -229,3 +252,14 @@ class TestFixtureResolution:
         code, out, _ = run_cli(capsys, ["psi", str(doc), "--json"])
         assert code == 0
         assert json.loads(out)["psi"]["order"] == 10 ** 30
+
+    def test_integer_literal_over_digit_limit(self, capsys, tmp_path):
+        # json.loads refuses integer literals above the interpreter's digit limit
+        doc = tmp_path / "long.json"
+        doc.write_text('{"format_version": "1", "kind": "degeneration", "name": "long", '
+                       '"abelian_rank": ' + "1" * 5000 + ', "closed_point": {"rank": 0}, '
+                       '"branches": []}')
+        code, _, err = run_cli(capsys, ["analyze", str(doc)])
+        assert code == 2
+        assert err.startswith("error:")
+        assert "Traceback" not in err

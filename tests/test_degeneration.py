@@ -18,6 +18,7 @@ from degenkit.degeneration import (
 )
 from degenkit.errors import InputError
 from degenkit.generators import random_datum, random_polarized_datum, random_ta_datum
+from degenkit.intmat import bareiss_det
 from degenkit.lattice import FinAb, Lattice, LatticeMap
 from degenkit.monodromy import sub_datum
 
@@ -120,6 +121,10 @@ class TestAnalyze:
                     assert flag
                 if l in v.failing_primes:
                     assert not flag
+                # independent of the purity SNF: square purity and l ∤ det
+                pur = purity_matrix(datum)
+                square = pur.nrows == pur.ncols
+                assert flag == (square and bareiss_det(pur.rows(), pur.nrows) % l != 0)
 
 
 class TestLToricAdditive:
