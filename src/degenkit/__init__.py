@@ -31,7 +31,7 @@ from .lattice import (
     cokernel,
     kernel_saturated,
     l_part,
-    lattice_sum,
+    sum_index,
     smith_normal_form,
     torsion_kernel_qz,
 )

@@ -87,11 +87,13 @@ def _datum_common(datum: DegenDatum) -> dict:
 
 
 def _emit(report: dict, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(report, sort_keys=True, indent=2))
-    else:
-        for line in _render_human(report):
-            print(line)
+    # both renderings are built whole before printing, so a failure prints nothing
+    try:
+        text = json.dumps(report, sort_keys=True, indent=2) if as_json \
+            else "\n".join(_render_human(report))
+    except ValueError as exc:  # an integer beyond the interpreter's digit limit
+        raise InputError(f"report cannot be rendered: {exc}") from exc
+    print(text)
 
 
 def _render_human(report: dict, prefix: str = "") -> list[str]:

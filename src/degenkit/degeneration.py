@@ -218,7 +218,7 @@ def pairing_violation(phi: LatticeMap, lam: LatticeMap) -> str | None:
     m = phi.compose(lam)
     if m.nrows != m.ncols:
         return "composed pairing is not square"
-    rows = m.rows()
+    rows = m.entries
     n = m.nrows
     for i in range(n):
         for j in range(i + 1, n):
@@ -310,12 +310,9 @@ def _override_violations(datum: DegenDatum, ov: StratumOverride) -> list[Violati
     if not ov.inclusion.is_injective():
         out.append(Violation("stratum override invalid", detail="inclusion not injective"))
         return out
-    rows = [list(datum.branches[j].specialization.entries[k])
-            for j in ov.branches for k in range(datum.branches[j].lattice.rank)]
+    rows = [r for j in ov.branches for r in datum.branches[j].specialization.entries]
     restricted = LatticeMap.from_rows(rows, source_rank=datum.mu, target_rank=amb)
-    sol = intmat.integral_solve(ov.inclusion.rows(), amb, ov.inclusion.ncols,
-                                restricted.rows(), datum.mu)
-    if sol is None:
+    if ov.inclusion.solve(restricted) is None:
         out.append(Violation("stratum override invalid",
                              detail="restricted purity does not factor through the override"))
     elif ov.inclusion.ncols != restricted.rank_of_image():
@@ -429,7 +426,7 @@ def _rational_inverse(m: LatticeMap) -> list[list[Fraction]]:
     if m.nrows != m.ncols:
         raise InputError("polarization must be square to invert")
     n = m.nrows
-    return intmat.solve_rational(m.rows(), n, intmat.identity(n), n)
+    return intmat.solve_rational(m.entries, n, LatticeMap.identity(n).entries, n)
 
 
 def _scale_to_integer(frac_rows: list[list[Fraction]], e: int) -> list[list[int]]:

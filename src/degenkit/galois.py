@@ -22,9 +22,11 @@ from .lattice import (
     FinAb,
     Lattice,
     LatticeMap,
+    cokernel,
+    image_lattices_equal,
     is_prime,
     kernel_saturated,
-    lattice_sum,
+    sum_index,
 )
 from .monodromy import TraitProfile, psi_maps
 
@@ -58,14 +60,8 @@ class GaloisRep:
 
     def char_block_projection(self) -> LatticeMap:
         """Projection T -> T/T^f identified with the X' block."""
-        start = self.lattice.rank - self.toric_rank
-        rows = []
-        for k in range(self.toric_rank):
-            row = [0] * self.lattice.rank
-            row[start + k] = 1
-            rows.append(row)
-        return LatticeMap.from_rows(rows, source_rank=self.lattice.rank,
-                                    target_rank=self.toric_rank)
+        return _block_inclusion(self.lattice.rank, self.lattice.rank - self.toric_rank,
+                                self.toric_rank).transpose()
 
 
 def _block_inclusion(total: int, start: int, size: int) -> LatticeMap:
@@ -88,15 +84,11 @@ def build_rep(datum: DegenDatum, l: int) -> GaloisRep:
     mu = datum.mu
     alpha = datum.abelian_rank
     total = 2 * (mu + alpha)
-    char_start = total - mu
-    nilpotents = []
-    for psi in psi_maps(datum):
-        rows = intmat.zeros(total, total)
-        for i in range(mu):
-            for j in range(mu):
-                rows[i][char_start + j] = psi.entries[i][j]
-        nilpotents.append(LatticeMap.from_rows(rows, source_rank=total, target_rank=total))
-    rep = GaloisRep(l, mu, alpha, Lattice(total), tuple(nilpotents))
+    # N_i = ι_{X^dual} ∘ psi_i ∘ π_{X'}
+    inclusion = _block_inclusion(total, 0, mu)
+    projection = _block_inclusion(total, total - mu, mu).transpose()
+    nilpotents = tuple(inclusion.compose(psi).compose(projection) for psi in psi_maps(datum))
+    rep = GaloisRep(l, mu, alpha, Lattice(total), nilpotents)
     _verify_rep(rep)
     return rep
 
@@ -111,7 +103,7 @@ def _verify_rep(rep: GaloisRep) -> None:
     if fixed.ncols != expected:
         raise FalsificationError(
             f"rank T^G = {fixed.ncols}, expected 2d - mu = {expected}")
-    if fixed.image_hnf() != rep.fixed_part().image_hnf():
+    if not image_lattices_equal(fixed, rep.fixed_part()):
         raise FalsificationError("T^G differs from T^f as a saturated sublattice")
 
 
@@ -132,7 +124,7 @@ def star_condition(rep: GaloisRep) -> bool:
     for i in range(rep.n):
         others = tuple(j for j in range(rep.n) if j != i)
         parts.append(fixed_lattice(rep, others))
-    _, index = lattice_sum(parts)
+    index = sum_index(parts)
     return index is not None and index % rep.l != 0
 
 
@@ -154,22 +146,14 @@ def decomposition_check(rep: GaloisRep) -> bool:
         for j in others:
             if not rep.nilpotents[j].compose(w).is_zero():
                 return False
-        sigma_w = rep.sigma(i).compose(w)
-        if intmat.integral_solve(w.rows(), w.nrows, w.ncols,
-                                 sigma_w.rows(), sigma_w.ncols) is None:
+        if w.solve(rep.sigma(i).compose(w)) is None:
             return False
-        projected = proj.compose(w)
-        basis = intmat.hnf_columns(projected.rows(), projected.nrows, projected.ncols)
-        bcols = len(basis[0]) if basis else 0
-        parts.append(LatticeMap(Lattice(bcols), Lattice(rep.toric_rank),
-                                tuple(tuple(r) for r in basis)))
-    # the decomposition must be direct: the combined columns stay independent
-    concat_cols = sum(p.ncols for p in parts)
-    concat = [[v for p in parts for v in p.entries[i]] for i in range(rep.toric_rank)]
-    if intmat.rank(concat, rep.toric_rank, concat_cols) != concat_cols:
-        return False
-    _, index = lattice_sum(parts)
-    return index is not None and index % rep.l != 0
+        parts.append(proj.compose(w).image_basis())
+    # direct and of finite index: the combined basis columns number rank T/T^G
+    # and span a full-rank sublattice, so they are independent
+    index = sum_index(parts)
+    return (sum(p.ncols for p in parts) == rep.toric_rank
+            and index is not None and index % rep.l != 0)
 
 
 def _mod_lr_quotient(action: LatticeMap, fixed: LatticeMap, modulus: int) -> FinAb:
@@ -179,29 +163,18 @@ def _mod_lr_quotient(action: LatticeMap, fixed: LatticeMap, modulus: int) -> Fin
     containing m·Z^N; the quotient is read off one integral change of basis.
     """
     total = action.ncols
-    u, d, v = intmat.smith(action.rows(), action.nrows, action.ncols)
+    # the raw Smith form: U is never read, so it is not frozen into a map
+    _, d, v = intmat.smith(action.entries, action.nrows, action.ncols)
     diag = intmat.diagonal_of(d, action.nrows, action.ncols)
-    r = len(diag)
-    cols: list[list[int]] = []
-    for k in range(total):
-        scale = modulus // gcd(diag[k], modulus) if k < r else 1
-        cols.append([v[i][k] * scale for i in range(total)])
-    for k in range(total):
-        e = [0] * total
-        e[k] = modulus
-        cols.append(e)
-    kernel_rows = [[c[i] for c in cols] for i in range(total)]
-    kernel_basis = intmat.hnf_columns(kernel_rows, total, len(cols))
-    fixed_cols = [list(row) for row in fixed.entries]
-    for k in range(total):
-        for i in range(total):
-            fixed_cols[i].append(modulus if i == k else 0)
-    fixed_basis = intmat.hnf_columns(fixed_cols, total, fixed.ncols + total)
-    change = intmat.integral_solve(kernel_basis, total, total, fixed_basis, total)
+    scales = [modulus // gcd(diag[k], modulus) if k < len(diag) else 1 for k in range(total)]
+    kernel = LatticeMap.from_rows([[x * c for x, c in zip(row, scales)] for row in v],
+                                  source_rank=total, target_rank=total)
+    relations = LatticeMap.identity(total).scaled(modulus)
+    kernel_basis = LatticeMap.beside([kernel, relations]).image_basis()
+    change = kernel_basis.solve(LatticeMap.beside([fixed, relations]).image_basis())
     if change is None:
         raise FalsificationError("fixed vectors escaped the finite-level kernel")
-    facs = intmat.invariant_factors(change, total, total)
-    return FinAb(tuple(f for f in facs if f > 1))
+    return cokernel(change)[0]
 
 
 def torsion_phi_group(rep: GaloisRep, profile: TraitProfile, r: int) -> FinAb:

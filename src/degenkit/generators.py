@@ -154,7 +154,7 @@ def random_polarized_datum(rng: Random, max_mu: int = 3, max_n: int = 3,
         k = b.lattice.rank
         wi_inv = _unimodular_inverse(wi, k)
         sp_rows = intmat.matmul(
-            intmat.matmul(wi, k, k, b.specialization.rows(), k, mu), k, mu,
+            intmat.matmul(wi, k, k, b.specialization.entries, k, mu), k, mu,
             w_inv, mu, mu)
         dual_sps.append(LatticeMap.from_rows(sp_rows, source_rank=mu, target_rank=k))
         s = random_spd(rng, k)

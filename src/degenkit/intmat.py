@@ -1,9 +1,10 @@
 """Exact linear algebra over the integers.
 
-Matrices are dense, row-major lists of Python ints, so every computation is
-arbitrary precision.  Shapes are always passed explicitly: a matrix with zero
-rows is ``[]`` and one with zero columns is ``[[], [], ...]``, and both are
-legal inputs everywhere.
+Matrices are dense, row-major sequences of Python ints, so every computation
+is arbitrary precision.  Inputs may be lists or tuples of rows and are never
+mutated; results are fresh lists.  Shapes are always passed explicitly: a
+matrix with zero rows is ``[]`` and one with zero columns is ``[[], [], ...]``,
+and both are legal inputs everywhere.
 
 The two normal forms implemented here:
 
@@ -34,7 +35,7 @@ def identity(n: int) -> IntMatrix:
 
 
 def copy_of(m: IntMatrix) -> IntMatrix:
-    return [row[:] for row in m]
+    return [list(row) for row in m]
 
 
 def transpose(m: IntMatrix, nrows: int, ncols: int) -> IntMatrix:
@@ -236,15 +237,6 @@ def kernel_basis(m: IntMatrix, nrows: int, ncols: int) -> IntMatrix:
     _, d, v = smith(m, nrows, ncols)
     r = len(diagonal_of(d, nrows, ncols))
     return [row[r:] for row in v] if ncols > r else [[] for _ in range(ncols)]
-
-
-def saturation_basis(m: IntMatrix, nrows: int, ncols: int) -> IntMatrix:
-    """Basis (columns) of the saturation of the column span inside Z^nrows."""
-    # sat(L) is the orthogonal complement of L's orthogonal complement.
-    perp = kernel_basis(transpose(m, nrows, ncols), ncols, nrows)  # nrows×k
-    k = len(perp[0]) if perp else 0
-    sat = kernel_basis(transpose(perp, nrows, k), k, nrows)
-    return hnf_columns(sat, nrows, len(sat[0]) if sat else 0)
 
 
 def bareiss_det(m: IntMatrix, n: int) -> int:

@@ -33,7 +33,7 @@ class Lattice:
 
 
 def _freeze(rows: list[list[int]]) -> Rows:
-    return tuple(tuple(int(v) for v in row) for row in rows)
+    return tuple(map(tuple, rows))
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,15 @@ class LatticeMap:
 
     @classmethod
     def identity(cls, rank: int) -> "LatticeMap":
-        return cls(Lattice(rank), Lattice(rank), _freeze(intmat.identity(rank)))
+        return cls.diagonal([1] * rank)
+
+    @classmethod
+    def diagonal(cls, values: list[int]) -> "LatticeMap":
+        n = len(values)
+        rows = intmat.zeros(n, n)
+        for i, v in enumerate(values):
+            rows[i][i] = v
+        return cls(Lattice(n), Lattice(n), _freeze(rows))
 
     @classmethod
     def zero(cls, source: Lattice, target: Lattice) -> "LatticeMap":
@@ -80,8 +88,20 @@ class LatticeMap:
         for m in maps:
             if m.source != src:
                 raise InputError("stacked maps must share their source")
-        rows = [list(r) for m in maps for r in m.entries]
-        return cls(src, Lattice(sum(m.target.rank for m in maps)), _freeze(rows))
+        rows = tuple(r for m in maps for r in m.entries)
+        return cls(src, Lattice(sum(m.target.rank for m in maps)), rows)
+
+    @classmethod
+    def beside(cls, maps: list["LatticeMap"]) -> "LatticeMap":
+        """Column concatenation of maps with a common target: (m_1 | m_2 | ...)."""
+        if not maps:
+            raise InputError("cannot concatenate zero maps without a target")
+        target = maps[0].target
+        for m in maps:
+            if m.target != target:
+                raise InputError("concatenated maps must share their target")
+        rows = tuple(tuple(v for m in maps for v in m.entries[i]) for i in range(target.rank))
+        return cls(Lattice(sum(m.ncols for m in maps)), target, rows)
 
     @classmethod
     def block_diagonal(cls, maps: list["LatticeMap"]) -> "LatticeMap":
@@ -99,9 +119,6 @@ class LatticeMap:
 
     # -- plumbing -----------------------------------------------------------
 
-    def rows(self) -> list[list[int]]:
-        return [list(r) for r in self.entries]
-
     @property
     def nrows(self) -> int:
         return self.target.rank
@@ -114,16 +131,13 @@ class LatticeMap:
         """self ∘ other (apply other first)."""
         if other.target != self.source:
             raise InputError("composition rank mismatch")
-        m = intmat.matmul(self.rows(), self.nrows, self.ncols,
-                          other.rows(), other.nrows, other.ncols)
+        m = intmat.matmul(self.entries, self.nrows, self.ncols,
+                          other.entries, other.nrows, other.ncols)
         return LatticeMap(other.source, self.target, _freeze(m))
-
-    def __mul__(self, other: "LatticeMap") -> "LatticeMap":
-        return self.compose(other)
 
     def transpose(self) -> "LatticeMap":
         return LatticeMap(Lattice(self.target.rank), Lattice(self.source.rank),
-                          _freeze(intmat.transpose(self.rows(), self.nrows, self.ncols)))
+                          _freeze(intmat.transpose(self.entries, self.nrows, self.ncols)))
 
     def scaled(self, c: int) -> "LatticeMap":
         return LatticeMap(self.source, self.target,
@@ -136,26 +150,34 @@ class LatticeMap:
         return LatticeMap(self.source, self.target, _freeze(rows))
 
     def rank_of_image(self) -> int:
-        return intmat.rank(self.rows(), self.nrows, self.ncols)
+        return intmat.rank(self.entries, self.nrows, self.ncols)
 
     def is_injective(self) -> bool:
         return self.rank_of_image() == self.ncols
 
     def is_surjective(self) -> bool:
         # surjective over Z: the column lattice is everything
-        return intmat.column_lattice_index(self.rows(), self.nrows, self.ncols) == 1
+        return intmat.column_lattice_index(self.entries, self.nrows, self.ncols) == 1
 
     def is_zero(self) -> bool:
-        return intmat.is_zero(self.rows())
+        return intmat.is_zero(self.entries)
 
     def determinant(self) -> int:
         if self.nrows != self.ncols:
             raise InputError("determinant of a non-square map")
-        return intmat.bareiss_det(self.rows(), self.nrows)
+        return intmat.bareiss_det(self.entries, self.nrows)
 
-    def image_hnf(self) -> Rows:
-        """Canonical basis of the image lattice: equal images iff equal HNFs."""
-        return _freeze(intmat.hnf_columns(self.rows(), self.nrows, self.ncols))
+    def image_basis(self) -> "LatticeMap":
+        """Canonical (Hermite) basis of the image: equal images iff equal bases."""
+        h = intmat.hnf_columns(self.entries, self.nrows, self.ncols)
+        return LatticeMap(Lattice(len(h[0]) if h else 0), self.target, _freeze(h))
+
+    def solve(self, b: "LatticeMap") -> "LatticeMap | None":
+        """Some integral X with self ∘ X = b, or None when there is none."""
+        if b.target != self.target:
+            raise InputError("solve needs a right-hand side with the same target")
+        x = intmat.integral_solve(self.entries, self.nrows, self.ncols, b.entries, b.ncols)
+        return None if x is None else LatticeMap(b.source, self.source, _freeze(x))
 
 
 @dataclass(frozen=True)
@@ -271,7 +293,7 @@ class SNFDecomposition:
 
     @property
     def invariant_factors(self) -> tuple[int, ...]:
-        return tuple(intmat.diagonal_of(self.D.rows(), self.D.nrows, self.D.ncols))
+        return tuple(intmat.diagonal_of(self.D.entries, self.D.nrows, self.D.ncols))
 
     @property
     def rank(self) -> int:
@@ -279,7 +301,7 @@ class SNFDecomposition:
 
 
 def smith_normal_form(m: LatticeMap) -> SNFDecomposition:
-    u, d, v = intmat.smith(m.rows(), m.nrows, m.ncols)
+    u, d, v = intmat.smith(m.entries, m.nrows, m.ncols)
     return SNFDecomposition(
         U=LatticeMap(Lattice(m.nrows), Lattice(m.nrows), _freeze(u)),
         D=LatticeMap(m.source, m.target, _freeze(d)),
@@ -289,44 +311,32 @@ def smith_normal_form(m: LatticeMap) -> SNFDecomposition:
 
 def cokernel(m: LatticeMap) -> tuple[FinAb, int]:
     """(torsion of coker m, free rank of coker m)."""
-    facs = intmat.invariant_factors(m.rows(), m.nrows, m.ncols)
+    facs = intmat.invariant_factors(m.entries, m.nrows, m.ncols)
     torsion = [d for d in facs if d > 1]
     return FinAb(tuple(torsion)), m.nrows - len(facs)
 
 
 def torsion_kernel_qz(m: LatticeMap) -> FinAb:
     """ker(m ⊗ Q/Z): torsion invariants plus a divisible rank = nullity(m)."""
-    facs = intmat.invariant_factors(m.rows(), m.nrows, m.ncols)
+    facs = intmat.invariant_factors(m.entries, m.nrows, m.ncols)
     torsion = [d for d in facs if d > 1]
     return FinAb(tuple(torsion), m.ncols - len(facs))
 
 
 def kernel_saturated(m: LatticeMap) -> LatticeMap:
     """Injective map with image {x : m·x = 0}; the quotient is torsion-free."""
-    k = intmat.kernel_basis(m.rows(), m.nrows, m.ncols)
+    k = intmat.kernel_basis(m.entries, m.nrows, m.ncols)
     kcols = len(k[0]) if k else 0
     return LatticeMap(Lattice(kcols), m.source, _freeze(k))
 
 
-def lattice_sum(maps: list[LatticeMap]) -> tuple[LatticeMap, int | None]:
-    """Saturated basis of the sum of images, and the index of the raw sum.
+def sum_index(maps: list[LatticeMap]) -> int | None:
+    """Index of im(maps[0]) + im(maps[1]) + ... in the common target.
 
-    The index is the index of im(maps[0]) + ... inside the common target, or
     None when the sum has strictly smaller rank (infinite index).
     """
-    if not maps:
-        raise InputError("lattice_sum needs at least one map")
-    target = maps[0].target
-    for m in maps:
-        if m.target != target:
-            raise InputError("lattice_sum maps must share their target")
-    cols = intmat.zeros(target.rank, 0)
-    all_rows = [[v for m in maps for v in m.entries[i]] for i in range(target.rank)]
-    ncols = sum(m.ncols for m in maps)
-    index = intmat.column_lattice_index(all_rows, target.rank, ncols)
-    sat = intmat.saturation_basis(all_rows, target.rank, ncols)
-    satcols = len(sat[0]) if sat else 0
-    return LatticeMap(Lattice(satcols), target, _freeze(sat)), index
+    m = LatticeMap.beside(maps)
+    return intmat.column_lattice_index(m.entries, m.nrows, m.ncols)
 
 
 def l_part(g: FinAb, l: int) -> FinAb:
@@ -349,4 +359,4 @@ def l_part(g: FinAb, l: int) -> FinAb:
 def image_lattices_equal(a: LatticeMap, b: LatticeMap) -> bool:
     if a.target != b.target:
         return False
-    return a.image_hnf() == b.image_hnf()
+    return a.image_basis() == b.image_basis()

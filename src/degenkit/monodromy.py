@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import intmat
 from .degeneration import (
     Branch,
     DegenDatum,
@@ -115,28 +114,20 @@ def stratum_lattice(datum: DegenDatum, active: tuple[int, ...] | list[int],
             inc = override.inclusion
         if inc is None:
             raise InputError("stratum override lacks a dual inclusion")
-        proj_rows = intmat.integral_solve(inc.rows(), inc.nrows, inc.ncols,
-                                          restricted.rows(), restricted.ncols)
-        if proj_rows is None:
+        proj = inc.solve(restricted)
+        if proj is None:
             raise InputError("stratum override does not contain the restricted purity image")
-        proj = LatticeMap.from_rows(proj_rows, source_rank=restricted.ncols,
-                                    target_rank=inc.ncols)
-        return StratumData(Lattice(inc.ncols), inc, proj, active, overridden=True)
+        return StratumData(inc.source, inc, proj, active, overridden=True)
     heuristic = (len(active) < datum.n) and not datum.verdict.toric_additive
     if restricted.is_injective():
         # Y is the source lattice itself, in its own basis
         return StratumData(restricted.source, restricted,
                            LatticeMap.identity(restricted.ncols), active, heuristic)
-    basis = intmat.hnf_columns(restricted.rows(), restricted.nrows, restricted.ncols)
-    rank = len(basis[0]) if basis else 0
-    inc = LatticeMap(Lattice(rank), restricted.target,
-                     tuple(tuple(r) for r in basis))
-    proj_rows = intmat.integral_solve(basis, restricted.nrows, rank,
-                                      restricted.rows(), restricted.ncols)
-    if proj_rows is None:
+    inc = restricted.image_basis()
+    proj = inc.solve(restricted)
+    if proj is None:
         raise FalsificationError("restricted purity does not factor through its own image")
-    proj = LatticeMap.from_rows(proj_rows, source_rank=restricted.ncols, target_rank=rank)
-    return StratumData(Lattice(rank), inc, proj, active, heuristic)
+    return StratumData(inc.source, inc, proj, active, heuristic)
 
 
 def compose_trait(datum: DegenDatum, profile: TraitProfile) -> ComposedPairing:

@@ -30,13 +30,13 @@ from .lattice import (
     FinAb,
     Lattice,
     LatticeMap,
+    SNFDecomposition,
     cokernel,
     image_lattices_equal,
     kernel_saturated,
     l_part,
-    lattice_sum,
     smith_normal_form,
-    torsion_kernel_qz,
+    sum_index,
 )
 from .monodromy import ComposedPairing, TraitProfile, component_group, compose_trait
 
@@ -129,52 +129,39 @@ def psi_fixed_points(datum: DegenDatum,
     action on it is trivial.  The result must equal Psi.
     """
     p = datum.residue_char
-    rescaled_datum = kummer_rescale(datum, multipliers)
-    rescaled = psi_group(rescaled_datum)
-    fixed_parts: list[FinAb] = []
-    for b, big in zip(datum.branches, rescaled.branch_components):
-        unrescaled = torsion_kernel_qz(b.pairing)
-        if unrescaled.divisible_rank:
-            raise FalsificationError("injective pairing produced a divisible kernel")
-        pieces: list[FinAb] = []
-        for q in big.primes():
-            if q == p:
-                pieces.append(l_part(big, q))
-            else:
-                pieces.append(l_part(unrescaled.torsion(), q))
-        fixed_parts.append(FinAb.direct_sum(pieces))
+    rescaled = psi_group(kummer_rescale(datum, multipliers))
+    psi = psi_group(datum)
+    fixed_parts = [
+        FinAb.direct_sum([l_part(big if q == p else small, q) for q in big.primes()])
+        for small, big in zip(psi.branch_components, rescaled.branch_components)]
     fixed = FinAb.direct_sum(fixed_parts)
-    psi = psi_group(datum).group
-    return PsiFixedPoints(rescaled.group, fixed, psi, fixed == psi)
+    return PsiFixedPoints(rescaled.group, fixed, psi.group, fixed == psi.group)
 
 
-def _presentation_generators(phi: LatticeMap) -> tuple[list[int], list[list[Fraction]]]:
+def _presentation_generators(dec: SNFDecomposition) -> tuple[list[int], list[list[Fraction]]]:
     """Generators of ker(phi ⊗ Q/Z) as rational vectors, one per nonunit factor.
 
     For SNF U·phi·V = D the kernel is generated by V·e_k/d_k; the returned
     orders follow the invariant-factor chain (ascending).
     """
-    dec = smith_normal_form(phi)
     facs = dec.invariant_factors
-    if len(facs) < phi.ncols:
-        raise InputError("degenerate pairing in presentation")
-    v = dec.V.rows()
+    n = dec.V.nrows
+    if len(facs) < n or dec.U.nrows != n:
+        raise InputError("degenerate pairing")
+    v = dec.V.entries
     orders: list[int] = []
     gens: list[list[Fraction]] = []
     for k, d in enumerate(facs):
         if d > 1:
             orders.append(d)
-            gens.append([Fraction(v[i][k], d) for i in range(phi.ncols)])
+            gens.append([Fraction(v[i][k], d) for i in range(n)])
     return orders, gens
 
 
-def _coordinates_in_presentation(phi: LatticeMap, vec: list[Fraction]) -> list[int]:
+def _coordinates_in_presentation(dec: SNFDecomposition, vec: list[Fraction]) -> list[int]:
     """Coordinates of a Q/Z-kernel element w.r.t. the presentation generators."""
-    dec = smith_normal_form(phi)
     facs = dec.invariant_factors
-    v = dec.V.rows()
-    n = phi.ncols
-    t = intmat.solve_rational(v, n, [[f] for f in vec], 1)
+    t = intmat.solve_rational(dec.V.entries, dec.V.nrows, [[f] for f in vec], 1)
     coords: list[int] = []
     for k, d in enumerate(facs):
         val = t[k][0] * d
@@ -198,7 +185,9 @@ def trait_surjectivity_check(datum: DegenDatum, profile: TraitProfile) -> TraitS
     if not profile.is_transversal:
         raise InputError("profile is not transversal")
     composed = compose_trait(datum, profile)
-    upsilon = component_group(composed.matrix)
+    pairing_snf = smith_normal_form(composed.matrix)
+    ups_facs, _ = _presentation_generators(pairing_snf)
+    upsilon = FinAb(tuple(ups_facs))
     active = composed.active
 
     # generators of Psi_J, assembled into ⊕_{j in J} X'_j ⊗ Q/Z
@@ -208,7 +197,7 @@ def trait_surjectivity_check(datum: DegenDatum, profile: TraitProfile) -> TraitS
     ambient_gens: list[list[Fraction]] = []
     offset = 0
     for j, rk in zip(active, block_ranks):
-        orders, gens = _presentation_generators(datum.branches[j].pairing)
+        orders, gens = _presentation_generators(smith_normal_form(datum.branches[j].pairing))
         for d, g in zip(orders, gens):
             vec = [Fraction(0)] * total
             vec[offset:offset + rk] = g
@@ -223,24 +212,14 @@ def trait_surjectivity_check(datum: DegenDatum, profile: TraitProfile) -> TraitS
         raise InputError("dual stratum is not full; cannot transport the Psi generators")
     columns: list[list[int]] = []
     for g in ambient_gens:
-        y = [row[0] for row in intmat.solve_rational(bprime.rows(), bprime.nrows,
+        y = [row[0] for row in intmat.solve_rational(bprime.entries, bprime.nrows,
                                                      [[x] for x in g], 1)]
-        columns.append(_coordinates_in_presentation(composed.matrix, y))
-
-    ups_facs = list(upsilon.invariant_factors)
-    nrows = len(ups_facs)
-    mat = [[columns[c][r] for c in range(len(columns))] for r in range(nrows)]
+        columns.append(_coordinates_in_presentation(pairing_snf, y))
+    images = LatticeMap.from_rows(columns, source_rank=len(ups_facs),
+                                  target_rank=len(columns)).transpose()
     # surjective iff the columns plus the relations diag(c_l) span Z^nrows
-    span = [row[:] for row in mat]
-    for r in range(nrows):
-        rel = [0] * nrows
-        rel[r] = ups_facs[r]
-        for i in range(nrows):
-            span[i].append(rel[i])
-    facs = intmat.invariant_factors(span, nrows, len(columns) + nrows)
-    surjective = len(facs) == nrows and all(d == 1 for d in facs)
-    return TraitSurjectivity(upsilon, psi_active,
-                             tuple(tuple(r) for r in mat), surjective, composed)
+    surjective = LatticeMap.beside([images, LatticeMap.diagonal(ups_facs)]).is_surjective()
+    return TraitSurjectivity(upsilon, psi_active, images.entries, surjective, composed)
 
 
 def converse_check(p_map: LatticeMap, q_map: LatticeMap,
@@ -279,7 +258,7 @@ def converse_check(p_map: LatticeMap, q_map: LatticeMap,
 
     mu = a.ncols
     wide = a.nrows
-    theta_frac = intmat.solve_rational(at_psi_a.rows(), mu, at_psi.rows(), wide)
+    theta_frac = intmat.solve_rational(at_psi_a.entries, mu, at_psi.entries, wide)
     theta = tuple(tuple(row) for row in theta_frac)
     if any(f.denominator != 1 for row in theta_frac for f in row):
         return ConverseCertificate(True, "integrality-failed", coker1, coker2, theta=theta)
@@ -300,8 +279,7 @@ def converse_check(p_map: LatticeMap, q_map: LatticeMap,
         raise FalsificationError("certificate projectors are not idempotent")
     ker_p = kernel_saturated(p_map)
     ker_q = kernel_saturated(q_map)
-    _, index = lattice_sum([ker_p, ker_q])
-    kernel_decomposition = (index == 1
+    kernel_decomposition = (sum_index([ker_p, ker_q]) == 1
                             and ker_p.ncols + ker_q.ncols == mu)
     if not kernel_decomposition:
         raise FalsificationError("ker P ⊕ ker Q is not the whole lattice")

@@ -7,9 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from degenkit import cli, degeneration
+from degenkit import cli, degeneration, intmat, neron
 from degenkit.curves import CurveReport
 from degenkit.lattice import FinAb
+from degenkit.monodromy import TraitProfile
+from degenkit.schema import parse_document
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -72,6 +74,42 @@ def test_each_datum_is_validated_once(capsys, monkeypatch, argv, expected):
     code, _, err = run_cli(capsys, argv)
     assert code == 0, err
     assert len(calls) == expected
+
+
+@pytest.fixture
+def smith_calls(monkeypatch):
+    calls = []
+    original = intmat.smith
+
+    def counting(m, nrows, ncols):
+        calls.append((nrows, ncols, tuple(map(tuple, m))))
+        return original(m, nrows, ncols)
+
+    monkeypatch.setattr(intmat, "smith", counting)
+    return calls
+
+
+def test_psi_kummer_factors_each_pairing_once_per_datum(capsys, smith_calls):
+    # purity, the two branch pairings (cmd_psi and psi_fixed_points), the two
+    # rescaled pairings
+    code, _, err = run_cli(capsys, ["psi", "example_3_4", "--kummer", "2,3"])
+    assert code == 0, err
+    assert len(smith_calls) == 7
+
+
+def test_trait_surjectivity_factors_composed_pairing_once(smith_calls):
+    datum = parse_document({
+        "format_version": "1", "kind": "degeneration", "name": "d248",
+        "closed_point": {"rank": 3},
+        "branches": [{"name": "D1", "rank": 3,
+                      "pairing": [[2, 0, 0], [0, 4, 0], [0, 0, 8]],
+                      "specialization": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}],
+    })
+    result = neron.trait_surjectivity_check(datum, TraitProfile((1,)))
+    assert result.surjective
+    assert result.upsilon == FinAb((2, 4, 8))
+    # purity, the composed pairing, the branch pairing's presentation
+    assert len(smith_calls) == 3
 
 
 def test_human_and_json_numerics_agree(capsys):
@@ -263,3 +301,19 @@ class TestFixtureResolution:
         assert code == 2
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("as_json", [True, False])
+    def test_report_integer_over_digit_limit(self, capsys, tmp_path, as_json):
+        # psi.order = 10^6000 has more digits than the interpreter will render
+        doc = tmp_path / "huge.json"
+        big = str(10 ** 3000)
+        doc.write_text(json.dumps({
+            "format_version": "1", "kind": "degeneration", "name": "huge",
+            "closed_point": {"rank": 2},
+            "branches": [{"name": "D1", "rank": 2, "pairing": [[big, "0"], ["0", big]],
+                          "specialization": [[1, 0], [0, 1]]}],
+        }))
+        code, out, err = run_cli(capsys, ["psi", str(doc)] + (["--json"] if as_json else []))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")

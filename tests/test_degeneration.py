@@ -124,7 +124,7 @@ class TestAnalyze:
                 # independent of the purity SNF: square purity and l ∤ det
                 pur = purity_matrix(datum)
                 square = pur.nrows == pur.ncols
-                assert flag == (square and bareiss_det(pur.rows(), pur.nrows) % l != 0)
+                assert flag == (square and bareiss_det(pur.entries, pur.nrows) % l != 0)
 
 
 class TestLToricAdditive:

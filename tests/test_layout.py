@@ -1,0 +1,62 @@
+"""Module layout: only ``lattice`` (and the random generators) speak the raw
+list-of-rows matrix format of ``intmat``; everything else goes through
+``LatticeMap``."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "degenkit"
+FORMAT_OWNERS = {"lattice.py", "generators.py"}
+# intmat name -> the one function allowed to use it (None: any function)
+ALLOWED = {
+    "solve_rational": None,             # right-hand sides of Fractions
+    "leading_principal_minors": None,
+    "smith": "_mod_lr_quotient",        # its U is never read
+    "diagonal_of": "_mod_lr_quotient",
+}
+
+
+def _intmat_uses(tree: ast.AST) -> list[tuple[str | None, str]]:
+    """(enclosing function, name) for every ``intmat.<name>`` in a module."""
+    uses = []
+
+    def visit(node: ast.AST, func: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and isinstance(child.value, ast.Name) \
+                    and child.value.id == "intmat":
+                uses.append((func, child.attr))
+            inner = child.name if isinstance(child, ast.FunctionDef) else func
+            visit(child, inner)
+
+    visit(tree, None)
+    return uses
+
+
+def _imports_intmat(tree: ast.AST) -> bool:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.module == "intmat" or any(a.name == "intmat" for a in node.names):
+                return True
+    return False
+
+
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name not in FORMAT_OWNERS)
+
+
+def test_monodromy_does_not_import_intmat():
+    assert not _imports_intmat(ast.parse((SRC / "monodromy.py").read_text()))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_allowed_intmat_names_outside_lattice(path):
+    tree = ast.parse(path.read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.module != "intmat", f"{path.name} imports names from intmat"
+    bad = [(func, name) for func, name in _intmat_uses(tree)
+           if name not in ALLOWED or ALLOWED[name] not in (None, func)]
+    assert not bad, f"{path.name} uses intmat directly: {bad}"
