@@ -158,16 +158,17 @@ def cmd_trait(args: argparse.Namespace) -> int:
     return 0
 
 
-def _stable_closed_point_torsion(rep: galois.GaloisRep, r: int) -> tuple[FinAb, int]:
+def _at_derived_level(galois_side, lattice_group: FinAb, l: int, r: int) \
+        -> tuple[FinAb, int, bool]:
+    """The Galois side at level L = max(r, v), where l^v is the exponent of the
+    lattice side, and whether it is unchanged at L + 1 (stable)."""
+    if r < 1:
+        raise InputError("level r must be >= 1")
     level = r
-    current = galois.closed_point_torsion(rep, level)
-    for _ in range(8):
-        nxt = galois.closed_point_torsion(rep, level + 1)
-        if nxt == current:
-            return current, level
+    while l ** level < lattice_group.exponent:
         level += 1
-        current = nxt
-    return current, level
+    value = galois_side(level)
+    return value, level, value == galois_side(level + 1)
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
@@ -192,11 +193,12 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         profile = _parse_profile(args.profile, datum.n)
         composed = monodromy.compose_trait(datum, profile)
         lattice_group = l_part(monodromy.component_group(composed.matrix), args.l)
-        galois_group = galois.torsion_phi_group(rep, profile, args.r)
-        groups_agree = lattice_group == galois_group
+        galois_group, level, stable = _at_derived_level(
+            lambda r: galois.torsion_phi_group(rep, profile, r), lattice_group, args.l, args.r)
+        groups_agree = stable and lattice_group == galois_group
         payload["component_group"] = {
             "profile": list(profile.multiplicities),
-            "r": args.r,
+            "r": level,
             "lattice_side": _finab_dict(lattice_group),
             "galois_side": _finab_dict(galois_group),
             "agree": groups_agree,
@@ -204,13 +206,15 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         report["warnings"].extend(composed.warnings)
         disagreement = disagreement or not groups_agree
     bound = monodromy.closed_point_bound(datum, args.l)
-    exact, used_r = _stable_closed_point_torsion(rep, args.r)
+    exact, level, stable = _at_derived_level(
+        lambda r: galois.closed_point_torsion(rep, r), bound.torsion(), args.l, args.r)
     payload["closed_point"] = {
         "bound": _finab_dict(bound),
         "exact_torsion": _finab_dict(exact),
-        "r_used": used_r,
+        "r_used": level,
         "bound_is_strict": bound.torsion() != exact,
     }
+    disagreement = disagreement or not stable
     report["oracle"] = payload
     if disagreement:
         report["warnings"].append("falsification: lattice and Galois sides disagree")
@@ -343,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_oracle = add("oracle", cmd_oracle, "lattice-side vs Galois-side cross-check")
     p_oracle.add_argument("--l", type=int, required=True, help="prime l != residue char")
-    p_oracle.add_argument("--r", type=int, default=4, help="finite level l^r (default 4)")
+    p_oracle.add_argument("--r", type=int, default=4, help="lowest finite level l^r (default 4)")
     p_oracle.add_argument("--profile", default=None,
                           help="also cross-check the trait component group")
 

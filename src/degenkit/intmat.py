@@ -58,10 +58,6 @@ def matmul(a: IntMatrix, ar: int, ac: int, b: IntMatrix, br: int, bc: int) -> In
     return out
 
 
-def is_zero(m: IntMatrix) -> bool:
-    return all(all(v == 0 for v in row) for row in m)
-
-
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
     """Return (g, x, y) with g = gcd(a, b) >= 0 and x*a + y*b == g."""
     x, next_x = 1, 0

@@ -159,9 +159,6 @@ class LatticeMap:
         # surjective over Z: the column lattice is everything
         return intmat.column_lattice_index(self.entries, self.nrows, self.ncols) == 1
 
-    def is_zero(self) -> bool:
-        return intmat.is_zero(self.entries)
-
     def determinant(self) -> int:
         if self.nrows != self.ncols:
             raise InputError("determinant of a non-square map")

@@ -112,6 +112,59 @@ def test_trait_surjectivity_factors_composed_pairing_once(smith_calls):
     assert len(smith_calls) == 3
 
 
+def test_abelian_rank_never_reaches_a_matrix(capsys, smith_calls, tmp_path):
+    doc = json.loads(cli.resolve_input("example_3_4").read_text())
+    shapes = []
+    for alpha in (0, 40):
+        path = tmp_path / f"alpha{alpha}.json"
+        path.write_text(json.dumps(dict(doc, abelian_rank=alpha)))
+        smith_calls.clear()
+        code, _, err = run_cli(capsys, ["oracle", str(path), "--l", "2", "--profile", "1,1"])
+        assert code == 0, err
+        shapes.append(sorted((nrows, ncols) for nrows, ncols, _ in smith_calls))
+    assert shapes[0] == shapes[1]
+
+
+class TestOracleLevels:
+    """Both finite-level comparisons run at one level derived from the lattice side."""
+
+    def test_profile_level_follows_lattice_exponent(self, capsys):
+        code, out, err = run_cli(capsys, ["oracle", "example_3_4", "--l", "2",
+                                          "--profile", "32,1", "--json"])
+        assert code == 0, err
+        group = json.loads(out)["oracle"]["component_group"]
+        assert group["r"] == 7
+        assert group["lattice_side"]["invariant_factors"] == [128]
+        assert group["galois_side"]["invariant_factors"] == [128]
+        assert group["agree"] is True
+
+    def test_closed_point_level_follows_bound_exponent(self, capsys, tmp_path):
+        doc = tmp_path / "two20.json"
+        doc.write_text(json.dumps({
+            "format_version": "1", "kind": "degeneration", "name": "two20",
+            "closed_point": {"rank": 1},
+            "branches": [{"name": "D1", "rank": 1, "pairing": [[2 ** 20]],
+                          "specialization": [[1]]}],
+        }))
+        code, out, err = run_cli(capsys, ["oracle", str(doc), "--l", "2", "--json"])
+        assert code == 0, err
+        closed = json.loads(out)["oracle"]["closed_point"]
+        assert closed["r_used"] == 20
+        assert closed["exact_torsion"]["invariant_factors"] == [2 ** 20]
+        assert closed["bound_is_strict"] is False
+
+    def test_galois_side_growing_past_the_level_is_a_disagreement(self, capsys, monkeypatch):
+        # equal to the lattice side, Z/2 + Z/2, at the derived level 4 only
+        monkeypatch.setattr(cli.galois, "torsion_phi_group",
+                            lambda rep, profile, r: FinAb((2, 2 ** (r - 3))))
+        code, out, _ = run_cli(capsys, ["oracle", "example_3_4", "--l", "2",
+                                        "--profile", "1,1", "--json"])
+        assert code == 1
+        report = json.loads(out)
+        assert report["oracle"]["component_group"]["agree"] is False
+        assert any("falsification" in w for w in report["warnings"])
+
+
 def test_human_and_json_numerics_agree(capsys):
     _, human, _ = run_cli(capsys, ["analyze", "example_3_4"])
     _, as_json, _ = run_cli(capsys, ["analyze", "example_3_4", "--json"])

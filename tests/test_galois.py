@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -12,12 +13,20 @@ from degenkit.galois import (
     build_rep,
     closed_point_torsion,
     decomposition_check,
+    fixed_lattice,
     star_condition,
     torsion_phi_group,
 )
-from degenkit.generators import random_datum, random_polarized_datum, random_profile
-from degenkit.lattice import FinAb, Lattice, LatticeMap, l_part
+from degenkit.generators import (
+    random_datum,
+    random_polarized_datum,
+    random_profile,
+    random_ta_datum,
+)
+from degenkit.lattice import FinAb, Lattice, LatticeMap, image_lattices_equal, l_part
 from degenkit.monodromy import TraitProfile, closed_point_bound, component_group, compose_trait
+
+import galois_full as full_model
 
 
 def lm(rows, source=None, target=None):
@@ -28,38 +37,56 @@ class TestBuildRep:
     def test_no_branches(self):
         rep = build_rep(DegenDatum("empty", 2, 0, Lattice(0), ()), 3)
         assert rep.lattice.rank == 4          # 2d with d = alpha = 2
-        assert rep.nilpotents == ()
-        assert rep.fixed_part().ncols == 4
+        assert rep.psi == ()
+        assert fixed_lattice(rep, ()).ncols == 0
 
     def test_example_3_4_ranks(self, example_3_4):
         rep = build_rep(example_3_4, 3)
         assert rep.lattice.rank == 4
-        assert rep.toric_part().ncols == 2            # rank mu
-        assert rep.fixed_part().ncols == 2            # rank 2d - mu with d = mu = 2
-        stacked = LatticeMap.stack(list(rep.nilpotents))
-        from degenkit.lattice import kernel_saturated
-        assert kernel_saturated(stacked).ncols == 2
+        assert rep.toric_rank == 2
+        assert [(psi.nrows, psi.ncols) for psi in rep.psi] == [(2, 2), (2, 2)]
+        # T^G = T^f = X^dual ⊕ C: no X' part
+        assert fixed_lattice(rep, (0, 1)).ncols == 0
 
     def test_single_branch_elementary(self):
         datum = DegenDatum("one", 0, 0, Lattice(1),
                            (Branch("D1", Lattice(1), lm([[5]]), lm([[1]])),))
         rep = build_rep(datum, 2)
         # X' generator goes to 5 times the X^dual generator
-        assert rep.nilpotents[0].entries == ((0, 5), (0, 0))
+        assert rep.psi[0].entries == ((5,),)
 
     def test_unipotency_and_commutation(self):
         rng = random.Random(19)
         for _ in range(20):
             datum = random_datum(rng, max_mu=3, max_n=3, min_n=1)
-            rep = build_rep(datum, 2)
-            for i in range(rep.n):
-                sigma = rep.sigma(i)
-                delta = sigma.add(LatticeMap.identity(rep.lattice.rank).scaled(-1))
-                assert delta.compose(delta).is_zero()
-                for j in range(rep.n):
-                    a = rep.sigma(i).compose(rep.sigma(j))
-                    b = rep.sigma(j).compose(rep.sigma(i))
+            full = full_model.full_rep(datum, 2)
+            for i in range(full.n):
+                sigma = full.sigma(i)
+                delta = sigma.add(LatticeMap.identity(full.total).scaled(-1))
+                assert full_model.is_zero(delta.compose(delta))
+                for j in range(full.n):
+                    a = full.sigma(i).compose(full.sigma(j))
+                    b = full.sigma(j).compose(full.sigma(i))
                     assert a.entries == b.entries
+
+    def test_block_form_matches_full_model(self):
+        rng = random.Random(23)
+        for _ in range(60):
+            datum = replace(random_datum(rng, max_mu=3, max_n=3, min_n=1),
+                            abelian_rank=rng.randint(0, 3))
+            profile = TraitProfile(tuple(random_profile(rng, datum.n)))
+            for l in (2, 3):
+                rep, full = build_rep(datum, l), full_model.full_rep(datum, l)
+                # the full fixed lattice is T^f, which the block form certified
+                assert image_lattices_equal(
+                    full_model.fixed_lattice(full, tuple(range(full.n))), full.fixed_part())
+                assert star_condition(rep) == full_model.star_condition(full)
+                assert decomposition_check(rep) == full_model.decomposition_check(full)
+                assert torsion_phi_group(rep, profile, 3) == \
+                    full_model.torsion_phi_group(full, profile, 3)
+                for r in (1, 3, 5):
+                    assert closed_point_torsion(rep, r) == \
+                        full_model.closed_point_torsion(full, r)
 
     def test_rejects_residue_char(self, example_3_4):
         datum = DegenDatum("p3", 0, 3, example_3_4.closed_point, example_3_4.branches)
@@ -112,6 +139,18 @@ class TestTheoremEquivalence:
                 rep = build_rep(datum, l)
                 assert star_condition(rep) == decomposition_check(rep) \
                     == is_l_toric_additive(datum, l)
+
+
+    def test_scale_with_abelian_rank(self):
+        rng = random.Random(123)
+        for gen in (random_datum, random_ta_datum):
+            for _ in range(30):
+                datum = replace(gen(rng, max_mu=12, max_n=6, min_n=2),
+                                abelian_rank=rng.randint(0, 64))
+                for l in (2, 3):
+                    rep = build_rep(datum, l)
+                    assert star_condition(rep) == decomposition_check(rep) \
+                        == is_l_toric_additive(datum, l), (datum.name, l)
 
 
 class TestTorsionPhiGroup:
