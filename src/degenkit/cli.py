@@ -268,7 +268,7 @@ def cmd_psi(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise InputError(f"--kummer: not a comma-separated integer list: {args.kummer!r}") \
                 from exc
-        fixed = neron.psi_fixed_points(datum, multipliers)
+        fixed = neron.psi_fixed_points(datum, multipliers, group)
         payload["kummer"] = {
             "multipliers": list(multipliers),
             "rescaled_psi": _finab_dict(fixed.rescaled),

@@ -119,9 +119,7 @@ def _mod_lr_quotient(action: LatticeMap, fixed: LatticeMap, modulus: int) -> Fin
     scales = [modulus // gcd(diag[k], modulus) if k < len(diag) else 1 for k in range(total)]
     kernel = LatticeMap.from_rows([[x * c for x, c in zip(row, scales)] for row in v],
                                   source_rank=total, target_rank=total)
-    relations = LatticeMap.identity(total).scaled(modulus)
-    kernel_basis = LatticeMap.beside([kernel, relations]).image_basis()
-    change = kernel_basis.solve(LatticeMap.beside([fixed, relations]).image_basis())
+    change = kernel.image_basis(modulus).solve(fixed.image_basis(modulus))
     if change is None:
         raise FalsificationError("fixed vectors escaped the finite-level kernel")
     return cokernel(change)[0]

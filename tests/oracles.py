@@ -194,3 +194,56 @@ def enumerate_qz_kernel(rows: list[list[int]], denominator: int) -> list[int]:
                for i in range(nr)):
             elements.add(point)
     return structure_from_elements(elements, denominator)
+
+
+def reference_hnf(rows: list[list[int]], nrows: int, ncols: int) -> tuple[list[list[int]], int]:
+    """(Hermite basis as an nrows×r matrix, r) by plain column xgcd elimination.
+
+    No modular reduction and no minors: each row's entries right of the last
+    pivot column are folded into the next pivot by extended gcds, and earlier
+    columns are reduced into [0, pivot) in every pivot row.  This is the
+    canonical form the package's modular HNF must reproduce.
+    """
+    h = [list(row) for row in rows]
+    c = 0  # next pivot column
+    for row in range(nrows):
+        if c >= ncols:
+            break
+        pivot_col = next((j for j in range(c, ncols) if h[row][j]), -1)
+        if pivot_col < 0:
+            continue
+        for r in h:
+            r[c], r[pivot_col] = r[pivot_col], r[c]
+        for j in range(c + 1, ncols):
+            if h[row][j] == 0:
+                continue
+            a, b = h[row][c], h[row][j]
+            g, x, y = _xgcd(a, b)
+            ag, bg = a // g, b // g
+            for r in h:
+                vc, vj = r[c], r[j]
+                r[c] = x * vc + y * vj
+                r[j] = -bg * vc + ag * vj
+        if h[row][c] < 0:
+            for r in h:
+                r[c] = -r[c]
+        pivot = h[row][c]
+        for j in range(c):
+            q = h[row][j] // pivot  # floor: reduces into [0, pivot)
+            for r in h:
+                r[j] -= q * r[c]
+        c += 1
+    return [r[:c] for r in h], c
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with g = gcd(a, b) >= 0 and x*a + y*b == g."""
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b = b, a - q * b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    if a < 0:
+        return -a, -x0, -y0
+    return a, x0, y0
