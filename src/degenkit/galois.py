@@ -110,16 +110,16 @@ def _mod_lr_quotient(action: LatticeMap, fixed: LatticeMap, modulus: int) -> Fin
     """Invariants of ker(action mod m) modulo the image of the fixed lattice.
 
     Both subgroups of (Z/m)^N are lifted to full-rank sublattices of Z^N
-    containing m·Z^N; the quotient is read off one integral change of basis.
+    containing m·Z^N (the scaled columns of V already contain it); the
+    quotient is the cokernel of one integral solve.
     """
     total = action.ncols
-    # the raw Smith form: U is never read, so it is not frozen into a map
-    _, d, v = intmat.smith(action.entries, action.nrows, action.ncols)
-    diag = intmat.diagonal_of(d, action.nrows, action.ncols)
+    diag, v = intmat.smith_columns(action.entries, action.nrows, action.ncols)
     scales = [modulus // gcd(diag[k], modulus) if k < len(diag) else 1 for k in range(total)]
     kernel = LatticeMap.from_rows([[x * c for x, c in zip(row, scales)] for row in v],
                                   source_rank=total, target_rank=total)
-    change = kernel.image_basis(modulus).solve(fixed.image_basis(modulus))
+    relations = LatticeMap.identity(total).scaled(modulus)
+    change = kernel.solve(LatticeMap.beside([fixed, relations]))
     if change is None:
         raise FalsificationError("fixed vectors escaped the finite-level kernel")
     return cokernel(change)[0]

@@ -10,23 +10,26 @@ No routine computes a transform it does not return.
 
 * ``smith`` returns (U, D, V) with ``U @ M @ V == D``, U and V unimodular and
   D diagonal with a divisibility chain.  Pivots are chosen as the smallest
-  nonzero absolute value of the trailing block.  It is kept only where U or
-  V is read: ``kernel_basis`` (V), ``integral_solve`` (U and V),
-  ``lattice.smith_normal_form`` (V, for neron's presentation generators)
-  and ``galois._mod_lr_quotient`` (V).  No bound
-  on the transforms is proven, and they do grow: on dense 64×64 input with
-  entries in [-9, 9] they reach about 20,000 bits against a 299-bit
-  determinant.
-* ``invariant_factors`` and ``column_lattice_index`` run the same elimination
-  on D alone.  No bound is proven either; on the same inputs the entries
-  stayed within the determinant's bit length.
-* ``rank`` is one Bareiss fraction-free pass: every intermediate entry is a
-  minor of the input, so it is bounded by the Hadamard bound.
+  nonzero absolute value of the trailing block.  It is kept where U is
+  returned: ``integral_solve`` reads it, and ``lattice.smith_normal_form``
+  hands the whole decomposition to its callers.  No bound on the transforms
+  is proven, and they do grow: on dense 64×64 input with entries in [-9, 9]
+  they reach about 20,000 bits against a 299-bit determinant.
+* ``smith_columns`` runs the same elimination and builds V alone, for the
+  callers that read only V: ``kernel_basis`` and
+  ``galois._mod_lr_quotient``.  V is the same matrix ``smith`` returns.
+* ``invariant_factors`` and ``column_lattice_index`` run it on D alone.  No
+  bound is proven either; on the same inputs the entries stayed within the
+  determinant's bit length.
+* ``rank``, ``bareiss_det`` and ``leading_principal_minors`` are one Bareiss
+  fraction-free pass (the last also recomputes the orders after a zero
+  leading minor one by one): every intermediate entry is a minor of the
+  input, so it is bounded by the Hadamard bound.
 * ``hnf_columns`` returns the canonical column-style Hermite basis of the
   column span, so two sublattices are equal iff their HNFs are identical.
   It works modulo a nonzero maximal minor D from the same Bareiss pass
-  (D·Z^n lies in the lattice), or modulo a multiple the caller passes, so
-  no entry of the elimination reaches 2·D² in absolute value.
+  (D·Z^n lies in the lattice), so no entry of the elimination reaches 2·D²
+  in absolute value.
 """
 
 from __future__ import annotations
@@ -201,24 +204,34 @@ def diagonal_of(d: IntMatrix, nrows: int, ncols: int) -> list[int]:
     return out
 
 
+def smith_columns(m: IntMatrix, nrows: int, ncols: int) -> tuple[list[int], IntMatrix]:
+    """The nonzero Smith diagonal and the column transform V of ``smith``.
+
+    U·m·V = D for some unimodular U, which is not computed.
+    """
+    v = identity(ncols)
+    return _diagonalize(copy_of(m), nrows, ncols, None, v), v
+
+
 def invariant_factors(m: IntMatrix, nrows: int, ncols: int) -> list[int]:
     """The nonzero Smith diagonal (1s included), without transforms."""
     return _diagonalize(copy_of(m), nrows, ncols)
 
 
-def _bareiss(m: IntMatrix, nrows: int, ncols: int) -> tuple[list[int], list[int], int]:
-    """Fraction-free row echelon pass: (pivot columns, pivot rows, last pivot).
+def _bareiss(m: IntMatrix, nrows: int, ncols: int) -> tuple[list[int], list[int], list[int]]:
+    """Fraction-free row echelon pass: (pivot columns, pivot rows, minors).
 
     Columns are scanned left to right, so the pivot columns are the first
     maximal independent set of columns; the pivot rows are given as indices
     of m, in the order found.  Every intermediate entry is a minor of m, and
-    the last pivot is the minor on the pivot rows (in that order) and columns.
+    minors[t] is the minor on the first t pivot rows (in that order) and
+    columns, so minors[0] = 1 and minors[-1] is the last pivot.
     """
     active = list(m)
     index = list(range(nrows))
     cols: list[int] = []
     rows: list[int] = []
-    prev = 1
+    minors = [1]
     base = 0  # active rows hold the entries of columns base..
     for c in range(ncols):
         j = c - base
@@ -232,40 +245,37 @@ def _bareiss(m: IntMatrix, nrows: int, ncols: int) -> tuple[list[int], list[int]
         top = active.pop(k)
         cols.append(c)
         rows.append(index.pop(k))
+        prev = minors[-1]
         pivot, tail = top[j], top[j + 1:]
         active = [[(pivot * a - row[j] * b) // prev for a, b in zip(row[j + 1:], tail)]
                   if row[j] else [pivot * a // prev for a in row[j + 1:]]
                   for row in active]
-        prev = pivot
+        minors.append(pivot)
         base = c + 1
-    return cols, rows, prev
+    return cols, rows, minors
 
 
 def rank(m: IntMatrix, nrows: int, ncols: int) -> int:
     return len(_bareiss(m, nrows, ncols)[0])
 
 
-def hnf_columns(m: IntMatrix, nrows: int, ncols: int, modulus: int = 0) -> IntMatrix:
+def hnf_columns(m: IntMatrix, nrows: int, ncols: int) -> IntMatrix:
     """Canonical Hermite basis of the column lattice, as an nrows×r matrix.
 
     Pivot entries are positive; entries of earlier basis columns in a pivot
     row are reduced into [0, pivot).  Equal lattices give identical output.
-    With a nonzero ``modulus`` the lattice is the column span plus
-    modulus·Z^nrows.  Otherwise the Hermite form of the first independent
-    rows is taken modulo their Bareiss minor, and the other rows are their
-    rational combinations.
+    The Hermite form of the first independent rows is taken modulo their
+    Bareiss minor, and the other rows are their rational combinations.
     """
     cols = transpose(m, nrows, ncols)
-    if modulus:
-        return _hnf_mod(cols, nrows, modulus, False)
     # the pivot columns of m^T are the first independent rows of m
-    indep, picked, minor = _bareiss(cols, ncols, nrows)
+    indep, picked, minors = _bareiss(cols, ncols, nrows)
     r = len(indep)
     if r == nrows:
-        return _hnf_mod(cols, nrows, minor, True)
+        return _hnf_mod(cols, nrows, minors[-1])
     if r == 0:
         return [[] for _ in range(nrows)]
-    h = _hnf_mod([[col[i] for i in indep] for col in cols], r, minor, True)
+    h = _hnf_mod([[col[i] for i in indep] for col in cols], r, minors[-1])
     # every other row of m is c·(the independent rows), where c·B = m[i, picked]
     # for the nonzero minor B = m[indep, picked]; so is every lattice vector
     independent = set(indep)
@@ -278,19 +288,18 @@ def hnf_columns(m: IntMatrix, nrows: int, ncols: int, modulus: int = 0) -> IntMa
     return [out[i] for i in range(nrows)]
 
 
-def _hnf_mod(cols: IntMatrix, n: int, modulus: int, det_multiple: bool) -> IntMatrix:
-    """Hermite basis (n×n) of the span of cols plus modulus·Z^n.
+def _hnf_mod(cols: IntMatrix, n: int, det: int) -> IntMatrix:
+    """Hermite basis (n×n) of the span of cols, whose determinant divides det.
 
     Hermite normal form modulo a determinant multiple (Domich–Kannan–Trotter;
     Cohen, GTM 138, Alg. 2.4.8), rows cleared top down.  Working columns are
     truncated to the rows not yet cleared.  A working column, or the part of
     a basis column below its pivot row, is reduced modulo R once an entry
-    reaches R in absolute value, so no entry reaches 2·R².  R starts at
-    |modulus|; when the modulus is a multiple of the lattice determinant
-    (``det_multiple``), R is divided by each pivot found, since R·e_t stays in
-    the lattice for every row t not yet cleared.
+    reaches R in absolute value, so no entry reaches 2·R².  R starts at |det|
+    and is divided by each pivot found, since R·e_t stays in the lattice for
+    every row t not yet cleared.
     """
-    r = abs(modulus)
+    r = abs(det)
     work = [_reduced(col, r) for col in cols if any(col)]
     basis: IntMatrix = []  # finished columns, full length
     for i in range(n):
@@ -314,14 +323,10 @@ def _hnf_mod(cols: IntMatrix, n: int, modulus: int, det_multiple: bool) -> IntMa
                     acc = _reduced([s * x + t * y for x, y in zip(acc, col)], r)
         if acc is None:
             g, tail = r, [0] * (n - i - 1)
+            r //= g
         else:
             g, s, _ = xgcd(acc[0], r)
-            if not det_multiple:
-                # (R/g)·acc has row-i entry 0 mod R; it keeps acc spanned
-                rest.append([r // g * x for x in acc])
-        if det_multiple:
             r //= g
-        if acc is not None:
             tail = [s * x % r for x in acc[1:]]
         for col in basis:
             q = col[i] // g
@@ -344,36 +349,33 @@ def _reduced(col: list[int], r: int) -> list[int]:
 
 def kernel_basis(m: IntMatrix, nrows: int, ncols: int) -> IntMatrix:
     """Basis of {x : m·x = 0} as columns of an ncols×k matrix; saturated."""
-    _, d, v = smith(m, nrows, ncols)
-    r = len(diagonal_of(d, nrows, ncols))
+    diag, v = smith_columns(m, nrows, ncols)
+    r = len(diag)
     return [row[r:] for row in v] if ncols > r else [[] for _ in range(ncols)]
 
 
 def bareiss_det(m: IntMatrix, n: int) -> int:
     """Fraction-free determinant of a square matrix."""
-    if n == 0:
-        return 1
-    a = copy_of(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    _swap_rows(a, k, i)
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    cols, rows, minors = _bareiss(m, n, n)
+    if len(cols) < n:
+        return 0
+    # the last minor is the determinant of m's rows taken in the order found
+    swaps = sum(1 for i in range(n) for j in range(i) if rows[j] > rows[i])
+    return -minors[-1] if swaps % 2 else minors[-1]
 
 
 def leading_principal_minors(m: IntMatrix, n: int) -> list[int]:
-    return [bareiss_det([row[:k] for row in m[:k]], k) for k in range(1, n + 1)]
+    """Minors of the leading k×k blocks, k = 1..n.
+
+    One Bareiss pass yields them while it takes rows and columns in order,
+    that is up to the first zero; the rest are computed one by one.
+    """
+    cols, rows, minors = _bareiss(m, n, n)
+    k = 0
+    while k < len(cols) and cols[k] == rows[k] == k:
+        k += 1
+    return minors[1:k + 1] + [bareiss_det([row[:j] for row in m[:j]], j)
+                              for j in range(k + 1, n + 1)]
 
 
 def column_lattice_index(m: IntMatrix, nrows: int, ncols: int) -> int | None:

@@ -164,12 +164,9 @@ class LatticeMap:
             raise InputError("determinant of a non-square map")
         return intmat.bareiss_det(self.entries, self.nrows)
 
-    def image_basis(self, modulus: int = 0) -> "LatticeMap":
-        """Canonical (Hermite) basis of the image: equal images iff equal bases.
-
-        With a nonzero modulus it is the basis of the image plus modulus·Z^nrows.
-        """
-        h = intmat.hnf_columns(self.entries, self.nrows, self.ncols, modulus)
+    def image_basis(self) -> "LatticeMap":
+        """Canonical (Hermite) basis of the image: equal images iff equal bases."""
+        h = intmat.hnf_columns(self.entries, self.nrows, self.ncols)
         return LatticeMap(Lattice(len(h[0]) if h else 0), self.target, _freeze(h))
 
     def solve(self, b: "LatticeMap") -> "LatticeMap | None":

@@ -121,18 +121,16 @@ def kummer_rescale(datum: DegenDatum, multipliers: tuple[int, ...] | list[int]) 
 
 
 def psi_fixed_points(datum: DegenDatum, multipliers: tuple[int, ...] | list[int],
-                     psi: PsiGroup | None = None) -> PsiFixedPoints:
+                     psi: PsiGroup) -> PsiFixedPoints:
     """Invariants of the rescaled Psi' under the covering action, branchwise.
 
     The l-part of the invariants for l != p is ker(phi_i ⊗ Q_l/Z_l) of the
     unrescaled pairing; the p-part (p > 0) is copied from Psi' since the
-    action on it is trivial.  The result must equal Psi.  A caller that holds
-    ``psi_group(datum)`` already passes it as ``psi``.
+    action on it is trivial.  The result must equal ``psi``, which is
+    ``psi_group(datum)``.
     """
     p = datum.residue_char
     rescaled = psi_group(kummer_rescale(datum, multipliers))
-    if psi is None:
-        psi = psi_group(datum)
     fixed_parts = [
         FinAb.direct_sum([l_part(big if q == p else small, q) for q in big.primes()])
         for small, big in zip(psi.branch_components, rescaled.branch_components)]

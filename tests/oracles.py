@@ -21,7 +21,7 @@ def minor_gcd_invariant_factors(rows: list[list[int]]) -> list[int]:
         g = 0
         for rsel in combinations(range(nr), k):
             for csel in combinations(range(nc), k):
-                g = gcd(g, _det([[rows[i][j] for j in csel] for i in rsel]))
+                g = gcd(g, cofactor_det([[rows[i][j] for j in csel] for i in rsel]))
         if g == 0:
             break
         out.append(g // prev)
@@ -29,7 +29,8 @@ def minor_gcd_invariant_factors(rows: list[list[int]]) -> list[int]:
     return out
 
 
-def _det(m: list[list[int]]) -> int:
+def cofactor_det(m: list[list[int]]) -> int:
+    """Determinant by cofactor expansion along the first row."""
     n = len(m)
     if n == 0:
         return 1
@@ -38,7 +39,7 @@ def _det(m: list[list[int]]) -> int:
     total = 0
     for j in range(n):
         sub = [row[:j] + row[j + 1:] for row in m[1:]]
-        total += (-1) ** j * m[0][j] * _det(sub)
+        total += (-1) ** j * m[0][j] * cofactor_det(sub)
     return total
 
 

@@ -21,7 +21,12 @@ from degenkit.generators import (
 )
 from degenkit.lattice import FinAb, LatticeMap, cokernel, l_part, smith_normal_form, torsion_kernel_qz
 from degenkit.monodromy import TraitProfile, component_group, compose_trait
-from degenkit.neron import converse_check, converse_inputs_from_datum, psi_fixed_points
+from degenkit.neron import (
+    converse_check,
+    converse_inputs_from_datum,
+    psi_fixed_points,
+    psi_group,
+)
 
 from conftest import load_fixture
 
@@ -139,7 +144,7 @@ def test_criterion_6_kummer_fixed_points():
             while p and m % p == 0:
                 m = rng.randint(1, 9)
             multipliers.append(m)
-        result = psi_fixed_points(datum, multipliers)
+        result = psi_fixed_points(datum, multipliers, psi_group(datum))
         assert result.equals_psi, (datum, multipliers)
         checked += 1
     elapsed = time.perf_counter() - t0

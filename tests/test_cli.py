@@ -78,7 +78,8 @@ def test_each_datum_is_validated_once(capsys, monkeypatch, argv, expected):
 
 @pytest.fixture
 def smith_calls(monkeypatch):
-    """Every factorisation: Smith forms with transforms and invariant factors alone."""
+    """Every factorisation: Smith forms with both transforms, with V alone,
+    and invariant factors alone."""
     calls = []
 
     def counting(original):
@@ -87,7 +88,7 @@ def smith_calls(monkeypatch):
             return original(m, nrows, ncols)
         return factor
 
-    for name in ("smith", "invariant_factors"):
+    for name in ("smith", "smith_columns", "invariant_factors"):
         monkeypatch.setattr(intmat, name, counting(getattr(intmat, name)))
     return calls
 

@@ -4,7 +4,9 @@ Up to 12×12 the transform-free routines are compared with independent
 references: Smith's diagonal, the gcd-of-minors oracle and a plain column
 xgcd Hermite form (``oracles.reference_hnf``).  Up to 64×64 they are checked
 by certificates that need no reference: the divisibility chain, ∏ d_i = |det|,
-the shape of the Hermite form, and equality of lattices by integral solves.
+the shape of the Hermite form, and equality of lattices by integral solves
+(from 41×41 on, where solving against m takes seconds, by h ⊇ m and the
+product of h's pivots equal to |det m| for square nonsingular m).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 
 from degenkit import intmat
 
-from oracles import minor_gcd_invariant_factors, reference_hnf
+from oracles import cofactor_det, minor_gcd_invariant_factors, reference_hnf
 
 
 def _matrix(nrows: int, ncols: int, inner: int, entry: int, rng: random.Random) -> list[list[int]]:
@@ -59,14 +61,28 @@ def test_hnf_rank_and_index_match_reference(case):
     assert intmat.column_lattice_index(m, nrows, ncols) == index
 
 
-@settings(max_examples=100, deadline=None)
-@given(small, st.integers(1, 60))
-def test_hnf_with_modulus_is_hnf_of_span_plus_multiples(case, modulus):
+@settings(max_examples=150, deadline=None)
+@given(small)
+def test_smith_columns_match_smith(case):
     m, nrows, ncols = case
-    relations = [row + [modulus if i == j else 0 for j in range(nrows)]
-                 for i, row in enumerate(m)]
-    h, _ = reference_hnf(relations, nrows, ncols + nrows)
-    assert intmat.hnf_columns(m, nrows, ncols, modulus) == h
+    _, d, v = intmat.smith(m, nrows, ncols)
+    assert intmat.smith_columns(m, nrows, ncols) == (intmat.diagonal_of(d, nrows, ncols), v)
+
+
+# up to 6×6, since the cofactor expansion has n! terms; entries in [-1, 1]
+# often give zero leading minors, which stop the single Bareiss pass
+square = st.tuples(st.integers(0, 6), st.integers(0, 6), st.sampled_from([1, 3]),
+                   st.integers(0, 2 ** 32)).map(
+    lambda t: (_matrix(t[0], t[0], t[1], t[2], random.Random(t[3])), t[0]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(square)
+def test_determinant_and_leading_minors_match_expansion(case):
+    m, n = case
+    assert intmat.bareiss_det(m, n) == cofactor_det(m)
+    assert intmat.leading_principal_minors(m, n) == [
+        cofactor_det([row[:k] for row in m[:k]]) for k in range(1, n + 1)]
 
 
 def _pivot_rows(h: list[list[int]], nrows: int, r: int) -> list[int]:
@@ -96,10 +112,9 @@ def _check_certificates(m: list[list[int]], nrows: int, ncols: int, solve_both: 
     assert intmat.integral_solve(h, nrows, r, m, ncols) is not None
     if solve_both:
         assert intmat.integral_solve(m, nrows, ncols, h, r) is not None
-    else:
-        # same rank and m's lattice inside h's: equal exactly when the
-        # products of their invariant factors agree
-        assert prod(facs) == prod(intmat.invariant_factors(h, nrows, r))
+    elif nrows == ncols == r:
+        # m's lattice inside h's, and of the same index |det m|: equal
+        assert prod(h[p][c] for c, p in enumerate(pivots)) == abs(intmat.bareiss_det(m, nrows))
 
 
 @settings(max_examples=12, deadline=None)
@@ -113,9 +128,17 @@ def test_certificates_up_to_40(nrows, ncols, inner, seed):
 @given(st.integers(41, 64), st.integers(41, 64), st.integers(0, 64), st.integers(0, 2 ** 32))
 def test_certificates_up_to_64(nrows, ncols, inner, seed):
     # integral_solve against a dense 64×64 m takes seconds (its Smith
-    # transforms grow), so here only h is solved against
+    # transforms grow), so here only h is solved against; square nonsingular
+    # m is also checked against its determinant
     m = _matrix(nrows, ncols, inner, 9, random.Random(seed))
     _check_certificates(m, nrows, ncols, solve_both=False)
+
+
+@settings(max_examples=3, deadline=None)
+@given(st.integers(41, 64), st.integers(0, 2 ** 32))
+def test_certificates_square_up_to_64(n, seed):
+    m = _matrix(n, n, n, 9, random.Random(seed))
+    _check_certificates(m, n, n, solve_both=False)
 
 
 @contextmanager

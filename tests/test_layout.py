@@ -15,8 +15,7 @@ FORMAT_OWNERS = {"lattice.py", "generators.py"}
 ALLOWED = {
     "solve_rational": None,             # right-hand sides of Fractions
     "leading_principal_minors": None,
-    "smith": "_mod_lr_quotient",        # its U is never read
-    "diagonal_of": "_mod_lr_quotient",
+    "smith_columns": "_mod_lr_quotient",
 }
 
 

@@ -81,7 +81,7 @@ class TestKummerRescale:
 class TestPsiFixedPoints:
     def test_trivial_multipliers(self):
         datum = two_branch_ta(2, 3)
-        result = psi_fixed_points(datum, (1, 1))
+        result = psi_fixed_points(datum, (1, 1), psi_group(datum))
         assert result.rescaled == result.fixed == result.psi
         assert result.equals_psi
 
@@ -91,7 +91,7 @@ class TestPsiFixedPoints:
         assert enumerate_qz_kernel([[2]], 6) == [2]
         datum = DegenDatum("one", 0, 0, Lattice(1),
                            (Branch("D1", Lattice(1), lm([[2]]), lm([[1]])),))
-        result = psi_fixed_points(datum, (3,))
+        result = psi_fixed_points(datum, (3,), psi_group(datum))
         assert result.rescaled == FinAb((6,))
         assert result.fixed == FinAb((2,)) == result.psi
         assert result.equals_psi
@@ -99,7 +99,7 @@ class TestPsiFixedPoints:
     def test_unit_pairing_rescaled_by_five(self):
         datum = DegenDatum("one", 0, 0, Lattice(1),
                            (Branch("D1", Lattice(1), lm([[1]]), lm([[1]])),))
-        result = psi_fixed_points(datum, (5,))
+        result = psi_fixed_points(datum, (5,), psi_group(datum))
         assert result.rescaled == FinAb((5,))
         assert result.fixed.is_trivial and result.equals_psi
 
@@ -114,7 +114,7 @@ class TestPsiFixedPoints:
                 while p and m % p == 0:
                     m = rng.randint(1, 8)
                 ms.append(m)
-            assert psi_fixed_points(datum, ms).equals_psi
+            assert psi_fixed_points(datum, ms, psi_group(datum)).equals_psi
 
 
 class TestTraitSurjectivity:
