@@ -17,6 +17,7 @@ import hashlib
 import json
 import os
 import sys
+from functools import cache
 from importlib import resources
 from pathlib import Path
 
@@ -331,46 +332,51 @@ def build_parser() -> argparse.ArgumentParser:
                     "cross-checks for semiabelian degeneration data.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, func, help_text: str) -> argparse.ArgumentParser:
+    def add(name: str, help_text: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("file", help="input JSON file (or fixture name)")
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.set_defaults(func=func)
         return p
 
-    add("analyze", cmd_analyze, "toric-additivity verdicts and rank profile")
+    add("analyze", "toric-additivity verdicts and rank profile")
 
-    p_trait = add("trait", cmd_trait, "composed pairing and component group of a trait")
+    p_trait = add("trait", "composed pairing and component group of a trait")
     p_trait.add_argument("--profile", required=True,
                          help="comma-separated branch multiplicities a_1,...,a_n")
     p_trait.add_argument("--l", type=int, default=None, help="also report the l-part")
 
-    p_oracle = add("oracle", cmd_oracle, "lattice-side vs Galois-side cross-check")
+    p_oracle = add("oracle", "lattice-side vs Galois-side cross-check")
     p_oracle.add_argument("--l", type=int, required=True, help="prime l != residue char")
     p_oracle.add_argument("--r", type=int, default=4, help="lowest finite level l^r (default 4)")
     p_oracle.add_argument("--profile", default=None,
                           help="also cross-check the trait component group")
 
-    add("converse", cmd_converse, "converse certificate from the branch-1 split")
+    add("converse", "converse certificate from the branch-1 split")
 
-    p_psi = add("psi", cmd_psi, "branchwise component groups and their sum")
+    p_psi = add("psi", "branchwise component groups and their sum")
     p_psi.add_argument("--kummer", default=None,
                        help="comma-separated tame multipliers m_1,...,m_n")
 
-    add("curve", cmd_curve, "dual-graph jacobian datum and curve equivalences")
+    add("curve", "dual-graph jacobian datum and curve equivalences")
 
     p_gen = sub.add_parser("generate", help="emit a random input document")
     p_gen.add_argument("what", choices=["datum", "ta-datum", "graph"])
     p_gen.add_argument("--seed", type=int, required=True, help="generator seed")
     p_gen.add_argument("--out", default=None, help="write to a file instead of stdout")
-    p_gen.set_defaults(func=cmd_generate)
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up per call, so a replaced module attribute is the one called
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,20 +9,32 @@ N_i kills X^dual ⊕ C and lands in X^dual, so each fixed lattice is
 X^dual ⊕ C plus a sublattice of X', each finite-level group is read off X'
 alone, and the C block never reaches a matrix.  Everything is built over Z:
 fixed parts are exact integer kernels and l-adic statements become "index
-coprime to l" statements.  Finite-level arithmetic mod l^r appears only in
-the component-group torsion formula, where the statement itself is finite
-level.
+coprime to l" statements.
+
+On a valid datum T^G = T^f = X^dual ⊕ C, that is, the stacked psi_i are
+injective.  If psi_i·x = 0 for every i, then sp'_i·x = 0 for every i, since
+each phi_i is injective and so is each sp_i^dual (sp_i is surjective); and
+then x = 0, since the dual purity map is injective.  So ``build_rep`` checks
+nothing beyond the datum's validity: a rank comparison of T^G with 2d - mu
+could never fail.
+
+Finite levels.  Let A act on X' with nonzero invariant factors d_k, U·A·V = D.
+In the coordinates y = V^-1·x, x lies in ker(A mod m) exactly when
+d_k·y_k ≡ 0 mod m for every k, and ker_Z A is spanned by the coordinates past
+the rank.  So ker(A mod m) modulo the image of ker_Z A is ⊕_k Z/gcd(d_k, m),
+read off the cokernel torsion of A.  Both finite-level groups are computed
+this way, from torsion invariants found once per rep and matrix; nothing is
+solved modulo l^r.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
 
-from . import intmat
 from .degeneration import DegenDatum, require_valid
-from .errors import FalsificationError, InputError
+from .errors import InputError
 from .lattice import FinAb, Lattice, LatticeMap, cokernel, is_prime, kernel_saturated, sum_index
 from .monodromy import TraitProfile, psi_maps
 
@@ -33,6 +45,9 @@ class GaloisRep:
     toric_rank: int              # mu
     abelian_rank: int            # alpha
     psi: tuple[LatticeMap, ...]  # the X' -> X^dual block of each N_i
+    # cokernel torsion of sum a_i·psi_i, by multiplicities (a_1, ..., a_n)
+    _action_torsion: dict[tuple[int, ...], FinAb] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def lattice(self) -> Lattice:
@@ -45,9 +60,48 @@ class GaloisRep:
 
     @cached_property
     def exclusive_parts(self) -> tuple[LatticeMap, ...]:
-        """For each i, the X' part of the lattice fixed by every sigma_j with j != i."""
-        return tuple(fixed_lattice(self, tuple(j for j in range(self.n) if j != i))
+        """For each i, the X' part of the lattice fixed by every sigma_j with j != i.
+
+        That is the saturated kernel of the psi_j with j != i, which depends
+        only on their rational row space: the kernel of a row basis of
+        psi_1..psi_{i-1} stacked on one of psi_{i+1}..psi_n, at most 2·mu rows.
+        """
+        prefix = _running_row_bases(self.psi, self.toric_rank)
+        suffix = _running_row_bases(self.psi[::-1], self.toric_rank)[::-1]
+        return tuple(kernel_saturated(LatticeMap.stack([prefix[i], suffix[i + 1]]))
                      for i in range(self.n))
+
+    @cached_property
+    def exclusive_index(self) -> int | None:
+        """Index in X' of the sum of the exclusive parts; None when infinite."""
+        return sum_index(list(self.exclusive_parts))
+
+    @cached_property
+    def stack_torsion(self) -> FinAb:
+        """Cokernel torsion of the stacked psi_i, from the Hermite basis of
+        their row lattice (at most mu rows)."""
+        return cokernel(LatticeMap.stack(list(self.psi)).row_lattice())[0]
+
+    def action_torsion(self, multiplicities: tuple[int, ...]) -> FinAb:
+        """Cokernel torsion of sum a_i·psi_i, computed once per profile."""
+        torsion = self._action_torsion.get(multiplicities)
+        if torsion is None:
+            x_prime = Lattice(self.toric_rank)
+            action = LatticeMap.zero(x_prime, x_prime)
+            for a, psi in zip(multiplicities, self.psi):
+                if a:
+                    action = action.add(psi.scaled(a))
+            torsion = self._action_torsion[multiplicities] = cokernel(action)[0]
+        return torsion
+
+
+def _running_row_bases(maps: tuple[LatticeMap, ...], rank: int) -> list[LatticeMap]:
+    """Row bases of the stacks of maps[:k], k = 0..len(maps); at most rank rows each."""
+    bases = [LatticeMap.zero(Lattice(rank), Lattice(0))]
+    for m in maps:
+        last = bases[-1]
+        bases.append(last if last.nrows == rank else LatticeMap.stack([last, m]).row_basis())
+    return bases
 
 
 def build_rep(datum: DegenDatum, l: int) -> GaloisRep:
@@ -57,14 +111,7 @@ def build_rep(datum: DegenDatum, l: int) -> GaloisRep:
     if l == datum.residue_char:
         raise InputError("prime equals residue characteristic")
     require_valid(datum)
-    rep = GaloisRep(l, datum.mu, datum.abelian_rank, tuple(psi_maps(datum)))
-    # T^G = X^dual ⊕ C ⊕ (its X' part), and T^G must be T^f = X^dual ⊕ C
-    escaped = fixed_lattice(rep, tuple(range(rep.n))).ncols
-    if escaped:
-        expected = rep.lattice.rank - rep.toric_rank
-        raise FalsificationError(
-            f"rank T^G = {expected + escaped}, expected 2d - mu = {expected}")
-    return rep
+    return GaloisRep(l, datum.mu, datum.abelian_rank, tuple(psi_maps(datum)))
 
 
 def fixed_lattice(rep: GaloisRep, generators: tuple[int, ...]) -> LatticeMap:
@@ -78,15 +125,13 @@ def fixed_lattice(rep: GaloisRep, generators: tuple[int, ...]) -> LatticeMap:
     return kernel_saturated(LatticeMap.stack(maps))
 
 
-def _index_prime_to_l(rep: GaloisRep) -> bool:
-    index = sum_index(list(rep.exclusive_parts))
-    return index is not None and index % rep.l != 0
-
-
 def star_condition(rep: GaloisRep) -> bool:
     """T is the sum over i of the parts fixed by all generators except sigma_i,
     up to index coprime to l."""
-    return rep.n == 0 or _index_prime_to_l(rep)
+    if rep.n == 0:
+        return True
+    index = rep.exclusive_index
+    return index is not None and index % rep.l != 0
 
 
 def decomposition_check(rep: GaloisRep) -> bool:
@@ -97,32 +142,19 @@ def decomposition_check(rep: GaloisRep) -> bool:
     definition and invariant under its own, since N_i lands in X^dual.
     Success means the V_i are independent and their sum has finite index
     coprime to l.
+
+    This always equals ``star_condition``.  The V_i are independent: if
+    sum k_i = 0 with k_i in V_i, applying psi_m leaves psi_m(k_m) = 0, so k_m
+    is killed by every psi_j and is 0.  So their ranks sum to mu exactly when
+    the index of their sum is finite.
     """
-    if rep.n == 0:
-        return True
-    # direct and of finite index: the combined basis columns number rank T/T^G
-    # and span a full-rank sublattice, so they are independent
-    return (sum(p.ncols for p in rep.exclusive_parts) == rep.toric_rank
-            and _index_prime_to_l(rep))
+    return rep.n == 0 or (sum(p.ncols for p in rep.exclusive_parts) == rep.toric_rank
+                          and star_condition(rep))
 
 
-def _mod_lr_quotient(action: LatticeMap, fixed: LatticeMap, modulus: int) -> FinAb:
-    """Invariants of ker(action mod m) modulo the image of the fixed lattice.
-
-    Both subgroups of (Z/m)^N are lifted to full-rank sublattices of Z^N
-    containing m·Z^N (the scaled columns of V already contain it); the
-    quotient is the cokernel of one integral solve.
-    """
-    total = action.ncols
-    diag, v = intmat.smith_columns(action.entries, action.nrows, action.ncols)
-    scales = [modulus // gcd(diag[k], modulus) if k < len(diag) else 1 for k in range(total)]
-    kernel = LatticeMap.from_rows([[x * c for x, c in zip(row, scales)] for row in v],
-                                  source_rank=total, target_rank=total)
-    relations = LatticeMap.identity(total).scaled(modulus)
-    change = kernel.solve(LatticeMap.beside([fixed, relations]))
-    if change is None:
-        raise FalsificationError("fixed vectors escaped the finite-level kernel")
-    return cokernel(change)[0]
+def _at_level(torsion: FinAb, modulus: int) -> FinAb:
+    """ker(A mod m) modulo the image of ker_Z A, for A with this cokernel torsion."""
+    return FinAb(tuple(g for g in (gcd(d, modulus) for d in torsion.invariant_factors) if g > 1))
 
 
 def torsion_phi_group(rep: GaloisRep, profile: TraitProfile, r: int) -> FinAb:
@@ -137,23 +169,20 @@ def torsion_phi_group(rep: GaloisRep, profile: TraitProfile, r: int) -> FinAb:
         raise InputError("level r must be >= 1")
     if len(profile.multiplicities) != rep.n:
         raise InputError(f"profile has {len(profile.multiplicities)} entries, rep has {rep.n}")
-    x_prime = Lattice(rep.toric_rank)
-    action = LatticeMap.zero(x_prime, x_prime)
-    for a, psi in zip(profile.multiplicities, rep.psi):
-        if a:
-            action = action.add(psi.scaled(a))
-    return _mod_lr_quotient(action, kernel_saturated(action), rep.l ** r)
+    return _at_level(rep.action_torsion(profile.multiplicities), rep.l ** r)
 
 
 def closed_point_torsion(rep: GaloisRep, r: int) -> FinAb:
     """Exact l^r-torsion of the closed-point component group from the full action.
 
-    ``build_rep`` has certified that T^G has no X' part, so the fixed lattice
-    contributes nothing on X'.
+    The fixed lattice T^G has no X' part (see the module docstring), so the
+    group is the finite-level kernel of the stacked psi_i.  At a level with
+    l^r at least the exponent of ``monodromy.closed_point_bound``, this is
+    that bound's torsion: both are the l-part of the stack's invariant
+    factors.  So the oracle's ``bound_is_strict`` is always false there.
     """
     if r < 1:
         raise InputError("level r must be >= 1")
     if rep.n == 0:
         return FinAb.trivial()
-    no_fixed_part = LatticeMap.zero(Lattice(0), Lattice(rep.toric_rank))
-    return _mod_lr_quotient(LatticeMap.stack(list(rep.psi)), no_fixed_part, rep.l ** r)
+    return _at_level(rep.stack_torsion, rep.l ** r)

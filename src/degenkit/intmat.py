@@ -16,15 +16,20 @@ No routine computes a transform it does not return.
   is proven, and they do grow: on dense 64×64 input with entries in [-9, 9]
   they reach about 20,000 bits against a 299-bit determinant.
 * ``smith_columns`` runs the same elimination and builds V alone, for the
-  callers that read only V: ``kernel_basis`` and
-  ``galois._mod_lr_quotient``.  V is the same matrix ``smith`` returns.
+  callers that read only V: ``kernel_basis`` and the presentations behind
+  ``neron.trait_surjectivity_check``.  V is the same matrix ``smith``
+  returns.  ``kernel_basis`` runs it on independent rows of its input only:
+  the kernel depends only on the rational row space, and the rows are
+  original rows, so no entry grows before the elimination starts.
 * ``invariant_factors`` and ``column_lattice_index`` run it on D alone.  No
   bound is proven either; on the same inputs the entries stayed within the
   determinant's bit length.
-* ``rank``, ``bareiss_det`` and ``leading_principal_minors`` are one Bareiss
-  fraction-free pass (the last also recomputes the orders after a zero
-  leading minor one by one): every intermediate entry is a minor of the
-  input, so it is bounded by the Hadamard bound.
+* ``rank``, ``independent_rows``, ``bareiss_det`` and
+  ``leading_principal_minors`` are one Bareiss fraction-free pass (the last
+  also recomputes the orders after a zero leading minor one by one): every
+  intermediate entry is a minor of the input, so it is bounded by the
+  Hadamard bound.  A row that becomes zero is dropped, so on a tall stack of
+  low rank the active rows shrink toward the rank.
 * ``hnf_columns`` returns the canonical column-style Hermite basis of the
   column span, so two sublattices are equal iff their HNFs are identical.
   It works modulo a nonzero maximal minor D from the same Bareiss pass
@@ -250,9 +255,18 @@ def _bareiss(m: IntMatrix, nrows: int, ncols: int) -> tuple[list[int], list[int]
         active = [[(pivot * a - row[j] * b) // prev for a, b in zip(row[j + 1:], tail)]
                   if row[j] else [pivot * a // prev for a in row[j + 1:]]
                   for row in active]
+        if not all(map(any, active)):
+            # a row that became zero lies in the span of the pivot rows
+            index = [i for i, row in zip(index, active) if any(row)]
+            active = [row for row in active if any(row)]
         minors.append(pivot)
         base = c + 1
     return cols, rows, minors
+
+
+def independent_rows(m: IntMatrix, nrows: int, ncols: int) -> list[int]:
+    """Indices, ascending, of rows of m that form a basis of its rational row space."""
+    return sorted(_bareiss(m, nrows, ncols)[1])
 
 
 def rank(m: IntMatrix, nrows: int, ncols: int) -> int:
@@ -348,7 +362,14 @@ def _reduced(col: list[int], r: int) -> list[int]:
 
 
 def kernel_basis(m: IntMatrix, nrows: int, ncols: int) -> IntMatrix:
-    """Basis of {x : m·x = 0} as columns of an ncols×k matrix; saturated."""
+    """Basis of {x : m·x = 0} as columns of an ncols×k matrix; saturated.
+
+    The kernel depends only on the rational row space, so the Smith
+    elimination runs on independent rows of m alone.
+    """
+    rows = independent_rows(m, nrows, ncols)
+    if len(rows) < nrows:
+        m, nrows = [m[i] for i in rows], len(rows)
     diag, v = smith_columns(m, nrows, ncols)
     r = len(diag)
     return [row[r:] for row in v] if ncols > r else [[] for _ in range(ncols)]

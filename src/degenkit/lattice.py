@@ -169,6 +169,22 @@ class LatticeMap:
         h = intmat.hnf_columns(self.entries, self.nrows, self.ncols)
         return LatticeMap(Lattice(len(h[0]) if h else 0), self.target, _freeze(h))
 
+    def row_basis(self) -> "LatticeMap":
+        """Rows of the matrix, in order, that form a basis of its rational row
+        space: at most ncols of them, with the same kernel."""
+        rows = intmat.independent_rows(self.entries, self.nrows, self.ncols)
+        if len(rows) == self.nrows:
+            return self
+        return LatticeMap(self.source, Lattice(len(rows)), tuple(self.entries[i] for i in rows))
+
+    def row_lattice(self) -> "LatticeMap":
+        """A map with the same row lattice, so the same source, kernel and
+        invariant factors, and at most ncols rows: the Hermite basis of the
+        rows of a taller matrix."""
+        if self.nrows <= self.ncols:
+            return self
+        return self.transpose().image_basis().transpose()
+
     def solve(self, b: "LatticeMap") -> "LatticeMap | None":
         """Some integral X with self ∘ X = b, or None when there is none."""
         if b.target != self.target:
@@ -304,6 +320,13 @@ def smith_normal_form(m: LatticeMap) -> SNFDecomposition:
         D=LatticeMap(m.source, m.target, _freeze(d)),
         V=LatticeMap(m.source, m.source, _freeze(v)),
     )
+
+
+def smith_columns(m: LatticeMap) -> tuple[tuple[int, ...], LatticeMap]:
+    """The nonzero Smith diagonal of m and the V of its Smith form U·m·V = D;
+    U is not computed."""
+    diag, v = intmat.smith_columns(m.entries, m.nrows, m.ncols)
+    return tuple(diag), LatticeMap(m.source, m.source, _freeze(v))
 
 
 def cokernel(m: LatticeMap) -> tuple[FinAb, int]:

@@ -182,7 +182,7 @@ def closed_point_bound(datum: DegenDatum, l: int) -> FinAb:
     if datum.n == 0:
         return FinAb.trivial()
     stacked = LatticeMap.stack(psi_maps(datum))
-    kernel = torsion_kernel_qz(stacked)
+    kernel = torsion_kernel_qz(stacked.row_lattice())
     bound = FinAb(l_part(kernel.torsion(), l).invariant_factors, kernel.divisible_rank)
     if datum.n == 1:
         exact = l_part(component_group(datum.branches[0].pairing), l)

@@ -30,12 +30,11 @@ from .lattice import (
     FinAb,
     Lattice,
     LatticeMap,
-    SNFDecomposition,
     cokernel,
     image_lattices_equal,
     kernel_saturated,
     l_part,
-    smith_normal_form,
+    smith_columns,
     sum_index,
 )
 from .monodromy import ComposedPairing, TraitProfile, component_group, compose_trait
@@ -138,30 +137,37 @@ def psi_fixed_points(datum: DegenDatum, multipliers: tuple[int, ...] | list[int]
     return PsiFixedPoints(rescaled.group, fixed, psi.group, fixed == psi.group)
 
 
-def _presentation_generators(dec: SNFDecomposition) -> tuple[list[int], list[list[Fraction]]]:
+Presentation = tuple[tuple[int, ...], LatticeMap]   # Smith diagonal, column transform V
+
+
+def _presentation(phi: LatticeMap) -> Presentation:
+    """The Smith diagonal and V of a square pairing of full rank."""
+    facs, v = smith_columns(phi)
+    if phi.nrows != phi.ncols or len(facs) < phi.ncols:
+        raise InputError("degenerate pairing")
+    return facs, v
+
+
+def _presentation_generators(pres: Presentation) -> tuple[list[int], list[list[Fraction]]]:
     """Generators of ker(phi ⊗ Q/Z) as rational vectors, one per nonunit factor.
 
     For SNF U·phi·V = D the kernel is generated by V·e_k/d_k; the returned
     orders follow the invariant-factor chain (ascending).
     """
-    facs = dec.invariant_factors
-    n = dec.V.nrows
-    if len(facs) < n or dec.U.nrows != n:
-        raise InputError("degenerate pairing")
-    v = dec.V.entries
+    facs, v = pres
     orders: list[int] = []
     gens: list[list[Fraction]] = []
     for k, d in enumerate(facs):
         if d > 1:
             orders.append(d)
-            gens.append([Fraction(v[i][k], d) for i in range(n)])
+            gens.append([Fraction(row[k], d) for row in v.entries])
     return orders, gens
 
 
-def _coordinates_in_presentation(dec: SNFDecomposition, vec: list[Fraction]) -> list[int]:
+def _coordinates_in_presentation(pres: Presentation, vec: list[Fraction]) -> list[int]:
     """Coordinates of a Q/Z-kernel element w.r.t. the presentation generators."""
-    facs = dec.invariant_factors
-    t = intmat.solve_rational(dec.V.entries, dec.V.nrows, [[f] for f in vec], 1)
+    facs, v = pres
+    t = intmat.solve_rational(v.entries, v.nrows, [[f] for f in vec], 1)
     coords: list[int] = []
     for k, d in enumerate(facs):
         val = t[k][0] * d
@@ -185,8 +191,8 @@ def trait_surjectivity_check(datum: DegenDatum, profile: TraitProfile) -> TraitS
     if not profile.is_transversal:
         raise InputError("profile is not transversal")
     composed = compose_trait(datum, profile)
-    pairing_snf = smith_normal_form(composed.matrix)
-    ups_facs, _ = _presentation_generators(pairing_snf)
+    pairing = _presentation(composed.matrix)
+    ups_facs, _ = _presentation_generators(pairing)
     upsilon = FinAb(tuple(ups_facs))
     active = composed.active
 
@@ -197,7 +203,7 @@ def trait_surjectivity_check(datum: DegenDatum, profile: TraitProfile) -> TraitS
     ambient_gens: list[list[Fraction]] = []
     offset = 0
     for j, rk in zip(active, block_ranks):
-        orders, gens = _presentation_generators(smith_normal_form(datum.branches[j].pairing))
+        orders, gens = _presentation_generators(_presentation(datum.branches[j].pairing))
         for d, g in zip(orders, gens):
             vec = [Fraction(0)] * total
             vec[offset:offset + rk] = g
@@ -214,7 +220,7 @@ def trait_surjectivity_check(datum: DegenDatum, profile: TraitProfile) -> TraitS
     for g in ambient_gens:
         y = [row[0] for row in intmat.solve_rational(bprime.entries, bprime.nrows,
                                                      [[x] for x in g], 1)]
-        columns.append(_coordinates_in_presentation(pairing_snf, y))
+        columns.append(_coordinates_in_presentation(pairing, y))
     images = LatticeMap.from_rows(columns, source_rank=len(ups_facs),
                                   target_rank=len(columns)).transpose()
     # surjective iff the columns plus the relations diag(c_l) span Z^nrows

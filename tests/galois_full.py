@@ -5,16 +5,35 @@ nilpotent.  This module builds the full 2d×2d matrices
 N_i = ι_{X^dual} ∘ psi_i ∘ π_{X'} on T = X^dual ⊕ C ⊕ X' and computes the
 fixed lattices, the star and decomposition conditions and both finite-level
 groups on all of T, without using the block layout, so tests can compare
-the block form against it.
+the block form against it.  The finite-level groups are taken from the
+explicit kernel of x -> N·x mod l^r, not from the closed form that
+``degenkit.galois`` reads off the invariant factors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from degenkit.galois import _mod_lr_quotient
-from degenkit.lattice import FinAb, Lattice, LatticeMap, kernel_saturated, sum_index
+from degenkit.lattice import FinAb, Lattice, LatticeMap, cokernel, kernel_saturated, sum_index
 from degenkit.monodromy import TraitProfile, psi_maps
+
+
+def mod_lr_quotient(action: LatticeMap, fixed: LatticeMap, modulus: int) -> FinAb:
+    """Invariants of ker(action mod m) modulo the image of the fixed lattice.
+
+    The kernel mod m is lifted to the lattice {x : action·x ∈ m·Z^M}, the
+    projection of the integer kernel of (action | -m·I) to its x part; that
+    projection is injective, so it is a basis.  The quotient by the fixed
+    lattice and m·Z^N is the cokernel of one integral solve.
+    """
+    total = action.ncols
+    lifted = LatticeMap.beside([action, LatticeMap.identity(action.nrows).scaled(-modulus)])
+    pairs = kernel_saturated(lifted)
+    kernel = LatticeMap(pairs.source, Lattice(total), pairs.entries[:total])
+    relations = LatticeMap.identity(total).scaled(modulus)
+    change = kernel.solve(LatticeMap.beside([fixed, relations]))
+    assert change is not None, "fixed vectors outside the finite-level kernel"
+    return cokernel(change)[0]
 
 
 def block_inclusion(total: int, start: int, size: int) -> LatticeMap:
@@ -102,11 +121,11 @@ def torsion_phi_group(rep: FullRep, profile: TraitProfile, r: int) -> FinAb:
     for a, nil in zip(profile.multiplicities, rep.nilpotents):
         if a:
             action = action.add(nil.scaled(a))
-    return _mod_lr_quotient(action, kernel_saturated(action), rep.l ** r)
+    return mod_lr_quotient(action, kernel_saturated(action), rep.l ** r)
 
 
 def closed_point_torsion(rep: FullRep, r: int) -> FinAb:
     if rep.n == 0:
         return FinAb.trivial()
     stacked = LatticeMap.stack(list(rep.nilpotents))
-    return _mod_lr_quotient(stacked, fixed_lattice(rep, tuple(range(rep.n))), rep.l ** r)
+    return mod_lr_quotient(stacked, fixed_lattice(rep, tuple(range(rep.n))), rep.l ** r)

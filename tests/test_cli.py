@@ -46,6 +46,26 @@ def test_golden_reports(capsys, name):
     assert out == (GOLDEN / f"{name}.json").read_text()
 
 
+def test_parser_is_built_once_and_commands_resolve_per_call(capsys, monkeypatch):
+    builds = []
+    original = cli.build_parser
+
+    def counting():
+        builds.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        assert run_cli(capsys, ["analyze", "example_3_4"])[0] == 0
+        # a command replaced after the parser exists is the one that runs
+        monkeypatch.setattr(cli, "cmd_analyze", lambda args: 7)
+        assert run_cli(capsys, ["analyze", "example_3_4"])[0] == 7
+    finally:
+        cli._parser.cache_clear()
+    assert len(builds) == 1
+
+
 def test_reports_are_byte_identical_across_runs(capsys):
     argv = ["oracle", "example_3_4", "--l", "2", "--r", "4", "--profile", "1,1", "--json"]
     _, first, _ = run_cli(capsys, argv)

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from degenkit import cli
 from degenkit.degeneration import Branch, DegenDatum, is_l_toric_additive
 from degenkit.errors import InputError
 from degenkit.galois import (
+    GaloisRep,
     build_rep,
     closed_point_torsion,
     decomposition_check,
@@ -23,10 +28,20 @@ from degenkit.generators import (
     random_profile,
     random_ta_datum,
 )
-from degenkit.lattice import FinAb, Lattice, LatticeMap, image_lattices_equal, l_part
+from degenkit.lattice import (
+    FinAb,
+    Lattice,
+    LatticeMap,
+    image_lattices_equal,
+    kernel_saturated,
+    l_part,
+    sum_index,
+)
 from degenkit.monodromy import TraitProfile, closed_point_bound, component_group, compose_trait
+from degenkit.schema import datum_to_dict
 
 import galois_full as full_model
+from test_intmat import wall_clock_budget
 
 
 def lm(rows, source=None, target=None):
@@ -217,3 +232,101 @@ class TestClosedPointTorsion:
                            (Branch("D1", Lattice(1), lm([[8]]), lm([[1]])),))
         rep = build_rep(datum, 2)
         assert closed_point_torsion(rep, 5) == FinAb((8,))
+
+
+# entries rich in powers of 2 and 3, so the groups reach past the low levels
+ENTRIES = st.sampled_from([0, 0, 0, 1, -1, 2, -3, 4, 6, -8, 9, 12, 16, -18, 27, 32, 81])
+
+
+def square_maps(count: int):
+    return st.integers(1, 4).flatmap(lambda n: st.lists(
+        st.lists(st.lists(ENTRIES, min_size=n, max_size=n), min_size=n, max_size=n),
+        min_size=count, max_size=count))
+
+
+class TestClosedForm:
+    """ker(A mod l^r) / im(ker_Z A) = ⊕ Z/gcd(d_k, l^r), against the explicit kernel."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(square_maps(1), st.sampled_from([2, 3]))
+    def test_trait_group_matches_explicit_kernel(self, maps, l):
+        action = lm(maps[0])
+        rep = GaloisRep(l, action.ncols, 0, (action,))
+        for r in range(1, 7):
+            assert torsion_phi_group(rep, TraitProfile((1,)), r) == \
+                full_model.mod_lr_quotient(action, kernel_saturated(action), l ** r)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 3).flatmap(square_maps), st.sampled_from([2, 3]))
+    def test_closed_point_matches_explicit_kernel(self, maps, l):
+        psi = tuple(lm(rows) for rows in maps)
+        stacked = LatticeMap.stack(list(psi))
+        assume(stacked.is_injective())   # as on every valid datum
+        rep = GaloisRep(l, stacked.ncols, 0, psi)
+        no_fixed_part = LatticeMap.zero(Lattice(0), stacked.source)
+        for r in range(1, 7):
+            assert closed_point_torsion(rep, r) == \
+                full_model.mod_lr_quotient(stacked, no_fixed_part, l ** r)
+
+
+def _random_datums(rng: random.Random, count: int):
+    gens = (random_datum, random_ta_datum, random_polarized_datum)
+    for k in range(count):
+        yield gens[k % 3](rng, max_mu=8, max_n=5, min_n=1)
+
+
+class TestProvenIdentities:
+    """Report values that a theorem fixes; the report keeps them for its format."""
+
+    def test_decomposition_equals_star_condition(self):
+        rng = random.Random(151)
+        for datum in _random_datums(rng, 90):
+            for l in (2, 3, 5):
+                rep = build_rep(datum, l)
+                parts = list(rep.exclusive_parts)
+                # the exclusive parts are independent ...
+                beside = LatticeMap.beside(parts)
+                assert beside.rank_of_image() == beside.ncols <= rep.toric_rank
+                # ... so their ranks fill X' exactly when their sum has finite index
+                assert (beside.ncols == rep.toric_rank) == (sum_index(parts) is not None)
+                assert decomposition_check(rep) == star_condition(rep), (datum.name, l)
+
+    def test_closed_point_torsion_equals_bound(self):
+        rng = random.Random(152)
+        for datum in _random_datums(rng, 90):
+            for l in (2, 3, 5):
+                bound = closed_point_bound(datum, l)
+                assert bound.divisible_rank == 0
+                level = 1
+                while l ** level < bound.torsion().exponent:
+                    level += 1
+                rep = build_rep(datum, l)
+                assert closed_point_torsion(rep, level) == bound.torsion(), (datum.name, l)
+                assert closed_point_torsion(rep, level + 1) == bound.torsion()
+
+    def test_oracle_bound_is_never_strict(self, capsys, tmp_path):
+        rng = random.Random(153)
+        for k, datum in enumerate(_random_datums(rng, 24)):
+            path = tmp_path / f"d{k}.json"
+            path.write_text(json.dumps(datum_to_dict(datum)))
+            for l in ("2", "3"):
+                code = cli.main(["oracle", str(path), "--l", l, "--json"])
+                closed = json.loads(capsys.readouterr().out)["oracle"]["closed_point"]
+                assert code == 0
+                assert closed["bound_is_strict"] is False
+                assert closed["exact_torsion"] == dict(closed["bound"], divisible_rank=0)
+
+
+def test_oracle_at_mu_52_within_budget(capsys, tmp_path):
+    # 40 branches: 40 exclusive parts and a 2,080-row stack of psi_i; Smith
+    # forms of the whole stacks, instead of row bases, take several seconds
+    datum = random_ta_datum(random.Random(7), max_mu=64, max_n=40, min_n=40)
+    assert (datum.mu, datum.n) == (52, 40)
+    path = tmp_path / "mu52.json"
+    path.write_text(json.dumps(datum_to_dict(datum)))
+    argv = ["oracle", str(path), "--l", "3", "--profile", ",".join(["1"] * 40), "--json"]
+    with wall_clock_budget(2):
+        code = cli.main(argv)
+    report = json.loads(capsys.readouterr().out)["oracle"]
+    assert code == 0
+    assert report["agree"] and report["component_group"]["agree"]

@@ -69,6 +69,29 @@ def test_smith_columns_match_smith(case):
     assert intmat.smith_columns(m, nrows, ncols) == (intmat.diagonal_of(d, nrows, ncols), v)
 
 
+# more rows than columns and rank below the column count, through Z^inner
+tall = st.tuples(st.integers(1, 8), st.integers(1, 24), st.integers(0, 7),
+                 st.sampled_from([1, 3, 20]), st.integers(0, 2 ** 32)).map(
+    lambda t: (t[0] + t[1], t[0], min(t[2], t[0] - 1), t[3], random.Random(t[4]))).map(
+    lambda t: (_matrix(t[0], t[1], t[2], t[3], t[4]), t[0], t[1]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(tall)
+def test_kernel_from_independent_rows_is_kernel_of_all_rows(case):
+    m, nrows, ncols = case
+    rows = intmat.independent_rows(m, nrows, ncols)
+    assert len(rows) == intmat.rank(m, nrows, ncols)
+    assert intmat.rank([m[i] for i in rows], len(rows), ncols) == len(rows)
+    k = intmat.kernel_basis(m, nrows, ncols)
+    # the saturated kernel from a Smith form of every row
+    diag, v = intmat.smith_columns(m, nrows, ncols)
+    full = [row[len(diag):] for row in v]
+    width = ncols - len(diag)
+    assert all(len(row) == width for row in k)
+    assert intmat.hnf_columns(k, ncols, width) == intmat.hnf_columns(full, ncols, width)
+
+
 # up to 6×6, since the cofactor expansion has n! terms; entries in [-1, 1]
 # often give zero leading minors, which stop the single Bareiss pass
 square = st.tuples(st.integers(0, 6), st.integers(0, 6), st.sampled_from([1, 3]),

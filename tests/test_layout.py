@@ -15,7 +15,6 @@ FORMAT_OWNERS = {"lattice.py", "generators.py"}
 ALLOWED = {
     "solve_rational": None,             # right-hand sides of Fractions
     "leading_principal_minors": None,
-    "smith_columns": "_mod_lr_quotient",
 }
 
 
@@ -48,6 +47,13 @@ MODULES = sorted(p for p in SRC.glob("*.py") if p.name not in FORMAT_OWNERS)
 
 def test_monodromy_does_not_import_intmat():
     assert not _imports_intmat(ast.parse((SRC / "monodromy.py").read_text()))
+
+
+def test_galois_does_not_import_intmat():
+    # the Galois side reaches integer matrices only through lattice
+    tree = ast.parse((SRC / "galois.py").read_text())
+    assert not _imports_intmat(tree)
+    assert not _intmat_uses(tree)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
