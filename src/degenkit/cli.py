@@ -206,7 +206,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         }
         report["warnings"].extend(composed.warnings)
         disagreement = disagreement or not groups_agree
-    bound = monodromy.closed_point_bound(datum, args.l)
+    # monodromy.closed_point_bound is the l-part of the cokernel torsion of the
+    # stacked psi_i, which rep has factored already; its divisible rank is 0
+    bound = l_part(rep.stack_torsion, args.l)
     exact, level, stable = _at_derived_level(
         lambda r: galois.closed_point_torsion(rep, r), bound.torsion(), args.l, args.r)
     payload["closed_point"] = {

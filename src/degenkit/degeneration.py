@@ -179,9 +179,14 @@ class DegenDatum:
         return tuple(validate(self))
 
     @cached_property
+    def purity_cokernel(self) -> tuple[FinAb, int]:
+        """(torsion, free rank) of coker(purity): the one purity SNF of the datum."""
+        return cokernel(purity_matrix(self))
+
+    @cached_property
     def verdict(self) -> Verdict:
         """All three toric-additivity verdicts from one purity SNF."""
-        torsion, free_rank = cokernel(purity_matrix(self))
+        torsion, free_rank = self.purity_cokernel
         weakly = free_rank == 0
         failing = tuple(q for q in torsion.primes() if q != self.residue_char)
         return Verdict(weakly and torsion.is_trivial, weakly, failing, torsion, free_rank)
@@ -208,14 +213,11 @@ class Verdict:
     purity_free_rank: int
 
 
-def pairing_violation(phi: LatticeMap, lam: LatticeMap) -> str | None:
-    """Check that phi∘lam is symmetric positive definite; None when it is.
-
-    Positivity is decided by exact leading principal minors, no floats.
+def pairing_violation(m: LatticeMap) -> str | None:
+    """Check that a polarized pairing phi∘lam is symmetric positive definite;
+    None when it is.  Positivity is decided by exact leading principal minors,
+    no floats.
     """
-    if phi.source.rank != lam.target.rank:
-        return "polarization target does not match pairing source"
-    m = phi.compose(lam)
     if m.nrows != m.ncols:
         return "composed pairing is not square"
     rows = m.entries
@@ -246,54 +248,67 @@ def dual_purity_matrix(datum: DegenDatum) -> LatticeMap:
 
 
 def validate(datum: DegenDatum) -> list[Violation]:
-    """Check every semantic invariant; returns violations instead of raising."""
+    """Check every semantic invariant; returns violations instead of raising.
+
+    Three identities spare checks without changing the list.  A default
+    polarization is the identity: injective, phi_i∘1 = phi_i, and two defaults
+    make a commuting square.  A positive definite phi_i∘lambda_i makes
+    lambda_i injective, and phi_i too when it is square (its rank is at least
+    rank X_i = rank X'_i).  The purity rank is nrows minus the free rank of
+    the purity cokernel, the SNF that the verdict reads.
+    """
     out: list[Violation] = []
     p = datum.residue_char
     if p != 0 and not is_prime(p):
         out.append(Violation("residue characteristic not 0 or prime", detail=str(p)))
+    explicit = datum.branch_polarizations
     for i, b in enumerate(datum.branches):
         if not b.specialization.is_surjective():
             out.append(Violation("specialization not surjective", i))
         if datum.dual_specializations is not None and not datum.dual_sp(i).is_surjective():
             out.append(Violation("dual specialization not surjective", i))
-        if b.dual_rank != b.lattice.rank:
+        square = b.dual_rank == b.lattice.rank
+        if not square:
             out.append(Violation("branch dual rank mismatch", i,
                                  f"rank X'_i = {b.dual_rank}, rank X_i = {b.lattice.rank}"))
-        if not b.pairing.is_injective():
+        lam = explicit[i] if explicit is not None else None
+        polarized = lam is not None or datum.is_principal    # by lam, or by the identity
+        reason = None
+        if polarized:
+            reason = pairing_violation(b.pairing if lam is None else b.pairing.compose(lam))
+        definite = polarized and reason is None
+        if not (definite and square) and not b.pairing.is_injective():
             out.append(Violation("pairing not injective", i))
-        lam = datum.branch_polarization(i)
-        if lam is not None:
-            if not lam.is_injective():
+        if polarized and not definite:
+            if lam is not None and not lam.is_injective():
                 out.append(Violation("polarization not injective", i))
             else:
-                reason = pairing_violation(b.pairing, lam)
-                if reason is not None:
-                    out.append(Violation(f"pairing {reason}", i))
+                out.append(Violation(f"pairing {reason}", i))
     if datum.dual_closed.rank != datum.mu:
         out.append(Violation("dual rank mismatch",
                              detail=f"rank X' = {datum.dual_closed.rank}, rank X = {datum.mu}"))
-    if not purity_matrix(datum).is_injective():
+    if datum.purity_cokernel[1] != sum(datum.branch_mus) - datum.mu:
         out.append(Violation("purity map not injective"))
     if datum.dual_specializations is not None and not dual_purity_matrix(datum).is_injective():
         out.append(Violation("dual purity map not injective"))
     if datum.mu > sum(datum.branch_mus):
         out.append(Violation("toric rank inequality violated",
                              detail=f"mu = {datum.mu} > sum mu_i = {sum(datum.branch_mus)}"))
-    lam0 = datum.closed_polarization()
-    if lam0 is not None and datum.polarization is not None:
-        if not lam0.is_injective():
-            out.append(Violation("polarization not injective"))
-    if lam0 is not None:
-        for i in range(datum.n):
-            lam_i = datum.branch_polarization(i)
-            if lam_i is None:
-                continue
-            # sp'_i ∘ lambda must agree with lambda_i ∘ sp_i for the dual
-            # verdicts to transport (the purity squares must commute)
-            left = datum.dual_sp(i).compose(lam0)
-            right = lam_i.compose(datum.branches[i].specialization)
-            if left.entries != right.entries:
-                out.append(Violation("polarization incompatible with specializations", i))
+    lam0 = datum.polarization
+    if lam0 is not None and not lam0.is_injective():
+        out.append(Violation("polarization not injective"))
+    for i in range(datum.n):
+        lam_i = explicit[i] if explicit is not None else None
+        defaults = (lam0 is None) + (lam_i is None)
+        if defaults == 2 or defaults and not datum.is_principal:
+            continue   # two identities commute; an unpolarized side has no square
+        # sp'_i ∘ lambda must agree with lambda_i ∘ sp_i for the dual
+        # verdicts to transport (the purity squares must commute)
+        sp = datum.branches[i].specialization
+        left = datum.dual_sp(i) if lam0 is None else datum.dual_sp(i).compose(lam0)
+        right = sp if lam_i is None else lam_i.compose(sp)
+        if left.entries != right.entries:
+            out.append(Violation("polarization incompatible with specializations", i))
     for ov in datum.strata:
         out.extend(_override_violations(datum, ov))
     return out

@@ -79,7 +79,8 @@ class GaloisRep:
     @cached_property
     def stack_torsion(self) -> FinAb:
         """Cokernel torsion of the stacked psi_i, from the Hermite basis of
-        their row lattice (at most mu rows)."""
+        their row lattice (at most mu rows).  Its l-part is the closed-point
+        bound, which the oracle reads off here rather than factoring twice."""
         return cokernel(LatticeMap.stack(list(self.psi)).row_lattice())[0]
 
     def action_torsion(self, multiplicities: tuple[int, ...]) -> FinAb:

@@ -374,9 +374,3 @@ def l_part(g: FinAb, l: int) -> FinAb:
         if q > 1:
             factors.append(q)
     return FinAb(tuple(factors))
-
-
-def image_lattices_equal(a: LatticeMap, b: LatticeMap) -> bool:
-    if a.target != b.target:
-        return False
-    return a.image_basis() == b.image_basis()

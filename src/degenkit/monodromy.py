@@ -102,6 +102,10 @@ def stratum_lattice(datum: DegenDatum, active: tuple[int, ...] | list[int],
     the whole branch set it is the closed-point lattice X carried by the
     purity map.  Intermediate strata of a non-toric-additive datum are derived
     and flagged heuristic; explicit overrides from the input file win.
+
+    Over the whole branch set of a valid datum the restricted map is the
+    (dual) purity map, which validation found injective, so it is not tested
+    again.
     """
     active = tuple(sorted(set(active)))
     if any(j < 0 or j >= datum.n for j in active):
@@ -118,8 +122,9 @@ def stratum_lattice(datum: DegenDatum, active: tuple[int, ...] | list[int],
         if proj is None:
             raise InputError("stratum override does not contain the restricted purity image")
         return StratumData(inc.source, inc, proj, active, overridden=True)
-    heuristic = (len(active) < datum.n) and not datum.verdict.toric_additive
-    if restricted.is_injective():
+    whole = len(active) == datum.n
+    heuristic = not whole and not datum.verdict.toric_additive
+    if whole and not datum.violations or restricted.is_injective():
         # Y is the source lattice itself, in its own basis
         return StratumData(restricted.source, restricted,
                            LatticeMap.identity(restricted.ncols), active, heuristic)
@@ -131,7 +136,12 @@ def stratum_lattice(datum: DegenDatum, active: tuple[int, ...] | list[int],
 
 
 def compose_trait(datum: DegenDatum, profile: TraitProfile) -> ComposedPairing:
-    """Monodromy pairing of the trait with the given multiplicity tuple."""
+    """Monodromy pairing of the trait with the given multiplicity tuple.
+
+    On a principal datum without a dual override inclusion the dual stratum
+    is built from the same maps as the primal one (sp'_j = sp_j), so the
+    primal stratum is reused.
+    """
     require_valid(datum)
     if len(profile.multiplicities) != datum.n:
         raise InputError(
@@ -141,7 +151,11 @@ def compose_trait(datum: DegenDatum, profile: TraitProfile) -> ComposedPairing:
     if datum.n > 0 and not active:
         warnings.append(TRAIT_MISSES_DIVISOR)
     stratum = stratum_lattice(datum, active, dual=False)
-    dual_stratum = stratum_lattice(datum, active, dual=True)
+    override = datum.stratum_override(active)
+    if datum.is_principal and (override is None or override.dual_inclusion is None):
+        dual_stratum = stratum
+    else:
+        dual_stratum = stratum_lattice(datum, active, dual=True)
     if stratum.heuristic or dual_stratum.heuristic:
         warnings.append(HEURISTIC_STRATUM)
     blocks = [datum.branches[j].pairing.scaled(profile.multiplicities[j]) for j in active]
@@ -196,7 +210,9 @@ def validate_pairing(phi: LatticeMap, lam: LatticeMap) -> str | None:
     """Check that phi∘lam is symmetric positive definite; None when it holds."""
     if not lam.is_injective():
         raise InputError("polarization must be injective")
-    return pairing_violation(phi, lam)
+    if phi.source.rank != lam.target.rank:
+        return "polarization target does not match pairing source"
+    return pairing_violation(phi.compose(lam))
 
 
 def sub_datum(datum: DegenDatum, active: tuple[int, ...] | list[int]) -> DegenDatum:

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from degenkit import intmat
 from degenkit.schema import load_document
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "degenkit" / "fixtures"
@@ -35,3 +36,37 @@ def product_tate():
 @pytest.fixture
 def genus2_graph():
     return load_fixture("genus2_graph")
+
+
+SMITH_FORMS = ("smith", "smith_columns", "invariant_factors")
+COUNTED = SMITH_FORMS + ("rank", "hnf_columns", "matmul")
+
+
+class IntmatCalls(dict):
+    """Calls of the counted ``intmat`` routines, by name: one argument tuple
+    per call, with every matrix frozen to a tuple of row tuples."""
+
+    def smith_forms(self) -> list[tuple]:
+        """Every Smith elimination: with both transforms, with V alone, and
+        invariant factors alone."""
+        return [args for name in SMITH_FORMS for args in self[name]]
+
+    def clear_all(self) -> None:
+        for calls in self.values():
+            calls.clear()
+
+
+@pytest.fixture
+def intmat_calls(monkeypatch):
+    calls = IntmatCalls({name: [] for name in COUNTED})
+
+    def counting(name, original):
+        def wrapper(*args):
+            calls[name].append(tuple(tuple(map(tuple, a)) if isinstance(a, list) else a
+                                     for a in args))
+            return original(*args)
+        return wrapper
+
+    for name in COUNTED:
+        monkeypatch.setattr(intmat, name, counting(name, getattr(intmat, name)))
+    return calls

@@ -3,12 +3,27 @@
 Nothing here touches the package's normal-form code paths: invariant factors
 come from gcds of minors, and group structures from literal element
 enumeration in (Z/N)^k, so an agreement is meaningful evidence.
+
+The last section keeps checks that the package now skips because a proven
+identity decides them: the long form of ``degeneration.validate`` and the
+image-lattice comparison behind ``neron.converse_check``.  They do use the
+package's lattice maps; what they add is the work the identities remove.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
 from math import gcd
+
+from degenkit import intmat
+from degenkit.degeneration import (
+    DegenDatum,
+    StratumOverride,
+    Violation,
+    dual_purity_matrix,
+    purity_matrix,
+)
+from degenkit.lattice import LatticeMap, is_prime
 
 
 def minor_gcd_invariant_factors(rows: list[list[int]]) -> list[int]:
@@ -248,3 +263,110 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     if a < 0:
         return -a, -x0, -y0
     return a, x0, y0
+
+
+# -- checks that proven identities decide --------------------------------------
+
+def image_lattices_equal(a: LatticeMap, b: LatticeMap) -> bool:
+    """Equal column lattices, by comparing canonical Hermite bases."""
+    if a.target != b.target:
+        return False
+    return a.image_basis() == b.image_basis()
+
+
+def reference_pairing_violation(phi: LatticeMap, lam: LatticeMap) -> str | None:
+    """phi∘lam symmetric positive definite, always composing with lam."""
+    if phi.source.rank != lam.target.rank:
+        return "polarization target does not match pairing source"
+    m = phi.compose(lam)
+    if m.nrows != m.ncols:
+        return "composed pairing is not square"
+    rows = m.entries
+    n = m.nrows
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rows[i][j] != rows[j][i]:
+                return "not symmetric"
+    minors = intmat.leading_principal_minors(rows, n)
+    if any(d <= 0 for d in minors):
+        return "not positive definite"
+    return None
+
+
+def reference_validate(datum: DegenDatum) -> list[Violation]:
+    """Every invariant tested on its own: each injectivity by a rank, each
+    default polarization as an explicit identity matrix."""
+    out: list[Violation] = []
+    p = datum.residue_char
+    if p != 0 and not is_prime(p):
+        out.append(Violation("residue characteristic not 0 or prime", detail=str(p)))
+    for i, b in enumerate(datum.branches):
+        if not b.specialization.is_surjective():
+            out.append(Violation("specialization not surjective", i))
+        if datum.dual_specializations is not None and not datum.dual_sp(i).is_surjective():
+            out.append(Violation("dual specialization not surjective", i))
+        if b.dual_rank != b.lattice.rank:
+            out.append(Violation("branch dual rank mismatch", i,
+                                 f"rank X'_i = {b.dual_rank}, rank X_i = {b.lattice.rank}"))
+        if not b.pairing.is_injective():
+            out.append(Violation("pairing not injective", i))
+        lam = datum.branch_polarization(i)
+        if lam is not None:
+            if not lam.is_injective():
+                out.append(Violation("polarization not injective", i))
+            else:
+                reason = reference_pairing_violation(b.pairing, lam)
+                if reason is not None:
+                    out.append(Violation(f"pairing {reason}", i))
+    if datum.dual_closed.rank != datum.mu:
+        out.append(Violation("dual rank mismatch",
+                             detail=f"rank X' = {datum.dual_closed.rank}, rank X = {datum.mu}"))
+    if not purity_matrix(datum).is_injective():
+        out.append(Violation("purity map not injective"))
+    if datum.dual_specializations is not None and not dual_purity_matrix(datum).is_injective():
+        out.append(Violation("dual purity map not injective"))
+    if datum.mu > sum(datum.branch_mus):
+        out.append(Violation("toric rank inequality violated",
+                             detail=f"mu = {datum.mu} > sum mu_i = {sum(datum.branch_mus)}"))
+    lam0 = datum.closed_polarization()
+    if lam0 is not None and datum.polarization is not None:
+        if not lam0.is_injective():
+            out.append(Violation("polarization not injective"))
+    if lam0 is not None:
+        for i in range(datum.n):
+            lam_i = datum.branch_polarization(i)
+            if lam_i is None:
+                continue
+            left = datum.dual_sp(i).compose(lam0)
+            right = lam_i.compose(datum.branches[i].specialization)
+            if left.entries != right.entries:
+                out.append(Violation("polarization incompatible with specializations", i))
+    for ov in datum.strata:
+        out.extend(_reference_override_violations(datum, ov))
+    return out
+
+
+def _reference_override_violations(datum: DegenDatum, ov: StratumOverride) -> list[Violation]:
+    out: list[Violation] = []
+    amb = sum(datum.branches[j].lattice.rank for j in ov.branches)
+    if ov.inclusion.target.rank != amb:
+        out.append(Violation("stratum override invalid",
+                             detail=f"inclusion targets rank {ov.inclusion.target.rank}, "
+                                    f"ambient rank is {amb}"))
+        return out
+    if not ov.inclusion.is_injective():
+        out.append(Violation("stratum override invalid", detail="inclusion not injective"))
+        return out
+    rows = [r for j in ov.branches for r in datum.branches[j].specialization.entries]
+    restricted = LatticeMap.from_rows(rows, source_rank=datum.mu, target_rank=amb)
+    if ov.inclusion.solve(restricted) is None:
+        out.append(Violation("stratum override invalid",
+                             detail="restricted purity does not factor through the override"))
+    elif ov.inclusion.ncols != restricted.rank_of_image():
+        out.append(Violation("stratum override invalid",
+                             detail="override rank differs from restricted purity rank"))
+    if ov.dual_inclusion is not None:
+        damb = sum(datum.branches[j].dual_rank for j in ov.branches)
+        if ov.dual_inclusion.target.rank != damb or not ov.dual_inclusion.is_injective():
+            out.append(Violation("stratum override invalid", detail="bad dual inclusion"))
+    return out

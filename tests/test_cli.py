@@ -8,10 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from degenkit import cli, degeneration, intmat, neron
+from degenkit import cli, degeneration, neron
 from degenkit.curves import CurveReport
-from degenkit.lattice import FinAb
-from degenkit.monodromy import TraitProfile
+from degenkit.lattice import FinAb, LatticeMap
+from degenkit.monodromy import TraitProfile, psi_maps
 from degenkit.schema import parse_document
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -79,7 +79,7 @@ def test_reports_are_byte_identical_across_runs(capsys):
     (["oracle", "example_3_4", "--l", "2", "--profile", "1,1"], 1),
     (["converse", "example_3_4"], 1),
     (["psi", "example_3_4"], 1),
-    (["psi", "example_3_4", "--kummer", "2,3"], 2),   # the rescaled datum is a second one
+    (["psi", "example_3_4", "--kummer", "2,3"], 1),   # the rescaled one is valid by construction
     (["curve", "genus2_graph"], 1),
 ])
 def test_each_datum_is_validated_once(capsys, monkeypatch, argv, expected):
@@ -96,31 +96,14 @@ def test_each_datum_is_validated_once(capsys, monkeypatch, argv, expected):
     assert len(calls) == expected
 
 
-@pytest.fixture
-def smith_calls(monkeypatch):
-    """Every factorisation: Smith forms with both transforms, with V alone,
-    and invariant factors alone."""
-    calls = []
-
-    def counting(original):
-        def factor(m, nrows, ncols):
-            calls.append((nrows, ncols, tuple(map(tuple, m))))
-            return original(m, nrows, ncols)
-        return factor
-
-    for name in ("smith", "smith_columns", "invariant_factors"):
-        monkeypatch.setattr(intmat, name, counting(getattr(intmat, name)))
-    return calls
-
-
-def test_psi_kummer_factors_each_pairing_once_per_datum(capsys, smith_calls):
+def test_psi_kummer_factors_each_pairing_once_per_datum(capsys, intmat_calls):
     # purity, the two branch pairings, the two rescaled pairings
     code, _, err = run_cli(capsys, ["psi", "example_3_4", "--kummer", "2,3"])
     assert code == 0, err
-    assert len(smith_calls) == 5
+    assert len(intmat_calls.smith_forms()) == 5
 
 
-def test_trait_surjectivity_factors_composed_pairing_once(smith_calls):
+def test_trait_surjectivity_factors_composed_pairing_once(intmat_calls):
     datum = parse_document({
         "format_version": "1", "kind": "degeneration", "name": "d248",
         "closed_point": {"rank": 3},
@@ -132,20 +115,44 @@ def test_trait_surjectivity_factors_composed_pairing_once(smith_calls):
     assert result.surjective
     assert result.upsilon == FinAb((2, 4, 8))
     # purity, the composed pairing, the branch pairing's presentation
-    assert len(smith_calls) == 3
+    assert len(intmat_calls.smith_forms()) == 3
 
 
-def test_abelian_rank_never_reaches_a_matrix(capsys, smith_calls, tmp_path):
+def test_abelian_rank_never_reaches_a_matrix(capsys, intmat_calls, tmp_path):
     doc = json.loads(cli.resolve_input("example_3_4").read_text())
     shapes = []
     for alpha in (0, 40):
         path = tmp_path / f"alpha{alpha}.json"
         path.write_text(json.dumps(dict(doc, abelian_rank=alpha)))
-        smith_calls.clear()
+        intmat_calls.clear_all()
         code, _, err = run_cli(capsys, ["oracle", str(path), "--l", "2", "--profile", "1,1"])
         assert code == 0, err
-        shapes.append(sorted((nrows, ncols) for nrows, ncols, _ in smith_calls))
+        shapes.append(sorted((nrows, ncols) for _, nrows, ncols in intmat_calls.smith_forms()))
     assert shapes[0] == shapes[1]
+
+
+def test_trait_factors_the_purity_matrix_once(capsys, intmat_calls, example_3_4):
+    # validate, the verdict and both strata over every branch read one SNF
+    purity = degeneration.purity_matrix(example_3_4).entries
+    code, _, err = run_cli(capsys, ["trait", "example_3_4", "--profile", "1,1"])
+    assert code == 0, err
+    factored = [name for name in ("smith", "smith_columns", "invariant_factors", "rank",
+                                  "hnf_columns")
+                for args in intmat_calls[name] if args[0] == purity]
+    assert factored == ["invariant_factors"]
+
+
+def test_oracle_factors_the_psi_stack_once(capsys, intmat_calls, example_3_4):
+    # the closed-point bound is read off the rep's stack torsion
+    stack = LatticeMap.stack(psi_maps(example_3_4))
+    basis = stack.row_lattice().entries
+    intmat_calls.clear_all()
+    code, _, err = run_cli(capsys, ["oracle", "example_3_4", "--l", "2"])
+    assert code == 0, err
+    compressions = [args for args in intmat_calls["hnf_columns"]
+                    if args[0] == stack.transpose().entries]
+    factorings = [args for args in intmat_calls.smith_forms() if args[0] == basis]
+    assert (len(compressions), len(factorings)) == (1, 1)
 
 
 class TestOracleLevels:

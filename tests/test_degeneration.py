@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from degenkit.degeneration import (
     Branch,
     DegenDatum,
+    StratumOverride,
     analyze,
     dual_datum,
     is_l_toric_additive,
@@ -23,6 +25,7 @@ from degenkit.lattice import FinAb, Lattice, LatticeMap
 from degenkit.monodromy import sub_datum
 
 from conftest import load_fixture
+from oracles import reference_validate
 
 
 def simple_datum(specializations, pairings, mu, name="test"):
@@ -66,6 +69,214 @@ class TestValidate:
         datum = DegenDatum("bad", 0, 4, example_3_4.closed_point, example_3_4.branches)
         messages = [v.invariant for v in validate(datum)]
         assert "residue characteristic not 0 or prime" in messages
+
+
+def _rows(m):
+    return [list(r) for r in m.entries]
+
+
+def _explicit_pols(datum):
+    """Branch polarizations with the principal defaults written out."""
+    if datum.branch_polarizations is not None:
+        return list(datum.branch_polarizations)
+    return [LatticeMap.identity(b.lattice.rank) for b in datum.branches]
+
+
+def _explicit_dual(datum, polarized):
+    """The same datum with its dual side (and, if asked, its polarizations)
+    spelled out, so that either side can be changed alone."""
+    if not datum.is_principal:
+        return datum
+    return replace(datum, dual_closed_point=datum.closed_point,
+                   dual_specializations=tuple(b.specialization for b in datum.branches),
+                   polarization=LatticeMap.identity(datum.mu) if polarized else None,
+                   branch_polarizations=tuple(_explicit_pols(datum)) if polarized else None)
+
+
+def _with_pairing(datum, k, rows):
+    b = datum.branches[k]
+    branches = list(datum.branches)
+    branches[k] = replace(b, pairing=LatticeMap.from_rows(
+        rows, source_rank=b.dual_rank, target_rank=b.lattice.rank))
+    return replace(datum, branches=tuple(branches))
+
+
+def _asymmetric(rng, datum, k):
+    rows = _rows(datum.branches[k].pairing)
+    if len(rows) > 1:
+        rows[0][1] += rng.choice([-1, 1])
+    else:
+        rows[0][0] = -rows[0][0]
+    return _with_pairing(datum, k, rows)
+
+
+def _indefinite(rng, datum, k):
+    return _with_pairing(datum, k, _rows(datum.branches[k].pairing.scaled(-rng.randint(1, 2))))
+
+
+def _singular_pairing(rng, datum, k):
+    rows = _rows(datum.branches[k].pairing)
+    rows[-1] = [0] * len(rows[-1])
+    if rng.random() < 0.5:
+        for row in rows:
+            row[-1] = 0
+    return _with_pairing(datum, k, rows)
+
+
+def _singular_polarization(rng, datum, k):
+    if rng.random() < 0.3 and datum.dual_closed.rank == datum.mu:
+        rows = _rows(datum.closed_polarization() or LatticeMap.identity(datum.mu))
+        rows[rng.randrange(len(rows))] = [0] * datum.mu
+        return replace(datum, polarization=LatticeMap.from_rows(rows, source_rank=datum.mu))
+    pols = _explicit_pols(datum)
+    rows = _rows(pols[k])
+    rows[rng.randrange(len(rows))] = [0] * len(rows[0])
+    pols[k] = LatticeMap.from_rows(rows, source_rank=pols[k].ncols, target_rank=len(rows))
+    return replace(datum, branch_polarizations=tuple(pols))
+
+
+def _noncommuting_polarization(rng, datum, k):
+    if rng.random() < 0.5 and datum.dual_closed.rank == datum.mu:
+        closed = datum.closed_polarization() or LatticeMap.identity(datum.mu)
+        return replace(datum, polarization=closed.scaled(2))
+    pols = _explicit_pols(datum)
+    pols[k] = pols[k].scaled(rng.choice([-1, 2]))
+    return replace(datum, branch_polarizations=tuple(pols))
+
+
+def _nonsquare_pairing(rng, datum, k):
+    """X'_k one rank larger: the pairing gets a zero column, so it is not
+    injective, while phi_k∘lambda_k, with lambda_k extended by a zero row,
+    stays what it was."""
+    polarized = rng.random() < 0.75
+    datum = _explicit_dual(datum, polarized)
+    b = datum.branches[k]
+    pairing = LatticeMap.from_rows([row + [0] for row in _rows(b.pairing)],
+                                   source_rank=b.dual_rank + 1, target_rank=b.lattice.rank)
+    branches = list(datum.branches)
+    branches[k] = replace(b, pairing=pairing)
+    sps = list(datum.dual_specializations)
+    extra = [rng.randint(-1, 1) for _ in range(datum.dual_closed.rank)]
+    sps[k] = LatticeMap.from_rows(_rows(sps[k]) + [extra], source_rank=datum.dual_closed.rank)
+    pols = datum.branch_polarizations
+    if pols is not None:
+        pols = list(pols)
+        pols[k] = LatticeMap.from_rows(_rows(pols[k]) + [[0] * b.lattice.rank],
+                                       source_rank=b.lattice.rank)
+        pols = tuple(pols)
+    return replace(datum, branches=tuple(branches), dual_specializations=tuple(sps),
+                   branch_polarizations=pols)
+
+
+def _noninjective_purity(rng, datum, k):
+    """A zero column on every specialization, primal or dual."""
+    dual = rng.random() < 0.5
+    if dual:
+        datum = _explicit_dual(datum, rng.random() < 0.5)
+        width = datum.dual_closed.rank + 1
+        sps = tuple(LatticeMap.from_rows([row + [0] for row in _rows(sp)], source_rank=width,
+                                         target_rank=sp.nrows)
+                    for sp in datum.dual_specializations)
+        pol = datum.polarization
+        if pol is not None:
+            pol = LatticeMap.from_rows(_rows(pol) + [[0] * pol.ncols], source_rank=pol.ncols)
+        return replace(datum, dual_closed_point=Lattice(width), dual_specializations=sps,
+                       polarization=pol)
+    width = datum.mu + 1
+    branches = tuple(replace(b, specialization=LatticeMap.from_rows(
+        [row + [0] for row in _rows(b.specialization)], source_rank=width,
+        target_rank=b.lattice.rank)) for b in datum.branches)
+    pol = datum.polarization
+    if pol is not None:
+        pol = LatticeMap.from_rows([row + [0] for row in _rows(pol)], source_rank=width,
+                                   target_rank=pol.nrows)
+    return replace(datum, closed_point=Lattice(width), branches=branches, polarization=pol)
+
+
+def _bad_override(rng, datum, k):
+    active = tuple(sorted(rng.sample(range(datum.n), rng.randint(1, datum.n))))
+    amb = sum(datum.branches[j].lattice.rank for j in active)
+    damb = sum(datum.branches[j].dual_rank for j in active)
+    kind = rng.randrange(5)
+    dual = None
+    if kind == 0:
+        inc = LatticeMap.identity(amb + 1)
+    elif kind == 1:
+        inc = LatticeMap.zero(Lattice(1), Lattice(amb))
+    elif kind == 2:
+        inc = LatticeMap.identity(amb).scaled(2)
+    else:
+        # the identity fails exactly when the restricted purity has rank < amb
+        inc = LatticeMap.identity(amb)
+        if kind == 4:
+            dual = LatticeMap.identity(damb + rng.randint(0, 1))
+    return replace(datum, strata=(StratumOverride(active, inc, dual),))
+
+
+MUTATIONS = (_asymmetric, _indefinite, _singular_pairing, _singular_polarization,
+             _noncommuting_polarization, _nonsquare_pairing, _noninjective_purity,
+             _bad_override)
+
+
+@pytest.mark.parametrize("make", [random_datum, random_ta_datum, random_polarized_datum],
+                         ids=lambda f: f.__name__)
+def test_validate_matches_reference_on_mutations(make):
+    # the skipped checks are decided by identities; a reference that runs
+    # every one of them must list the same violations in the same order
+    rng = random.Random(811)
+    compared = invalid = 0
+    for _ in range(40):
+        datum = make(rng, max_mu=4, max_n=3, min_n=1)
+        cases = [datum]
+        for _ in range(6):
+            mutated = datum
+            for _ in range(rng.randint(1, 2)):
+                try:
+                    mutated = rng.choice(MUTATIONS)(rng, mutated, rng.randrange(datum.n))
+                except InputError:
+                    break
+            cases.append(mutated)
+        for case in cases:
+            expected = reference_validate(case)
+            assert validate(case) == expected, case
+            assert [str(v) for v in validate(case)] == [str(v) for v in expected]
+            compared += 1
+            invalid += bool(expected)
+    assert compared == 280 and invalid > 150
+
+
+def test_nonsquare_pairing_with_definite_composite_is_not_injective():
+    # phi : Z^2 -> Z^1 and lambda : Z^1 -> Z^2 compose to [1], but phi kills e_2
+    datum = DegenDatum(
+        "wide", 0, 0, Lattice(1),
+        (Branch("D1", Lattice(1), LatticeMap.from_rows([[1, 0]]), LatticeMap.from_rows([[1]])),),
+        dual_closed_point=Lattice(1),
+        dual_specializations=(LatticeMap.from_rows([[1], [0]]),),
+        polarization=LatticeMap.identity(1),
+        branch_polarizations=(LatticeMap.from_rows([[1], [0]]),))
+    messages = [v.invariant for v in validate(datum)]
+    assert messages == ["dual specialization not surjective", "branch dual rank mismatch",
+                        "pairing not injective"]
+    assert validate(datum) == reference_validate(datum)
+
+
+def test_validate_multiplies_and_ranks_no_identity(intmat_calls):
+    rng = random.Random(812)
+    datums = [load_fixture(name) for name in ("example_3_4", "tate_u1u2", "product_tate")]
+    datums += [random_datum(rng, max_mu=4, max_n=3, min_n=1) for _ in range(20)]
+    datums += [random_ta_datum(rng, max_mu=4, max_n=3, min_n=1) for _ in range(20)]
+
+    def is_identity(m, n):
+        return all(m[i][j] == (i == j) for i in range(n) for j in range(n))
+
+    intmat_calls.clear_all()
+    for datum in datums:
+        assert validate(datum) == []
+    assert not [args for args in intmat_calls["rank"]
+                if args[1] == args[2] and is_identity(args[0], args[1])]
+    assert not [args for args in intmat_calls["matmul"]
+                if (args[1] == args[2] and is_identity(args[0], args[1]))
+                or (args[4] == args[5] and is_identity(args[3], args[4]))]
 
 
 class TestPurityMatrix:

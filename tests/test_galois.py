@@ -32,7 +32,6 @@ from degenkit.lattice import (
     FinAb,
     Lattice,
     LatticeMap,
-    image_lattices_equal,
     kernel_saturated,
     l_part,
     sum_index,
@@ -41,6 +40,7 @@ from degenkit.monodromy import TraitProfile, closed_point_bound, component_group
 from degenkit.schema import datum_to_dict
 
 import galois_full as full_model
+from oracles import image_lattices_equal
 from test_intmat import wall_clock_budget
 
 

@@ -8,8 +8,13 @@ import pytest
 
 from degenkit.degeneration import Branch, DegenDatum
 from degenkit.errors import InputError
-from degenkit.generators import random_datum, random_profile, random_ta_datum
-from degenkit.lattice import FinAb, Lattice, LatticeMap
+from degenkit.generators import (
+    random_datum,
+    random_polarized_datum,
+    random_profile,
+    random_ta_datum,
+)
+from degenkit.lattice import FinAb, Lattice, LatticeMap, cokernel
 from degenkit.monodromy import TraitProfile
 from degenkit.neron import (
     converse_check,
@@ -20,7 +25,8 @@ from degenkit.neron import (
     trait_surjectivity_check,
 )
 
-from oracles import enumerate_qz_kernel
+from conftest import load_fixture
+from oracles import enumerate_qz_kernel, image_lattices_equal
 
 
 def lm(rows, source=None, target=None):
@@ -207,3 +213,27 @@ class TestConverseCheck:
         assert psi1.entries == ((1,),)
         assert psi2.entries == ((1,),)
         assert converse_check(p_map, q_map, psi1, psi2).verdict == "hypothesis-failed"
+
+    def test_hypothesis_is_image_equality(self):
+        # im(A^t·Psi·A) ⊆ im(A^t·Psi), both of full rank: equal exactly when
+        # the cokernels are, which is what converse_check compares
+        rng = random.Random(84)
+        outcomes = []
+        for make in (random_datum, random_ta_datum, random_polarized_datum) * 40:
+            datum = make(rng, max_mu=4, max_n=3, min_n=2)
+            p_map, q_map, psi1, psi2 = converse_inputs_from_datum(datum)
+            a = LatticeMap.stack([p_map, q_map])
+            at_psi = a.transpose().compose(LatticeMap.block_diagonal([psi1, psi2]))
+            at_psi_a = at_psi.compose(a)
+            equal = image_lattices_equal(at_psi, at_psi_a)
+            assert equal == (cokernel(at_psi) == cokernel(at_psi_a))
+            assert converse_check(p_map, q_map, psi1, psi2).hypothesis_holds == equal
+            outcomes.append(equal)
+        assert 20 < sum(outcomes) < 100
+
+    @pytest.mark.parametrize("name", ["example_3_4", "product_tate"])
+    def test_no_hermite_form(self, name, intmat_calls):
+        inputs = converse_inputs_from_datum(load_fixture(name))
+        intmat_calls.clear_all()
+        converse_check(*inputs)
+        assert intmat_calls["hnf_columns"] == []
