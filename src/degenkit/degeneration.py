@@ -299,9 +299,11 @@ def validate(datum: DegenDatum) -> list[Violation]:
         out.append(Violation("polarization not injective"))
     for i in range(datum.n):
         lam_i = explicit[i] if explicit is not None else None
-        defaults = (lam0 is None) + (lam_i is None)
-        if defaults == 2 or defaults and not datum.is_principal:
-            continue   # two identities commute; an unpolarized side has no square
+        if datum.is_principal:
+            if lam0 is None and lam_i is None:
+                continue   # two default identities commute
+        elif lam0 is None or lam_i is None:
+            continue   # an unpolarized side has no square
         # sp'_i ∘ lambda must agree with lambda_i ∘ sp_i for the dual
         # verdicts to transport (the purity squares must commute)
         sp = datum.branches[i].specialization

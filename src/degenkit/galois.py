@@ -81,6 +81,8 @@ class GaloisRep:
         """Cokernel torsion of the stacked psi_i, from the Hermite basis of
         their row lattice (at most mu rows).  Its l-part is the closed-point
         bound, which the oracle reads off here rather than factoring twice."""
+        if self.n == 0:
+            return FinAb.trivial()
         return cokernel(LatticeMap.stack(list(self.psi)).row_lattice())[0]
 
     def action_torsion(self, multiplicities: tuple[int, ...]) -> FinAb:
@@ -184,6 +186,4 @@ def closed_point_torsion(rep: GaloisRep, r: int) -> FinAb:
     """
     if r < 1:
         raise InputError("level r must be >= 1")
-    if rep.n == 0:
-        return FinAb.trivial()
     return _at_level(rep.stack_torsion, rep.l ** r)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from .degeneration import (
     Branch,
     DegenDatum,
+    StratumOverride,
     pairing_violation,
     require_valid,
 )
@@ -94,6 +95,15 @@ def _restricted_purity(datum: DegenDatum, active: tuple[int, ...], dual: bool) -
     return LatticeMap.stack(maps)
 
 
+def _dual_is_primal(datum: DegenDatum, override: StratumOverride | None) -> bool:
+    """Whether the dual stratum over a subset is the primal one.
+
+    On a principal datum sp'_j = sp_j, and an override without a dual
+    inclusion serves both sides with its primal one.
+    """
+    return datum.is_principal and (override is None or override.dual_inclusion is None)
+
+
 def stratum_lattice(datum: DegenDatum, active: tuple[int, ...] | list[int],
                     dual: bool = False) -> StratumData:
     """Stratum lattice over the branch subset J (the image of restricted purity).
@@ -113,9 +123,8 @@ def stratum_lattice(datum: DegenDatum, active: tuple[int, ...] | list[int],
     restricted = _restricted_purity(datum, active, dual)
     override = datum.stratum_override(active)
     if override is not None:
-        inc = override.dual_inclusion if dual else override.inclusion
-        if inc is None and datum.is_principal:
-            inc = override.inclusion
+        inc = override.dual_inclusion if dual and not _dual_is_primal(datum, override) \
+            else override.inclusion
         if inc is None:
             raise InputError("stratum override lacks a dual inclusion")
         proj = inc.solve(restricted)
@@ -138,8 +147,7 @@ def stratum_lattice(datum: DegenDatum, active: tuple[int, ...] | list[int],
 def compose_trait(datum: DegenDatum, profile: TraitProfile) -> ComposedPairing:
     """Monodromy pairing of the trait with the given multiplicity tuple.
 
-    On a principal datum without a dual override inclusion the dual stratum
-    is built from the same maps as the primal one (sp'_j = sp_j), so the
+    Where the dual stratum is the primal one (``_dual_is_primal``), the
     primal stratum is reused.
     """
     require_valid(datum)
@@ -151,8 +159,7 @@ def compose_trait(datum: DegenDatum, profile: TraitProfile) -> ComposedPairing:
     if datum.n > 0 and not active:
         warnings.append(TRAIT_MISSES_DIVISOR)
     stratum = stratum_lattice(datum, active, dual=False)
-    override = datum.stratum_override(active)
-    if datum.is_principal and (override is None or override.dual_inclusion is None):
+    if _dual_is_primal(datum, datum.stratum_override(active)):
         dual_stratum = stratum
     else:
         dual_stratum = stratum_lattice(datum, active, dual=True)

@@ -155,6 +155,20 @@ def test_oracle_factors_the_psi_stack_once(capsys, intmat_calls, example_3_4):
     assert (len(compressions), len(factorings)) == (1, 1)
 
 
+def test_oracle_without_branches(capsys, tmp_path):
+    doc = tmp_path / "bare.json"
+    doc.write_text(json.dumps({
+        "format_version": "1", "kind": "degeneration", "name": "bare",
+        "closed_point": {"rank": 0}, "branches": [],
+    }))
+    code, out, err = run_cli(capsys, ["oracle", str(doc), "--l", "2", "--json"])
+    assert code == 0, err
+    closed = json.loads(out)["oracle"]["closed_point"]
+    assert closed["bound"] == {"divisible_rank": 0, "invariant_factors": []}
+    assert closed["exact_torsion"] == closed["bound"]
+    assert closed["bound_is_strict"] is False
+
+
 class TestOracleLevels:
     """Both finite-level comparisons run at one level derived from the lattice side."""
 

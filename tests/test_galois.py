@@ -304,6 +304,17 @@ class TestProvenIdentities:
                 assert closed_point_torsion(rep, level) == bound.torsion(), (datum.name, l)
                 assert closed_point_torsion(rep, level + 1) == bound.torsion()
 
+    def test_stack_torsion_l_part_is_the_closed_point_bound(self):
+        # the oracle reads its bound off rep.stack_torsion; n = 0 included
+        rng = random.Random(154)
+        datums = [DegenDatum("empty", 1, 0, Lattice(0), ())]
+        datums += [random_datum(rng, max_mu=4, max_n=3) for _ in range(30)]
+        assert any(datum.n == 0 for datum in datums)
+        for datum in datums:
+            for l in (2, 3):
+                rep = build_rep(datum, l)
+                assert l_part(rep.stack_torsion, l) == closed_point_bound(datum, l), datum.name
+
     def test_oracle_bound_is_never_strict(self, capsys, tmp_path):
         rng = random.Random(153)
         for k, datum in enumerate(_random_datums(rng, 24)):
