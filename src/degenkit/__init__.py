@@ -27,12 +27,10 @@ from .lattice import (
     FinAb,
     Lattice,
     LatticeMap,
-    SNFDecomposition,
     cokernel,
     kernel_saturated,
     l_part,
     sum_index,
-    smith_normal_form,
     torsion_kernel_qz,
 )
 from .monodromy import (

@@ -8,22 +8,18 @@ and both are legal inputs everywhere.
 
 No routine computes a transform it does not return.
 
-* ``smith`` returns (U, D, V) with ``U @ M @ V == D``, U and V unimodular and
-  D diagonal with a divisibility chain.  Pivots are chosen as the smallest
-  nonzero absolute value of the trailing block.  It is kept where U is
-  returned: ``integral_solve`` reads it, and ``lattice.smith_normal_form``
-  hands the whole decomposition to its callers.  No bound on the transforms
-  is proven, and they do grow: on dense 64×64 input with entries in [-9, 9]
-  they reach about 20,000 bits against a 299-bit determinant.
-* ``smith_columns`` runs the same elimination and builds V alone, for the
-  callers that read only V: ``kernel_basis`` and the presentations behind
-  ``neron.trait_surjectivity_check``.  V is the same matrix ``smith``
-  returns.  ``kernel_basis`` runs it on independent rows of its input only:
-  the kernel depends only on the rational row space, and the rows are
-  original rows, so no entry grows before the elimination starts.
-* ``invariant_factors`` and ``column_lattice_index`` run it on D alone.  No
-  bound is proven either; on the same inputs the entries stayed within the
-  determinant's bit length.
+* ``smith_columns`` runs a Smith elimination and builds the column transform
+  V alone, for the callers that read only V: ``kernel_basis`` and the
+  presentations behind ``neron.trait_surjectivity_check``.  U·m·V = D for some
+  unimodular U, which is never built.  ``kernel_basis`` runs it on independent
+  rows of its input only: the kernel depends only on the rational row space,
+  and the rows are original rows, so no entry grows before the elimination
+  starts.  Pivots are chosen as the smallest nonzero absolute value of the
+  trailing block.  No bound on V is proven.
+* ``invariant_factors`` and ``column_lattice_index`` run the same
+  elimination on D alone.  No bound is proven either; on dense 64×64 input
+  with entries in [-9, 9] the entries stayed within the determinant's bit
+  length.
 * ``rank``, ``independent_rows``, ``bareiss_det`` and
   ``leading_principal_minors`` are one Bareiss fraction-free pass (the last
   also recomputes the orders after a zero leading minor one by one): every
@@ -35,12 +31,17 @@ No routine computes a transform it does not return.
   It works modulo a nonzero maximal minor D from the same Bareiss pass
   (D·Z^n lies in the lattice), so no entry of the elimination reaches 2·D²
   in absolute value.
+* ``solve_rational`` is the one exact solver.  It clears the denominators of
+  the right-hand side and runs one fraction-free (Bareiss) Gauss–Jordan pass
+  on the integer augmented matrix, dividing only at the end: every
+  intermediate entry is a minor of the augmented matrix, so it is bounded by
+  the Hadamard bound of ``(a | den·b)``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 IntMatrix = list[list[int]]
 
@@ -117,12 +118,10 @@ def _col_sub(m: IntMatrix, j: int, k: int, q: int) -> None:
         row[j] -= q * row[k]
 
 
-def _diagonalize(d: IntMatrix, nrows: int, ncols: int,
-                 u: IntMatrix | None = None, v: IntMatrix | None = None) -> list[int]:
+def _diagonalize(d: IntMatrix, nrows: int, ncols: int, v: IntMatrix | None = None) -> list[int]:
     """Smith elimination of d in place; returns the nonzero diagonal.
 
-    Each row operation is repeated on u and each column operation on v when
-    they are given.
+    Each column operation is repeated on v when it is given.
     """
     for k in range(min(nrows, ncols)):
         while True:
@@ -141,8 +140,6 @@ def _diagonalize(d: IntMatrix, nrows: int, ncols: int,
                 break  # trailing block is zero
             if pi != k:
                 _swap_rows(d, k, pi)
-                if u is not None:
-                    _swap_rows(u, k, pi)
             if pj != k:
                 _swap_cols(d, k, pj)
                 if v is not None:
@@ -151,10 +148,7 @@ def _diagonalize(d: IntMatrix, nrows: int, ncols: int,
             clean = True
             for i in range(k + 1, nrows):
                 if d[i][k]:
-                    q = d[i][k] // pivot
-                    _row_sub(d, i, k, q)
-                    if u is not None:
-                        _row_sub(u, i, k, q)
+                    _row_sub(d, i, k, d[i][k] // pivot)
                     if d[i][k]:
                         clean = False  # floor remainder, strictly smaller pivot exists
             for j in range(k + 1, ncols):
@@ -174,48 +168,19 @@ def _diagonalize(d: IntMatrix, nrows: int, ncols: int,
                 row = d[i]
                 if any(row[j] % pivot for j in range(k + 1, ncols)):
                     _row_sub(d, k, i, -1)  # pull the offending row up
-                    if u is not None:
-                        _row_sub(u, k, i, -1)
                     break
             else:
                 break
-    for k in range(min(nrows, ncols)):
-        if d[k][k] < 0:
-            d[k][k] = -d[k][k]
-            if u is not None:
-                u[k] = [-x for x in u[k]]
-    return diagonal_of(d, nrows, ncols)
-
-
-def smith(m: IntMatrix, nrows: int, ncols: int) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Smith normal form with transforms: U·m·V = D exactly.
-
-    D is diagonal with non-negative entries satisfying d_i | d_{i+1}; U and V
-    are unimodular (|det| = 1).
-    """
-    d = copy_of(m)
-    u = identity(nrows)
-    v = identity(ncols)
-    _diagonalize(d, nrows, ncols, u, v)
-    return u, d, v
-
-
-def diagonal_of(d: IntMatrix, nrows: int, ncols: int) -> list[int]:
-    """Nonzero diagonal entries of an SNF matrix (invariant factors incl. 1s)."""
-    out = []
-    for k in range(min(nrows, ncols)):
-        if d[k][k]:
-            out.append(d[k][k])
-    return out
+    return [abs(d[k][k]) for k in range(min(nrows, ncols)) if d[k][k]]
 
 
 def smith_columns(m: IntMatrix, nrows: int, ncols: int) -> tuple[list[int], IntMatrix]:
-    """The nonzero Smith diagonal and the column transform V of ``smith``.
+    """The nonzero Smith diagonal (1s included) and a column transform V.
 
     U·m·V = D for some unimodular U, which is not computed.
     """
     v = identity(ncols)
-    return _diagonalize(copy_of(m), nrows, ncols, None, v), v
+    return _diagonalize(copy_of(m), nrows, ncols, v), v
 
 
 def invariant_factors(m: IntMatrix, nrows: int, ncols: int) -> list[int]:
@@ -406,39 +371,25 @@ def column_lattice_index(m: IntMatrix, nrows: int, ncols: int) -> int | None:
 
 
 def solve_rational(a: IntMatrix, n: int, b: IntMatrix, bcols: int) -> list[list[Fraction]]:
-    """Solve a·X = b exactly over Q for square invertible a (n×n)."""
-    aug = [[Fraction(a[i][j]) for j in range(n)] + [Fraction(b[i][j]) for j in range(bcols)]
-           for i in range(n)]
+    """Solve a·X = b exactly over Q for square invertible a (n×n).
+
+    b may hold Fractions.  After clearing b's denominators, one fraction-free
+    Gauss–Jordan pass keeps a pivot multiple of the identity on the left: the
+    pivot of step k is a k×k minor of a, and every other entry a minor of the
+    augmented matrix.  X is the right block divided by the last pivot.
+    """
+    den = lcm(*(x.denominator for row in b for x in row))
+    aug = [list(a[i]) + [int(x * den) for x in b[i]] for i in range(n)]
+    prev = 1
     for k in range(n):
-        piv = next((i for i in range(k, n) if aug[i][k] != 0), None)
+        # rows hold the columns k.. of the augmented matrix: the columns before
+        # k hold only prev on the diagonal of the pivoted rows, and zeros
+        piv = next((i for i in range(k, n) if aug[i][0]), None)
         if piv is None:
             raise ValueError("singular matrix in rational solve")
-        if piv != k:
-            aug[k], aug[piv] = aug[piv], aug[k]
-        inv = 1 / aug[k][k]
-        aug[k] = [v * inv for v in aug[k]]
-        for i in range(n):
-            if i != k and aug[i][k]:
-                f = aug[i][k]
-                aug[i] = [vi - f * vk for vi, vk in zip(aug[i], aug[k])]
-    return [row[n:] for row in aug]
-
-
-def integral_solve(a: IntMatrix, nrows: int, ncols: int,
-                   b: IntMatrix, bcols: int) -> IntMatrix | None:
-    """Some integer solution X (ncols×bcols) of a·X = b, or None."""
-    u, d, v = smith(a, nrows, ncols)
-    diag = diagonal_of(d, nrows, ncols)
-    r = len(diag)
-    ub = matmul(u, nrows, nrows, b, nrows, bcols)
-    y = zeros(ncols, bcols)
-    for i in range(nrows):
-        for j in range(bcols):
-            if i < r:
-                q, rem = divmod(ub[i][j], diag[i])
-                if rem:
-                    return None
-                y[i][j] = q
-            elif ub[i][j]:
-                return None
-    return matmul(v, ncols, ncols, y, ncols, bcols)
+        aug[k], aug[piv] = aug[piv], aug[k]
+        pivot, tail = aug[k][0], aug[k][1:]
+        aug = [tail if i == k else [(pivot * x - row[0] * y) // prev for x, y in zip(row[1:], tail)]
+               for i, row in enumerate(aug)]
+        prev = pivot
+    return [[Fraction(x, prev * den) for x in row] for row in aug]

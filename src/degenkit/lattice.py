@@ -186,11 +186,23 @@ class LatticeMap:
         return self.transpose().image_basis().transpose()
 
     def solve(self, b: "LatticeMap") -> "LatticeMap | None":
-        """Some integral X with self ∘ X = b, or None when there is none."""
+        """The integral X with self ∘ X = b, or None when there is none.
+
+        self must be injective, so X is unique when it exists: it is the
+        rational solution on a basis of independent rows, and it is the
+        answer when it is integral and satisfies the other rows too.
+        """
         if b.target != self.target:
             raise InputError("solve needs a right-hand side with the same target")
-        x = intmat.integral_solve(self.entries, self.nrows, self.ncols, b.entries, b.ncols)
-        return None if x is None else LatticeMap(b.source, self.source, _freeze(x))
+        rows = intmat.independent_rows(self.entries, self.nrows, self.ncols)
+        if len(rows) < self.ncols:
+            raise InputError("solve needs an injective map")
+        x = intmat.solve_rational([self.entries[i] for i in rows], self.ncols,
+                                  [b.entries[i] for i in rows], b.ncols)
+        if any(v.denominator != 1 for row in x for v in row):
+            return None
+        x = LatticeMap(b.source, self.source, tuple(tuple(v.numerator for v in row) for row in x))
+        return x if self.compose(x).entries == b.entries else None
 
 
 @dataclass(frozen=True)
@@ -294,32 +306,6 @@ def is_prime(n: int) -> bool:
     if n < 2:
         return False
     return _factorint(n) == {n: 1}
-
-
-@dataclass(frozen=True)
-class SNFDecomposition:
-    """U·M·V = D with U, V unimodular and D diagonal (divisibility chain)."""
-
-    U: LatticeMap
-    D: LatticeMap
-    V: LatticeMap
-
-    @property
-    def invariant_factors(self) -> tuple[int, ...]:
-        return tuple(intmat.diagonal_of(self.D.entries, self.D.nrows, self.D.ncols))
-
-    @property
-    def rank(self) -> int:
-        return len(self.invariant_factors)
-
-
-def smith_normal_form(m: LatticeMap) -> SNFDecomposition:
-    u, d, v = intmat.smith(m.entries, m.nrows, m.ncols)
-    return SNFDecomposition(
-        U=LatticeMap(Lattice(m.nrows), Lattice(m.nrows), _freeze(u)),
-        D=LatticeMap(m.source, m.target, _freeze(d)),
-        V=LatticeMap(m.source, m.source, _freeze(v)),
-    )
 
 
 def smith_columns(m: LatticeMap) -> tuple[tuple[int, ...], LatticeMap]:

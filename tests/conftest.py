@@ -38,7 +38,7 @@ def genus2_graph():
     return load_fixture("genus2_graph")
 
 
-SMITH_FORMS = ("smith", "smith_columns", "invariant_factors")
+SMITH_FORMS = ("smith_columns", "invariant_factors")
 COUNTED = SMITH_FORMS + ("rank", "hnf_columns", "matmul")
 
 
@@ -47,8 +47,7 @@ class IntmatCalls(dict):
     per call, with every matrix frozen to a tuple of row tuples."""
 
     def smith_forms(self) -> list[tuple]:
-        """Every Smith elimination: with both transforms, with V alone, and
-        invariant factors alone."""
+        """Every Smith elimination: with V, and invariant factors alone."""
         return [args for name in SMITH_FORMS for args in self[name]]
 
     def clear_all(self) -> None:

@@ -4,10 +4,14 @@ Nothing here touches the package's normal-form code paths: invariant factors
 come from gcds of minors, and group structures from literal element
 enumeration in (Z/N)^k, so an agreement is meaningful evidence.
 
+The certificate section checks a Smith form (d, V) without U.  It uses the
+package's Bareiss determinant and Hermite form, never its Smith elimination.
+
 The last section keeps checks that the package now skips because a proven
-identity decides them: the long form of ``degeneration.validate`` and the
-image-lattice comparison behind ``neron.converse_check``.  They do use the
-package's lattice maps; what they add is the work the identities remove.
+identity decides them: the long form of ``degeneration.validate``, the
+image-lattice comparison behind ``neron.converse_check`` and the branchwise
+reassembly behind ``neron.psi_fixed_points``.  They do use the package's
+lattice maps; what they add is the work the identities remove.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ from degenkit.degeneration import (
     dual_purity_matrix,
     purity_matrix,
 )
-from degenkit.lattice import LatticeMap, is_prime
+from degenkit.lattice import FinAb, LatticeMap, is_prime, l_part
+from degenkit.monodromy import component_group
 
 
 def minor_gcd_invariant_factors(rows: list[list[int]]) -> list[int]:
@@ -265,6 +270,33 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
+# -- certificates ----------------------------------------------------------------
+
+def smith_columns_certified(m: list[list[int]], nrows: int, ncols: int,
+                            d: list[int] | tuple[int, ...], v: list[list[int]]) -> bool:
+    """Whether U·m·V = diag(d) for some unimodular U, without building U.
+
+    With r = len(d): V is unimodular, the columns of m·V from r on are zero,
+    column k < r is d_k times a column q_k, the q_k have invariant factors all
+    1 (their row lattice, read off a Hermite form, is Z^r), and d is a
+    positive divisibility chain.  A unimodular U with U·(q_0 .. q_{r-1}) =
+    (I_r over 0) then exists, and U·m·V = D.
+    """
+    r = len(d)
+    if r > min(nrows, ncols) or any(x <= 0 for x in d) \
+            or any(b % a for a, b in zip(d, d[1:])):
+        return False
+    if abs(intmat.bareiss_det(v, ncols)) != 1:
+        return False
+    mv = intmat.matmul(m, nrows, ncols, v, ncols, ncols)
+    if any(row[k] for row in mv for k in range(r, ncols)):
+        return False
+    if any(row[k] % d[k] for row in mv for k in range(r)):
+        return False
+    rows_of_q = [[row[k] // d[k] for row in mv] for k in range(r)]   # q^T, r×nrows
+    return intmat.hnf_columns(rows_of_q, r, nrows) == intmat.identity(r)
+
+
 # -- checks that proven identities decide --------------------------------------
 
 def image_lattices_equal(a: LatticeMap, b: LatticeMap) -> bool:
@@ -370,3 +402,16 @@ def _reference_override_violations(datum: DegenDatum, ov: StratumOverride) -> li
         if ov.dual_inclusion.target.rank != damb or not ov.dual_inclusion.is_injective():
             out.append(Violation("stratum override invalid", detail="bad dual inclusion"))
     return out
+
+
+def reference_psi_fixed_points(datum: DegenDatum, multipliers: list[int]) -> FinAb:
+    """Psi'^G assembled branchwise over the primes q of each rescaled group
+    Psi'_i: the q-part of Psi'_i when q is the residue characteristic (the
+    covering action on it is trivial), else the q-part of Psi_i."""
+    p = datum.residue_char
+    parts = []
+    for b, m in zip(datum.branches, multipliers):
+        small = component_group(b.pairing)
+        big = component_group(b.pairing.scaled(m))
+        parts.extend(l_part(big if q == p else small, q) for q in _prime_divisors(big.order))
+    return FinAb.direct_sum(parts)

@@ -19,7 +19,7 @@ from degenkit.generators import (
     random_profile,
     random_ta_datum,
 )
-from degenkit.lattice import FinAb, LatticeMap, cokernel, l_part, smith_normal_form, torsion_kernel_qz
+from degenkit.lattice import FinAb, LatticeMap, cokernel, l_part, smith_columns, torsion_kernel_qz
 from degenkit.monodromy import TraitProfile, component_group, compose_trait
 from degenkit.neron import (
     converse_check,
@@ -29,6 +29,7 @@ from degenkit.neron import (
 )
 
 from conftest import load_fixture
+from oracles import smith_columns_certified
 
 
 def _report(number: int, elapsed: float, message: str) -> None:
@@ -194,14 +195,12 @@ def test_criterion_9_lattice_core_soundness():
         nc = rng.randint(1, 6)
         rows = [[rng.randint(-10 ** 6, 10 ** 6) for _ in range(nc)] for _ in range(nr)]
         m = LatticeMap.from_rows(rows, source_rank=nc, target_rank=nr)
-        dec = smith_normal_form(m)
-        assert dec.U.compose(m).compose(dec.V).entries == dec.D.entries
-        facs = dec.invariant_factors
-        assert all(facs[i + 1] % facs[i] == 0 for i in range(len(facs) - 1))
+        facs, v = smith_columns(m)
+        assert smith_columns_certified(rows, nr, nc, facs, v.entries)
         if len(facs) == nc:  # injective case
             injective_checked += 1
             assert torsion_kernel_qz(m).torsion() == cokernel(m.transpose())[0]
     elapsed = time.perf_counter() - t0
     assert injective_checked > 0
-    _report(9, elapsed, f"1000 SNF reassemblies exact; Q/Z-kernel == transpose cokernel on "
+    _report(9, elapsed, f"1000 SNF certificates hold; Q/Z-kernel == transpose cokernel on "
                         f"{injective_checked} injective cases")

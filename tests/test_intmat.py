@@ -1,12 +1,12 @@
 """Integer normal forms: references at small sizes, certificates at large ones.
 
 Up to 12×12 the transform-free routines are compared with independent
-references: Smith's diagonal, the gcd-of-minors oracle and a plain column
-xgcd Hermite form (``oracles.reference_hnf``).  Up to 64×64 they are checked
-by certificates that need no reference: the divisibility chain, ∏ d_i = |det|,
-the shape of the Hermite form, and equality of lattices by integral solves
-(from 41×41 on, where solving against m takes seconds, by h ⊇ m and the
-product of h's pivots equal to |det m| for square nonsingular m).
+references: the gcd-of-minors oracle and a plain column xgcd Hermite form
+(``oracles.reference_hnf``); ``smith_columns`` is checked by a certificate
+that needs no U (``oracles.smith_columns_certified``).  Up to 64×64 they are
+checked by certificates that need no reference: the divisibility chain,
+∏ d_i = |det|, the shape of the Hermite form, and equality of lattices: m is
+h·X for an integral X whose columns span Z^r.
 """
 
 from __future__ import annotations
@@ -20,8 +20,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degenkit import intmat
+from degenkit.lattice import LatticeMap
 
-from oracles import cofactor_det, minor_gcd_invariant_factors, reference_hnf
+from oracles import cofactor_det, minor_gcd_invariant_factors, reference_hnf, smith_columns_certified
 
 
 def _matrix(nrows: int, ncols: int, inner: int, entry: int, rng: random.Random) -> list[list[int]]:
@@ -44,8 +45,7 @@ small = st.tuples(st.integers(1, 12), st.integers(1, 12), st.integers(0, 12),
 def test_invariant_factors_match_smith_and_minor_gcd(case):
     m, nrows, ncols = case
     facs = intmat.invariant_factors(m, nrows, ncols)
-    _, d, _ = intmat.smith(m, nrows, ncols)
-    assert facs == intmat.diagonal_of(d, nrows, ncols)
+    assert facs == intmat.smith_columns(m, nrows, ncols)[0]
     if nrows <= 5 and ncols <= 5:  # the oracle enumerates every minor
         assert facs == minor_gcd_invariant_factors(m)
 
@@ -63,10 +63,10 @@ def test_hnf_rank_and_index_match_reference(case):
 
 @settings(max_examples=150, deadline=None)
 @given(small)
-def test_smith_columns_match_smith(case):
+def test_smith_columns_certificate(case):
     m, nrows, ncols = case
-    _, d, v = intmat.smith(m, nrows, ncols)
-    assert intmat.smith_columns(m, nrows, ncols) == (intmat.diagonal_of(d, nrows, ncols), v)
+    d, v = intmat.smith_columns(m, nrows, ncols)
+    assert smith_columns_certified(m, nrows, ncols, d, v)
 
 
 # more rows than columns and rank below the column count, through Z^inner
@@ -112,7 +112,14 @@ def _pivot_rows(h: list[list[int]], nrows: int, r: int) -> list[int]:
     return [next(i for i in range(nrows) if h[i][c]) for c in range(r)]
 
 
-def _check_certificates(m: list[list[int]], nrows: int, ncols: int, solve_both: bool) -> None:
+def _solve(a: list[list[int]], nrows: int, ncols: int,
+           b: list[list[int]], bcols: int) -> list[list[int]] | None:
+    x = LatticeMap.from_rows(a, source_rank=ncols, target_rank=nrows).solve(
+        LatticeMap.from_rows(b, source_rank=bcols, target_rank=nrows))
+    return None if x is None else [list(row) for row in x.entries]
+
+
+def _check_certificates(m: list[list[int]], nrows: int, ncols: int) -> None:
     facs = intmat.invariant_factors(m, nrows, ncols)
     r = intmat.rank(m, nrows, ncols)
     assert len(facs) == r
@@ -131,37 +138,33 @@ def _check_certificates(m: list[list[int]], nrows: int, ncols: int, solve_both: 
     index = intmat.column_lattice_index(m, nrows, ncols)
     assert index == (prod(h[p][c] for c, p in enumerate(pivots)) if r == nrows else None)
 
-    # the columns of m lie in the span of h, and the other way round
-    assert intmat.integral_solve(h, nrows, r, m, ncols) is not None
-    if solve_both:
-        assert intmat.integral_solve(m, nrows, ncols, h, r) is not None
-    elif nrows == ncols == r:
-        # m's lattice inside h's, and of the same index |det m|: equal
-        assert prod(h[p][c] for c, p in enumerate(pivots)) == abs(intmat.bareiss_det(m, nrows))
+    # the columns of m lie in the span of h, and they span all of it:
+    # m = h·X with X integral and the columns of X spanning Z^r
+    x = _solve(h, nrows, r, m, ncols)
+    assert x is not None
+    assert intmat.matmul(h, nrows, r, x, r, ncols) == m
+    assert intmat.column_lattice_index(x, r, ncols) == 1
 
 
 @settings(max_examples=12, deadline=None)
 @given(st.integers(1, 40), st.integers(1, 40), st.integers(0, 40), st.integers(0, 2 ** 32))
 def test_certificates_up_to_40(nrows, ncols, inner, seed):
     m = _matrix(nrows, ncols, inner, 9, random.Random(seed))
-    _check_certificates(m, nrows, ncols, solve_both=True)
+    _check_certificates(m, nrows, ncols)
 
 
 @settings(max_examples=4, deadline=None)
 @given(st.integers(41, 64), st.integers(41, 64), st.integers(0, 64), st.integers(0, 2 ** 32))
 def test_certificates_up_to_64(nrows, ncols, inner, seed):
-    # integral_solve against a dense 64×64 m takes seconds (its Smith
-    # transforms grow), so here only h is solved against; square nonsingular
-    # m is also checked against its determinant
     m = _matrix(nrows, ncols, inner, 9, random.Random(seed))
-    _check_certificates(m, nrows, ncols, solve_both=False)
+    _check_certificates(m, nrows, ncols)
 
 
 @settings(max_examples=3, deadline=None)
 @given(st.integers(41, 64), st.integers(0, 2 ** 32))
 def test_certificates_square_up_to_64(n, seed):
     m = _matrix(n, n, n, 9, random.Random(seed))
-    _check_certificates(m, n, n, solve_both=False)
+    _check_certificates(m, n, n)
 
 
 @contextmanager
@@ -201,3 +204,15 @@ def test_dense_64_rank_and_invariant_factors_within_budget():
         facs = intmat.invariant_factors(m, 64, 64)
     assert r == 64
     assert prod(facs) == abs(intmat.bareiss_det(m, 64))
+
+
+def test_dense_64_solves_against_its_hermite_basis_within_budget():
+    # both directions; a Smith-based solve with U and V took about 11 s here
+    m = _dense(64, 64)
+    h = intmat.hnf_columns(m, 64, 64)
+    with wall_clock_budget(5):
+        x = _solve(h, 64, 64, m, 64)
+        y = _solve(m, 64, 64, h, 64)
+    assert x is not None and y is not None
+    assert intmat.matmul(h, 64, 64, x, 64, 64) == m
+    assert intmat.matmul(m, 64, 64, y, 64, 64) == h

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -16,12 +17,17 @@ from degenkit.lattice import (
     cokernel,
     kernel_saturated,
     l_part,
-    smith_normal_form,
+    smith_columns,
     sum_index,
     torsion_kernel_qz,
 )
 
-from oracles import enumerate_cokernel, enumerate_qz_kernel, minor_gcd_invariant_factors
+from oracles import (
+    enumerate_cokernel,
+    enumerate_qz_kernel,
+    minor_gcd_invariant_factors,
+    smith_columns_certified,
+)
 
 
 def lm(rows, source=None, target=None):
@@ -36,50 +42,92 @@ def matrices(max_dim=6, max_entry=50):
                 min_size=r, max_size=r).map(lambda rows: (rows, r, c))))
 
 
+def certified(m: LatticeMap, diag: tuple[int, ...], v: LatticeMap) -> bool:
+    return smith_columns_certified(m.entries, m.nrows, m.ncols, diag, v.entries)
+
+
 class TestSmithNormalForm:
+    """``smith_columns`` against a certificate that needs no U."""
+
     def test_identity(self):
-        dec = smith_normal_form(LatticeMap.identity(2))
-        assert dec.invariant_factors == (1, 1)
-        assert dec.D.entries == ((1, 0), (0, 1))
+        m = LatticeMap.identity(2)
+        diag, v = smith_columns(m)
+        assert diag == (1, 1)
+        assert certified(m, diag, v)
 
     def test_zero(self):
-        dec = smith_normal_form(lm([[0, 0], [0, 0]]))
-        assert dec.invariant_factors == ()
-        assert dec.D.entries == ((0, 0), (0, 0))
+        m = lm([[0, 0], [0, 0]])
+        diag, v = smith_columns(m)
+        assert diag == ()
+        assert certified(m, diag, v)
 
     def test_example_3_4_purity_matrix(self):
         # frozen from the minor-gcd oracle: d1 = gcd of entries, d1*d2 = |det|
         m = lm([[2, 1], [0, 1]])
         assert minor_gcd_invariant_factors([[2, 1], [0, 1]]) == [1, 2]
-        assert smith_normal_form(m).invariant_factors == (1, 2)
+        assert smith_columns(m)[0] == (1, 2)
 
     def test_reassembly_and_unimodularity(self):
         m = lm([[6, 4, 2], [2, 8, 0]])
-        dec = smith_normal_form(m)
-        assert dec.U.compose(m).compose(dec.V).entries == dec.D.entries
-        assert abs(dec.U.determinant()) == 1
-        assert abs(dec.V.determinant()) == 1
+        diag, v = smith_columns(m)
+        assert diag == (2, 2)
+        assert abs(v.determinant()) == 1
+        assert certified(m, diag, v)
+        # a wrong diagonal or a non-unimodular V fails the certificate
+        assert not certified(m, (1, 4), v)
+        assert not certified(m, diag, v.scaled(-1).add(LatticeMap.identity(3).scaled(2)))
 
     @settings(max_examples=150, deadline=None)
     @given(matrices())
     def test_reassembly_random(self, shaped):
         rows, r, c = shaped
         m = lm(rows, source=c, target=r)
-        dec = smith_normal_form(m)
-        assert dec.U.compose(m).compose(dec.V).entries == dec.D.entries
-        facs = dec.invariant_factors
-        assert all(f > 0 for f in facs)
-        assert all(facs[i + 1] % facs[i] == 0 for i in range(len(facs) - 1))
-        assert abs(dec.U.determinant()) == 1
-        assert abs(dec.V.determinant()) == 1
+        diag, v = smith_columns(m)
+        assert certified(m, diag, v)
 
     @settings(max_examples=60, deadline=None)
     @given(matrices(max_dim=5, max_entry=30))
     def test_matches_minor_gcd_oracle(self, shaped):
         rows, r, c = shaped
         m = lm(rows, source=c, target=r)
-        assert list(smith_normal_form(m).invariant_factors) == \
-            minor_gcd_invariant_factors(rows)
+        assert list(smith_columns(m)[0]) == minor_gcd_invariant_factors(rows)
+
+
+def in_column_lattice(a: list[list[int]], b: list[int]) -> bool:
+    """b ∈ L(a), by the minor-gcd oracle: (a | b) has a's rank and the same
+    product of invariant factors, so L(a) has index 1 in L(a | b)."""
+    facs = minor_gcd_invariant_factors(a)
+    wide = minor_gcd_invariant_factors([row + [x] for row, x in zip(a, b)])
+    return len(wide) == len(facs) and prod(wide) == prod(facs)
+
+
+class TestSolve:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 5), st.integers(0, 5), st.integers(0, 2 ** 32))
+    def test_injective_against_minor_gcd_oracle(self, nrows, ncols, seed):
+        rng = random.Random(seed)
+        ncols = min(ncols, nrows)
+        a = [[rng.randint(-4, 4) for _ in range(ncols)] for _ in range(nrows)]
+        m = lm(a, source=ncols, target=nrows)
+        if not m.is_injective():
+            return
+        # one column inside L(a) (possibly moved off by a unit vector), one at random
+        x = [rng.randint(-3, 3) for _ in range(ncols)]
+        inside = [sum(v * t for v, t in zip(row, x)) for row in a]
+        inside[rng.randrange(nrows)] += rng.choice([0, 1])
+        for b in (inside, [rng.randint(-6, 6) for _ in range(nrows)]):
+            got = m.solve(lm([[v] for v in b], source=1, target=nrows))
+            assert (got is not None) == in_column_lattice(a, b)
+            if got is not None:
+                assert m.compose(got).entries == tuple((v,) for v in b)
+
+    def test_rejects_non_injective(self):
+        with pytest.raises(InputError, match="injective"):
+            lm([[1, 2], [2, 4]]).solve(lm([[1], [2]]))
+
+    def test_rejects_target_mismatch(self):
+        with pytest.raises(InputError):
+            LatticeMap.identity(2).solve(LatticeMap.identity(3))
 
 
 class TestCokernel:
@@ -170,8 +218,7 @@ class TestKernelSaturated:
         assert all(v == 0 for row in m.compose(k).entries for v in row)
         assert k.ncols == c - m.rank_of_image()
         # saturation: the inclusion has all invariant factors 1
-        facs = smith_normal_form(k).invariant_factors
-        assert all(f == 1 for f in facs)
+        assert all(f == 1 for f in smith_columns(k)[0])
 
 
 class TestLatticeSum:
@@ -231,7 +278,7 @@ class TestFinAb:
 class TestEmptyShapes:
     def test_rank_zero_everywhere(self):
         zero_map = LatticeMap.zero(Lattice(0), Lattice(0))
-        assert smith_normal_form(zero_map).invariant_factors == ()
+        assert smith_columns(zero_map)[0] == ()
         assert cokernel(zero_map) == (FinAb(), 0)
         assert torsion_kernel_qz(zero_map) == FinAb()
         assert kernel_saturated(zero_map).ncols == 0

@@ -1,6 +1,7 @@
 """Module layout: only ``lattice`` (and the random generators) speak the raw
 list-of-rows matrix format of ``intmat``; everything else goes through
-``LatticeMap``."""
+``LatticeMap``.  Smith with transforms and the general integral solve are
+gone from the package."""
 
 from __future__ import annotations
 
@@ -65,3 +66,27 @@ def test_only_allowed_intmat_names_outside_lattice(path):
     bad = [(func, name) for func, name in _intmat_uses(tree)
            if name not in ALLOWED or ALLOWED[name] not in (None, func)]
     assert not bad, f"{path.name} uses intmat directly: {bad}"
+
+
+REMOVED = {"smith", "integral_solve", "SNFDecomposition", "smith_normal_form"}
+
+
+def _identifiers(tree: ast.AST) -> set[str]:
+    """Every name a module defines, imports or references."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.alias):
+            names.update(filter(None, (node.name, node.asname)))
+    return names
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_smith_transforms_or_general_solve(path):
+    found = _identifiers(ast.parse(path.read_text())) & REMOVED
+    assert not found, f"{path.name} defines or references {sorted(found)}"

@@ -8,8 +8,8 @@ import pytest
 
 from degenkit.degeneration import DegenDatum, Branch
 from degenkit.errors import InputError
-from degenkit.generators import random_datum, random_profile
-from degenkit.lattice import FinAb, Lattice, LatticeMap
+from degenkit.generators import random_datum, random_polarized_datum, random_profile
+from degenkit.lattice import FinAb, Lattice, LatticeMap, l_part
 from degenkit.monodromy import (
     HEURISTIC_STRATUM,
     TRAIT_MISSES_DIVISOR,
@@ -143,6 +143,15 @@ class TestClosedPointBound:
                            (Branch("D1", Lattice(1), lm([[3]]), lm([[1]])),))
         assert closed_point_bound(datum, 3) == FinAb((3,))
         assert closed_point_bound(datum, 2).is_trivial
+        # for n = 1, sp and sp' are unimodular: the bound is the l-part of
+        # coker phi_1, with no divisible part
+        rng = random.Random(23)
+        for k in range(80):
+            make = random_polarized_datum if k % 2 else random_datum
+            datum = make(rng, max_mu=4, max_n=1, min_n=1)
+            l = (2, 3, 5)[k % 3]
+            assert closed_point_bound(datum, l) == \
+                l_part(component_group(datum.branches[0].pairing), l)
 
     def test_n0_trivial(self):
         datum = DegenDatum("empty", 0, 0, Lattice(0), ())
