@@ -8,18 +8,24 @@ and both are legal inputs everywhere.
 
 No routine computes a transform it does not return.
 
-* ``smith_columns`` runs a Smith elimination and builds the column transform
-  V alone, for the callers that read only V: ``kernel_basis`` and the
-  presentations behind ``neron.trait_surjectivity_check``.  U·m·V = D for some
-  unimodular U, which is never built.  ``kernel_basis`` runs it on independent
-  rows of its input only: the kernel depends only on the rational row space,
-  and the rows are original rows, so no entry grows before the elimination
-  starts.  Pivots are chosen as the smallest nonzero absolute value of the
-  trailing block.  No bound on V is proven.
-* ``invariant_factors`` and ``column_lattice_index`` run the same
-  elimination on D alone.  No bound is proven either; on dense 64×64 input
-  with entries in [-9, 9] the entries stayed within the determinant's bit
-  length.
+* ``smith_columns``, ``invariant_factors``, ``column_lattice_index`` and
+  ``kernel_basis`` share one Smith elimination on a shrinking block.  Each
+  pivot is the smallest nonzero |entry| of the block, found in one scan.
+  Euclid clears its column by row operations, then its row by column
+  operations, which change the pivot row alone once the column is clear;
+  while remainders are left, the pivot is re-picked within that column or
+  row.  A pivot that does not divide the whole block has an offending row
+  added to its row.  The finished row and column leave the block, and so do
+  zero rows.  Without V a tall input is transposed and a single row gives
+  its gcd.  V, for the callers that read only V (``kernel_basis`` and the
+  presentations behind ``neron.trait_surjectivity_check``), is kept
+  transposed, so a column operation on it is one row operation; U·m·V = D
+  for some unimodular U, which is never built.  ``kernel_basis`` eliminates
+  independent rows of its input only: the kernel depends only on the
+  rational row space.  No bit bound is proven.  On dense input with entries
+  in [-9, 9] the block stayed within the determinant's bit length at 64×64,
+  V of a 96×96 matrix (474-bit determinant) reached 24,869 bits, and the
+  kernel basis of a 64×128 matrix 241 bits.
 * ``rank``, ``independent_rows``, ``bareiss_det`` and
   ``leading_principal_minors`` are one Bareiss fraction-free pass (the last
   also recomputes the orders after a zero leading minor one by one): every
@@ -41,7 +47,7 @@ No routine computes a transform it does not return.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 IntMatrix = list[list[int]]
 
@@ -55,10 +61,6 @@ def identity(n: int) -> IntMatrix:
     for i in range(n):
         m[i][i] = 1
     return m
-
-
-def copy_of(m: IntMatrix) -> IntMatrix:
-    return [list(row) for row in m]
 
 
 def transpose(m: IntMatrix, nrows: int, ncols: int) -> IntMatrix:
@@ -96,82 +98,70 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, x, y
 
 
-def _swap_rows(m: IntMatrix, i: int, j: int) -> None:
-    m[i], m[j] = m[j], m[i]
-
-
-def _swap_cols(m: IntMatrix, i: int, j: int) -> None:
-    for row in m:
-        row[i], row[j] = row[j], row[i]
-
-
-def _row_sub(m: IntMatrix, i: int, k: int, q: int) -> None:
-    # row_i -= q * row_k
-    ri, rk = m[i], m[k]
-    for j in range(len(ri)):
-        ri[j] -= q * rk[j]
-
-
-def _col_sub(m: IntMatrix, j: int, k: int, q: int) -> None:
-    # col_j -= q * col_k
-    for row in m:
-        row[j] -= q * row[k]
-
-
-def _diagonalize(d: IntMatrix, nrows: int, ncols: int, v: IntMatrix | None = None) -> list[int]:
-    """Smith elimination of d in place; returns the nonzero diagonal.
-
-    Each column operation is repeated on v when it is given.
-    """
-    for k in range(min(nrows, ncols)):
+def _diagonalize(m: IntMatrix, nrows: int, ncols: int,
+                 with_v: bool = False) -> tuple[list[int], IntMatrix]:
+    """Smith elimination of m (module docstring): the nonzero diagonal and,
+    with V, V's columns, pivot columns first and then the kernel columns."""
+    if not with_v and nrows > ncols:
+        m = transpose(m, nrows, ncols)
+    block = [list(row) for row in m if any(row)]
+    vt = identity(ncols) if with_v else []
+    diag: list[int] = []
+    done: IntMatrix = []
+    while block:
+        if len(block) == 1 and not with_v:
+            diag.append(gcd(*block[0]))
+            break
+        best, i = 0, 0
+        for k, row in enumerate(block):  # no row of the block is zero
+            a = min(map(abs, filter(None, row)))
+            if not best or a < best:
+                best, i = a, k
+                if a == 1:
+                    break
+        piv = block.pop(i)
+        j = piv.index(best) if best in piv else piv.index(-best)
         while True:
-            # smallest-|entry| pivot of the trailing block, first in row-major order
-            pi = pj = -1
-            best = 0
-            for i in range(k, nrows):
-                row = d[i]
-                for j in range(k, ncols):
-                    a = abs(row[j])
-                    if a and (best == 0 or a < best):
-                        best, pi, pj = a, i, j
-                if best == 1:
-                    break
-            if pi < 0:
-                break  # trailing block is zero
-            if pi != k:
-                _swap_rows(d, k, pi)
-            if pj != k:
-                _swap_cols(d, k, pj)
-                if v is not None:
-                    _swap_cols(v, k, pj)
-            pivot = d[k][k]
-            clean = True
-            for i in range(k + 1, nrows):
-                if d[i][k]:
-                    _row_sub(d, i, k, d[i][k] // pivot)
-                    if d[i][k]:
-                        clean = False  # floor remainder, strictly smaller pivot exists
-            for j in range(k + 1, ncols):
-                if d[k][j]:
-                    q = d[k][j] // pivot
-                    _col_sub(d, j, k, q)
-                    if v is not None:
-                        _col_sub(v, j, k, q)
-                    if d[k][j]:
-                        clean = False
-            if not clean:
+            # clear column j off the pivot row; the least remainder is the next pivot
+            p = piv[j]
+            at, least = -1, 0
+            for k, row in enumerate(block):
+                if row[j]:
+                    q = row[j] // p
+                    row = block[k] = [a - q * b for a, b in zip(row, piv)]
+                    if row[j] and (not least or abs(row[j]) < least):
+                        at, least = k, abs(row[j])
+            if at >= 0:
+                piv, block[at] = block[at], piv
                 continue
-            if pivot == 1 or pivot == -1:
+            # clear row j; column j is zero off the pivot row, so a column
+            # operation changes the pivot row alone (and V)
+            at, least = -1, 0
+            for c, x in enumerate(piv):
+                if x and c != j:
+                    q = x // p
+                    x = piv[c] = x - q * p
+                    if with_v and q:
+                        vt[c] = [a - q * b for a, b in zip(vt[c], vt[j])]
+                    if x and (not least or abs(x) < least):
+                        at, least = c, abs(x)
+            if at >= 0:
+                j = at
+                continue
+            if p in (1, -1):
                 break
-            # pivot must divide the whole trailing block for the chain to hold
-            for i in range(k + 1, nrows):
-                row = d[i]
-                if any(row[j] % pivot for j in range(k + 1, ncols)):
-                    _row_sub(d, k, i, -1)  # pull the offending row up
-                    break
-            else:
+            # the pivot must divide the whole block for the chain to hold
+            bad = next((row for row in block if any(x % p for x in row)), None)
+            if bad is None:
                 break
-    return [abs(d[k][k]) for k in range(min(nrows, ncols)) if d[k][k]]
+            piv = [a + b for a, b in zip(piv, bad)]
+        diag.append(abs(p))
+        if with_v:
+            done.append(vt.pop(j))
+        for row in block:
+            del row[j]
+        block = [row for row in block if any(row)]
+    return diag, done + vt
 
 
 def smith_columns(m: IntMatrix, nrows: int, ncols: int) -> tuple[list[int], IntMatrix]:
@@ -179,13 +169,13 @@ def smith_columns(m: IntMatrix, nrows: int, ncols: int) -> tuple[list[int], IntM
 
     U·m·V = D for some unimodular U, which is not computed.
     """
-    v = identity(ncols)
-    return _diagonalize(copy_of(m), nrows, ncols, v), v
+    diag, vt = _diagonalize(m, nrows, ncols, with_v=True)
+    return diag, transpose(vt, ncols, ncols)
 
 
 def invariant_factors(m: IntMatrix, nrows: int, ncols: int) -> list[int]:
     """The nonzero Smith diagonal (1s included), without transforms."""
-    return _diagonalize(copy_of(m), nrows, ncols)
+    return _diagonalize(m, nrows, ncols)[0]
 
 
 def _bareiss(m: IntMatrix, nrows: int, ncols: int) -> tuple[list[int], list[int], list[int]]:
@@ -335,9 +325,8 @@ def kernel_basis(m: IntMatrix, nrows: int, ncols: int) -> IntMatrix:
     rows = independent_rows(m, nrows, ncols)
     if len(rows) < nrows:
         m, nrows = [m[i] for i in rows], len(rows)
-    diag, v = smith_columns(m, nrows, ncols)
-    r = len(diag)
-    return [row[r:] for row in v] if ncols > r else [[] for _ in range(ncols)]
+    diag, vt = _diagonalize(m, nrows, ncols, with_v=True)
+    return transpose(vt[len(diag):], ncols - len(diag), ncols)
 
 
 def bareiss_det(m: IntMatrix, n: int) -> int:
@@ -366,7 +355,7 @@ def leading_principal_minors(m: IntMatrix, n: int) -> list[int]:
 
 def column_lattice_index(m: IntMatrix, nrows: int, ncols: int) -> int | None:
     """Index of the column span in Z^nrows; None when the span has lower rank."""
-    facs = _diagonalize(copy_of(m), nrows, ncols)
+    facs = _diagonalize(m, nrows, ncols)[0]
     return prod(facs) if len(facs) == nrows else None
 
 

@@ -1,8 +1,9 @@
 """Independent brute-force oracles used to freeze expected test values.
 
 Nothing here touches the package's normal-form code paths: invariant factors
-come from gcds of minors, and group structures from literal element
-enumeration in (Z/N)^k, so an agreement is meaningful evidence.
+come from gcds of minors or from a plain Smith elimination over the whole
+trailing block, and group structures from literal element enumeration in
+(Z/N)^k, so an agreement is meaningful evidence.
 
 The certificate section checks a Smith form (d, V) without U.  It uses the
 package's Bareiss determinant and Hermite form, never its Smith elimination.
@@ -47,6 +48,60 @@ def minor_gcd_invariant_factors(rows: list[list[int]]) -> list[int]:
         out.append(g // prev)
         prev = g
     return out
+
+
+def reference_smith_diagonal(m: list[list[int]], nrows: int, ncols: int,
+                             v: list[list[int]] | None = None) -> list[int]:
+    """Nonzero Smith diagonal by a plain elimination on the whole trailing block.
+
+    Each round takes the smallest nonzero |entry| of the trailing block as
+    the pivot (first in row-major order), moves it to (k, k), and reduces
+    every entry of its column and row by floor division; a remainder forces
+    another round.  A pivot that does not divide the block pulls the first
+    offending row up.  m is not changed; each column operation is repeated
+    on v (ncols×ncols, row-major) when it is given.
+    """
+    d = [list(row) for row in m]
+
+    def swap_cols(a: list[list[int]], i: int, j: int) -> None:
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+
+    def col_sub(a: list[list[int]], j: int, k: int, q: int) -> None:
+        for row in a:
+            row[j] -= q * row[k]
+
+    def row_sub(i: int, k: int, q: int) -> None:
+        d[i] = [x - q * y for x, y in zip(d[i], d[k])]
+
+    for k in range(min(nrows, ncols)):
+        while True:
+            entries = [(abs(d[i][j]), i, j) for i in range(k, nrows)
+                       for j in range(k, ncols) if d[i][j]]
+            if not entries:
+                return [abs(d[t][t]) for t in range(k)]
+            _, pi, pj = min(entries)
+            d[k], d[pi] = d[pi], d[k]
+            swap_cols(d, k, pj)
+            if v is not None:
+                swap_cols(v, k, pj)
+            pivot = d[k][k]
+            for i in range(k + 1, nrows):
+                row_sub(i, k, d[i][k] // pivot)
+            for j in range(k + 1, ncols):
+                q = d[k][j] // pivot
+                col_sub(d, j, k, q)
+                if v is not None:
+                    col_sub(v, j, k, q)
+            if any(d[i][k] for i in range(k + 1, nrows)) or \
+                    any(d[k][j] for j in range(k + 1, ncols)):
+                continue
+            bad = next((i for i in range(k + 1, nrows)
+                        if any(d[i][j] % pivot for j in range(k + 1, ncols))), None)
+            if bad is None:
+                break
+            row_sub(k, bad, -1)
+    return [abs(d[t][t]) for t in range(min(nrows, ncols))]
 
 
 def cofactor_det(m: list[list[int]]) -> int:

@@ -1,7 +1,7 @@
 """Module layout: only ``lattice`` (and the random generators) speak the raw
 list-of-rows matrix format of ``intmat``; everything else goes through
 ``LatticeMap``.  Smith with transforms and the general integral solve are
-gone from the package."""
+gone from the package, and ``intmat`` has one Smith elimination."""
 
 from __future__ import annotations
 
@@ -89,4 +89,30 @@ def _identifiers(tree: ast.AST) -> set[str]:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_smith_transforms_or_general_solve(path):
     found = _identifiers(ast.parse(path.read_text())) & REMOVED
+    assert not found, f"{path.name} defines or references {sorted(found)}"
+
+
+# the Smith entry points and the one elimination they share
+SMITH_ROUTINES = {"smith_columns", "invariant_factors", "column_lattice_index", "kernel_basis"}
+OLD_SMITH_HELPERS = {"_row_sub", "_col_sub", "_swap_rows", "_swap_cols", "copy_of"}
+
+
+def test_intmat_has_one_smith_elimination():
+    tree = ast.parse((SRC / "intmat.py").read_text())
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    eliminations = [name for name in funcs if name not in SMITH_ROUTINES
+                    and ("diagonal" in name or "smith" in name)]
+    assert eliminations == ["_diagonalize"]
+    for name in SMITH_ROUTINES:
+        # no loop of its own: each reaches the elimination through one call
+        body = list(ast.walk(funcs[name]))
+        assert not any(isinstance(node, (ast.For, ast.While)) for node in body), name
+        called = {node.func.id for node in body
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+        assert called & {"_diagonalize", "invariant_factors", "smith_columns"}, name
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_old_smith_helpers(path):
+    found = _identifiers(ast.parse(path.read_text())) & OLD_SMITH_HELPERS
     assert not found, f"{path.name} defines or references {sorted(found)}"
