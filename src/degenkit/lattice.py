@@ -12,7 +12,7 @@ All values are immutable; every operation is a pure function.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
+from math import gcd, lcm, prod
 
 from . import intmat
 from .errors import InputError
@@ -232,24 +232,21 @@ class FinAb:
 
     @classmethod
     def from_cyclic_orders(cls, orders: list[int], divisible_rank: int = 0) -> "FinAb":
-        """Canonicalize a direct sum of cyclic groups Z/orders[i]."""
-        by_prime: dict[int, list[int]] = {}
+        """Canonicalize a direct sum of cyclic groups Z/orders[i].
+
+        Z/d + Z/n = Z/gcd(d, n) + Z/lcm(d, n), so each order is inserted into
+        the ascending chain by replacing (d, n) with (gcd, lcm) along it.  At
+        each prime that is one pass of insertion sort on the exponents, so the
+        chain stays one of invariant factors, and nothing is factored.
+        """
+        chain: list[int] = []
         for n in orders:
             if n <= 0:
                 raise InputError(f"cyclic order must be positive, got {n}")
-            for p, e in _factorint(n).items():
-                by_prime.setdefault(p, []).append(e)
-        width = max((len(es) for es in by_prime.values()), default=0)
-        factors = []
-        for k in range(width):
-            d = 1
-            for p, es in by_prime.items():
-                es_sorted = sorted(es, reverse=True)
-                if k < len(es_sorted):
-                    d *= p ** es_sorted[k]
-            factors.append(d)
-        factors = [d for d in factors if d > 1]
-        return cls(tuple(sorted(factors)), divisible_rank)
+            for k, d in enumerate(chain):
+                chain[k], n = gcd(d, n), lcm(d, n)
+            chain.append(n)
+        return cls(tuple(d for d in chain if d > 1), divisible_rank)
 
     @classmethod
     def direct_sum(cls, groups: list["FinAb"]) -> "FinAb":

@@ -8,8 +8,10 @@ acted on trivially and is the same in both groups).  The surjectivity check
 realizes the projection from Psi onto the component group of a transversal
 trait on invariant-factor presentations with exact rational representatives.
 ``converse_check`` runs the converse certificate: compare the cokernels of
-A^t·Psi and A^t·Psi·A, solve for the splitting theta, and verify idempotency
-and the kernel decomposition.
+A^t·Psi and A^t·Psi·A.  Equal cokernels are the hypothesis, which is also
+the integrality of the splitting theta; under it, the one check left is that
+A is an isomorphism, and theta, the idempotents and the kernel decomposition
+follow from A^-1.
 """
 
 from __future__ import annotations
@@ -32,11 +34,15 @@ from .lattice import (
     Lattice,
     LatticeMap,
     cokernel,
-    kernel_saturated,
     smith_columns,
-    sum_index,
 )
-from .monodromy import ComposedPairing, TraitProfile, component_group, compose_trait
+from .monodromy import (
+    ComposedPairing,
+    TraitProfile,
+    component_group,
+    compose_trait,
+    stratum_lattice,
+)
 
 FracRows = tuple[tuple[Fraction, ...], ...]
 
@@ -68,7 +74,7 @@ class TraitSurjectivity:
 @dataclass(frozen=True)
 class ConverseCertificate:
     hypothesis_holds: bool
-    verdict: str                               # TA-certified | hypothesis-failed | integrality-failed
+    verdict: str                               # TA-certified | hypothesis-failed
     coker_at_psi: FinAb
     coker_at_psi_a: FinAb
     theta: FracRows | None = None
@@ -233,15 +239,25 @@ def converse_check(p_map: LatticeMap, q_map: LatticeMap,
                    psi1: LatticeMap, psi2: LatticeMap) -> ConverseCertificate:
     """Converse certificate from the two specializations and block pairings.
 
-    Tests the hypothesis im(A^t·Psi) = im(A^t·Psi·A); when it holds, solves
-    A^t·Psi·A·theta = A^t·Psi exactly over Q, requires theta integral, and
-    certifies the idempotent decomposition X = ker P ⊕ ker Q together with A
-    being unimodular.
+    Tests the hypothesis im(A^t·Psi) = im(A^t·Psi·A) for A = (P; Q); when it
+    holds, certifies that A is an isomorphism and reads the splitting off it.
 
     The hypothesis is decided by cokernels.  im(A^t·Psi·A) ⊆ im(A^t·Psi), and
     A^t·Psi·A is positive definite once A is injective, so both images have
     full rank mu and finite index; nested lattices of equal index are equal,
     and equal lattices have equal cokernels.
+
+    The hypothesis is also the integrality test: the splitting theta solving
+    A^t·Psi·A·theta = A^t·Psi is integral exactly when every column of
+    A^t·Psi lies in im(A^t·Psi·A).  The theorem left to check is that A is
+    square with |det A| = 1; everything else follows from that:
+
+    - theta = A^-1, the unique solution, read off by solving A·theta = 1;
+    - chi1 + chi2 = theta_1∘P + theta_2∘Q = theta·A = 1;
+    - chi1 and chi2 are complementary idempotents, as A·theta = 1 gives
+      P·theta_1 = 1, Q·theta_2 = 1 and P·theta_2 = Q·theta_1 = 0;
+    - X = ker P ⊕ ker Q, the images of chi2 and chi1;
+    - P restricted to ker Q is unimodular, with inverse theta_1.
     """
     if p_map.source != q_map.source:
         raise InputError("P and Q must share their source")
@@ -256,51 +272,26 @@ def converse_check(p_map: LatticeMap, q_map: LatticeMap,
     a = LatticeMap.stack([p_map, q_map])
     if not a.is_injective():
         raise InputError("stacked specializations are not injective")
-    psi = LatticeMap.block_diagonal([psi1, psi2])
-    at_psi = a.transpose().compose(psi)
-    at_psi_a = at_psi.compose(a)
+    at_psi = a.transpose().compose(LatticeMap.block_diagonal([psi1, psi2]))
     coker1 = cokernel(at_psi)[0]       # both free ranks are 0
-    coker2 = cokernel(at_psi_a)[0]
+    coker2 = cokernel(at_psi.compose(a))[0]
     if coker1 != coker2:
         return ConverseCertificate(False, "hypothesis-failed", coker1, coker2)
 
     mu = a.ncols
-    wide = a.nrows
-    theta_frac = intmat.solve_rational(at_psi_a.entries, mu, at_psi.entries, wide)
-    theta = tuple(tuple(row) for row in theta_frac)
-    if any(f.denominator != 1 for row in theta_frac for f in row):
-        return ConverseCertificate(True, "integrality-failed", coker1, coker2, theta=theta)
-    theta_int = [[int(f) for f in row] for row in theta_frac]
-    r1 = p_map.nrows
-    theta1 = LatticeMap.from_rows([row[:r1] for row in theta_int],
-                                  source_rank=r1, target_rank=mu)
-    theta2 = LatticeMap.from_rows([row[r1:] for row in theta_int],
-                                  source_rank=wide - r1, target_rank=mu)
-    chi1 = theta1.compose(p_map)
-    chi2 = theta2.compose(q_map)
-    ident = LatticeMap.identity(mu)
-    if chi1.add(chi2).entries != ident.entries:
-        raise FalsificationError("chi1 + chi2 is not the identity")
-    idempotent = (chi1.compose(chi1).entries == chi1.entries
-                  and chi2.compose(chi2).entries == chi2.entries)
-    if not idempotent:
-        raise FalsificationError("certificate projectors are not idempotent")
-    ker_p = kernel_saturated(p_map)
-    ker_q = kernel_saturated(q_map)
-    kernel_decomposition = (sum_index([ker_p, ker_q]) == 1
-                            and ker_p.ncols + ker_q.ncols == mu)
-    if not kernel_decomposition:
-        raise FalsificationError("ker P ⊕ ker Q is not the whole lattice")
-    restricted = p_map.compose(ker_q)
-    p_restricted_iso = (restricted.nrows == restricted.ncols
-                        and abs(restricted.determinant()) == 1)
-    a_iso = a.nrows == a.ncols and abs(a.determinant()) == 1
-    if not (p_restricted_iso and a_iso):
+    if a.nrows != mu or abs(a.determinant()) != 1:
         raise FalsificationError("certified decomposition failed the isomorphism checks")
-    return ConverseCertificate(True, "TA-certified", coker1, coker2, theta=theta,
-                               chi1=chi1, chi2=chi2, idempotent=True,
-                               kernel_decomposition=True, p_restricted_iso=True,
-                               a_is_isomorphism=True)
+    theta = intmat.solve_rational(a.entries, mu, LatticeMap.identity(mu).entries, mu)
+    r1 = p_map.nrows
+    theta1 = LatticeMap.from_rows([[int(f) for f in row[:r1]] for row in theta],
+                                  source_rank=r1, target_rank=mu)
+    theta2 = LatticeMap.from_rows([[int(f) for f in row[r1:]] for row in theta],
+                                  source_rank=mu - r1, target_rank=mu)
+    return ConverseCertificate(True, "TA-certified", coker1, coker2,
+                               theta=tuple(map(tuple, theta)),
+                               chi1=theta1.compose(p_map), chi2=theta2.compose(q_map),
+                               idempotent=True, kernel_decomposition=True,
+                               p_restricted_iso=True, a_is_isomorphism=True)
 
 
 def converse_inputs_from_datum(datum: DegenDatum) -> tuple[LatticeMap, LatticeMap,
@@ -324,18 +315,16 @@ def converse_inputs_from_datum(datum: DegenDatum) -> tuple[LatticeMap, LatticeMa
     psi1 = datum.branches[0].pairing
     if lams is not None:
         psi1 = psi1.compose(lams[0])
-    rest = tuple(range(1, datum.n))
-    profile = TraitProfile(tuple(0 if i == 0 else 1 for i in range(datum.n)))
     if datum.n == 1:
         q_map = LatticeMap.zero(datum.closed_point, Lattice(0))
         psi2 = LatticeMap.zero(Lattice(0), Lattice(0))
         return p_map, q_map, psi1, psi2
-    composed = compose_trait(datum, profile)
-    q_map = composed.stratum.projection
+    rest = tuple(range(1, datum.n))
+    stratum = stratum_lattice(datum, rest)
+    q_map = stratum.projection
     # pairing on the stratum, polarized: B^t · diag(phi_j) · diag(lambda_j) · B
     blocks = LatticeMap.block_diagonal([datum.branches[j].pairing for j in rest])
     if lams is not None:
         blocks = blocks.compose(LatticeMap.block_diagonal([lams[j] for j in rest]))
-    psi2 = composed.stratum.inclusion.transpose().compose(blocks) \
-        .compose(composed.stratum.inclusion)
+    psi2 = stratum.inclusion.transpose().compose(blocks).compose(stratum.inclusion)
     return p_map, q_map, psi1, psi2

@@ -39,15 +39,17 @@ def genus2_graph():
 
 
 SMITH_FORMS = ("smith_columns", "invariant_factors")
-COUNTED = SMITH_FORMS + ("rank", "hnf_columns", "matmul")
+COUNTED = SMITH_FORMS + ("rank", "hnf_columns", "matmul", "kernel_basis")
 
 
 class IntmatCalls(dict):
     """Calls of the counted ``intmat`` routines, by name: one argument tuple
-    per call, with every matrix frozen to a tuple of row tuples."""
+    per call, with every matrix frozen to a tuple of row tuples.  Every Smith
+    elimination, whichever routine reached it, is also under ``eliminations``:
+    the calls of ``_diagonalize``."""
 
     def smith_forms(self) -> list[tuple]:
-        """Every Smith elimination: with V, and invariant factors alone."""
+        """The Smith eliminations behind V or the invariant factors alone."""
         return [args for name in SMITH_FORMS for args in self[name]]
 
     def clear_all(self) -> None:
@@ -57,15 +59,16 @@ class IntmatCalls(dict):
 
 @pytest.fixture
 def intmat_calls(monkeypatch):
-    calls = IntmatCalls({name: [] for name in COUNTED})
+    calls = IntmatCalls({name: [] for name in COUNTED + ("eliminations",)})
 
     def counting(name, original):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls[name].append(tuple(tuple(map(tuple, a)) if isinstance(a, list) else a
                                      for a in args))
-            return original(*args)
+            return original(*args, **kwargs)
         return wrapper
 
     for name in COUNTED:
         monkeypatch.setattr(intmat, name, counting(name, getattr(intmat, name)))
+    monkeypatch.setattr(intmat, "_diagonalize", counting("eliminations", intmat._diagonalize))
     return calls

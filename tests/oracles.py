@@ -12,7 +12,9 @@ The last section keeps checks that the package now skips because a proven
 identity decides them: the long form of ``degeneration.validate``, the
 image-lattice comparison behind ``neron.converse_check`` and the branchwise
 reassembly behind ``neron.psi_fixed_points``.  They do use the package's
-lattice maps; what they add is the work the identities remove.
+lattice maps; what they add is the work the identities remove.  It ends with
+the prime-by-prime assembly of invariant factors that
+``FinAb.from_cyclic_orders`` replaced by gcd/lcm insertion.
 """
 
 from __future__ import annotations
@@ -470,3 +472,13 @@ def reference_psi_fixed_points(datum: DegenDatum, multipliers: list[int]) -> Fin
         big = component_group(b.pairing.scaled(m))
         parts.extend(l_part(big if q == p else small, q) for q in _prime_divisors(big.order))
     return FinAb.direct_sum(parts)
+
+
+def reference_cyclic_invariant_factors(orders: list[int]) -> list[int]:
+    """Invariant factors of the direct sum of the Z/orders[i], prime by prime:
+    the k-th largest exponent of each prime goes into the k-th largest factor."""
+    by_prime: dict[int, list[int]] = {}
+    for n in orders:
+        for p in _prime_divisors(n):
+            by_prime.setdefault(p, []).append(_log_p(_p_part(n, p), p))
+    return _merge_prime_exponents({p: sorted(es, reverse=True) for p, es in by_prime.items()})

@@ -14,6 +14,8 @@ from degenkit.lattice import FinAb, LatticeMap
 from degenkit.monodromy import TraitProfile, psi_maps
 from degenkit.schema import parse_document
 
+from test_intmat import wall_clock_budget
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
@@ -116,6 +118,39 @@ def test_trait_surjectivity_factors_composed_pairing_once(intmat_calls):
     assert result.upsilon == FinAb((2, 4, 8))
     # purity, the composed pairing, the branch pairing's presentation
     assert len(intmat_calls.smith_forms()) == 3
+
+
+@pytest.mark.parametrize("name, eliminations", [("generated_ta_seed7", 8), ("product_tate", 7)])
+def test_converse_certificate_needs_no_smith_form(capsys, intmat_calls, name, eliminations):
+    # validation (each specialization surjective, the purity cokernel), then
+    # P and Q surjective and the two cokernels: the certified path reads its
+    # splitting off A^-1 and takes no kernel
+    code, out, err = run_cli(capsys, ["converse", name, "--json"])
+    assert code == 0, err
+    assert json.loads(out)["converse"]["verdict"] == "TA-certified"
+    assert len(intmat_calls["eliminations"]) == eliminations
+    assert intmat_calls["kernel_basis"] == []
+
+
+@pytest.mark.parametrize("extra", [[], ["--kummer", "2"]])
+def test_psi_of_a_semiprime_pairing_within_budget(capsys, tmp_path, extra):
+    # (2^31 - 1)·(2^61 - 1): trial division up to its smaller prime factor
+    # did not finish in 20 s when Psi was assembled prime by prime
+    order = (2 ** 31 - 1) * (2 ** 61 - 1)
+    doc = tmp_path / "semiprime.json"
+    doc.write_text(json.dumps({
+        "format_version": "1", "kind": "degeneration", "name": "semiprime",
+        "closed_point": {"rank": 1},
+        "branches": [{"name": "D1", "rank": 1, "pairing": [[str(order)]],
+                      "specialization": [[1]]}],
+    }))
+    with wall_clock_budget(2):
+        code, out, err = run_cli(capsys, ["psi", str(doc), "--json"] + extra)
+    assert code == 0, err
+    payload = json.loads(out)["psi"]
+    assert payload["psi"]["invariant_factors"] == [order]
+    if extra:
+        assert payload["kummer"]["rescaled_psi"]["invariant_factors"] == [2 * order]
 
 
 def test_abelian_rank_never_reaches_a_matrix(capsys, intmat_calls, tmp_path):

@@ -26,6 +26,7 @@ from oracles import (
     enumerate_cokernel,
     enumerate_qz_kernel,
     minor_gcd_invariant_factors,
+    reference_cyclic_invariant_factors,
     smith_columns_certified,
 )
 
@@ -268,6 +269,18 @@ class TestFinAb:
         assert FinAb.from_cyclic_orders([2, 3]) == FinAb((6,))
         assert FinAb.from_cyclic_orders([2, 2, 4]) == FinAb((2, 2, 4))
         assert FinAb.from_cyclic_orders([6, 4]) == FinAb((2, 12))
+        with pytest.raises(InputError, match="positive"):
+            FinAb.from_cyclic_orders([2, 0])
+
+    def test_from_cyclic_orders_matches_prime_bucketing(self):
+        rng = random.Random(5)
+        for _ in range(2000):
+            # small orders, and orders with high powers of 2 and 3 shared
+            orders = [rng.choice([rng.randint(1, 60),
+                                  2 ** rng.randint(0, 6) * 3 ** rng.randint(0, 4)])
+                      for _ in range(rng.randint(0, 6))]
+            assert list(FinAb.from_cyclic_orders(orders).invariant_factors) == \
+                reference_cyclic_invariant_factors(orders), orders
 
     def test_str(self):
         assert str(FinAb()) == "0"

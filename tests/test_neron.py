@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
-from degenkit.degeneration import Branch, DegenDatum
+from degenkit import intmat
+from degenkit.degeneration import Branch, DegenDatum, StratumOverride
 from degenkit.errors import InputError
 from degenkit.generators import (
     random_datum,
@@ -14,7 +16,7 @@ from degenkit.generators import (
     random_profile,
     random_ta_datum,
 )
-from degenkit.lattice import FinAb, Lattice, LatticeMap, cokernel
+from degenkit.lattice import FinAb, Lattice, LatticeMap, cokernel, kernel_saturated, sum_index
 from degenkit.monodromy import TraitProfile
 from degenkit.neron import (
     converse_check,
@@ -219,6 +221,18 @@ class TestConverseCheck:
         assert psi2.entries == ((1,),)
         assert converse_check(p_map, q_map, psi1, psi2).verdict == "hypothesis-failed"
 
+    def test_split_reads_the_primal_stratum_alone(self):
+        # on a non-principal datum an override without a dual inclusion
+        # leaves the dual stratum undefined; the converse never reads it
+        datum = random_polarized_datum(random.Random(3), max_mu=3, max_n=2, min_n=2)
+        k = datum.branches[1].lattice.rank
+        datum = replace(datum, strata=(StratumOverride((1,), LatticeMap.identity(k)),))
+        assert not datum.is_principal and not datum.violations
+        p_map, q_map, psi1, psi2 = converse_inputs_from_datum(datum)
+        assert q_map == datum.branches[1].specialization
+        assert psi2 == datum.branches[1].pairing.compose(datum.branch_polarizations[1])
+        assert converse_check(p_map, q_map, psi1, psi2).verdict == "hypothesis-failed"
+
     def test_hypothesis_is_image_equality(self):
         # im(A^t·Psi·A) ⊆ im(A^t·Psi), both of full rank: equal exactly when
         # the cokernels are, which is what converse_check compares
@@ -235,6 +249,39 @@ class TestConverseCheck:
             assert converse_check(p_map, q_map, psi1, psi2).hypothesis_holds == equal
             outcomes.append(equal)
         assert 20 < sum(outcomes) < 100
+
+    def test_certificate_identities(self):
+        # the hypothesis holds exactly when the normal-equation splitting
+        # theta = (A^t·Psi·A)^-1·A^t·Psi is integral, and exactly when A is
+        # square unimodular; the certificate's theta is that splitting, and
+        # the identities the certificate no longer checks hold
+        rng = random.Random(85)
+        certified = 0
+        for make in (random_datum, random_ta_datum, random_polarized_datum) * 100:
+            datum = make(rng, max_mu=5, max_n=4, min_n=2)
+            p_map, q_map, psi1, psi2 = converse_inputs_from_datum(datum)
+            a = LatticeMap.stack([p_map, q_map])
+            at_psi = a.transpose().compose(LatticeMap.block_diagonal([psi1, psi2]))
+            at_psi_a = at_psi.compose(a)
+            mu = a.ncols
+            theta = intmat.solve_rational(at_psi_a.entries, mu, at_psi.entries, a.nrows)
+            integral = all(f.denominator == 1 for row in theta for f in row)
+            unimodular = a.nrows == mu and abs(a.determinant()) == 1
+            cert = converse_check(p_map, q_map, psi1, psi2)
+            assert cert.hypothesis_holds == integral == unimodular
+            if not cert.hypothesis_holds:
+                continue
+            certified += 1
+            assert cert.theta == tuple(map(tuple, theta))
+            chi1, chi2 = cert.chi1, cert.chi2
+            assert chi1.add(chi2) == LatticeMap.identity(mu)
+            assert chi1.compose(chi1) == chi1 and chi2.compose(chi2) == chi2
+            ker_p, ker_q = kernel_saturated(p_map), kernel_saturated(q_map)
+            assert sum_index([ker_p, ker_q]) == 1 and ker_p.ncols + ker_q.ncols == mu
+            restricted = p_map.compose(ker_q)
+            assert restricted.nrows == restricted.ncols
+            assert abs(restricted.determinant()) == 1
+        assert 50 < certified < 250
 
     @pytest.mark.parametrize("name", ["example_3_4", "product_tate"])
     def test_no_hermite_form(self, name, intmat_calls):
