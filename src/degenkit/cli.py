@@ -3,8 +3,13 @@
 Subcommands: analyze, trait, oracle, converse, psi, curve.  Reports carry no
 timestamps and are byte-identical across runs on identical input; ``--json``
 emits the machine-readable rendering, whose numeric fields agree with the
-human one.  Exit codes: 0 ok, 1 mathematical falsification event, 2 input
-error, so CI can tell "the math broke" from "the file broke".
+human one.  It has one renderer, ``_render_json``: byte for byte
+``json.dumps(report, sort_keys=True, indent=2)``, without the stdlib's
+per-value cost once an indent is asked for.  A report integer past the
+interpreter's digit limit is an input error in both renderings, and a
+failed rendering prints nothing.  Exit codes: 0 ok, 1 mathematical
+falsification event, 2 input error, so CI can tell "the math broke" from
+"the file broke".
 
 Input files are looked up as given, then under $DEGENKIT_FIXTURES, then in
 the fixture corpus shipped with the package.
@@ -19,6 +24,7 @@ import os
 import sys
 from functools import cache
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import galois, monodromy, neron, schema
@@ -26,6 +32,8 @@ from .curves import DualGraph, curve_equivalences
 from .degeneration import DegenDatum, analyze, is_l_toric_additive, toric_rank_profile
 from .errors import FalsificationError, InputError
 from .lattice import FinAb, LatticeMap, l_part
+
+_PLAIN_INT = {int}
 
 
 def _fixture_dir() -> Path | None:
@@ -90,11 +98,48 @@ def _datum_common(datum: DegenDatum) -> dict:
 def _emit(report: dict, as_json: bool) -> None:
     # both renderings are built whole before printing, so a failure prints nothing
     try:
-        text = json.dumps(report, sort_keys=True, indent=2) if as_json \
-            else "\n".join(_render_human(report))
+        text = _render_json(report) if as_json else "\n".join(_render_human(report))
     except ValueError as exc:  # an integer beyond the interpreter's digit limit
         raise InputError(f"report cannot be rendered: {exc}") from exc
     print(text)
+
+
+def _render_json(value: object, newline: str = "\n") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte, for the
+    report's own types: dicts with str keys, lists, tuples, str, int, bool and
+    None; anything else raises TypeError.  With an indent the stdlib encodes
+    in pure Python, one call per value; here a row of plain ints is one join.
+    The tests are in json.encoder's order, so subclasses render as there."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)  # ValueError past the interpreter's digit limit
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        if set(map(type, value)) <= _PLAIN_INT:
+            items = map(int.__repr__, value)
+        else:
+            items = [_render_json(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = []
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(encode_basestring_ascii(key) + ": " + _render_json(value[key], inner))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _render_human(report: dict, prefix: str = "") -> list[str]:
@@ -311,7 +356,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     else:
         doc = schema.graph_to_dict(generators.random_graph(rng))
     doc["name"] = f"{doc['name']}-seed{args.seed}"
-    text = json.dumps(doc, sort_keys=True, indent=2)
+    text = _render_json(doc)
     if args.out:
         Path(args.out).write_text(text + "\n")
     else:

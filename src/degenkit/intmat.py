@@ -12,20 +12,21 @@ No routine computes a transform it does not return.
   ``kernel_basis`` share one Smith elimination on a shrinking block.  Each
   pivot is the smallest nonzero |entry| of the block, found in one scan.
   Euclid clears its column by row operations, then its row by column
-  operations, which change the pivot row alone once the column is clear;
-  while remainders are left, the pivot is re-picked within that column or
-  row.  A pivot that does not divide the whole block has an offending row
-  added to its row.  The finished row and column leave the block, and so do
-  zero rows.  Without V a tall input is transposed and a single row gives
-  its gcd.  V, for the callers that read only V (``kernel_basis`` and the
-  presentations behind ``neron.trait_surjectivity_check``), is kept
-  transposed, so a column operation on it is one row operation; U·m·V = D
-  for some unimodular U, which is never built.  ``kernel_basis`` eliminates
-  independent rows of its input only: the kernel depends only on the
-  rational row space.  No bit bound is proven.  On dense input with entries
-  in [-9, 9] the block stayed within the determinant's bit length at 64×64,
-  V of a 96×96 matrix (474-bit determinant) reached 24,869 bits, and the
-  kernel basis of a 64×128 matrix 241 bits.
+  operations, which change the pivot row alone once the column is clear, so
+  without V a unit pivot skips the row sweep; while remainders are left, the
+  pivot is re-picked within that column or row.  A pivot that does not
+  divide the whole block has an offending row added to its row.  The
+  finished row and column leave the block, and so do zero rows.  Without V
+  a tall input is transposed and a single row gives its gcd.  V, for the
+  callers that read only V (``kernel_basis`` and the presentations behind
+  ``neron.trait_surjectivity_check``), is kept transposed, so a column
+  operation on it is one row operation; U·m·V = D for some unimodular U,
+  which is never built.  ``kernel_basis`` eliminates independent rows of
+  its input only: the kernel depends only on the rational row space.  No
+  bit bound is proven.  On dense input with entries in [-9, 9] the block
+  stayed within the determinant's bit length at 64×64, V of a 96×96 matrix
+  (474-bit determinant) reached 24,869 bits, and the kernel basis of a
+  64×128 matrix 241 bits.
 * ``rank``, ``independent_rows``, ``bareiss_det`` and
   ``leading_principal_minors`` are one Bareiss fraction-free pass (the last
   also recomputes the orders after a zero leading minor one by one): every
@@ -134,6 +135,8 @@ def _diagonalize(m: IntMatrix, nrows: int, ncols: int,
             if at >= 0:
                 piv, block[at] = block[at], piv
                 continue
+            if not with_v and p in (1, -1):
+                break  # the row sweep would change the discarded pivot row alone
             # clear row j; column j is zero off the pivot row, so a column
             # operation changes the pivot row alone (and V)
             at, least = -1, 0

@@ -270,7 +270,10 @@ def converse_check(p_map: LatticeMap, q_map: LatticeMap,
         if reason is not None:
             raise InputError(f"{name} is {reason}")
     a = LatticeMap.stack([p_map, q_map])
-    if not a.is_injective():
+    # a square A is injective iff det A != 0, and the theorem below asks for
+    # |det A| = 1: one Bareiss pass serves both
+    det = a.determinant() if a.nrows == a.ncols else None
+    if det == 0 or (det is None and not a.is_injective()):
         raise InputError("stacked specializations are not injective")
     at_psi = a.transpose().compose(LatticeMap.block_diagonal([psi1, psi2]))
     coker1 = cokernel(at_psi)[0]       # both free ranks are 0
@@ -279,7 +282,7 @@ def converse_check(p_map: LatticeMap, q_map: LatticeMap,
         return ConverseCertificate(False, "hypothesis-failed", coker1, coker2)
 
     mu = a.ncols
-    if a.nrows != mu or abs(a.determinant()) != 1:
+    if det is None or abs(det) != 1:
         raise FalsificationError("certified decomposition failed the isomorphism checks")
     theta = intmat.solve_rational(a.entries, mu, LatticeMap.identity(mu).entries, mu)
     r1 = p_map.nrows

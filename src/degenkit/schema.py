@@ -23,6 +23,7 @@ from .errors import InputError
 from .lattice import Lattice, LatticeMap
 
 FORMAT_VERSION = "1"
+_PLAIN_INT = {int}
 
 
 def load_document(path: str | Path) -> DegenDatum | DualGraph:
@@ -76,7 +77,13 @@ def _matrix(value: Any, where: str, nrows: int, ncols: int) -> LatticeMap:
             raise InputError(f"{where}[{i}]: expected an array")
         if len(row) != ncols:
             raise InputError(f"{where}[{i}]: has {len(row)} entries, expected {ncols}")
-        rows.append([_int(v, f"{where}[{i}][{j}]") for j, v in enumerate(row)])
+        # a row whose entries are all of type int (so no bool) is taken as it
+        # is; only another row can fail, so only it is read entry by entry
+        # with the location of each
+        if set(map(type, row)) <= _PLAIN_INT:
+            rows.append(row)
+        else:
+            rows.append([_int(v, f"{where}[{i}][{j}]") for j, v in enumerate(row)])
     return LatticeMap.from_rows(rows, source_rank=ncols, target_rank=nrows)
 
 

@@ -46,7 +46,9 @@ class IntmatCalls(dict):
     """Calls of the counted ``intmat`` routines, by name: one argument tuple
     per call, with every matrix frozen to a tuple of row tuples.  Every Smith
     elimination, whichever routine reached it, is also under ``eliminations``:
-    the calls of ``_diagonalize``."""
+    the calls of ``_diagonalize``; and every Bareiss pass (rank, determinant,
+    independent rows, the Hermite modulus) under ``bareiss``: the calls of
+    ``_bareiss``."""
 
     def smith_forms(self) -> list[tuple]:
         """The Smith eliminations behind V or the invariant factors alone."""
@@ -59,7 +61,7 @@ class IntmatCalls(dict):
 
 @pytest.fixture
 def intmat_calls(monkeypatch):
-    calls = IntmatCalls({name: [] for name in COUNTED + ("eliminations",)})
+    calls = IntmatCalls({name: [] for name in COUNTED + ("eliminations", "bareiss")})
 
     def counting(name, original):
         def wrapper(*args, **kwargs):
@@ -71,4 +73,5 @@ def intmat_calls(monkeypatch):
     for name in COUNTED:
         monkeypatch.setattr(intmat, name, counting(name, getattr(intmat, name)))
     monkeypatch.setattr(intmat, "_diagonalize", counting("eliminations", intmat._diagonalize))
+    monkeypatch.setattr(intmat, "_bareiss", counting("bareiss", intmat._bareiss))
     return calls

@@ -7,6 +7,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from degenkit import cli, degeneration, neron
 from degenkit.curves import CurveReport
@@ -130,6 +132,19 @@ def test_converse_certificate_needs_no_smith_form(capsys, intmat_calls, name, el
     assert json.loads(out)["converse"]["verdict"] == "TA-certified"
     assert len(intmat_calls["eliminations"]) == eliminations
     assert intmat_calls["kernel_basis"] == []
+
+
+def test_converse_decides_a_square_a_in_one_bareiss_pass(capsys, intmat_calls):
+    # injectivity (det A != 0) and the theorem's |det A| = 1 share one pass
+    p_map, q_map, _, _ = neron.converse_inputs_from_datum(
+        cli._load("generated_ta_seed7", "degeneration")[0])
+    a = LatticeMap.stack([p_map, q_map])
+    assert a.nrows == a.ncols
+    intmat_calls.clear_all()
+    code, out, err = run_cli(capsys, ["converse", "generated_ta_seed7", "--json"])
+    assert code == 0, err
+    assert json.loads(out)["converse"]["verdict"] == "TA-certified"
+    assert sum(args[0] == a.entries for args in intmat_calls["bareiss"]) == 1
 
 
 @pytest.mark.parametrize("extra", [[], ["--kummer", "2"]])
@@ -448,3 +463,49 @@ class TestFixtureResolution:
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+
+def test_bad_matrix_entry_exits_2_with_its_location(capsys, tmp_path):
+    doc = tmp_path / "bad.json"
+    doc.write_text(json.dumps({
+        "format_version": "1", "kind": "degeneration", "name": "bad",
+        "closed_point": {"rank": 2},
+        "branches": [{"name": "D1", "rank": 2, "pairing": [[2, 1], [True, 2]],
+                      "specialization": [[1, 0], [0, 1]]}],
+    }))
+    code, out, err = run_cli(capsys, ["analyze", str(doc), "--json"])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {doc}.branches[0].pairing[1][0]: expected an integer, got a boolean\n"
+
+
+# -- the --json writer --------------------------------------------------------
+
+# quotes, backslashes, control characters, non-ASCII text and lone surrogates
+json_chars = (st.sampled_from('"\\/\x00\x08\x0c\n\r\t\x1f\x7f\xe9 €\U0001f600')
+              | st.characters(categories=["Cs"])
+              | st.characters(exclude_categories=()))
+json_strings = st.text(json_chars, max_size=12)
+# up to the interpreter's digit limit, so json.dumps renders them too
+big_ints = st.builds(lambda head, digits, sign: sign * (head * 10 ** digits + head),
+                     st.integers(1, 10 ** 18), st.integers(1000, 4300 - 19),
+                     st.sampled_from([1, -1]))
+report_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | big_ints | json_strings,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(json_strings, inner, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=150, deadline=None)
+@given(report_values)
+@example({"": {}, "a": [], "b": [[], {}, ()], "c": {"d": {"e": []}}})
+@example([True, False, None, -1, 0, "\ud800", "\udfff x"])
+def test_json_writer_matches_json_dumps(value):
+    assert cli._render_json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [1.5, {1, 2}, b"x", {"a": [object()]}, {(1, 2): 3}])
+def test_json_writer_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        cli._render_json(value)

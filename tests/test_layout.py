@@ -1,7 +1,8 @@
 """Module layout: only ``lattice`` (and the random generators) speak the raw
 list-of-rows matrix format of ``intmat``; everything else goes through
 ``LatticeMap``.  Smith with transforms and the general integral solve are
-gone from the package, and ``intmat`` has one Smith elimination."""
+gone from the package, ``intmat`` has one Smith elimination, and ``--json``
+has one renderer."""
 
 from __future__ import annotations
 
@@ -116,3 +117,13 @@ def test_intmat_has_one_smith_elimination():
 def test_no_old_smith_helpers(path):
     found = _identifiers(ast.parse(path.read_text())) & OLD_SMITH_HELPERS
     assert not found, f"{path.name} defines or references {sorted(found)}"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_indented_json_dumps(path):
+    # --json has one renderer, cli._render_json, which json.dumps(indent=...) would duplicate
+    calls = [node for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in ("dump", "dumps")
+             and any(kw.arg == "indent" for kw in node.keywords)]
+    assert not calls, f"{path.name} renders indented JSON at lines {[c.lineno for c in calls]}"

@@ -1,11 +1,14 @@
-"""Schema round-trips, explicit stratum overrides, and residue-char gating."""
+"""Schema round-trips, located matrix-entry errors, explicit stratum overrides,
+and residue-char gating."""
 
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
+from degenkit import schema
 from degenkit.degeneration import (
     Branch,
     DegenDatum,
@@ -18,6 +21,8 @@ from degenkit.generators import random_graph, random_polarized_datum, random_ta_
 from degenkit.lattice import Lattice, LatticeMap
 from degenkit.monodromy import TraitProfile, compose_trait, stratum_lattice
 from degenkit.schema import datum_to_dict, graph_to_dict, parse_document
+
+from conftest import fixture_path
 
 
 def lm(rows, source=None, target=None):
@@ -145,3 +150,45 @@ class TestPermutationInvariance:
         m1 = compose_trait(first, TraitProfile((2, 0, 0))).matrix
         m2 = compose_trait(second, TraitProfile((2, 0, 0))).matrix
         assert m1.entries == m2.entries
+
+
+def one_branch_doc(pairing):
+    return {"format_version": "1", "kind": "degeneration", "name": "one",
+            "closed_point": {"rank": 2},
+            "branches": [{"name": "D1", "rank": 2, "pairing": pairing,
+                          "specialization": [[1, 0], [0, 1]]}]}
+
+
+class TestMatrixEntries:
+    @pytest.mark.parametrize("bad, message", [
+        (True, "expected an integer, got a boolean"),
+        (2.0, "expected an integer, got float"),
+        ("two", "not an integer string: 'two'"),
+        (None, "expected an integer, got NoneType"),
+    ])
+    def test_bad_entry_is_located(self, bad, message):
+        with pytest.raises(InputError) as info:
+            parse_document(one_branch_doc([[2, 1], [bad, 2]]))
+        assert str(info.value) == f"input.branches[0].pairing[1][0]: {message}"
+
+    def test_row_of_ints_and_big_integer_strings(self):
+        big = 10 ** 40 + 1
+        datum = parse_document(one_branch_doc([[big, 0], [str(big), -3]]))
+        assert datum.branches[0].pairing.entries == ((big, 0), (big, -3))
+
+    def test_rows_of_plain_ints_are_not_parsed_entry_by_entry(self, monkeypatch):
+        located = []
+        original = schema._int
+
+        def counting(value, where):
+            located.append(where)
+            return original(value, where)
+
+        monkeypatch.setattr(schema, "_int", counting)
+        doc = json.loads(fixture_path("example_3_4").read_text())
+        datum = parse_document(doc)
+        entries = sum(b.pairing.nrows * b.pairing.ncols
+                      + b.specialization.nrows * b.specialization.ncols
+                      for b in datum.branches)
+        assert entries > len(located)
+        assert not [w for w in located if re.search(r"\[\d+\]\[\d+\]$", w)]
