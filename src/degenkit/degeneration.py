@@ -222,12 +222,9 @@ def pairing_violation(m: LatticeMap) -> str | None:
         return "composed pairing is not square"
     rows = m.entries
     n = m.nrows
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rows[i][j] != rows[j][i]:
-                return "not symmetric"
-    minors = intmat.leading_principal_minors(rows, n)
-    if any(d <= 0 for d in minors):
+    if any(rows[i][j] != rows[j][i] for i in range(n) for j in range(i + 1, n)):
+        return "not symmetric"
+    if not intmat.positive_definite(rows, n):
         return "not positive definite"
     return None
 

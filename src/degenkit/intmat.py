@@ -27,9 +27,10 @@ No routine computes a transform it does not return.
   stayed within the determinant's bit length at 64×64, V of a 96×96 matrix
   (474-bit determinant) reached 24,869 bits, and the kernel basis of a
   64×128 matrix 241 bits.
-* ``rank``, ``independent_rows``, ``bareiss_det`` and
-  ``leading_principal_minors`` are one Bareiss fraction-free pass (the last
-  also recomputes the orders after a zero leading minor one by one): every
+* ``matmul`` multiplies over the nonzeros of both factors.
+* ``rank``, ``independent_rows`` and ``bareiss_det`` are one Bareiss
+  fraction-free pass, and ``positive_definite`` is the same pass without
+  row exchanges on the upper triangle of a symmetric matrix: every
   intermediate entry is a minor of the input, so it is bounded by the
   Hadamard bound.  A row that becomes zero is dropped, so on a tall stack of
   low rank the active rows shrink toward the rank.
@@ -69,18 +70,18 @@ def transpose(m: IntMatrix, nrows: int, ncols: int) -> IntMatrix:
 
 
 def matmul(a: IntMatrix, ar: int, ac: int, b: IntMatrix, br: int, bc: int) -> IntMatrix:
+    """a·b; each row of b is read once, as its nonzero (column, value) pairs."""
     if ac != br:
         raise ValueError(f"cannot multiply {ar}x{ac} by {br}x{bc}")
-    out = zeros(ar, bc)
-    for i in range(ar):
-        arow = a[i]
-        orow = out[i]
-        for k in range(ac):
-            v = arow[k]
+    brows = [[(j, v) for j, v in enumerate(row) if v] for row in b]
+    out = []
+    for arow in a:
+        orow = [0] * bc
+        for v, brow in zip(arow, brows):
             if v:
-                brow = b[k]
-                for j in range(bc):
-                    orow[j] += v * brow[j]
+                for j, w in brow:
+                    orow[j] += v * w
+        out.append(orow)
     return out
 
 
@@ -342,18 +343,23 @@ def bareiss_det(m: IntMatrix, n: int) -> int:
     return -minors[-1] if swaps % 2 else minors[-1]
 
 
-def leading_principal_minors(m: IntMatrix, n: int) -> list[int]:
-    """Minors of the leading k×k blocks, k = 1..n.
-
-    One Bareiss pass yields them while it takes rows and columns in order,
-    that is up to the first zero; the rest are computed one by one.
-    """
-    cols, rows, minors = _bareiss(m, n, n)
-    k = 0
-    while k < len(cols) and cols[k] == rows[k] == k:
-        k += 1
-    return minors[1:k + 1] + [bareiss_det([row[:j] for row in m[:j]], j)
-                              for j in range(k + 1, n + 1)]
+def positive_definite(m: IntMatrix, n: int) -> bool:
+    """Whether the symmetric n×n matrix m is positive definite (Sylvester):
+    the pivot of step k of a Bareiss pass without row exchanges is the
+    leading k×k minor.  The pass stops at the first pivot <= 0."""
+    a = [list(row) for row in m]
+    prev = 1
+    for k in range(n):
+        ak = a[k]
+        pivot = ak[k]
+        if pivot <= 0:
+            return False
+        for i in range(k + 1, n):
+            ai, c = a[i], ak[i]  # the block stays symmetric: c = a[i][k]
+            for j in range(i, n):
+                ai[j] = (pivot * ai[j] - c * ak[j]) // prev
+        prev = pivot
+    return True
 
 
 def column_lattice_index(m: IntMatrix, nrows: int, ncols: int) -> int | None:

@@ -242,10 +242,10 @@ def converse_check(p_map: LatticeMap, q_map: LatticeMap,
     Tests the hypothesis im(A^t·Psi) = im(A^t·Psi·A) for A = (P; Q); when it
     holds, certifies that A is an isomorphism and reads the splitting off it.
 
-    The hypothesis is decided by cokernels.  im(A^t·Psi·A) ⊆ im(A^t·Psi), and
-    A^t·Psi·A is positive definite once A is injective, so both images have
-    full rank mu and finite index; nested lattices of equal index are equal,
-    and equal lattices have equal cokernels.
+    Psi is positive definite, so A is injective exactly when coker(A^t·Psi·A)
+    has free rank 0, and injectivity is read off that cokernel.  The
+    hypothesis is then decided by cokernels: im(A^t·Psi·A) ⊆ im(A^t·Psi),
+    both of finite index, and nested lattices of equal index are equal.
 
     The hypothesis is also the integrality test: the splitting theta solving
     A^t·Psi·A·theta = A^t·Psi is integral exactly when every column of
@@ -270,19 +270,16 @@ def converse_check(p_map: LatticeMap, q_map: LatticeMap,
         if reason is not None:
             raise InputError(f"{name} is {reason}")
     a = LatticeMap.stack([p_map, q_map])
-    # a square A is injective iff det A != 0, and the theorem below asks for
-    # |det A| = 1: one Bareiss pass serves both
-    det = a.determinant() if a.nrows == a.ncols else None
-    if det == 0 or (det is None and not a.is_injective()):
-        raise InputError("stacked specializations are not injective")
     at_psi = a.transpose().compose(LatticeMap.block_diagonal([psi1, psi2]))
-    coker1 = cokernel(at_psi)[0]       # both free ranks are 0
-    coker2 = cokernel(at_psi.compose(a))[0]
+    coker2, free = cokernel(at_psi.compose(a))
+    if free:
+        raise InputError("stacked specializations are not injective")
+    coker1 = cokernel(at_psi)[0]       # of free rank 0 too, as A^t is onto over Q
     if coker1 != coker2:
         return ConverseCertificate(False, "hypothesis-failed", coker1, coker2)
 
     mu = a.ncols
-    if det is None or abs(det) != 1:
+    if a.nrows != mu or abs(a.determinant()) != 1:
         raise FalsificationError("certified decomposition failed the isomorphism checks")
     theta = intmat.solve_rational(a.entries, mu, LatticeMap.identity(mu).entries, mu)
     r1 = p_map.nrows

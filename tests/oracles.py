@@ -10,10 +10,11 @@ package's Bareiss determinant and Hermite form, never its Smith elimination.
 
 The last section keeps checks that the package now skips because a proven
 identity decides them: the long form of ``degeneration.validate``, the
-image-lattice comparison behind ``neron.converse_check`` and the branchwise
-reassembly behind ``neron.psi_fixed_points``.  They do use the package's
-lattice maps; what they add is the work the identities remove.  It ends with
-the prime-by-prime assembly of invariant factors that
+image-lattice comparison behind ``neron.converse_check``, every leading
+principal minor, where ``intmat.positive_definite`` stops at the first one
+<= 0, and the branchwise reassembly behind ``neron.psi_fixed_points``.  They
+do use the package's lattice maps; what they add is the work the identities
+remove.  It ends with the prime-by-prime assembly of invariant factors that
 ``FinAb.from_cyclic_orders`` replaced by gcd/lcm insertion.
 """
 
@@ -363,6 +364,11 @@ def image_lattices_equal(a: LatticeMap, b: LatticeMap) -> bool:
     return a.image_basis() == b.image_basis()
 
 
+def leading_principal_minors(m: list[list[int]], n: int) -> list[int]:
+    """Minors of the leading k×k blocks, k = 1..n, one determinant each."""
+    return [intmat.bareiss_det([row[:k] for row in m[:k]], k) for k in range(1, n + 1)]
+
+
 def reference_pairing_violation(phi: LatticeMap, lam: LatticeMap) -> str | None:
     """phi∘lam symmetric positive definite, always composing with lam."""
     if phi.source.rank != lam.target.rank:
@@ -376,7 +382,7 @@ def reference_pairing_violation(phi: LatticeMap, lam: LatticeMap) -> str | None:
         for j in range(i + 1, n):
             if rows[i][j] != rows[j][i]:
                 return "not symmetric"
-    minors = intmat.leading_principal_minors(rows, n)
+    minors = leading_principal_minors(rows, n)
     if any(d <= 0 for d in minors):
         return "not positive definite"
     return None

@@ -20,7 +20,7 @@ from contextlib import contextmanager
 from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from degenkit import intmat
@@ -28,6 +28,7 @@ from degenkit.lattice import LatticeMap
 
 from oracles import (
     cofactor_det,
+    leading_principal_minors,
     minor_gcd_invariant_factors,
     reference_hnf,
     reference_smith_diagonal,
@@ -145,7 +146,7 @@ def test_kernel_from_independent_rows_is_kernel_of_all_rows(case):
 
 
 # up to 6×6, since the cofactor expansion has n! terms; entries in [-1, 1]
-# often give zero leading minors, which stop the single Bareiss pass
+# often give zero leading minors, where a Bareiss pass needs a row exchange
 square = st.tuples(st.integers(0, 6), st.integers(0, 6), st.sampled_from([1, 3]),
                    st.integers(0, 2 ** 32)).map(
     lambda t: (_matrix(t[0], t[0], t[1], t[2], random.Random(t[3])), t[0]))
@@ -156,8 +157,85 @@ square = st.tuples(st.integers(0, 6), st.integers(0, 6), st.sampled_from([1, 3])
 def test_determinant_and_leading_minors_match_expansion(case):
     m, n = case
     assert intmat.bareiss_det(m, n) == cofactor_det(m)
-    assert intmat.leading_principal_minors(m, n) == [
+    assert leading_principal_minors(m, n) == [
         cofactor_det([row[:k] for row in m[:k]]) for k in range(1, n + 1)]
+
+
+@st.composite
+def products(draw):
+    """(a, ar, ac, b, bc): zero-sized shapes, all-zero or sparse factors,
+    entries over 64 bits, and block-diagonal right factors."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    entry = draw(st.sampled_from([3, 2 ** 80]))
+    density = draw(st.sampled_from([0.0, 0.4, 1.0]))
+
+    def rand(r: int, c: int) -> list[list[int]]:
+        return [[rng.randint(-entry, entry) if rng.random() < density else 0
+                 for _ in range(c)] for _ in range(r)]
+
+    ar = draw(st.integers(0, 5))
+    if draw(st.booleans()):
+        shapes = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=4))
+        b = LatticeMap.block_diagonal([LatticeMap.from_rows(rand(r, c), source_rank=c,
+                                                            target_rank=r)
+                                       for r, c in shapes])
+        ac, bc = b.nrows, b.ncols
+        b = [list(row) for row in b.entries]
+    else:
+        ac, bc = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+        b = rand(ac, bc)
+    return rand(ar, ac), ar, ac, b, bc
+
+
+@settings(max_examples=200, deadline=None)
+@given(products())
+@example(([], 0, 2, [[1, 2, 3], [4, 5, 6]], 3))
+@example(([[], []], 2, 0, [], 3))
+@example(([[1, 2], [3, 4]], 2, 2, [[], []], 0))
+def test_matmul_matches_triple_loop(case):
+    a, ar, ac, b, bc = case
+    assert intmat.matmul(a, ar, ac, b, ac, bc) == [
+        [sum(a[i][k] * b[k][j] for k in range(ac)) for j in range(bc)] for i in range(ar)]
+
+
+@st.composite
+def symmetric(draw):
+    """(m, n, kind): Rᵀ·R + I (definite), Rᵀ·R with R of fewer rows than
+    columns (singular semidefinite), or a random symmetric matrix shifted by
+    a multiple of the identity (definite or indefinite)."""
+    n = draw(st.integers(0, 8))
+    kind = draw(st.sampled_from(["definite", "singular", "shifted"]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    entry = draw(st.sampled_from([1, 3, 2 ** 40]))
+    if kind == "shifted":
+        m = intmat.zeros(n, n)
+        for i in range(n):
+            for j in range(i, n):
+                m[i][j] = m[j][i] = rng.randint(-entry, entry)
+            m[i][i] += rng.randint(0, n * entry)
+        return m, n, kind
+    k = n if kind == "definite" else rng.randrange(n) if n else 0
+    r = [[rng.randint(-entry, entry) for _ in range(n)] for _ in range(k)]
+    m = intmat.matmul(intmat.transpose(r, k, n), n, k, r, k, n)
+    if kind == "definite":
+        for i in range(n):
+            m[i][i] += 1
+    return m, n, kind
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric())
+@example(([], 0, "definite"))
+@example(([[-1]], 1, "shifted"))
+@example(([[0]], 1, "singular"))
+def test_positive_definite_is_sylvester(case):
+    m, n, kind = case
+    definite = intmat.positive_definite(m, n)
+    assert definite == all(d > 0 for d in leading_principal_minors(m, n))
+    if kind == "definite":
+        assert definite
+    elif kind == "singular" and n:
+        assert not definite
 
 
 def _pivot_rows(h: list[list[int]], nrows: int, r: int) -> list[int]:

@@ -16,7 +16,7 @@ FORMAT_OWNERS = {"lattice.py", "generators.py"}
 # intmat name -> the one function allowed to use it (None: any function)
 ALLOWED = {
     "solve_rational": None,             # right-hand sides of Fractions
-    "leading_principal_minors": None,
+    "positive_definite": "pairing_violation",
 }
 
 

@@ -203,6 +203,24 @@ class TestConverseCheck:
             converse_check(lm([[1, 0]], target=1), lm([[0, 1]], target=1),
                            lm([[-1]]), lm([[1]]))
 
+    @pytest.mark.parametrize("p_rows, q_rows", [
+        ([[1, 1]], [[1, 1]]),                            # square, det A = 0
+        ([[1, 0, 0], [0, 1, 0]], [[1, 0, 0], [0, 1, 0]]),  # 4×3 of rank 2
+    ])
+    def test_rejects_non_injective(self, p_rows, q_rows, intmat_calls):
+        psi = LatticeMap.identity(len(p_rows))
+        with pytest.raises(InputError, match="^stacked specializations are not injective$"):
+            converse_check(lm(p_rows), lm(q_rows), psi, psi)
+        # the free rank of coker(A^t·Psi·A) decides, with no rank pass
+        assert intmat_calls["rank"] == []
+
+    def test_non_square_injective_a_needs_no_rank(self, intmat_calls):
+        cert = converse_check(lm([[1, 0]]), lm([[1, 0], [0, 1]]),
+                              lm([[1]]), LatticeMap.identity(2))
+        assert cert.verdict == "hypothesis-failed"
+        assert cert.coker_at_psi == FinAb(()) and cert.coker_at_psi_a == FinAb((2,))
+        assert intmat_calls["rank"] == []
+
     def test_random_ta_data_certify(self):
         rng = random.Random(83)
         for _ in range(50):
