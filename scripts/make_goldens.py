@@ -4,17 +4,10 @@
 Run after any intentional change to report contents:
 
     python3 scripts/make_goldens.py
-
-With ``--check`` every case is run and compared with its golden file, and
-nothing is written; the exit code is 1, with each differing case named, when
-a report differs or a case exits non-zero:
-
-    python3 scripts/make_goldens.py --check
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import io
 import sys
@@ -44,47 +37,20 @@ CASES = {
 }
 
 
-def report(argv: list[str]) -> tuple[int, str]:
-    """Exit code and stdout of one in-process CLI run."""
-    buffer = io.StringIO()
-    with contextlib.redirect_stdout(buffer):
-        code = main(argv)
-    return code, buffer.getvalue()
-
-
 def run() -> int:
     GOLDEN.mkdir(parents=True, exist_ok=True)
     for name, argv in CASES.items():
-        code, out = report(argv)
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            code = main(argv)
         if code != 0:
             print(f"refusing to record {name}: exit code {code}", file=sys.stderr)
             return 1
         path = GOLDEN / f"{name}.json"
-        path.write_text(out)
+        path.write_text(buffer.getvalue())
         print(f"wrote {path}")
     return 0
 
 
-def check() -> int:
-    differing = 0
-    for name, argv in CASES.items():
-        code, out = report(argv)
-        path = GOLDEN / f"{name}.json"
-        if code != 0:
-            print(f"{name}: exit code {code}", file=sys.stderr)
-        elif not path.is_file():
-            print(f"{name}: no golden file {path}", file=sys.stderr)
-        elif path.read_text() != out:
-            print(f"{name}: report differs from {path}", file=sys.stderr)
-        else:
-            continue
-        differing += 1
-    print(f"{len(CASES) - differing} of {len(CASES)} golden reports match")
-    return 1 if differing else 0
-
-
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--check", action="store_true",
-                        help="compare every case with tests/golden/ without writing")
-    sys.exit(check() if parser.parse_args().check else run())
+    sys.exit(run())
