@@ -18,8 +18,6 @@ from .errors import DegenkitError, FalsificationError, InputError
 from .galois import (
     GaloisRep,
     build_rep,
-    closed_point_torsion,
-    decomposition_check,
     star_condition,
     torsion_phi_group,
 )
@@ -37,7 +35,6 @@ from .monodromy import (
     ComposedPairing,
     StratumData,
     TraitProfile,
-    closed_point_bound,
     component_group,
     compose_trait,
     stratum_lattice,

@@ -314,28 +314,34 @@ def validate(datum: DegenDatum) -> list[Violation]:
 
 
 def _override_violations(datum: DegenDatum, ov: StratumOverride) -> list[Violation]:
-    out: list[Violation] = []
+    def invalid(detail: str) -> list[Violation]:
+        return [Violation("stratum override invalid", detail=detail)]
+
     amb = sum(datum.branches[j].lattice.rank for j in ov.branches)
     if ov.inclusion.target.rank != amb:
-        out.append(Violation("stratum override invalid",
-                             detail=f"inclusion targets rank {ov.inclusion.target.rank}, "
-                                    f"ambient rank is {amb}"))
-        return out
+        return invalid(f"inclusion targets rank {ov.inclusion.target.rank}, "
+                       f"ambient rank is {amb}")
     if not ov.inclusion.is_injective():
-        out.append(Violation("stratum override invalid", detail="inclusion not injective"))
-        return out
+        return invalid("inclusion not injective")
     rows = [r for j in ov.branches for r in datum.branches[j].specialization.entries]
     restricted = LatticeMap.from_rows(rows, source_rank=datum.mu, target_rank=amb)
+    out: list[Violation] = []
     if ov.inclusion.solve(restricted) is None:
-        out.append(Violation("stratum override invalid",
-                             detail="restricted purity does not factor through the override"))
+        out = invalid("restricted purity does not factor through the override")
     elif ov.inclusion.ncols != restricted.rank_of_image():
-        out.append(Violation("stratum override invalid",
-                             detail="override rank differs from restricted purity rank"))
-    if ov.dual_inclusion is not None:
-        damb = sum(datum.branches[j].dual_rank for j in ov.branches)
-        if ov.dual_inclusion.target.rank != damb or not ov.dual_inclusion.is_injective():
-            out.append(Violation("stratum override invalid", detail="bad dual inclusion"))
+        out = invalid("override rank differs from restricted purity rank")
+    dual = ov.dual_inclusion
+    if dual is None:
+        # only on a principal datum does the primal inclusion serve the dual side
+        return out if datum.is_principal else out + invalid(
+            "no dual inclusion on a non-principal datum")
+    damb = sum(datum.branches[j].dual_rank for j in ov.branches)
+    if dual.target.rank != damb or not dual.is_injective():
+        return out + invalid("bad dual inclusion")
+    rows = [r for j in ov.branches for r in datum.dual_sp(j).entries]
+    if dual.solve(LatticeMap.from_rows(rows, source_rank=datum.dual_closed.rank,
+                                       target_rank=damb)) is None:
+        out += invalid("restricted dual purity does not factor through the dual override")
     return out
 
 

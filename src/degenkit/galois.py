@@ -18,6 +18,35 @@ then x = 0, since the dual purity map is injective.  So ``build_rep`` checks
 nothing beyond the datum's validity: a rank comparison of T^G with 2d - mu
 could never fail.
 
+Exclusive index.  The star condition asks that the exclusive parts V_i have
+a sum of index prime to l in X'.  V_i is the X' part of the lattice fixed by
+every sigma_j with j != i, that is, the kernel of the psi_j with j != i (a
+kernel in Z^mu is saturated).  Such a lattice is also invariant under
+sigma_i, since N_i lands in X^dual.  The V_i are independent: if
+sum k_i = 0 with k_i in V_i, applying psi_m leaves psi_m·k_m = 0, so k_m is
+killed by every psi_j and is 0.  The index comes in closed form, with no
+kernel, from three facts:
+
+- Inputs.  Let B_i be a row basis of psi_i, with r_i rows.  A kernel
+  depends only on the rational row space, so V_i = ker(B_j, j != i), and
+  the stack B of the B_i has the kernel of the stacked psi_i, which is 0.
+  So R = sum r_i >= mu.
+- Case R > mu: the index is infinite.  If it were finite, the V_i would
+  span X' ⊗ Q.  B_j kills every V_i with i != j, so B_j(X' ⊗ Q) is
+  B_j(V_j ⊗ Q), and r_j <= rank V_j.  By independence,
+  R <= sum rank V_j <= mu.
+- Case R = mu: the index is prod_i (|D|^r_i / c_i) / |D|, each factor an
+  integer.  Here B is square and injective, D = det B != 0, and c_i is the
+  product of the invariant factors of the block-i columns A_i of adj B
+  (mu × r_i).  The other blocks kill V_i, so B maps V_1 ⊕ ... ⊕ V_n
+  injectively onto the direct sum of the B_i(V_i) ⊆ Z^r_i.  Hence
+  [Z^mu : sum V_i]·|D| = [Z^mu : B(sum V_i)] = prod_i e_i with
+  e_i = [Z^r_i : B_i(V_i)].  B·adj B = D·1, so every B_j with j != i kills
+  A_i, and B_i·A_i = D·1.  So A_i lies in V_i, which has rank
+  mu - (R - r_i) = r_i, and V_i is the saturation of the span of A_i, of
+  index c_i in it.  Applying the injective B_i, D·Z^r_i has index c_i in
+  B_i(V_i) and |D|^r_i in Z^r_i, so e_i = |D|^r_i / c_i.
+
 Finite levels.  Let A act on X' with nonzero invariant factors d_k, U·A·V = D.
 In the coordinates y = V^-1·x, x lies in ker(A mod m) exactly when
 d_k·y_k ≡ 0 mod m for every k, and ker_Z A is spanned by the coordinates past
@@ -35,7 +64,7 @@ from math import gcd
 
 from .degeneration import DegenDatum, require_valid
 from .errors import InputError
-from .lattice import FinAb, Lattice, LatticeMap, cokernel, is_prime, kernel_saturated, sum_index
+from .lattice import FinAb, Lattice, LatticeMap, cokernel, is_prime
 from .monodromy import TraitProfile, psi_maps
 
 
@@ -59,28 +88,34 @@ class GaloisRep:
         return len(self.psi)
 
     @cached_property
-    def exclusive_parts(self) -> tuple[LatticeMap, ...]:
-        """For each i, the X' part of the lattice fixed by every sigma_j with j != i.
-
-        That is the saturated kernel of the psi_j with j != i, which depends
-        only on their rational row space: the kernel of a row basis of
-        psi_1..psi_{i-1} stacked on one of psi_{i+1}..psi_n, at most 2·mu rows.
-        """
-        prefix = _running_row_bases(self.psi, self.toric_rank)
-        suffix = _running_row_bases(self.psi[::-1], self.toric_rank)[::-1]
-        return tuple(kernel_saturated(LatticeMap.stack([prefix[i], suffix[i + 1]]))
-                     for i in range(self.n))
-
-    @cached_property
     def exclusive_index(self) -> int | None:
-        """Index in X' of the sum of the exclusive parts; None when infinite."""
-        return sum_index(list(self.exclusive_parts))
+        """Index in X' of the sum of the exclusive parts; None when infinite
+        (module docstring: one adjugate of the stacked row bases, no kernels)."""
+        bases = [psi.row_basis() for psi in self.psi]
+        if sum(b.nrows for b in bases) > self.toric_rank:
+            return None
+        det, adj = LatticeMap.stack(bases).adjugate()
+        d = abs(det)
+        index, start = 1, 0
+        for b in bases:
+            stop = start + b.nrows
+            block = LatticeMap(Lattice(b.nrows), adj.target,
+                               tuple(row[start:stop] for row in adj.entries))
+            index *= d ** b.nrows // cokernel(block)[0].order
+            start = stop
+        return index // d
 
     @cached_property
     def stack_torsion(self) -> FinAb:
         """Cokernel torsion of the stacked psi_i, from the Hermite basis of
-        their row lattice (at most mu rows).  Its l-part is the closed-point
-        bound, which the oracle reads off here rather than factoring twice."""
+        their row lattice (at most mu rows).
+
+        Its l-part is the closed-point bound, the l-part of the torsion of
+        ker(stack ⊗ Q/Z), with divisible rank 0 as the stack is injective.
+        T^G has no X' part, so the exact closed-point group at level l^r is
+        ⊕ Z/gcd(d_k, l^r) over these invariant factors d_k: the bound itself
+        once l^r reaches its exponent.  So the oracle reports the bound as
+        the exact torsion, and ``bound_is_strict`` is always false."""
         if self.n == 0:
             return FinAb.trivial()
         return cokernel(LatticeMap.stack(list(self.psi)).row_lattice())[0]
@@ -98,15 +133,6 @@ class GaloisRep:
         return torsion
 
 
-def _running_row_bases(maps: tuple[LatticeMap, ...], rank: int) -> list[LatticeMap]:
-    """Row bases of the stacks of maps[:k], k = 0..len(maps); at most rank rows each."""
-    bases = [LatticeMap.zero(Lattice(rank), Lattice(0))]
-    for m in maps:
-        last = bases[-1]
-        bases.append(last if last.nrows == rank else LatticeMap.stack([last, m]).row_basis())
-    return bases
-
-
 def build_rep(datum: DegenDatum, l: int) -> GaloisRep:
     """Integer model of the l-adic representation attached to the datum."""
     if not is_prime(l):
@@ -117,17 +143,6 @@ def build_rep(datum: DegenDatum, l: int) -> GaloisRep:
     return GaloisRep(l, datum.mu, datum.abelian_rank, tuple(psi_maps(datum)))
 
 
-def fixed_lattice(rep: GaloisRep, generators: tuple[int, ...]) -> LatticeMap:
-    """X' part of the saturated lattice fixed by the listed sigma generators.
-
-    The whole fixed lattice is X^dual ⊕ C ⊕ this part.
-    """
-    maps = [rep.psi[i] for i in generators]
-    if not maps:
-        return LatticeMap.identity(rep.toric_rank)
-    return kernel_saturated(LatticeMap.stack(maps))
-
-
 def star_condition(rep: GaloisRep) -> bool:
     """T is the sum over i of the parts fixed by all generators except sigma_i,
     up to index coprime to l."""
@@ -135,24 +150,6 @@ def star_condition(rep: GaloisRep) -> bool:
         return True
     index = rep.exclusive_index
     return index is not None and index % rep.l != 0
-
-
-def decomposition_check(rep: GaloisRep) -> bool:
-    """Attempt the block decomposition of T/T^G into generator-exclusive parts.
-
-    V_i is the image in T/T^G = X' of the sublattice fixed by every sigma_j
-    with j != i.  Such a sublattice is fixed by the other generators by
-    definition and invariant under its own, since N_i lands in X^dual.
-    Success means the V_i are independent and their sum has finite index
-    coprime to l.
-
-    This always equals ``star_condition``.  The V_i are independent: if
-    sum k_i = 0 with k_i in V_i, applying psi_m leaves psi_m(k_m) = 0, so k_m
-    is killed by every psi_j and is 0.  So their ranks sum to mu exactly when
-    the index of their sum is finite.
-    """
-    return rep.n == 0 or (sum(p.ncols for p in rep.exclusive_parts) == rep.toric_rank
-                          and star_condition(rep))
 
 
 def _at_level(torsion: FinAb, modulus: int) -> FinAb:
@@ -173,18 +170,3 @@ def torsion_phi_group(rep: GaloisRep, profile: TraitProfile, r: int) -> FinAb:
     if len(profile.multiplicities) != rep.n:
         raise InputError(f"profile has {len(profile.multiplicities)} entries, rep has {rep.n}")
     return _at_level(rep.action_torsion(profile.multiplicities), rep.l ** r)
-
-
-def closed_point_torsion(rep: GaloisRep, r: int) -> FinAb:
-    """Exact l^r-torsion of the closed-point component group from the full action.
-
-    The fixed lattice T^G has no X' part (see the module docstring), so the
-    group is the finite-level kernel of the stacked psi_i.  At a level with
-    l^r at least the exponent of ``monodromy.closed_point_bound``, this is
-    that bound's torsion: both are the l-part of the stack's invariant
-    factors.  So the oracle reports the bound as the exact torsion, and its
-    ``bound_is_strict`` is always false.
-    """
-    if r < 1:
-        raise InputError("level r must be >= 1")
-    return _at_level(rep.stack_torsion, rep.l ** r)

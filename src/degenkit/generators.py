@@ -178,8 +178,8 @@ def random_polarized_datum(rng: Random, max_mu: int = 3, max_n: int = 3,
 
 
 def _unimodular_inverse(m: list[list[int]], n: int) -> list[list[int]]:
-    inv = intmat.solve_rational(m, n, intmat.identity(n), n)
-    return [[int(v) for v in row] for row in inv]
+    det, adj = intmat.det_adjugate(m, n)   # det = ±1, so m^-1 = det·adj
+    return [[det * v for v in row] for row in adj]
 
 
 def random_graph(rng: Random, max_edges: int = 8, max_branches: int = 3,

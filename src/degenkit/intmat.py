@@ -39,11 +39,12 @@ No routine computes a transform it does not return.
   It works modulo a nonzero maximal minor D from the same Bareiss pass
   (D·Z^n lies in the lattice), so no entry of the elimination reaches 2·D²
   in absolute value.
-* ``solve_rational`` is the one exact solver.  It clears the denominators of
-  the right-hand side and runs one fraction-free (Bareiss) Gauss–Jordan pass
-  on the integer augmented matrix, dividing only at the end: every
-  intermediate entry is a minor of the augmented matrix, so it is bounded by
-  the Hadamard bound of ``(a | den·b)``.
+* ``solve_rational``, the one exact solver, and ``det_adjugate`` share one
+  fraction-free (Bareiss) Gauss–Jordan pass on ``(a | b)`` that returns
+  det a and det a · a^-1 · b: every intermediate entry is a minor of the
+  augmented matrix, so it is bounded by its Hadamard bound.  The solver
+  divides once at the end; with the identity on the right, the pass returns
+  (det a, adj a), and on a unimodular a, a^-1 = det a · adj a.
 """
 
 from __future__ import annotations
@@ -368,26 +369,38 @@ def column_lattice_index(m: IntMatrix, nrows: int, ncols: int) -> int | None:
     return prod(facs) if len(facs) == nrows else None
 
 
-def solve_rational(a: IntMatrix, n: int, b: IntMatrix, bcols: int) -> list[list[Fraction]]:
-    """Solve a·X = b exactly over Q for square invertible a (n×n).
-
-    b may hold Fractions.  After clearing b's denominators, one fraction-free
-    Gauss–Jordan pass keeps a pivot multiple of the identity on the left: the
-    pivot of step k is a k×k minor of a, and every other entry a minor of the
-    augmented matrix.  X is the right block divided by the last pivot.
-    """
-    den = lcm(*(x.denominator for row in b for x in row))
-    aug = [list(a[i]) + [int(x * den) for x in b[i]] for i in range(n)]
+def _gauss_jordan(a: IntMatrix, n: int, b: IntMatrix) -> tuple[int, IntMatrix]:
+    """(det a, det a · a^-1 · b) for square nonsingular a (n×n), by one
+    fraction-free pass on (a | b) that keeps a pivot multiple of the identity
+    on the left.  A row exchange negates one row, so the last pivot is det a;
+    every entry is a minor of (a | b) up to sign."""
+    aug = [list(a[i]) + list(b[i]) for i in range(n)]
     prev = 1
     for k in range(n):
         # rows hold the columns k.. of the augmented matrix: the columns before
         # k hold only prev on the diagonal of the pivoted rows, and zeros
         piv = next((i for i in range(k, n) if aug[i][0]), None)
         if piv is None:
-            raise ValueError("singular matrix in rational solve")
-        aug[k], aug[piv] = aug[piv], aug[k]
+            raise ValueError("singular matrix in Gauss-Jordan pass")
+        if piv != k:
+            aug[k], aug[piv] = aug[piv], [-x for x in aug[k]]
         pivot, tail = aug[k][0], aug[k][1:]
-        aug = [tail if i == k else [(pivot * x - row[0] * y) // prev for x, y in zip(row[1:], tail)]
+        aug = [tail if i == k else
+               [(pivot * x - row[0] * y) // prev for x, y in zip(row[1:], tail)] if row[0] else
+               [pivot * x // prev for x in row[1:]]
                for i, row in enumerate(aug)]
         prev = pivot
-    return [[Fraction(x, prev * den) for x in row] for row in aug]
+    return prev, aug
+
+
+def det_adjugate(m: IntMatrix, n: int) -> tuple[int, IntMatrix]:
+    """(det m, adj m) for square nonsingular m: the identity on the right."""
+    return _gauss_jordan(m, n, identity(n))
+
+
+def solve_rational(a: IntMatrix, n: int, b: IntMatrix, bcols: int) -> list[list[Fraction]]:
+    """Solve a·X = b exactly over Q for square invertible a (n×n); b may hold
+    Fractions, whose denominators are cleared before the pass."""
+    den = lcm(*(x.denominator for row in b for x in row))
+    det, x = _gauss_jordan(a, n, [[int(v * den) for v in row] for row in b])
+    return [[Fraction(v, det * den) for v in row] for row in x]

@@ -164,6 +164,13 @@ class LatticeMap:
             raise InputError("determinant of a non-square map")
         return intmat.bareiss_det(self.entries, self.nrows)
 
+    def adjugate(self) -> tuple[int, "LatticeMap"]:
+        """(det, adj) of a nonsingular square map, from one fraction-free pass."""
+        if self.nrows != self.ncols:
+            raise InputError("adjugate of a non-square map")
+        det, adj = intmat.det_adjugate(self.entries, self.nrows)
+        return det, LatticeMap(self.source, self.target, _freeze(adj))
+
     def image_basis(self) -> "LatticeMap":
         """Canonical (Hermite) basis of the image: equal images iff equal bases."""
         h = intmat.hnf_columns(self.entries, self.nrows, self.ncols)

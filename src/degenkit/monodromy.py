@@ -30,9 +30,6 @@ from .lattice import (
     Lattice,
     LatticeMap,
     cokernel,
-    is_prime,
-    l_part,
-    torsion_kernel_qz,
 )
 
 HEURISTIC_STRATUM = "derived stratum - heuristic"
@@ -186,26 +183,6 @@ def psi_maps(datum: DegenDatum) -> list[LatticeMap]:
         b.specialization.transpose().compose(b.pairing).compose(datum.dual_sp(i))
         for i, b in enumerate(datum.branches)
     ]
-
-
-def closed_point_bound(datum: DegenDatum, l: int) -> FinAb:
-    """Upper bound for the l-part of the closed-point component group.
-
-    This is the l-part of the torsion of ker(stack(psi_1..psi_n) ⊗ Q/Z); it
-    contains the true l-part, with equality when n <= 1.  The divisible rank
-    of the kernel is reported alongside the torsion.  For n = 1, sp_1 and
-    sp'_1 are unimodular, so the bound is the l-part of coker(phi_1).
-    """
-    if not is_prime(l):
-        raise InputError(f"l must be prime, got {l}")
-    if l == datum.residue_char:
-        raise InputError("prime equals residue characteristic")
-    require_valid(datum)
-    if datum.n == 0:
-        return FinAb.trivial()
-    stacked = LatticeMap.stack(psi_maps(datum))
-    kernel = torsion_kernel_qz(stacked.row_lattice())
-    return FinAb(l_part(kernel.torsion(), l).invariant_factors, kernel.divisible_rank)
 
 
 def validate_pairing(phi: LatticeMap, lam: LatticeMap) -> str | None:

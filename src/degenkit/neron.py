@@ -33,6 +33,7 @@ from .lattice import (
     FinAb,
     Lattice,
     LatticeMap,
+    Rows,
     cokernel,
     smith_columns,
 )
@@ -43,8 +44,6 @@ from .monodromy import (
     compose_trait,
     stratum_lattice,
 )
-
-FracRows = tuple[tuple[Fraction, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -77,7 +76,7 @@ class ConverseCertificate:
     verdict: str                               # TA-certified | hypothesis-failed
     coker_at_psi: FinAb
     coker_at_psi_a: FinAb
-    theta: FracRows | None = None
+    theta: Rows | None = None
     chi1: LatticeMap | None = None
     chi2: LatticeMap | None = None
     idempotent: bool = False
@@ -252,7 +251,7 @@ def converse_check(p_map: LatticeMap, q_map: LatticeMap,
     A^t·Psi lies in im(A^t·Psi·A).  The theorem left to check is that A is
     square with |det A| = 1; everything else follows from that:
 
-    - theta = A^-1, the unique solution, read off by solving A·theta = 1;
+    - theta = A^-1, the unique solution, which is det A · adj A;
     - chi1 + chi2 = theta_1∘P + theta_2∘Q = theta·A = 1;
     - chi1 and chi2 are complementary idempotents, as A·theta = 1 gives
       P·theta_1 = 1, Q·theta_2 = 1 and P·theta_2 = Q·theta_1 = 0;
@@ -279,16 +278,16 @@ def converse_check(p_map: LatticeMap, q_map: LatticeMap,
         return ConverseCertificate(False, "hypothesis-failed", coker1, coker2)
 
     mu = a.ncols
-    if a.nrows != mu or abs(a.determinant()) != 1:
+    # A is injective, so a square A is nonsingular: one pass gives det A and adj A
+    det, adj = a.adjugate() if a.nrows == mu else (0, a)
+    if abs(det) != 1:
         raise FalsificationError("certified decomposition failed the isomorphism checks")
-    theta = intmat.solve_rational(a.entries, mu, LatticeMap.identity(mu).entries, mu)
+    theta = adj.scaled(det).entries     # A^-1 = adj A / det A = det A · adj A
     r1 = p_map.nrows
-    theta1 = LatticeMap.from_rows([[int(f) for f in row[:r1]] for row in theta],
-                                  source_rank=r1, target_rank=mu)
-    theta2 = LatticeMap.from_rows([[int(f) for f in row[r1:]] for row in theta],
+    theta1 = LatticeMap.from_rows([row[:r1] for row in theta], source_rank=r1, target_rank=mu)
+    theta2 = LatticeMap.from_rows([row[r1:] for row in theta],
                                   source_rank=mu - r1, target_rank=mu)
-    return ConverseCertificate(True, "TA-certified", coker1, coker2,
-                               theta=tuple(map(tuple, theta)),
+    return ConverseCertificate(True, "TA-certified", coker1, coker2, theta=theta,
                                chi1=theta1.compose(p_map), chi2=theta2.compose(q_map),
                                idempotent=True, kernel_decomposition=True,
                                p_restricted_iso=True, a_is_isomorphism=True)

@@ -46,9 +46,10 @@ class IntmatCalls(dict):
     """Calls of the counted ``intmat`` routines, by name: one argument tuple
     per call, with every matrix frozen to a tuple of row tuples.  Every Smith
     elimination, whichever routine reached it, is also under ``eliminations``:
-    the calls of ``_diagonalize``; and every Bareiss pass (rank, determinant,
-    independent rows, the Hermite modulus) under ``bareiss``: the calls of
-    ``_bareiss``."""
+    the calls of ``_diagonalize``; and every fraction-free (Bareiss) pass under
+    ``bareiss``: the calls of ``_bareiss`` (rank, determinant, independent
+    rows, the Hermite modulus) and of ``_gauss_jordan`` (solve, adjugate),
+    whose first argument is the matrix."""
 
     def smith_forms(self) -> list[tuple]:
         """The Smith eliminations behind V or the invariant factors alone."""
@@ -74,4 +75,5 @@ def intmat_calls(monkeypatch):
         monkeypatch.setattr(intmat, name, counting(name, getattr(intmat, name)))
     monkeypatch.setattr(intmat, "_diagonalize", counting("eliminations", intmat._diagonalize))
     monkeypatch.setattr(intmat, "_bareiss", counting("bareiss", intmat._bareiss))
+    monkeypatch.setattr(intmat, "_gauss_jordan", counting("bareiss", intmat._gauss_jordan))
     return calls

@@ -15,7 +15,12 @@ principal minor, where ``intmat.positive_definite`` stops at the first one
 <= 0, and the branchwise reassembly behind ``neron.psi_fixed_points``.  They
 do use the package's lattice maps; what they add is the work the identities
 remove.  It ends with the prime-by-prime assembly of invariant factors that
-``FinAb.from_cyclic_orders`` replaced by gcd/lcm insertion.
+``FinAb.from_cyclic_orders`` replaced by gcd/lcm insertion, and the
+leave-one-out kernels behind the exclusive parts of a Galois representation,
+whose index ``GaloisRep.exclusive_index`` reads off one adjugate.  The last
+three routines left the package with no caller there: the fixed lattice of a
+set of generators, and the closed-point bound and exact torsion, which the
+oracle reads off ``GaloisRep.stack_torsion`` and which the tests compare.
 """
 
 from __future__ import annotations
@@ -30,9 +35,21 @@ from degenkit.degeneration import (
     Violation,
     dual_purity_matrix,
     purity_matrix,
+    require_valid,
 )
-from degenkit.lattice import FinAb, LatticeMap, is_prime, l_part
-from degenkit.monodromy import component_group
+from degenkit.errors import InputError
+from degenkit.galois import GaloisRep
+from degenkit.lattice import (
+    FinAb,
+    Lattice,
+    LatticeMap,
+    is_prime,
+    kernel_saturated,
+    l_part,
+    sum_index,
+    torsion_kernel_qz,
+)
+from degenkit.monodromy import component_group, psi_maps
 
 
 def minor_gcd_invariant_factors(rows: list[list[int]]) -> list[int]:
@@ -460,10 +477,24 @@ def _reference_override_violations(datum: DegenDatum, ov: StratumOverride) -> li
     elif ov.inclusion.ncols != restricted.rank_of_image():
         out.append(Violation("stratum override invalid",
                              detail="override rank differs from restricted purity rank"))
-    if ov.dual_inclusion is not None:
-        damb = sum(datum.branches[j].dual_rank for j in ov.branches)
-        if ov.dual_inclusion.target.rank != damb or not ov.dual_inclusion.is_injective():
-            out.append(Violation("stratum override invalid", detail="bad dual inclusion"))
+    dual = ov.dual_inclusion
+    if dual is None:
+        # only a principal datum lets the primal inclusion serve the dual side
+        if not datum.is_principal:
+            out.append(Violation("stratum override invalid",
+                                 detail="no dual inclusion on a non-principal datum"))
+        return out
+    damb = sum(datum.branches[j].dual_rank for j in ov.branches)
+    if dual.target.rank != damb or not dual.is_injective():
+        out.append(Violation("stratum override invalid", detail="bad dual inclusion"))
+    else:
+        rows = [r for j in ov.branches for r in datum.dual_sp(j).entries]
+        restricted = LatticeMap.from_rows(rows, source_rank=datum.dual_closed.rank,
+                                          target_rank=damb)
+        if dual.solve(restricted) is None:
+            out.append(Violation("stratum override invalid",
+                                 detail="restricted dual purity does not factor through "
+                                        "the dual override"))
     return out
 
 
@@ -488,3 +519,87 @@ def reference_cyclic_invariant_factors(orders: list[int]) -> list[int]:
         for p in _prime_divisors(n):
             by_prime.setdefault(p, []).append(_log_p(_p_part(n, p), p))
     return _merge_prime_exponents({p: sorted(es, reverse=True) for p, es in by_prime.items()})
+
+
+def exclusive_parts(rep: GaloisRep) -> tuple[LatticeMap, ...]:
+    """For each i, the X' part of the lattice fixed by every sigma_j with j != i.
+
+    That is the saturated kernel of the psi_j with j != i, which depends only
+    on their rational row space: the kernel of a row basis of
+    psi_1..psi_{i-1} stacked on one of psi_{i+1}..psi_n, at most 2·mu rows.
+    """
+    prefix = _running_row_bases(rep.psi, rep.toric_rank)
+    suffix = _running_row_bases(rep.psi[::-1], rep.toric_rank)[::-1]
+    return tuple(kernel_saturated(LatticeMap.stack([prefix[i], suffix[i + 1]]))
+                 for i in range(rep.n))
+
+
+def _running_row_bases(maps: tuple[LatticeMap, ...], rank: int) -> list[LatticeMap]:
+    """Row bases of the stacks of maps[:k], k = 0..len(maps); at most rank rows each."""
+    bases = [LatticeMap.zero(Lattice(rank), Lattice(0))]
+    for m in maps:
+        last = bases[-1]
+        bases.append(last if last.nrows == rank else LatticeMap.stack([last, m]).row_basis())
+    return bases
+
+
+def decomposition_check(rep: GaloisRep) -> bool:
+    """The block decomposition of T/T^G = X' into the exclusive parts: they
+    are independent, and their sum has finite index coprime to l.
+
+    Independence makes this the star condition (``galois`` module
+    docstring): the ranks of the parts sum to mu exactly when the index is
+    finite.  Here both are taken from the leave-one-out kernels.
+    """
+    if rep.n == 0:
+        return True
+    parts = list(exclusive_parts(rep))
+    index = sum_index(parts)
+    return sum(p.ncols for p in parts) == rep.toric_rank and index is not None \
+        and index % rep.l != 0
+
+
+def fixed_lattice(rep: GaloisRep, generators: tuple[int, ...]) -> LatticeMap:
+    """X' part of the saturated lattice fixed by the listed sigma generators.
+
+    The whole fixed lattice is X^dual ⊕ C ⊕ this part.
+    """
+    maps = [rep.psi[i] for i in generators]
+    if not maps:
+        return LatticeMap.identity(rep.toric_rank)
+    return kernel_saturated(LatticeMap.stack(maps))
+
+
+def closed_point_bound(datum: DegenDatum, l: int) -> FinAb:
+    """Upper bound for the l-part of the closed-point component group.
+
+    This is the l-part of the torsion of ker(stack(psi_1..psi_n) ⊗ Q/Z); it
+    contains the true l-part, with equality when n <= 1.  The divisible rank
+    of the kernel is reported alongside the torsion.  For n = 1, sp_1 and
+    sp'_1 are unimodular, so the bound is the l-part of coker(phi_1).
+    """
+    if not is_prime(l):
+        raise InputError(f"l must be prime, got {l}")
+    if l == datum.residue_char:
+        raise InputError("prime equals residue characteristic")
+    require_valid(datum)
+    if datum.n == 0:
+        return FinAb.trivial()
+    stacked = LatticeMap.stack(psi_maps(datum))
+    kernel = torsion_kernel_qz(stacked.row_lattice())
+    return FinAb(l_part(kernel.torsion(), l).invariant_factors, kernel.divisible_rank)
+
+
+def closed_point_torsion(rep: GaloisRep, r: int) -> FinAb:
+    """Exact l^r-torsion of the closed-point component group from the full action.
+
+    The fixed lattice T^G has no X' part, so the group is the finite-level
+    kernel of the stacked psi_i, ⊕ Z/gcd(d_k, l^r) over the invariant factors
+    d_k of the stack (``galois`` module docstring).  The oracle reports
+    ``closed_point_bound`` as this torsion.
+    """
+    if r < 1:
+        raise InputError("level r must be >= 1")
+    modulus = rep.l ** r
+    return FinAb(tuple(g for g in (gcd(d, modulus) for d in rep.stack_torsion.invariant_factors)
+                       if g > 1))

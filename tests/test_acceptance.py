@@ -12,7 +12,7 @@ import time
 
 from degenkit.curves import curve_equivalences, graph_to_datum
 from degenkit.degeneration import analyze, is_l_toric_additive, toric_rank_profile
-from degenkit.galois import build_rep, decomposition_check, star_condition, torsion_phi_group
+from degenkit.galois import build_rep, star_condition, torsion_phi_group
 from degenkit.generators import (
     random_datum,
     random_graph,
@@ -29,7 +29,7 @@ from degenkit.neron import (
 )
 
 from conftest import load_fixture
-from oracles import smith_columns_certified
+from oracles import decomposition_check, smith_columns_certified
 
 
 def _report(number: int, elapsed: float, message: str) -> None:

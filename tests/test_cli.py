@@ -135,7 +135,7 @@ def test_converse_certificate_needs_no_smith_form(capsys, intmat_calls, name, el
 
 
 def test_converse_decides_a_square_a_in_one_bareiss_pass(capsys, intmat_calls):
-    # coker(A^t·Psi·A) decides injectivity; the theorem's |det A| = 1 is one pass
+    # coker(A^t·Psi·A) decides injectivity; |det A| = 1 and theta = A^-1 are one pass
     p_map, q_map, _, _ = neron.converse_inputs_from_datum(
         cli._load("generated_ta_seed7", "degeneration")[0])
     a = LatticeMap.stack([p_map, q_map])

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import replace
 
 import pytest
 
+from degenkit import cli
 from degenkit.degeneration import (
     Branch,
     DegenDatum,
@@ -16,6 +18,7 @@ from degenkit.degeneration import (
     is_l_toric_additive,
     purity_matrix,
     toric_rank_profile,
+    Violation,
     validate,
 )
 from degenkit.errors import InputError
@@ -23,6 +26,7 @@ from degenkit.generators import random_datum, random_polarized_datum, random_ta_
 from degenkit.intmat import bareiss_det
 from degenkit.lattice import FinAb, Lattice, LatticeMap
 from degenkit.monodromy import sub_datum
+from degenkit.schema import datum_to_dict
 
 from conftest import load_fixture
 from oracles import reference_validate
@@ -258,6 +262,43 @@ def test_nonsquare_pairing_with_definite_composite_is_not_injective():
     assert messages == ["dual specialization not surjective", "branch dual rank mismatch",
                         "pairing not injective"]
     assert validate(datum) == reference_validate(datum)
+
+
+def _override_on_branch_2(dual_inclusion=None):
+    datum = random_polarized_datum(random.Random(3), max_mu=3, max_n=2, min_n=2)
+    assert not datum.is_principal
+    k = datum.branches[1].lattice.rank
+    return replace(datum, strata=(
+        StratumOverride((1,), LatticeMap.identity(k), dual_inclusion),))
+
+
+def test_validate_refuses_an_override_without_dual_inclusion(tmp_path, capsys):
+    # only a principal datum lets the primal inclusion serve the dual side;
+    # validate accepted this one, and `trait` then exited 2 on its own
+    datum = _override_on_branch_2()
+    expected = [Violation("stratum override invalid",
+                          detail="no dual inclusion on a non-principal datum")]
+    assert validate(datum) == reference_validate(datum) == expected
+    path = tmp_path / "override.json"
+    path.write_text(json.dumps(datum_to_dict(datum)))
+    for argv in (["analyze"], ["trait", "--profile", "0,1"]):
+        assert cli.main([argv[0], str(path), *argv[1:]]) == 2
+        assert "no dual inclusion on a non-principal datum" in capsys.readouterr().err
+    # an identity dual inclusion contains every restricted dual purity image
+    k = datum.branches[1].dual_rank
+    assert validate(_override_on_branch_2(LatticeMap.identity(k))) == []
+
+
+def test_validate_refuses_a_dual_override_that_misses_the_dual_purity_image():
+    datum = _override_on_branch_2()
+    k = datum.branches[1].dual_rank
+    doubled = _override_on_branch_2(LatticeMap.identity(k).scaled(2))
+    # the dual specialization is surjective, so some entry is odd
+    assert any(v % 2 for row in datum.dual_sp(1).entries for v in row)
+    expected = [Violation("stratum override invalid",
+                          detail="restricted dual purity does not factor through "
+                                 "the dual override")]
+    assert validate(doubled) == reference_validate(doubled) == expected
 
 
 def test_validate_multiplies_and_ranks_no_identity(intmat_calls):

@@ -16,9 +16,6 @@ from degenkit.errors import InputError
 from degenkit.galois import (
     GaloisRep,
     build_rep,
-    closed_point_torsion,
-    decomposition_check,
-    fixed_lattice,
     star_condition,
     torsion_phi_group,
 )
@@ -36,11 +33,18 @@ from degenkit.lattice import (
     l_part,
     sum_index,
 )
-from degenkit.monodromy import TraitProfile, closed_point_bound, component_group, compose_trait
+from degenkit.monodromy import TraitProfile, component_group, compose_trait
 from degenkit.schema import datum_to_dict
 
 import galois_full as full_model
-from oracles import image_lattices_equal
+from oracles import (
+    closed_point_bound,
+    closed_point_torsion,
+    decomposition_check,
+    exclusive_parts,
+    fixed_lattice,
+    image_lattices_equal,
+)
 from test_intmat import wall_clock_budget
 
 
@@ -283,7 +287,7 @@ class TestProvenIdentities:
         for datum in _random_datums(rng, 90):
             for l in (2, 3, 5):
                 rep = build_rep(datum, l)
-                parts = list(rep.exclusive_parts)
+                parts = list(exclusive_parts(rep))
                 # the exclusive parts are independent ...
                 beside = LatticeMap.beside(parts)
                 assert beside.rank_of_image() == beside.ncols <= rep.toric_rank
@@ -328,9 +332,64 @@ class TestProvenIdentities:
                 assert closed["exact_torsion"] == dict(closed["bound"], divisible_rank=0)
 
 
+class TestExclusiveIndex:
+    """The closed form from one adjugate against the sum index of the
+    leave-one-out kernels (galois module docstring)."""
+
+    @staticmethod
+    def _compare(rep: GaloisRep) -> bool:
+        """Assert the closed form and the lemma; True when R = mu."""
+        reference = sum_index(list(exclusive_parts(rep)))
+        assert rep.exclusive_index == reference
+        stacked_rows = sum(psi.rank_of_image() for psi in rep.psi)
+        assert stacked_rows >= rep.toric_rank
+        # R > mu forces an infinite index, and R = mu a finite one
+        assert (reference is None) == (stacked_rows > rep.toric_rank)
+        return stacked_rows == rep.toric_rank
+
+    def test_matches_leave_one_out_kernels_on_generated_datums(self):
+        rng = random.Random(161)
+        square = wide = 0
+        for gen in (random_datum, random_ta_datum, random_polarized_datum):
+            for _ in range(40):
+                datum = gen(rng, max_mu=8, max_n=5, min_n=1)
+                for l in (2, 3, 5):
+                    rep = build_rep(datum, l)
+                    if self._compare(rep):
+                        square += 1
+                    else:
+                        wide += 1
+                    assert star_condition(rep) == decomposition_check(rep), (datum.name, l)
+        assert square > 100 and wide > 100
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4).flatmap(square_maps), st.sampled_from([2, 3, 5]))
+    def test_matches_leave_one_out_kernels_on_any_injective_stack(self, maps, l):
+        psi = tuple(lm(rows) for rows in maps)
+        assume(LatticeMap.stack(list(psi)).is_injective())
+        rep = GaloisRep(l, psi[0].ncols, 0, psi)
+        self._compare(rep)
+        assert star_condition(rep) == decomposition_check(rep)
+
+    def test_hand_made_stacks(self):
+        # B = diag(2, 3): V_1 = Z·e_1 and V_2 = Z·e_2, index (6/3)·(6/2)/6 = 1
+        rep = GaloisRep(2, 2, 0, (lm([[2, 0], [0, 0]]), lm([[0, 0], [0, 3]])))
+        assert rep.exclusive_index == 1
+        # B = ((1, 1), (1, -1)): V_1 = Z·(1, 1) and V_2 = Z·(1, -1), index 2
+        psi = (lm([[1, 1]], target=1), lm([[1, -1]], target=1))
+        assert GaloisRep(3, 2, 0, psi).exclusive_index == 2
+        assert not star_condition(GaloisRep(2, 2, 0, psi))
+        assert star_condition(GaloisRep(3, 2, 0, psi))
+        # R = 3 > mu = 2: V_2 = ker psi_1 = 0
+        rep = GaloisRep(2, 2, 0, (LatticeMap.identity(2), lm([[1, 1]], target=1)))
+        assert rep.exclusive_index is None
+        for rep in (rep, GaloisRep(3, 2, 0, psi)):
+            self._compare(rep)
+
+
 def test_oracle_at_mu_52_within_budget(capsys, tmp_path):
-    # 40 branches: 40 exclusive parts and a 2,080-row stack of psi_i; Smith
-    # forms of the whole stacks, instead of row bases, take several seconds
+    # 40 branches and a 2,080-row stack of psi_i; Smith forms of the whole
+    # stacks, instead of row bases, took several seconds
     datum = random_ta_datum(random.Random(7), max_mu=64, max_n=40, min_n=40)
     assert (datum.mu, datum.n) == (52, 40)
     path = tmp_path / "mu52.json"
@@ -341,3 +400,19 @@ def test_oracle_at_mu_52_within_budget(capsys, tmp_path):
     report = json.loads(capsys.readouterr().out)["oracle"]
     assert code == 0
     assert report["agree"] and report["component_group"]["agree"]
+
+
+def test_oracle_at_mu_123_within_budget(capsys, tmp_path):
+    # 80 branches: n leave-one-out kernels took about 11 s on a 2-vCPU x86
+    # container, one adjugate of the stacked row bases about 1.5 s
+    datum = random_ta_datum(random.Random(1), max_mu=10 ** 6, max_n=80, min_n=80)
+    assert (datum.mu, datum.n) == (123, 80)
+    path = tmp_path / "mu123.json"
+    path.write_text(json.dumps(datum_to_dict(datum)))
+    argv = ["oracle", str(path), "--l", "3", "--profile", ",".join(["1"] * 80), "--json"]
+    with wall_clock_budget(5):
+        code = cli.main(argv)
+    report = json.loads(capsys.readouterr().out)["oracle"]
+    assert code == 0
+    assert report["agree"] and report["component_group"]["agree"]
+    assert report["galois_side"] == {"star_condition": True, "decomposition": True}

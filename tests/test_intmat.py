@@ -24,6 +24,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from degenkit import intmat
+from degenkit.errors import InputError
+from degenkit.generators import random_unimodular
 from degenkit.lattice import LatticeMap
 
 from oracles import (
@@ -159,6 +161,34 @@ def test_determinant_and_leading_minors_match_expansion(case):
     assert intmat.bareiss_det(m, n) == cofactor_det(m)
     assert leading_principal_minors(m, n) == [
         cofactor_det([row[:k] for row in m[:k]]) for k in range(1, n + 1)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(square)
+def test_det_adjugate_matches_cofactors(case):
+    # adj m [i][j] = (-1)^(i+j) · det(m without row j and column i); the pass
+    # exchanges rows whenever a leading minor is zero
+    m, n = case
+    det = cofactor_det(m)
+    if det == 0:
+        with pytest.raises(ValueError):
+            intmat.det_adjugate(m, n)
+        return
+    assert intmat.det_adjugate(m, n) == (det, [
+        [(-1) ** (i + j) * cofactor_det([row[:i] + row[i + 1:] for k, row in enumerate(m)
+                                         if k != j]) for j in range(n)] for i in range(n)])
+
+
+def test_adjugate_of_a_unimodular_matrix_is_its_inverse_up_to_sign():
+    rng = random.Random(65)
+    for n in (1, 5, 12):
+        m = random_unimodular(rng, n)
+        det, adj = intmat.det_adjugate(m, n)
+        assert abs(det) == 1
+        assert intmat.matmul(m, n, n, [[det * v for v in row] for row in adj], n, n) \
+            == intmat.identity(n)
+    with pytest.raises(InputError, match="non-square"):
+        LatticeMap.from_rows([[1, 0]]).adjugate()
 
 
 @st.composite

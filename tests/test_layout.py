@@ -1,8 +1,8 @@
 """Module layout: only ``lattice`` (and the random generators) speak the raw
 list-of-rows matrix format of ``intmat``; everything else goes through
 ``LatticeMap``.  Smith with transforms and the general integral solve are
-gone from the package, ``intmat`` has one Smith elimination, and ``--json``
-has one renderer."""
+gone from the package, ``intmat`` has one Smith elimination, no routine
+without a command stays in the package, and ``--json`` has one renderer."""
 
 from __future__ import annotations
 
@@ -90,6 +90,20 @@ def _identifiers(tree: ast.AST) -> set[str]:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_smith_transforms_or_general_solve(path):
     found = _identifiers(ast.parse(path.read_text())) & REMOVED
+    assert not found, f"{path.name} defines or references {sorted(found)}"
+
+
+# public routines that no command used live on in tests/oracles.py only: the
+# leave-one-out kernels and the decomposition check they fed (the exclusive
+# index comes from one adjugate), the fixed lattice of a set of generators,
+# and the closed-point bound and exact torsion (read off the rep's stack)
+UNUSED = {"exclusive_parts", "_running_row_bases", "decomposition_check", "fixed_lattice",
+          "closed_point_bound", "closed_point_torsion"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_routines_without_a_command(path):
+    found = _identifiers(ast.parse(path.read_text())) & UNUSED
     assert not found, f"{path.name} defines or references {sorted(found)}"
 
 

@@ -14,7 +14,6 @@ from degenkit.monodromy import (
     HEURISTIC_STRATUM,
     TRAIT_MISSES_DIVISOR,
     TraitProfile,
-    closed_point_bound,
     component_group,
     compose_trait,
     psi_maps,
@@ -22,7 +21,7 @@ from degenkit.monodromy import (
     validate_pairing,
 )
 
-from oracles import enumerate_qz_kernel
+from oracles import closed_point_bound, enumerate_qz_kernel
 
 
 def lm(rows, source=None, target=None):

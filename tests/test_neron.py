@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from degenkit import intmat
+from degenkit import intmat, neron
 from degenkit.degeneration import Branch, DegenDatum, StratumOverride
 from degenkit.errors import InputError
 from degenkit.generators import (
@@ -17,7 +17,7 @@ from degenkit.generators import (
     random_ta_datum,
 )
 from degenkit.lattice import FinAb, Lattice, LatticeMap, cokernel, kernel_saturated, sum_index
-from degenkit.monodromy import TraitProfile
+from degenkit.monodromy import TraitProfile, stratum_lattice
 from degenkit.neron import (
     converse_check,
     converse_inputs_from_datum,
@@ -239,14 +239,28 @@ class TestConverseCheck:
         assert psi2.entries == ((1,),)
         assert converse_check(p_map, q_map, psi1, psi2).verdict == "hypothesis-failed"
 
-    def test_split_reads_the_primal_stratum_alone(self):
+    def test_split_reads_the_primal_stratum_alone(self, monkeypatch):
         # on a non-principal datum an override without a dual inclusion
-        # leaves the dual stratum undefined; the converse never reads it
+        # leaves the dual stratum undefined, so validation refuses it; with
+        # one, the converse still reads the primal stratum alone
         datum = random_polarized_datum(random.Random(3), max_mu=3, max_n=2, min_n=2)
         k = datum.branches[1].lattice.rank
-        datum = replace(datum, strata=(StratumOverride((1,), LatticeMap.identity(k)),))
+        bare = replace(datum, strata=(StratumOverride((1,), LatticeMap.identity(k)),))
+        with pytest.raises(InputError, match="no dual inclusion on a non-principal datum"):
+            converse_inputs_from_datum(bare)
+        dual_inclusion = LatticeMap.identity(datum.branches[1].dual_rank)
+        datum = replace(datum, strata=(
+            StratumOverride((1,), LatticeMap.identity(k), dual_inclusion),))
         assert not datum.is_principal and not datum.violations
+        sides = []
+
+        def recording(d, active, dual=False):
+            sides.append(dual)
+            return stratum_lattice(d, active, dual)
+
+        monkeypatch.setattr(neron, "stratum_lattice", recording)
         p_map, q_map, psi1, psi2 = converse_inputs_from_datum(datum)
+        assert sides == [False]
         assert q_map == datum.branches[1].specialization
         assert psi2 == datum.branches[1].pairing.compose(datum.branch_polarizations[1])
         assert converse_check(p_map, q_map, psi1, psi2).verdict == "hypothesis-failed"
