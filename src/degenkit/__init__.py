@@ -26,10 +26,7 @@ from .lattice import (
     Lattice,
     LatticeMap,
     cokernel,
-    kernel_saturated,
     l_part,
-    sum_index,
-    torsion_kernel_qz,
 )
 from .monodromy import (
     ComposedPairing,

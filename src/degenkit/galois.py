@@ -4,19 +4,27 @@ The representation lives on T = X^dual ⊕ C ⊕ X' with C of rank twice the
 abelian rank.  Each boundary branch contributes a nilpotent N_i sending the
 X' block into the X^dual block through psi_i = sp_i^dual ∘ phi_i ∘ sp'_i and
 killing everything else, so the generators sigma_i = 1 + N_i commute and are
-unipotent of level 2.  A ``GaloisRep`` stores only those psi_i blocks: every
-N_i kills X^dual ⊕ C and lands in X^dual, so each fixed lattice is
-X^dual ⊕ C plus a sublattice of X', each finite-level group is read off X'
-alone, and the C block never reaches a matrix.  Everything is built over Z:
-fixed parts are exact integer kernels and l-adic statements become "index
-coprime to l" statements.
+unipotent of level 2.  Every N_i kills X^dual ⊕ C and lands in X^dual, so
+each fixed lattice is X^dual ⊕ C plus a sublattice of X', each finite-level
+group is read off X' alone, and the C block never reaches a matrix.
+Everything is built over Z: fixed parts are exact integer kernels and l-adic
+statements become "index coprime to l" statements.
 
-On a valid datum T^G = T^f = X^dual ⊕ C, that is, the stacked psi_i are
-injective.  If psi_i·x = 0 for every i, then sp'_i·x = 0 for every i, since
-each phi_i is injective and so is each sp_i^dual (sp_i is surjective); and
-then x = 0, since the dual purity map is injective.  So ``build_rep`` checks
-nothing beyond the datum's validity: a rank comparison of T^G with 2d - mu
-could never fail.
+Factors.  A ``GaloisRep`` keeps psi_i = sp_i^t·f_i as its factors, sp_i and
+f_i = phi_i ∘ sp'_i (mu_i × mu each), and never forms the mu × mu product:
+
+- ker psi_i = ker f_i, as sp_i is onto Z^mu_i, so sp_i^t is injective.
+- psi_i and f_i have the same row lattice: its vectors (sp_i·y)^t·f_i,
+  y in Z^mu, are all z^t·f_i, z in Z^mu_i.  So the stacks of the psi_i and
+  of the f_i have one row lattice L, hence one set of nonzero invariant
+  factors d_k: Z^mu / L ≅ ⊕ Z/d_k ⊕ Z^(mu - rank L) (Smith form).
+- sum a_i·psi_i = S^t·(a_1·f_1; ...; a_n·f_n) with S = (sp_1; ...; sp_n).
+
+On a valid datum T^G = T^f = X^dual ⊕ C, that is, the stacked f_i are
+injective: if f_i·x = 0 for every i, then sp'_i·x = 0 for every i, since
+each phi_i is injective, and then x = 0, since the dual purity map is
+injective.  So ``build_rep`` checks nothing beyond the datum's validity: a
+rank comparison of T^G with 2d - mu could never fail.
 
 Exclusive index.  The star condition asks that the exclusive parts V_i have
 a sum of index prime to l in X'.  V_i is the X' part of the lattice fixed by
@@ -27,9 +35,9 @@ sum k_i = 0 with k_i in V_i, applying psi_m leaves psi_m·k_m = 0, so k_m is
 killed by every psi_j and is 0.  The index comes in closed form, with no
 kernel, from three facts:
 
-- Inputs.  Let B_i be a row basis of psi_i, with r_i rows.  A kernel
+- Inputs.  Let B_i be a row basis of f_i, with r_i rows.  A kernel
   depends only on the rational row space, so V_i = ker(B_j, j != i), and
-  the stack B of the B_i has the kernel of the stacked psi_i, which is 0.
+  the stack B of the B_i has the kernel of the stacked f_i, which is 0.
   So R = sum r_i >= mu.
 - Case R > mu: the index is infinite.  If it were finite, the V_i would
   span X' ⊗ Q.  B_j kills every V_i with i != j, so B_j(X' ⊗ Q) is
@@ -65,7 +73,7 @@ from math import gcd
 from .degeneration import DegenDatum, require_valid
 from .errors import InputError
 from .lattice import FinAb, Lattice, LatticeMap, cokernel, is_prime
-from .monodromy import TraitProfile, psi_maps
+from .monodromy import TraitProfile
 
 
 @dataclass(frozen=True)
@@ -73,7 +81,8 @@ class GaloisRep:
     l: int
     toric_rank: int              # mu
     abelian_rank: int            # alpha
-    psi: tuple[LatticeMap, ...]  # the X' -> X^dual block of each N_i
+    # (sp_i, f_i) for each N_i, whose X' -> X^dual block is psi_i = sp_i^t·f_i
+    factors: tuple[tuple[LatticeMap, LatticeMap], ...]
     # cokernel torsion of sum a_i·psi_i, by multiplicities (a_1, ..., a_n)
     _action_torsion: dict[tuple[int, ...], FinAb] = field(
         default_factory=dict, init=False, repr=False, compare=False)
@@ -85,13 +94,13 @@ class GaloisRep:
 
     @property
     def n(self) -> int:
-        return len(self.psi)
+        return len(self.factors)
 
     @cached_property
     def exclusive_index(self) -> int | None:
         """Index in X' of the sum of the exclusive parts; None when infinite
         (module docstring: one adjugate of the stacked row bases, no kernels)."""
-        bases = [psi.row_basis() for psi in self.psi]
+        bases = [f.row_basis() for _, f in self.factors]
         if sum(b.nrows for b in bases) > self.toric_rank:
             return None
         det, adj = LatticeMap.stack(bases).adjugate()
@@ -107,8 +116,8 @@ class GaloisRep:
 
     @cached_property
     def stack_torsion(self) -> FinAb:
-        """Cokernel torsion of the stacked psi_i, from the Hermite basis of
-        their row lattice (at most mu rows).
+        """Cokernel torsion of the stacked psi_i, read off the stacked f_i,
+        which have the same row lattice (module docstring).
 
         Its l-part is the closed-point bound, the l-part of the torsion of
         ker(stack ⊗ Q/Z), with divisible rank 0 as the stack is injective.
@@ -118,18 +127,24 @@ class GaloisRep:
         the exact torsion, and ``bound_is_strict`` is always false."""
         if self.n == 0:
             return FinAb.trivial()
-        return cokernel(LatticeMap.stack(list(self.psi)).row_lattice())[0]
+        return cokernel(LatticeMap.stack([f for _, f in self.factors]))[0]
+
+    def action(self, multiplicities: tuple[int, ...]) -> LatticeMap:
+        """sum a_i·psi_i, as one product S^t·(a_i·f_i) over the branches
+        with a_i != 0 (module docstring)."""
+        active = [(a, sp, f) for a, (sp, f) in zip(multiplicities, self.factors) if a]
+        if not active:
+            x_prime = Lattice(self.toric_rank)
+            return LatticeMap.zero(x_prime, x_prime)
+        sp_t = LatticeMap.stack([sp for _, sp, _ in active]).transpose()
+        return sp_t.compose(LatticeMap.stack([f.scaled(a) for a, _, f in active]))
 
     def action_torsion(self, multiplicities: tuple[int, ...]) -> FinAb:
         """Cokernel torsion of sum a_i·psi_i, computed once per profile."""
         torsion = self._action_torsion.get(multiplicities)
         if torsion is None:
-            x_prime = Lattice(self.toric_rank)
-            action = LatticeMap.zero(x_prime, x_prime)
-            for a, psi in zip(multiplicities, self.psi):
-                if a:
-                    action = action.add(psi.scaled(a))
-            torsion = self._action_torsion[multiplicities] = cokernel(action)[0]
+            torsion = cokernel(self.action(multiplicities))[0]
+            self._action_torsion[multiplicities] = torsion
         return torsion
 
 
@@ -140,7 +155,9 @@ def build_rep(datum: DegenDatum, l: int) -> GaloisRep:
     if l == datum.residue_char:
         raise InputError("prime equals residue characteristic")
     require_valid(datum)
-    return GaloisRep(l, datum.mu, datum.abelian_rank, tuple(psi_maps(datum)))
+    factors = tuple((b.specialization, b.pairing.compose(datum.dual_sp(i)))
+                    for i, b in enumerate(datum.branches))
+    return GaloisRep(l, datum.mu, datum.abelian_rank, factors)
 
 
 def star_condition(rep: GaloisRep) -> bool:

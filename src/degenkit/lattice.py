@@ -143,12 +143,6 @@ class LatticeMap:
         return LatticeMap(self.source, self.target,
                           _freeze([[c * v for v in row] for row in self.entries]))
 
-    def add(self, other: "LatticeMap") -> "LatticeMap":
-        if self.source != other.source or self.target != other.target:
-            raise InputError("sum of maps needs equal source and target")
-        rows = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)]
-        return LatticeMap(self.source, self.target, _freeze(rows))
-
     def rank_of_image(self) -> int:
         return intmat.rank(self.entries, self.nrows, self.ncols)
 
@@ -183,14 +177,6 @@ class LatticeMap:
         if len(rows) == self.nrows:
             return self
         return LatticeMap(self.source, Lattice(len(rows)), tuple(self.entries[i] for i in rows))
-
-    def row_lattice(self) -> "LatticeMap":
-        """A map with the same row lattice, so the same source, kernel and
-        invariant factors, and at most ncols rows: the Hermite basis of the
-        rows of a taller matrix."""
-        if self.nrows <= self.ncols:
-            return self
-        return self.transpose().image_basis().transpose()
 
     def solve(self, b: "LatticeMap") -> "LatticeMap | None":
         """The integral X with self ∘ X = b, or None when there is none.
@@ -306,10 +292,38 @@ def _factorint(n: int) -> dict[int, int]:
     return out
 
 
+# the first 13 primes: trial divisors, then Miller-Rabin bases, which decide
+# primality below this bound (Sorenson-Webster 2015)
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
+    """Proven primality.  Above ``MILLER_RABIN_BOUND`` a witness still proves
+    n composite, but an n that passes every base raises ``InputError``: a
+    probable-prime test alone is no answer."""
     if n < 2:
         return False
-    return _factorint(n) == {n: 1}
+    for p in _BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    if n >= MILLER_RABIN_BOUND:
+        raise InputError(f"cannot prove {n} prime: Miller-Rabin on the first 13 prime bases "
+                         f"is proven only below {MILLER_RABIN_BOUND}")
+    return True
 
 
 def smith_columns(m: LatticeMap) -> tuple[tuple[int, ...], LatticeMap]:
@@ -324,29 +338,6 @@ def cokernel(m: LatticeMap) -> tuple[FinAb, int]:
     facs = intmat.invariant_factors(m.entries, m.nrows, m.ncols)
     torsion = [d for d in facs if d > 1]
     return FinAb(tuple(torsion)), m.nrows - len(facs)
-
-
-def torsion_kernel_qz(m: LatticeMap) -> FinAb:
-    """ker(m ⊗ Q/Z): torsion invariants plus a divisible rank = nullity(m)."""
-    facs = intmat.invariant_factors(m.entries, m.nrows, m.ncols)
-    torsion = [d for d in facs if d > 1]
-    return FinAb(tuple(torsion), m.ncols - len(facs))
-
-
-def kernel_saturated(m: LatticeMap) -> LatticeMap:
-    """Injective map with image {x : m·x = 0}; the quotient is torsion-free."""
-    k = intmat.kernel_basis(m.entries, m.nrows, m.ncols)
-    kcols = len(k[0]) if k else 0
-    return LatticeMap(Lattice(kcols), m.source, _freeze(k))
-
-
-def sum_index(maps: list[LatticeMap]) -> int | None:
-    """Index of im(maps[0]) + im(maps[1]) + ... in the common target.
-
-    None when the sum has strictly smaller rank (infinite index).
-    """
-    m = LatticeMap.beside(maps)
-    return intmat.column_lattice_index(m.entries, m.nrows, m.ncols)
 
 
 def l_part(g: FinAb, l: int) -> FinAb:

@@ -177,14 +177,6 @@ def component_group(phi: LatticeMap) -> FinAb:
     return coker
 
 
-def psi_maps(datum: DegenDatum) -> list[LatticeMap]:
-    """The closed-point comparison maps psi_i = sp_i^dual ∘ phi_i ∘ sp'_i : X' -> X^dual."""
-    return [
-        b.specialization.transpose().compose(b.pairing).compose(datum.dual_sp(i))
-        for i, b in enumerate(datum.branches)
-    ]
-
-
 def validate_pairing(phi: LatticeMap, lam: LatticeMap) -> str | None:
     """Check that phi∘lam is symmetric positive definite; None when it holds."""
     if not lam.is_injective():

@@ -14,8 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from degenkit.lattice import FinAb, Lattice, LatticeMap, cokernel, kernel_saturated, sum_index
-from degenkit.monodromy import TraitProfile, psi_maps
+from degenkit.lattice import FinAb, Lattice, LatticeMap, cokernel
+from degenkit.monodromy import TraitProfile
+
+from oracles import add_maps, kernel_saturated, psi_maps, sum_index
 
 
 def mod_lr_quotient(action: LatticeMap, fixed: LatticeMap, modulus: int) -> FinAb:
@@ -53,7 +55,7 @@ class FullRep:
         return len(self.nilpotents)
 
     def sigma(self, i: int) -> LatticeMap:
-        return LatticeMap.identity(self.total).add(self.nilpotents[i])
+        return add_maps(LatticeMap.identity(self.total), self.nilpotents[i])
 
     def fixed_part(self) -> LatticeMap:
         """Inclusion of T^f = X^dual ⊕ C, rank 2d - mu."""
@@ -120,7 +122,7 @@ def torsion_phi_group(rep: FullRep, profile: TraitProfile, r: int) -> FinAb:
     action = LatticeMap.zero(Lattice(rep.total), Lattice(rep.total))
     for a, nil in zip(profile.multiplicities, rep.nilpotents):
         if a:
-            action = action.add(nil.scaled(a))
+            action = add_maps(action, nil.scaled(a))
     return mod_lr_quotient(action, kernel_saturated(action), rep.l ** r)
 
 

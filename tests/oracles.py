@@ -18,9 +18,15 @@ remove.  It ends with the prime-by-prime assembly of invariant factors that
 ``FinAb.from_cyclic_orders`` replaced by gcd/lcm insertion, and the
 leave-one-out kernels behind the exclusive parts of a Galois representation,
 whose index ``GaloisRep.exclusive_index`` reads off one adjugate.  The last
-three routines left the package with no caller there: the fixed lattice of a
-set of generators, and the closed-point bound and exact torsion, which the
-oracle reads off ``GaloisRep.stack_torsion`` and which the tests compare.
+routines left the package with no caller there: the fixed lattice of a set of
+generators, and the closed-point bound and exact torsion, which the oracle
+reads off ``GaloisRep.stack_torsion`` and which the tests compare; and the
+full mu × mu comparison maps psi_i with the Hermite row lattice of their
+stack, where a ``GaloisRep`` keeps the two factors of each psi_i
+(``psi_blocks`` multiplies them back).  With the products went the last
+caller of the sum of two maps, and three lattice operations had no caller in
+the package at all: the Q/Z-kernel, the saturated kernel and the index of a
+sum of images.  They run the package's normal forms on lattice maps.
 """
 
 from __future__ import annotations
@@ -44,12 +50,9 @@ from degenkit.lattice import (
     Lattice,
     LatticeMap,
     is_prime,
-    kernel_saturated,
     l_part,
-    sum_index,
-    torsion_kernel_qz,
 )
-from degenkit.monodromy import component_group, psi_maps
+from degenkit.monodromy import component_group
 
 
 def minor_gcd_invariant_factors(rows: list[list[int]]) -> list[int]:
@@ -528,8 +531,9 @@ def exclusive_parts(rep: GaloisRep) -> tuple[LatticeMap, ...]:
     on their rational row space: the kernel of a row basis of
     psi_1..psi_{i-1} stacked on one of psi_{i+1}..psi_n, at most 2·mu rows.
     """
-    prefix = _running_row_bases(rep.psi, rep.toric_rank)
-    suffix = _running_row_bases(rep.psi[::-1], rep.toric_rank)[::-1]
+    psi = psi_blocks(rep)
+    prefix = _running_row_bases(psi, rep.toric_rank)
+    suffix = _running_row_bases(psi[::-1], rep.toric_rank)[::-1]
     return tuple(kernel_saturated(LatticeMap.stack([prefix[i], suffix[i + 1]]))
                  for i in range(rep.n))
 
@@ -564,7 +568,7 @@ def fixed_lattice(rep: GaloisRep, generators: tuple[int, ...]) -> LatticeMap:
 
     The whole fixed lattice is X^dual ⊕ C ⊕ this part.
     """
-    maps = [rep.psi[i] for i in generators]
+    maps = [psi_blocks(rep)[i] for i in generators]
     if not maps:
         return LatticeMap.identity(rep.toric_rank)
     return kernel_saturated(LatticeMap.stack(maps))
@@ -586,7 +590,7 @@ def closed_point_bound(datum: DegenDatum, l: int) -> FinAb:
     if datum.n == 0:
         return FinAb.trivial()
     stacked = LatticeMap.stack(psi_maps(datum))
-    kernel = torsion_kernel_qz(stacked.row_lattice())
+    kernel = torsion_kernel_qz(row_lattice(stacked))
     return FinAb(l_part(kernel.torsion(), l).invariant_factors, kernel.divisible_rank)
 
 
@@ -603,3 +607,54 @@ def closed_point_torsion(rep: GaloisRep, r: int) -> FinAb:
     modulus = rep.l ** r
     return FinAb(tuple(g for g in (gcd(d, modulus) for d in rep.stack_torsion.invariant_factors)
                        if g > 1))
+
+
+def psi_maps(datum: DegenDatum) -> list[LatticeMap]:
+    """The closed-point comparison maps psi_i = sp_i^dual ∘ phi_i ∘ sp'_i : X' -> X^dual."""
+    return [
+        b.specialization.transpose().compose(b.pairing).compose(datum.dual_sp(i))
+        for i, b in enumerate(datum.branches)
+    ]
+
+
+def psi_blocks(rep: GaloisRep) -> tuple[LatticeMap, ...]:
+    """The products psi_i = sp_i^t·f_i of the factors a ``GaloisRep`` holds."""
+    return tuple(sp.transpose().compose(f) for sp, f in rep.factors)
+
+
+def row_lattice(m: LatticeMap) -> LatticeMap:
+    """A map with the same row lattice, so the same source, kernel and
+    invariant factors, and at most ncols rows: the Hermite basis of the
+    rows of a taller matrix."""
+    if m.nrows <= m.ncols:
+        return m
+    return m.transpose().image_basis().transpose()
+
+
+def add_maps(a: LatticeMap, b: LatticeMap) -> LatticeMap:
+    """a + b, for maps with equal source and target."""
+    if a.source != b.source or a.target != b.target:
+        raise InputError("sum of maps needs equal source and target")
+    rows = tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a.entries, b.entries))
+    return LatticeMap(a.source, a.target, rows)
+
+
+def torsion_kernel_qz(m: LatticeMap) -> FinAb:
+    """ker(m ⊗ Q/Z): torsion invariants plus a divisible rank = nullity(m)."""
+    facs = intmat.invariant_factors(m.entries, m.nrows, m.ncols)
+    return FinAb(tuple(d for d in facs if d > 1), m.ncols - len(facs))
+
+
+def kernel_saturated(m: LatticeMap) -> LatticeMap:
+    """Injective map with image {x : m·x = 0}; the quotient is torsion-free."""
+    k = intmat.kernel_basis(m.entries, m.nrows, m.ncols)
+    return LatticeMap(Lattice(len(k[0]) if k else 0), m.source, tuple(map(tuple, k)))
+
+
+def sum_index(maps: list[LatticeMap]) -> int | None:
+    """Index of im(maps[0]) + im(maps[1]) + ... in the common target.
+
+    None when the sum has strictly smaller rank (infinite index).
+    """
+    m = LatticeMap.beside(maps)
+    return intmat.column_lattice_index(m.entries, m.nrows, m.ncols)

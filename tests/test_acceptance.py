@@ -19,7 +19,7 @@ from degenkit.generators import (
     random_profile,
     random_ta_datum,
 )
-from degenkit.lattice import FinAb, LatticeMap, cokernel, l_part, smith_columns, torsion_kernel_qz
+from degenkit.lattice import FinAb, LatticeMap, cokernel, l_part, smith_columns
 from degenkit.monodromy import TraitProfile, component_group, compose_trait
 from degenkit.neron import (
     converse_check,
@@ -29,7 +29,7 @@ from degenkit.neron import (
 )
 
 from conftest import load_fixture
-from oracles import decomposition_check, smith_columns_certified
+from oracles import decomposition_check, smith_columns_certified, torsion_kernel_qz
 
 
 def _report(number: int, elapsed: float, message: str) -> None:

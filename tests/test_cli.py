@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 from degenkit import cli, degeneration, neron
 from degenkit.curves import CurveReport
-from degenkit.lattice import FinAb, LatticeMap
-from degenkit.monodromy import TraitProfile, psi_maps
+from degenkit.lattice import MILLER_RABIN_BOUND, FinAb, LatticeMap
+from degenkit.galois import build_rep
+from degenkit.monodromy import TraitProfile
 from degenkit.schema import parse_document
 
 from test_intmat import wall_clock_budget
@@ -168,6 +169,38 @@ def test_psi_of_a_semiprime_pairing_within_budget(capsys, tmp_path, extra):
         assert payload["kummer"]["rescaled_psi"]["invariant_factors"] == [2 * order]
 
 
+def test_a_61_bit_prime_is_proven_within_budget(capsys, tmp_path):
+    # trial division up to the square root of 2^61 - 1 ran past 30 s for both
+    # the residue characteristic and --l
+    doc = json.loads(cli.resolve_input("example_3_4").read_text())
+    doc["residue_char"] = 2 ** 61 - 1
+    path = tmp_path / "p61.json"
+    path.write_text(json.dumps(doc))
+    with wall_clock_budget(1):
+        code, out, err = run_cli(capsys, ["analyze", str(path), "--json"])
+    assert code == 0, err
+    assert json.loads(out)["verdict"]["failing_primes"] == [2]
+    with wall_clock_budget(1):
+        code, out, err = run_cli(capsys, ["oracle", "example_3_4", "--l", str(2 ** 61 - 1),
+                                          "--json"])
+    assert code == 0, err
+    assert json.loads(out)["oracle"]["agree"]
+
+
+def test_primality_beyond_the_proven_range_is_refused(capsys, tmp_path):
+    # Miller-Rabin on the first 13 prime bases decides primality only below
+    # MILLER_RABIN_BOUND, the least composite that passes all of them
+    doc = json.loads(cli.resolve_input("example_3_4").read_text())
+    doc["residue_char"] = MILLER_RABIN_BOUND
+    path = tmp_path / "psp.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["analyze", str(path)], ["oracle", "example_3_4", "--l", str(2 ** 89 - 1)]):
+        with wall_clock_budget(1):
+            code, _, err = run_cli(capsys, argv)
+        assert code == 2
+        assert f"proven only below {MILLER_RABIN_BOUND}" in err
+
+
 def test_abelian_rank_never_reaches_a_matrix(capsys, intmat_calls, tmp_path):
     doc = json.loads(cli.resolve_input("example_3_4").read_text())
     shapes = []
@@ -191,17 +224,19 @@ def test_trait_factors_the_purity_matrix_once(capsys, intmat_calls, example_3_4)
     assert factored == ["invariant_factors"]
 
 
-def test_oracle_factors_the_psi_stack_once(capsys, intmat_calls, example_3_4):
-    # the closed-point bound is read off the rep's stack torsion
-    stack = LatticeMap.stack(psi_maps(example_3_4))
-    basis = stack.row_lattice().entries
+def test_oracle_factors_the_psi_stack_once(capsys, intmat_calls):
+    # the closed-point bound is read off the rep's stack torsion: one Smith
+    # form of the stacked f_i = phi_i·sp'_i, which have the row lattice of the
+    # stacked psi_i, and no Hermite form of the n·mu rows of that stack (on
+    # example_3_4 the stacked f_i would equal the purity matrix)
+    datum = cli._load("generated_ta_seed7", "degeneration")[0]
+    stack = LatticeMap.stack([f for _, f in build_rep(datum, 2).factors])
     intmat_calls.clear_all()
-    code, _, err = run_cli(capsys, ["oracle", "example_3_4", "--l", "2"])
+    code, _, err = run_cli(capsys, ["oracle", "generated_ta_seed7", "--l", "2"])
     assert code == 0, err
-    compressions = [args for args in intmat_calls["hnf_columns"]
-                    if args[0] == stack.transpose().entries]
-    factorings = [args for args in intmat_calls.smith_forms() if args[0] == basis]
-    assert (len(compressions), len(factorings)) == (1, 1)
+    assert intmat_calls["hnf_columns"] == []
+    factorings = [args for args in intmat_calls.smith_forms() if args[0] == stack.entries]
+    assert len(factorings) == 1
 
 
 def test_oracle_without_branches(capsys, tmp_path):

@@ -29,21 +29,26 @@ from degenkit.lattice import (
     FinAb,
     Lattice,
     LatticeMap,
-    kernel_saturated,
+    cokernel,
     l_part,
-    sum_index,
 )
 from degenkit.monodromy import TraitProfile, component_group, compose_trait
 from degenkit.schema import datum_to_dict
 
 import galois_full as full_model
 from oracles import (
+    add_maps,
     closed_point_bound,
     closed_point_torsion,
     decomposition_check,
     exclusive_parts,
     fixed_lattice,
     image_lattices_equal,
+    kernel_saturated,
+    psi_blocks,
+    psi_maps,
+    row_lattice,
+    sum_index,
 )
 from test_intmat import wall_clock_budget
 
@@ -52,18 +57,23 @@ def lm(rows, source=None, target=None):
     return LatticeMap.from_rows(rows, source_rank=source, target_rank=target)
 
 
+def rep_of(l: int, psi: tuple[LatticeMap, ...]) -> GaloisRep:
+    """A rep whose blocks are the given psi_i, as (identity, psi_i) factor pairs."""
+    return GaloisRep(l, psi[0].ncols, 0, tuple((LatticeMap.identity(m.nrows), m) for m in psi))
+
+
 class TestBuildRep:
     def test_no_branches(self):
         rep = build_rep(DegenDatum("empty", 2, 0, Lattice(0), ()), 3)
         assert rep.lattice.rank == 4          # 2d with d = alpha = 2
-        assert rep.psi == ()
+        assert rep.factors == ()
         assert fixed_lattice(rep, ()).ncols == 0
 
     def test_example_3_4_ranks(self, example_3_4):
         rep = build_rep(example_3_4, 3)
         assert rep.lattice.rank == 4
         assert rep.toric_rank == 2
-        assert [(psi.nrows, psi.ncols) for psi in rep.psi] == [(2, 2), (2, 2)]
+        assert [(psi.nrows, psi.ncols) for psi in psi_blocks(rep)] == [(2, 2), (2, 2)]
         # T^G = T^f = X^dual ⊕ C: no X' part
         assert fixed_lattice(rep, (0, 1)).ncols == 0
 
@@ -72,7 +82,7 @@ class TestBuildRep:
                            (Branch("D1", Lattice(1), lm([[5]]), lm([[1]])),))
         rep = build_rep(datum, 2)
         # X' generator goes to 5 times the X^dual generator
-        assert rep.psi[0].entries == ((5,),)
+        assert psi_blocks(rep)[0].entries == ((5,),)
 
     def test_unipotency_and_commutation(self):
         rng = random.Random(19)
@@ -81,7 +91,7 @@ class TestBuildRep:
             full = full_model.full_rep(datum, 2)
             for i in range(full.n):
                 sigma = full.sigma(i)
-                delta = sigma.add(LatticeMap.identity(full.total).scaled(-1))
+                delta = add_maps(sigma, LatticeMap.identity(full.total).scaled(-1))
                 assert full_model.is_zero(delta.compose(delta))
                 for j in range(full.n):
                     a = full.sigma(i).compose(full.sigma(j))
@@ -255,7 +265,7 @@ class TestClosedForm:
     @given(square_maps(1), st.sampled_from([2, 3]))
     def test_trait_group_matches_explicit_kernel(self, maps, l):
         action = lm(maps[0])
-        rep = GaloisRep(l, action.ncols, 0, (action,))
+        rep = rep_of(l, (action,))
         for r in range(1, 7):
             assert torsion_phi_group(rep, TraitProfile((1,)), r) == \
                 full_model.mod_lr_quotient(action, kernel_saturated(action), l ** r)
@@ -266,7 +276,7 @@ class TestClosedForm:
         psi = tuple(lm(rows) for rows in maps)
         stacked = LatticeMap.stack(list(psi))
         assume(stacked.is_injective())   # as on every valid datum
-        rep = GaloisRep(l, stacked.ncols, 0, psi)
+        rep = rep_of(l, psi)
         no_fixed_part = LatticeMap.zero(Lattice(0), stacked.source)
         for r in range(1, 7):
             assert closed_point_torsion(rep, r) == \
@@ -332,6 +342,39 @@ class TestProvenIdentities:
                 assert closed["exact_torsion"] == dict(closed["bound"], divisible_rank=0)
 
 
+class TestFactors:
+    """A rep keeps the factors (sp_i, f_i) of each psi_i = sp_i^t·f_i; the
+    three facts of the galois module docstring, against the products."""
+
+    def test_identities_on_generated_datums(self):
+        rng = random.Random(171)
+        checked = 0
+        for datum in _random_datums(rng, 96):
+            rep = build_rep(datum, 3)
+            psi = psi_maps(datum)
+            assert [m.entries for m in psi_blocks(rep)] == [m.entries for m in psi]
+            x_prime = Lattice(datum.mu)
+            profiles = [tuple(random_profile(rng, datum.n, allow_zero=True)) for _ in range(3)]
+            for profile in profiles + [(0,) * datum.n, (1,) * datum.n]:
+                expected = LatticeMap.zero(x_prime, x_prime)
+                for a, m in zip(profile, psi):
+                    expected = add_maps(expected, m.scaled(a))
+                assert rep.action(profile).entries == expected.entries, (datum.name, profile)
+            # the Hermite row basis of the n·mu-row stack of the psi_i
+            assert rep.stack_torsion == cokernel(row_lattice(LatticeMap.stack(psi)))[0]
+            assert rep.exclusive_index == sum_index(list(exclusive_parts(rep))), datum.name
+            checked += 1
+        assert checked >= 90
+
+    def test_sp_transpose_is_injective_and_keeps_the_row_lattice(self):
+        rng = random.Random(172)
+        for datum in _random_datums(rng, 30):
+            for (sp, f), m in zip(build_rep(datum, 2).factors, psi_maps(datum)):
+                assert sp.transpose().is_injective()
+                # equal canonical (Hermite) bases of the two row lattices
+                assert f.transpose().image_basis() == m.transpose().image_basis()
+
+
 class TestExclusiveIndex:
     """The closed form from one adjugate against the sum index of the
     leave-one-out kernels (galois module docstring)."""
@@ -341,7 +384,7 @@ class TestExclusiveIndex:
         """Assert the closed form and the lemma; True when R = mu."""
         reference = sum_index(list(exclusive_parts(rep)))
         assert rep.exclusive_index == reference
-        stacked_rows = sum(psi.rank_of_image() for psi in rep.psi)
+        stacked_rows = sum(psi.rank_of_image() for psi in psi_blocks(rep))
         assert stacked_rows >= rep.toric_rank
         # R > mu forces an infinite index, and R = mu a finite one
         assert (reference is None) == (stacked_rows > rep.toric_rank)
@@ -367,23 +410,23 @@ class TestExclusiveIndex:
     def test_matches_leave_one_out_kernels_on_any_injective_stack(self, maps, l):
         psi = tuple(lm(rows) for rows in maps)
         assume(LatticeMap.stack(list(psi)).is_injective())
-        rep = GaloisRep(l, psi[0].ncols, 0, psi)
+        rep = rep_of(l, psi)
         self._compare(rep)
         assert star_condition(rep) == decomposition_check(rep)
 
     def test_hand_made_stacks(self):
         # B = diag(2, 3): V_1 = Z·e_1 and V_2 = Z·e_2, index (6/3)·(6/2)/6 = 1
-        rep = GaloisRep(2, 2, 0, (lm([[2, 0], [0, 0]]), lm([[0, 0], [0, 3]])))
+        rep = rep_of(2, (lm([[2, 0], [0, 0]]), lm([[0, 0], [0, 3]])))
         assert rep.exclusive_index == 1
         # B = ((1, 1), (1, -1)): V_1 = Z·(1, 1) and V_2 = Z·(1, -1), index 2
         psi = (lm([[1, 1]], target=1), lm([[1, -1]], target=1))
-        assert GaloisRep(3, 2, 0, psi).exclusive_index == 2
-        assert not star_condition(GaloisRep(2, 2, 0, psi))
-        assert star_condition(GaloisRep(3, 2, 0, psi))
+        assert rep_of(3, psi).exclusive_index == 2
+        assert not star_condition(rep_of(2, psi))
+        assert star_condition(rep_of(3, psi))
         # R = 3 > mu = 2: V_2 = ker psi_1 = 0
-        rep = GaloisRep(2, 2, 0, (LatticeMap.identity(2), lm([[1, 1]], target=1)))
+        rep = rep_of(2, (LatticeMap.identity(2), lm([[1, 1]], target=1)))
         assert rep.exclusive_index is None
-        for rep in (rep, GaloisRep(3, 2, 0, psi)):
+        for rep in (rep, rep_of(3, psi)):
             self._compare(rep)
 
 
@@ -410,6 +453,23 @@ def test_oracle_at_mu_123_within_budget(capsys, tmp_path):
     path = tmp_path / "mu123.json"
     path.write_text(json.dumps(datum_to_dict(datum)))
     argv = ["oracle", str(path), "--l", "3", "--profile", ",".join(["1"] * 80), "--json"]
+    with wall_clock_budget(5):
+        code = cli.main(argv)
+    report = json.loads(capsys.readouterr().out)["oracle"]
+    assert code == 0
+    assert report["agree"] and report["component_group"]["agree"]
+    assert report["galois_side"] == {"star_condition": True, "decomposition": True}
+
+
+def test_oracle_at_mu_242_within_budget(capsys, tmp_path):
+    # 160 branches: the Hermite form of the 38,720-row stack of the psi_i and
+    # n scaled adds of mu × mu products took about 11.7 s on a 2-vCPU x86
+    # container; the factored rep about 2.5 s, most of it in the adjugate
+    datum = random_ta_datum(random.Random(1), max_mu=10 ** 6, max_n=160, min_n=160)
+    assert (datum.mu, datum.n) == (242, 160)
+    path = tmp_path / "mu242.json"
+    path.write_text(json.dumps(datum_to_dict(datum)))
+    argv = ["oracle", str(path), "--l", "3", "--profile", ",".join(["1"] * 160), "--json"]
     with wall_clock_budget(5):
         code = cli.main(argv)
     report = json.loads(capsys.readouterr().out)["oracle"]

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from math import prod
+from math import isqrt, prod
 
 import pytest
 from hypothesis import given, settings
@@ -11,23 +11,26 @@ from hypothesis import strategies as st
 
 from degenkit.errors import InputError
 from degenkit.lattice import (
+    MILLER_RABIN_BOUND,
     FinAb,
     Lattice,
     LatticeMap,
     cokernel,
-    kernel_saturated,
+    is_prime,
     l_part,
     smith_columns,
-    sum_index,
-    torsion_kernel_qz,
 )
 
 from oracles import (
+    add_maps,
     enumerate_cokernel,
     enumerate_qz_kernel,
+    kernel_saturated,
     minor_gcd_invariant_factors,
     reference_cyclic_invariant_factors,
     smith_columns_certified,
+    sum_index,
+    torsion_kernel_qz,
 )
 
 
@@ -76,7 +79,7 @@ class TestSmithNormalForm:
         assert certified(m, diag, v)
         # a wrong diagonal or a non-unimodular V fails the certificate
         assert not certified(m, (1, 4), v)
-        assert not certified(m, diag, v.scaled(-1).add(LatticeMap.identity(3).scaled(2)))
+        assert not certified(m, diag, add_maps(v.scaled(-1), LatticeMap.identity(3).scaled(2)))
 
     @settings(max_examples=150, deadline=None)
     @given(matrices())
@@ -256,6 +259,63 @@ class TestLPart:
             g = FinAb.from_cyclic_orders(orders)
             parts = [l_part(g, p) for p in g.primes()]
             assert FinAb.direct_sum(parts) == g
+
+
+def trial_division_is_prime(n: int) -> bool:
+    return n == 2 or (n > 2 and n % 2 == 1 and all(n % p for p in range(3, isqrt(n) + 1, 2)))
+
+
+def next_prime(n: int) -> int:
+    while not trial_division_is_prime(n):
+        n += 1
+    return n
+
+
+class TestIsPrime:
+    """Trial division by small primes, then Miller-Rabin on the first 13
+    prime bases, proven deterministic below ``MILLER_RABIN_BOUND``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.integers(-3, 2 ** 40),
+        # products of two primes, which no trial divisor removes
+        st.tuples(st.integers(1000, 2 ** 20), st.integers(1000, 2 ** 20)).map(
+            lambda ab: next_prime(ab[0]) * next_prime(ab[1]))))
+    def test_matches_trial_division_below_2_40(self, n):
+        assert is_prime(n) == trial_division_is_prime(n)
+
+    def test_small_numbers(self):
+        assert [n for n in range(-5, 2000) if is_prime(n)] == \
+            [n for n in range(2000) if trial_division_is_prime(n)]
+
+    @pytest.mark.parametrize("n", [
+        2047,                        # strong pseudoprime to base 2
+        3215031751,                  # ... to the bases 2, 3, 5, 7
+        2152302898747,               # ... to the first 5 prime bases
+        3474749660383,               # ... to the first 6
+        341550071728321,             # ... to the first 7 and 8
+        3825123056546413051,         # ... to the first 9, 10 and 11
+        318665857834031151167461,    # ... to the first 12
+    ])
+    def test_strong_pseudoprimes_are_composite(self, n):
+        assert not is_prime(n)
+
+    def test_large_primes_below_the_bound(self):
+        assert is_prime(2 ** 61 - 1) and is_prime(2 ** 31 - 1)
+        # the ten largest primes below 2^64 (the table of primes just less
+        # than a power of two)
+        assert [k for k in range(1, 400) if is_prime(2 ** 64 - k)] == \
+            [59, 83, 95, 179, 189, 257, 279, 323, 353, 363]
+        assert not is_prime((2 ** 31 - 1) * (2 ** 61 - 1))
+
+    def test_no_answer_from_a_probable_prime_test(self):
+        # the bound itself passes all 13 bases and is composite
+        with pytest.raises(InputError, match=str(MILLER_RABIN_BOUND)):
+            is_prime(MILLER_RABIN_BOUND)
+        with pytest.raises(InputError, match="cannot prove"):
+            is_prime(2 ** 89 - 1)
+        # above the bound a witness still proves compositeness
+        assert not is_prime(2 ** 89 + 1) and not is_prime((2 ** 61 - 1) ** 2)
 
 
 class TestFinAb:

@@ -96,9 +96,13 @@ def test_no_smith_transforms_or_general_solve(path):
 # public routines that no command used live on in tests/oracles.py only: the
 # leave-one-out kernels and the decomposition check they fed (the exclusive
 # index comes from one adjugate), the fixed lattice of a set of generators,
-# and the closed-point bound and exact torsion (read off the rep's stack)
+# the closed-point bound and exact torsion (read off the rep's stack), the
+# mu × mu products psi_i with the Hermite row lattice of their stack (a rep
+# keeps the factors of each psi_i), and three lattice operations no command
+# called: the Q/Z-kernel, the saturated kernel and the index of a sum
 UNUSED = {"exclusive_parts", "_running_row_bases", "decomposition_check", "fixed_lattice",
-          "closed_point_bound", "closed_point_torsion"}
+          "closed_point_bound", "closed_point_torsion", "psi_maps", "row_lattice",
+          "psi_blocks", "torsion_kernel_qz", "kernel_saturated", "sum_index"}
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
