@@ -36,7 +36,6 @@ from .monodromy import (
     compose_trait,
     stratum_lattice,
     sub_datum,
-    validate_pairing,
 )
 from .neron import (
     ConverseCertificate,

@@ -16,9 +16,8 @@ invariant factor be divisible by l; the weak variant only compares ranks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 
 from . import intmat
 from .errors import InputError
@@ -404,10 +403,11 @@ def dual_datum(datum: DegenDatum) -> DegenDatum:
         lams = [lam0] + [datum.branch_polarization(i) for i in range(datum.n)]
         if any(l is None for l in lams):
             raise InputError("dual datum needs polarizations on every branch or none")
-        inverses = [_rational_inverse(l) for l in lams]
-        e = lcm(*[d for inv in inverses for row in inv for d in [row_den(row)]]) \
-            if inverses else 1
-        scaled = [_scale_to_integer(inv, e) for inv in inverses]
+        # lambda^-1 = adj/det; e clears every denominator of every inverse
+        inverses = [l.adjugate() for l in lams]
+        e = lcm(*[abs(det) // gcd(det, *(x for row in adj.entries for x in row))
+                  for det, adj in inverses])
+        scaled = [[[x * e // det for x in row] for row in adj.entries] for det, adj in inverses]
         new_pol = LatticeMap.from_rows(scaled[0], source_rank=datum.dual_closed.rank)
         new_branch_pols = tuple(
             LatticeMap.from_rows(scaled[i + 1], source_rank=datum.branches[i].dual_rank)
@@ -436,27 +436,3 @@ def _swapped_strata(datum: DegenDatum) -> tuple[StratumOverride, ...]:
         else:
             raise InputError("stratum override lacks a dual inclusion; cannot dualize")
     return tuple(out)
-
-
-def row_den(row: list[Fraction]) -> int:
-    return lcm(*[f.denominator for f in row]) if row else 1
-
-
-def _rational_inverse(m: LatticeMap) -> list[list[Fraction]]:
-    if m.nrows != m.ncols:
-        raise InputError("polarization must be square to invert")
-    n = m.nrows
-    return intmat.solve_rational(m.entries, n, LatticeMap.identity(n).entries, n)
-
-
-def _scale_to_integer(frac_rows: list[list[Fraction]], e: int) -> list[list[int]]:
-    out = []
-    for row in frac_rows:
-        new_row = []
-        for f in row:
-            v = f * e
-            if v.denominator != 1:
-                raise InputError("polarization inverse did not clear at the common multiplier")
-            new_row.append(int(v))
-        out.append(new_row)
-    return out

@@ -8,25 +8,18 @@ and both are legal inputs everywhere.
 
 No routine computes a transform it does not return.
 
-* ``smith_columns``, ``invariant_factors``, ``column_lattice_index`` and
-  ``kernel_basis`` share one Smith elimination on a shrinking block.  Each
-  pivot is the smallest nonzero |entry| of the block, found in one scan.
-  Euclid clears its column by row operations, then its row by column
-  operations, which change the pivot row alone once the column is clear, so
-  without V a unit pivot skips the row sweep; while remainders are left, the
-  pivot is re-picked within that column or row.  A pivot that does not
-  divide the whole block has an offending row added to its row.  The
-  finished row and column leave the block, and so do zero rows.  Without V
-  a tall input is transposed and a single row gives its gcd.  V, for the
-  callers that read only V (``kernel_basis`` and the presentations behind
-  ``neron.trait_surjectivity_check``), is kept transposed, so a column
-  operation on it is one row operation; U·m·V = D for some unimodular U,
-  which is never built.  ``kernel_basis`` eliminates independent rows of
-  its input only: the kernel depends only on the rational row space.  No
-  bit bound is proven.  On dense input with entries in [-9, 9] the block
-  stayed within the determinant's bit length at 64×64, V of a 96×96 matrix
-  (474-bit determinant) reached 24,869 bits, and the kernel basis of a
-  64×128 matrix 241 bits.
+* ``invariant_factors`` and ``column_lattice_index`` share one Smith
+  elimination on a shrinking block, which computes no transform.  A tall
+  input is transposed.  Each pivot is the smallest nonzero |entry| of the
+  block, found in one scan.  Euclid clears its column by row operations,
+  then its row by column operations, which change the pivot row alone once
+  the column is clear, so a unit pivot skips the row sweep; while remainders
+  are left, the pivot is re-picked within that column or row.  A pivot that
+  does not divide the whole block has an offending row added to its row.
+  The finished row and column leave the block, and so do zero rows; a
+  single row gives its gcd.  No bit bound is proven.  On dense input with
+  entries in [-9, 9] the block stayed within the determinant's bit length
+  at 64×64.
 * ``matmul`` multiplies over the nonzeros of both factors.
 * ``rank``, ``independent_rows`` and ``bareiss_det`` are one Bareiss
   fraction-free pass, and ``positive_definite`` is the same pass without
@@ -50,7 +43,7 @@ No routine computes a transform it does not return.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, prod
 
 IntMatrix = list[list[int]]
 
@@ -101,18 +94,14 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, x, y
 
 
-def _diagonalize(m: IntMatrix, nrows: int, ncols: int,
-                 with_v: bool = False) -> tuple[list[int], IntMatrix]:
-    """Smith elimination of m (module docstring): the nonzero diagonal and,
-    with V, V's columns, pivot columns first and then the kernel columns."""
-    if not with_v and nrows > ncols:
+def _diagonalize(m: IntMatrix, nrows: int, ncols: int) -> list[int]:
+    """Smith elimination of m (module docstring): the nonzero diagonal."""
+    if nrows > ncols:
         m = transpose(m, nrows, ncols)
     block = [list(row) for row in m if any(row)]
-    vt = identity(ncols) if with_v else []
     diag: list[int] = []
-    done: IntMatrix = []
     while block:
-        if len(block) == 1 and not with_v:
+        if len(block) == 1:
             diag.append(gcd(*block[0]))
             break
         best, i = 0, 0
@@ -137,50 +126,34 @@ def _diagonalize(m: IntMatrix, nrows: int, ncols: int,
             if at >= 0:
                 piv, block[at] = block[at], piv
                 continue
-            if not with_v and p in (1, -1):
+            if p in (1, -1):
                 break  # the row sweep would change the discarded pivot row alone
             # clear row j; column j is zero off the pivot row, so a column
-            # operation changes the pivot row alone (and V)
+            # operation changes the pivot row alone
             at, least = -1, 0
             for c, x in enumerate(piv):
                 if x and c != j:
-                    q = x // p
-                    x = piv[c] = x - q * p
-                    if with_v and q:
-                        vt[c] = [a - q * b for a, b in zip(vt[c], vt[j])]
+                    x = piv[c] = x % p
                     if x and (not least or abs(x) < least):
                         at, least = c, abs(x)
             if at >= 0:
                 j = at
                 continue
-            if p in (1, -1):
-                break
             # the pivot must divide the whole block for the chain to hold
             bad = next((row for row in block if any(x % p for x in row)), None)
             if bad is None:
                 break
             piv = [a + b for a, b in zip(piv, bad)]
         diag.append(abs(p))
-        if with_v:
-            done.append(vt.pop(j))
         for row in block:
             del row[j]
         block = [row for row in block if any(row)]
-    return diag, done + vt
-
-
-def smith_columns(m: IntMatrix, nrows: int, ncols: int) -> tuple[list[int], IntMatrix]:
-    """The nonzero Smith diagonal (1s included) and a column transform V.
-
-    U·m·V = D for some unimodular U, which is not computed.
-    """
-    diag, vt = _diagonalize(m, nrows, ncols, with_v=True)
-    return diag, transpose(vt, ncols, ncols)
+    return diag
 
 
 def invariant_factors(m: IntMatrix, nrows: int, ncols: int) -> list[int]:
-    """The nonzero Smith diagonal (1s included), without transforms."""
-    return _diagonalize(m, nrows, ncols)[0]
+    """The nonzero Smith diagonal (1s included)."""
+    return _diagonalize(m, nrows, ncols)
 
 
 def _bareiss(m: IntMatrix, nrows: int, ncols: int) -> tuple[list[int], list[int], list[int]]:
@@ -321,19 +294,6 @@ def _reduced(col: list[int], r: int) -> list[int]:
     return [x % r for x in col] if col and (max(col) >= r or min(col) <= -r) else col
 
 
-def kernel_basis(m: IntMatrix, nrows: int, ncols: int) -> IntMatrix:
-    """Basis of {x : m·x = 0} as columns of an ncols×k matrix; saturated.
-
-    The kernel depends only on the rational row space, so the Smith
-    elimination runs on independent rows of m alone.
-    """
-    rows = independent_rows(m, nrows, ncols)
-    if len(rows) < nrows:
-        m, nrows = [m[i] for i in rows], len(rows)
-    diag, vt = _diagonalize(m, nrows, ncols, with_v=True)
-    return transpose(vt[len(diag):], ncols - len(diag), ncols)
-
-
 def bareiss_det(m: IntMatrix, n: int) -> int:
     """Fraction-free determinant of a square matrix."""
     cols, rows, minors = _bareiss(m, n, n)
@@ -365,7 +325,7 @@ def positive_definite(m: IntMatrix, n: int) -> bool:
 
 def column_lattice_index(m: IntMatrix, nrows: int, ncols: int) -> int | None:
     """Index of the column span in Z^nrows; None when the span has lower rank."""
-    facs = _diagonalize(m, nrows, ncols)[0]
+    facs = _diagonalize(m, nrows, ncols)
     return prod(facs) if len(facs) == nrows else None
 
 
@@ -399,8 +359,6 @@ def det_adjugate(m: IntMatrix, n: int) -> tuple[int, IntMatrix]:
 
 
 def solve_rational(a: IntMatrix, n: int, b: IntMatrix, bcols: int) -> list[list[Fraction]]:
-    """Solve a·X = b exactly over Q for square invertible a (n×n); b may hold
-    Fractions, whose denominators are cleared before the pass."""
-    den = lcm(*(x.denominator for row in b for x in row))
-    det, x = _gauss_jordan(a, n, [[int(v * den) for v in row] for row in b])
-    return [[Fraction(v, det * den) for v in row] for row in x]
+    """Solve a·X = b exactly over Q for square invertible a (n×n)."""
+    det, x = _gauss_jordan(a, n, b)
+    return [[Fraction(v, det) for v in row] for row in x]

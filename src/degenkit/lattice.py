@@ -326,13 +326,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def smith_columns(m: LatticeMap) -> tuple[tuple[int, ...], LatticeMap]:
-    """The nonzero Smith diagonal of m and the V of its Smith form U·m·V = D;
-    U is not computed."""
-    diag, v = intmat.smith_columns(m.entries, m.nrows, m.ncols)
-    return tuple(diag), LatticeMap(m.source, m.source, _freeze(v))
-
-
 def cokernel(m: LatticeMap) -> tuple[FinAb, int]:
     """(torsion of coker m, free rank of coker m)."""
     facs = intmat.invariant_factors(m.entries, m.nrows, m.ncols)

@@ -21,7 +21,6 @@ from .degeneration import (
     Branch,
     DegenDatum,
     StratumOverride,
-    pairing_violation,
     require_valid,
 )
 from .errors import FalsificationError, InputError
@@ -175,15 +174,6 @@ def component_group(phi: LatticeMap) -> FinAb:
     if free_rank or phi.nrows != phi.ncols:
         raise InputError("degenerate pairing")
     return coker
-
-
-def validate_pairing(phi: LatticeMap, lam: LatticeMap) -> str | None:
-    """Check that phi∘lam is symmetric positive definite; None when it holds."""
-    if not lam.is_injective():
-        raise InputError("polarization must be injective")
-    if phi.source.rank != lam.target.rank:
-        return "polarization target does not match pairing source"
-    return pairing_violation(phi.compose(lam))
 
 
 def sub_datum(datum: DegenDatum, active: tuple[int, ...] | list[int]) -> DegenDatum:

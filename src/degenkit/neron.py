@@ -5,8 +5,8 @@ the i-th pairing by a tame integer m_i; the invariants of the rescaled group
 under the covering group action are Psi, a proven identity (l-parts away from
 the residue characteristic come from the unrescaled pairing, the p-part is
 acted on trivially and is the same in both groups).  The surjectivity check
-realizes the projection from Psi onto the component group of a transversal
-trait on invariant-factor presentations with exact rational representatives.
+reads the projection from Psi_J onto the component group of a transversal
+trait as B^t between cokernels, where B is the stratum basis.
 ``converse_check`` runs the converse certificate: compare the cokernels of
 A^t·Psi and A^t·Psi·A.  Equal cokernels are the hypothesis, which is also
 the integrality of the splitting theta; under it, the one check left is that
@@ -17,10 +17,8 @@ follow from A^-1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
-from . import intmat
 from .degeneration import (
     Branch,
     DegenDatum,
@@ -35,7 +33,6 @@ from .lattice import (
     LatticeMap,
     Rows,
     cokernel,
-    smith_columns,
 )
 from .monodromy import (
     ComposedPairing,
@@ -65,7 +62,7 @@ class PsiFixedPoints:
 class TraitSurjectivity:
     upsilon: FinAb
     psi_active: FinAb
-    map_matrix: tuple[tuple[int, ...], ...]   # columns = images of Psi_J generators
+    map_matrix: tuple[tuple[int, ...], ...]   # B^t: coker Phi_J -> coker phi_f
     surjective: bool
     composed: ComposedPairing
 
@@ -143,53 +140,18 @@ def psi_fixed_points(datum: DegenDatum, multipliers: tuple[int, ...] | list[int]
     return PsiFixedPoints(FinAb.direct_sum(rescaled), psi.group, psi.group, True)
 
 
-Presentation = tuple[tuple[int, ...], LatticeMap]   # Smith diagonal, column transform V
-
-
-def _presentation(phi: LatticeMap) -> Presentation:
-    """The Smith diagonal and V of a square pairing of full rank."""
-    facs, v = smith_columns(phi)
-    if phi.nrows != phi.ncols or len(facs) < phi.ncols:
-        raise InputError("degenerate pairing")
-    return facs, v
-
-
-def _presentation_generators(pres: Presentation) -> tuple[list[int], list[list[Fraction]]]:
-    """Generators of ker(phi ⊗ Q/Z) as rational vectors, one per nonunit factor.
-
-    For SNF U·phi·V = D the kernel is generated by V·e_k/d_k; the returned
-    orders follow the invariant-factor chain (ascending).
-    """
-    facs, v = pres
-    orders: list[int] = []
-    gens: list[list[Fraction]] = []
-    for k, d in enumerate(facs):
-        if d > 1:
-            orders.append(d)
-            gens.append([Fraction(row[k], d) for row in v.entries])
-    return orders, gens
-
-
-def _coordinates_in_presentation(pres: Presentation, vec: list[Fraction]) -> list[int]:
-    """Coordinates of a Q/Z-kernel element w.r.t. the presentation generators."""
-    facs, v = pres
-    t = intmat.solve_rational(v.entries, v.nrows, [[f] for f in vec], 1)
-    coords: list[int] = []
-    for k, d in enumerate(facs):
-        val = t[k][0] * d
-        if val.denominator != 1:
-            raise FalsificationError("element does not lie in the Q/Z-kernel")
-        if d > 1:
-            coords.append(int(val) % d)
-    return coords
-
-
 def trait_surjectivity_check(datum: DegenDatum, profile: TraitProfile) -> TraitSurjectivity:
-    """Build the projection Psi_J -> Upsilon explicitly and test surjectivity.
+    """The projection Psi_J -> Upsilon of Step 5 and whether it is onto.
 
-    Requires a toric-additive datum and a transversal profile; the projection
-    is realized on invariant-factor presentations with denominators bounded by
-    the group orders, all in exact rational arithmetic.
+    Requires a toric-additive datum and a transversal profile, so
+    phi_f = B^t·Phi_J·B' with Phi_J = diag(phi_j, j in J).  B' must be
+    unimodular: otherwise ⊕X'_j does not map into Y' and there is no
+    projection.  For square nonsingular A, x ↦ A·x maps ker(A ⊗ Q/Z) onto
+    coker A, so the transport g ↦ B'^-1·g from Psi_J = ker(Phi_J ⊗ Q/Z) to
+    Upsilon = ker(phi_f ⊗ Q/Z) is z ↦ B^t·z from coker Phi_J to coker phi_f.
+    It is onto exactly when B^t is, because im phi_f ⊆ im B^t.  On a
+    toric-additive datum every valid B is unimodular, so the projection is
+    an isomorphism and upsilon equals psi_active.
     """
     verdict = analyze(datum)
     if not verdict.toric_additive:
@@ -197,41 +159,15 @@ def trait_surjectivity_check(datum: DegenDatum, profile: TraitProfile) -> TraitS
     if not profile.is_transversal:
         raise InputError("profile is not transversal")
     composed = compose_trait(datum, profile)
-    pairing = _presentation(composed.matrix)
-    ups_facs, _ = _presentation_generators(pairing)
-    upsilon = FinAb(tuple(ups_facs))
-    active = composed.active
-
-    # generators of Psi_J, assembled into ⊕_{j in J} X'_j ⊗ Q/Z
-    block_ranks = [datum.branches[j].dual_rank for j in active]
-    total = sum(block_ranks)
-    psi_orders: list[int] = []
-    ambient_gens: list[list[Fraction]] = []
-    offset = 0
-    for j, rk in zip(active, block_ranks):
-        orders, gens = _presentation_generators(_presentation(datum.branches[j].pairing))
-        for d, g in zip(orders, gens):
-            vec = [Fraction(0)] * total
-            vec[offset:offset + rk] = g
-            psi_orders.append(d)
-            ambient_gens.append(vec)
-        offset += rk
-    psi_active = FinAb.from_cyclic_orders(psi_orders)
-
-    # transport each generator to Y' ⊗ Q/Z through the dual stratum basis
     bprime = composed.dual_stratum.inclusion
-    if bprime.nrows != bprime.ncols:
-        raise InputError("dual stratum is not full; cannot transport the Psi generators")
-    columns: list[list[int]] = []
-    for g in ambient_gens:
-        y = [row[0] for row in intmat.solve_rational(bprime.entries, bprime.nrows,
-                                                     [[x] for x in g], 1)]
-        columns.append(_coordinates_in_presentation(pairing, y))
-    images = LatticeMap.from_rows(columns, source_rank=len(ups_facs),
-                                  target_rank=len(columns)).transpose()
-    # surjective iff the columns plus the relations diag(c_l) span Z^nrows
-    surjective = LatticeMap.beside([images, LatticeMap.diagonal(ups_facs)]).is_surjective()
-    return TraitSurjectivity(upsilon, psi_active, images.entries, surjective, composed)
+    if bprime.nrows != bprime.ncols or abs(bprime.determinant()) != 1:
+        raise InputError("dual stratum basis is not unimodular; "
+                         "cannot transport the Psi generators")
+    upsilon = component_group(composed.matrix)
+    psi_active = FinAb.direct_sum([component_group(datum.branches[j].pairing)
+                                   for j in composed.active])
+    bt = composed.stratum.inclusion.transpose()
+    return TraitSurjectivity(upsilon, psi_active, bt.entries, bt.is_surjective(), composed)
 
 
 def converse_check(p_map: LatticeMap, q_map: LatticeMap,

@@ -5,9 +5,6 @@ come from gcds of minors or from a plain Smith elimination over the whole
 trailing block, and group structures from literal element enumeration in
 (Z/N)^k, so an agreement is meaningful evidence.
 
-The certificate section checks a Smith form (d, V) without U.  It uses the
-package's Bareiss determinant and Hermite form, never its Smith elimination.
-
 The last section keeps checks that the package now skips because a proven
 identity decides them: the long form of ``degeneration.validate``, the
 image-lattice comparison behind ``neron.converse_check``, every leading
@@ -26,13 +23,19 @@ stack, where a ``GaloisRep`` keeps the two factors of each psi_i
 (``psi_blocks`` multiplies them back).  With the products went the last
 caller of the sum of two maps, and three lattice operations had no caller in
 the package at all: the Q/Z-kernel, the saturated kernel and the index of a
-sum of images.  They run the package's normal forms on lattice maps.
+sum of images.  They run the package's normal forms on lattice maps, except
+the saturated kernel, which takes the columns of the reference Smith V past
+the rank.  Last comes the Step-5 projection Psi_J -> Upsilon on
+invariant-factor presentations with rational representatives, built on that
+same V, which ``neron.trait_surjectivity_check`` reads off B^t between
+cokernels; the package computes no Smith transform at all.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import gcd, lcm
 
 from degenkit import intmat
 from degenkit.degeneration import (
@@ -52,7 +55,7 @@ from degenkit.lattice import (
     is_prime,
     l_part,
 )
-from degenkit.monodromy import component_group
+from degenkit.monodromy import TraitProfile, component_group, compose_trait
 
 
 def minor_gcd_invariant_factors(rows: list[list[int]]) -> list[int]:
@@ -348,33 +351,6 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-# -- certificates ----------------------------------------------------------------
-
-def smith_columns_certified(m: list[list[int]], nrows: int, ncols: int,
-                            d: list[int] | tuple[int, ...], v: list[list[int]]) -> bool:
-    """Whether U·m·V = diag(d) for some unimodular U, without building U.
-
-    With r = len(d): V is unimodular, the columns of m·V from r on are zero,
-    column k < r is d_k times a column q_k, the q_k have invariant factors all
-    1 (their row lattice, read off a Hermite form, is Z^r), and d is a
-    positive divisibility chain.  A unimodular U with U·(q_0 .. q_{r-1}) =
-    (I_r over 0) then exists, and U·m·V = D.
-    """
-    r = len(d)
-    if r > min(nrows, ncols) or any(x <= 0 for x in d) \
-            or any(b % a for a, b in zip(d, d[1:])):
-        return False
-    if abs(intmat.bareiss_det(v, ncols)) != 1:
-        return False
-    mv = intmat.matmul(m, nrows, ncols, v, ncols, ncols)
-    if any(row[k] for row in mv for k in range(r, ncols)):
-        return False
-    if any(row[k] % d[k] for row in mv for k in range(r)):
-        return False
-    rows_of_q = [[row[k] // d[k] for row in mv] for k in range(r)]   # q^T, r×nrows
-    return intmat.hnf_columns(rows_of_q, r, nrows) == intmat.identity(r)
-
-
 # -- checks that proven identities decide --------------------------------------
 
 def image_lattices_equal(a: LatticeMap, b: LatticeMap) -> bool:
@@ -646,9 +622,15 @@ def torsion_kernel_qz(m: LatticeMap) -> FinAb:
 
 
 def kernel_saturated(m: LatticeMap) -> LatticeMap:
-    """Injective map with image {x : m·x = 0}; the quotient is torsion-free."""
-    k = intmat.kernel_basis(m.entries, m.nrows, m.ncols)
-    return LatticeMap(Lattice(len(k[0]) if k else 0), m.source, tuple(map(tuple, k)))
+    """Injective map with image {x : m·x = 0}; the quotient is torsion-free.
+
+    Its columns are those of the reference Smith V past the rank: m·V is
+    zero there, and V is unimodular.
+    """
+    v = intmat.identity(m.ncols)
+    rank = len(reference_smith_diagonal(m.entries, m.nrows, m.ncols, v))
+    k = tuple(tuple(row[rank:]) for row in v)
+    return LatticeMap(Lattice(m.ncols - rank), m.source, k)
 
 
 def sum_index(maps: list[LatticeMap]) -> int | None:
@@ -658,3 +640,59 @@ def sum_index(maps: list[LatticeMap]) -> int | None:
     """
     m = LatticeMap.beside(maps)
     return intmat.column_lattice_index(m.entries, m.nrows, m.ncols)
+
+
+def _presentation(phi: LatticeMap) -> tuple[list[int], LatticeMap]:
+    """The reference Smith diagonal d and V of a square nondegenerate
+    pairing: the V·e_k/d_k generate ker(phi ⊗ Q/Z)."""
+    v = intmat.identity(phi.ncols)
+    facs = reference_smith_diagonal(phi.entries, phi.nrows, phi.ncols, v)
+    if phi.nrows != phi.ncols or len(facs) < phi.ncols:
+        raise InputError("degenerate pairing")
+    return facs, LatticeMap.from_rows(v, source_rank=phi.ncols)
+
+
+def _solve_fractions(a: LatticeMap, vec: list[Fraction]) -> list[Fraction]:
+    """a^-1·vec for square nonsingular a and a rational vector."""
+    den = lcm(*(x.denominator for x in vec))
+    x = intmat.solve_rational(a.entries, a.nrows, [[int(v * den)] for v in vec], 1)
+    return [row[0] / den for row in x]
+
+
+def reference_trait_surjectivity(datum: DegenDatum,
+                                 profile: TraitProfile) -> tuple[FinAb, FinAb, bool]:
+    """(Upsilon, Psi_J, surjective) with the projection Psi_J -> Upsilon built
+    on invariant-factor presentations, where ``neron.trait_surjectivity_check``
+    reads it off B^t between cokernels.
+
+    Each generator V_j·e_k/d_k of ker(phi_j ⊗ Q/Z) is carried into
+    Y' ⊗ Q/Z by B'^-1 and written in the generators of ker(phi_f ⊗ Q/Z);
+    the map is onto iff those coordinates and the relations diag(d) span.
+    A square B' that is not unimodular is not refused here.
+    """
+    composed = compose_trait(datum, profile)
+    ups_facs, ups_v = _presentation(composed.matrix)
+    ups_orders = [d for d in ups_facs if d > 1]
+    bprime = composed.dual_stratum.inclusion
+    if bprime.nrows != bprime.ncols:
+        raise InputError("dual stratum is not full; cannot transport the Psi generators")
+    psi_orders: list[int] = []
+    columns: list[list[int]] = []
+    offset = 0
+    for j in composed.active:
+        facs, v = _presentation(datum.branches[j].pairing)
+        for k, d in enumerate(facs):
+            if d == 1:
+                continue
+            vec = [Fraction(0)] * bprime.nrows
+            vec[offset:offset + v.nrows] = [Fraction(row[k], d) for row in v.entries]
+            t = _solve_fractions(ups_v, _solve_fractions(bprime, vec))
+            coords = [x * f for x, f in zip(t, ups_facs)]
+            assert all(c.denominator == 1 for c in coords), "not in the Q/Z-kernel"
+            columns.append([int(c) % f for c, f in zip(coords, ups_facs) if f > 1])
+            psi_orders.append(d)
+        offset += v.nrows
+    images = LatticeMap.from_rows(columns, source_rank=len(ups_orders),
+                                  target_rank=len(columns)).transpose()
+    surjective = LatticeMap.beside([images, LatticeMap.diagonal(ups_orders)]).is_surjective()
+    return FinAb(tuple(ups_orders)), FinAb.from_cyclic_orders(psi_orders), surjective

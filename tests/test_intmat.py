@@ -3,9 +3,7 @@
 Up to 12×12 the transform-free routines are compared with independent
 references: the gcd-of-minors oracle, a plain Smith elimination over the
 whole trailing block (``oracles.reference_smith_diagonal``) and a plain
-column xgcd Hermite form (``oracles.reference_hnf``); ``smith_columns`` is
-checked by a certificate that needs no U (``oracles.smith_columns_certified``).
-Empty, zero, single-row, single-column and tall shapes, and pivots that need
+column xgcd Hermite form (``oracles.reference_hnf``).  Empty, zero, single-row, single-column and tall shapes, and pivots that need
 the divisibility fix-up, have fixed cases.  Up to 64×64 they are
 checked by certificates that need no reference: the divisibility chain,
 ∏ d_i = |det|, the shape of the Hermite form, and equality of lattices: m is
@@ -34,7 +32,6 @@ from oracles import (
     minor_gcd_invariant_factors,
     reference_hnf,
     reference_smith_diagonal,
-    smith_columns_certified,
 )
 
 
@@ -72,14 +69,6 @@ def test_hnf_rank_and_index_match_reference(case):
     assert intmat.rank(m, nrows, ncols) == r
     index = prod(h[i][i] for i in range(nrows)) if r == nrows else None
     assert intmat.column_lattice_index(m, nrows, ncols) == index
-
-
-@settings(max_examples=150, deadline=None)
-@given(small)
-def test_smith_columns_certificate(case):
-    m, nrows, ncols = case
-    d, v = intmat.smith_columns(m, nrows, ncols)
-    assert smith_columns_certified(m, nrows, ncols, d, v)
 
 
 # more rows than columns and rank below the column count, through Z^inner
@@ -120,14 +109,6 @@ def test_smith_edge_cases(name):
     assert intmat.invariant_factors(m, nrows, ncols) == diag
     index = prod(diag) if len(diag) == nrows else None
     assert intmat.column_lattice_index(m, nrows, ncols) == index
-    d, v = intmat.smith_columns(m, nrows, ncols)
-    assert d == diag
-    assert smith_columns_certified(m, nrows, ncols, d, v)
-    k = intmat.kernel_basis(m, nrows, ncols)
-    width = ncols - len(diag)
-    assert len(k) == ncols and all(len(row) == width for row in k)
-    assert intmat.matmul(m, nrows, ncols, k, ncols, width) == intmat.zeros(nrows, width)
-    assert intmat.invariant_factors(k, ncols, width) == [1] * width   # saturated
 
 
 @settings(max_examples=150, deadline=None)
@@ -137,14 +118,14 @@ def test_kernel_from_independent_rows_is_kernel_of_all_rows(case):
     rows = intmat.independent_rows(m, nrows, ncols)
     assert len(rows) == intmat.rank(m, nrows, ncols)
     assert intmat.rank([m[i] for i in rows], len(rows), ncols) == len(rows)
-    k = intmat.kernel_basis(m, nrows, ncols)
-    # the saturated kernel from the reference Smith form of every row
-    v = intmat.identity(ncols)
-    diag = reference_smith_diagonal(m, nrows, ncols, v)
-    full = [row[len(diag):] for row in v]
-    width = ncols - len(diag)
-    assert all(len(row) == width for row in k)
-    assert intmat.hnf_columns(k, ncols, width) == intmat.hnf_columns(full, ncols, width)
+    # the saturated kernels from the reference Smith forms of those rows and of every row
+    kernels = []
+    for sub in ([m[i] for i in rows], m):
+        v = intmat.identity(ncols)
+        diag = reference_smith_diagonal(sub, len(sub), ncols, v)
+        kernels.append(intmat.hnf_columns([row[len(diag):] for row in v],
+                                          ncols, ncols - len(diag)))
+    assert kernels[0] == kernels[1]
 
 
 # up to 6×6, since the cofactor expansion has n! terms; entries in [-1, 1]
@@ -376,13 +357,3 @@ def test_dense_64_solves_against_its_hermite_basis_within_budget():
     assert x is not None and y is not None
     assert intmat.matmul(h, 64, 64, x, 64, 64) == m
     assert intmat.matmul(m, 64, 64, y, 64, 64) == h
-
-
-def test_dense_64_by_128_kernel_within_budget():
-    rng = random.Random(64)
-    m = [[rng.randint(-9, 9) for _ in range(128)] for _ in range(64)]
-    with wall_clock_budget(3):
-        k = intmat.kernel_basis(m, 64, 128)
-    assert len(k) == 128 and all(len(row) == 64 for row in k)
-    assert intmat.matmul(m, 64, 128, k, 128, 64) == intmat.zeros(64, 64)
-    assert intmat.invariant_factors(k, 128, 64) == [1] * 64   # saturated

@@ -1,12 +1,14 @@
 """Module layout: only ``lattice`` (and the random generators) speak the raw
 list-of-rows matrix format of ``intmat``; everything else goes through
-``LatticeMap``.  Smith with transforms and the general integral solve are
-gone from the package, ``intmat`` has one Smith elimination, no routine
-without a command stays in the package, and ``--json`` has one renderer."""
+``LatticeMap``.  Smith transforms and the general integral solve are gone
+from the package, ``intmat`` has one Smith elimination with one path, no
+routine without a command stays in the package, and ``--json`` has one
+renderer."""
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -15,7 +17,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "degenkit"
 FORMAT_OWNERS = {"lattice.py", "generators.py"}
 # intmat name -> the one function allowed to use it (None: any function)
 ALLOWED = {
-    "solve_rational": None,             # right-hand sides of Fractions
     "positive_definite": "pairing_violation",
 }
 
@@ -49,6 +50,11 @@ MODULES = sorted(p for p in SRC.glob("*.py") if p.name not in FORMAT_OWNERS)
 
 def test_monodromy_does_not_import_intmat():
     assert not _imports_intmat(ast.parse((SRC / "monodromy.py").read_text()))
+
+
+def test_neron_does_not_import_intmat():
+    # the Step-5 projection is B^t between cokernels, with no presentations
+    assert not _imports_intmat(ast.parse((SRC / "neron.py").read_text()))
 
 
 def test_galois_does_not_import_intmat():
@@ -93,6 +99,17 @@ def test_no_smith_transforms_or_general_solve(path):
     assert not found, f"{path.name} defines or references {sorted(found)}"
 
 
+# V of a Smith form, the kernels and presentations read off it, and the flag
+# that asked for it: not even a docstring names them
+V_NAMES = re.compile(r"\b(?:smith_columns|kernel_basis|with_v|_presentation\w*)")
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_smith_transform_v(path):
+    found = sorted(set(V_NAMES.findall(path.read_text())))
+    assert not found, f"{path.name} names {found}"
+
+
 # public routines that no command used live on in tests/oracles.py only: the
 # leave-one-out kernels and the decomposition check they fed (the exclusive
 # index comes from one adjugate), the fixed lattice of a set of generators,
@@ -112,7 +129,7 @@ def test_no_routines_without_a_command(path):
 
 
 # the Smith entry points and the one elimination they share
-SMITH_ROUTINES = {"smith_columns", "invariant_factors", "column_lattice_index", "kernel_basis"}
+SMITH_ROUTINES = {"invariant_factors", "column_lattice_index"}
 OLD_SMITH_HELPERS = {"_row_sub", "_col_sub", "_swap_rows", "_swap_cols", "copy_of"}
 
 
@@ -128,7 +145,11 @@ def test_intmat_has_one_smith_elimination():
         assert not any(isinstance(node, (ast.For, ast.While)) for node in body), name
         called = {node.func.id for node in body
                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
-        assert called & {"_diagonalize", "invariant_factors", "smith_columns"}, name
+        assert called & {"_diagonalize", "invariant_factors"}, name
+    # one path: the elimination takes the matrix and its shape, and no flag
+    args = funcs["_diagonalize"].args
+    assert [a.arg for a in args.args] == ["m", "nrows", "ncols"]
+    assert not (args.defaults or args.kwonlyargs or args.vararg or args.kwarg)
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from degenkit.degeneration import DegenDatum, Branch
+from degenkit.degeneration import Branch, DegenDatum, pairing_violation
 from degenkit.errors import InputError
 from degenkit.generators import random_datum, random_polarized_datum, random_profile
 from degenkit.lattice import FinAb, Lattice, LatticeMap, l_part
@@ -17,7 +17,6 @@ from degenkit.monodromy import (
     component_group,
     compose_trait,
     stratum_lattice,
-    validate_pairing,
 )
 
 from oracles import add_maps, closed_point_bound, enumerate_qz_kernel, psi_maps
@@ -172,18 +171,16 @@ class TestClosedPointBound:
 
 
 class TestValidatePairing:
+    """phi∘lam symmetric positive definite, as validation checks it."""
+
     def test_ok(self):
-        assert validate_pairing(lm([[1]]), LatticeMap.identity(1)) is None
+        assert pairing_violation(lm([[1]]).compose(LatticeMap.identity(1))) is None
 
     def test_not_symmetric(self):
-        assert validate_pairing(lm([[1, 2], [0, 1]]), LatticeMap.identity(2)) \
+        assert pairing_violation(lm([[1, 2], [0, 1]]).compose(LatticeMap.identity(2))) \
             == "not symmetric"
 
     def test_not_positive_definite(self):
         # second leading minor is 1 - 4 = -3
-        assert validate_pairing(lm([[1, 2], [2, 1]]), LatticeMap.identity(2)) \
+        assert pairing_violation(lm([[1, 2], [2, 1]]).compose(LatticeMap.identity(2))) \
             == "not positive definite"
-
-    def test_rejects_non_injective_polarization(self):
-        with pytest.raises(InputError, match="injective"):
-            validate_pairing(lm([[1]]), lm([[0]]))

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
+from itertools import product
 
 import pytest
 
 from degenkit import intmat, neron
-from degenkit.degeneration import Branch, DegenDatum, StratumOverride
+from degenkit.degeneration import Branch, DegenDatum, StratumOverride, analyze, validate
 from degenkit.errors import InputError
 from degenkit.generators import (
     random_datum,
@@ -34,6 +35,7 @@ from oracles import (
     image_lattices_equal,
     kernel_saturated,
     reference_psi_fixed_points,
+    reference_trait_surjectivity,
     sum_index,
 )
 
@@ -175,6 +177,47 @@ class TestTraitSurjectivity:
             assert result.surjective
             if result.upsilon.invariant_factors:
                 assert result.psi_active.order % result.upsilon.order == 0
+
+    def test_matches_the_presentation_reference(self):
+        # B^t between cokernels against the projection built on invariant-factor
+        # presentations, on every transversal profile; every valid B of a
+        # toric-additive datum is unimodular, so Upsilon is Psi_J
+        rng = random.Random(151)
+        cases = 0
+        for k in range(120):
+            if k % 2:
+                datum = random_polarized_datum(rng, max_mu=4, max_n=3, min_n=1, ta=True)
+            else:
+                datum = random_ta_datum(rng, max_mu=4, max_n=3, min_n=1)
+            for multiplicities in product((0, 1), repeat=datum.n):
+                profile = TraitProfile(multiplicities)
+                result = trait_surjectivity_check(datum, profile)
+                expected = reference_trait_surjectivity(datum, profile)
+                assert (result.upsilon, result.psi_active, result.surjective) == expected
+                assert result.upsilon == result.psi_active
+                cases += 1
+        assert cases > 400
+
+    def test_rejects_a_dual_stratum_basis_that_is_not_unimodular(self):
+        # sp'_i ∘ lambda = lambda_i ∘ sp_i, but (sp'_1; sp'_2) has determinant 2:
+        # ⊕X'_j does not map into Y', so there is no projection over both
+        # branches, where the presentations read Psi_J = 0 against Upsilon = Z/2
+        datum = DegenDatum(
+            "twisted", 0, 0, Lattice(2), (
+                Branch("D1", Lattice(1), lm([[1]]), lm([[1, 0]])),
+                Branch("D2", Lattice(1), lm([[1]]), lm([[0, 1]]))),
+            dual_closed_point=Lattice(2),
+            dual_specializations=(lm([[1, -1]]), lm([[1, 1]])),
+            polarization=lm([[1, 1], [-1, 1]]),
+            branch_polarizations=(lm([[2]]), lm([[2]])))
+        assert validate(datum) == [] and analyze(datum).toric_additive
+        assert reference_trait_surjectivity(datum, TraitProfile((1, 1))) \
+            == (FinAb((2,)), FinAb(), False)
+        with pytest.raises(InputError, match="not unimodular"):
+            trait_surjectivity_check(datum, TraitProfile((1, 1)))
+        for multiplicities in ((1, 0), (0, 1)):
+            result = trait_surjectivity_check(datum, TraitProfile(multiplicities))
+            assert result.surjective and result.upsilon == result.psi_active == FinAb()
 
 
 class TestConverseCheck:
