@@ -221,8 +221,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     rep = galois.build_rep(datum, args.l)
     lattice_side = is_l_toric_additive(datum, args.l)
     # the block decomposition into exclusive parts is the star condition, as
-    # the parts are independent (galois module docstring); the report keeps
-    # its key for the format
+    # the parts are independent, and one determinant decides it (galois
+    # module docstring); the report keeps its key for the format
     star = galois.star_condition(rep)
     agree = lattice_side == star
     report = _base_report("oracle", echo)
@@ -237,7 +237,11 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     if args.profile is not None:
         profile = _parse_profile(args.profile, datum.n)
         composed = monodromy.compose_trait(datum, profile)
-        lattice_group = l_part(monodromy.component_group(composed.matrix), args.l)
+        trait_group = monodromy.component_group(composed.matrix)
+        # where both strata keep closed-point coordinates, phi_f is the action
+        # sum a_i·psi_i entry for entry, and one cokernel serves both sides
+        rep.share_cokernel(profile.multiplicities, composed.matrix, trait_group)
+        lattice_group = l_part(trait_group, args.l)
         level = _derived_level(lattice_group, args.l, args.r)
         galois_group = galois.torsion_phi_group(rep, profile, level)
         stable = galois_group == galois.torsion_phi_group(rep, profile, level + 1)

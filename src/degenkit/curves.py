@@ -202,14 +202,9 @@ def graph_to_datum(graph: DualGraph) -> DegenDatum:
         branch_basis, cotree = _cycle_basis(merged_vertices if merged_vertices else 1,
                                             _relabel(merged_ends), surviving_order)
         mu_i = len(branch_basis)
-        sp_cols = []
-        for z in closed_basis:
-            restricted = [z[k] for k in surviving]
-            # each fundamental cycle reads its coefficient off its own cotree edge
-            coords = [restricted[t] for t in cotree]
-            _check_cycle_decomposition(branch_basis, coords, restricted)
-            sp_cols.append(coords)
-        sp_rows = [[sp_cols[c][r] for c in range(mu)] for r in range(mu_i)]
+        # a closed cycle restricts to a cycle of the contracted graph, which is
+        # the sum of the fundamental cycles weighted by its own cotree entries
+        sp_rows = [[z[surviving[t]] for z in closed_basis] for t in cotree]
         weights = [graph.edges[surviving[t]].label[br] for t in range(len(surviving))]
         pairing_rows = [[sum(w * a * b for w, a, b in zip(weights, za, zb))
                          for zb in branch_basis] for za in branch_basis]
@@ -237,18 +232,6 @@ def _relabel(pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
                 seen[x] = len(seen)
         out.append((seen[u], seen[v]))
     return out
-
-
-def _check_cycle_decomposition(basis: list[list[int]], coords: list[int],
-                               target: list[int]) -> None:
-    if not basis:
-        if any(target):
-            raise FalsificationError("restricted cycle is nonzero in a forest")
-        return
-    width = len(basis[0])
-    recombined = [sum(c * z[pos] for c, z in zip(coords, basis)) for pos in range(width)]
-    if recombined != target:
-        raise FalsificationError("restricted cycle failed to decompose in the branch basis")
 
 
 def curve_equivalences(graph: DualGraph) -> CurveReport:

@@ -19,6 +19,11 @@ f_i = phi_i ∘ sp'_i (mu_i × mu each), and never forms the mu × mu product:
   of the f_i have one row lattice L, hence one set of nonzero invariant
   factors d_k: Z^mu / L ≅ ⊕ Z/d_k ⊕ Z^(mu - rank L) (Smith form).
 - sum a_i·psi_i = S^t·(a_1·f_1; ...; a_n·f_n) with S = (sp_1; ...; sp_n).
+- Where both strata of a trait keep closed-point coordinates, their bases
+  are the stacks of the sp_j and of the sp'_j over the active j, so the
+  composed pairing (sp_j)^t·diag(a_j·phi_j)·(sp'_j) is sum a_i·psi_i:
+  ``share_cokernel`` takes that pairing's cokernel for the action's when
+  the entries agree.
 
 On a valid datum T^G = T^f = X^dual ⊕ C, that is, the stacked f_i are
 injective: if f_i·x = 0 for every i, then sp'_i·x = 0 for every i, since
@@ -26,14 +31,14 @@ each phi_i is injective, and then x = 0, since the dual purity map is
 injective.  So ``build_rep`` checks nothing beyond the datum's validity: a
 rank comparison of T^G with 2d - mu could never fail.
 
-Exclusive index.  The star condition asks that the exclusive parts V_i have
+Star condition.  The star condition asks that the exclusive parts V_i have
 a sum of index prime to l in X'.  V_i is the X' part of the lattice fixed by
 every sigma_j with j != i, that is, the kernel of the psi_j with j != i (a
 kernel in Z^mu is saturated).  Such a lattice is also invariant under
 sigma_i, since N_i lands in X^dual.  The V_i are independent: if
 sum k_i = 0 with k_i in V_i, applying psi_m leaves psi_m·k_m = 0, so k_m is
-killed by every psi_j and is 0.  The index comes in closed form, with no
-kernel, from three facts:
+killed by every psi_j and is 0.  One determinant decides the condition,
+with no kernel:
 
 - Inputs.  Let B_i be a row basis of f_i, with r_i rows.  A kernel
   depends only on the rational row space, so V_i = ker(B_j, j != i), and
@@ -43,17 +48,17 @@ kernel, from three facts:
   span X' ⊗ Q.  B_j kills every V_i with i != j, so B_j(X' ⊗ Q) is
   B_j(V_j ⊗ Q), and r_j <= rank V_j.  By independence,
   R <= sum rank V_j <= mu.
-- Case R = mu: the index is prod_i (|D|^r_i / c_i) / |D|, each factor an
-  integer.  Here B is square and injective, D = det B != 0, and c_i is the
-  product of the invariant factors of the block-i columns A_i of adj B
-  (mu × r_i).  The other blocks kill V_i, so B maps V_1 ⊕ ... ⊕ V_n
-  injectively onto the direct sum of the B_i(V_i) ⊆ Z^r_i.  Hence
-  [Z^mu : sum V_i]·|D| = [Z^mu : B(sum V_i)] = prod_i e_i with
-  e_i = [Z^r_i : B_i(V_i)].  B·adj B = D·1, so every B_j with j != i kills
-  A_i, and B_i·A_i = D·1.  So A_i lies in V_i, which has rank
-  mu - (R - r_i) = r_i, and V_i is the saturation of the span of A_i, of
-  index c_i in it.  Applying the injective B_i, D·Z^r_i has index c_i in
-  B_i(V_i) and |D|^r_i in Z^r_i, so e_i = |D|^r_i / c_i.
+- Case R = mu: B is square and injective, so D = det B != 0, and B maps
+  Z^mu onto L = B·Z^mu, of index |D| in Z^R = ⊕ Z^r_i.  The x in Z^mu
+  with B·x in Z^r_i are those killed by every B_j with j != i, that is
+  V_i; so B maps sum V_i onto ⊕ (L ∩ Z^r_i), and the index of sum V_i in
+  X' is [L : ⊕ (L ∩ Z^r_i)].  Let pi_i project onto Z^r_i, so that
+  pi_i(L) = B_i·Z^mu, of index h_i in Z^r_i, the product of the invariant
+  factors of B_i.  Then ⊕ (L ∩ Z^r_i) ⊆ L ⊆ ⊕ pi_i(L), and over Z_(l)
+  L equals the first exactly when it equals the last: each equality gives
+  pi_i(L) ⊆ L, hence pi_i(L) = L ∩ Z^r_i.  L has index |D| and ⊕ pi_i(L)
+  index prod h_i in Z^R, so [⊕ pi_i(L) : L] = |D| / prod h_i, and the star
+  condition holds exactly when R = mu and l does not divide |D| / prod h_i.
 
 Finite levels.  Let A act on X' with nonzero invariant factors d_k, U·A·V = D.
 In the coordinates y = V^-1·x, x lies in ker(A mod m) exactly when
@@ -68,7 +73,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import gcd
+from math import gcd, prod
 
 from .degeneration import DegenDatum, require_valid
 from .errors import InputError
@@ -95,24 +100,6 @@ class GaloisRep:
     @property
     def n(self) -> int:
         return len(self.factors)
-
-    @cached_property
-    def exclusive_index(self) -> int | None:
-        """Index in X' of the sum of the exclusive parts; None when infinite
-        (module docstring: one adjugate of the stacked row bases, no kernels)."""
-        bases = [f.row_basis() for _, f in self.factors]
-        if sum(b.nrows for b in bases) > self.toric_rank:
-            return None
-        det, adj = LatticeMap.stack(bases).adjugate()
-        d = abs(det)
-        index, start = 1, 0
-        for b in bases:
-            stop = start + b.nrows
-            block = LatticeMap(Lattice(b.nrows), adj.target,
-                               tuple(row[start:stop] for row in adj.entries))
-            index *= d ** b.nrows // cokernel(block)[0].order
-            start = stop
-        return index // d
 
     @cached_property
     def stack_torsion(self) -> FinAb:
@@ -147,6 +134,13 @@ class GaloisRep:
             self._action_torsion[multiplicities] = torsion
         return torsion
 
+    def share_cokernel(self, multiplicities: tuple[int, ...], matrix: LatticeMap,
+                       torsion: FinAb) -> None:
+        """Take the cokernel torsion of a matrix factored elsewhere as that of
+        sum a_i·psi_i, when the matrix is that action entry for entry."""
+        if matrix == self.action(multiplicities):
+            self._action_torsion[multiplicities] = torsion
+
 
 def build_rep(datum: DegenDatum, l: int) -> GaloisRep:
     """Integer model of the l-adic representation attached to the datum."""
@@ -162,11 +156,15 @@ def build_rep(datum: DegenDatum, l: int) -> GaloisRep:
 
 def star_condition(rep: GaloisRep) -> bool:
     """T is the sum over i of the parts fixed by all generators except sigma_i,
-    up to index coprime to l."""
+    up to index coprime to l: R = mu and l does not divide |det B| / prod h_i
+    (module docstring)."""
     if rep.n == 0:
         return True
-    index = rep.exclusive_index
-    return index is not None and index % rep.l != 0
+    bases = [f.row_basis() for _, f in rep.factors]
+    if sum(b.nrows for b in bases) != rep.toric_rank:
+        return False
+    det = abs(LatticeMap.stack(bases).determinant())
+    return det // prod(cokernel(b)[0].order for b in bases) % rep.l != 0
 
 
 def _at_level(torsion: FinAb, modulus: int) -> FinAb:

@@ -92,18 +92,6 @@ class LatticeMap:
         return cls(src, Lattice(sum(m.target.rank for m in maps)), rows)
 
     @classmethod
-    def beside(cls, maps: list["LatticeMap"]) -> "LatticeMap":
-        """Column concatenation of maps with a common target: (m_1 | m_2 | ...)."""
-        if not maps:
-            raise InputError("cannot concatenate zero maps without a target")
-        target = maps[0].target
-        for m in maps:
-            if m.target != target:
-                raise InputError("concatenated maps must share their target")
-        rows = tuple(tuple(v for m in maps for v in m.entries[i]) for i in range(target.rank))
-        return cls(Lattice(sum(m.ncols for m in maps)), target, rows)
-
-    @classmethod
     def block_diagonal(cls, maps: list["LatticeMap"]) -> "LatticeMap":
         sr = sum(m.source.rank for m in maps)
         tr = sum(m.target.rank for m in maps)

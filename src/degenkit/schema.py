@@ -14,7 +14,6 @@ for big integers.  Parse errors carry the JSON path of the offending field.
 from __future__ import annotations
 
 import json
-from pathlib import Path
 from typing import Any
 
 from .curves import DualGraph, GraphEdge, GraphVertex
@@ -24,11 +23,6 @@ from .lattice import Lattice, LatticeMap
 
 FORMAT_VERSION = "1"
 _PLAIN_INT = {int}
-
-
-def load_document(path: str | Path) -> DegenDatum | DualGraph:
-    raw = Path(path).read_bytes()
-    return parse_document(parse_json_bytes(raw, str(path)), where=str(path))
 
 
 def parse_json_bytes(raw: bytes, where: str) -> dict:

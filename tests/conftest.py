@@ -5,13 +5,18 @@ from pathlib import Path
 import pytest
 
 from degenkit import intmat
-from degenkit.schema import load_document
+from degenkit.schema import parse_document, parse_json_bytes
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "degenkit" / "fixtures"
 
 
 def fixture_path(name: str) -> Path:
     return FIXTURES / f"{name}.json"
+
+
+def load_document(path: Path):
+    """The datum or graph of a JSON document on disk."""
+    return parse_document(parse_json_bytes(path.read_bytes(), str(path)), where=str(path))
 
 
 def load_fixture(name: str):
@@ -49,7 +54,8 @@ class IntmatCalls(dict):
     the calls of ``_diagonalize``; and every fraction-free (Bareiss) pass under
     ``bareiss``: the calls of ``_bareiss`` (rank, determinant, independent
     rows, the Hermite modulus) and of ``_gauss_jordan`` (solve, adjugate),
-    whose first argument is the matrix."""
+    whose first argument is the matrix.  The ``_gauss_jordan`` passes alone
+    are also under ``gauss_jordan``."""
 
     def smith_forms(self) -> list[tuple]:
         """The Smith eliminations behind the invariant factors."""
@@ -62,18 +68,21 @@ class IntmatCalls(dict):
 
 @pytest.fixture
 def intmat_calls(monkeypatch):
-    calls = IntmatCalls({name: [] for name in COUNTED + ("eliminations", "bareiss")})
+    calls = IntmatCalls({name: [] for name in
+                         COUNTED + ("eliminations", "bareiss", "gauss_jordan")})
 
-    def counting(name, original):
+    def counting(original, *names):
         def wrapper(*args, **kwargs):
-            calls[name].append(tuple(tuple(map(tuple, a)) if isinstance(a, list) else a
-                                     for a in args))
+            frozen = tuple(tuple(map(tuple, a)) if isinstance(a, list) else a for a in args)
+            for name in names:
+                calls[name].append(frozen)
             return original(*args, **kwargs)
         return wrapper
 
     for name in COUNTED:
-        monkeypatch.setattr(intmat, name, counting(name, getattr(intmat, name)))
-    monkeypatch.setattr(intmat, "_diagonalize", counting("eliminations", intmat._diagonalize))
-    monkeypatch.setattr(intmat, "_bareiss", counting("bareiss", intmat._bareiss))
-    monkeypatch.setattr(intmat, "_gauss_jordan", counting("bareiss", intmat._gauss_jordan))
+        monkeypatch.setattr(intmat, name, counting(getattr(intmat, name), name))
+    monkeypatch.setattr(intmat, "_diagonalize", counting(intmat._diagonalize, "eliminations"))
+    monkeypatch.setattr(intmat, "_bareiss", counting(intmat._bareiss, "bareiss"))
+    monkeypatch.setattr(intmat, "_gauss_jordan",
+                        counting(intmat._gauss_jordan, "bareiss", "gauss_jordan"))
     return calls

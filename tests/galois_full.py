@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from degenkit.lattice import FinAb, Lattice, LatticeMap, cokernel
 from degenkit.monodromy import TraitProfile
 
-from oracles import add_maps, kernel_saturated, psi_maps, sum_index
+from oracles import add_maps, beside, kernel_saturated, psi_maps, sum_index
 
 
 def mod_lr_quotient(action: LatticeMap, fixed: LatticeMap, modulus: int) -> FinAb:
@@ -29,11 +29,11 @@ def mod_lr_quotient(action: LatticeMap, fixed: LatticeMap, modulus: int) -> FinA
     lattice and m·Z^N is the cokernel of one integral solve.
     """
     total = action.ncols
-    lifted = LatticeMap.beside([action, LatticeMap.identity(action.nrows).scaled(-modulus)])
+    lifted = beside([action, LatticeMap.identity(action.nrows).scaled(-modulus)])
     pairs = kernel_saturated(lifted)
     kernel = LatticeMap(pairs.source, Lattice(total), pairs.entries[:total])
     relations = LatticeMap.identity(total).scaled(modulus)
-    change = kernel.solve(LatticeMap.beside([fixed, relations]))
+    change = kernel.solve(beside([fixed, relations]))
     assert change is not None, "fixed vectors outside the finite-level kernel"
     return cokernel(change)[0]
 

@@ -14,16 +14,17 @@ do use the package's lattice maps; what they add is the work the identities
 remove.  It ends with the prime-by-prime assembly of invariant factors that
 ``FinAb.from_cyclic_orders`` replaced by gcd/lcm insertion, and the
 leave-one-out kernels behind the exclusive parts of a Galois representation,
-whose index ``GaloisRep.exclusive_index`` reads off one adjugate.  The last
+with the closed form of their index from one adjugate, where
+``galois.star_condition`` needs only one determinant.  The last
 routines left the package with no caller there: the fixed lattice of a set of
 generators, and the closed-point bound and exact torsion, which the oracle
 reads off ``GaloisRep.stack_torsion`` and which the tests compare; and the
 full mu × mu comparison maps psi_i with the Hermite row lattice of their
 stack, where a ``GaloisRep`` keeps the two factors of each psi_i
 (``psi_blocks`` multiplies them back).  With the products went the last
-caller of the sum of two maps, and three lattice operations had no caller in
-the package at all: the Q/Z-kernel, the saturated kernel and the index of a
-sum of images.  They run the package's normal forms on lattice maps, except
+caller of the sum of two maps, and four lattice operations had no caller in
+the package at all: the Q/Z-kernel, the saturated kernel, the index of a
+sum of images and the column concatenation ``beside``.  They run the package's normal forms on lattice maps, except
 the saturated kernel, which takes the columns of the reference Smith V past
 the rank.  Last comes the Step-5 projection Psi_J -> Upsilon on
 invariant-factor presentations with rational representatives, built on that
@@ -52,6 +53,7 @@ from degenkit.lattice import (
     FinAb,
     Lattice,
     LatticeMap,
+    cokernel,
     is_prime,
     l_part,
 )
@@ -523,6 +525,36 @@ def _running_row_bases(maps: tuple[LatticeMap, ...], rank: int) -> list[LatticeM
     return bases
 
 
+def exclusive_index(rep: GaloisRep) -> int | None:
+    """Index in X' of the sum of the exclusive parts; None when infinite.
+
+    The closed form from one adjugate of the stack B of the row bases B_i
+    of the f_i (r_i rows each), where ``galois.star_condition`` needs only
+    det B.  With R = sum r_i = mu and D = det B, the index is
+    prod_i (|D|^r_i / c_i) / |D|, with c_i the product of the invariant
+    factors of the block-i columns A_i of adj B (mu × r_i).  B·adj B = D·1,
+    so every B_j with j != i kills A_i and B_i·A_i = D·1: A_i lies in V_i,
+    which has rank r_i and is the saturation of the span of A_i, of index
+    c_i in it.  B maps sum V_i injectively onto ⊕ B_i(V_i), so
+    [X' : sum V_i]·|D| = prod_i [Z^r_i : B_i(V_i)], and applying the
+    injective B_i, D·Z^r_i has index c_i in B_i(V_i) and |D|^r_i in
+    Z^r_i.  R > mu gives an infinite index (``galois`` module docstring).
+    """
+    bases = [f.row_basis() for _, f in rep.factors]
+    if sum(b.nrows for b in bases) > rep.toric_rank:
+        return None
+    det, adj = LatticeMap.stack(bases).adjugate()
+    d = abs(det)
+    index, start = 1, 0
+    for b in bases:
+        stop = start + b.nrows
+        block = LatticeMap(Lattice(b.nrows), adj.target,
+                           tuple(row[start:stop] for row in adj.entries))
+        index *= d ** b.nrows // cokernel(block)[0].order
+        start = stop
+    return index // d
+
+
 def decomposition_check(rep: GaloisRep) -> bool:
     """The block decomposition of T/T^G = X' into the exclusive parts: they
     are independent, and their sum has finite index coprime to l.
@@ -607,6 +639,18 @@ def row_lattice(m: LatticeMap) -> LatticeMap:
     return m.transpose().image_basis().transpose()
 
 
+def beside(maps: list[LatticeMap]) -> LatticeMap:
+    """Column concatenation of maps with a common target: (m_1 | m_2 | ...)."""
+    if not maps:
+        raise InputError("cannot concatenate zero maps without a target")
+    target = maps[0].target
+    for m in maps:
+        if m.target != target:
+            raise InputError("concatenated maps must share their target")
+    rows = tuple(tuple(v for m in maps for v in m.entries[i]) for i in range(target.rank))
+    return LatticeMap(Lattice(sum(m.ncols for m in maps)), target, rows)
+
+
 def add_maps(a: LatticeMap, b: LatticeMap) -> LatticeMap:
     """a + b, for maps with equal source and target."""
     if a.source != b.source or a.target != b.target:
@@ -638,7 +682,7 @@ def sum_index(maps: list[LatticeMap]) -> int | None:
 
     None when the sum has strictly smaller rank (infinite index).
     """
-    m = LatticeMap.beside(maps)
+    m = beside(maps)
     return intmat.column_lattice_index(m.entries, m.nrows, m.ncols)
 
 
@@ -694,5 +738,5 @@ def reference_trait_surjectivity(datum: DegenDatum,
         offset += v.nrows
     images = LatticeMap.from_rows(columns, source_rank=len(ups_orders),
                                   target_rank=len(columns)).transpose()
-    surjective = LatticeMap.beside([images, LatticeMap.diagonal(ups_orders)]).is_surjective()
+    surjective = beside([images, LatticeMap.diagonal(ups_orders)]).is_surjective()
     return FinAb(tuple(ups_orders)), FinAb.from_cyclic_orders(psi_orders), surjective

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from degenkit import curves
 from degenkit.curves import (
     DualGraph,
     GraphEdge,
@@ -52,6 +53,44 @@ class TestGraphToDatum:
         for _ in range(40):
             datum = graph_to_datum(random_graph(rng))
             assert validate(datum) == []
+
+    def test_restricted_cycles_recombine_from_cotree_entries(self):
+        # graph_to_datum reads sp_i off the cotree entries of each closed cycle
+        # and checks nothing: a cycle of the contracted branch graph is the sum
+        # of its fundamental cycles weighted by its own cotree entries
+        rng = random.Random(59)
+        recombined = 0
+        for _ in range(300):
+            g = random_graph(rng, max_edges=10)
+            index = {v.name: i for i, v in enumerate(g.vertices)}
+            ends = [(index[e.ends[0]], index[e.ends[1]]) for e in g.edges]
+            order = curves._edge_order(g)
+            closed, _ = curves._cycle_basis(len(g.vertices), ends, order)
+            datum = graph_to_datum(g)
+            for br, branch in enumerate(datum.branches):
+                surviving = [k for k, e in enumerate(g.edges) if e.label[br]]
+                uf = curves._UnionFind(len(g.vertices))
+                for k, e in enumerate(g.edges):
+                    if not e.label[br]:
+                        uf.union(*ends[k])
+                merged = curves._relabel([(uf.find(ends[k][0]), uf.find(ends[k][1]))
+                                          for k in surviving])
+                sub_order = sorted(range(len(surviving)), key=lambda t: order.index(surviving[t]))
+                basis, cotree = curves._cycle_basis(len(g.vertices), merged, sub_order)
+                weights = [g.edges[k].label[br] for k in surviving]
+                # the same branch basis as graph_to_datum: the same pairing
+                assert branch.pairing.entries == tuple(
+                    tuple(sum(w * a * b for w, a, b in zip(weights, za, zb)) for zb in basis)
+                    for za in basis)
+                sp = branch.specialization.entries
+                for c, z in enumerate(closed):
+                    restricted = [z[k] for k in surviving]
+                    coords = [row[c] for row in sp]
+                    assert coords == [restricted[t] for t in cotree]
+                    assert [sum(a * b[pos] for a, b in zip(coords, basis))
+                            for pos in range(len(surviving))] == restricted
+                    recombined += any(restricted)
+        assert recombined > 300
 
     def test_rejects_disconnected(self):
         g = graph([("v0", 0), ("v1", 0)],

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from degenkit import cli
-from degenkit.degeneration import Branch, DegenDatum, is_l_toric_additive
+from degenkit.degeneration import Branch, DegenDatum, StratumOverride, is_l_toric_additive
 from degenkit.errors import InputError
 from degenkit.galois import (
     GaloisRep,
@@ -36,11 +36,14 @@ from degenkit.monodromy import TraitProfile, component_group, compose_trait
 from degenkit.schema import datum_to_dict
 
 import galois_full as full_model
+from conftest import fixture_path, load_fixture
 from oracles import (
     add_maps,
+    beside,
     closed_point_bound,
     closed_point_torsion,
     decomposition_check,
+    exclusive_index,
     exclusive_parts,
     fixed_lattice,
     image_lattices_equal,
@@ -299,10 +302,10 @@ class TestProvenIdentities:
                 rep = build_rep(datum, l)
                 parts = list(exclusive_parts(rep))
                 # the exclusive parts are independent ...
-                beside = LatticeMap.beside(parts)
-                assert beside.rank_of_image() == beside.ncols <= rep.toric_rank
+                together = beside(parts)
+                assert together.rank_of_image() == together.ncols <= rep.toric_rank
                 # ... so their ranks fill X' exactly when their sum has finite index
-                assert (beside.ncols == rep.toric_rank) == (sum_index(parts) is not None)
+                assert (together.ncols == rep.toric_rank) == (sum_index(parts) is not None)
                 assert decomposition_check(rep) == star_condition(rep), (datum.name, l)
 
     def test_closed_point_torsion_equals_bound(self):
@@ -362,7 +365,7 @@ class TestFactors:
                 assert rep.action(profile).entries == expected.entries, (datum.name, profile)
             # the Hermite row basis of the n·mu-row stack of the psi_i
             assert rep.stack_torsion == cokernel(row_lattice(LatticeMap.stack(psi)))[0]
-            assert rep.exclusive_index == sum_index(list(exclusive_parts(rep))), datum.name
+            assert exclusive_index(rep) == sum_index(list(exclusive_parts(rep))), datum.name
             checked += 1
         assert checked >= 90
 
@@ -375,24 +378,36 @@ class TestFactors:
                 assert f.transpose().image_basis() == m.transpose().image_basis()
 
 
+def _row_bases_and_det(rep: GaloisRep) -> tuple[list[LatticeMap], int | None]:
+    """The row bases B_i of the f_i, and det B of their stack when it is square."""
+    bases = [f.row_basis() for _, f in rep.factors]
+    stack = LatticeMap.stack(bases)
+    return bases, stack.determinant() if stack.nrows == stack.ncols else None
+
+
 class TestExclusiveIndex:
-    """The closed form from one adjugate against the sum index of the
-    leave-one-out kernels (galois module docstring)."""
+    """The adjugate closed form (``oracles.exclusive_index``) against the sum
+    index of the leave-one-out kernels, and the star condition from one
+    determinant against both (galois module docstring)."""
 
     @staticmethod
     def _compare(rep: GaloisRep) -> bool:
-        """Assert the closed form and the lemma; True when R = mu."""
+        """Assert the closed form, the lemma and the star criterion; True when R = mu."""
         reference = sum_index(list(exclusive_parts(rep)))
-        assert rep.exclusive_index == reference
+        assert exclusive_index(rep) == reference
         stacked_rows = sum(psi.rank_of_image() for psi in psi_blocks(rep))
         assert stacked_rows >= rep.toric_rank
         # R > mu forces an infinite index, and R = mu a finite one
         assert (reference is None) == (stacked_rows > rep.toric_rank)
+        # the star condition: R = mu and l does not divide |det B| / prod h_i
+        assert star_condition(rep) == (reference is not None and reference % rep.l != 0)
         return stacked_rows == rep.toric_rank
 
     def test_matches_leave_one_out_kernels_on_generated_datums(self):
         rng = random.Random(161)
         square = wide = 0
+        outcomes = {True: 0, False: 0}
+        divides_yet_holds = 0
         for gen in (random_datum, random_ta_datum, random_polarized_datum):
             for _ in range(40):
                 datum = gen(rng, max_mu=8, max_n=5, min_n=1)
@@ -400,10 +415,17 @@ class TestExclusiveIndex:
                     rep = build_rep(datum, l)
                     if self._compare(rep):
                         square += 1
+                        star = star_condition(rep)
+                        outcomes[star] += 1
+                        divides_yet_holds += star and _row_bases_and_det(rep)[1] % l == 0
                     else:
                         wide += 1
                     assert star_condition(rep) == decomposition_check(rep), (datum.name, l)
         assert square > 100 and wide > 100
+        # both verdicts are reached with a square stack, where the determinant
+        # decides, and so is l | det B with prod h_i taking its whole l-part
+        assert min(outcomes.values()) > 10, outcomes
+        assert divides_yet_holds > 10, divides_yet_holds
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 4).flatmap(square_maps), st.sampled_from([2, 3, 5]))
@@ -417,17 +439,116 @@ class TestExclusiveIndex:
     def test_hand_made_stacks(self):
         # B = diag(2, 3): V_1 = Z·e_1 and V_2 = Z·e_2, index (6/3)·(6/2)/6 = 1
         rep = rep_of(2, (lm([[2, 0], [0, 0]]), lm([[0, 0], [0, 3]])))
-        assert rep.exclusive_index == 1
+        assert exclusive_index(rep) == 1
         # B = ((1, 1), (1, -1)): V_1 = Z·(1, 1) and V_2 = Z·(1, -1), index 2
         psi = (lm([[1, 1]], target=1), lm([[1, -1]], target=1))
-        assert rep_of(3, psi).exclusive_index == 2
+        assert exclusive_index(rep_of(3, psi)) == 2
         assert not star_condition(rep_of(2, psi))
         assert star_condition(rep_of(3, psi))
         # R = 3 > mu = 2: V_2 = ker psi_1 = 0
         rep = rep_of(2, (LatticeMap.identity(2), lm([[1, 1]], target=1)))
-        assert rep.exclusive_index is None
+        assert exclusive_index(rep) is None
+        assert not star_condition(rep)
         for rep in (rep, rep_of(3, psi)):
             self._compare(rep)
+
+    def test_det_divisible_by_l_yet_star_holds(self):
+        # B = ((2, 2), (0, 3)): det 6, h_1 = 2, h_2 = 3, so |det B| / prod h_i = 1;
+        # V_1 = ker B_2 = Z·(1, 0) and V_2 = ker B_1 = Z·(1, -1) span Z^2
+        psi = (lm([[2, 2]], target=1), lm([[0, 3]], target=1))
+        for l in (2, 3):
+            rep = rep_of(l, psi)
+            bases, det = _row_bases_and_det(rep)
+            assert det % l == 0
+            assert [cokernel(b)[0].order for b in bases] == [2, 3]
+            assert exclusive_index(rep) == 1
+            assert star_condition(rep)
+            self._compare(rep)
+        # B = ((2, 0), (1, 3)): det 6 and h_i = (2, 1), so the quotient 3 fails at 3 only
+        psi = (lm([[2, 0]], target=1), lm([[1, 3]], target=1))
+        assert star_condition(rep_of(2, psi)) and not star_condition(rep_of(3, psi))
+        for l in (2, 3):
+            self._compare(rep_of(l, psi))
+
+
+def _keeps_closed_point_coordinates(datum: DegenDatum, stratum, dual: bool) -> bool:
+    """Whether the stratum's basis is the restricted (dual) purity map itself."""
+    maps = [datum.dual_sp(j) if dual else datum.branches[j].specialization
+            for j in stratum.active]
+    return not stratum.overridden and stratum.inclusion.ncols == datum.mu and \
+        stratum.inclusion.entries == tuple(row for m in maps for row in m.entries)
+
+
+def _oracle_eliminations(capsys, intmat_calls, path, argv) -> tuple[int, dict, int]:
+    """(exit code, oracle payload, Smith eliminations) of one oracle run."""
+    intmat_calls.clear_all()
+    code = cli.main(["oracle", str(path), "--json"] + argv)
+    return code, json.loads(capsys.readouterr().out)["oracle"], len(intmat_calls["eliminations"])
+
+
+class TestSharedCokernel:
+    """phi_f = B^t·diag(a_j·phi_j)·B' is sum a_j·psi_j = ``rep.action`` entry
+    for entry when B and B' are the restricted purity maps, so the oracle
+    factors it once for both sides."""
+
+    def test_composed_pairing_is_the_action_in_closed_point_coordinates(self):
+        rng = random.Random(181)
+        kept = moved = 0
+        for datum in _random_datums(rng, 150):
+            rep = build_rep(datum, 2)
+            profiles = [tuple(random_profile(rng, datum.n, allow_zero=True)) for _ in range(4)]
+            for profile in profiles + [(0,) * datum.n, (1,) * datum.n]:
+                composed = compose_trait(datum, TraitProfile(profile))
+                if _keeps_closed_point_coordinates(datum, composed.stratum, False) and \
+                        _keeps_closed_point_coordinates(datum, composed.dual_stratum, True):
+                    assert composed.matrix == rep.action(profile), (datum.name, profile)
+                    kept += 1
+                else:
+                    moved += 1
+        assert kept > 300 and moved > 100, (kept, moved)
+
+    @pytest.mark.parametrize("name", ["example_3_4", "generated_ta_seed7", "product_tate",
+                                      "tate_u1u2", "generated_nonta_seed11"])
+    def test_all_ones_profile_adds_one_elimination(self, name, capsys, intmat_calls):
+        path = fixture_path(name)
+        ones = ",".join(["1"] * load_fixture(name).n)
+        _, _, bare = _oracle_eliminations(capsys, intmat_calls, path, ["--l", "3"])
+        code, report, with_profile = _oracle_eliminations(
+            capsys, intmat_calls, path, ["--l", "3", "--profile", ones])
+        assert code == 0
+        assert with_profile == bare + 1
+        group = report["component_group"]
+        assert group["lattice_side"] == group["galois_side"]
+
+    def test_override_runs_both_eliminations(self, capsys, intmat_calls, tmp_path):
+        # the override widens the stratum over {D1, D2} to Z^2: phi_f = 1, while
+        # the action psi_1 + psi_2 = ((4, 2), (2, 2)) has cokernel Z/2 + Z/2
+        branches = tuple(Branch(f"D{i + 1}", Lattice(1), lm([[1]]), lm([sp], source=2))
+                         for i, sp in enumerate([[2, 1], [0, 1], [1, 0]]))
+        override = StratumOverride((0, 1), LatticeMap.identity(2))
+        datum = DegenDatum("three", 0, 0, Lattice(2), branches, strata=(override,))
+        path = tmp_path / "override.json"
+        path.write_text(json.dumps(datum_to_dict(datum)))
+        profile = TraitProfile((1, 1, 0))
+        composed = compose_trait(datum, profile)
+        action = build_rep(datum, 2).action(profile.multiplicities)
+        assert composed.matrix != action
+        _, _, bare = _oracle_eliminations(capsys, intmat_calls, path, ["--l", "2"])
+        code, report, with_profile = _oracle_eliminations(
+            capsys, intmat_calls, path, ["--l", "2", "--profile", "1,1,0"])
+        assert with_profile == bare + 2
+        group = report["component_group"]
+        # the reference: the cokernel of the sum of the products psi_i, at level r
+        psi = psi_maps(datum)
+        reference = full_model.mod_lr_quotient(
+            add_maps(psi[0], psi[1]), LatticeMap.zero(Lattice(0), Lattice(2)), 2 ** group["r"])
+        assert group["galois_side"] == {"invariant_factors": list(reference.invariant_factors),
+                                        "divisible_rank": 0} == \
+            {"invariant_factors": [2, 2], "divisible_rank": 0}
+        assert group["lattice_side"]["invariant_factors"] == \
+            list(l_part(component_group(composed.matrix), 2).invariant_factors) == []
+        # the two sides differ, as the override asks for another stratum
+        assert code == 1 and group["agree"] is False
 
 
 def test_oracle_at_mu_52_within_budget(capsys, tmp_path):
@@ -461,18 +582,22 @@ def test_oracle_at_mu_123_within_budget(capsys, tmp_path):
     assert report["galois_side"] == {"star_condition": True, "decomposition": True}
 
 
-def test_oracle_at_mu_242_within_budget(capsys, tmp_path):
+def test_oracle_at_mu_242_within_budget(capsys, tmp_path, intmat_calls):
     # 160 branches: the Hermite form of the 38,720-row stack of the psi_i and
     # n scaled adds of mu × mu products took about 11.7 s on a 2-vCPU x86
-    # container; the factored rep about 2.5 s, most of it in the adjugate
+    # container, the factored rep about 2.5 s, most of it in the adjugate of
+    # the star condition; one determinant and one shared cokernel about 0.5 s
     datum = random_ta_datum(random.Random(1), max_mu=10 ** 6, max_n=160, min_n=160)
     assert (datum.mu, datum.n) == (242, 160)
     path = tmp_path / "mu242.json"
     path.write_text(json.dumps(datum_to_dict(datum)))
     argv = ["oracle", str(path), "--l", "3", "--profile", ",".join(["1"] * 160), "--json"]
-    with wall_clock_budget(5):
+    intmat_calls.clear_all()
+    with wall_clock_budget(3):
         code = cli.main(argv)
     report = json.loads(capsys.readouterr().out)["oracle"]
     assert code == 0
     assert report["agree"] and report["component_group"]["agree"]
     assert report["galois_side"] == {"star_condition": True, "decomposition": True}
+    # no fraction-free Gauss-Jordan pass: no adjugate and no rational solve
+    assert not intmat_calls["gauss_jordan"]

@@ -58,10 +58,12 @@ def test_neron_does_not_import_intmat():
 
 
 def test_galois_does_not_import_intmat():
-    # the Galois side reaches integer matrices only through lattice
+    # the Galois side reaches integer matrices only through lattice, and the
+    # star condition needs one determinant, no adjugate
     tree = ast.parse((SRC / "galois.py").read_text())
     assert not _imports_intmat(tree)
     assert not _intmat_uses(tree)
+    assert "adjugate" not in _identifiers(tree)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -110,16 +112,20 @@ def test_no_smith_transform_v(path):
     assert not found, f"{path.name} names {found}"
 
 
-# public routines that no command used live on in tests/oracles.py only: the
-# leave-one-out kernels and the decomposition check they fed (the exclusive
-# index comes from one adjugate), the fixed lattice of a set of generators,
-# the closed-point bound and exact torsion (read off the rep's stack), the
-# mu × mu products psi_i with the Hermite row lattice of their stack (a rep
-# keeps the factors of each psi_i), and three lattice operations no command
-# called: the Q/Z-kernel, the saturated kernel and the index of a sum
-UNUSED = {"exclusive_parts", "_running_row_bases", "decomposition_check", "fixed_lattice",
-          "closed_point_bound", "closed_point_torsion", "psi_maps", "row_lattice",
-          "psi_blocks", "torsion_kernel_qz", "kernel_saturated", "sum_index"}
+# public routines that no command used live on in tests only: the
+# leave-one-out kernels and the decomposition check they fed, the exclusive
+# index from one adjugate (the star condition needs one determinant), the
+# fixed lattice of a set of generators, the closed-point bound and exact
+# torsion (read off the rep's stack), the mu × mu products psi_i with the
+# Hermite row lattice of their stack (a rep keeps the factors of each psi_i),
+# four lattice operations no command called: the Q/Z-kernel, the saturated
+# kernel, the index of a sum and the column concatenation, the file loader
+# of the fixtures, and the recombination check of restricted cycles, which
+# their cotree entries fix
+UNUSED = {"exclusive_parts", "_running_row_bases", "decomposition_check", "exclusive_index",
+          "fixed_lattice", "closed_point_bound", "closed_point_torsion", "psi_maps",
+          "row_lattice", "psi_blocks", "torsion_kernel_qz", "kernel_saturated", "sum_index",
+          "beside", "load_document", "_check_cycle_decomposition"}
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
