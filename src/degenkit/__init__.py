@@ -35,7 +35,7 @@ from .monodromy import (
     component_group,
     compose_trait,
     stratum_lattice,
-    sub_datum,
+    trait_component_group,
 )
 from .neron import (
     ConverseCertificate,

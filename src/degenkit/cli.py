@@ -184,7 +184,7 @@ def cmd_trait(args: argparse.Namespace) -> int:
     datum, echo = _load(args.file, "degeneration")
     profile = _parse_profile(args.profile, datum.n)
     composed = monodromy.compose_trait(datum, profile)
-    group = monodromy.component_group(composed.matrix)
+    group = monodromy.trait_component_group(datum, composed)
     report = _base_report("trait", echo)
     report.update(_datum_common(datum))
     report["warnings"] = list(composed.warnings)
@@ -237,10 +237,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     if args.profile is not None:
         profile = _parse_profile(args.profile, datum.n)
         composed = monodromy.compose_trait(datum, profile)
-        trait_group = monodromy.component_group(composed.matrix)
+        trait_group = monodromy.trait_component_group(datum, composed)
         # where both strata keep closed-point coordinates, phi_f is the action
-        # sum a_i·psi_i entry for entry, and one cokernel serves both sides
-        rep.share_cokernel(profile.multiplicities, composed.matrix, trait_group)
+        # sum a_i·psi_i, and one cokernel serves both sides
+        rep.share_cokernel(composed, trait_group)
         lattice_group = l_part(trait_group, args.l)
         level = _derived_level(lattice_group, args.l, args.r)
         galois_group = galois.torsion_phi_group(rep, profile, level)

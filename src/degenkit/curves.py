@@ -184,6 +184,7 @@ def graph_to_datum(graph: DualGraph) -> DegenDatum:
     index = {v.name: i for i, v in enumerate(graph.vertices)}
     ends = [(index[e.ends[0]], index[e.ends[1]]) for e in graph.edges]
     order = _edge_order(graph)
+    position = {k: i for i, k in enumerate(order)}
     closed_basis, _ = _cycle_basis(len(graph.vertices), ends, order)
     mu = len(closed_basis)
 
@@ -197,17 +198,27 @@ def graph_to_datum(graph: DualGraph) -> DegenDatum:
                 uf.union(ends[k][0], ends[k][1])
         merged_ends = [(uf.find(ends[k][0]), uf.find(ends[k][1])) for k in surviving]
         merged_vertices = len({uf.find(i) for i in range(len(graph.vertices))})
-        surviving_order = sorted(range(len(surviving)),
-                                 key=lambda t: order.index(surviving[t]))
+        surviving_order = sorted(range(len(surviving)), key=lambda t: position[surviving[t]])
         branch_basis, cotree = _cycle_basis(merged_vertices if merged_vertices else 1,
                                             _relabel(merged_ends), surviving_order)
         mu_i = len(branch_basis)
         # a closed cycle restricts to a cycle of the contracted graph, which is
         # the sum of the fundamental cycles weighted by its own cotree entries
         sp_rows = [[z[surviving[t]] for z in closed_basis] for t in cotree]
-        weights = [graph.edges[surviving[t]].label[br] for t in range(len(surviving))]
-        pairing_rows = [[sum(w * a * b for w, a, b in zip(weights, za, zb))
-                         for zb in branch_basis] for za in branch_basis]
+        # the weighted intersection form, summed edge by edge over the cycles
+        # through each edge
+        through: list[list[tuple[int, int]]] = [[] for _ in surviving]
+        for a, z in enumerate(branch_basis):
+            for t, c in enumerate(z):
+                if c:
+                    through[t].append((a, c))
+        pairing_rows = [[0] * mu_i for _ in range(mu_i)]
+        for k, cycles in zip(surviving, through):
+            w = graph.edges[k].label[br]
+            for a, ca in cycles:
+                row = pairing_rows[a]
+                for b, cb in cycles:
+                    row[b] += w * ca * cb
         branches.append(Branch(
             name=f"D{br + 1}",
             lattice=Lattice(mu_i),

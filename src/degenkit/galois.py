@@ -19,11 +19,12 @@ f_i = phi_i ∘ sp'_i (mu_i × mu each), and never forms the mu × mu product:
   of the f_i have one row lattice L, hence one set of nonzero invariant
   factors d_k: Z^mu / L ≅ ⊕ Z/d_k ⊕ Z^(mu - rank L) (Smith form).
 - sum a_i·psi_i = S^t·(a_1·f_1; ...; a_n·f_n) with S = (sp_1; ...; sp_n).
-- Where both strata of a trait keep closed-point coordinates, their bases
-  are the stacks of the sp_j and of the sp'_j over the active j, so the
-  composed pairing (sp_j)^t·diag(a_j·phi_j)·(sp'_j) is sum a_i·psi_i:
-  ``share_cokernel`` takes that pairing's cokernel for the action's when
-  the entries agree.
+- Where both strata of a trait keep closed-point coordinates (the flag
+  ``StratumData.closed_point_coordinates``), their bases are the stacks of
+  the sp_j and of the sp'_j over the active j, so the composed pairing
+  (sp_j)^t·diag(a_j·phi_j)·(sp'_j) is sum a_i·psi_i: ``share_cokernel``
+  takes that pairing's component group for the action's cokernel torsion
+  on the two flags alone, with no product and no comparison.
 
 On a valid datum T^G = T^f = X^dual ⊕ C, that is, the stacked f_i are
 injective: if f_i·x = 0 for every i, then sp'_i·x = 0 for every i, since
@@ -43,7 +44,12 @@ with no kernel:
 - Inputs.  Let B_i be a row basis of f_i, with r_i rows.  A kernel
   depends only on the rational row space, so V_i = ker(B_j, j != i), and
   the stack B of the B_i has the kernel of the stacked f_i, which is 0.
-  So R = sum r_i >= mu.
+  So R = sum r_i >= mu.  The determinant comes first: when the f_i have mu
+  rows in all and their stack has a nonzero determinant, every row of every
+  f_i is independent, so each f_i is its own row basis and that
+  determinant is det B.  On a valid datum the stack is injective, so this
+  holds whenever sum mu_i = mu (weak toric additivity), and no row-basis
+  pass runs; otherwise the row bases are found.
 - Case R > mu: the index is infinite.  If it were finite, the V_i would
   span X' ⊗ Q.  B_j kills every V_i with i != j, so B_j(X' ⊗ Q) is
   B_j(V_j ⊗ Q), and r_j <= rank V_j.  By independence,
@@ -78,7 +84,7 @@ from math import gcd, prod
 from .degeneration import DegenDatum, require_valid
 from .errors import InputError
 from .lattice import FinAb, Lattice, LatticeMap, cokernel, is_prime
-from .monodromy import TraitProfile
+from .monodromy import ComposedPairing, TraitProfile
 
 
 @dataclass(frozen=True)
@@ -134,12 +140,13 @@ class GaloisRep:
             self._action_torsion[multiplicities] = torsion
         return torsion
 
-    def share_cokernel(self, multiplicities: tuple[int, ...], matrix: LatticeMap,
-                       torsion: FinAb) -> None:
-        """Take the cokernel torsion of a matrix factored elsewhere as that of
-        sum a_i·psi_i, when the matrix is that action entry for entry."""
-        if matrix == self.action(multiplicities):
-            self._action_torsion[multiplicities] = torsion
+    def share_cokernel(self, composed: ComposedPairing, group: FinAb) -> None:
+        """Take the component group of a composed pairing as the cokernel
+        torsion of sum a_i·psi_i, which the pairing is when both its strata
+        keep closed-point coordinates (module docstring)."""
+        if composed.stratum.closed_point_coordinates and \
+                composed.dual_stratum.closed_point_coordinates:
+            self._action_torsion[composed.profile.multiplicities] = group
 
 
 def build_rep(datum: DegenDatum, l: int) -> GaloisRep:
@@ -160,11 +167,17 @@ def star_condition(rep: GaloisRep) -> bool:
     (module docstring)."""
     if rep.n == 0:
         return True
-    bases = [f.row_basis() for _, f in rep.factors]
-    if sum(b.nrows for b in bases) != rep.toric_rank:
-        return False
-    det = abs(LatticeMap.stack(bases).determinant())
-    return det // prod(cokernel(b)[0].order for b in bases) % rep.l != 0
+    # a square nonsingular stack of the f_i is its own stack of row bases
+    bases = [f for _, f in rep.factors]
+    det = 0
+    if sum(f.nrows for f in bases) == rep.toric_rank:
+        det = LatticeMap.stack(bases).determinant()
+    if not det:
+        bases = [f.row_basis() for f in bases]
+        if sum(b.nrows for b in bases) != rep.toric_rank:
+            return False
+        det = LatticeMap.stack(bases).determinant()
+    return abs(det) // prod(cokernel(b)[0].order for b in bases) % rep.l != 0
 
 
 def _at_level(torsion: FinAb, modulus: int) -> FinAb:

@@ -11,6 +11,13 @@ restricted purity map is injective we keep the closed-point coordinates
 (B = restricted purity itself), which reproduces the closed-point pairing
 matrices exactly; otherwise a canonical Hermite basis of the image is used.
 The component group of a nondegenerate pairing is its cokernel.
+
+Block lemma: coker(U^t·M·V) ≅ coker M for unimodular U and V, since
+U^t and V are automorphisms of the two lattices.  On a principal
+toric-additive datum, a trait through every branch has both strata bases
+equal to the purity map, which is square and unimodular, so coker phi_f is
+⊕_j coker(a_j·phi_j), the paper's Psi_J ≅ Upsilon.  ``trait_component_group``
+reads it off the n blocks there and factors phi_f itself everywhere else.
 """
 
 from __future__ import annotations
@@ -18,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .degeneration import (
-    Branch,
     DegenDatum,
     StratumOverride,
     require_valid,
@@ -64,6 +70,8 @@ class StratumData:
     active: tuple[int, ...]
     heuristic: bool = False
     overridden: bool = False
+    # the basis is the restricted (dual) purity map itself
+    closed_point_coordinates: bool = False
 
 
 @dataclass(frozen=True)
@@ -132,7 +140,8 @@ def stratum_lattice(datum: DegenDatum, active: tuple[int, ...] | list[int],
     if whole and not datum.violations or restricted.is_injective():
         # Y is the source lattice itself, in its own basis
         return StratumData(restricted.source, restricted,
-                           LatticeMap.identity(restricted.ncols), active, heuristic)
+                           LatticeMap.identity(restricted.ncols), active, heuristic,
+                           closed_point_coordinates=True)
     inc = restricted.image_basis()
     proj = inc.solve(restricted)
     if proj is None:
@@ -176,52 +185,17 @@ def component_group(phi: LatticeMap) -> FinAb:
     return coker
 
 
-def sub_datum(datum: DegenDatum, active: tuple[int, ...] | list[int]) -> DegenDatum:
-    """Restriction of the datum to a branch subset, over the derived stratum."""
-    require_valid(datum)
-    active = tuple(sorted(set(active)))
-    stratum = stratum_lattice(datum, active, dual=False)
-    offsets = []
-    pos = 0
-    for j in active:
-        offsets.append(pos)
-        pos += datum.branches[j].lattice.rank
-    def block(inc: LatticeMap, start: int, size: int) -> LatticeMap:
-        rows = [list(inc.entries[start + k]) for k in range(size)]
-        return LatticeMap.from_rows(rows, source_rank=inc.ncols, target_rank=size)
+def trait_component_group(datum: DegenDatum, composed: ComposedPairing) -> FinAb:
+    """Component group of the composed pairing phi_f of a trait on the datum.
 
-    branches = []
-    for off, j in zip(offsets, active):
-        b = datum.branches[j]
-        branches.append(Branch(b.name, b.lattice, b.pairing,
-                               block(stratum.inclusion, off, b.lattice.rank)))
-    if datum.is_principal:
-        return DegenDatum(
-            name=f"{datum.name}|{','.join(datum.branches[j].name for j in active)}",
-            abelian_rank=datum.abelian_rank,
-            residue_char=datum.residue_char,
-            closed_point=stratum.lattice,
-            branches=tuple(branches),
-        )
-    dual_stratum = stratum_lattice(datum, active, dual=True)
-    d_offsets = []
-    pos = 0
-    for j in active:
-        d_offsets.append(pos)
-        pos += datum.branches[j].dual_rank
-    dual_sps = tuple(
-        block(dual_stratum.inclusion, off, datum.branches[j].dual_rank)
-        for off, j in zip(d_offsets, active))
-    branch_pols = None
-    if datum.branch_polarizations is not None:
-        branch_pols = tuple(datum.branch_polarizations[j] for j in active)
-    return DegenDatum(
-        name=f"{datum.name}|{','.join(datum.branches[j].name for j in active)}",
-        abelian_rank=datum.abelian_rank,
-        residue_char=datum.residue_char,
-        closed_point=stratum.lattice,
-        branches=tuple(branches),
-        dual_closed_point=dual_stratum.lattice,
-        dual_specializations=dual_sps,
-        branch_polarizations=branch_pols,
-    )
+    With every branch active on a principal toric-additive datum, both
+    strata bases are the purity map, square and unimodular, so by the block
+    lemma (module docstring) the group is ⊕_j coker(a_j·phi_j): n small
+    Smith forms instead of one mu × mu one.
+    """
+    stratum = composed.stratum
+    if datum.is_principal and stratum.closed_point_coordinates and \
+            len(stratum.active) == datum.n and datum.verdict.toric_additive:
+        return FinAb.direct_sum([component_group(b.pairing.scaled(a)) for b, a
+                                 in zip(datum.branches, composed.profile.multiplicities)])
+    return component_group(composed.matrix)

@@ -29,7 +29,9 @@ the saturated kernel, which takes the columns of the reference Smith V past
 the rank.  Last comes the Step-5 projection Psi_J -> Upsilon on
 invariant-factor presentations with rational representatives, built on that
 same V, which ``neron.trait_surjectivity_check`` reads off B^t between
-cokernels; the package computes no Smith transform at all.
+cokernels; the package computes no Smith transform at all.  The very last
+is the restriction of a datum to a branch subset over its derived stratum,
+which no command reached.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from math import gcd, lcm
 
 from degenkit import intmat
 from degenkit.degeneration import (
+    Branch,
     DegenDatum,
     StratumOverride,
     Violation,
@@ -57,7 +60,7 @@ from degenkit.lattice import (
     is_prime,
     l_part,
 )
-from degenkit.monodromy import TraitProfile, component_group, compose_trait
+from degenkit.monodromy import TraitProfile, component_group, compose_trait, stratum_lattice
 
 
 def minor_gcd_invariant_factors(rows: list[list[int]]) -> list[int]:
@@ -740,3 +743,54 @@ def reference_trait_surjectivity(datum: DegenDatum,
                                   target_rank=len(columns)).transpose()
     surjective = beside([images, LatticeMap.diagonal(ups_orders)]).is_surjective()
     return FinAb(tuple(ups_orders)), FinAb.from_cyclic_orders(psi_orders), surjective
+
+
+def sub_datum(datum: DegenDatum, active: tuple[int, ...] | list[int]) -> DegenDatum:
+    """Restriction of the datum to a branch subset, over the derived stratum."""
+    require_valid(datum)
+    active = tuple(sorted(set(active)))
+    stratum = stratum_lattice(datum, active, dual=False)
+    offsets = []
+    pos = 0
+    for j in active:
+        offsets.append(pos)
+        pos += datum.branches[j].lattice.rank
+    def block(inc: LatticeMap, start: int, size: int) -> LatticeMap:
+        rows = [list(inc.entries[start + k]) for k in range(size)]
+        return LatticeMap.from_rows(rows, source_rank=inc.ncols, target_rank=size)
+
+    branches = []
+    for off, j in zip(offsets, active):
+        b = datum.branches[j]
+        branches.append(Branch(b.name, b.lattice, b.pairing,
+                               block(stratum.inclusion, off, b.lattice.rank)))
+    if datum.is_principal:
+        return DegenDatum(
+            name=f"{datum.name}|{','.join(datum.branches[j].name for j in active)}",
+            abelian_rank=datum.abelian_rank,
+            residue_char=datum.residue_char,
+            closed_point=stratum.lattice,
+            branches=tuple(branches),
+        )
+    dual_stratum = stratum_lattice(datum, active, dual=True)
+    d_offsets = []
+    pos = 0
+    for j in active:
+        d_offsets.append(pos)
+        pos += datum.branches[j].dual_rank
+    dual_sps = tuple(
+        block(dual_stratum.inclusion, off, datum.branches[j].dual_rank)
+        for off, j in zip(d_offsets, active))
+    branch_pols = None
+    if datum.branch_polarizations is not None:
+        branch_pols = tuple(datum.branch_polarizations[j] for j in active)
+    return DegenDatum(
+        name=f"{datum.name}|{','.join(datum.branches[j].name for j in active)}",
+        abelian_rank=datum.abelian_rank,
+        residue_char=datum.residue_char,
+        closed_point=stratum.lattice,
+        branches=tuple(branches),
+        dual_closed_point=dual_stratum.lattice,
+        dual_specializations=dual_sps,
+        branch_polarizations=branch_pols,
+    )

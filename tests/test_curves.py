@@ -19,6 +19,8 @@ from degenkit.errors import InputError
 from degenkit.generators import random_graph
 from degenkit.monodromy import TraitProfile, component_group, compose_trait
 
+from test_intmat import wall_clock_budget
+
 
 def graph(vertices, edges, n_branches, name="g"):
     return DualGraph(name, 0, n_branches,
@@ -29,6 +31,36 @@ def graph(vertices, edges, n_branches, name="g"):
 TWO_LOOPS = graph([("v0", 0)], [(("v0", "v0"), (1, 0)), (("v0", "v0"), (0, 1))], 2)
 SHARED_LOOP = graph([("v0", 0)], [(("v0", "v0"), (1, 1))], 2)
 TWO_VERTEX_TREE = graph([("v0", 1), ("v1", 1)], [(("v0", "v1"), (1,))], 1)
+
+
+def chord_graph(num_vertices):
+    """The cycle v0 ... v(V-1) with the chords v_i -> v_(7i+3 mod V), one branch."""
+    names = [f"v{i}" for i in range(num_vertices)]
+    ends = [(names[i], names[(i + 1) % num_vertices]) for i in range(num_vertices)]
+    ends += [(names[i], names[(7 * i + 3) % num_vertices]) for i in range(num_vertices)]
+    return graph([(n, 0) for n in names], [(e, (1,)) for e in ends], 1, name="chords")
+
+
+def branch_cycles(g, br):
+    """(surviving edges, fundamental cycles, cotree) of branch br's contracted
+    graph, in graph_to_datum's edge order."""
+    index = {v.name: i for i, v in enumerate(g.vertices)}
+    ends = [(index[e.ends[0]], index[e.ends[1]]) for e in g.edges]
+    order = curves._edge_order(g)
+    surviving = [k for k, e in enumerate(g.edges) if e.label[br]]
+    uf = curves._UnionFind(len(g.vertices))
+    for k, e in enumerate(g.edges):
+        if not e.label[br]:
+            uf.union(*ends[k])
+    merged = curves._relabel([(uf.find(ends[k][0]), uf.find(ends[k][1])) for k in surviving])
+    sub_order = sorted(range(len(surviving)), key=lambda t: order.index(surviving[t]))
+    basis, cotree = curves._cycle_basis(len(g.vertices), merged, sub_order)
+    return surviving, basis, cotree
+
+
+def dense_pairing(g, br, surviving, za, zb):
+    """The intersection form on two cycles, summed over every surviving edge."""
+    return sum(g.edges[k].label[br] * a * b for k, a, b in zip(surviving, za, zb))
 
 
 class TestGraphToDatum:
@@ -64,23 +96,13 @@ class TestGraphToDatum:
             g = random_graph(rng, max_edges=10)
             index = {v.name: i for i, v in enumerate(g.vertices)}
             ends = [(index[e.ends[0]], index[e.ends[1]]) for e in g.edges]
-            order = curves._edge_order(g)
-            closed, _ = curves._cycle_basis(len(g.vertices), ends, order)
+            closed, _ = curves._cycle_basis(len(g.vertices), ends, curves._edge_order(g))
             datum = graph_to_datum(g)
             for br, branch in enumerate(datum.branches):
-                surviving = [k for k, e in enumerate(g.edges) if e.label[br]]
-                uf = curves._UnionFind(len(g.vertices))
-                for k, e in enumerate(g.edges):
-                    if not e.label[br]:
-                        uf.union(*ends[k])
-                merged = curves._relabel([(uf.find(ends[k][0]), uf.find(ends[k][1]))
-                                          for k in surviving])
-                sub_order = sorted(range(len(surviving)), key=lambda t: order.index(surviving[t]))
-                basis, cotree = curves._cycle_basis(len(g.vertices), merged, sub_order)
-                weights = [g.edges[k].label[br] for k in surviving]
+                surviving, basis, cotree = branch_cycles(g, br)
                 # the same branch basis as graph_to_datum: the same pairing
                 assert branch.pairing.entries == tuple(
-                    tuple(sum(w * a * b for w, a, b in zip(weights, za, zb)) for zb in basis)
+                    tuple(dense_pairing(g, br, surviving, za, zb) for zb in basis)
                     for za in basis)
                 sp = branch.specialization.entries
                 for c, z in enumerate(closed):
@@ -91,6 +113,39 @@ class TestGraphToDatum:
                             for pos in range(len(surviving))] == restricted
                     recombined += any(restricted)
         assert recombined > 300
+
+    def test_pairing_matches_the_dense_formula(self):
+        # graph_to_datum sums the pairing edge by edge over the cycles through
+        # each edge; here every pair of cycles is summed over every edge
+        rng = random.Random(61)
+        pairs = 0
+        for _ in range(150):
+            g = random_graph(rng, max_edges=16, max_branches=4)
+            for br, branch in enumerate(graph_to_datum(g).branches):
+                surviving, basis, _ = branch_cycles(g, br)
+                assert branch.pairing.entries == tuple(
+                    tuple(dense_pairing(g, br, surviving, za, zb) for zb in basis)
+                    for za in basis)
+                pairs += len(basis) ** 2
+        assert pairs > 1000, pairs
+
+    def test_chord_graph_of_1600_edges_within_budget(self):
+        # the pairing summed over all E edges for every pair of cycles, and the
+        # branch edges sorted by a list.index key, took about 57 s on a 2-vCPU
+        # container; edge by edge it takes well under a second
+        g = chord_graph(800)
+        with wall_clock_budget(5):
+            datum = graph_to_datum(g)
+        assert datum.mu == 1600 - 800 + 1
+        pairing = datum.branches[0].pairing.entries
+        surviving, basis, _ = branch_cycles(g, 0)
+        # a fundamental cycle has coefficients ±1, so its square is its length
+        assert [pairing[a][a] for a in range(datum.mu)] == [sum(map(abs, z)) for z in basis]
+        rng = random.Random(67)
+        for _ in range(200):
+            a, b = rng.randrange(datum.mu), rng.randrange(datum.mu)
+            assert pairing[a][b] == pairing[b][a] == \
+                dense_pairing(g, 0, surviving, basis[a], basis[b])
 
     def test_rejects_disconnected(self):
         g = graph([("v0", 0), ("v1", 0)],

@@ -25,11 +25,10 @@ from degenkit.errors import InputError
 from degenkit.generators import random_datum, random_polarized_datum, random_ta_datum
 from degenkit.intmat import bareiss_det
 from degenkit.lattice import FinAb, Lattice, LatticeMap
-from degenkit.monodromy import sub_datum
 from degenkit.schema import datum_to_dict
 
 from conftest import load_fixture
-from oracles import reference_validate
+from oracles import reference_validate, sub_datum
 
 
 def simple_datum(specializations, pairings, mu, name="test"):

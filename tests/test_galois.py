@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -452,6 +453,41 @@ class TestExclusiveIndex:
         for rep in (rep, rep_of(3, psi)):
             self._compare(rep)
 
+    def test_square_stack_needs_no_row_basis(self, intmat_calls):
+        # with sum r_i = mu the determinant of the stacked f_i comes first, and
+        # a nonzero one makes each f_i its own row basis: one Bareiss pass
+        rng = random.Random(167)
+        square = 0
+        for gen in (random_datum, random_ta_datum, random_polarized_datum):
+            for _ in range(40):
+                datum = gen(rng, max_mu=8, max_n=5, min_n=1)
+                rep = build_rep(datum, rng.choice([2, 3, 5]))
+                stack = LatticeMap.stack([f for _, f in rep.factors])
+                if stack.nrows != rep.toric_rank:
+                    continue
+                square += 1
+                intmat_calls.clear_all()
+                star = star_condition(rep)
+                assert [args[0] for args in intmat_calls["bareiss"]] == [stack.entries]
+                assert self._compare(rep) and star_condition(rep) == star
+        assert square > 40, square
+
+    def test_rank_deficient_factors_take_the_row_bases(self, intmat_calls):
+        # f_1 has dependent rows, so sum r_i = 3 > mu = 2: the row bases
+        # ((1, 0)) and ((1, 3)) are found, two passes, then det B = 3 with
+        # h_i = (1, 1); V_1 = Z·(3, -1) and V_2 = Z·(0, 1) have index 3
+        psi = (lm([[1, 0], [2, 0]]), lm([[1, 3]], target=1))
+        for l in (2, 3, 5):
+            rep = rep_of(l, psi)
+            intmat_calls.clear_all()
+            assert star_condition(rep) == (l != 3)
+            assert len(intmat_calls["bareiss"]) == 3
+            assert exclusive_index(rep) == 3
+            self._compare(rep)
+        # a square stack of determinant 0 falls back to the row bases too,
+        # which find it singular
+        assert not star_condition(rep_of(2, (lm([[1, 1]], target=1), lm([[2, 2]], target=1))))
+
     def test_det_divisible_by_l_yet_star_holds(self):
         # B = ((2, 2), (0, 3)): det 6, h_1 = 2, h_2 = 3, so |det B| / prod h_i = 1;
         # V_1 = ker B_2 = Z·(1, 0) and V_2 = ker B_1 = Z·(1, -1) span Z^2
@@ -479,17 +515,18 @@ def _keeps_closed_point_coordinates(datum: DegenDatum, stratum, dual: bool) -> b
         stratum.inclusion.entries == tuple(row for m in maps for row in m.entries)
 
 
-def _oracle_eliminations(capsys, intmat_calls, path, argv) -> tuple[int, dict, int]:
-    """(exit code, oracle payload, Smith eliminations) of one oracle run."""
+def _oracle_eliminations(capsys, intmat_calls, path, argv) -> tuple[int, dict, list]:
+    """(exit code, oracle payload, Smith eliminations) of one oracle run; each
+    elimination is its (matrix, nrows, ncols)."""
     intmat_calls.clear_all()
     code = cli.main(["oracle", str(path), "--json"] + argv)
-    return code, json.loads(capsys.readouterr().out)["oracle"], len(intmat_calls["eliminations"])
+    return code, json.loads(capsys.readouterr().out)["oracle"], list(intmat_calls["eliminations"])
 
 
 class TestSharedCokernel:
     """phi_f = B^t·diag(a_j·phi_j)·B' is sum a_j·psi_j = ``rep.action`` entry
-    for entry when B and B' are the restricted purity maps, so the oracle
-    factors it once for both sides."""
+    for entry when B and B' are the restricted purity maps, which the strata
+    flag, so the oracle factors it once for both sides."""
 
     def test_composed_pairing_is_the_action_in_closed_point_coordinates(self):
         rng = random.Random(181)
@@ -499,8 +536,13 @@ class TestSharedCokernel:
             profiles = [tuple(random_profile(rng, datum.n, allow_zero=True)) for _ in range(4)]
             for profile in profiles + [(0,) * datum.n, (1,) * datum.n]:
                 composed = compose_trait(datum, TraitProfile(profile))
-                if _keeps_closed_point_coordinates(datum, composed.stratum, False) and \
-                        _keeps_closed_point_coordinates(datum, composed.dual_stratum, True):
+                # the flag is set exactly where the basis is restricted purity
+                assert composed.stratum.closed_point_coordinates == \
+                    _keeps_closed_point_coordinates(datum, composed.stratum, False)
+                assert composed.dual_stratum.closed_point_coordinates == \
+                    _keeps_closed_point_coordinates(datum, composed.dual_stratum, True)
+                if composed.stratum.closed_point_coordinates and \
+                        composed.dual_stratum.closed_point_coordinates:
                     assert composed.matrix == rep.action(profile), (datum.name, profile)
                     kept += 1
                 else:
@@ -510,13 +552,27 @@ class TestSharedCokernel:
     @pytest.mark.parametrize("name", ["example_3_4", "generated_ta_seed7", "product_tate",
                                       "tate_u1u2", "generated_nonta_seed11"])
     def test_all_ones_profile_adds_one_elimination(self, name, capsys, intmat_calls):
+        """The profile adds one mu × mu elimination, of phi_f, which the rep
+        shares; on unimodular strata (a principal toric-additive datum) it adds
+        the n blocks phi_j instead, r_j × r_j each, and no mu × mu one."""
+        datum = load_fixture(name)
         path = fixture_path(name)
-        ones = ",".join(["1"] * load_fixture(name).n)
+        ones = ",".join(["1"] * datum.n)
         _, _, bare = _oracle_eliminations(capsys, intmat_calls, path, ["--l", "3"])
         code, report, with_profile = _oracle_eliminations(
             capsys, intmat_calls, path, ["--l", "3", "--profile", ones])
         assert code == 0
-        assert with_profile == bare + 1
+        added = list((Counter(with_profile) - Counter(bare)).elements())
+        if name in ("generated_ta_seed7", "product_tate"):
+            assert datum.is_principal and datum.verdict.toric_additive
+            blocks = [(b.pairing.entries, b.lattice.rank, b.dual_rank) for b in datum.branches]
+            assert sorted(added) == sorted(blocks)
+            assert len(with_profile) == len(bare) + datum.n
+            assert datum.n > 1 and all(m[1] < datum.mu for m in added)
+        else:
+            phi_f = compose_trait(datum, TraitProfile((1,) * datum.n)).matrix
+            assert added == [(phi_f.entries, datum.mu, datum.mu)]
+            assert len(with_profile) == len(bare) + 1
         group = report["component_group"]
         assert group["lattice_side"] == group["galois_side"]
 
@@ -536,7 +592,9 @@ class TestSharedCokernel:
         _, _, bare = _oracle_eliminations(capsys, intmat_calls, path, ["--l", "2"])
         code, report, with_profile = _oracle_eliminations(
             capsys, intmat_calls, path, ["--l", "2", "--profile", "1,1,0"])
-        assert with_profile == bare + 2
+        assert len(with_profile) == len(bare) + 2
+        # the trait group takes the dense path: phi_f is factored itself
+        assert (composed.matrix.entries, 2, 2) in with_profile
         group = report["component_group"]
         # the reference: the cokernel of the sum of the products psi_i, at level r
         psi = psi_maps(datum)

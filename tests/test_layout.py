@@ -121,17 +121,32 @@ def test_no_smith_transform_v(path):
 # four lattice operations no command called: the Q/Z-kernel, the saturated
 # kernel, the index of a sum and the column concatenation, the file loader
 # of the fixtures, and the recombination check of restricted cycles, which
-# their cotree entries fix
+# their cotree entries fix, and the restriction of a datum to a branch subset
 UNUSED = {"exclusive_parts", "_running_row_bases", "decomposition_check", "exclusive_index",
           "fixed_lattice", "closed_point_bound", "closed_point_torsion", "psi_maps",
           "row_lattice", "psi_blocks", "torsion_kernel_qz", "kernel_saturated", "sum_index",
-          "beside", "load_document", "_check_cycle_decomposition"}
+          "beside", "load_document", "_check_cycle_decomposition", "sub_datum"}
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_routines_without_a_command(path):
     found = _identifiers(ast.parse(path.read_text())) & UNUSED
     assert not found, f"{path.name} defines or references {sorted(found)}"
+
+
+def test_cli_has_one_path_to_the_trait_group():
+    # monodromy.trait_component_group reads the group off the blocks on
+    # unimodular strata and off phi_f elsewhere; cli factors no pairing itself
+    tree = ast.parse((SRC / "cli.py").read_text())
+    assert "component_group" not in _identifiers(tree)
+
+
+def test_share_cokernel_forms_no_action():
+    # the strata flags decide that phi_f is the action, with no product to compare
+    tree = ast.parse((SRC / "galois.py").read_text())
+    share = next(node for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef) and node.name == "share_cokernel")
+    assert not _identifiers(share) & {"action", "compose", "action_torsion"}
 
 
 # the Smith entry points and the one elimination they share

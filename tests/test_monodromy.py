@@ -6,9 +6,14 @@ import random
 
 import pytest
 
-from degenkit.degeneration import Branch, DegenDatum, pairing_violation
+from degenkit.degeneration import Branch, DegenDatum, StratumOverride, pairing_violation
 from degenkit.errors import InputError
-from degenkit.generators import random_datum, random_polarized_datum, random_profile
+from degenkit.generators import (
+    random_datum,
+    random_polarized_datum,
+    random_profile,
+    random_ta_datum,
+)
 from degenkit.lattice import FinAb, Lattice, LatticeMap, l_part
 from degenkit.monodromy import (
     HEURISTIC_STRATUM,
@@ -17,6 +22,7 @@ from degenkit.monodromy import (
     component_group,
     compose_trait,
     stratum_lattice,
+    trait_component_group,
 )
 
 from oracles import add_maps, closed_point_bound, enumerate_qz_kernel, psi_maps
@@ -132,6 +138,56 @@ class TestComponentGroup:
             if m.determinant() == 0:
                 continue
             assert component_group(m).order == abs(m.determinant())
+
+
+class TestTraitComponentGroup:
+    """The block lemma: on a principal toric-additive datum with every branch
+    active, coker phi_f = ⊕ coker(a_j·phi_j); elsewhere phi_f is factored."""
+
+    def test_blocks_agree_with_the_composed_pairing(self, intmat_calls):
+        rng = random.Random(193)
+        gens = (random_ta_datum, random_ta_datum, random_datum,
+                lambda rng, **kw: random_polarized_datum(rng, ta=True, **kw))
+        paths = {}
+        for k in range(240):
+            datum = gens[k % 4](rng, max_mu=8, max_n=5, min_n=1)
+            for profile in (tuple(random_profile(rng, datum.n, allow_zero=True)),
+                            tuple(rng.randint(1, 3) for _ in range(datum.n))):
+                composed = compose_trait(datum, TraitProfile(profile))
+                intmat_calls.clear_all()
+                group = trait_component_group(datum, composed)
+                factored = [args[0] for args in intmat_calls["eliminations"]]
+                blocks = datum.is_principal and all(profile) and datum.verdict.toric_additive
+                if blocks:
+                    assert factored == [b.pairing.scaled(a).entries
+                                        for b, a in zip(datum.branches, profile)]
+                else:
+                    assert factored == [composed.matrix.entries]
+                assert group == component_group(composed.matrix), (datum.name, profile)
+                case = (blocks, datum.is_principal, datum.verdict.toric_additive,
+                        0 in profile, max(profile) > 1)
+                paths[case] = paths.get(case, 0) + 1
+        assert sum(paths.values()) >= 300
+        blocks = {case: count for case, count in paths.items() if case[0]}
+        # multiplicities 2-3 and all ones on the blocks; zeros, polarized
+        # datums and non-toric-additive ones on the dense path
+        assert sum(c for case, c in blocks.items() if case[4]) > 100, paths
+        assert sum(c for case, c in blocks.items() if not case[4]) > 10, paths
+        assert sum(c for case, c in paths.items() if case[3] and case[2]) > 50, paths
+        assert sum(c for case, c in paths.items() if not case[1] and case[2]) > 50, paths
+        assert sum(c for case, c in paths.items() if not case[2]) > 50, paths
+
+    def test_an_override_over_every_branch_is_factored(self, product_tate):
+        # a unimodular override U: phi_f = U^t·diag(phi_j)·U has the block
+        # cokernel, but the stratum basis is no longer the purity map
+        override = StratumOverride((0, 1), lm([[1, 1], [0, 1]]))
+        datum = DegenDatum(product_tate.name, 0, 0, product_tate.closed_point,
+                           product_tate.branches, strata=(override,))
+        composed = compose_trait(datum, TraitProfile((2, 3)))
+        assert not composed.stratum.closed_point_coordinates
+        assert trait_component_group(datum, composed) == component_group(composed.matrix) == \
+            FinAb.direct_sum([component_group(b.pairing.scaled(a))
+                              for b, a in zip(datum.branches, (2, 3))])
 
 
 class TestClosedPointBound:
