@@ -8,7 +8,6 @@ from .degeneration import (
     Verdict,
     Violation,
     analyze,
-    dual_datum,
     is_l_toric_additive,
     purity_matrix,
     toric_rank_profile,
@@ -41,13 +40,11 @@ from .neron import (
     ConverseCertificate,
     PsiFixedPoints,
     PsiGroup,
-    TraitSurjectivity,
     converse_check,
     converse_inputs_from_datum,
     kummer_rescale,
     psi_fixed_points,
     psi_group,
-    trait_surjectivity_check,
 )
 
 __version__ = "0.1.0"

@@ -221,9 +221,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     rep = galois.build_rep(datum, args.l)
     lattice_side = is_l_toric_additive(datum, args.l)
     # the block decomposition into exclusive parts is the star condition, as
-    # the parts are independent, and one determinant decides it (galois
-    # module docstring); the report keeps its key for the format
-    star = galois.star_condition(rep)
+    # the parts are independent, and the dual purity cokernel decides it
+    # (galois module docstring); the report keeps its key for the format
+    star = galois.star_condition(datum, args.l)
     agree = lattice_side == star
     report = _base_report("oracle", echo)
     report.update(_datum_common(datum))

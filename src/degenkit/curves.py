@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .degeneration import Branch, DegenDatum, Verdict, analyze
-from .errors import FalsificationError, InputError
+from .errors import InputError
 from .lattice import FinAb, Lattice, LatticeMap
 
 
@@ -122,48 +122,43 @@ def _cycle_basis(num_vertices: int, ends: list[tuple[int, int]],
             tree.append(k)
         else:
             cotree.append(k)
-    adjacency: dict[int, list[tuple[int, int, int]]] = {}
+    # root each tree of the spanning forest once: the parent, edge and depth
+    # of every vertex, with sign +1 where the edge points from the parent
+    adjacency: list[list[tuple[int, int, int]]] = [[] for _ in range(num_vertices)]
     for k in tree:
         u, v = ends[k]
-        adjacency.setdefault(u, []).append((v, k, 1))
-        adjacency.setdefault(v, []).append((u, k, -1))
+        adjacency[u].append((v, k, 1))
+        adjacency[v].append((u, k, -1))
+    up: list[tuple[int, int, int] | None] = [None] * num_vertices   # None at a root
+    depth = [-1] * num_vertices
+    for root in range(num_vertices):
+        if depth[root] >= 0:
+            continue
+        depth[root] = 0
+        stack = [root]
+        while stack:
+            cur = stack.pop()
+            for nxt, k, sign in adjacency[cur]:
+                if depth[nxt] < 0:
+                    depth[nxt] = depth[cur] + 1
+                    up[nxt] = (cur, k, sign)
+                    stack.append(nxt)
     basis = []
     for k in cotree:
         u, v = ends[k]
         vec = [0] * len(ends)
         vec[k] = 1
-        if u != v:
-            # walk back from v to u through the tree
-            path = _tree_path(adjacency, v, u)
-            for edge_idx, sign in path:
+        # close the cycle along the unique tree path from v back to u: climb
+        # from the deeper end until the two ends meet
+        while u != v:
+            if depth[u] >= depth[v]:
+                u, edge_idx, sign = up[u]
                 vec[edge_idx] += sign
+            else:
+                v, edge_idx, sign = up[v]
+                vec[edge_idx] -= sign
         basis.append(vec)
     return basis, cotree
-
-
-def _tree_path(adjacency: dict[int, list[tuple[int, int, int]]],
-               start: int, goal: int) -> list[tuple[int, int]]:
-    prev: dict[int, tuple[int, int, int]] = {}
-    seen = {start}
-    queue = [start]
-    while queue:
-        cur = queue.pop(0)
-        if cur == goal:
-            break
-        for nxt, edge_idx, sign in adjacency.get(cur, []):
-            if nxt not in seen:
-                seen.add(nxt)
-                prev[nxt] = (cur, edge_idx, sign)
-                queue.append(nxt)
-    if goal not in seen:
-        raise FalsificationError("spanning tree lost a path between merged vertices")
-    path = []
-    cur = goal
-    while cur != start:
-        before, edge_idx, sign = prev[cur]
-        path.append((edge_idx, sign))
-        cur = before
-    return path
 
 
 def _is_connected(graph: DualGraph) -> bool:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd, lcm
 
 from . import intmat
 from .errors import InputError
@@ -183,6 +182,14 @@ class DegenDatum:
         return cokernel(purity_matrix(self))
 
     @cached_property
+    def dual_purity_cokernel(self) -> tuple[FinAb, int]:
+        """(torsion, free rank) of coker(dual purity): the purity one on a
+        principal datum, where sp' = sp."""
+        if self.is_principal:
+            return self.purity_cokernel
+        return cokernel(dual_purity_matrix(self))
+
+    @cached_property
     def verdict(self) -> Verdict:
         """All three toric-additivity verdicts from one purity SNF."""
         torsion, free_rank = self.purity_cokernel
@@ -251,7 +258,9 @@ def validate(datum: DegenDatum) -> list[Violation]:
     make a commuting square.  A positive definite phi_i∘lambda_i makes
     lambda_i injective, and phi_i too when it is square (its rank is at least
     rank X_i = rank X'_i).  The purity rank is nrows minus the free rank of
-    the purity cokernel, the SNF that the verdict reads.
+    the purity cokernel, the SNF that the verdict reads, and the explicit
+    dual purity rank is read off the dual cokernel, which the star condition
+    reads.
     """
     out: list[Violation] = []
     p = datum.residue_char
@@ -285,7 +294,8 @@ def validate(datum: DegenDatum) -> list[Violation]:
                              detail=f"rank X' = {datum.dual_closed.rank}, rank X = {datum.mu}"))
     if datum.purity_cokernel[1] != sum(datum.branch_mus) - datum.mu:
         out.append(Violation("purity map not injective"))
-    if datum.dual_specializations is not None and not dual_purity_matrix(datum).is_injective():
+    if datum.dual_specializations is not None and datum.dual_purity_cokernel[1] != \
+            sum(b.dual_rank for b in datum.branches) - datum.dual_closed.rank:
         out.append(Violation("dual purity map not injective"))
     if datum.mu > sum(datum.branch_mus):
         out.append(Violation("toric rank inequality violated",
@@ -356,12 +366,17 @@ def analyze(datum: DegenDatum) -> Verdict:
     return datum.verdict
 
 
-def is_l_toric_additive(datum: DegenDatum, l: int) -> bool:
-    """Verdict for one prime l != p: purity square and l-torsion-free."""
+def require_prime_l(datum: DegenDatum, l: int) -> None:
+    """Refuse an l that is not a prime other than the residue characteristic."""
     if not is_prime(l):
         raise InputError(f"l must be prime, got {l}")
     if l == datum.residue_char:
         raise InputError("prime equals residue characteristic")
+
+
+def is_l_toric_additive(datum: DegenDatum, l: int) -> bool:
+    """Verdict for one prime l != p: purity square and l-torsion-free."""
+    require_prime_l(datum, l)
     verdict = analyze(datum)
     # the purity map is injective, so weak toric additivity means it is square
     return verdict.weakly_toric_additive and all(
@@ -373,66 +388,3 @@ def toric_rank_profile(datum: DegenDatum) -> tuple[int, tuple[int, ...], int]:
     require_valid(datum)
     mus = datum.branch_mus
     return datum.mu, mus, sum(mus) - datum.mu
-
-
-def dual_datum(datum: DegenDatum) -> DegenDatum:
-    """Swap the primal and dual sides; pairings are transposed.
-
-    The principal default always supplies an identity polarization, so the
-    precondition (dual data or polarization present) holds for every datum
-    this package can represent.  For a non-unimodular polarization the dual
-    polarization is e·lambda^{-1} with one common multiplier e, keeping the
-    swapped datum's polarization squares commutative.
-    """
-    require_valid(datum)
-    if datum.is_principal and datum.polarization is None and datum.branch_polarizations is None:
-        # X' = X, sp' = sp, phi symmetric: the swap only transposes pairings
-        branches = tuple(
-            Branch(b.name, b.lattice, b.pairing.transpose(), b.specialization)
-            for b in datum.branches)
-        return DegenDatum(datum.name, datum.abelian_rank, datum.residue_char,
-                          datum.closed_point, branches, strata=_swapped_strata(datum))
-    branches = tuple(
-        Branch(b.name, Lattice(b.dual_rank), b.pairing.transpose(), datum.dual_sp(i))
-        for i, b in enumerate(datum.branches))
-    new_dual_sps = tuple(b.specialization for b in datum.branches)
-    lam0 = datum.closed_polarization()
-    new_pol = None
-    new_branch_pols = None
-    if lam0 is not None:
-        lams = [lam0] + [datum.branch_polarization(i) for i in range(datum.n)]
-        if any(l is None for l in lams):
-            raise InputError("dual datum needs polarizations on every branch or none")
-        # lambda^-1 = adj/det; e clears every denominator of every inverse
-        inverses = [l.adjugate() for l in lams]
-        e = lcm(*[abs(det) // gcd(det, *(x for row in adj.entries for x in row))
-                  for det, adj in inverses])
-        scaled = [[[x * e // det for x in row] for row in adj.entries] for det, adj in inverses]
-        new_pol = LatticeMap.from_rows(scaled[0], source_rank=datum.dual_closed.rank)
-        new_branch_pols = tuple(
-            LatticeMap.from_rows(scaled[i + 1], source_rank=datum.branches[i].dual_rank)
-            for i in range(datum.n))
-    return DegenDatum(
-        name=datum.name,
-        abelian_rank=datum.abelian_rank,
-        residue_char=datum.residue_char,
-        closed_point=datum.dual_closed,
-        branches=branches,
-        dual_closed_point=datum.closed_point,
-        dual_specializations=new_dual_sps,
-        polarization=new_pol,
-        branch_polarizations=new_branch_pols,
-        strata=_swapped_strata(datum),
-    )
-
-
-def _swapped_strata(datum: DegenDatum) -> tuple[StratumOverride, ...]:
-    out = []
-    for ov in datum.strata:
-        if datum.is_principal and ov.dual_inclusion is None:
-            out.append(ov)
-        elif ov.dual_inclusion is not None:
-            out.append(StratumOverride(ov.branches, ov.dual_inclusion, ov.inclusion))
-        else:
-            raise InputError("stratum override lacks a dual inclusion; cannot dualize")
-    return tuple(out)

@@ -35,21 +35,16 @@ rank comparison of T^G with 2d - mu could never fail.
 Star condition.  The star condition asks that the exclusive parts V_i have
 a sum of index prime to l in X'.  V_i is the X' part of the lattice fixed by
 every sigma_j with j != i, that is, the kernel of the psi_j with j != i (a
-kernel in Z^mu is saturated).  Such a lattice is also invariant under
-sigma_i, since N_i lands in X^dual.  The V_i are independent: if
-sum k_i = 0 with k_i in V_i, applying psi_m leaves psi_m·k_m = 0, so k_m is
-killed by every psi_j and is 0.  One determinant decides the condition,
-with no kernel:
+kernel in Z^mu is saturated), which is the kernel of the f_j with j != i.
+Such a lattice is also invariant under sigma_i, since N_i lands in X^dual.
+The V_i are independent: if sum k_i = 0 with k_i in V_i, applying psi_m
+leaves psi_m·k_m = 0, so k_m is killed by every psi_j and is 0.  On a valid
+datum the condition is that the dual purity map P' is l-toric additive:
 
-- Inputs.  Let B_i be a row basis of f_i, with r_i rows.  A kernel
+- Index lemma.  Let B_i be a row basis of f_i, with r_i rows.  A kernel
   depends only on the rational row space, so V_i = ker(B_j, j != i), and
   the stack B of the B_i has the kernel of the stacked f_i, which is 0.
-  So R = sum r_i >= mu.  The determinant comes first: when the f_i have mu
-  rows in all and their stack has a nonzero determinant, every row of every
-  f_i is independent, so each f_i is its own row basis and that
-  determinant is det B.  On a valid datum the stack is injective, so this
-  holds whenever sum mu_i = mu (weak toric additivity), and no row-basis
-  pass runs; otherwise the row bases are found.
+  So R = sum r_i >= mu.
 - Case R > mu: the index is infinite.  If it were finite, the V_i would
   span X' ⊗ Q.  B_j kills every V_i with i != j, so B_j(X' ⊗ Q) is
   B_j(V_j ⊗ Q), and r_j <= rank V_j.  By independence,
@@ -65,6 +60,12 @@ with no kernel:
   pi_i(L) ⊆ L, hence pi_i(L) = L ∩ Z^r_i.  L has index |D| and ⊕ pi_i(L)
   index prod h_i in Z^R, so [⊕ pi_i(L) : L] = |D| / prod h_i, and the star
   condition holds exactly when R = mu and l does not divide |D| / prod h_i.
+- Reduction to P'.  Validation proves each phi_i square and injective,
+  each sp'_i onto and P' injective.  So f_i has rank mu_i and r_i = mu_i:
+  R = sum mu_i, and R = mu exactly when P' is square.  Then each f_i is its
+  own row basis, B = diag(phi_i)·P' and h_i = |det phi_i|, so
+  |D| / prod h_i = |det P'|: the star condition is that coker P' has free
+  rank 0 and no invariant factor divisible by l.
 
 Finite levels.  Let A act on X' with nonzero invariant factors d_k, U·A·V = D.
 In the coordinates y = V^-1·x, x lies in ker(A mod m) exactly when
@@ -79,11 +80,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import gcd, prod
+from math import gcd
 
-from .degeneration import DegenDatum, require_valid
+from .degeneration import DegenDatum, require_prime_l, require_valid
 from .errors import InputError
-from .lattice import FinAb, Lattice, LatticeMap, cokernel, is_prime
+from .lattice import FinAb, Lattice, LatticeMap, cokernel
 from .monodromy import ComposedPairing, TraitProfile
 
 
@@ -151,33 +152,21 @@ class GaloisRep:
 
 def build_rep(datum: DegenDatum, l: int) -> GaloisRep:
     """Integer model of the l-adic representation attached to the datum."""
-    if not is_prime(l):
-        raise InputError(f"l must be prime, got {l}")
-    if l == datum.residue_char:
-        raise InputError("prime equals residue characteristic")
+    require_prime_l(datum, l)
     require_valid(datum)
     factors = tuple((b.specialization, b.pairing.compose(datum.dual_sp(i)))
                     for i, b in enumerate(datum.branches))
     return GaloisRep(l, datum.mu, datum.abelian_rank, factors)
 
 
-def star_condition(rep: GaloisRep) -> bool:
+def star_condition(datum: DegenDatum, l: int) -> bool:
     """T is the sum over i of the parts fixed by all generators except sigma_i,
-    up to index coprime to l: R = mu and l does not divide |det B| / prod h_i
+    up to index coprime to l: the dual purity map is l-toric additive
     (module docstring)."""
-    if rep.n == 0:
-        return True
-    # a square nonsingular stack of the f_i is its own stack of row bases
-    bases = [f for _, f in rep.factors]
-    det = 0
-    if sum(f.nrows for f in bases) == rep.toric_rank:
-        det = LatticeMap.stack(bases).determinant()
-    if not det:
-        bases = [f.row_basis() for f in bases]
-        if sum(b.nrows for b in bases) != rep.toric_rank:
-            return False
-        det = LatticeMap.stack(bases).determinant()
-    return abs(det) // prod(cokernel(b)[0].order for b in bases) % rep.l != 0
+    require_prime_l(datum, l)
+    require_valid(datum)
+    torsion, free_rank = datum.dual_purity_cokernel
+    return free_rank == 0 and all(d % l for d in torsion.invariant_factors)
 
 
 def _at_level(torsion: FinAb, modulus: int) -> FinAb:

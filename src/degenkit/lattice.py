@@ -141,11 +141,6 @@ class LatticeMap:
         # surjective over Z: the column lattice is everything
         return intmat.column_lattice_index(self.entries, self.nrows, self.ncols) == 1
 
-    def determinant(self) -> int:
-        if self.nrows != self.ncols:
-            raise InputError("determinant of a non-square map")
-        return intmat.bareiss_det(self.entries, self.nrows)
-
     def adjugate(self) -> tuple[int, "LatticeMap"]:
         """(det, adj) of a nonsingular square map, from one fraction-free pass."""
         if self.nrows != self.ncols:
@@ -157,14 +152,6 @@ class LatticeMap:
         """Canonical (Hermite) basis of the image: equal images iff equal bases."""
         h = intmat.hnf_columns(self.entries, self.nrows, self.ncols)
         return LatticeMap(Lattice(len(h[0]) if h else 0), self.target, _freeze(h))
-
-    def row_basis(self) -> "LatticeMap":
-        """Rows of the matrix, in order, that form a basis of its rational row
-        space: at most ncols of them, with the same kernel."""
-        rows = intmat.independent_rows(self.entries, self.nrows, self.ncols)
-        if len(rows) == self.nrows:
-            return self
-        return LatticeMap(self.source, Lattice(len(rows)), tuple(self.entries[i] for i in rows))
 
     def solve(self, b: "LatticeMap") -> "LatticeMap | None":
         """The integral X with self ∘ X = b, or None when there is none.

@@ -4,13 +4,11 @@ Psi is the direct sum of the branch component groups.  Rescaling multiplies
 the i-th pairing by a tame integer m_i; the invariants of the rescaled group
 under the covering group action are Psi, a proven identity (l-parts away from
 the residue characteristic come from the unrescaled pairing, the p-part is
-acted on trivially and is the same in both groups).  The surjectivity check
-reads the projection from Psi_J onto the component group of a transversal
-trait as B^t between cokernels, where B is the stratum basis.
-``converse_check`` runs the converse certificate: compare the cokernels of
-A^t·Psi and A^t·Psi·A.  Equal cokernels are the hypothesis, which is also
-the integrality of the splitting theta; under it, the one check left is that
-A is an isomorphism, and theta, the idempotents and the kernel decomposition
+acted on trivially and is the same in both groups).  ``converse_check``
+runs the converse certificate: compare the cokernels of A^t·Psi and
+A^t·Psi·A.  Equal cokernels are the hypothesis, which is also the
+integrality of the splitting theta; under it, the one check left is that A
+is an isomorphism, and theta, the idempotents and the kernel decomposition
 follow from A^-1.
 """
 
@@ -22,7 +20,6 @@ from math import gcd
 from .degeneration import (
     Branch,
     DegenDatum,
-    analyze,
     pairing_violation,
     require_valid,
 )
@@ -34,13 +31,7 @@ from .lattice import (
     Rows,
     cokernel,
 )
-from .monodromy import (
-    ComposedPairing,
-    TraitProfile,
-    component_group,
-    compose_trait,
-    stratum_lattice,
-)
+from .monodromy import component_group, stratum_lattice
 
 
 @dataclass(frozen=True)
@@ -56,15 +47,6 @@ class PsiFixedPoints:
     fixed: FinAb             # Psi'^G, which is Psi
     psi: FinAb               # Psi of the unrescaled datum
     equals_psi: bool
-
-
-@dataclass(frozen=True)
-class TraitSurjectivity:
-    upsilon: FinAb
-    psi_active: FinAb
-    map_matrix: tuple[tuple[int, ...], ...]   # B^t: coker Phi_J -> coker phi_f
-    surjective: bool
-    composed: ComposedPairing
 
 
 @dataclass(frozen=True)
@@ -138,36 +120,6 @@ def psi_fixed_points(datum: DegenDatum, multipliers: tuple[int, ...] | list[int]
     """
     rescaled = [component_group(b.pairing) for b in kummer_rescale(datum, multipliers).branches]
     return PsiFixedPoints(FinAb.direct_sum(rescaled), psi.group, psi.group, True)
-
-
-def trait_surjectivity_check(datum: DegenDatum, profile: TraitProfile) -> TraitSurjectivity:
-    """The projection Psi_J -> Upsilon of Step 5 and whether it is onto.
-
-    Requires a toric-additive datum and a transversal profile, so
-    phi_f = B^t·Phi_J·B' with Phi_J = diag(phi_j, j in J).  B' must be
-    unimodular: otherwise ⊕X'_j does not map into Y' and there is no
-    projection.  For square nonsingular A, x ↦ A·x maps ker(A ⊗ Q/Z) onto
-    coker A, so the transport g ↦ B'^-1·g from Psi_J = ker(Phi_J ⊗ Q/Z) to
-    Upsilon = ker(phi_f ⊗ Q/Z) is z ↦ B^t·z from coker Phi_J to coker phi_f.
-    It is onto exactly when B^t is, because im phi_f ⊆ im B^t.  On a
-    toric-additive datum every valid B is unimodular, so the projection is
-    an isomorphism and upsilon equals psi_active.
-    """
-    verdict = analyze(datum)
-    if not verdict.toric_additive:
-        raise InputError("Step 5 requires toric additivity")
-    if not profile.is_transversal:
-        raise InputError("profile is not transversal")
-    composed = compose_trait(datum, profile)
-    bprime = composed.dual_stratum.inclusion
-    if bprime.nrows != bprime.ncols or abs(bprime.determinant()) != 1:
-        raise InputError("dual stratum basis is not unimodular; "
-                         "cannot transport the Psi generators")
-    upsilon = component_group(composed.matrix)
-    psi_active = FinAb.direct_sum([component_group(datum.branches[j].pairing)
-                                   for j in composed.active])
-    bt = composed.stratum.inclusion.transpose()
-    return TraitSurjectivity(upsilon, psi_active, bt.entries, bt.is_surjective(), composed)
 
 
 def converse_check(p_map: LatticeMap, q_map: LatticeMap,

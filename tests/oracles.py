@@ -14,31 +14,35 @@ do use the package's lattice maps; what they add is the work the identities
 remove.  It ends with the prime-by-prime assembly of invariant factors that
 ``FinAb.from_cyclic_orders`` replaced by gcd/lcm insertion, and the
 leave-one-out kernels behind the exclusive parts of a Galois representation,
-with the closed form of their index from one adjugate, where
-``galois.star_condition`` needs only one determinant.  The last
-routines left the package with no caller there: the fixed lattice of a set of
-generators, and the closed-point bound and exact torsion, which the oracle
-reads off ``GaloisRep.stack_torsion`` and which the tests compare; and the
-full mu × mu comparison maps psi_i with the Hermite row lattice of their
-stack, where a ``GaloisRep`` keeps the two factors of each psi_i
-(``psi_blocks`` multiplies them back).  With the products went the last
-caller of the sum of two maps, and four lattice operations had no caller in
-the package at all: the Q/Z-kernel, the saturated kernel, the index of a
-sum of images and the column concatenation ``beside``.  They run the package's normal forms on lattice maps, except
-the saturated kernel, which takes the columns of the reference Smith V past
-the rank.  Last comes the Step-5 projection Psi_J -> Upsilon on
-invariant-factor presentations with rational representatives, built on that
-same V, which ``neron.trait_surjectivity_check`` reads off B^t between
-cokernels; the package computes no Smith transform at all.  The very last
-is the restriction of a datum to a branch subset over its derived stratum,
-which no command reached.
+with the closed form of their index from one adjugate and the star
+condition from one determinant of the stacked row bases (with the
+determinant and the row bases it takes), where ``galois.star_condition``
+reads the dual purity cokernel.  The last routines left the package with no
+caller there: the fixed lattice of a set of generators, and the closed-point
+bound and exact torsion, which the oracle reads off
+``GaloisRep.stack_torsion`` and which the tests compare; and the full
+mu × mu comparison maps psi_i with the Hermite row lattice of their stack,
+where a ``GaloisRep`` keeps the two factors of each psi_i (``psi_blocks``
+multiplies them back).  With the products went the last caller of the sum
+of two maps, and four lattice operations had no caller in the package at
+all: the Q/Z-kernel, the saturated kernel, the index of a sum of images and
+the column concatenation ``beside``.  They run the package's normal forms on
+lattice maps, except the saturated kernel, which takes the columns of the
+reference Smith V past the rank.  Then comes the Step-5 projection
+Psi_J -> Upsilon, once ``neron.trait_surjectivity_check``, which reads it
+off B^t between cokernels, and its reference on invariant-factor
+presentations with rational representatives, built on that same V; the
+package computes no Smith transform at all.  Last are the restriction of a
+datum to a branch subset over its derived stratum, and the dual datum, which
+swaps the primal and dual sides; no command reached either.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from degenkit import intmat
 from degenkit.degeneration import (
@@ -46,6 +50,7 @@ from degenkit.degeneration import (
     DegenDatum,
     StratumOverride,
     Violation,
+    analyze,
     dual_purity_matrix,
     purity_matrix,
     require_valid,
@@ -60,7 +65,13 @@ from degenkit.lattice import (
     is_prime,
     l_part,
 )
-from degenkit.monodromy import TraitProfile, component_group, compose_trait, stratum_lattice
+from degenkit.monodromy import (
+    ComposedPairing,
+    TraitProfile,
+    component_group,
+    compose_trait,
+    stratum_lattice,
+)
 
 
 def minor_gcd_invariant_factors(rows: list[list[int]]) -> list[int]:
@@ -505,6 +516,22 @@ def reference_cyclic_invariant_factors(orders: list[int]) -> list[int]:
     return _merge_prime_exponents({p: sorted(es, reverse=True) for p, es in by_prime.items()})
 
 
+def determinant(m: LatticeMap) -> int:
+    """Fraction-free determinant of a square map."""
+    if m.nrows != m.ncols:
+        raise InputError("determinant of a non-square map")
+    return intmat.bareiss_det(m.entries, m.nrows)
+
+
+def row_basis(m: LatticeMap) -> LatticeMap:
+    """Rows of the matrix, in order, that form a basis of its rational row
+    space: at most ncols of them, with the same kernel."""
+    rows = intmat.independent_rows(m.entries, m.nrows, m.ncols)
+    if len(rows) == m.nrows:
+        return m
+    return LatticeMap(m.source, Lattice(len(rows)), tuple(m.entries[i] for i in rows))
+
+
 def exclusive_parts(rep: GaloisRep) -> tuple[LatticeMap, ...]:
     """For each i, the X' part of the lattice fixed by every sigma_j with j != i.
 
@@ -524,7 +551,7 @@ def _running_row_bases(maps: tuple[LatticeMap, ...], rank: int) -> list[LatticeM
     bases = [LatticeMap.zero(Lattice(rank), Lattice(0))]
     for m in maps:
         last = bases[-1]
-        bases.append(last if last.nrows == rank else LatticeMap.stack([last, m]).row_basis())
+        bases.append(last if last.nrows == rank else row_basis(LatticeMap.stack([last, m])))
     return bases
 
 
@@ -532,8 +559,8 @@ def exclusive_index(rep: GaloisRep) -> int | None:
     """Index in X' of the sum of the exclusive parts; None when infinite.
 
     The closed form from one adjugate of the stack B of the row bases B_i
-    of the f_i (r_i rows each), where ``galois.star_condition`` needs only
-    det B.  With R = sum r_i = mu and D = det B, the index is
+    of the f_i (r_i rows each), where ``reference_star_condition`` needs
+    only det B.  With R = sum r_i = mu and D = det B, the index is
     prod_i (|D|^r_i / c_i) / |D|, with c_i the product of the invariant
     factors of the block-i columns A_i of adj B (mu × r_i).  B·adj B = D·1,
     so every B_j with j != i kills A_i and B_i·A_i = D·1: A_i lies in V_i,
@@ -543,7 +570,7 @@ def exclusive_index(rep: GaloisRep) -> int | None:
     injective B_i, D·Z^r_i has index c_i in B_i(V_i) and |D|^r_i in
     Z^r_i.  R > mu gives an infinite index (``galois`` module docstring).
     """
-    bases = [f.row_basis() for _, f in rep.factors]
+    bases = [row_basis(f) for _, f in rep.factors]
     if sum(b.nrows for b in bases) > rep.toric_rank:
         return None
     det, adj = LatticeMap.stack(bases).adjugate()
@@ -556,6 +583,32 @@ def exclusive_index(rep: GaloisRep) -> int | None:
         index *= d ** b.nrows // cokernel(block)[0].order
         start = stop
     return index // d
+
+
+def reference_star_condition(rep: GaloisRep) -> bool:
+    """The star condition on the factors of a rep: R = mu and l does not
+    divide |det B| / prod h_i, with B the stack of the row bases B_i of the
+    f_i and h_i the product of the invariant factors of B_i (the index lemma
+    of the ``galois`` module docstring).  ``galois.star_condition`` reads it
+    off the dual purity cokernel, which this takes no account of, so it also
+    decides hand-made reps that come from no datum.
+
+    The determinant comes first: when the f_i have mu rows in all and their
+    stack has a nonzero determinant, every row of every f_i is independent,
+    so each f_i is its own row basis and that determinant is det B.
+    Otherwise the row bases are found."""
+    if rep.n == 0:
+        return True
+    bases = [f for _, f in rep.factors]
+    det = 0
+    if sum(f.nrows for f in bases) == rep.toric_rank:
+        det = determinant(LatticeMap.stack(bases))
+    if not det:
+        bases = [row_basis(f) for f in bases]
+        if sum(b.nrows for b in bases) != rep.toric_rank:
+            return False
+        det = determinant(LatticeMap.stack(bases))
+    return abs(det) // prod(cokernel(b)[0].order for b in bases) % rep.l != 0
 
 
 def decomposition_check(rep: GaloisRep) -> bool:
@@ -689,6 +742,45 @@ def sum_index(maps: list[LatticeMap]) -> int | None:
     return intmat.column_lattice_index(m.entries, m.nrows, m.ncols)
 
 
+@dataclass(frozen=True)
+class TraitSurjectivity:
+    upsilon: FinAb
+    psi_active: FinAb
+    map_matrix: tuple[tuple[int, ...], ...]   # B^t: coker Phi_J -> coker phi_f
+    surjective: bool
+    composed: ComposedPairing
+
+
+def trait_surjectivity_check(datum: DegenDatum, profile: TraitProfile) -> TraitSurjectivity:
+    """The projection Psi_J -> Upsilon of Step 5 and whether it is onto.
+
+    Requires a toric-additive datum and a transversal profile, so
+    phi_f = B^t·Phi_J·B' with Phi_J = diag(phi_j, j in J).  B' must be
+    unimodular: otherwise ⊕X'_j does not map into Y' and there is no
+    projection.  For square nonsingular A, x ↦ A·x maps ker(A ⊗ Q/Z) onto
+    coker A, so the transport g ↦ B'^-1·g from Psi_J = ker(Phi_J ⊗ Q/Z) to
+    Upsilon = ker(phi_f ⊗ Q/Z) is z ↦ B^t·z from coker Phi_J to coker phi_f.
+    It is onto exactly when B^t is, because im phi_f ⊆ im B^t.  On a
+    toric-additive datum every valid B is unimodular, so the projection is
+    an isomorphism and upsilon equals psi_active.
+    """
+    verdict = analyze(datum)
+    if not verdict.toric_additive:
+        raise InputError("Step 5 requires toric additivity")
+    if not profile.is_transversal:
+        raise InputError("profile is not transversal")
+    composed = compose_trait(datum, profile)
+    bprime = composed.dual_stratum.inclusion
+    if bprime.nrows != bprime.ncols or abs(determinant(bprime)) != 1:
+        raise InputError("dual stratum basis is not unimodular; "
+                         "cannot transport the Psi generators")
+    upsilon = component_group(composed.matrix)
+    psi_active = FinAb.direct_sum([component_group(datum.branches[j].pairing)
+                                   for j in composed.active])
+    bt = composed.stratum.inclusion.transpose()
+    return TraitSurjectivity(upsilon, psi_active, bt.entries, bt.is_surjective(), composed)
+
+
 def _presentation(phi: LatticeMap) -> tuple[list[int], LatticeMap]:
     """The reference Smith diagonal d and V of a square nondegenerate
     pairing: the V·e_k/d_k generate ker(phi ⊗ Q/Z)."""
@@ -709,7 +801,7 @@ def _solve_fractions(a: LatticeMap, vec: list[Fraction]) -> list[Fraction]:
 def reference_trait_surjectivity(datum: DegenDatum,
                                  profile: TraitProfile) -> tuple[FinAb, FinAb, bool]:
     """(Upsilon, Psi_J, surjective) with the projection Psi_J -> Upsilon built
-    on invariant-factor presentations, where ``neron.trait_surjectivity_check``
+    on invariant-factor presentations, where ``trait_surjectivity_check``
     reads it off B^t between cokernels.
 
     Each generator V_j·e_k/d_k of ker(phi_j ⊗ Q/Z) is carried into
@@ -794,3 +886,66 @@ def sub_datum(datum: DegenDatum, active: tuple[int, ...] | list[int]) -> DegenDa
         dual_specializations=dual_sps,
         branch_polarizations=branch_pols,
     )
+
+
+def dual_datum(datum: DegenDatum) -> DegenDatum:
+    """Swap the primal and dual sides; pairings are transposed.
+
+    The principal default always supplies an identity polarization, so the
+    precondition (dual data or polarization present) holds for every datum
+    this package can represent.  For a non-unimodular polarization the dual
+    polarization is e·lambda^{-1} with one common multiplier e, keeping the
+    swapped datum's polarization squares commutative.
+    """
+    require_valid(datum)
+    if datum.is_principal and datum.polarization is None and datum.branch_polarizations is None:
+        # X' = X, sp' = sp, phi symmetric: the swap only transposes pairings
+        branches = tuple(
+            Branch(b.name, b.lattice, b.pairing.transpose(), b.specialization)
+            for b in datum.branches)
+        return DegenDatum(datum.name, datum.abelian_rank, datum.residue_char,
+                          datum.closed_point, branches, strata=_swapped_strata(datum))
+    branches = tuple(
+        Branch(b.name, Lattice(b.dual_rank), b.pairing.transpose(), datum.dual_sp(i))
+        for i, b in enumerate(datum.branches))
+    new_dual_sps = tuple(b.specialization for b in datum.branches)
+    lam0 = datum.closed_polarization()
+    new_pol = None
+    new_branch_pols = None
+    if lam0 is not None:
+        lams = [lam0] + [datum.branch_polarization(i) for i in range(datum.n)]
+        if any(l is None for l in lams):
+            raise InputError("dual datum needs polarizations on every branch or none")
+        # lambda^-1 = adj/det; e clears every denominator of every inverse
+        inverses = [l.adjugate() for l in lams]
+        e = lcm(*[abs(det) // gcd(det, *(x for row in adj.entries for x in row))
+                  for det, adj in inverses])
+        scaled = [[[x * e // det for x in row] for row in adj.entries] for det, adj in inverses]
+        new_pol = LatticeMap.from_rows(scaled[0], source_rank=datum.dual_closed.rank)
+        new_branch_pols = tuple(
+            LatticeMap.from_rows(scaled[i + 1], source_rank=datum.branches[i].dual_rank)
+            for i in range(datum.n))
+    return DegenDatum(
+        name=datum.name,
+        abelian_rank=datum.abelian_rank,
+        residue_char=datum.residue_char,
+        closed_point=datum.dual_closed,
+        branches=branches,
+        dual_closed_point=datum.closed_point,
+        dual_specializations=new_dual_sps,
+        polarization=new_pol,
+        branch_polarizations=new_branch_pols,
+        strata=_swapped_strata(datum),
+    )
+
+
+def _swapped_strata(datum: DegenDatum) -> tuple[StratumOverride, ...]:
+    out = []
+    for ov in datum.strata:
+        if datum.is_principal and ov.dual_inclusion is None:
+            out.append(ov)
+        elif ov.dual_inclusion is not None:
+            out.append(StratumOverride(ov.branches, ov.dual_inclusion, ov.inclusion))
+        else:
+            raise InputError("stratum override lacks a dual inclusion; cannot dualize")
+    return tuple(out)

@@ -17,6 +17,7 @@ from degenkit.galois import build_rep
 from degenkit.monodromy import TraitProfile
 from degenkit.schema import parse_document
 
+from oracles import trait_surjectivity_check
 from test_intmat import wall_clock_budget
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -116,7 +117,7 @@ def test_trait_surjectivity_factors_composed_pairing_once(intmat_calls):
                       "pairing": [[2, 0, 0], [0, 4, 0], [0, 0, 8]],
                       "specialization": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}],
     })
-    result = neron.trait_surjectivity_check(datum, TraitProfile((1,)))
+    result = trait_surjectivity_check(datum, TraitProfile((1,)))
     assert result.surjective
     assert result.upsilon == FinAb((2, 4, 8))
     # purity, the composed pairing, the branch pairing; whether B^t is onto
@@ -251,6 +252,39 @@ def test_oracle_without_branches(capsys, tmp_path):
     assert closed["bound"] == {"divisible_rank": 0, "invariant_factors": []}
     assert closed["exact_torsion"] == closed["bound"]
     assert closed["bound_is_strict"] is False
+
+
+def test_oracle_runs_no_bareiss_pass(capsys, intmat_calls):
+    # the star condition reads the purity cokernel that validation factored,
+    # with no determinant of the stacked f_i and no row basis
+    code, _, err = run_cli(capsys, ["oracle", "generated_ta_seed7", "--l", "3"])
+    assert code == 0, err
+    assert intmat_calls["bareiss"] == []
+
+
+def test_unpolarized_dual_side_decides_the_star_condition(capsys, tmp_path):
+    # P = I_2, while P' = ((1, 1), (1, -1)) has det -2, and with no
+    # polarization nothing ties P' to P: at l = 2 the star condition, which
+    # is P' being l-toric additive, fails while the lattice side holds
+    doc = tmp_path / "unpolarized.json"
+    doc.write_text(json.dumps({
+        "format_version": "1", "kind": "degeneration", "name": "unpolarized",
+        "closed_point": {"rank": 2},
+        "branches": [{"name": f"D{i + 1}", "rank": 1, "pairing": [[1]], "specialization": [sp]}
+                     for i, sp in enumerate([[1, 0], [0, 1]])],
+        "dual": {"closed_point": {"rank": 2},
+                 "branches": [{"rank": 1, "specialization": [sp]} for sp in ([1, 1], [1, -1])]},
+    }))
+    for l, star in ((2, False), (3, True)):
+        code, out, err = run_cli(capsys, ["oracle", str(doc), "--l", str(l),
+                                          "--profile", "1,1", "--json"])
+        report = json.loads(out)
+        assert code == (0 if star else 1), err
+        assert report["oracle"]["galois_side"] == {"star_condition": star, "decomposition": star}
+        assert report["oracle"]["lattice_side"] == {"l_toric_additive": True}
+        assert report["oracle"]["agree"] is star
+        assert ("falsification: lattice and Galois sides disagree" in report["warnings"]) \
+            is not star
 
 
 class TestOracleLevels:
@@ -422,7 +456,7 @@ class TestExitCodes:
 
     def test_oracle_disagreement_exit_code(self, capsys, monkeypatch):
         # force the Galois side to lie; the report must flag it and exit 1
-        monkeypatch.setattr(cli.galois, "star_condition", lambda rep: False)
+        monkeypatch.setattr(cli.galois, "star_condition", lambda datum, l: False)
         code, out, _ = run_cli(capsys, ["oracle", "example_3_4", "--l", "3", "--json"])
         assert code == 1
         report = json.loads(out)

@@ -19,6 +19,7 @@ from degenkit.errors import InputError
 from degenkit.generators import random_graph
 from degenkit.monodromy import TraitProfile, component_group, compose_trait
 
+from oracles import determinant
 from test_intmat import wall_clock_budget
 
 
@@ -166,7 +167,7 @@ class TestGraphToDatum:
         assert datum.mu == 2
         pairing = datum.branches[0].pairing
         # intersection form of the theta graph in a fundamental-cycle basis
-        assert abs(pairing.determinant()) == 3
+        assert abs(determinant(pairing)) == 3
         assert component_group(pairing).order == 3
 
 
@@ -233,4 +234,4 @@ class TestTraitThroughGraph:
         composed = compose_trait(datum, TraitProfile((2, 3)))
         assert component_group(composed.matrix) == component_group(
             compose_trait(datum, TraitProfile((2, 3))).matrix)
-        assert abs(composed.matrix.determinant()) == 6
+        assert abs(determinant(composed.matrix)) == 6

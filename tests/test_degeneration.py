@@ -14,7 +14,6 @@ from degenkit.degeneration import (
     DegenDatum,
     StratumOverride,
     analyze,
-    dual_datum,
     is_l_toric_additive,
     purity_matrix,
     toric_rank_profile,
@@ -28,7 +27,7 @@ from degenkit.lattice import FinAb, Lattice, LatticeMap
 from degenkit.schema import datum_to_dict
 
 from conftest import load_fixture
-from oracles import reference_validate, sub_datum
+from oracles import dual_datum, reference_validate, sub_datum
 
 
 def simple_datum(specializations, pairings, mu, name="test"):

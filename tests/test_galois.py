@@ -44,6 +44,8 @@ from oracles import (
     closed_point_bound,
     closed_point_torsion,
     decomposition_check,
+    determinant,
+    dual_datum,
     exclusive_index,
     exclusive_parts,
     fixed_lattice,
@@ -51,6 +53,8 @@ from oracles import (
     kernel_saturated,
     psi_blocks,
     psi_maps,
+    reference_star_condition,
+    row_basis,
     row_lattice,
     sum_index,
 )
@@ -113,7 +117,7 @@ class TestBuildRep:
                 # the full fixed lattice is T^f, which the block form certified
                 assert image_lattices_equal(
                     full_model.fixed_lattice(full, tuple(range(full.n))), full.fixed_part())
-                assert star_condition(rep) == full_model.star_condition(full)
+                assert star_condition(datum, l) == full_model.star_condition(full)
                 assert decomposition_check(rep) == full_model.decomposition_check(full)
                 assert torsion_phi_group(rep, profile, 3) == \
                     full_model.torsion_phi_group(full, profile, 3)
@@ -129,14 +133,14 @@ class TestBuildRep:
 
 class TestStarCondition:
     def test_example_3_4_star(self, example_3_4):
-        assert not star_condition(build_rep(example_3_4, 2))
-        assert star_condition(build_rep(example_3_4, 3))
+        assert not star_condition(example_3_4, 2)
+        assert star_condition(example_3_4, 3)
 
     def test_single_branch_always(self):
         datum = DegenDatum("one", 0, 0, Lattice(1),
                            (Branch("D1", Lattice(1), lm([[6]]), lm([[1]])),))
-        assert star_condition(build_rep(datum, 2))
-        assert star_condition(build_rep(datum, 3))
+        assert star_condition(datum, 2)
+        assert star_condition(datum, 3)
 
 
 class TestDecompositionCheck:
@@ -159,7 +163,7 @@ class TestTheoremEquivalence:
             datum = random_datum(rng, max_mu=4, max_n=3)
             for l in (2, 3, 5):
                 rep = build_rep(datum, l)
-                star = star_condition(rep)
+                star = star_condition(datum, l)
                 decomposition = decomposition_check(rep)
                 lattice_side = is_l_toric_additive(datum, l)
                 assert star == decomposition == lattice_side, (datum, l)
@@ -170,7 +174,7 @@ class TestTheoremEquivalence:
             datum = random_polarized_datum(rng, max_mu=3, max_n=3, min_n=1)
             for l in (2, 3):
                 rep = build_rep(datum, l)
-                assert star_condition(rep) == decomposition_check(rep) \
+                assert star_condition(datum, l) == decomposition_check(rep) \
                     == is_l_toric_additive(datum, l)
 
 
@@ -182,7 +186,7 @@ class TestTheoremEquivalence:
                                 abelian_rank=rng.randint(0, 64))
                 for l in (2, 3):
                     rep = build_rep(datum, l)
-                    assert star_condition(rep) == decomposition_check(rep) \
+                    assert star_condition(datum, l) == decomposition_check(rep) \
                         == is_l_toric_additive(datum, l), (datum.name, l)
 
 
@@ -220,7 +224,7 @@ class TestTorsionPhiGroup:
             composed = compose_trait(datum, profile)
             if composed.matrix.nrows != composed.matrix.ncols:
                 continue
-            det = composed.matrix.determinant()
+            det = determinant(composed.matrix)
             if det == 0:
                 continue
             checked += 1
@@ -307,7 +311,7 @@ class TestProvenIdentities:
                 assert together.rank_of_image() == together.ncols <= rep.toric_rank
                 # ... so their ranks fill X' exactly when their sum has finite index
                 assert (together.ncols == rep.toric_rank) == (sum_index(parts) is not None)
-                assert decomposition_check(rep) == star_condition(rep), (datum.name, l)
+                assert decomposition_check(rep) == star_condition(datum, l), (datum.name, l)
 
     def test_closed_point_torsion_equals_bound(self):
         rng = random.Random(152)
@@ -381,15 +385,16 @@ class TestFactors:
 
 def _row_bases_and_det(rep: GaloisRep) -> tuple[list[LatticeMap], int | None]:
     """The row bases B_i of the f_i, and det B of their stack when it is square."""
-    bases = [f.row_basis() for _, f in rep.factors]
+    bases = [row_basis(f) for _, f in rep.factors]
     stack = LatticeMap.stack(bases)
-    return bases, stack.determinant() if stack.nrows == stack.ncols else None
+    return bases, determinant(stack) if stack.nrows == stack.ncols else None
 
 
 class TestExclusiveIndex:
     """The adjugate closed form (``oracles.exclusive_index``) against the sum
     index of the leave-one-out kernels, and the star condition from one
-    determinant against both (galois module docstring)."""
+    determinant (``oracles.reference_star_condition``) against both (galois
+    module docstring)."""
 
     @staticmethod
     def _compare(rep: GaloisRep) -> bool:
@@ -401,12 +406,14 @@ class TestExclusiveIndex:
         # R > mu forces an infinite index, and R = mu a finite one
         assert (reference is None) == (stacked_rows > rep.toric_rank)
         # the star condition: R = mu and l does not divide |det B| / prod h_i
-        assert star_condition(rep) == (reference is not None and reference % rep.l != 0)
+        assert reference_star_condition(rep) == (reference is not None and reference % rep.l != 0)
         return stacked_rows == rep.toric_rank
 
     def test_matches_leave_one_out_kernels_on_generated_datums(self):
+        # star_condition reads the dual purity cokernel; on the rep, the det
+        # criterion and the adjugate index (in _compare) must agree with it
         rng = random.Random(161)
-        square = wide = 0
+        square = wide = dual_checked = 0
         outcomes = {True: 0, False: 0}
         divides_yet_holds = 0
         for gen in (random_datum, random_ta_datum, random_polarized_datum):
@@ -414,15 +421,21 @@ class TestExclusiveIndex:
                 datum = gen(rng, max_mu=8, max_n=5, min_n=1)
                 for l in (2, 3, 5):
                     rep = build_rep(datum, l)
+                    star = reference_star_condition(rep)
                     if self._compare(rep):
                         square += 1
-                        star = star_condition(rep)
                         outcomes[star] += 1
                         divides_yet_holds += star and _row_bases_and_det(rep)[1] % l == 0
                     else:
                         wide += 1
-                    assert star_condition(rep) == decomposition_check(rep), (datum.name, l)
-        assert square > 100 and wide > 100
+                    assert star == decomposition_check(rep) == star_condition(datum, l), \
+                        (datum.name, l)
+                    if datum.polarization is not None:
+                        # the dual datum's purity map is P'
+                        assert star == is_l_toric_additive(dual_datum(datum), l), (datum.name, l)
+                        dual_checked += 1
+        # wide: R > mu, where the star condition fails at every l
+        assert square > 100 and wide > 100 and dual_checked > 100
         # both verdicts are reached with a square stack, where the determinant
         # decides, and so is l | det B with prod h_i taking its whole l-part
         assert min(outcomes.values()) > 10, outcomes
@@ -435,7 +448,7 @@ class TestExclusiveIndex:
         assume(LatticeMap.stack(list(psi)).is_injective())
         rep = rep_of(l, psi)
         self._compare(rep)
-        assert star_condition(rep) == decomposition_check(rep)
+        assert reference_star_condition(rep) == decomposition_check(rep)
 
     def test_hand_made_stacks(self):
         # B = diag(2, 3): V_1 = Z·e_1 and V_2 = Z·e_2, index (6/3)·(6/2)/6 = 1
@@ -444,49 +457,26 @@ class TestExclusiveIndex:
         # B = ((1, 1), (1, -1)): V_1 = Z·(1, 1) and V_2 = Z·(1, -1), index 2
         psi = (lm([[1, 1]], target=1), lm([[1, -1]], target=1))
         assert exclusive_index(rep_of(3, psi)) == 2
-        assert not star_condition(rep_of(2, psi))
-        assert star_condition(rep_of(3, psi))
+        assert not reference_star_condition(rep_of(2, psi))
+        assert reference_star_condition(rep_of(3, psi))
         # R = 3 > mu = 2: V_2 = ker psi_1 = 0
         rep = rep_of(2, (LatticeMap.identity(2), lm([[1, 1]], target=1)))
         assert exclusive_index(rep) is None
-        assert not star_condition(rep)
+        assert not reference_star_condition(rep)
         for rep in (rep, rep_of(3, psi)):
             self._compare(rep)
-
-    def test_square_stack_needs_no_row_basis(self, intmat_calls):
-        # with sum r_i = mu the determinant of the stacked f_i comes first, and
-        # a nonzero one makes each f_i its own row basis: one Bareiss pass
-        rng = random.Random(167)
-        square = 0
-        for gen in (random_datum, random_ta_datum, random_polarized_datum):
-            for _ in range(40):
-                datum = gen(rng, max_mu=8, max_n=5, min_n=1)
-                rep = build_rep(datum, rng.choice([2, 3, 5]))
-                stack = LatticeMap.stack([f for _, f in rep.factors])
-                if stack.nrows != rep.toric_rank:
-                    continue
-                square += 1
-                intmat_calls.clear_all()
-                star = star_condition(rep)
-                assert [args[0] for args in intmat_calls["bareiss"]] == [stack.entries]
-                assert self._compare(rep) and star_condition(rep) == star
-        assert square > 40, square
-
-    def test_rank_deficient_factors_take_the_row_bases(self, intmat_calls):
-        # f_1 has dependent rows, so sum r_i = 3 > mu = 2: the row bases
-        # ((1, 0)) and ((1, 3)) are found, two passes, then det B = 3 with
-        # h_i = (1, 1); V_1 = Z·(3, -1) and V_2 = Z·(0, 1) have index 3
+        # f_1 has dependent rows, so its row basis is ((1, 0)): B = ((1, 0), (1, 3))
+        # has det 3 with h_i = (1, 1); V_1 = Z·(3, -1) and V_2 = Z·(0, 1) have index 3
         psi = (lm([[1, 0], [2, 0]]), lm([[1, 3]], target=1))
         for l in (2, 3, 5):
             rep = rep_of(l, psi)
-            intmat_calls.clear_all()
-            assert star_condition(rep) == (l != 3)
-            assert len(intmat_calls["bareiss"]) == 3
+            assert reference_star_condition(rep) == (l != 3)
             assert exclusive_index(rep) == 3
             self._compare(rep)
-        # a square stack of determinant 0 falls back to the row bases too,
-        # which find it singular
-        assert not star_condition(rep_of(2, (lm([[1, 1]], target=1), lm([[2, 2]], target=1))))
+        # a square stack of determinant 0 falls back to the row bases, which
+        # find it singular
+        assert not reference_star_condition(
+            rep_of(2, (lm([[1, 1]], target=1), lm([[2, 2]], target=1))))
 
     def test_det_divisible_by_l_yet_star_holds(self):
         # B = ((2, 2), (0, 3)): det 6, h_1 = 2, h_2 = 3, so |det B| / prod h_i = 1;
@@ -498,11 +488,12 @@ class TestExclusiveIndex:
             assert det % l == 0
             assert [cokernel(b)[0].order for b in bases] == [2, 3]
             assert exclusive_index(rep) == 1
-            assert star_condition(rep)
+            assert reference_star_condition(rep)
             self._compare(rep)
         # B = ((2, 0), (1, 3)): det 6 and h_i = (2, 1), so the quotient 3 fails at 3 only
         psi = (lm([[2, 0]], target=1), lm([[1, 3]], target=1))
-        assert star_condition(rep_of(2, psi)) and not star_condition(rep_of(3, psi))
+        assert reference_star_condition(rep_of(2, psi))
+        assert not reference_star_condition(rep_of(3, psi))
         for l in (2, 3):
             self._compare(rep_of(l, psi))
 
@@ -644,7 +635,8 @@ def test_oracle_at_mu_242_within_budget(capsys, tmp_path, intmat_calls):
     # 160 branches: the Hermite form of the 38,720-row stack of the psi_i and
     # n scaled adds of mu × mu products took about 11.7 s on a 2-vCPU x86
     # container, the factored rep about 2.5 s, most of it in the adjugate of
-    # the star condition; one determinant and one shared cokernel about 0.5 s
+    # the star condition; one determinant and one shared cokernel about 0.5 s,
+    # and the star condition read off the purity cokernel about 0.1 s
     datum = random_ta_datum(random.Random(1), max_mu=10 ** 6, max_n=160, min_n=160)
     assert (datum.mu, datum.n) == (242, 160)
     path = tmp_path / "mu242.json"
@@ -657,5 +649,6 @@ def test_oracle_at_mu_242_within_budget(capsys, tmp_path, intmat_calls):
     assert code == 0
     assert report["agree"] and report["component_group"]["agree"]
     assert report["galois_side"] == {"star_condition": True, "decomposition": True}
-    # no fraction-free Gauss-Jordan pass: no adjugate and no rational solve
-    assert not intmat_calls["gauss_jordan"]
+    # no fraction-free pass at all: no determinant, no row basis, no adjugate
+    # and no rational solve
+    assert not intmat_calls["bareiss"]

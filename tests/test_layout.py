@@ -58,12 +58,22 @@ def test_neron_does_not_import_intmat():
 
 
 def test_galois_does_not_import_intmat():
-    # the Galois side reaches integer matrices only through lattice, and the
-    # star condition needs one determinant, no adjugate
+    # the Galois side reaches integer matrices only through lattice, and
+    # takes no adjugate
     tree = ast.parse((SRC / "galois.py").read_text())
     assert not _imports_intmat(tree)
     assert not _intmat_uses(tree)
     assert "adjugate" not in _identifiers(tree)
+
+
+def test_star_condition_reads_the_dual_purity_cokernel():
+    # one path: the datum's memo, with no determinant, no stack of the f_i,
+    # no row basis and no Smith form of its own
+    tree = ast.parse((SRC / "galois.py").read_text())
+    star = next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == "star_condition")
+    assert "dual_purity_cokernel" in _identifiers(star)
+    assert not _identifiers(star) & {"determinant", "stack", "row_basis", "cokernel"}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -121,11 +131,16 @@ def test_no_smith_transform_v(path):
 # four lattice operations no command called: the Q/Z-kernel, the saturated
 # kernel, the index of a sum and the column concatenation, the file loader
 # of the fixtures, and the recombination check of restricted cycles, which
-# their cotree entries fix, and the restriction of a datum to a branch subset
+# their cotree entries fix, the restriction of a datum to a branch subset,
+# the star condition's row bases and determinant (the dual purity cokernel
+# decides it), the dual datum, and the Step-5 projection, which no report
+# carries
 UNUSED = {"exclusive_parts", "_running_row_bases", "decomposition_check", "exclusive_index",
           "fixed_lattice", "closed_point_bound", "closed_point_torsion", "psi_maps",
           "row_lattice", "psi_blocks", "torsion_kernel_qz", "kernel_saturated", "sum_index",
-          "beside", "load_document", "_check_cycle_decomposition", "sub_datum"}
+          "beside", "load_document", "_check_cycle_decomposition", "sub_datum",
+          "row_basis", "determinant", "dual_datum", "_swapped_strata",
+          "trait_surjectivity_check", "TraitSurjectivity"}
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
