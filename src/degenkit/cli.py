@@ -29,7 +29,13 @@ from pathlib import Path
 
 from . import galois, monodromy, neron, schema
 from .curves import DualGraph, curve_equivalences
-from .degeneration import DegenDatum, analyze, is_l_toric_additive, toric_rank_profile
+from .degeneration import (
+    DegenDatum,
+    analyze,
+    is_l_toric_additive,
+    require_prime_l,
+    toric_rank_profile,
+)
 from .errors import FalsificationError, InputError
 from .lattice import FinAb, LatticeMap, l_part
 
@@ -195,8 +201,7 @@ def cmd_trait(args: argparse.Namespace) -> int:
         "upsilon": _finab_dict(group),
     }
     if args.l is not None:
-        if args.l == datum.residue_char:
-            raise InputError("prime equals residue characteristic")
+        require_prime_l(datum, args.l)
         payload["l"] = args.l
         payload["upsilon_l_part"] = _finab_dict(l_part(group, args.l))
     report["trait"] = payload
@@ -216,9 +221,7 @@ def _derived_level(group: FinAb, l: int, r: int) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     datum, echo = _load(args.file, "degeneration")
-    if args.l == datum.residue_char:
-        raise InputError("prime equals residue characteristic")
-    rep = galois.build_rep(datum, args.l)
+    rep = galois.build_rep(datum, args.l)     # refuses l unless a prime other than p
     lattice_side = is_l_toric_additive(datum, args.l)
     # the block decomposition into exclusive parts is the star condition, as
     # the parts are independent, and the dual purity cokernel decides it

@@ -190,6 +190,19 @@ class DegenDatum:
         return cokernel(dual_purity_matrix(self))
 
     @cached_property
+    def pairing_diagonals(self) -> tuple[tuple[int, ...], ...]:
+        """The Smith diagonal of each branch pairing phi_i, 1s included: the
+        one Smith form per pairing."""
+        return tuple(b.pairing.smith_diagonal() for b in self.branches)
+
+    def pairing_cokernel(self, i: int, a: int = 1) -> FinAb:
+        """coker(a·phi_i) for a >= 1, off the cached diagonal of phi_i: the
+        Smith form of a·M is a times that of M, and a times a divisibility
+        chain is one.  On a valid datum phi_i is square and injective, so the
+        cokernel is finite."""
+        return FinAb(tuple(a * d for d in self.pairing_diagonals[i] if a * d > 1))
+
+    @cached_property
     def verdict(self) -> Verdict:
         """All three toric-additivity verdicts from one purity SNF."""
         torsion, free_rank = self.purity_cokernel
@@ -253,24 +266,29 @@ def dual_purity_matrix(datum: DegenDatum) -> LatticeMap:
 def validate(datum: DegenDatum) -> list[Violation]:
     """Check every semantic invariant; returns violations instead of raising.
 
-    Three identities spare checks without changing the list.  A default
+    Four identities spare checks without changing the list.  A default
     polarization is the identity: injective, phi_i∘1 = phi_i, and two defaults
     make a commuting square.  A positive definite phi_i∘lambda_i makes
     lambda_i injective, and phi_i too when it is square (its rank is at least
     rank X_i = rank X'_i).  The purity rank is nrows minus the free rank of
     the purity cokernel, the SNF that the verdict reads, and the explicit
     dual purity rank is read off the dual cokernel, which the star condition
-    reads.
+    reads.  A purity map with trivial cokernel is onto, and so is each
+    sp_i = pi_i ∘ P, as the projection pi_i onto X_i is: then no sp_i is
+    tested on its own, and likewise on the dual side.
     """
     out: list[Violation] = []
     p = datum.residue_char
     if p != 0 and not is_prime(p):
         out.append(Violation("residue characteristic not 0 or prime", detail=str(p)))
     explicit = datum.branch_polarizations
+    dual = datum.dual_specializations is not None
+    onto = is_onto(datum.purity_cokernel)
+    dual_onto = dual and is_onto(datum.dual_purity_cokernel)
     for i, b in enumerate(datum.branches):
-        if not b.specialization.is_surjective():
+        if not onto and not b.specialization.is_surjective():
             out.append(Violation("specialization not surjective", i))
-        if datum.dual_specializations is not None and not datum.dual_sp(i).is_surjective():
+        if dual and not dual_onto and not datum.dual_sp(i).is_surjective():
             out.append(Violation("dual specialization not surjective", i))
         square = b.dual_rank == b.lattice.rank
         if not square:
@@ -294,7 +312,7 @@ def validate(datum: DegenDatum) -> list[Violation]:
                              detail=f"rank X' = {datum.dual_closed.rank}, rank X = {datum.mu}"))
     if datum.purity_cokernel[1] != sum(datum.branch_mus) - datum.mu:
         out.append(Violation("purity map not injective"))
-    if datum.dual_specializations is not None and datum.dual_purity_cokernel[1] != \
+    if dual and datum.dual_purity_cokernel[1] != \
             sum(b.dual_rank for b in datum.branches) - datum.dual_closed.rank:
         out.append(Violation("dual purity map not injective"))
     if datum.mu > sum(datum.branch_mus):
@@ -320,6 +338,12 @@ def validate(datum: DegenDatum) -> list[Violation]:
     for ov in datum.strata:
         out.extend(_override_violations(datum, ov))
     return out
+
+
+def is_onto(cokernel: tuple[FinAb, int]) -> bool:
+    """Whether a map with this (torsion, free rank) cokernel is onto."""
+    torsion, free_rank = cokernel
+    return torsion.is_trivial and free_rank == 0
 
 
 def _override_violations(datum: DegenDatum, ov: StratumOverride) -> list[Violation]:

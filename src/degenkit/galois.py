@@ -10,8 +10,10 @@ group is read off X' alone, and the C block never reaches a matrix.
 Everything is built over Z: fixed parts are exact integer kernels and l-adic
 statements become "index coprime to l" statements.
 
-Factors.  A ``GaloisRep`` keeps psi_i = sp_i^t·f_i as its factors, sp_i and
-f_i = phi_i ∘ sp'_i (mu_i × mu each), and never forms the mu × mu product:
+Factors.  psi_i = sp_i^t·f_i with sp_i and f_i = phi_i ∘ sp'_i mu_i × mu
+each.  A ``GaloisRep`` keeps sp_i, phi_i and sp'_i, multiplies out the f_i
+only when the action or the stack below needs them, and never forms the
+mu × mu product psi_i:
 
 - ker psi_i = ker f_i, as sp_i is onto Z^mu_i, so sp_i^t is injective.
 - psi_i and f_i have the same row lattice: its vectors (sp_i·y)^t·f_i,
@@ -25,6 +27,17 @@ f_i = phi_i ∘ sp'_i (mu_i × mu each), and never forms the mu × mu product:
   (sp_j)^t·diag(a_j·phi_j)·(sp'_j) is sum a_i·psi_i: ``share_cokernel``
   takes that pairing's component group for the action's cokernel torsion
   on the two flags alone, with no product and no comparison.
+
+Block reduction of the stack.  The stacked f_i are diag(phi_i)·P', with P'
+the dual purity map (sp'_1; ...; sp'_n).  When P' is unimodular, that is,
+when coker P' is 0 (``DegenDatum.dual_purity_cokernel``: P' is onto, and
+validation found it injective), P' is an automorphism of Z^mu, so
+diag(phi_i)·P'·Z^mu = diag(phi_i)·Z^mu: the stack has the image, hence the
+cokernel, of diag(phi_i), which is ⊕ coker phi_i.  ``build_rep`` reads that
+sum off the datum's one Smith diagonal per branch pairing, and the stack is
+factored only where P' is not unimodular.  This covers every principal
+toric-additive datum (P' = P) and every toric-additive explicit-dual one
+with unimodular polarizations (P'·lambda = diag(lambda_i)·P).
 
 On a valid datum T^G = T^f = X^dual ⊕ C, that is, the stacked f_i are
 injective: if f_i·x = 0 for every i, then sp'_i·x = 0 for every i, since
@@ -82,7 +95,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
 
-from .degeneration import DegenDatum, require_prime_l, require_valid
+from .degeneration import DegenDatum, is_onto, require_prime_l, require_valid
 from .errors import InputError
 from .lattice import FinAb, Lattice, LatticeMap, cokernel
 from .monodromy import ComposedPairing, TraitProfile
@@ -93,8 +106,11 @@ class GaloisRep:
     l: int
     toric_rank: int              # mu
     abelian_rank: int            # alpha
-    # (sp_i, f_i) for each N_i, whose X' -> X^dual block is psi_i = sp_i^t·f_i
-    factors: tuple[tuple[LatticeMap, LatticeMap], ...]
+    # (sp_i, phi_i, sp'_i) for each N_i, whose X' -> X^dual block is
+    # psi_i = sp_i^t·phi_i·sp'_i
+    branches: tuple[tuple[LatticeMap, LatticeMap, LatticeMap], ...]
+    # ⊕ coker phi_i, the stack torsion where the dual purity map is unimodular
+    block_torsion: FinAb | None = None
     # cokernel torsion of sum a_i·psi_i, by multiplicities (a_1, ..., a_n)
     _action_torsion: dict[tuple[int, ...], FinAb] = field(
         default_factory=dict, init=False, repr=False, compare=False)
@@ -106,12 +122,18 @@ class GaloisRep:
 
     @property
     def n(self) -> int:
-        return len(self.factors)
+        return len(self.branches)
+
+    @cached_property
+    def factors(self) -> tuple[tuple[LatticeMap, LatticeMap], ...]:
+        """(sp_i, f_i) with f_i = phi_i·sp'_i, multiplied out on first use."""
+        return tuple((sp, phi.compose(sp_dual)) for sp, phi, sp_dual in self.branches)
 
     @cached_property
     def stack_torsion(self) -> FinAb:
         """Cokernel torsion of the stacked psi_i, read off the stacked f_i,
-        which have the same row lattice (module docstring).
+        which have the same row lattice, or off ``block_torsion`` where it
+        is given (module docstring).
 
         Its l-part is the closed-point bound, the l-part of the torsion of
         ker(stack ⊗ Q/Z), with divisible rank 0 as the stack is injective.
@@ -119,8 +141,8 @@ class GaloisRep:
         ⊕ Z/gcd(d_k, l^r) over these invariant factors d_k: the bound itself
         once l^r reaches its exponent.  So the oracle reports the bound as
         the exact torsion, and ``bound_is_strict`` is always false."""
-        if self.n == 0:
-            return FinAb.trivial()
+        if self.block_torsion is not None:
+            return self.block_torsion
         return cokernel(LatticeMap.stack([f for _, f in self.factors]))[0]
 
     def action(self, multiplicities: tuple[int, ...]) -> LatticeMap:
@@ -154,9 +176,12 @@ def build_rep(datum: DegenDatum, l: int) -> GaloisRep:
     """Integer model of the l-adic representation attached to the datum."""
     require_prime_l(datum, l)
     require_valid(datum)
-    factors = tuple((b.specialization, b.pairing.compose(datum.dual_sp(i)))
-                    for i, b in enumerate(datum.branches))
-    return GaloisRep(l, datum.mu, datum.abelian_rank, factors)
+    branches = tuple((b.specialization, b.pairing, datum.dual_sp(i))
+                     for i, b in enumerate(datum.branches))
+    # P' is injective on a valid datum, so onto makes it unimodular
+    block = FinAb.direct_sum([datum.pairing_cokernel(i) for i in range(datum.n)]) \
+        if is_onto(datum.dual_purity_cokernel) else None
+    return GaloisRep(l, datum.mu, datum.abelian_rank, branches, block)
 
 
 def star_condition(datum: DegenDatum, l: int) -> bool:

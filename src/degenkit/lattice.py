@@ -131,6 +131,10 @@ class LatticeMap:
         return LatticeMap(self.source, self.target,
                           _freeze([[c * v for v in row] for row in self.entries]))
 
+    def smith_diagonal(self) -> tuple[int, ...]:
+        """The nonzero Smith diagonal, 1s included."""
+        return tuple(intmat.invariant_factors(self.entries, self.nrows, self.ncols))
+
     def rank_of_image(self) -> int:
         return intmat.rank(self.entries, self.nrows, self.ncols)
 
@@ -303,7 +307,7 @@ def is_prime(n: int) -> bool:
 
 def cokernel(m: LatticeMap) -> tuple[FinAb, int]:
     """(torsion of coker m, free rank of coker m)."""
-    facs = intmat.invariant_factors(m.entries, m.nrows, m.ncols)
+    facs = m.smith_diagonal()
     torsion = [d for d in facs if d > 1]
     return FinAb(tuple(torsion)), m.nrows - len(facs)
 

@@ -18,11 +18,20 @@ toric-additive datum, a trait through every branch has both strata bases
 equal to the purity map, which is square and unimodular, so coker phi_f is
 ⊕_j coker(a_j·phi_j), the paper's Psi_J ≅ Upsilon.  ``trait_component_group``
 reads it off the n blocks there and factors phi_f itself everywhere else.
+
+Scaling identity: if U·M·V = D is a Smith form of M, then U·(a·M)·V = a·D,
+and a·d_1 | a·d_2 | ... is again a divisibility chain, so SNF(a·M) =
+a·SNF(M) for a >= 1.  So coker(a_j·phi_j) is read off the Smith diagonal
+of phi_j, 1s included (``DegenDatum.pairing_cokernel``): one Smith form per
+branch pairing serves every profile.  phi_f itself is multiplied out only
+when it is read (``ComposedPairing.matrix``): ``trait`` prints it and the
+dense path factors it, while the block path never forms it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .degeneration import (
     DegenDatum,
@@ -79,12 +88,22 @@ class ComposedPairing:
     profile: TraitProfile
     stratum: StratumData
     dual_stratum: StratumData
-    matrix: LatticeMap       # phi_f : Y' -> Y^dual
+    pairings: tuple[LatticeMap, ...]    # phi_j over the active j
     warnings: tuple[str, ...] = ()
 
     @property
     def active(self) -> tuple[int, ...]:
         return self.stratum.active
+
+    @cached_property
+    def matrix(self) -> LatticeMap:
+        """phi_f : Y' -> Y^dual, multiplied out on first use."""
+        blocks = [phi.scaled(self.profile.multiplicities[j])
+                  for j, phi in zip(self.active, self.pairings)]
+        middle = LatticeMap.block_diagonal(blocks) if blocks \
+            else LatticeMap.zero(Lattice(0), Lattice(0))
+        return self.stratum.inclusion.transpose().compose(middle).compose(
+            self.dual_stratum.inclusion)
 
 
 def _restricted_purity(datum: DegenDatum, active: tuple[int, ...], dual: bool) -> LatticeMap:
@@ -170,11 +189,8 @@ def compose_trait(datum: DegenDatum, profile: TraitProfile) -> ComposedPairing:
         dual_stratum = stratum_lattice(datum, active, dual=True)
     if stratum.heuristic or dual_stratum.heuristic:
         warnings.append(HEURISTIC_STRATUM)
-    blocks = [datum.branches[j].pairing.scaled(profile.multiplicities[j]) for j in active]
-    middle = LatticeMap.block_diagonal(blocks) if blocks \
-        else LatticeMap.zero(Lattice(0), Lattice(0))
-    phi_f = stratum.inclusion.transpose().compose(middle).compose(dual_stratum.inclusion)
-    return ComposedPairing(profile, stratum, dual_stratum, phi_f, tuple(warnings))
+    pairings = tuple(datum.branches[j].pairing for j in active)
+    return ComposedPairing(profile, stratum, dual_stratum, pairings, tuple(warnings))
 
 
 def component_group(phi: LatticeMap) -> FinAb:
@@ -190,12 +206,13 @@ def trait_component_group(datum: DegenDatum, composed: ComposedPairing) -> FinAb
 
     With every branch active on a principal toric-additive datum, both
     strata bases are the purity map, square and unimodular, so by the block
-    lemma (module docstring) the group is ⊕_j coker(a_j·phi_j): n small
-    Smith forms instead of one mu × mu one.
+    lemma (module docstring) the group is ⊕_j coker(a_j·phi_j), each read
+    off the datum's one Smith diagonal of phi_j by the scaling identity:
+    phi_f is never multiplied out.
     """
     stratum = composed.stratum
     if datum.is_principal and stratum.closed_point_coordinates and \
             len(stratum.active) == datum.n and datum.verdict.toric_additive:
-        return FinAb.direct_sum([component_group(b.pairing.scaled(a)) for b, a
-                                 in zip(datum.branches, composed.profile.multiplicities)])
+        return FinAb.direct_sum([datum.pairing_cokernel(j, a)
+                                 for j, a in enumerate(composed.profile.multiplicities)])
     return component_group(composed.matrix)

@@ -31,7 +31,7 @@ from .lattice import (
     Rows,
     cokernel,
 )
-from .monodromy import component_group, stratum_lattice
+from .monodromy import stratum_lattice
 
 
 @dataclass(frozen=True)
@@ -67,13 +67,15 @@ class ConverseCertificate:
 def psi_group(datum: DegenDatum) -> PsiGroup:
     """Per-branch component groups and their direct sum."""
     require_valid(datum)
-    components = tuple(component_group(b.pairing) for b in datum.branches)
+    components = tuple(datum.pairing_cokernel(i) for i in range(datum.n))
     total = FinAb.direct_sum(list(components))
     return PsiGroup(components, total, total.order)
 
 
-def kummer_rescale(datum: DegenDatum, multipliers: tuple[int, ...] | list[int]) -> DegenDatum:
-    """Rescale the i-th pairing by m_i (each m_i tame: coprime to p when p > 0)."""
+def _tame_multipliers(datum: DegenDatum,
+                      multipliers: tuple[int, ...] | list[int]) -> tuple[int, ...]:
+    """The multipliers m_i, refused unless one per branch, positive and tame
+    (coprime to p when p > 0)."""
     ms = tuple(int(m) for m in multipliers)
     if len(ms) != datum.n:
         raise InputError(f"expected {datum.n} multipliers, got {len(ms)}")
@@ -85,6 +87,12 @@ def kummer_rescale(datum: DegenDatum, multipliers: tuple[int, ...] | list[int]) 
             if gcd(m, p) != 1:
                 raise InputError(
                     f"multiplier {m} on branch {i + 1} is not coprime to the residue characteristic {p}")
+    return ms
+
+
+def kummer_rescale(datum: DegenDatum, multipliers: tuple[int, ...] | list[int]) -> DegenDatum:
+    """Rescale the i-th pairing by m_i (each m_i tame: coprime to p when p > 0)."""
+    ms = _tame_multipliers(datum, multipliers)
     branches = tuple(
         Branch(b.name, b.lattice, b.pairing.scaled(m), b.specialization)
         for b, m in zip(datum.branches, ms))
@@ -116,9 +124,12 @@ def psi_fixed_points(datum: DegenDatum, multipliers: tuple[int, ...] | list[int]
 
     The rescaled datum is valid by construction, as ``datum`` is:
     m_i·phi_i∘lambda_i is symmetric positive definite for m_i > 0 and nothing
-    else changes.  So its groups are read off m_i·phi_i, with no validation.
+    else changes.  So its groups coker(m_i·phi_i) are read off the datum's
+    Smith diagonal of phi_i, scaled by m_i, with no validation and no second
+    Smith form.
     """
-    rescaled = [component_group(b.pairing) for b in kummer_rescale(datum, multipliers).branches]
+    ms = _tame_multipliers(datum, multipliers)
+    rescaled = [datum.pairing_cokernel(i, m) for i, m in enumerate(ms)]
     return PsiFixedPoints(FinAb.direct_sum(rescaled), psi.group, psi.group, True)
 
 

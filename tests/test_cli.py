@@ -10,9 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from degenkit import cli, degeneration, neron
+from degenkit import cli, degeneration, monodromy, neron
 from degenkit.curves import CurveReport
-from degenkit.lattice import MILLER_RABIN_BOUND, FinAb, LatticeMap
+from degenkit.lattice import MILLER_RABIN_BOUND, FinAb, LatticeMap, cokernel, l_part
 from degenkit.galois import build_rep
 from degenkit.monodromy import TraitProfile
 from degenkit.schema import parse_document
@@ -102,11 +102,16 @@ def test_each_datum_is_validated_once(capsys, monkeypatch, argv, expected):
     assert len(calls) == expected
 
 
-def test_psi_kummer_factors_each_pairing_once_per_datum(capsys, intmat_calls):
-    # purity, the two branch pairings, the two rescaled pairings
-    code, _, err = run_cli(capsys, ["psi", "example_3_4", "--kummer", "2,3"])
+def test_psi_kummer_factors_each_pairing_once_per_datum(capsys, intmat_calls, example_3_4):
+    # purity and the two branch pairings; the rescaled groups coker(m_i·phi_i)
+    # are the pairings' Smith diagonals scaled by m_i
+    code, out, err = run_cli(capsys, ["psi", "example_3_4", "--kummer", "2,3", "--json"])
     assert code == 0, err
-    assert len(intmat_calls.smith_forms()) == 5
+    assert len(intmat_calls.smith_forms()) == 3
+    rescaled = FinAb.direct_sum([cokernel(b.pairing.scaled(m))[0]
+                                 for b, m in zip(example_3_4.branches, (2, 3))])
+    kummer = json.loads(out)["psi"]["kummer"]
+    assert kummer["rescaled_psi"]["invariant_factors"] == list(rescaled.invariant_factors)
 
 
 def test_trait_surjectivity_factors_composed_pairing_once(intmat_calls):
@@ -125,15 +130,21 @@ def test_trait_surjectivity_factors_composed_pairing_once(intmat_calls):
     assert len(intmat_calls.smith_forms()) == 3
 
 
-@pytest.mark.parametrize("name, eliminations", [("generated_ta_seed7", 8), ("product_tate", 7)])
+@pytest.mark.parametrize("name, eliminations", [("generated_ta_seed7", 5), ("product_tate", 5)])
 def test_converse_certificate_needs_no_smith_form(capsys, intmat_calls, name, eliminations):
-    # validation (each specialization surjective, the purity cokernel), then
-    # P and Q surjective and the two cokernels: the certified path reads its
-    # splitting off A^-1
+    # validation (the purity cokernel, which is 0, so no specialization is
+    # tested on its own), then P and Q surjective and the two cokernels: the
+    # certified path reads its splitting off A^-1
     code, out, err = run_cli(capsys, ["converse", name, "--json"])
     assert code == 0, err
-    assert json.loads(out)["converse"]["verdict"] == "TA-certified"
+    payload = json.loads(out)["converse"]
+    assert payload["verdict"] == "TA-certified"
     assert len(intmat_calls["eliminations"]) == eliminations
+    p_map, q_map, psi1, psi2 = neron.converse_inputs_from_datum(cli._load(name, "degeneration")[0])
+    at_psi = LatticeMap.stack([p_map, q_map]).transpose().compose(
+        LatticeMap.block_diagonal([psi1, psi2]))
+    assert payload["coker_at_psi"]["invariant_factors"] == \
+        list(cokernel(at_psi)[0].invariant_factors)
 
 
 def test_converse_decides_a_square_a_in_one_bareiss_pass(capsys, intmat_calls):
@@ -226,18 +237,81 @@ def test_trait_factors_the_purity_matrix_once(capsys, intmat_calls, example_3_4)
 
 
 def test_oracle_factors_the_psi_stack_once(capsys, intmat_calls):
-    # the closed-point bound is read off the rep's stack torsion: one Smith
-    # form of the stacked f_i = phi_i·sp'_i, which have the row lattice of the
-    # stacked psi_i, and no Hermite form of the n·mu rows of that stack (on
-    # example_3_4 the stacked f_i would equal the purity matrix)
+    # the closed-point bound is read off the rep's stack torsion, the
+    # cokernel of the stacked f_i = phi_i·sp'_i, which have the row lattice
+    # of the stacked psi_i, with no Hermite form of the n·mu rows of that
+    # stack.  Where the dual purity map P' is unimodular (generated_ta_seed7)
+    # it is ⊕ coker phi_i, one Smith form per pairing and none of the stack;
+    # elsewhere (generated_nonta_seed11) the stack is factored once
+    for name, stack_forms in (("generated_ta_seed7", 0), ("generated_nonta_seed11", 1)):
+        datum = cli._load(name, "degeneration")[0]
+        stack = LatticeMap.stack([f for _, f in build_rep(datum, 2).factors])
+        intmat_calls.clear_all()
+        code, out, err = run_cli(capsys, ["oracle", name, "--l", "2", "--json"])
+        assert code == 0, err
+        assert intmat_calls["hnf_columns"] == []
+        forms = [args[0] for args in intmat_calls.smith_forms()]
+        assert forms.count(stack.entries) == stack_forms
+        pairings = [b.pairing.entries for b in datum.branches]
+        assert sum(forms.count(entries) for entries in set(pairings)) == \
+            (len(pairings) if stack_forms == 0 else 0)
+        bound = l_part(cokernel(stack)[0], 2)
+        assert json.loads(out)["oracle"]["closed_point"]["bound"]["invariant_factors"] == \
+            list(bound.invariant_factors)
+
+
+@pytest.mark.parametrize("argv, l", [
+    (["oracle", "example_3_4"], 0),
+    (["oracle", "example_3_4", "--profile", "1,1"], 1),
+    (["trait", "example_3_4", "--profile", "1,1"], 1),
+    (["trait", "example_3_4", "--profile", "1,1"], 0),
+])
+def test_an_l_that_is_no_prime_is_named_so(capsys, argv, l):
+    # residue characteristic 0: l = 0 used to be refused as "prime equals
+    # residue characteristic", before anything tested that l is prime
+    code, out, err = run_cli(capsys, argv + ["--l", str(l)])
+    assert code == 2 and out == ""
+    assert err == f"error: l must be prime, got {l}\n"
+
+
+def test_oracle_forms_no_phi_f_and_no_f_i(capsys, intmat_calls):
+    # principal and toric additive: the stack torsion and the trait group
+    # are read off the pairings, and both strata keep closed-point
+    # coordinates, so the action is shared: neither phi_f = P^t·M·P nor any
+    # f_i = phi_i·sp'_i is multiplied out, and no other product either
     datum = cli._load("generated_ta_seed7", "degeneration")[0]
-    stack = LatticeMap.stack([f for _, f in build_rep(datum, 2).factors])
     intmat_calls.clear_all()
-    code, _, err = run_cli(capsys, ["oracle", "generated_ta_seed7", "--l", "2"])
+    code, out, err = run_cli(capsys, ["oracle", "generated_ta_seed7", "--l", "2",
+                                      "--profile", ",".join(["1"] * datum.n), "--json"])
     assert code == 0, err
-    assert intmat_calls["hnf_columns"] == []
-    factorings = [args for args in intmat_calls.smith_forms() if args[0] == stack.entries]
-    assert len(factorings) == 1
+    assert json.loads(out)["oracle"]["component_group"]["agree"]
+    assert intmat_calls["matmul"] == []
+
+
+@pytest.mark.parametrize("name", sorted(n for n, argv in GOLDEN_CASES.items()
+                                        if argv[0] != "curve"))
+def test_trait_prints_the_multiplied_out_phi_f_on_every_golden(capsys, name):
+    # phi_f is multiplied out when first read; trait prints the product
+    # B^t·diag(a_j·phi_j)·B' of the two strata bases, and the trait goldens
+    # keep theirs
+    argv = GOLDEN_CASES[name]
+    datum = cli._load(argv[1], "degeneration")[0]
+    profiles = [(1,) * datum.n, tuple(range(2, datum.n + 2))]
+    if argv[0] == "trait":
+        profiles.append(tuple(map(int, argv[argv.index("--profile") + 1].split(","))))
+    for profile in profiles:
+        code, out, err = run_cli(capsys, ["trait", argv[1], "--json", "--profile",
+                                          ",".join(map(str, profile))])
+        assert code == 0, err
+        composed = monodromy.compose_trait(datum, TraitProfile(profile))
+        middle = LatticeMap.block_diagonal([datum.branches[j].pairing.scaled(profile[j])
+                                            for j in composed.active])
+        expected = composed.stratum.inclusion.transpose().compose(middle).compose(
+            composed.dual_stratum.inclusion)
+        assert json.loads(out)["trait"]["phi_f"] == [list(row) for row in expected.entries]
+    if argv[0] == "trait":
+        golden = json.loads((GOLDEN / f"{name}.json").read_text())["trait"]["phi_f"]
+        assert golden == [list(row) for row in expected.entries]
 
 
 def test_oracle_without_branches(capsys, tmp_path):

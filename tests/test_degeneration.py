@@ -14,6 +14,7 @@ from degenkit.degeneration import (
     DegenDatum,
     StratumOverride,
     analyze,
+    dual_purity_matrix,
     is_l_toric_additive,
     purity_matrix,
     toric_rank_profile,
@@ -297,6 +298,32 @@ def test_validate_refuses_a_dual_override_that_misses_the_dual_purity_image():
                           detail="restricted dual purity does not factor through "
                                  "the dual override")]
     assert validate(doubled) == reference_validate(doubled) == expected
+
+
+def test_validate_reads_surjectivity_off_an_onto_purity_map(intmat_calls):
+    # an onto purity map P makes each sp_i = pi_i ∘ P onto, so validate's one
+    # elimination per purity map is all it takes; elsewhere each sp_i is
+    # eliminated on its own, and the list is the reference's either way
+    rng = random.Random(813)
+    seen = {True: 0, False: 0}
+    for k in range(60):
+        make = (random_ta_datum, random_datum,
+                lambda rng, **kw: random_polarized_datum(rng, ta=True, **kw))[k % 3]
+        datum = replace(make(rng, max_mu=6, max_n=4, min_n=1))     # no memo yet
+        intmat_calls.clear_all()
+        assert validate(datum) == []
+        eliminated = [args[0] for args in intmat_calls["eliminations"]]
+        purities = [purity_matrix(datum).entries]
+        if not datum.is_principal:
+            purities.append(dual_purity_matrix(datum).entries)
+        onto = datum.verdict.toric_additive
+        if onto:
+            assert eliminated == purities, datum.name
+        else:
+            assert eliminated[0] == purities[0] and len(eliminated) == 1 + datum.n
+        assert validate(datum) == reference_validate(datum)
+        seen[onto] += 1
+    assert min(seen.values()) > 15, seen
 
 
 def test_validate_multiplies_and_ranks_no_identity(intmat_calls):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from degenkit import cli
+from degenkit import cli, degeneration
 from degenkit.degeneration import Branch, DegenDatum, StratumOverride, is_l_toric_additive
 from degenkit.errors import InputError
 from degenkit.galois import (
@@ -24,6 +24,7 @@ from degenkit.generators import (
     random_datum,
     random_polarized_datum,
     random_profile,
+    random_spd,
     random_ta_datum,
 )
 from degenkit.lattice import (
@@ -33,7 +34,12 @@ from degenkit.lattice import (
     cokernel,
     l_part,
 )
-from degenkit.monodromy import TraitProfile, component_group, compose_trait
+from degenkit.monodromy import (
+    TraitProfile,
+    component_group,
+    compose_trait,
+    trait_component_group,
+)
 from degenkit.schema import datum_to_dict
 
 import galois_full as full_model
@@ -66,8 +72,10 @@ def lm(rows, source=None, target=None):
 
 
 def rep_of(l: int, psi: tuple[LatticeMap, ...]) -> GaloisRep:
-    """A rep whose blocks are the given psi_i, as (identity, psi_i) factor pairs."""
-    return GaloisRep(l, psi[0].ncols, 0, tuple((LatticeMap.identity(m.nrows), m) for m in psi))
+    """A rep whose blocks are the given psi_i, as (identity, psi_i) factor
+    pairs: sp_i and phi_i are identities and sp'_i is psi_i."""
+    return GaloisRep(l, psi[0].ncols, 0, tuple(
+        (LatticeMap.identity(m.nrows), LatticeMap.identity(m.nrows), m) for m in psi))
 
 
 class TestBuildRep:
@@ -545,7 +553,8 @@ class TestSharedCokernel:
     def test_all_ones_profile_adds_one_elimination(self, name, capsys, intmat_calls):
         """The profile adds one mu × mu elimination, of phi_f, which the rep
         shares; on unimodular strata (a principal toric-additive datum) it adds
-        the n blocks phi_j instead, r_j × r_j each, and no mu × mu one."""
+        none: the n blocks coker phi_j, r_j × r_j each, are the Smith forms
+        that the stack torsion already took."""
         datum = load_fixture(name)
         path = fixture_path(name)
         ones = ",".join(["1"] * datum.n)
@@ -554,14 +563,17 @@ class TestSharedCokernel:
             capsys, intmat_calls, path, ["--l", "3", "--profile", ones])
         assert code == 0
         added = list((Counter(with_profile) - Counter(bare)).elements())
+        phi_f = compose_trait(datum, TraitProfile((1,) * datum.n)).matrix
         if name in ("generated_ta_seed7", "product_tate"):
             assert datum.is_principal and datum.verdict.toric_additive
             blocks = [(b.pairing.entries, b.lattice.rank, b.dual_rank) for b in datum.branches]
-            assert sorted(added) == sorted(blocks)
-            assert len(with_profile) == len(bare) + datum.n
-            assert datum.n > 1 and all(m[1] < datum.mu for m in added)
+            purity = degeneration.purity_matrix(datum)
+            assert added == [] and sorted(with_profile) == \
+                sorted(blocks + [(purity.entries, purity.nrows, purity.ncols)])
+            assert datum.n > 1 and all(m[1] < datum.mu for m in blocks)
+            assert report["component_group"]["lattice_side"]["invariant_factors"] == \
+                list(l_part(component_group(phi_f), 3).invariant_factors)
         else:
-            phi_f = compose_trait(datum, TraitProfile((1,) * datum.n)).matrix
             assert added == [(phi_f.entries, datum.mu, datum.mu)]
             assert len(with_profile) == len(bare) + 1
         group = report["component_group"]
@@ -652,3 +664,89 @@ def test_oracle_at_mu_242_within_budget(capsys, tmp_path, intmat_calls):
     # no fraction-free pass at all: no determinant, no row basis, no adjugate
     # and no rational solve
     assert not intmat_calls["bareiss"]
+
+
+def _widened(datum: DegenDatum) -> DegenDatum:
+    """The datum with one more branch, specialized by the sum of the purity
+    rows: P becomes tall, so the datum is valid but not toric additive."""
+    row = [sum(col) for col in zip(*degeneration.purity_matrix(datum).entries)]
+    extra = Branch("E", Lattice(1), lm([[3]]), lm([row], source=datum.mu))
+    return replace(datum, branches=datum.branches + (extra,))
+
+
+def _doubled(datum: DegenDatum) -> DegenDatum | None:
+    """The datum with the row r_j of a rank-1 branch replaced by 2·r_j + r_i
+    for another rank-1 branch i: still primitive, so sp_j stays onto, while
+    P stays square with |det P| = 2.  None without two rank-1 branches."""
+    ones = [j for j, b in enumerate(datum.branches) if b.lattice.rank == 1]
+    if len(ones) < 2:
+        return None
+    i, j = ones[:2]
+    r_i, r_j = datum.branches[i].specialization.entries[0], \
+        datum.branches[j].specialization.entries[0]
+    sp = lm([[2 * b + a for a, b in zip(r_i, r_j)]], source=datum.mu)
+    branches = list(datum.branches)
+    branches[j] = replace(branches[j], specialization=sp)
+    return replace(datum, branches=tuple(branches))
+
+
+class TestOneSmithFormPerPairing:
+    """Past the oracle ladder (mu up to 40 and more): the stack torsion, the
+    block-path trait group and the scaled pairing cokernels, each read off
+    one Smith form per branch pairing, against the Smith forms they replace."""
+
+    @staticmethod
+    def _datums(rng: random.Random):
+        for _ in range(6):
+            big = dict(max_mu=72, max_n=36, min_n=30)
+            ta = random_ta_datum(rng, **big)
+            yield ta
+            yield random_polarized_datum(rng, ta=True, **big)
+            yield _widened(ta)
+            doubled = _doubled(ta)
+            if doubled is not None:
+                yield doubled
+            yield random_datum(rng, max_mu=12, max_n=6, min_n=3)
+            yield random_polarized_datum(rng, max_mu=12, max_n=6, min_n=3)
+
+    def test_stack_torsion_is_the_cokernel_of_the_stacked_f_i(self):
+        paths = Counter()
+        for datum in self._datums(random.Random(211)):
+            assert not datum.violations, datum.name
+            rep = build_rep(datum, 2)
+            stack = LatticeMap.stack([f for _, f in rep.factors])
+            assert rep.stack_torsion == cokernel(stack)[0], datum.name
+            torsion, free_rank = datum.dual_purity_cokernel
+            unimodular = torsion.is_trivial and free_rank == 0
+            assert (rep.block_torsion is not None) == unimodular
+            paths[unimodular, datum.is_principal, datum.mu >= 40] += 1
+        # blocks on principal and explicit-dual datums of mu >= 40; the stack
+        # on tall and on square non-unimodular P', at mu >= 40 too
+        assert paths[True, True, True] >= 5 and paths[True, False, True] >= 5, paths
+        assert paths[False, True, True] >= 10 and paths[False, False, False] >= 4, paths
+
+    def test_block_path_trait_group_is_the_cokernel_of_phi_f(self):
+        rng = random.Random(223)
+        count = 0
+        for datum in self._datums(rng):
+            if not (datum.is_principal and datum.verdict.toric_additive):
+                continue
+            for _ in range(3):
+                profile = TraitProfile(tuple(rng.randint(1, 5) for _ in range(datum.n)))
+                composed = compose_trait(datum, profile)
+                group = trait_component_group(datum, composed)
+                # the block path never multiplies out phi_f
+                assert "matrix" not in vars(composed)
+                assert group == component_group(composed.matrix), (datum.name, profile)
+                count += 1
+        assert count >= 18
+
+    def test_scaled_pairing_cokernel_is_the_cokernel_of_the_scaled_pairing(self):
+        rng = random.Random(227)
+        for _ in range(120):
+            k = rng.randint(1, 8)
+            phi = lm(random_spd(rng, k))
+            datum = DegenDatum("one", 0, 0, Lattice(k),
+                               (Branch("D1", Lattice(k), phi, LatticeMap.identity(k)),))
+            for a in (1, 2, 3, 4, 6, 12):
+                assert datum.pairing_cokernel(0, a) == cokernel(phi.scaled(a))[0], (phi, a)

@@ -151,6 +151,9 @@ class TestTraitComponentGroup:
         paths = {}
         for k in range(240):
             datum = gens[k % 4](rng, max_mu=8, max_n=5, min_n=1)
+            # the blocks take one Smith form per pairing phi_j and datum, and
+            # read every coker(a_j·phi_j) off its diagonal
+            pairings = [b.pairing.entries for b in datum.branches]
             for profile in (tuple(random_profile(rng, datum.n, allow_zero=True)),
                             tuple(rng.randint(1, 3) for _ in range(datum.n))):
                 composed = compose_trait(datum, TraitProfile(profile))
@@ -159,8 +162,8 @@ class TestTraitComponentGroup:
                 factored = [args[0] for args in intmat_calls["eliminations"]]
                 blocks = datum.is_principal and all(profile) and datum.verdict.toric_additive
                 if blocks:
-                    assert factored == [b.pairing.scaled(a).entries
-                                        for b, a in zip(datum.branches, profile)]
+                    assert factored == pairings
+                    pairings = []
                 else:
                     assert factored == [composed.matrix.entries]
                 assert group == component_group(composed.matrix), (datum.name, profile)
