@@ -31,8 +31,8 @@ from .monodromy import (
     ComposedPairing,
     StratumData,
     TraitProfile,
-    component_group,
     compose_trait,
+    composed_cokernel,
     stratum_lattice,
     trait_component_group,
 )
@@ -42,7 +42,6 @@ from .neron import (
     PsiGroup,
     converse_check,
     converse_inputs_from_datum,
-    kummer_rescale,
     psi_fixed_points,
     psi_group,
 )

@@ -243,11 +243,11 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         trait_group = monodromy.trait_component_group(datum, composed)
         # where both strata keep closed-point coordinates, phi_f is the action
         # sum a_i·psi_i, and one cokernel serves both sides
-        rep.share_cokernel(composed, trait_group)
+        torsion = trait_group if composed.closed_point_coordinates else rep.action_torsion(profile)
         lattice_group = l_part(trait_group, args.l)
         level = _derived_level(lattice_group, args.l, args.r)
-        galois_group = galois.torsion_phi_group(rep, profile, level)
-        stable = galois_group == galois.torsion_phi_group(rep, profile, level + 1)
+        galois_group = galois.torsion_phi_group(torsion, args.l, level)
+        stable = galois_group == galois.torsion_phi_group(torsion, args.l, level + 1)
         groups_agree = stable and lattice_group == galois_group
         payload["component_group"] = {
             "profile": list(profile.multiplicities),

@@ -150,20 +150,6 @@ class DegenDatum:
             return self.dual_specializations[i]
         return self.branches[i].specialization
 
-    def closed_polarization(self) -> LatticeMap | None:
-        if self.polarization is not None:
-            return self.polarization
-        if self.is_principal:
-            return LatticeMap.identity(self.mu)
-        return None
-
-    def branch_polarization(self, i: int) -> LatticeMap | None:
-        if self.branch_polarizations is not None:
-            return self.branch_polarizations[i]
-        if self.is_principal:
-            return LatticeMap.identity(self.branches[i].lattice.rank)
-        return None
-
     def stratum_override(self, active: tuple[int, ...]) -> StratumOverride | None:
         for ov in self.strata:
             if ov.branches == active:

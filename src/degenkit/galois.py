@@ -11,33 +11,31 @@ Everything is built over Z: fixed parts are exact integer kernels and l-adic
 statements become "index coprime to l" statements.
 
 Factors.  psi_i = sp_i^t·f_i with sp_i and f_i = phi_i ∘ sp'_i mu_i × mu
-each.  A ``GaloisRep`` keeps sp_i, phi_i and sp'_i, multiplies out the f_i
-only when the action or the stack below needs them, and never forms the
-mu × mu product psi_i:
+each.  A ``GaloisRep`` is the pair (l, datum) and reads every group off the
+datum's maps, never forming the mu × mu product psi_i:
 
 - ker psi_i = ker f_i, as sp_i is onto Z^mu_i, so sp_i^t is injective.
 - psi_i and f_i have the same row lattice: its vectors (sp_i·y)^t·f_i,
   y in Z^mu, are all z^t·f_i, z in Z^mu_i.  So the stacks of the psi_i and
   of the f_i have one row lattice L, hence one set of nonzero invariant
   factors d_k: Z^mu / L ≅ ⊕ Z/d_k ⊕ Z^(mu - rank L) (Smith form).
-- sum a_i·psi_i = S^t·(a_1·f_1; ...; a_n·f_n) with S = (sp_1; ...; sp_n).
-- Where both strata of a trait keep closed-point coordinates (the flag
-  ``StratumData.closed_point_coordinates``), their bases are the stacks of
-  the sp_j and of the sp'_j over the active j, so the composed pairing
-  (sp_j)^t·diag(a_j·phi_j)·(sp'_j) is sum a_i·psi_i: ``share_cokernel``
-  takes that pairing's component group for the action's cokernel torsion
-  on the two flags alone, with no product and no comparison.
+- sum a_i·psi_i = (sp_j)^t·diag(a_j·phi_j)·(sp'_j) over the j with
+  a_j != 0: the trait's composed pairing in closed-point coordinates,
+  whose cokernel ``monodromy.composed_cokernel`` takes.  Where a trait's
+  strata are flagged so (``ComposedPairing.closed_point_coordinates``), the
+  oracle reads the action's torsion off the trait group: no product and no
+  comparison.
 
 Block reduction of the stack.  The stacked f_i are diag(phi_i)·P', with P'
 the dual purity map (sp'_1; ...; sp'_n).  When P' is unimodular, that is,
 when coker P' is 0 (``DegenDatum.dual_purity_cokernel``: P' is onto, and
 validation found it injective), P' is an automorphism of Z^mu, so
 diag(phi_i)·P'·Z^mu = diag(phi_i)·Z^mu: the stack has the image, hence the
-cokernel, of diag(phi_i), which is ⊕ coker phi_i.  ``build_rep`` reads that
-sum off the datum's one Smith diagonal per branch pairing, and the stack is
-factored only where P' is not unimodular.  This covers every principal
-toric-additive datum (P' = P) and every toric-additive explicit-dual one
-with unimodular polarizations (P'·lambda = diag(lambda_i)·P).
+cokernel, of diag(phi_i), which is ⊕ coker phi_i.  ``stack_torsion`` reads
+that sum off the datum's one Smith diagonal per branch pairing, and the
+stack is factored only where P' is not unimodular.  This covers every
+principal toric-additive datum (P' = P) and every toric-additive
+explicit-dual one with unimodular polarizations (P'·lambda = diag(lambda_i)·P).
 
 On a valid datum T^G = T^f = X^dual ⊕ C, that is, the stacked f_i are
 injective: if f_i·x = 0 for every i, then sp'_i·x = 0 for every i, since
@@ -85,55 +83,34 @@ In the coordinates y = V^-1·x, x lies in ker(A mod m) exactly when
 d_k·y_k ≡ 0 mod m for every k, and ker_Z A is spanned by the coordinates past
 the rank.  So ker(A mod m) modulo the image of ker_Z A is ⊕_k Z/gcd(d_k, m),
 read off the cokernel torsion of A.  Both finite-level groups are computed
-this way, from torsion invariants found once per rep and matrix; nothing is
-solved modulo l^r.
+this way (``torsion_phi_group``), from cokernel torsion taken once per
+matrix; nothing is solved modulo l^r.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from math import gcd
 
 from .degeneration import DegenDatum, is_onto, require_prime_l, require_valid
 from .errors import InputError
-from .lattice import FinAb, Lattice, LatticeMap, cokernel
-from .monodromy import ComposedPairing, TraitProfile
+from .lattice import FinAb, LatticeMap, cokernel
+from .monodromy import TraitProfile, closed_point_pairing, composed_cokernel
 
 
 @dataclass(frozen=True)
 class GaloisRep:
+    """The l-adic representation of a valid datum on T = X^dual ⊕ C ⊕ X',
+    rank 2·(mu + abelian rank); every group is read off the datum."""
+
     l: int
-    toric_rank: int              # mu
-    abelian_rank: int            # alpha
-    # (sp_i, phi_i, sp'_i) for each N_i, whose X' -> X^dual block is
-    # psi_i = sp_i^t·phi_i·sp'_i
-    branches: tuple[tuple[LatticeMap, LatticeMap, LatticeMap], ...]
-    # ⊕ coker phi_i, the stack torsion where the dual purity map is unimodular
-    block_torsion: FinAb | None = None
-    # cokernel torsion of sum a_i·psi_i, by multiplicities (a_1, ..., a_n)
-    _action_torsion: dict[tuple[int, ...], FinAb] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
+    datum: DegenDatum
 
     @property
-    def lattice(self) -> Lattice:
-        """T, of rank 2d with d = mu + alpha."""
-        return Lattice(2 * (self.toric_rank + self.abelian_rank))
-
-    @property
-    def n(self) -> int:
-        return len(self.branches)
-
-    @cached_property
-    def factors(self) -> tuple[tuple[LatticeMap, LatticeMap], ...]:
-        """(sp_i, f_i) with f_i = phi_i·sp'_i, multiplied out on first use."""
-        return tuple((sp, phi.compose(sp_dual)) for sp, phi, sp_dual in self.branches)
-
-    @cached_property
     def stack_torsion(self) -> FinAb:
-        """Cokernel torsion of the stacked psi_i, read off the stacked f_i,
-        which have the same row lattice, or off ``block_torsion`` where it
-        is given (module docstring).
+        """Cokernel torsion of the stacked psi_i: ⊕ coker phi_i where the dual
+        purity map is unimodular, else that of the stacked f_i = phi_i·sp'_i,
+        which have the same row lattice (module docstring).
 
         Its l-part is the closed-point bound, the l-part of the torsion of
         ker(stack ⊗ Q/Z), with divisible rank 0 as the stack is injective.
@@ -141,47 +118,29 @@ class GaloisRep:
         ⊕ Z/gcd(d_k, l^r) over these invariant factors d_k: the bound itself
         once l^r reaches its exponent.  So the oracle reports the bound as
         the exact torsion, and ``bound_is_strict`` is always false."""
-        if self.block_torsion is not None:
-            return self.block_torsion
-        return cokernel(LatticeMap.stack([f for _, f in self.factors]))[0]
+        datum = self.datum
+        # P' is injective on a valid datum, so onto makes it unimodular
+        if is_onto(datum.dual_purity_cokernel):
+            return FinAb.direct_sum([datum.pairing_cokernel(i) for i in range(datum.n)])
+        return cokernel(LatticeMap.stack([b.pairing.compose(datum.dual_sp(i))
+                                          for i, b in enumerate(datum.branches)]))[0]
 
-    def action(self, multiplicities: tuple[int, ...]) -> LatticeMap:
-        """sum a_i·psi_i, as one product S^t·(a_i·f_i) over the branches
-        with a_i != 0 (module docstring)."""
-        active = [(a, sp, f) for a, (sp, f) in zip(multiplicities, self.factors) if a]
-        if not active:
-            x_prime = Lattice(self.toric_rank)
-            return LatticeMap.zero(x_prime, x_prime)
-        sp_t = LatticeMap.stack([sp for _, sp, _ in active]).transpose()
-        return sp_t.compose(LatticeMap.stack([f.scaled(a) for a, _, f in active]))
-
-    def action_torsion(self, multiplicities: tuple[int, ...]) -> FinAb:
-        """Cokernel torsion of sum a_i·psi_i, computed once per profile."""
-        torsion = self._action_torsion.get(multiplicities)
-        if torsion is None:
-            torsion = cokernel(self.action(multiplicities))[0]
-            self._action_torsion[multiplicities] = torsion
-        return torsion
-
-    def share_cokernel(self, composed: ComposedPairing, group: FinAb) -> None:
-        """Take the component group of a composed pairing as the cokernel
-        torsion of sum a_i·psi_i, which the pairing is when both its strata
-        keep closed-point coordinates (module docstring)."""
-        if composed.stratum.closed_point_coordinates and \
-                composed.dual_stratum.closed_point_coordinates:
-            self._action_torsion[composed.profile.multiplicities] = group
+    def action_torsion(self, profile: TraitProfile) -> FinAb:
+        """Cokernel torsion of sum a_i·psi_i (module docstring)."""
+        return composed_cokernel(self.datum, closed_point_pairing(self.datum, profile))[0]
 
 
 def build_rep(datum: DegenDatum, l: int) -> GaloisRep:
-    """Integer model of the l-adic representation attached to the datum."""
+    """Integer model of the l-adic representation attached to the datum.
+
+    An explicit dual side needs both polarizations: only their squares tie
+    P', which the Galois side reads, to P, which the lattice side reads."""
     require_prime_l(datum, l)
     require_valid(datum)
-    branches = tuple((b.specialization, b.pairing, datum.dual_sp(i))
-                     for i, b in enumerate(datum.branches))
-    # P' is injective on a valid datum, so onto makes it unimodular
-    block = FinAb.direct_sum([datum.pairing_cokernel(i) for i in range(datum.n)]) \
-        if is_onto(datum.dual_purity_cokernel) else None
-    return GaloisRep(l, datum.mu, datum.abelian_rank, branches, block)
+    if not datum.is_principal and \
+            (datum.polarization is None or datum.branch_polarizations is None):
+        raise InputError("an explicit dual side needs the closed-point and branch polarizations")
+    return GaloisRep(l, datum)
 
 
 def star_condition(datum: DegenDatum, l: int) -> bool:
@@ -194,21 +153,18 @@ def star_condition(datum: DegenDatum, l: int) -> bool:
     return free_rank == 0 and all(d % l for d in torsion.invariant_factors)
 
 
-def _at_level(torsion: FinAb, modulus: int) -> FinAb:
-    """ker(A mod m) modulo the image of ker_Z A, for A with this cokernel torsion."""
-    return FinAb(tuple(g for g in (gcd(d, modulus) for d in torsion.invariant_factors) if g > 1))
-
-
-def torsion_phi_group(rep: GaloisRep, profile: TraitProfile, r: int) -> FinAb:
-    """Finite-level component-group torsion of the trait pulled back along the profile.
+def torsion_phi_group(torsion: FinAb, l: int, r: int) -> FinAb:
+    """Finite-level component-group torsion of the trait pulled back along a
+    profile, from the cokernel torsion of its action sum a_i·psi_i.
 
     The trait generator acts by sigma = 1 + sum a_i·N_i; the group is
     ker(sigma - 1 on T ⊗ Z/l^r) modulo the image of the sigma-fixed lattice,
     stable in r once l^r exceeds the group exponent.  X^dual ⊕ C lies in both,
-    so only the X' block, where sigma - 1 is sum a_i·psi_i, is computed.
+    so only the X' block, where sigma - 1 is sum a_i·psi_i, counts: the group
+    is ⊕ Z/gcd(d_k, l^r) over the invariant factors d_k of the torsion
+    (module docstring).
     """
     if r < 1:
         raise InputError("level r must be >= 1")
-    if len(profile.multiplicities) != rep.n:
-        raise InputError(f"profile has {len(profile.multiplicities)} entries, rep has {rep.n}")
-    return _at_level(rep.action_torsion(profile.multiplicities), rep.l ** r)
+    modulus = l ** r
+    return FinAb(tuple(g for g in (gcd(d, modulus) for d in torsion.invariant_factors) if g > 1))

@@ -199,10 +199,6 @@ class FinAb:
             raise InputError("divisible rank must be non-negative")
 
     @classmethod
-    def trivial(cls) -> "FinAb":
-        return cls()
-
-    @classmethod
     def from_cyclic_orders(cls, orders: list[int], divisible_rank: int = 0) -> "FinAb":
         """Canonicalize a direct sum of cyclic groups Z/orders[i].
 

@@ -13,11 +13,12 @@ matrices exactly; otherwise a canonical Hermite basis of the image is used.
 The component group of a nondegenerate pairing is its cokernel.
 
 Block lemma: coker(U^t·M·V) ≅ coker M for unimodular U and V, since
-U^t and V are automorphisms of the two lattices.  On a principal
-toric-additive datum, a trait through every branch has both strata bases
-equal to the purity map, which is square and unimodular, so coker phi_f is
-⊕_j coker(a_j·phi_j), the paper's Psi_J ≅ Upsilon.  ``trait_component_group``
-reads it off the n blocks there and factors phi_f itself everywhere else.
+U^t and V are automorphisms of the two lattices.  A trait through every
+branch in closed-point coordinates has the bases P and P', injective on a
+valid datum, so unimodular where onto; then coker phi_f is
+⊕_j coker(a_j·phi_j), the paper's Psi_J ≅ Upsilon.  ``composed_cokernel``
+alone decides between these blocks and phi_f, for the trait group and the
+Galois action alike.
 
 Scaling identity: if U·M·V = D is a Smith form of M, then U·(a·M)·V = a·D,
 and a·d_1 | a·d_2 | ... is again a divisibility chain, so SNF(a·M) =
@@ -36,6 +37,7 @@ from functools import cached_property
 from .degeneration import (
     DegenDatum,
     StratumOverride,
+    is_onto,
     require_valid,
 )
 from .errors import FalsificationError, InputError
@@ -59,10 +61,6 @@ class TraitProfile:
     def __post_init__(self) -> None:
         if any(a < 0 for a in self.multiplicities):
             raise InputError("trait multiplicities must be non-negative")
-
-    @property
-    def is_transversal(self) -> bool:
-        return all(a in (0, 1) for a in self.multiplicities)
 
     @property
     def active(self) -> tuple[int, ...]:
@@ -94,6 +92,13 @@ class ComposedPairing:
     @property
     def active(self) -> tuple[int, ...]:
         return self.stratum.active
+
+    @property
+    def closed_point_coordinates(self) -> bool:
+        """Both strata bases are the restricted (dual) purity maps, so phi_f
+        is the Galois action sum a_i·psi_i (``galois`` module docstring)."""
+        return self.stratum.closed_point_coordinates and \
+            self.dual_stratum.closed_point_coordinates
 
     @cached_property
     def matrix(self) -> LatticeMap:
@@ -193,26 +198,35 @@ def compose_trait(datum: DegenDatum, profile: TraitProfile) -> ComposedPairing:
     return ComposedPairing(profile, stratum, dual_stratum, pairings, tuple(warnings))
 
 
-def component_group(phi: LatticeMap) -> FinAb:
-    """Component group of a nondegenerate pairing: coker(phi) = ker(phi ⊗ Q/Z)."""
-    coker, free_rank = cokernel(phi)
-    if free_rank or phi.nrows != phi.ncols:
-        raise InputError("degenerate pairing")
-    return coker
+def closed_point_pairing(datum: DegenDatum, profile: TraitProfile) -> ComposedPairing:
+    """The composed pairing in closed-point coordinates, overrides or not:
+    the Galois action sum a_i·psi_i (``galois`` module docstring)."""
+    if len(profile.multiplicities) != datum.n:
+        raise InputError(
+            f"profile has {len(profile.multiplicities)} entries, datum has {datum.n} branches")
+    active = profile.active
+    strata = [StratumData(m.source, m, LatticeMap.identity(m.ncols), active,
+                          closed_point_coordinates=True)
+              for m in (_restricted_purity(datum, active, False),
+                        _restricted_purity(datum, active, True))]
+    return ComposedPairing(profile, *strata, tuple(datum.branches[j].pairing for j in active))
+
+
+def composed_cokernel(datum: DegenDatum, composed: ComposedPairing) -> tuple[FinAb, int]:
+    """(torsion, free rank) of coker phi_f: ⊕_j coker(a_j·phi_j) off the
+    pairing diagonals where every branch is active and the bases are P and
+    P', both onto (block lemma, module docstring), else phi_f factored."""
+    if composed.closed_point_coordinates and len(composed.active) == datum.n and \
+            is_onto(datum.purity_cokernel) and is_onto(datum.dual_purity_cokernel):
+        return FinAb.direct_sum([datum.pairing_cokernel(j, a)
+                                 for j, a in enumerate(composed.profile.multiplicities)]), 0
+    return cokernel(composed.matrix)
 
 
 def trait_component_group(datum: DegenDatum, composed: ComposedPairing) -> FinAb:
-    """Component group of the composed pairing phi_f of a trait on the datum.
-
-    With every branch active on a principal toric-additive datum, both
-    strata bases are the purity map, square and unimodular, so by the block
-    lemma (module docstring) the group is ⊕_j coker(a_j·phi_j), each read
-    off the datum's one Smith diagonal of phi_j by the scaling identity:
-    phi_f is never multiplied out.
-    """
-    stratum = composed.stratum
-    if datum.is_principal and stratum.closed_point_coordinates and \
-            len(stratum.active) == datum.n and datum.verdict.toric_additive:
-        return FinAb.direct_sum([datum.pairing_cokernel(j, a)
-                                 for j, a in enumerate(composed.profile.multiplicities)])
-    return component_group(composed.matrix)
+    """Component group coker phi_f = ker(phi_f ⊗ Q/Z) of a trait, refused
+    unless phi_f is square and nondegenerate."""
+    torsion, free_rank = composed_cokernel(datum, composed)
+    if free_rank or composed.stratum.lattice.rank != composed.dual_stratum.lattice.rank:
+        raise InputError("degenerate pairing")
+    return torsion

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from math import gcd
 
 from .degeneration import (
-    Branch,
     DegenDatum,
     pairing_violation,
     require_valid,
@@ -88,26 +87,6 @@ def _tame_multipliers(datum: DegenDatum,
                 raise InputError(
                     f"multiplier {m} on branch {i + 1} is not coprime to the residue characteristic {p}")
     return ms
-
-
-def kummer_rescale(datum: DegenDatum, multipliers: tuple[int, ...] | list[int]) -> DegenDatum:
-    """Rescale the i-th pairing by m_i (each m_i tame: coprime to p when p > 0)."""
-    ms = _tame_multipliers(datum, multipliers)
-    branches = tuple(
-        Branch(b.name, b.lattice, b.pairing.scaled(m), b.specialization)
-        for b, m in zip(datum.branches, ms))
-    return DegenDatum(
-        name=datum.name,
-        abelian_rank=datum.abelian_rank,
-        residue_char=datum.residue_char,
-        closed_point=datum.closed_point,
-        branches=branches,
-        dual_closed_point=datum.dual_closed_point,
-        dual_specializations=datum.dual_specializations,
-        polarization=datum.polarization,
-        branch_polarizations=datum.branch_polarizations,
-        strata=datum.strata,
-    )
 
 
 def psi_fixed_points(datum: DegenDatum, multipliers: tuple[int, ...] | list[int],

@@ -128,6 +128,6 @@ def torsion_phi_group(rep: FullRep, profile: TraitProfile, r: int) -> FinAb:
 
 def closed_point_torsion(rep: FullRep, r: int) -> FinAb:
     if rep.n == 0:
-        return FinAb.trivial()
+        return FinAb()
     stacked = LatticeMap.stack(list(rep.nilpotents))
     return mod_lr_quotient(stacked, fixed_lattice(rep, tuple(range(rep.n))), rep.l ** r)

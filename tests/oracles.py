@@ -17,12 +17,13 @@ leave-one-out kernels behind the exclusive parts of a Galois representation,
 with the closed form of their index from one adjugate and the star
 condition from one determinant of the stacked row bases (with the
 determinant and the row bases it takes), where ``galois.star_condition``
-reads the dual purity cokernel.  The last routines left the package with no
-caller there: the fixed lattice of a set of generators, and the closed-point
-bound and exact torsion, which the oracle reads off
+reads the dual purity cokernel.  They take the factors (sp_i, f_i) of each
+psi_i from the datum (``branch_factors``) or as an argument.  The last
+routines left the package with no caller there: the fixed lattice of a set
+of generators, and the closed-point bound, which the oracle reads off
 ``GaloisRep.stack_torsion`` and which the tests compare; and the full
 mu × mu comparison maps psi_i with the Hermite row lattice of their stack,
-where a ``GaloisRep`` keeps the two factors of each psi_i (``psi_blocks``
+where the package reads every group off the factors (``psi_blocks``
 multiplies them back).  With the products went the last caller of the sum
 of two maps, and four lattice operations had no caller in the package at
 all: the Q/Z-kernel, the saturated kernel, the index of a sum of images and
@@ -32,9 +33,12 @@ reference Smith V past the rank.  Then comes the Step-5 projection
 Psi_J -> Upsilon, once ``neron.trait_surjectivity_check``, which reads it
 off B^t between cokernels, and its reference on invariant-factor
 presentations with rational representatives, built on that same V; the
-package computes no Smith transform at all.  Last are the restriction of a
+package computes no Smith transform at all.  Then the restriction of a
 datum to a branch subset over its derived stratum, and the dual datum, which
-swaps the primal and dual sides; no command reached either.
+swaps the primal and dual sides; no command reached either.  Last are the
+default polarizations, the transversality of a profile, the Kummer-rescaled
+datum and the component group of a single pairing, whose refusal
+``monodromy.trait_component_group`` makes on the cokernel it is given.
 """
 
 from __future__ import annotations
@@ -56,7 +60,6 @@ from degenkit.degeneration import (
     require_valid,
 )
 from degenkit.errors import InputError
-from degenkit.galois import GaloisRep
 from degenkit.lattice import (
     FinAb,
     Lattice,
@@ -68,10 +71,10 @@ from degenkit.lattice import (
 from degenkit.monodromy import (
     ComposedPairing,
     TraitProfile,
-    component_group,
     compose_trait,
     stratum_lattice,
 )
+from degenkit.neron import _tame_multipliers
 
 
 def minor_gcd_invariant_factors(rows: list[list[int]]) -> list[int]:
@@ -417,7 +420,7 @@ def reference_validate(datum: DegenDatum) -> list[Violation]:
                                  f"rank X'_i = {b.dual_rank}, rank X_i = {b.lattice.rank}"))
         if not b.pairing.is_injective():
             out.append(Violation("pairing not injective", i))
-        lam = datum.branch_polarization(i)
+        lam = branch_polarization(datum, i)
         if lam is not None:
             if not lam.is_injective():
                 out.append(Violation("polarization not injective", i))
@@ -435,13 +438,13 @@ def reference_validate(datum: DegenDatum) -> list[Violation]:
     if datum.mu > sum(datum.branch_mus):
         out.append(Violation("toric rank inequality violated",
                              detail=f"mu = {datum.mu} > sum mu_i = {sum(datum.branch_mus)}"))
-    lam0 = datum.closed_polarization()
+    lam0 = closed_polarization(datum)
     if lam0 is not None and datum.polarization is not None:
         if not lam0.is_injective():
             out.append(Violation("polarization not injective"))
     if lam0 is not None:
         for i in range(datum.n):
-            lam_i = datum.branch_polarization(i)
+            lam_i = branch_polarization(datum, i)
             if lam_i is None:
                 continue
             left = datum.dual_sp(i).compose(lam0)
@@ -532,18 +535,34 @@ def row_basis(m: LatticeMap) -> LatticeMap:
     return LatticeMap(m.source, Lattice(len(rows)), tuple(m.entries[i] for i in rows))
 
 
-def exclusive_parts(rep: GaloisRep) -> tuple[LatticeMap, ...]:
+# (sp_i, f_i) per branch, f_i = phi_i·sp'_i: the two factors of each psi_i = sp_i^t·f_i
+Factors = tuple[tuple[LatticeMap, LatticeMap], ...]
+
+
+def branch_factors(datum: DegenDatum) -> Factors:
+    """The factors (sp_i, f_i) of each comparison map psi_i of the datum."""
+    return tuple((b.specialization, b.pairing.compose(datum.dual_sp(i)))
+                 for i, b in enumerate(datum.branches))
+
+
+def _toric_rank(factors: Factors) -> int:
+    """mu, the rank of X'; 0 without branches, as on every valid datum."""
+    return factors[0][1].ncols if factors else 0
+
+
+def exclusive_parts(factors: Factors) -> tuple[LatticeMap, ...]:
     """For each i, the X' part of the lattice fixed by every sigma_j with j != i.
 
     That is the saturated kernel of the psi_j with j != i, which depends only
     on their rational row space: the kernel of a row basis of
     psi_1..psi_{i-1} stacked on one of psi_{i+1}..psi_n, at most 2·mu rows.
     """
-    psi = psi_blocks(rep)
-    prefix = _running_row_bases(psi, rep.toric_rank)
-    suffix = _running_row_bases(psi[::-1], rep.toric_rank)[::-1]
+    psi = psi_blocks(factors)
+    mu = _toric_rank(factors)
+    prefix = _running_row_bases(psi, mu)
+    suffix = _running_row_bases(psi[::-1], mu)[::-1]
     return tuple(kernel_saturated(LatticeMap.stack([prefix[i], suffix[i + 1]]))
-                 for i in range(rep.n))
+                 for i in range(len(factors)))
 
 
 def _running_row_bases(maps: tuple[LatticeMap, ...], rank: int) -> list[LatticeMap]:
@@ -555,7 +574,7 @@ def _running_row_bases(maps: tuple[LatticeMap, ...], rank: int) -> list[LatticeM
     return bases
 
 
-def exclusive_index(rep: GaloisRep) -> int | None:
+def exclusive_index(factors: Factors) -> int | None:
     """Index in X' of the sum of the exclusive parts; None when infinite.
 
     The closed form from one adjugate of the stack B of the row bases B_i
@@ -570,8 +589,8 @@ def exclusive_index(rep: GaloisRep) -> int | None:
     injective B_i, D·Z^r_i has index c_i in B_i(V_i) and |D|^r_i in
     Z^r_i.  R > mu gives an infinite index (``galois`` module docstring).
     """
-    bases = [row_basis(f) for _, f in rep.factors]
-    if sum(b.nrows for b in bases) > rep.toric_rank:
+    bases = [row_basis(f) for _, f in factors]
+    if sum(b.nrows for b in bases) > _toric_rank(factors):
         return None
     det, adj = LatticeMap.stack(bases).adjugate()
     d = abs(det)
@@ -585,33 +604,34 @@ def exclusive_index(rep: GaloisRep) -> int | None:
     return index // d
 
 
-def reference_star_condition(rep: GaloisRep) -> bool:
-    """The star condition on the factors of a rep: R = mu and l does not
-    divide |det B| / prod h_i, with B the stack of the row bases B_i of the
-    f_i and h_i the product of the invariant factors of B_i (the index lemma
-    of the ``galois`` module docstring).  ``galois.star_condition`` reads it
-    off the dual purity cokernel, which this takes no account of, so it also
-    decides hand-made reps that come from no datum.
+def reference_star_condition(factors: Factors, l: int) -> bool:
+    """The star condition on the factors: R = mu and l does not divide
+    |det B| / prod h_i, with B the stack of the row bases B_i of the f_i and
+    h_i the product of the invariant factors of B_i (the index lemma of the
+    ``galois`` module docstring).  ``galois.star_condition`` reads it off the
+    dual purity cokernel, which this takes no account of, so it also decides
+    hand-made factors that come from no datum.
 
     The determinant comes first: when the f_i have mu rows in all and their
     stack has a nonzero determinant, every row of every f_i is independent,
     so each f_i is its own row basis and that determinant is det B.
     Otherwise the row bases are found."""
-    if rep.n == 0:
+    if not factors:
         return True
-    bases = [f for _, f in rep.factors]
+    mu = _toric_rank(factors)
+    bases = [f for _, f in factors]
     det = 0
-    if sum(f.nrows for f in bases) == rep.toric_rank:
+    if sum(f.nrows for f in bases) == mu:
         det = determinant(LatticeMap.stack(bases))
     if not det:
         bases = [row_basis(f) for f in bases]
-        if sum(b.nrows for b in bases) != rep.toric_rank:
+        if sum(b.nrows for b in bases) != mu:
             return False
         det = determinant(LatticeMap.stack(bases))
-    return abs(det) // prod(cokernel(b)[0].order for b in bases) % rep.l != 0
+    return abs(det) // prod(cokernel(b)[0].order for b in bases) % l != 0
 
 
-def decomposition_check(rep: GaloisRep) -> bool:
+def decomposition_check(factors: Factors, l: int) -> bool:
     """The block decomposition of T/T^G = X' into the exclusive parts: they
     are independent, and their sum has finite index coprime to l.
 
@@ -619,22 +639,22 @@ def decomposition_check(rep: GaloisRep) -> bool:
     docstring): the ranks of the parts sum to mu exactly when the index is
     finite.  Here both are taken from the leave-one-out kernels.
     """
-    if rep.n == 0:
+    if not factors:
         return True
-    parts = list(exclusive_parts(rep))
+    parts = list(exclusive_parts(factors))
     index = sum_index(parts)
-    return sum(p.ncols for p in parts) == rep.toric_rank and index is not None \
-        and index % rep.l != 0
+    return sum(p.ncols for p in parts) == _toric_rank(factors) and index is not None \
+        and index % l != 0
 
 
-def fixed_lattice(rep: GaloisRep, generators: tuple[int, ...]) -> LatticeMap:
+def fixed_lattice(factors: Factors, generators: tuple[int, ...]) -> LatticeMap:
     """X' part of the saturated lattice fixed by the listed sigma generators.
 
     The whole fixed lattice is X^dual ⊕ C ⊕ this part.
     """
-    maps = [psi_blocks(rep)[i] for i in generators]
+    maps = [psi_blocks(factors)[i] for i in generators]
     if not maps:
-        return LatticeMap.identity(rep.toric_rank)
+        return LatticeMap.identity(_toric_rank(factors))
     return kernel_saturated(LatticeMap.stack(maps))
 
 
@@ -652,25 +672,10 @@ def closed_point_bound(datum: DegenDatum, l: int) -> FinAb:
         raise InputError("prime equals residue characteristic")
     require_valid(datum)
     if datum.n == 0:
-        return FinAb.trivial()
+        return FinAb()
     stacked = LatticeMap.stack(psi_maps(datum))
     kernel = torsion_kernel_qz(row_lattice(stacked))
     return FinAb(l_part(kernel.torsion(), l).invariant_factors, kernel.divisible_rank)
-
-
-def closed_point_torsion(rep: GaloisRep, r: int) -> FinAb:
-    """Exact l^r-torsion of the closed-point component group from the full action.
-
-    The fixed lattice T^G has no X' part, so the group is the finite-level
-    kernel of the stacked psi_i, ⊕ Z/gcd(d_k, l^r) over the invariant factors
-    d_k of the stack (``galois`` module docstring).  The oracle reports
-    ``closed_point_bound`` as this torsion.
-    """
-    if r < 1:
-        raise InputError("level r must be >= 1")
-    modulus = rep.l ** r
-    return FinAb(tuple(g for g in (gcd(d, modulus) for d in rep.stack_torsion.invariant_factors)
-                       if g > 1))
 
 
 def psi_maps(datum: DegenDatum) -> list[LatticeMap]:
@@ -681,9 +686,9 @@ def psi_maps(datum: DegenDatum) -> list[LatticeMap]:
     ]
 
 
-def psi_blocks(rep: GaloisRep) -> tuple[LatticeMap, ...]:
-    """The products psi_i = sp_i^t·f_i of the factors a ``GaloisRep`` holds."""
-    return tuple(sp.transpose().compose(f) for sp, f in rep.factors)
+def psi_blocks(factors: Factors) -> tuple[LatticeMap, ...]:
+    """The products psi_i = sp_i^t·f_i of the factors."""
+    return tuple(sp.transpose().compose(f) for sp, f in factors)
 
 
 def row_lattice(m: LatticeMap) -> LatticeMap:
@@ -767,7 +772,7 @@ def trait_surjectivity_check(datum: DegenDatum, profile: TraitProfile) -> TraitS
     verdict = analyze(datum)
     if not verdict.toric_additive:
         raise InputError("Step 5 requires toric additivity")
-    if not profile.is_transversal:
+    if not is_transversal(profile):
         raise InputError("profile is not transversal")
     composed = compose_trait(datum, profile)
     bprime = composed.dual_stratum.inclusion
@@ -909,11 +914,11 @@ def dual_datum(datum: DegenDatum) -> DegenDatum:
         Branch(b.name, Lattice(b.dual_rank), b.pairing.transpose(), datum.dual_sp(i))
         for i, b in enumerate(datum.branches))
     new_dual_sps = tuple(b.specialization for b in datum.branches)
-    lam0 = datum.closed_polarization()
+    lam0 = closed_polarization(datum)
     new_pol = None
     new_branch_pols = None
     if lam0 is not None:
-        lams = [lam0] + [datum.branch_polarization(i) for i in range(datum.n)]
+        lams = [lam0] + [branch_polarization(datum, i) for i in range(datum.n)]
         if any(l is None for l in lams):
             raise InputError("dual datum needs polarizations on every branch or none")
         # lambda^-1 = adj/det; e clears every denominator of every inverse
@@ -949,3 +954,54 @@ def _swapped_strata(datum: DegenDatum) -> tuple[StratumOverride, ...]:
         else:
             raise InputError("stratum override lacks a dual inclusion; cannot dualize")
     return tuple(out)
+
+
+def closed_polarization(datum: DegenDatum) -> LatticeMap | None:
+    """lambda : X -> X', the identity by default on a principal datum."""
+    if datum.polarization is not None:
+        return datum.polarization
+    if datum.is_principal:
+        return LatticeMap.identity(datum.mu)
+    return None
+
+
+def branch_polarization(datum: DegenDatum, i: int) -> LatticeMap | None:
+    """lambda_i : X_i -> X'_i, the identity by default on a principal datum."""
+    if datum.branch_polarizations is not None:
+        return datum.branch_polarizations[i]
+    if datum.is_principal:
+        return LatticeMap.identity(datum.branches[i].lattice.rank)
+    return None
+
+
+def is_transversal(profile: TraitProfile) -> bool:
+    return all(a in (0, 1) for a in profile.multiplicities)
+
+
+def component_group(phi: LatticeMap) -> FinAb:
+    """Component group of a nondegenerate pairing: coker(phi) = ker(phi ⊗ Q/Z),
+    with the refusal of ``monodromy.trait_component_group``."""
+    coker, free_rank = cokernel(phi)
+    if free_rank or phi.nrows != phi.ncols:
+        raise InputError("degenerate pairing")
+    return coker
+
+
+def kummer_rescale(datum: DegenDatum, multipliers: tuple[int, ...] | list[int]) -> DegenDatum:
+    """Rescale the i-th pairing by m_i (each m_i tame: coprime to p when p > 0)."""
+    ms = _tame_multipliers(datum, multipliers)
+    branches = tuple(
+        Branch(b.name, b.lattice, b.pairing.scaled(m), b.specialization)
+        for b, m in zip(datum.branches, ms))
+    return DegenDatum(
+        name=datum.name,
+        abelian_rank=datum.abelian_rank,
+        residue_char=datum.residue_char,
+        closed_point=datum.closed_point,
+        branches=branches,
+        dual_closed_point=datum.dual_closed_point,
+        dual_specializations=datum.dual_specializations,
+        polarization=datum.polarization,
+        branch_polarizations=datum.branch_polarizations,
+        strata=datum.strata,
+    )

@@ -21,7 +21,7 @@ from degenkit.generators import (
     random_ta_datum,
 )
 from degenkit.lattice import FinAb, LatticeMap, cokernel, l_part
-from degenkit.monodromy import TraitProfile, component_group, compose_trait
+from degenkit.monodromy import TraitProfile, compose_trait
 from degenkit.neron import (
     converse_check,
     converse_inputs_from_datum,
@@ -31,6 +31,8 @@ from degenkit.neron import (
 
 from conftest import load_fixture
 from oracles import (
+    branch_factors,
+    component_group,
     decomposition_check,
     determinant,
     reference_smith_diagonal,
@@ -92,10 +94,10 @@ def test_criterion_4_theorem_equivalence_suite():
                    for row in (*b.pairing.entries, *b.specialization.entries)
                    for v in row)
         count += 1
+        factors = branch_factors(datum)
         for l in (2, 3, 5):
-            rep = build_rep(datum, l)
             star = star_condition(datum, l)
-            decomposition = decomposition_check(rep)
+            decomposition = decomposition_check(factors, l)
             lattice_side = is_l_toric_additive(datum, l)
             if not (star == decomposition == lattice_side):
                 disagreements += 1
@@ -125,8 +127,7 @@ def test_criterion_5_component_group_oracle():
         r = 1
         while l ** r <= abs(det):
             r += 1
-        rep = build_rep(datum, l)
-        galois_side = torsion_phi_group(rep, profile, r)
+        galois_side = torsion_phi_group(build_rep(datum, l).action_torsion(profile), l, r)
         lattice_side = l_part(component_group(composed.matrix), l)
         if galois_side != lattice_side:
             disagreements += 1

@@ -17,9 +17,9 @@ from degenkit.curves import (
 from degenkit.degeneration import analyze, toric_rank_profile, validate
 from degenkit.errors import InputError
 from degenkit.generators import random_graph
-from degenkit.monodromy import TraitProfile, component_group, compose_trait
+from degenkit.monodromy import TraitProfile, compose_trait
 
-from oracles import determinant
+from oracles import component_group, determinant
 from test_intmat import wall_clock_budget
 
 

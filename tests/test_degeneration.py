@@ -28,7 +28,7 @@ from degenkit.lattice import FinAb, Lattice, LatticeMap
 from degenkit.schema import datum_to_dict
 
 from conftest import load_fixture
-from oracles import dual_datum, reference_validate, sub_datum
+from oracles import closed_polarization, dual_datum, reference_validate, sub_datum
 
 
 def simple_datum(specializations, pairings, mu, name="test"):
@@ -128,7 +128,7 @@ def _singular_pairing(rng, datum, k):
 
 def _singular_polarization(rng, datum, k):
     if rng.random() < 0.3 and datum.dual_closed.rank == datum.mu:
-        rows = _rows(datum.closed_polarization() or LatticeMap.identity(datum.mu))
+        rows = _rows(closed_polarization(datum) or LatticeMap.identity(datum.mu))
         rows[rng.randrange(len(rows))] = [0] * datum.mu
         return replace(datum, polarization=LatticeMap.from_rows(rows, source_rank=datum.mu))
     pols = _explicit_pols(datum)
@@ -140,7 +140,7 @@ def _singular_polarization(rng, datum, k):
 
 def _noncommuting_polarization(rng, datum, k):
     if rng.random() < 0.5 and datum.dual_closed.rank == datum.mu:
-        closed = datum.closed_polarization() or LatticeMap.identity(datum.mu)
+        closed = closed_polarization(datum) or LatticeMap.identity(datum.mu)
         return replace(datum, polarization=closed.scaled(2))
     pols = _explicit_pols(datum)
     pols[k] = pols[k].scaled(rng.choice([-1, 2]))

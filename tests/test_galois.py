@@ -12,10 +12,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from degenkit import cli, degeneration
-from degenkit.degeneration import Branch, DegenDatum, StratumOverride, is_l_toric_additive
+from degenkit.degeneration import (
+    Branch,
+    DegenDatum,
+    StratumOverride,
+    is_l_toric_additive,
+    is_onto,
+)
 from degenkit.errors import InputError
 from degenkit.galois import (
-    GaloisRep,
     build_rep,
     star_condition,
     torsion_phi_group,
@@ -26,6 +31,7 @@ from degenkit.generators import (
     random_profile,
     random_spd,
     random_ta_datum,
+    random_unimodular,
 )
 from degenkit.lattice import (
     FinAb,
@@ -36,7 +42,7 @@ from degenkit.lattice import (
 )
 from degenkit.monodromy import (
     TraitProfile,
-    component_group,
+    closed_point_pairing,
     compose_trait,
     trait_component_group,
 )
@@ -45,10 +51,12 @@ from degenkit.schema import datum_to_dict
 import galois_full as full_model
 from conftest import fixture_path, load_fixture
 from oracles import (
+    Factors,
     add_maps,
     beside,
+    branch_factors,
     closed_point_bound,
-    closed_point_torsion,
+    component_group,
     decomposition_check,
     determinant,
     dual_datum,
@@ -71,34 +79,36 @@ def lm(rows, source=None, target=None):
     return LatticeMap.from_rows(rows, source_rank=source, target_rank=target)
 
 
-def rep_of(l: int, psi: tuple[LatticeMap, ...]) -> GaloisRep:
-    """A rep whose blocks are the given psi_i, as (identity, psi_i) factor
+def factors_of(psi: tuple[LatticeMap, ...]) -> Factors:
+    """Factors whose products are the given psi_i, as (identity, psi_i)
     pairs: sp_i and phi_i are identities and sp'_i is psi_i."""
-    return GaloisRep(l, psi[0].ncols, 0, tuple(
-        (LatticeMap.identity(m.nrows), LatticeMap.identity(m.nrows), m) for m in psi))
+    return tuple((LatticeMap.identity(m.nrows), m) for m in psi)
 
 
 class TestBuildRep:
     def test_no_branches(self):
-        rep = build_rep(DegenDatum("empty", 2, 0, Lattice(0), ()), 3)
-        assert rep.lattice.rank == 4          # 2d with d = alpha = 2
-        assert rep.factors == ()
-        assert fixed_lattice(rep, ()).ncols == 0
+        datum = DegenDatum("empty", 2, 0, Lattice(0), ())
+        rep = build_rep(datum, 3)
+        assert full_model.full_rep(datum, 3).total == 4     # 2d with d = alpha = 2
+        assert branch_factors(rep.datum) == ()
+        assert rep.stack_torsion.is_trivial
+        assert fixed_lattice((), ()).ncols == 0
 
     def test_example_3_4_ranks(self, example_3_4):
         rep = build_rep(example_3_4, 3)
-        assert rep.lattice.rank == 4
-        assert rep.toric_rank == 2
-        assert [(psi.nrows, psi.ncols) for psi in psi_blocks(rep)] == [(2, 2), (2, 2)]
+        assert full_model.full_rep(example_3_4, 3).total == 4
+        assert rep.datum.mu == 2
+        factors = branch_factors(rep.datum)
+        assert [(psi.nrows, psi.ncols) for psi in psi_blocks(factors)] == [(2, 2), (2, 2)]
         # T^G = T^f = X^dual ⊕ C: no X' part
-        assert fixed_lattice(rep, (0, 1)).ncols == 0
+        assert fixed_lattice(factors, (0, 1)).ncols == 0
 
     def test_single_branch_elementary(self):
         datum = DegenDatum("one", 0, 0, Lattice(1),
                            (Branch("D1", Lattice(1), lm([[5]]), lm([[1]])),))
-        rep = build_rep(datum, 2)
         # X' generator goes to 5 times the X^dual generator
-        assert psi_blocks(rep)[0].entries == ((5,),)
+        assert psi_blocks(branch_factors(datum))[0].entries == ((5,),)
+        assert build_rep(datum, 2).stack_torsion == FinAb((5,))
 
     def test_unipotency_and_commutation(self):
         rng = random.Random(19)
@@ -126,11 +136,12 @@ class TestBuildRep:
                 assert image_lattices_equal(
                     full_model.fixed_lattice(full, tuple(range(full.n))), full.fixed_part())
                 assert star_condition(datum, l) == full_model.star_condition(full)
-                assert decomposition_check(rep) == full_model.decomposition_check(full)
-                assert torsion_phi_group(rep, profile, 3) == \
+                assert decomposition_check(branch_factors(datum), l) == \
+                    full_model.decomposition_check(full)
+                assert torsion_phi_group(rep.action_torsion(profile), l, 3) == \
                     full_model.torsion_phi_group(full, profile, 3)
                 for r in (1, 3, 5):
-                    assert closed_point_torsion(rep, r) == \
+                    assert torsion_phi_group(rep.stack_torsion, l, r) == \
                         full_model.closed_point_torsion(full, r)
 
     def test_rejects_residue_char(self, example_3_4):
@@ -154,14 +165,13 @@ class TestStarCondition:
 class TestDecompositionCheck:
     def test_ta_datum(self, product_tate):
         for l in (2, 3, 5):
-            assert decomposition_check(build_rep(product_tate, l))
+            assert decomposition_check(branch_factors(product_tate), l)
 
     def test_example_3_4_at_two(self, example_3_4):
-        assert not decomposition_check(build_rep(example_3_4, 2))
+        assert not decomposition_check(branch_factors(example_3_4), 2)
 
     def test_no_branches_vacuous(self):
-        rep = build_rep(DegenDatum("empty", 1, 0, Lattice(0), ()), 2)
-        assert decomposition_check(rep)
+        assert decomposition_check(branch_factors(DegenDatum("empty", 1, 0, Lattice(0), ())), 2)
 
 
 class TestTheoremEquivalence:
@@ -170,9 +180,8 @@ class TestTheoremEquivalence:
         for _ in range(120):
             datum = random_datum(rng, max_mu=4, max_n=3)
             for l in (2, 3, 5):
-                rep = build_rep(datum, l)
                 star = star_condition(datum, l)
-                decomposition = decomposition_check(rep)
+                decomposition = decomposition_check(branch_factors(datum), l)
                 lattice_side = is_l_toric_additive(datum, l)
                 assert star == decomposition == lattice_side, (datum, l)
 
@@ -181,8 +190,7 @@ class TestTheoremEquivalence:
         for _ in range(30):
             datum = random_polarized_datum(rng, max_mu=3, max_n=3, min_n=1)
             for l in (2, 3):
-                rep = build_rep(datum, l)
-                assert star_condition(datum, l) == decomposition_check(rep) \
+                assert star_condition(datum, l) == decomposition_check(branch_factors(datum), l) \
                     == is_l_toric_additive(datum, l)
 
 
@@ -192,9 +200,9 @@ class TestTheoremEquivalence:
             for _ in range(30):
                 datum = replace(gen(rng, max_mu=12, max_n=6, min_n=2),
                                 abelian_rank=rng.randint(0, 64))
+                factors = branch_factors(datum)
                 for l in (2, 3):
-                    rep = build_rep(datum, l)
-                    assert star_condition(datum, l) == decomposition_check(rep) \
+                    assert star_condition(datum, l) == decomposition_check(factors, l) \
                         == is_l_toric_additive(datum, l), (datum.name, l)
 
 
@@ -202,25 +210,25 @@ class TestTorsionPhiGroup:
     def test_single_branch_multiplication(self):
         datum = DegenDatum("one", 0, 0, Lattice(1),
                            (Branch("D1", Lattice(1), lm([[12]]), lm([[1]])),))
-        rep = build_rep(datum, 2)
-        assert torsion_phi_group(rep, TraitProfile((1,)), 5) == l_part(FinAb((12,)), 2)
-        rep3 = build_rep(datum, 3)
-        assert torsion_phi_group(rep3, TraitProfile((1,)), 3) == l_part(FinAb((12,)), 3)
+        for l, r in ((2, 5), (3, 3)):
+            action = build_rep(datum, l).action_torsion(TraitProfile((1,)))
+            assert torsion_phi_group(action, l, r) == l_part(FinAb((12,)), l)
 
     def test_example_3_4_profile_1_1(self, example_3_4):
         rep = build_rep(example_3_4, 2)
         lattice_side = l_part(component_group(
             compose_trait(example_3_4, TraitProfile((1, 1))).matrix), 2)
         assert lattice_side == FinAb((2, 2))
-        assert torsion_phi_group(rep, TraitProfile((1, 1)), 4) == FinAb((2, 2))
+        assert torsion_phi_group(rep.action_torsion(TraitProfile((1, 1))), 2, 4) == FinAb((2, 2))
 
     def test_all_zero_profile(self, example_3_4):
         rep = build_rep(example_3_4, 2)
-        assert torsion_phi_group(rep, TraitProfile((0, 0)), 3).is_trivial
+        assert torsion_phi_group(rep.action_torsion(TraitProfile((0, 0))), 2, 3).is_trivial
 
     def test_stable_in_r(self, example_3_4):
         rep = build_rep(example_3_4, 2)
-        values = [torsion_phi_group(rep, TraitProfile((1, 1)), r) for r in (3, 4, 5, 6)]
+        action = rep.action_torsion(TraitProfile((1, 1)))
+        values = [torsion_phi_group(action, 2, r) for r in (3, 4, 5, 6)]
         assert all(v == values[0] for v in values)
 
     def test_randomized_cross_validation(self):
@@ -240,8 +248,8 @@ class TestTorsionPhiGroup:
                 r = 1
                 while l ** r <= abs(det):
                     r += 1
-                rep = build_rep(datum, l)
-                assert torsion_phi_group(rep, profile, r) == \
+                action = build_rep(datum, l).action_torsion(profile)
+                assert torsion_phi_group(action, l, r) == \
                     l_part(component_group(composed.matrix), l)
 
 
@@ -251,8 +259,7 @@ class TestClosedPointTorsion:
         for _ in range(40):
             datum = random_datum(rng, max_mu=3, max_n=3, min_n=1)
             for l in (2, 3):
-                rep = build_rep(datum, l)
-                exact = closed_point_torsion(rep, 6)
+                exact = torsion_phi_group(build_rep(datum, l).stack_torsion, l, 6)
                 bound = closed_point_bound(datum, l)
                 if bound.divisible_rank == 0 and bound.invariant_factors:
                     assert bound.order % (exact.order if not exact.is_trivial else 1) == 0
@@ -260,8 +267,7 @@ class TestClosedPointTorsion:
     def test_n1_exact(self):
         datum = DegenDatum("one", 0, 0, Lattice(1),
                            (Branch("D1", Lattice(1), lm([[8]]), lm([[1]])),))
-        rep = build_rep(datum, 2)
-        assert closed_point_torsion(rep, 5) == FinAb((8,))
+        assert torsion_phi_group(build_rep(datum, 2).stack_torsion, 2, 5) == FinAb((8,))
 
 
 # entries rich in powers of 2 and 3, so the groups reach past the low levels
@@ -281,9 +287,9 @@ class TestClosedForm:
     @given(square_maps(1), st.sampled_from([2, 3]))
     def test_trait_group_matches_explicit_kernel(self, maps, l):
         action = lm(maps[0])
-        rep = rep_of(l, (action,))
+        torsion = cokernel(action)[0]
         for r in range(1, 7):
-            assert torsion_phi_group(rep, TraitProfile((1,)), r) == \
+            assert torsion_phi_group(torsion, l, r) == \
                 full_model.mod_lr_quotient(action, kernel_saturated(action), l ** r)
 
     @settings(max_examples=150, deadline=None)
@@ -292,10 +298,10 @@ class TestClosedForm:
         psi = tuple(lm(rows) for rows in maps)
         stacked = LatticeMap.stack(list(psi))
         assume(stacked.is_injective())   # as on every valid datum
-        rep = rep_of(l, psi)
+        torsion = cokernel(stacked)[0]
         no_fixed_part = LatticeMap.zero(Lattice(0), stacked.source)
         for r in range(1, 7):
-            assert closed_point_torsion(rep, r) == \
+            assert torsion_phi_group(torsion, l, r) == \
                 full_model.mod_lr_quotient(stacked, no_fixed_part, l ** r)
 
 
@@ -311,15 +317,15 @@ class TestProvenIdentities:
     def test_decomposition_equals_star_condition(self):
         rng = random.Random(151)
         for datum in _random_datums(rng, 90):
+            factors = branch_factors(datum)
+            parts = list(exclusive_parts(factors))
+            # the exclusive parts are independent ...
+            together = beside(parts)
+            assert together.rank_of_image() == together.ncols <= datum.mu
+            # ... so their ranks fill X' exactly when their sum has finite index
+            assert (together.ncols == datum.mu) == (sum_index(parts) is not None)
             for l in (2, 3, 5):
-                rep = build_rep(datum, l)
-                parts = list(exclusive_parts(rep))
-                # the exclusive parts are independent ...
-                together = beside(parts)
-                assert together.rank_of_image() == together.ncols <= rep.toric_rank
-                # ... so their ranks fill X' exactly when their sum has finite index
-                assert (together.ncols == rep.toric_rank) == (sum_index(parts) is not None)
-                assert decomposition_check(rep) == star_condition(datum, l), (datum.name, l)
+                assert decomposition_check(factors, l) == star_condition(datum, l), (datum.name, l)
 
     def test_closed_point_torsion_equals_bound(self):
         rng = random.Random(152)
@@ -330,9 +336,9 @@ class TestProvenIdentities:
                 level = 1
                 while l ** level < bound.torsion().exponent:
                     level += 1
-                rep = build_rep(datum, l)
-                assert closed_point_torsion(rep, level) == bound.torsion(), (datum.name, l)
-                assert closed_point_torsion(rep, level + 1) == bound.torsion()
+                torsion = build_rep(datum, l).stack_torsion
+                assert torsion_phi_group(torsion, l, level) == bound.torsion(), (datum.name, l)
+                assert torsion_phi_group(torsion, l, level + 1) == bound.torsion()
 
     def test_stack_torsion_l_part_is_the_closed_point_bound(self):
         # the oracle reads its bound off rep.stack_torsion; n = 0 included
@@ -358,42 +364,53 @@ class TestProvenIdentities:
                 assert closed["exact_torsion"] == dict(closed["bound"], divisible_rank=0)
 
 
+def _action(datum: DegenDatum, profile: tuple[int, ...]) -> LatticeMap:
+    """sum a_i·psi_i, from the mu × mu products psi_i."""
+    expected = LatticeMap.zero(Lattice(datum.mu), Lattice(datum.mu))
+    for a, m in zip(profile, psi_maps(datum)):
+        expected = add_maps(expected, m.scaled(a))
+    return expected
+
+
 class TestFactors:
-    """A rep keeps the factors (sp_i, f_i) of each psi_i = sp_i^t·f_i; the
-    three facts of the galois module docstring, against the products."""
+    """A rep reads its groups off the factors (sp_i, f_i) of each
+    psi_i = sp_i^t·f_i; the three facts of the galois module docstring,
+    against the products."""
 
     def test_identities_on_generated_datums(self):
         rng = random.Random(171)
         checked = 0
         for datum in _random_datums(rng, 96):
             rep = build_rep(datum, 3)
+            factors = branch_factors(datum)
             psi = psi_maps(datum)
-            assert [m.entries for m in psi_blocks(rep)] == [m.entries for m in psi]
-            x_prime = Lattice(datum.mu)
+            assert [m.entries for m in psi_blocks(factors)] == [m.entries for m in psi]
             profiles = [tuple(random_profile(rng, datum.n, allow_zero=True)) for _ in range(3)]
             for profile in profiles + [(0,) * datum.n, (1,) * datum.n]:
-                expected = LatticeMap.zero(x_prime, x_prime)
-                for a, m in zip(profile, psi):
-                    expected = add_maps(expected, m.scaled(a))
-                assert rep.action(profile).entries == expected.entries, (datum.name, profile)
+                expected = _action(datum, profile)
+                # the composed pairing in closed-point coordinates is the action
+                action = closed_point_pairing(datum, TraitProfile(profile))
+                assert action.matrix.entries == expected.entries, (datum.name, profile)
+                assert rep.action_torsion(TraitProfile(profile)) == cokernel(expected)[0]
             # the Hermite row basis of the n·mu-row stack of the psi_i
             assert rep.stack_torsion == cokernel(row_lattice(LatticeMap.stack(psi)))[0]
-            assert exclusive_index(rep) == sum_index(list(exclusive_parts(rep))), datum.name
+            assert exclusive_index(factors) == sum_index(list(exclusive_parts(factors))), \
+                datum.name
             checked += 1
         assert checked >= 90
 
     def test_sp_transpose_is_injective_and_keeps_the_row_lattice(self):
         rng = random.Random(172)
         for datum in _random_datums(rng, 30):
-            for (sp, f), m in zip(build_rep(datum, 2).factors, psi_maps(datum)):
+            for (sp, f), m in zip(branch_factors(datum), psi_maps(datum)):
                 assert sp.transpose().is_injective()
                 # equal canonical (Hermite) bases of the two row lattices
                 assert f.transpose().image_basis() == m.transpose().image_basis()
 
 
-def _row_bases_and_det(rep: GaloisRep) -> tuple[list[LatticeMap], int | None]:
+def _row_bases_and_det(factors: Factors) -> tuple[list[LatticeMap], int | None]:
     """The row bases B_i of the f_i, and det B of their stack when it is square."""
-    bases = [row_basis(f) for _, f in rep.factors]
+    bases = [row_basis(f) for _, f in factors]
     stack = LatticeMap.stack(bases)
     return bases, determinant(stack) if stack.nrows == stack.ncols else None
 
@@ -405,17 +422,19 @@ class TestExclusiveIndex:
     module docstring)."""
 
     @staticmethod
-    def _compare(rep: GaloisRep) -> bool:
+    def _compare(factors: Factors, l: int) -> bool:
         """Assert the closed form, the lemma and the star criterion; True when R = mu."""
-        reference = sum_index(list(exclusive_parts(rep)))
-        assert exclusive_index(rep) == reference
-        stacked_rows = sum(psi.rank_of_image() for psi in psi_blocks(rep))
-        assert stacked_rows >= rep.toric_rank
+        mu = factors[0][1].ncols
+        reference = sum_index(list(exclusive_parts(factors)))
+        assert exclusive_index(factors) == reference
+        stacked_rows = sum(psi.rank_of_image() for psi in psi_blocks(factors))
+        assert stacked_rows >= mu
         # R > mu forces an infinite index, and R = mu a finite one
-        assert (reference is None) == (stacked_rows > rep.toric_rank)
+        assert (reference is None) == (stacked_rows > mu)
         # the star condition: R = mu and l does not divide |det B| / prod h_i
-        assert reference_star_condition(rep) == (reference is not None and reference % rep.l != 0)
-        return stacked_rows == rep.toric_rank
+        assert reference_star_condition(factors, l) == \
+            (reference is not None and reference % l != 0)
+        return stacked_rows == mu
 
     def test_matches_leave_one_out_kernels_on_generated_datums(self):
         # star_condition reads the dual purity cokernel; on the rep, the det
@@ -427,16 +446,16 @@ class TestExclusiveIndex:
         for gen in (random_datum, random_ta_datum, random_polarized_datum):
             for _ in range(40):
                 datum = gen(rng, max_mu=8, max_n=5, min_n=1)
+                factors = branch_factors(datum)
                 for l in (2, 3, 5):
-                    rep = build_rep(datum, l)
-                    star = reference_star_condition(rep)
-                    if self._compare(rep):
+                    star = reference_star_condition(factors, l)
+                    if self._compare(factors, l):
                         square += 1
                         outcomes[star] += 1
-                        divides_yet_holds += star and _row_bases_and_det(rep)[1] % l == 0
+                        divides_yet_holds += star and _row_bases_and_det(factors)[1] % l == 0
                     else:
                         wide += 1
-                    assert star == decomposition_check(rep) == star_condition(datum, l), \
+                    assert star == decomposition_check(factors, l) == star_condition(datum, l), \
                         (datum.name, l)
                     if datum.polarization is not None:
                         # the dual datum's purity map is P'
@@ -454,56 +473,53 @@ class TestExclusiveIndex:
     def test_matches_leave_one_out_kernels_on_any_injective_stack(self, maps, l):
         psi = tuple(lm(rows) for rows in maps)
         assume(LatticeMap.stack(list(psi)).is_injective())
-        rep = rep_of(l, psi)
-        self._compare(rep)
-        assert reference_star_condition(rep) == decomposition_check(rep)
+        factors = factors_of(psi)
+        self._compare(factors, l)
+        assert reference_star_condition(factors, l) == decomposition_check(factors, l)
 
     def test_hand_made_stacks(self):
         # B = diag(2, 3): V_1 = Z·e_1 and V_2 = Z·e_2, index (6/3)·(6/2)/6 = 1
-        rep = rep_of(2, (lm([[2, 0], [0, 0]]), lm([[0, 0], [0, 3]])))
-        assert exclusive_index(rep) == 1
+        assert exclusive_index(factors_of((lm([[2, 0], [0, 0]]), lm([[0, 0], [0, 3]])))) == 1
         # B = ((1, 1), (1, -1)): V_1 = Z·(1, 1) and V_2 = Z·(1, -1), index 2
-        psi = (lm([[1, 1]], target=1), lm([[1, -1]], target=1))
-        assert exclusive_index(rep_of(3, psi)) == 2
-        assert not reference_star_condition(rep_of(2, psi))
-        assert reference_star_condition(rep_of(3, psi))
+        factors = factors_of((lm([[1, 1]], target=1), lm([[1, -1]], target=1)))
+        assert exclusive_index(factors) == 2
+        assert not reference_star_condition(factors, 2)
+        assert reference_star_condition(factors, 3)
         # R = 3 > mu = 2: V_2 = ker psi_1 = 0
-        rep = rep_of(2, (LatticeMap.identity(2), lm([[1, 1]], target=1)))
-        assert exclusive_index(rep) is None
-        assert not reference_star_condition(rep)
-        for rep in (rep, rep_of(3, psi)):
-            self._compare(rep)
+        wide = factors_of((LatticeMap.identity(2), lm([[1, 1]], target=1)))
+        assert exclusive_index(wide) is None
+        assert not reference_star_condition(wide, 2)
+        self._compare(wide, 2)
+        self._compare(factors, 3)
         # f_1 has dependent rows, so its row basis is ((1, 0)): B = ((1, 0), (1, 3))
         # has det 3 with h_i = (1, 1); V_1 = Z·(3, -1) and V_2 = Z·(0, 1) have index 3
-        psi = (lm([[1, 0], [2, 0]]), lm([[1, 3]], target=1))
+        factors = factors_of((lm([[1, 0], [2, 0]]), lm([[1, 3]], target=1)))
         for l in (2, 3, 5):
-            rep = rep_of(l, psi)
-            assert reference_star_condition(rep) == (l != 3)
-            assert exclusive_index(rep) == 3
-            self._compare(rep)
+            assert reference_star_condition(factors, l) == (l != 3)
+            assert exclusive_index(factors) == 3
+            self._compare(factors, l)
         # a square stack of determinant 0 falls back to the row bases, which
         # find it singular
         assert not reference_star_condition(
-            rep_of(2, (lm([[1, 1]], target=1), lm([[2, 2]], target=1))))
+            factors_of((lm([[1, 1]], target=1), lm([[2, 2]], target=1))), 2)
 
     def test_det_divisible_by_l_yet_star_holds(self):
         # B = ((2, 2), (0, 3)): det 6, h_1 = 2, h_2 = 3, so |det B| / prod h_i = 1;
         # V_1 = ker B_2 = Z·(1, 0) and V_2 = ker B_1 = Z·(1, -1) span Z^2
-        psi = (lm([[2, 2]], target=1), lm([[0, 3]], target=1))
+        factors = factors_of((lm([[2, 2]], target=1), lm([[0, 3]], target=1)))
+        bases, det = _row_bases_and_det(factors)
+        assert [cokernel(b)[0].order for b in bases] == [2, 3]
+        assert exclusive_index(factors) == 1
         for l in (2, 3):
-            rep = rep_of(l, psi)
-            bases, det = _row_bases_and_det(rep)
             assert det % l == 0
-            assert [cokernel(b)[0].order for b in bases] == [2, 3]
-            assert exclusive_index(rep) == 1
-            assert reference_star_condition(rep)
-            self._compare(rep)
+            assert reference_star_condition(factors, l)
+            self._compare(factors, l)
         # B = ((2, 0), (1, 3)): det 6 and h_i = (2, 1), so the quotient 3 fails at 3 only
-        psi = (lm([[2, 0]], target=1), lm([[1, 3]], target=1))
-        assert reference_star_condition(rep_of(2, psi))
-        assert not reference_star_condition(rep_of(3, psi))
+        factors = factors_of((lm([[2, 0]], target=1), lm([[1, 3]], target=1)))
+        assert reference_star_condition(factors, 2)
+        assert not reference_star_condition(factors, 3)
         for l in (2, 3):
-            self._compare(rep_of(l, psi))
+            self._compare(factors, l)
 
 
 def _keeps_closed_point_coordinates(datum: DegenDatum, stratum, dual: bool) -> bool:
@@ -523,15 +539,14 @@ def _oracle_eliminations(capsys, intmat_calls, path, argv) -> tuple[int, dict, l
 
 
 class TestSharedCokernel:
-    """phi_f = B^t·diag(a_j·phi_j)·B' is sum a_j·psi_j = ``rep.action`` entry
-    for entry when B and B' are the restricted purity maps, which the strata
+    """phi_f = B^t·diag(a_j·phi_j)·B' is the action sum a_j·psi_j entry for
+    entry when B and B' are the restricted purity maps, which the strata
     flag, so the oracle factors it once for both sides."""
 
     def test_composed_pairing_is_the_action_in_closed_point_coordinates(self):
         rng = random.Random(181)
         kept = moved = 0
         for datum in _random_datums(rng, 150):
-            rep = build_rep(datum, 2)
             profiles = [tuple(random_profile(rng, datum.n, allow_zero=True)) for _ in range(4)]
             for profile in profiles + [(0,) * datum.n, (1,) * datum.n]:
                 composed = compose_trait(datum, TraitProfile(profile))
@@ -540,9 +555,11 @@ class TestSharedCokernel:
                     _keeps_closed_point_coordinates(datum, composed.stratum, False)
                 assert composed.dual_stratum.closed_point_coordinates == \
                     _keeps_closed_point_coordinates(datum, composed.dual_stratum, True)
-                if composed.stratum.closed_point_coordinates and \
-                        composed.dual_stratum.closed_point_coordinates:
-                    assert composed.matrix == rep.action(profile), (datum.name, profile)
+                assert composed.closed_point_coordinates == \
+                    (composed.stratum.closed_point_coordinates and
+                     composed.dual_stratum.closed_point_coordinates)
+                if composed.closed_point_coordinates:
+                    assert composed.matrix == _action(datum, profile), (datum.name, profile)
                     kept += 1
                 else:
                     moved += 1
@@ -551,8 +568,8 @@ class TestSharedCokernel:
     @pytest.mark.parametrize("name", ["example_3_4", "generated_ta_seed7", "product_tate",
                                       "tate_u1u2", "generated_nonta_seed11"])
     def test_all_ones_profile_adds_one_elimination(self, name, capsys, intmat_calls):
-        """The profile adds one mu × mu elimination, of phi_f, which the rep
-        shares; on unimodular strata (a principal toric-additive datum) it adds
+        """The profile adds one mu × mu elimination, of phi_f, which the Galois
+        side shares; on unimodular strata (a principal toric-additive datum) it adds
         none: the n blocks coker phi_j, r_j × r_j each, are the Smith forms
         that the stack torsion already took."""
         datum = load_fixture(name)
@@ -590,8 +607,7 @@ class TestSharedCokernel:
         path.write_text(json.dumps(datum_to_dict(datum)))
         profile = TraitProfile((1, 1, 0))
         composed = compose_trait(datum, profile)
-        action = build_rep(datum, 2).action(profile.multiplicities)
-        assert composed.matrix != action
+        assert composed.matrix != _action(datum, profile.multiplicities)
         _, _, bare = _oracle_eliminations(capsys, intmat_calls, path, ["--l", "2"])
         code, report, with_profile = _oracle_eliminations(
             capsys, intmat_calls, path, ["--l", "2", "--profile", "1,1,0"])
@@ -600,9 +616,9 @@ class TestSharedCokernel:
         assert (composed.matrix.entries, 2, 2) in with_profile
         group = report["component_group"]
         # the reference: the cokernel of the sum of the products psi_i, at level r
-        psi = psi_maps(datum)
         reference = full_model.mod_lr_quotient(
-            add_maps(psi[0], psi[1]), LatticeMap.zero(Lattice(0), Lattice(2)), 2 ** group["r"])
+            _action(datum, profile.multiplicities), LatticeMap.zero(Lattice(0), Lattice(2)),
+            2 ** group["r"])
         assert group["galois_side"] == {"invariant_factors": list(reference.invariant_factors),
                                         "divisible_rank": 0} == \
             {"invariant_factors": [2, 2], "divisible_rank": 0}
@@ -610,6 +626,50 @@ class TestSharedCokernel:
             list(l_part(component_group(composed.matrix), 2).invariant_factors) == []
         # the two sides differ, as the override asks for another stratum
         assert code == 1 and group["agree"] is False
+
+    def test_galois_side_is_the_cokernel_of_the_action(self, capsys, intmat_calls, tmp_path):
+        """Profiles with a zero entry, and overrides over every branch: the
+        Galois side is the cokernel of sum a_i·psi_i, factored once per oracle
+        op (shared with the trait group where both strata keep closed-point
+        coordinates), or not at all where the blocks give it."""
+        rng = random.Random(191)
+        cases = Counter()
+        for k, datum in enumerate(_random_datums(rng, 120)):
+            profile = list(random_profile(rng, datum.n, allow_zero=True))
+            if datum.is_principal and k % 2:
+                # an override over every branch: the purity map in another basis
+                u = lm(random_unimodular(rng, datum.mu))
+                basis = degeneration.purity_matrix(datum).compose(u)
+                datum = replace(datum, strata=(StratumOverride(tuple(range(datum.n)), basis),))
+                profile = [a or 1 for a in profile]
+            else:
+                profile[rng.randrange(datum.n)] = 0
+            path = tmp_path / f"d{k}.json"
+            path.write_text(json.dumps(datum_to_dict(datum)))
+            argv = ["--l", str(rng.choice((2, 3)))]
+            _, _, bare = _oracle_eliminations(capsys, intmat_calls, path, argv)
+            _, report, with_profile = _oracle_eliminations(
+                capsys, intmat_calls, path, argv + ["--profile", ",".join(map(str, profile))])
+            added = list((Counter(with_profile) - Counter(bare)).elements())
+            action = _action(datum, tuple(profile))
+            blocks = all(profile) and is_onto(datum.purity_cokernel) and \
+                is_onto(datum.dual_purity_cokernel)
+            composed = compose_trait(datum, TraitProfile(tuple(profile)))
+            shared = composed.closed_point_coordinates
+            # an override's phi_f may equal the action by chance (mu = 1, say)
+            twin = not shared and composed.matrix == action
+            assert added.count((action.entries, datum.mu, datum.mu)) == (0 if blocks else 1) + twin
+            # the trait group adds phi_f, which is the action where it is shared
+            assert len(added) == (0 if blocks else 1) + (0 if shared else 1), (datum.name, profile)
+            group = report["component_group"]
+            l, r = int(argv[1]), group["r"]
+            reference = full_model.mod_lr_quotient(action, kernel_saturated(action), l ** r)
+            assert group["galois_side"] == {"invariant_factors": list(reference.invariant_factors),
+                                            "divisible_rank": 0}, (datum.name, profile)
+            cases[bool(datum.strata), blocks, shared] += 1
+        # zeros shared and not shared, overrides on the blocks and off them
+        assert cases[False, False, True] > 10 and cases[False, False, False] > 10, cases
+        assert cases[True, True, False] > 5 and cases[True, False, False] > 10, cases
 
 
 def test_oracle_at_mu_52_within_budget(capsys, tmp_path):
@@ -709,16 +769,19 @@ class TestOneSmithFormPerPairing:
             yield random_datum(rng, max_mu=12, max_n=6, min_n=3)
             yield random_polarized_datum(rng, max_mu=12, max_n=6, min_n=3)
 
-    def test_stack_torsion_is_the_cokernel_of_the_stacked_f_i(self):
+    def test_stack_torsion_is_the_cokernel_of_the_stacked_f_i(self, intmat_calls):
         paths = Counter()
         for datum in self._datums(random.Random(211)):
             assert not datum.violations, datum.name
             rep = build_rep(datum, 2)
-            stack = LatticeMap.stack([f for _, f in rep.factors])
-            assert rep.stack_torsion == cokernel(stack)[0], datum.name
-            torsion, free_rank = datum.dual_purity_cokernel
-            unimodular = torsion.is_trivial and free_rank == 0
-            assert (rep.block_torsion is not None) == unimodular
+            stack = LatticeMap.stack([f for _, f in branch_factors(datum)])
+            intmat_calls.clear_all()
+            torsion = rep.stack_torsion
+            stacked = (stack.entries, stack.nrows, stack.ncols) in intmat_calls["eliminations"]
+            assert torsion == cokernel(stack)[0], datum.name
+            unimodular = is_onto(datum.dual_purity_cokernel)
+            # the stack is factored exactly where P' is not unimodular
+            assert stacked != unimodular, datum.name
             paths[unimodular, datum.is_principal, datum.mu >= 40] += 1
         # blocks on principal and explicit-dual datums of mu >= 40; the stack
         # on tall and on square non-unimodular P', at mu >= 40 too
@@ -729,7 +792,7 @@ class TestOneSmithFormPerPairing:
         rng = random.Random(223)
         count = 0
         for datum in self._datums(rng):
-            if not (datum.is_principal and datum.verdict.toric_additive):
+            if not (is_onto(datum.purity_cokernel) and is_onto(datum.dual_purity_cokernel)):
                 continue
             for _ in range(3):
                 profile = TraitProfile(tuple(rng.randint(1, 5) for _ in range(datum.n)))

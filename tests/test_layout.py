@@ -2,16 +2,21 @@
 list-of-rows matrix format of ``intmat``; everything else goes through
 ``LatticeMap``.  Smith transforms and the general integral solve are gone
 from the package, ``intmat`` has one Smith elimination with one path, no
-routine without a command stays in the package, and ``--json`` has one
-renderer."""
+routine without a command stays in the package, every definition there is
+referenced there, one function decides how a composed pairing is factored,
+and ``--json`` has one renderer."""
 
 from __future__ import annotations
 
 import ast
 import re
+from collections import Counter
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import pytest
+
+from degenkit import galois
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "degenkit"
 FORMAT_OWNERS = {"lattice.py", "generators.py"}
@@ -134,13 +139,16 @@ def test_no_smith_transform_v(path):
 # their cotree entries fix, the restriction of a datum to a branch subset,
 # the star condition's row bases and determinant (the dual purity cokernel
 # decides it), the dual datum, and the Step-5 projection, which no report
-# carries
+# carries; the default polarizations, the transversality of a profile, the
+# Kummer-rescaled datum, and the component group of a lone pairing (the
+# trait group refuses a degenerate phi_f on the cokernel it is given)
 UNUSED = {"exclusive_parts", "_running_row_bases", "decomposition_check", "exclusive_index",
           "fixed_lattice", "closed_point_bound", "closed_point_torsion", "psi_maps",
           "row_lattice", "psi_blocks", "torsion_kernel_qz", "kernel_saturated", "sum_index",
           "beside", "load_document", "_check_cycle_decomposition", "sub_datum",
           "row_basis", "determinant", "dual_datum", "_swapped_strata",
-          "trait_surjectivity_check", "TraitSurjectivity"}
+          "trait_surjectivity_check", "TraitSurjectivity", "kummer_rescale",
+          "closed_polarization", "branch_polarization", "is_transversal", "component_group"}
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -156,12 +164,67 @@ def test_cli_has_one_path_to_the_trait_group():
     assert "component_group" not in _identifiers(tree)
 
 
-def test_share_cokernel_forms_no_action():
-    # the strata flags decide that phi_f is the action, with no product to compare
-    tree = ast.parse((SRC / "galois.py").read_text())
-    share = next(node for node in ast.walk(tree)
-                 if isinstance(node, ast.FunctionDef) and node.name == "share_cokernel")
-    assert not _identifiers(share) & {"action", "compose", "action_torsion"}
+# the generators that only tests and the benchmark call, until the benchmark's
+# own change moves them
+REACHED_FROM_OUTSIDE = {"random_polarized_datum", "random_profile"}
+
+
+def _references(tree: ast.AST) -> Counter:
+    """How often each name is read as a variable or an attribute."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def test_every_definition_is_reached():
+    # every function, method and class of the package is referenced from
+    # src/ outside its own definition; an export in __init__ does not count,
+    # and the commands are reached through cli.main's globals() lookup
+    trees = [ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))
+             if p.name != "__init__.py"]
+    total = sum((_references(tree) for tree in trees), Counter())
+    unreached = sorted(
+        node.name for tree in trees for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("cmd_")
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in REACHED_FROM_OUTSIDE
+        and total[node.name] - _references(node)[node.name] == 0)
+    assert not unreached, f"defined in src/ but never referenced there: {unreached}"
+
+
+def test_galois_rep_is_an_l_datum_value():
+    # a frozen (l, datum) pair with no mutable default: every group is read
+    # off the datum, and nothing writes into the rep
+    rep = galois.GaloisRep
+    assert rep.__dataclass_params__.frozen
+    assert [f.name for f in fields(rep)] == ["l", "datum"]
+    assert all(f.default is MISSING and f.default_factory is MISSING for f in fields(rep))
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        found = _identifiers(ast.parse(text)) & {"share_cokernel", "_action_torsion",
+                                                 "block_torsion"}
+        assert not found and not re.search(r"\.(?:factors\b|action\()", text), path.name
+
+
+def test_one_block_decision_for_composed_pairings():
+    # monodromy.composed_cokernel alone chooses between the blocks and phi_f,
+    # with no principal-datum or verdict gate; the trait group and the Galois
+    # action both go through it, and the oracle factors nothing itself
+    trees = {name: ast.parse((SRC / name).read_text())
+             for name in ("monodromy.py", "galois.py", "cli.py")}
+    funcs = {node.name: node for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef)}
+    decide = _identifiers(funcs["composed_cokernel"])
+    assert {"pairing_cokernel", "cokernel", "matrix"} <= decide
+    assert not decide & {"is_principal", "verdict"}
+    for name in ("trait_component_group", "action_torsion"):
+        body = _identifiers(funcs[name])
+        assert "composed_cokernel" in body, name
+        assert not body & {"pairing_cokernel", "cokernel", "is_principal", "verdict"}, name
+    deciders = [name for name, node in funcs.items()
+                if {"pairing_cokernel", "matrix"} <= _identifiers(node)]
+    assert deciders == ["composed_cokernel"]
+    assert not _identifiers(funcs["cmd_oracle"]) & {"cokernel", "pairing_cokernel", "matrix"}
 
 
 # the Smith entry points and the one elimination they share

@@ -6,7 +6,13 @@ import random
 
 import pytest
 
-from degenkit.degeneration import Branch, DegenDatum, StratumOverride, pairing_violation
+from degenkit.degeneration import (
+    Branch,
+    DegenDatum,
+    StratumOverride,
+    is_onto,
+    pairing_violation,
+)
 from degenkit.errors import InputError
 from degenkit.generators import (
     random_datum,
@@ -19,13 +25,19 @@ from degenkit.monodromy import (
     HEURISTIC_STRATUM,
     TRAIT_MISSES_DIVISOR,
     TraitProfile,
-    component_group,
     compose_trait,
     stratum_lattice,
     trait_component_group,
 )
 
-from oracles import add_maps, closed_point_bound, determinant, enumerate_qz_kernel, psi_maps
+from oracles import (
+    add_maps,
+    closed_point_bound,
+    component_group,
+    determinant,
+    enumerate_qz_kernel,
+    psi_maps,
+)
 
 
 def lm(rows, source=None, target=None):
@@ -140,9 +152,14 @@ class TestComponentGroup:
             assert component_group(m).order == abs(determinant(m))
 
 
+def _unimodular_purity(datum: DegenDatum) -> bool:
+    """Both purity maps onto, hence unimodular, as validation found them injective."""
+    return is_onto(datum.purity_cokernel) and is_onto(datum.dual_purity_cokernel)
+
+
 class TestTraitComponentGroup:
-    """The block lemma: on a principal toric-additive datum with every branch
-    active, coker phi_f = ⊕ coker(a_j·phi_j); elsewhere phi_f is factored."""
+    """The block lemma: with every branch active and both purity maps
+    unimodular, coker phi_f = ⊕ coker(a_j·phi_j); elsewhere phi_f is factored."""
 
     def test_blocks_agree_with_the_composed_pairing(self, intmat_calls):
         rng = random.Random(193)
@@ -160,25 +177,41 @@ class TestTraitComponentGroup:
                 intmat_calls.clear_all()
                 group = trait_component_group(datum, composed)
                 factored = [args[0] for args in intmat_calls["eliminations"]]
-                blocks = datum.is_principal and all(profile) and datum.verdict.toric_additive
+                unimodular = _unimodular_purity(datum)
+                blocks = all(profile) and unimodular
                 if blocks:
                     assert factored == pairings
                     pairings = []
                 else:
                     assert factored == [composed.matrix.entries]
                 assert group == component_group(composed.matrix), (datum.name, profile)
-                case = (blocks, datum.is_principal, datum.verdict.toric_additive,
-                        0 in profile, max(profile) > 1)
+                case = (blocks, datum.is_principal, unimodular, 0 in profile, max(profile) > 1)
                 paths[case] = paths.get(case, 0) + 1
         assert sum(paths.values()) >= 300
         blocks = {case: count for case, count in paths.items() if case[0]}
-        # multiplicities 2-3 and all ones on the blocks; zeros, polarized
-        # datums and non-toric-additive ones on the dense path
+        # multiplicities 2-3 and all ones, principal and explicit-dual datums
+        # on the blocks; zeros and non-unimodular purity maps on the dense path
         assert sum(c for case, c in blocks.items() if case[4]) > 100, paths
         assert sum(c for case, c in blocks.items() if not case[4]) > 10, paths
+        assert sum(c for case, c in blocks.items() if not case[1]) > 50, paths
         assert sum(c for case, c in paths.items() if case[3] and case[2]) > 50, paths
-        assert sum(c for case, c in paths.items() if not case[1] and case[2]) > 50, paths
         assert sum(c for case, c in paths.items() if not case[2]) > 50, paths
+
+    def test_explicit_dual_unimodular_strata_take_the_blocks(self, intmat_calls):
+        # P and P' unimodular on an explicit-dual datum: ⊕ coker(a_j·phi_j),
+        # with no mu × mu elimination and phi_f never multiplied out
+        rng = random.Random(197)
+        for _ in range(200):
+            datum = random_polarized_datum(rng, ta=True, max_mu=8, max_n=5, min_n=2)
+            assert not datum.is_principal and _unimodular_purity(datum)
+            profile = TraitProfile(tuple(rng.randint(1, 4) for _ in range(datum.n)))
+            composed = compose_trait(datum, profile)
+            intmat_calls.clear_all()
+            group = trait_component_group(datum, composed)
+            shapes = [(nrows, ncols) for _, nrows, ncols in intmat_calls["eliminations"]]
+            assert (datum.mu, datum.mu) not in shapes, (datum.name, profile)
+            assert "matrix" not in vars(composed)
+            assert group == component_group(composed.matrix), (datum.name, profile)
 
     def test_an_override_over_every_branch_is_factored(self, product_tate):
         # a unimodular override U: phi_f = U^t·diag(phi_j)·U has the block
