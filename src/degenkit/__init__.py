@@ -9,7 +9,7 @@ from .degeneration import (
     Violation,
     analyze,
     is_l_toric_additive,
-    purity_matrix,
+    restricted_purity,
     toric_rank_profile,
     validate,
 )

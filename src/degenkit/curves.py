@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .degeneration import Branch, DegenDatum, Verdict, analyze
 from .errors import InputError
-from .lattice import FinAb, Lattice, LatticeMap
+from .lattice import Lattice, LatticeMap
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,6 @@ class DualGraph:
 class CurveReport:
     datum: DegenDatum
     verdict: Verdict
-    cokernel: FinAb
     torsion_free: bool
     equivalence_holds: bool      # weak toric additivity iff toric additivity
     falsifications: tuple[str, ...]
@@ -260,8 +259,7 @@ def curve_equivalences(graph: DualGraph) -> CurveReport:
         falsifications.append(
             f"weak toric additivity disagrees with toric additivity on graph "
             f"'{graph.name}': {_graph_signature(graph)}")
-    return CurveReport(datum, verdict, verdict.purity_torsion, torsion_free,
-                       equivalence, tuple(falsifications))
+    return CurveReport(datum, verdict, torsion_free, equivalence, tuple(falsifications))
 
 
 def _graph_signature(graph: DualGraph) -> str:

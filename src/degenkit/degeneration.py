@@ -15,6 +15,7 @@ invariant factor be divisible by l; the weak variant only compares ranks.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -165,7 +166,7 @@ class DegenDatum:
     @cached_property
     def purity_cokernel(self) -> tuple[FinAb, int]:
         """(torsion, free rank) of coker(purity): the one purity SNF of the datum."""
-        return cokernel(purity_matrix(self))
+        return cokernel(restricted_purity(self, range(self.n)))
 
     @cached_property
     def dual_purity_cokernel(self) -> tuple[FinAb, int]:
@@ -173,7 +174,7 @@ class DegenDatum:
         principal datum, where sp' = sp."""
         if self.is_principal:
             return self.purity_cokernel
-        return cokernel(dual_purity_matrix(self))
+        return cokernel(restricted_purity(self, range(self.n), dual=True))
 
     @cached_property
     def pairing_diagonals(self) -> tuple[tuple[int, ...], ...]:
@@ -234,18 +235,19 @@ def pairing_violation(m: LatticeMap) -> str | None:
     return None
 
 
-def purity_matrix(datum: DegenDatum) -> LatticeMap:
-    """Stack of sp_1 ... sp_n: the purity map X -> ⊕X_i."""
-    maps = [b.specialization for b in datum.branches]
+def restricted_purity(datum: DegenDatum, active: Iterable[int],
+                      dual: bool = False) -> LatticeMap:
+    """Stack of sp_j (sp'_j when dual) over the branch subset J: the
+    restricted purity map X -> ⊕_{j in J} X_j, the purity map when J is every
+    branch.  The one place a purity stack is built."""
+    if dual:
+        maps = [datum.dual_sp(j) for j in active]
+        source = datum.dual_closed
+    else:
+        maps = [datum.branches[j].specialization for j in active]
+        source = datum.closed_point
     if not maps:
-        return LatticeMap.zero(datum.closed_point, Lattice(0))
-    return LatticeMap.stack(maps)
-
-
-def dual_purity_matrix(datum: DegenDatum) -> LatticeMap:
-    maps = [datum.dual_sp(i) for i in range(datum.n)]
-    if not maps:
-        return LatticeMap.zero(datum.dual_closed, Lattice(0))
+        return LatticeMap.zero(source, Lattice(0))
     return LatticeMap.stack(maps)
 
 
@@ -342,8 +344,7 @@ def _override_violations(datum: DegenDatum, ov: StratumOverride) -> list[Violati
                        f"ambient rank is {amb}")
     if not ov.inclusion.is_injective():
         return invalid("inclusion not injective")
-    rows = [r for j in ov.branches for r in datum.branches[j].specialization.entries]
-    restricted = LatticeMap.from_rows(rows, source_rank=datum.mu, target_rank=amb)
+    restricted = restricted_purity(datum, ov.branches)
     out: list[Violation] = []
     if ov.inclusion.solve(restricted) is None:
         out = invalid("restricted purity does not factor through the override")
@@ -357,9 +358,7 @@ def _override_violations(datum: DegenDatum, ov: StratumOverride) -> list[Violati
     damb = sum(datum.branches[j].dual_rank for j in ov.branches)
     if dual.target.rank != damb or not dual.is_injective():
         return out + invalid("bad dual inclusion")
-    rows = [r for j in ov.branches for r in datum.dual_sp(j).entries]
-    if dual.solve(LatticeMap.from_rows(rows, source_rank=datum.dual_closed.rank,
-                                       target_rank=damb)) is None:
+    if dual.solve(restricted_purity(datum, ov.branches, dual=True)) is None:
         out += invalid("restricted dual purity does not factor through the dual override")
     return out
 

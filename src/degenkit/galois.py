@@ -92,7 +92,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .degeneration import DegenDatum, is_onto, require_prime_l, require_valid
+from .degeneration import (
+    DegenDatum,
+    is_onto,
+    require_prime_l,
+    require_valid,
+    restricted_purity,
+)
 from .errors import InputError
 from .lattice import FinAb, LatticeMap, cokernel
 from .monodromy import TraitProfile, closed_point_pairing, composed_cokernel
@@ -110,7 +116,8 @@ class GaloisRep:
     def stack_torsion(self) -> FinAb:
         """Cokernel torsion of the stacked psi_i: ⊕ coker phi_i where the dual
         purity map is unimodular, else that of the stacked f_i = phi_i·sp'_i,
-        which have the same row lattice (module docstring).
+        which have the same row lattice (module docstring), multiplied out as
+        diag(phi_i)·P'.
 
         Its l-part is the closed-point bound, the l-part of the torsion of
         ker(stack ⊗ Q/Z), with divisible rank 0 as the stack is injective.
@@ -122,8 +129,8 @@ class GaloisRep:
         # P' is injective on a valid datum, so onto makes it unimodular
         if is_onto(datum.dual_purity_cokernel):
             return FinAb.direct_sum([datum.pairing_cokernel(i) for i in range(datum.n)])
-        return cokernel(LatticeMap.stack([b.pairing.compose(datum.dual_sp(i))
-                                          for i, b in enumerate(datum.branches)]))[0]
+        pairings = LatticeMap.block_diagonal([b.pairing for b in datum.branches])
+        return cokernel(pairings.compose(restricted_purity(datum, range(datum.n), dual=True)))[0]
 
     def action_torsion(self, profile: TraitProfile) -> FinAb:
         """Cokernel torsion of sum a_i·psi_i (module docstring)."""

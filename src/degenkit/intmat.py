@@ -8,10 +8,10 @@ and both are legal inputs everywhere.
 
 No routine computes a transform it does not return.
 
-* ``invariant_factors`` and ``column_lattice_index`` share one Smith
-  elimination on a shrinking block, which computes no transform.  A tall
-  input is transposed.  Each pivot is the smallest nonzero |entry| of the
-  block, found in one scan.  Euclid clears its column by row operations,
+* ``invariant_factors`` is the one Smith entry point: an elimination on a
+  shrinking block, which computes no transform.  A tall input is
+  transposed.  Each pivot is the smallest nonzero |entry| of the block,
+  found in one scan.  Euclid clears its column by row operations,
   then its row by column operations, which change the pivot row alone once
   the column is clear, so a unit pivot skips the row sweep; while remainders
   are left, the pivot is re-picked within that column or row.  A pivot that
@@ -43,7 +43,7 @@ No routine computes a transform it does not return.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd
 
 IntMatrix = list[list[int]]
 
@@ -321,12 +321,6 @@ def positive_definite(m: IntMatrix, n: int) -> bool:
                 ai[j] = (pivot * ai[j] - c * ak[j]) // prev
         prev = pivot
     return True
-
-
-def column_lattice_index(m: IntMatrix, nrows: int, ncols: int) -> int | None:
-    """Index of the column span in Z^nrows; None when the span has lower rank."""
-    facs = _diagonalize(m, nrows, ncols)
-    return prod(facs) if len(facs) == nrows else None
 
 
 def _gauss_jordan(a: IntMatrix, n: int, b: IntMatrix) -> tuple[int, IntMatrix]:

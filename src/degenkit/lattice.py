@@ -142,8 +142,8 @@ class LatticeMap:
         return self.rank_of_image() == self.ncols
 
     def is_surjective(self) -> bool:
-        # surjective over Z: the column lattice is everything
-        return intmat.column_lattice_index(self.entries, self.nrows, self.ncols) == 1
+        # surjective over Z: nrows invariant factors, every one of them 1
+        return self.smith_diagonal() == (1,) * self.nrows
 
     def adjugate(self) -> tuple[int, "LatticeMap"]:
         """(det, adj) of a nonsingular square map, from one fraction-free pass."""

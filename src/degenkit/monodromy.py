@@ -6,19 +6,23 @@ the J-restricted purity map.  The composed pairing is
 
     phi_f = B^t · diag(a_j · phi_j) · B'
 
-where B and B' are bases of the primal and dual stratum images.  When the
-restricted purity map is injective we keep the closed-point coordinates
-(B = restricted purity itself), which reproduces the closed-point pairing
-matrices exactly; otherwise a canonical Hermite basis of the image is used.
-The component group of a nondegenerate pairing is its cokernel.
+where B and B' are bases of the primal and dual stratum images.  A stratum
+is its basis: an override's inclusion as given, else, when the restricted
+purity map is injective, the closed-point coordinates (B = restricted purity
+itself), which reproduce the closed-point pairing matrices exactly, else a
+canonical Hermite basis of the image.  The projection X -> Y is solved only
+by ``converse``, which prints it.  The component group of a nondegenerate
+pairing is its cokernel.
 
 Block lemma: coker(U^t·M·V) ≅ coker M for unimodular U and V, since
 U^t and V are automorphisms of the two lattices.  A trait through every
-branch in closed-point coordinates has the bases P and P', injective on a
-valid datum, so unimodular where onto; then coker phi_f is
-⊕_j coker(a_j·phi_j), the paper's Psi_J ≅ Upsilon.  ``composed_cokernel``
-alone decides between these blocks and phi_f, for the trait group and the
-Galois action alike.
+branch has bases B and B' that are injective and contain the images of the
+purity maps P and P': they are P and P' themselves, or an override's
+inclusions, which validation found injective and containing those images.
+Where P and P' are onto, those images are all of ⊕X_j and ⊕X'_j, so B and
+B' are square and unimodular, and coker phi_f is ⊕_j coker(a_j·phi_j), the
+paper's Psi_J ≅ Upsilon.  ``composed_cokernel`` alone decides between these
+blocks and phi_f, for the trait group and the Galois action alike.
 
 Scaling identity: if U·M·V = D is a Smith form of M, then U·(a·M)·V = a·D,
 and a·d_1 | a·d_2 | ... is again a divisibility chain, so SNF(a·M) =
@@ -39,8 +43,9 @@ from .degeneration import (
     StratumOverride,
     is_onto,
     require_valid,
+    restricted_purity,
 )
-from .errors import FalsificationError, InputError
+from .errors import InputError
 from .lattice import (
     FinAb,
     Lattice,
@@ -69,14 +74,11 @@ class TraitProfile:
 
 @dataclass(frozen=True)
 class StratumData:
-    """Stratum lattice Y for a branch subset J, with its two structure maps."""
+    """Stratum lattice Y for a branch subset J, as its basis in ⊕_{j in J} X_j."""
 
-    lattice: Lattice
     inclusion: LatticeMap    # Y -> ⊕_{j in J} X_j, columns span the stratum image
-    projection: LatticeMap   # X -> Y; inclusion ∘ projection = restricted purity
     active: tuple[int, ...]
     heuristic: bool = False
-    overridden: bool = False
     # the basis is the restricted (dual) purity map itself
     closed_point_coordinates: bool = False
 
@@ -111,18 +113,6 @@ class ComposedPairing:
             self.dual_stratum.inclusion)
 
 
-def _restricted_purity(datum: DegenDatum, active: tuple[int, ...], dual: bool) -> LatticeMap:
-    if dual:
-        maps = [datum.dual_sp(j) for j in active]
-        source = datum.dual_closed
-    else:
-        maps = [datum.branches[j].specialization for j in active]
-        source = datum.closed_point
-    if not maps:
-        return LatticeMap.zero(source, Lattice(0))
-    return LatticeMap.stack(maps)
-
-
 def _dual_is_primal(datum: DegenDatum, override: StratumOverride | None) -> bool:
     """Whether the dual stratum over a subset is the primal one.
 
@@ -141,36 +131,29 @@ def stratum_lattice(datum: DegenDatum, active: tuple[int, ...] | list[int],
     purity map.  Intermediate strata of a non-toric-additive datum are derived
     and flagged heuristic; explicit overrides from the input file win.
 
-    Over the whole branch set of a valid datum the restricted map is the
-    (dual) purity map, which validation found injective, so it is not tested
-    again.
+    Validation decided every override rule: an override has its dual
+    inclusion where the dual side needs one, and each inclusion contains the
+    restricted (dual) purity image.  Over the whole branch set the restricted
+    map is the (dual) purity map, which validation found injective.  So an
+    override's inclusion is taken as given, and a derived stratum is its
+    basis, with nothing solved.
     """
+    require_valid(datum)
     active = tuple(sorted(set(active)))
     if any(j < 0 or j >= datum.n for j in active):
         raise InputError("stratum subset names a missing branch")
-    restricted = _restricted_purity(datum, active, dual)
     override = datum.stratum_override(active)
     if override is not None:
         inc = override.dual_inclusion if dual and not _dual_is_primal(datum, override) \
             else override.inclusion
-        if inc is None:
-            raise InputError("stratum override lacks a dual inclusion")
-        proj = inc.solve(restricted)
-        if proj is None:
-            raise InputError("stratum override does not contain the restricted purity image")
-        return StratumData(inc.source, inc, proj, active, overridden=True)
+        return StratumData(inc, active)
+    restricted = restricted_purity(datum, active, dual)
     whole = len(active) == datum.n
     heuristic = not whole and not datum.verdict.toric_additive
-    if whole and not datum.violations or restricted.is_injective():
+    if whole or restricted.is_injective():
         # Y is the source lattice itself, in its own basis
-        return StratumData(restricted.source, restricted,
-                           LatticeMap.identity(restricted.ncols), active, heuristic,
-                           closed_point_coordinates=True)
-    inc = restricted.image_basis()
-    proj = inc.solve(restricted)
-    if proj is None:
-        raise FalsificationError("restricted purity does not factor through its own image")
-    return StratumData(inc.source, inc, proj, active, heuristic)
+        return StratumData(restricted, active, heuristic, closed_point_coordinates=True)
+    return StratumData(restricted.image_basis(), active, heuristic)
 
 
 def compose_trait(datum: DegenDatum, profile: TraitProfile) -> ComposedPairing:
@@ -205,18 +188,17 @@ def closed_point_pairing(datum: DegenDatum, profile: TraitProfile) -> ComposedPa
         raise InputError(
             f"profile has {len(profile.multiplicities)} entries, datum has {datum.n} branches")
     active = profile.active
-    strata = [StratumData(m.source, m, LatticeMap.identity(m.ncols), active,
-                          closed_point_coordinates=True)
-              for m in (_restricted_purity(datum, active, False),
-                        _restricted_purity(datum, active, True))]
+    strata = [StratumData(restricted_purity(datum, active, dual), active,
+                          closed_point_coordinates=True) for dual in (False, True)]
     return ComposedPairing(profile, *strata, tuple(datum.branches[j].pairing for j in active))
 
 
 def composed_cokernel(datum: DegenDatum, composed: ComposedPairing) -> tuple[FinAb, int]:
     """(torsion, free rank) of coker phi_f: ⊕_j coker(a_j·phi_j) off the
-    pairing diagonals where every branch is active and the bases are P and
-    P', both onto (block lemma, module docstring), else phi_f factored."""
-    if composed.closed_point_coordinates and len(composed.active) == datum.n and \
+    pairing diagonals where every branch is active and P and P' are onto,
+    which makes both strata bases unimodular (block lemma, module
+    docstring), else phi_f factored."""
+    if len(composed.active) == datum.n and \
             is_onto(datum.purity_cokernel) and is_onto(datum.dual_purity_cokernel):
         return FinAb.direct_sum([datum.pairing_cokernel(j, a)
                                  for j, a in enumerate(composed.profile.multiplicities)]), 0
@@ -227,6 +209,6 @@ def trait_component_group(datum: DegenDatum, composed: ComposedPairing) -> FinAb
     """Component group coker phi_f = ker(phi_f ⊗ Q/Z) of a trait, refused
     unless phi_f is square and nondegenerate."""
     torsion, free_rank = composed_cokernel(datum, composed)
-    if free_rank or composed.stratum.lattice.rank != composed.dual_stratum.lattice.rank:
+    if free_rank or composed.stratum.inclusion.ncols != composed.dual_stratum.inclusion.ncols:
         raise InputError("degenerate pairing")
     return torsion

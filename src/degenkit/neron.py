@@ -21,6 +21,7 @@ from .degeneration import (
     DegenDatum,
     pairing_violation,
     require_valid,
+    restricted_purity,
 )
 from .errors import FalsificationError, InputError
 from .lattice import (
@@ -44,7 +45,6 @@ class PsiGroup:
 class PsiFixedPoints:
     rescaled: FinAb          # Psi'
     fixed: FinAb             # Psi'^G, which is Psi
-    psi: FinAb               # Psi of the unrescaled datum
     equals_psi: bool
 
 
@@ -59,7 +59,6 @@ class ConverseCertificate:
     chi2: LatticeMap | None = None
     idempotent: bool = False
     kernel_decomposition: bool = False
-    p_restricted_iso: bool = False
     a_is_isomorphism: bool = False
 
 
@@ -109,7 +108,7 @@ def psi_fixed_points(datum: DegenDatum, multipliers: tuple[int, ...] | list[int]
     """
     ms = _tame_multipliers(datum, multipliers)
     rescaled = [datum.pairing_cokernel(i, m) for i, m in enumerate(ms)]
-    return PsiFixedPoints(FinAb.direct_sum(rescaled), psi.group, psi.group, True)
+    return PsiFixedPoints(FinAb.direct_sum(rescaled), psi.group, True)
 
 
 def converse_check(p_map: LatticeMap, q_map: LatticeMap,
@@ -168,7 +167,7 @@ def converse_check(p_map: LatticeMap, q_map: LatticeMap,
     return ConverseCertificate(True, "TA-certified", coker1, coker2, theta=theta,
                                chi1=theta1.compose(p_map), chi2=theta2.compose(q_map),
                                idempotent=True, kernel_decomposition=True,
-                               p_restricted_iso=True, a_is_isomorphism=True)
+                               a_is_isomorphism=True)
 
 
 def converse_inputs_from_datum(datum: DegenDatum) -> tuple[LatticeMap, LatticeMap,
@@ -177,8 +176,11 @@ def converse_inputs_from_datum(datum: DegenDatum) -> tuple[LatticeMap, LatticeMa
 
     P is the first specialization; Q is the stratum surjection onto the
     remaining branches with Psi2 the composed pairing there (direct sum of the
-    branch pairings whenever the restricted purity is surjective).  The
-    principal default polarizations are identities and are not multiplied in.
+    branch pairings whenever the restricted purity is surjective).  Q is the
+    identity where the stratum keeps closed-point coordinates, and otherwise
+    the one solve inclusion ∘ Q = restricted purity, the one projection any
+    command needs.  The principal default polarizations are identities and
+    are not multiplied in.
     """
     require_valid(datum)
     if datum.n == 0:
@@ -198,7 +200,12 @@ def converse_inputs_from_datum(datum: DegenDatum) -> tuple[LatticeMap, LatticeMa
         return p_map, q_map, psi1, psi2
     rest = tuple(range(1, datum.n))
     stratum = stratum_lattice(datum, rest)
-    q_map = stratum.projection
+    if stratum.closed_point_coordinates:
+        q_map = LatticeMap.identity(datum.mu)
+    else:
+        q_map = stratum.inclusion.solve(restricted_purity(datum, rest))
+        if q_map is None:
+            raise FalsificationError("restricted purity does not factor through its stratum")
     # pairing on the stratum, polarized: B^t · diag(phi_j) · diag(lambda_j) · B
     blocks = LatticeMap.block_diagonal([datum.branches[j].pairing for j in rest])
     if lams is not None:

@@ -39,6 +39,10 @@ swaps the primal and dual sides; no command reached either.  Last are the
 default polarizations, the transversality of a profile, the Kummer-rescaled
 datum and the component group of a single pairing, whose refusal
 ``monodromy.trait_component_group`` makes on the cokernel it is given.
+The purity maps over every branch are ``degeneration.restricted_purity``
+over all of them, and the index of a column lattice, once an ``intmat``
+entry point, is read off the package's invariant factors; the package now
+asks only whether a map is onto (``LatticeMap.is_surjective``).
 """
 
 from __future__ import annotations
@@ -55,9 +59,8 @@ from degenkit.degeneration import (
     StratumOverride,
     Violation,
     analyze,
-    dual_purity_matrix,
-    purity_matrix,
     require_valid,
+    restricted_purity,
 )
 from degenkit.errors import InputError
 from degenkit.lattice import (
@@ -403,6 +406,23 @@ def reference_pairing_violation(phi: LatticeMap, lam: LatticeMap) -> str | None:
     return None
 
 
+def purity_matrix(datum: DegenDatum) -> LatticeMap:
+    """The purity map X -> ⊕X_i: restricted purity over every branch."""
+    return restricted_purity(datum, range(datum.n))
+
+
+def dual_purity_matrix(datum: DegenDatum) -> LatticeMap:
+    """The dual purity map X' -> ⊕X'_i."""
+    return restricted_purity(datum, range(datum.n), dual=True)
+
+
+def column_lattice_index(m: list[list[int]], nrows: int, ncols: int) -> int | None:
+    """Index of the column span in Z^nrows, off the package's invariant
+    factors; None when the span has lower rank."""
+    facs = intmat.invariant_factors(m, nrows, ncols)
+    return prod(facs) if len(facs) == nrows else None
+
+
 def reference_validate(datum: DegenDatum) -> list[Violation]:
     """Every invariant tested on its own: each injectivity by a rank, each
     default polarization as an explicit identity matrix."""
@@ -744,7 +764,7 @@ def sum_index(maps: list[LatticeMap]) -> int | None:
     None when the sum has strictly smaller rank (infinite index).
     """
     m = beside(maps)
-    return intmat.column_lattice_index(m.entries, m.nrows, m.ncols)
+    return column_lattice_index(m.entries, m.nrows, m.ncols)
 
 
 @dataclass(frozen=True)
@@ -866,7 +886,7 @@ def sub_datum(datum: DegenDatum, active: tuple[int, ...] | list[int]) -> DegenDa
             name=f"{datum.name}|{','.join(datum.branches[j].name for j in active)}",
             abelian_rank=datum.abelian_rank,
             residue_char=datum.residue_char,
-            closed_point=stratum.lattice,
+            closed_point=stratum.inclusion.source,
             branches=tuple(branches),
         )
     dual_stratum = stratum_lattice(datum, active, dual=True)
@@ -885,9 +905,9 @@ def sub_datum(datum: DegenDatum, active: tuple[int, ...] | list[int]) -> DegenDa
         name=f"{datum.name}|{','.join(datum.branches[j].name for j in active)}",
         abelian_rank=datum.abelian_rank,
         residue_char=datum.residue_char,
-        closed_point=stratum.lattice,
+        closed_point=stratum.inclusion.source,
         branches=tuple(branches),
-        dual_closed_point=dual_stratum.lattice,
+        dual_closed_point=dual_stratum.inclusion.source,
         dual_specializations=dual_sps,
         branch_polarizations=branch_pols,
     )

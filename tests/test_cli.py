@@ -16,7 +16,7 @@ from degenkit.lattice import MILLER_RABIN_BOUND, FinAb, LatticeMap, cokernel, l_
 from degenkit.monodromy import TraitProfile
 from degenkit.schema import parse_document
 
-from oracles import branch_factors, trait_surjectivity_check
+from oracles import branch_factors, purity_matrix, trait_surjectivity_check
 from test_intmat import wall_clock_budget
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -102,11 +102,16 @@ def test_each_datum_is_validated_once(capsys, monkeypatch, argv, expected):
 
 
 def test_psi_kummer_factors_each_pairing_once_per_datum(capsys, intmat_calls, example_3_4):
-    # purity and the two branch pairings; the rescaled groups coker(m_i·phi_i)
-    # are the pairings' Smith diagonals scaled by m_i
+    # purity, each specialization's surjectivity (the purity map of
+    # example_3_4 is not onto, so each sp_i is tested on its own) and the two
+    # branch pairings; the rescaled groups coker(m_i·phi_i) are the
+    # pairings' Smith diagonals scaled by m_i
     code, out, err = run_cli(capsys, ["psi", "example_3_4", "--kummer", "2,3", "--json"])
     assert code == 0, err
-    assert len(intmat_calls.smith_forms()) == 3
+    expected = [purity_matrix(example_3_4).entries]
+    expected += [b.specialization.entries for b in example_3_4.branches]
+    expected += [b.pairing.entries for b in example_3_4.branches]
+    assert sorted(args[0] for args in intmat_calls.smith_forms()) == sorted(expected)
     rescaled = FinAb.direct_sum([cokernel(b.pairing.scaled(m))[0]
                                  for b, m in zip(example_3_4.branches, (2, 3))])
     kummer = json.loads(out)["psi"]["kummer"]
@@ -124,9 +129,9 @@ def test_trait_surjectivity_factors_composed_pairing_once(intmat_calls):
     result = trait_surjectivity_check(datum, TraitProfile((1,)))
     assert result.surjective
     assert result.upsilon == FinAb((2, 4, 8))
-    # purity, the composed pairing, the branch pairing; whether B^t is onto
-    # is a column lattice index, which is not counted here
-    assert len(intmat_calls.smith_forms()) == 3
+    # purity, the composed pairing, the branch pairing, and whether B^t is
+    # onto, which is read off one more Smith diagonal
+    assert len(intmat_calls.smith_forms()) == 4
 
 
 @pytest.mark.parametrize("name, eliminations", [("generated_ta_seed7", 5), ("product_tate", 5)])
@@ -227,7 +232,7 @@ def test_abelian_rank_never_reaches_a_matrix(capsys, intmat_calls, tmp_path):
 
 def test_trait_factors_the_purity_matrix_once(capsys, intmat_calls, example_3_4):
     # validate, the verdict and both strata over every branch read one SNF
-    purity = degeneration.purity_matrix(example_3_4).entries
+    purity = purity_matrix(example_3_4).entries
     code, _, err = run_cli(capsys, ["trait", "example_3_4", "--profile", "1,1"])
     assert code == 0, err
     factored = [name for name in ("invariant_factors", "rank", "hnf_columns")
@@ -519,7 +524,7 @@ class TestExitCodes:
             from degenkit.degeneration import Verdict
             verdict = Verdict(False, True, (), FinAb((2,)), 0)
             from degenkit.curves import graph_to_datum
-            return CurveReport(graph_to_datum(graph), verdict, FinAb((2,)),
+            return CurveReport(graph_to_datum(graph), verdict,
                                False, False, ("synthetic falsification",))
         monkeypatch.setattr(cli, "curve_equivalences", fake)
         code, out, _ = run_cli(capsys, ["curve", "genus2_graph", "--json"])

@@ -14,9 +14,7 @@ from degenkit.degeneration import (
     DegenDatum,
     StratumOverride,
     analyze,
-    dual_purity_matrix,
     is_l_toric_additive,
-    purity_matrix,
     toric_rank_profile,
     Violation,
     validate,
@@ -28,7 +26,14 @@ from degenkit.lattice import FinAb, Lattice, LatticeMap
 from degenkit.schema import datum_to_dict
 
 from conftest import load_fixture
-from oracles import closed_polarization, dual_datum, reference_validate, sub_datum
+from oracles import (
+    closed_polarization,
+    dual_datum,
+    dual_purity_matrix,
+    purity_matrix,
+    reference_validate,
+    sub_datum,
+)
 
 
 def simple_datum(specializations, pairings, mu, name="test"):

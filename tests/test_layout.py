@@ -1,10 +1,11 @@
 """Module layout: only ``lattice`` (and the random generators) speak the raw
 list-of-rows matrix format of ``intmat``; everything else goes through
 ``LatticeMap``.  Smith transforms and the general integral solve are gone
-from the package, ``intmat`` has one Smith elimination with one path, no
-routine without a command stays in the package, every definition there is
-referenced there, one function decides how a composed pairing is factored,
-and ``--json`` has one renderer."""
+from the package, ``intmat`` has one Smith elimination with one path and one
+entry point, no routine without a command stays in the package, every
+definition there is referenced there and every dataclass field read there,
+one function decides how a composed pairing is factored, one builds every
+purity stack, a stratum is its basis, and ``--json`` has one renderer."""
 
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from degenkit import galois
+from degenkit import galois, monodromy
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "degenkit"
 FORMAT_OWNERS = {"lattice.py", "generators.py"}
@@ -141,14 +142,16 @@ def test_no_smith_transform_v(path):
 # decides it), the dual datum, and the Step-5 projection, which no report
 # carries; the default polarizations, the transversality of a profile, the
 # Kummer-rescaled datum, and the component group of a lone pairing (the
-# trait group refuses a degenerate phi_f on the cokernel it is given)
+# trait group refuses a degenerate phi_f on the cokernel it is given); and the
+# purity stacks that ``degeneration.restricted_purity`` builds over any subset
 UNUSED = {"exclusive_parts", "_running_row_bases", "decomposition_check", "exclusive_index",
           "fixed_lattice", "closed_point_bound", "closed_point_torsion", "psi_maps",
           "row_lattice", "psi_blocks", "torsion_kernel_qz", "kernel_saturated", "sum_index",
           "beside", "load_document", "_check_cycle_decomposition", "sub_datum",
           "row_basis", "determinant", "dual_datum", "_swapped_strata",
           "trait_surjectivity_check", "TraitSurjectivity", "kummer_rescale",
-          "closed_polarization", "branch_polarization", "is_transversal", "component_group"}
+          "closed_polarization", "branch_polarization", "is_transversal", "component_group",
+          "_restricted_purity", "purity_matrix", "dual_purity_matrix"}
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -192,6 +195,62 @@ def test_every_definition_is_reached():
     assert not unreached, f"defined in src/ but never referenced there: {unreached}"
 
 
+def _dataclass_fields(tree: ast.AST) -> list[tuple[str, str]]:
+    """(class, field) for every annotated field of a ``@dataclass`` class."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+                "dataclass" in _identifiers(d) for d in node.decorator_list):
+            out += [(node.name, stmt.target.id) for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+    return out
+
+
+def _unread_fields(texts: list[str]) -> list[str]:
+    trees = [ast.parse(text) for text in texts]
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)}
+    return sorted(f"{cls}.{name}" for tree in trees for cls, name in _dataclass_fields(tree)
+                  if name not in read)
+
+
+def test_every_dataclass_field_is_read():
+    # a field that src/ never reads as an attribute is carried for nothing
+    texts = [p.read_text() for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    assert not _unread_fields(texts)
+    # the check sees a field added and never read
+    added = texts + ["from dataclasses import dataclass\n\n\n@dataclass(frozen=True)\n"
+                     "class Probe:\n    never_read_anywhere: int\n"]
+    assert _unread_fields(added) == ["Probe.never_read_anywhere"]
+
+
+def test_a_stratum_is_its_basis():
+    # four fields, no lattice, projection or override flag; stratum_lattice
+    # re-decides no override rule and solves nothing
+    assert [f.name for f in fields(monodromy.StratumData)] == \
+        ["inclusion", "active", "heuristic", "closed_point_coordinates"]
+    tree = ast.parse((SRC / "monodromy.py").read_text())
+    body = next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == "stratum_lattice")
+    assert not _identifiers(body) & {"solve", "FalsificationError"}
+    assert {"require_valid", "restricted_purity", "image_basis"} <= _identifiers(body)
+
+
+def test_one_function_stacks_purity_maps():
+    # only degeneration.restricted_purity stacks (dual) specializations; no
+    # other function both names a specialization and stacks or builds rows,
+    # except in the generators, which draw specializations one by one
+    stackers = []
+    for path in sorted(p for p in SRC.glob("*.py") if p.name != "generators.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                names = _identifiers(node)
+                if names & {"specialization", "dual_sp", "dual_specializations"} and \
+                        names & {"stack", "from_rows"}:
+                    stackers.append(f"{path.stem}.{node.name}")
+    assert stackers == ["degeneration.restricted_purity"]
+
+
 def test_galois_rep_is_an_l_datum_value():
     # a frozen (l, datum) pair with no mutable default: every group is read
     # off the datum, and nothing writes into the rep
@@ -228,7 +287,7 @@ def test_one_block_decision_for_composed_pairings():
 
 
 # the Smith entry points and the one elimination they share
-SMITH_ROUTINES = {"invariant_factors", "column_lattice_index"}
+SMITH_ROUTINES = {"invariant_factors"}
 OLD_SMITH_HELPERS = {"_row_sub", "_col_sub", "_swap_rows", "_swap_cols", "copy_of"}
 
 

@@ -99,8 +99,9 @@ class TestKummerRescale:
 class TestPsiFixedPoints:
     def test_trivial_multipliers(self):
         datum = two_branch_ta(2, 3)
-        result = psi_fixed_points(datum, (1, 1), psi_group(datum))
-        assert result.rescaled == result.fixed == result.psi
+        psi = psi_group(datum)
+        result = psi_fixed_points(datum, (1, 1), psi)
+        assert result.rescaled == result.fixed == psi.group
         assert result.equals_psi
 
     def test_kernel_of_two_inside_six(self):
@@ -109,9 +110,10 @@ class TestPsiFixedPoints:
         assert enumerate_qz_kernel([[2]], 6) == [2]
         datum = DegenDatum("one", 0, 0, Lattice(1),
                            (Branch("D1", Lattice(1), lm([[2]]), lm([[1]])),))
-        result = psi_fixed_points(datum, (3,), psi_group(datum))
+        psi = psi_group(datum)
+        result = psi_fixed_points(datum, (3,), psi)
         assert result.rescaled == FinAb((6,))
-        assert result.fixed == FinAb((2,)) == result.psi
+        assert result.fixed == FinAb((2,)) == psi.group
         assert result.equals_psi
 
     def test_unit_pairing_rescaled_by_five(self):
@@ -135,7 +137,7 @@ class TestPsiFixedPoints:
             psi = psi_group(datum)
             result = psi_fixed_points(datum, ms, psi)
             assert result.fixed == reference_psi_fixed_points(datum, ms)
-            assert result.psi == psi.group and result.equals_psi
+            assert result.fixed == psi.group and result.equals_psi
             differs += result.rescaled != result.fixed
         assert differs > 60
 
@@ -280,7 +282,7 @@ class TestConverseCheck:
             cert = converse_check(p_map, q_map, psi1, psi2)
             assert cert.verdict == "TA-certified"
             assert cert.idempotent and cert.kernel_decomposition
-            assert cert.p_restricted_iso and cert.a_is_isomorphism
+            assert cert.a_is_isomorphism
 
     def test_datum_split_matches_example_3_4(self, example_3_4):
         p_map, q_map, psi1, psi2 = converse_inputs_from_datum(example_3_4)

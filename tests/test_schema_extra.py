@@ -14,6 +14,7 @@ from degenkit.degeneration import (
     DegenDatum,
     StratumOverride,
     analyze,
+    restricted_purity,
     validate,
 )
 from degenkit.errors import InputError
@@ -68,11 +69,14 @@ class TestStratumOverride:
         datum = three_branch_datum([override])
         assert validate(datum) == []
         data = stratum_lattice(datum, (0, 1))
-        assert data.overridden
+        assert data.inclusion is override.inclusion and not data.closed_point_coordinates
         assert data.inclusion.entries == ((1, 0), (0, 1))
-        assert data.projection.entries == ((2, 1), (0, 1))
+        # the projection X -> Y solves inclusion ∘ Q = restricted purity
+        assert data.inclusion.solve(restricted_purity(datum, (0, 1))).entries == \
+            ((2, 1), (0, 1))
         derived = stratum_lattice(three_branch_datum(), (0, 1))
-        assert not derived.overridden
+        assert derived.closed_point_coordinates
+        assert derived.inclusion == restricted_purity(three_branch_datum(), (0, 1))
         assert derived.inclusion.entries != data.inclusion.entries
 
     def test_override_changes_composed_pairing(self):
@@ -106,7 +110,7 @@ class TestStratumOverride:
         }
         datum = parse_document(doc)
         assert datum.strata[0].branches == (0, 1)
-        assert stratum_lattice(datum, (0, 1)).overridden
+        assert stratum_lattice(datum, (0, 1)).inclusion is datum.strata[0].inclusion
 
 
 class TestResidueCharGating:
