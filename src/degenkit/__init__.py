@@ -15,8 +15,8 @@ from .degeneration import (
 )
 from .errors import DegenkitError, FalsificationError, InputError
 from .galois import (
-    GaloisRep,
-    build_rep,
+    action_torsion,
+    stack_torsion,
     star_condition,
     torsion_phi_group,
 )
@@ -38,12 +38,11 @@ from .monodromy import (
 )
 from .neron import (
     ConverseCertificate,
-    PsiFixedPoints,
     PsiGroup,
     converse_check,
     converse_inputs_from_datum,
-    psi_fixed_points,
     psi_group,
+    rescaled_psi,
 )
 
 __version__ = "0.1.0"

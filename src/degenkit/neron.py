@@ -38,36 +38,23 @@ from .monodromy import stratum_lattice
 class PsiGroup:
     branch_components: tuple[FinAb, ...]
     group: FinAb
-    order: int
-
-
-@dataclass(frozen=True)
-class PsiFixedPoints:
-    rescaled: FinAb          # Psi'
-    fixed: FinAb             # Psi'^G, which is Psi
-    equals_psi: bool
 
 
 @dataclass(frozen=True)
 class ConverseCertificate:
     hypothesis_holds: bool
-    verdict: str                               # TA-certified | hypothesis-failed
     coker_at_psi: FinAb
     coker_at_psi_a: FinAb
     theta: Rows | None = None
     chi1: LatticeMap | None = None
     chi2: LatticeMap | None = None
-    idempotent: bool = False
-    kernel_decomposition: bool = False
-    a_is_isomorphism: bool = False
 
 
 def psi_group(datum: DegenDatum) -> PsiGroup:
     """Per-branch component groups and their direct sum."""
     require_valid(datum)
     components = tuple(datum.pairing_cokernel(i) for i in range(datum.n))
-    total = FinAb.direct_sum(list(components))
-    return PsiGroup(components, total, total.order)
+    return PsiGroup(components, FinAb.direct_sum(list(components)))
 
 
 def _tame_multipliers(datum: DegenDatum,
@@ -88,17 +75,17 @@ def _tame_multipliers(datum: DegenDatum,
     return ms
 
 
-def psi_fixed_points(datum: DegenDatum, multipliers: tuple[int, ...] | list[int],
-                     psi: PsiGroup) -> PsiFixedPoints:
-    """Invariants of the rescaled Psi' under the covering action, branchwise.
+def rescaled_psi(datum: DegenDatum,
+                 multipliers: tuple[int, ...] | list[int]) -> FinAb:
+    """The rescaled group Psi' = ⊕ coker(m_i·phi_i), whose invariants under
+    the covering action are Psi, branchwise.
 
     The l-part of the invariants for l != p is ker(phi_i ⊗ Q_l/Z_l) of the
     unrescaled pairing; the p-part (p > 0) is copied from Psi' since the
     action on it is trivial.  Reassembled over the primes of Psi'_i, this is
     Psi_i: every prime of Psi_i divides the rescaled order (coker(m_i·phi_i)
     maps onto coker(phi_i)), and m_i is a unit at p, so the p-parts of Psi'_i
-    and Psi_i agree.  So the fixed points are ``psi.group`` and
-    ``equals_psi`` is true; ``psi`` is ``psi_group(datum)``.
+    and Psi_i agree.  So the fixed points are ``psi_group(datum).group``.
 
     The rescaled datum is valid by construction, as ``datum`` is:
     m_i·phi_i∘lambda_i is symmetric positive definite for m_i > 0 and nothing
@@ -107,8 +94,7 @@ def psi_fixed_points(datum: DegenDatum, multipliers: tuple[int, ...] | list[int]
     Smith form.
     """
     ms = _tame_multipliers(datum, multipliers)
-    rescaled = [datum.pairing_cokernel(i, m) for i, m in enumerate(ms)]
-    return PsiFixedPoints(FinAb.direct_sum(rescaled), psi.group, True)
+    return FinAb.direct_sum([datum.pairing_cokernel(i, m) for i, m in enumerate(ms)])
 
 
 def converse_check(p_map: LatticeMap, q_map: LatticeMap,
@@ -152,7 +138,7 @@ def converse_check(p_map: LatticeMap, q_map: LatticeMap,
         raise InputError("stacked specializations are not injective")
     coker1 = cokernel(at_psi)[0]       # of free rank 0 too, as A^t is onto over Q
     if coker1 != coker2:
-        return ConverseCertificate(False, "hypothesis-failed", coker1, coker2)
+        return ConverseCertificate(False, coker1, coker2)
 
     mu = a.ncols
     # A is injective, so a square A is nonsingular: one pass gives det A and adj A
@@ -164,10 +150,8 @@ def converse_check(p_map: LatticeMap, q_map: LatticeMap,
     theta1 = LatticeMap.from_rows([row[:r1] for row in theta], source_rank=r1, target_rank=mu)
     theta2 = LatticeMap.from_rows([row[r1:] for row in theta],
                                   source_rank=mu - r1, target_rank=mu)
-    return ConverseCertificate(True, "TA-certified", coker1, coker2, theta=theta,
-                               chi1=theta1.compose(p_map), chi2=theta2.compose(q_map),
-                               idempotent=True, kernel_decomposition=True,
-                               a_is_isomorphism=True)
+    return ConverseCertificate(True, coker1, coker2, theta=theta,
+                               chi1=theta1.compose(p_map), chi2=theta2.compose(q_map))
 
 
 def converse_inputs_from_datum(datum: DegenDatum) -> tuple[LatticeMap, LatticeMap,
@@ -180,7 +164,8 @@ def converse_inputs_from_datum(datum: DegenDatum) -> tuple[LatticeMap, LatticeMa
     identity where the stratum keeps closed-point coordinates, and otherwise
     the one solve inclusion ∘ Q = restricted purity, the one projection any
     command needs.  The principal default polarizations are identities and
-    are not multiplied in.
+    are not multiplied in.  With one branch the rest is empty, its stratum
+    has rank 0, and Q is 0 × mu with Psi2 empty.
     """
     require_valid(datum)
     if datum.n == 0:
@@ -194,10 +179,6 @@ def converse_inputs_from_datum(datum: DegenDatum) -> tuple[LatticeMap, LatticeMa
     psi1 = datum.branches[0].pairing
     if lams is not None:
         psi1 = psi1.compose(lams[0])
-    if datum.n == 1:
-        q_map = LatticeMap.zero(datum.closed_point, Lattice(0))
-        psi2 = LatticeMap.zero(Lattice(0), Lattice(0))
-        return p_map, q_map, psi1, psi2
     rest = tuple(range(1, datum.n))
     stratum = stratum_lattice(datum, rest)
     if stratum.closed_point_coordinates:

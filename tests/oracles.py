@@ -9,7 +9,7 @@ The last section keeps checks that the package now skips because a proven
 identity decides them: the long form of ``degeneration.validate``, the
 image-lattice comparison behind ``neron.converse_check``, every leading
 principal minor, where ``intmat.positive_definite`` stops at the first one
-<= 0, and the branchwise reassembly behind ``neron.psi_fixed_points``.  They
+<= 0, and the branchwise reassembly behind ``neron.rescaled_psi``.  They
 do use the package's lattice maps; what they add is the work the identities
 remove.  It ends with the prime-by-prime assembly of invariant factors that
 ``FinAb.from_cyclic_orders`` replaced by gcd/lcm insertion, and the
@@ -21,7 +21,7 @@ reads the dual purity cokernel.  They take the factors (sp_i, f_i) of each
 psi_i from the datum (``branch_factors``) or as an argument.  The last
 routines left the package with no caller there: the fixed lattice of a set
 of generators, and the closed-point bound, which the oracle reads off
-``GaloisRep.stack_torsion`` and which the tests compare; and the full
+``galois.stack_torsion`` and which the tests compare; and the full
 mu × mu comparison maps psi_i with the Hermite row lattice of their stack,
 where the package reads every group off the factors (``psi_blocks``
 multiplies them back).  With the products went the last caller of the sum
@@ -513,6 +513,10 @@ def _reference_override_violations(datum: DegenDatum, ov: StratumOverride) -> li
             out.append(Violation("stratum override invalid",
                                  detail="restricted dual purity does not factor through "
                                         "the dual override"))
+        elif dual.ncols != restricted.rank_of_image():
+            out.append(Violation("stratum override invalid",
+                                 detail="dual override rank differs from restricted dual "
+                                        "purity rank"))
     return out
 
 

@@ -364,6 +364,47 @@ def test_unpolarized_dual_side_decides_the_star_condition(capsys, tmp_path):
     assert code == 0, err
 
 
+def _two_branch_document(pairing: int, dual: bool) -> dict:
+    """P = I_2 with 1 × 1 pairings (pairing, 1); with ``dual`` an explicit
+    dual side P' = ((1, 1), (1, -1)) that no polarization ties to P."""
+    doc = {
+        "format_version": "1", "kind": "degeneration", "name": "faults",
+        "closed_point": {"rank": 2},
+        "branches": [{"name": f"D{i + 1}", "rank": 1, "pairing": [[phi]], "specialization": [sp]}
+                     for i, (phi, sp) in enumerate([(pairing, [1, 0]), (1, [0, 1])])],
+    }
+    if dual:
+        doc["dual"] = {"closed_point": {"rank": 2},
+                       "branches": [{"rank": 1, "specialization": [sp]}
+                                    for sp in ([1, 1], [1, -1])]}
+    return doc
+
+
+NOT_PRIME = "l must be prime, got 4"
+INVALID = "invalid degeneration datum: pairing not injective [branch 1]"
+UNTIED = "an explicit dual side needs the closed-point and branch polarizations"
+
+
+@pytest.mark.parametrize("l, pairing, dual, message", [
+    (4, 1, False, NOT_PRIME),
+    (3, 0, False, INVALID),
+    (3, 1, True, UNTIED),
+    (4, 0, False, NOT_PRIME),
+    (4, 1, True, NOT_PRIME),
+    (3, 0, True, INVALID),
+    (4, 0, True, NOT_PRIME),
+])
+def test_oracle_refuses_in_order(capsys, tmp_path, l, pairing, dual, message):
+    # a non-prime l, then an invalid datum, then an untied dual side: the
+    # first fault is the one named, before any report is written
+    doc = tmp_path / "faults.json"
+    doc.write_text(json.dumps(_two_branch_document(pairing, dual)))
+    for extra in ([], ["--profile", "1,1"]):
+        code, out, err = run_cli(capsys, ["oracle", str(doc), "--l", str(l), *extra])
+        assert code == 2 and out == "" and err.startswith(f"error: {message}"), err
+        assert err.count("\n") == 1
+
+
 class TestOracleLevels:
     """Both finite-level comparisons run at one level derived from the lattice side."""
 
@@ -521,11 +562,9 @@ class TestExitCodes:
     def test_falsification_exit_code(self, capsys, monkeypatch):
         # wire-level check: a falsification event must yield exit code 1
         def fake(graph):
-            from degenkit.degeneration import Verdict
-            verdict = Verdict(False, True, (), FinAb((2,)), 0)
             from degenkit.curves import graph_to_datum
-            return CurveReport(graph_to_datum(graph), verdict,
-                               False, False, ("synthetic falsification",))
+            return CurveReport(graph_to_datum(graph), False, False,
+                               ("synthetic falsification",))
         monkeypatch.setattr(cli, "curve_equivalences", fake)
         code, out, _ = run_cli(capsys, ["curve", "genus2_graph", "--json"])
         assert code == 1

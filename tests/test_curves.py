@@ -174,15 +174,16 @@ class TestGraphToDatum:
 class TestCurveEquivalences:
     def test_two_loops(self):
         report = curve_equivalences(TWO_LOOPS)
-        assert report.verdict.toric_additive and report.verdict.weakly_toric_additive
+        verdict = report.datum.verdict
+        assert verdict.toric_additive and verdict.weakly_toric_additive
         assert report.torsion_free and report.equivalence_holds
         assert report.falsifications == ()
 
     def test_shared_loop(self):
         report = curve_equivalences(SHARED_LOOP)
-        assert not report.verdict.toric_additive
-        assert not report.verdict.weakly_toric_additive
-        assert report.verdict.purity_free_rank == 1
+        verdict = report.datum.verdict
+        assert not verdict.toric_additive and not verdict.weakly_toric_additive
+        assert verdict.purity_free_rank == 1
         assert report.torsion_free and report.equivalence_holds
 
     def test_single_branch_random_graphs_ta(self):
@@ -190,7 +191,7 @@ class TestCurveEquivalences:
         for _ in range(30):
             g = random_graph(rng, max_branches=1)
             report = curve_equivalences(g)
-            assert report.verdict.toric_additive
+            assert report.datum.verdict.toric_additive
             assert report.falsifications == ()
 
     def test_randomized_suite(self):

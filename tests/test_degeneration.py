@@ -15,6 +15,7 @@ from degenkit.degeneration import (
     StratumOverride,
     analyze,
     is_l_toric_additive,
+    restricted_purity,
     toric_rank_profile,
     Violation,
     validate,
@@ -23,6 +24,7 @@ from degenkit.errors import InputError
 from degenkit.generators import random_datum, random_polarized_datum, random_ta_datum
 from degenkit.intmat import bareiss_det
 from degenkit.lattice import FinAb, Lattice, LatticeMap
+from degenkit.monodromy import TraitProfile, compose_trait, trait_component_group
 from degenkit.schema import datum_to_dict
 
 from conftest import load_fixture
@@ -303,6 +305,45 @@ def test_validate_refuses_a_dual_override_that_misses_the_dual_purity_image():
                           detail="restricted dual purity does not factor through "
                                  "the dual override")]
     assert validate(doubled) == reference_validate(doubled) == expected
+
+
+def _override_on_branches_1_2(seed):
+    # the primal image basis over branches 1 and 2, with the identity of the
+    # whole dual ambient lattice as dual inclusion: it contains the
+    # restricted dual purity image, whatever that image's rank
+    datum = random_polarized_datum(random.Random(seed), min_n=2)
+    active = (0, 1)
+    dual_ambient = sum(datum.branches[j].dual_rank for j in active)
+    return replace(datum, strata=(StratumOverride(
+        active, restricted_purity(datum, active).image_basis(),
+        LatticeMap.identity(dual_ambient)),))
+
+
+def test_validate_refuses_a_dual_override_of_the_wrong_rank(tmp_path, capsys):
+    # validate checked the override rank on the primal side only, so `trait`
+    # on this subset refused later with "degenerate pairing"
+    datum = _override_on_branches_1_2(1)
+    expected = [Violation("stratum override invalid",
+                          detail="dual override rank differs from restricted dual purity rank")]
+    assert validate(datum) == reference_validate(datum) == expected
+    path = tmp_path / "override.json"
+    path.write_text(json.dumps(datum_to_dict(datum)))
+    profile = ",".join("1" if j < 2 else "0" for j in range(datum.n))
+    for argv in (["analyze"], ["trait", "--profile", profile]):
+        assert cli.main([argv[0], str(path), *argv[1:]]) == 2
+        assert "dual override rank differs" in capsys.readouterr().err
+    # every such override that validate accepts gives the trait a group
+    accepted = refused = 0
+    for seed in range(200):
+        datum = _override_on_branches_1_2(seed)
+        assert validate(datum) == reference_validate(datum), seed
+        if validate(datum):
+            refused += 1
+            continue
+        accepted += 1
+        profile = TraitProfile(tuple(1 if j < 2 else 0 for j in range(datum.n)))
+        trait_component_group(datum, compose_trait(datum, profile))
+    assert accepted > 50 and refused > 50, (accepted, refused)
 
 
 def test_validate_reads_surjectivity_off_an_onto_purity_map(intmat_calls):

@@ -21,7 +21,8 @@ from degenkit.degeneration import (
 )
 from degenkit.errors import InputError
 from degenkit.galois import (
-    build_rep,
+    action_torsion,
+    stack_torsion,
     star_condition,
     torsion_phi_group,
 )
@@ -87,19 +88,20 @@ def factors_of(psi: tuple[LatticeMap, ...]) -> Factors:
 
 
 class TestBuildRep:
+    """The full integer model of the representation on T against the groups
+    that the galois module reads off the datum."""
+
     def test_no_branches(self):
         datum = DegenDatum("empty", 2, 0, Lattice(0), ())
-        rep = build_rep(datum, 3)
         assert full_model.full_rep(datum, 3).total == 4     # 2d with d = alpha = 2
-        assert branch_factors(rep.datum) == ()
-        assert rep.stack_torsion.is_trivial
+        assert branch_factors(datum) == ()
+        assert stack_torsion(datum).is_trivial
         assert fixed_lattice((), ()).ncols == 0
 
     def test_example_3_4_ranks(self, example_3_4):
-        rep = build_rep(example_3_4, 3)
         assert full_model.full_rep(example_3_4, 3).total == 4
-        assert rep.datum.mu == 2
-        factors = branch_factors(rep.datum)
+        assert example_3_4.mu == 2
+        factors = branch_factors(example_3_4)
         assert [(psi.nrows, psi.ncols) for psi in psi_blocks(factors)] == [(2, 2), (2, 2)]
         # T^G = T^f = X^dual ⊕ C: no X' part
         assert fixed_lattice(factors, (0, 1)).ncols == 0
@@ -109,7 +111,7 @@ class TestBuildRep:
                            (Branch("D1", Lattice(1), lm([[5]]), lm([[1]])),))
         # X' generator goes to 5 times the X^dual generator
         assert psi_blocks(branch_factors(datum))[0].entries == ((5,),)
-        assert build_rep(datum, 2).stack_torsion == FinAb((5,))
+        assert stack_torsion(datum) == FinAb((5,))
 
     def test_unipotency_and_commutation(self):
         rng = random.Random(19)
@@ -132,23 +134,23 @@ class TestBuildRep:
                             abelian_rank=rng.randint(0, 3))
             profile = TraitProfile(tuple(random_profile(rng, datum.n)))
             for l in (2, 3):
-                rep, full = build_rep(datum, l), full_model.full_rep(datum, l)
+                full = full_model.full_rep(datum, l)
                 # the full fixed lattice is T^f, which the block form certified
                 assert image_lattices_equal(
                     full_model.fixed_lattice(full, tuple(range(full.n))), full.fixed_part())
                 assert star_condition(datum, l) == full_model.star_condition(full)
                 assert decomposition_check(branch_factors(datum), l) == \
                     full_model.decomposition_check(full)
-                assert torsion_phi_group(rep.action_torsion(profile), l, 3) == \
+                assert torsion_phi_group(action_torsion(datum, profile), l, 3) == \
                     full_model.torsion_phi_group(full, profile, 3)
                 for r in (1, 3, 5):
-                    assert torsion_phi_group(rep.stack_torsion, l, r) == \
+                    assert torsion_phi_group(stack_torsion(datum), l, r) == \
                         full_model.closed_point_torsion(full, r)
 
     def test_rejects_residue_char(self, example_3_4):
         datum = DegenDatum("p3", 0, 3, example_3_4.closed_point, example_3_4.branches)
         with pytest.raises(InputError, match="residue characteristic"):
-            build_rep(datum, 3)
+            star_condition(datum, 3)
 
 
 class TestStarCondition:
@@ -212,23 +214,22 @@ class TestTorsionPhiGroup:
         datum = DegenDatum("one", 0, 0, Lattice(1),
                            (Branch("D1", Lattice(1), lm([[12]]), lm([[1]])),))
         for l, r in ((2, 5), (3, 3)):
-            action = build_rep(datum, l).action_torsion(TraitProfile((1,)))
+            action = action_torsion(datum, TraitProfile((1,)))
             assert torsion_phi_group(action, l, r) == l_part(FinAb((12,)), l)
 
     def test_example_3_4_profile_1_1(self, example_3_4):
-        rep = build_rep(example_3_4, 2)
         lattice_side = l_part(component_group(
             compose_trait(example_3_4, TraitProfile((1, 1))).matrix), 2)
         assert lattice_side == FinAb((2, 2))
-        assert torsion_phi_group(rep.action_torsion(TraitProfile((1, 1))), 2, 4) == FinAb((2, 2))
+        action = action_torsion(example_3_4, TraitProfile((1, 1)))
+        assert torsion_phi_group(action, 2, 4) == FinAb((2, 2))
 
     def test_all_zero_profile(self, example_3_4):
-        rep = build_rep(example_3_4, 2)
-        assert torsion_phi_group(rep.action_torsion(TraitProfile((0, 0))), 2, 3).is_trivial
+        action = action_torsion(example_3_4, TraitProfile((0, 0)))
+        assert torsion_phi_group(action, 2, 3).is_trivial
 
     def test_stable_in_r(self, example_3_4):
-        rep = build_rep(example_3_4, 2)
-        action = rep.action_torsion(TraitProfile((1, 1)))
+        action = action_torsion(example_3_4, TraitProfile((1, 1)))
         values = [torsion_phi_group(action, 2, r) for r in (3, 4, 5, 6)]
         assert all(v == values[0] for v in values)
 
@@ -249,7 +250,7 @@ class TestTorsionPhiGroup:
                 r = 1
                 while l ** r <= abs(det):
                     r += 1
-                action = build_rep(datum, l).action_torsion(profile)
+                action = action_torsion(datum, profile)
                 assert torsion_phi_group(action, l, r) == \
                     l_part(component_group(composed.matrix), l)
 
@@ -260,7 +261,7 @@ class TestClosedPointTorsion:
         for _ in range(40):
             datum = random_datum(rng, max_mu=3, max_n=3, min_n=1)
             for l in (2, 3):
-                exact = torsion_phi_group(build_rep(datum, l).stack_torsion, l, 6)
+                exact = torsion_phi_group(stack_torsion(datum), l, 6)
                 bound = closed_point_bound(datum, l)
                 if bound.divisible_rank == 0 and bound.invariant_factors:
                     assert bound.order % (exact.order if not exact.is_trivial else 1) == 0
@@ -268,7 +269,7 @@ class TestClosedPointTorsion:
     def test_n1_exact(self):
         datum = DegenDatum("one", 0, 0, Lattice(1),
                            (Branch("D1", Lattice(1), lm([[8]]), lm([[1]])),))
-        assert torsion_phi_group(build_rep(datum, 2).stack_torsion, 2, 5) == FinAb((8,))
+        assert torsion_phi_group(stack_torsion(datum), 2, 5) == FinAb((8,))
 
 
 # entries rich in powers of 2 and 3, so the groups reach past the low levels
@@ -337,20 +338,20 @@ class TestProvenIdentities:
                 level = 1
                 while l ** level < bound.torsion().exponent:
                     level += 1
-                torsion = build_rep(datum, l).stack_torsion
+                torsion = stack_torsion(datum)
                 assert torsion_phi_group(torsion, l, level) == bound.torsion(), (datum.name, l)
                 assert torsion_phi_group(torsion, l, level + 1) == bound.torsion()
 
     def test_stack_torsion_l_part_is_the_closed_point_bound(self):
-        # the oracle reads its bound off rep.stack_torsion; n = 0 included
+        # the oracle reads its bound off stack_torsion; n = 0 included
         rng = random.Random(154)
         datums = [DegenDatum("empty", 1, 0, Lattice(0), ())]
         datums += [random_datum(rng, max_mu=4, max_n=3) for _ in range(30)]
         assert any(datum.n == 0 for datum in datums)
         for datum in datums:
             for l in (2, 3):
-                rep = build_rep(datum, l)
-                assert l_part(rep.stack_torsion, l) == closed_point_bound(datum, l), datum.name
+                assert l_part(stack_torsion(datum), l) == closed_point_bound(datum, l), \
+                    datum.name
 
     def test_oracle_bound_is_never_strict(self, capsys, tmp_path):
         rng = random.Random(153)
@@ -374,7 +375,7 @@ def _action(datum: DegenDatum, profile: tuple[int, ...]) -> LatticeMap:
 
 
 class TestFactors:
-    """A rep reads its groups off the factors (sp_i, f_i) of each
+    """The Galois side reads its groups off the factors (sp_i, f_i) of each
     psi_i = sp_i^t·f_i; the three facts of the galois module docstring,
     against the products."""
 
@@ -382,7 +383,6 @@ class TestFactors:
         rng = random.Random(171)
         checked = 0
         for datum in _random_datums(rng, 96):
-            rep = build_rep(datum, 3)
             factors = branch_factors(datum)
             psi = psi_maps(datum)
             assert [m.entries for m in psi_blocks(factors)] == [m.entries for m in psi]
@@ -392,9 +392,9 @@ class TestFactors:
                 # the composed pairing in closed-point coordinates is the action
                 action = closed_point_pairing(datum, TraitProfile(profile))
                 assert action.matrix.entries == expected.entries, (datum.name, profile)
-                assert rep.action_torsion(TraitProfile(profile)) == cokernel(expected)[0]
+                assert action_torsion(datum, TraitProfile(profile)) == cokernel(expected)[0]
             # the Hermite row basis of the n·mu-row stack of the psi_i
-            assert rep.stack_torsion == cokernel(row_lattice(LatticeMap.stack(psi)))[0]
+            assert stack_torsion(datum) == cokernel(row_lattice(LatticeMap.stack(psi)))[0]
             assert exclusive_index(factors) == sum_index(list(exclusive_parts(factors))), \
                 datum.name
             checked += 1
@@ -438,7 +438,7 @@ class TestExclusiveIndex:
         return stacked_rows == mu
 
     def test_matches_leave_one_out_kernels_on_generated_datums(self):
-        # star_condition reads the dual purity cokernel; on the rep, the det
+        # star_condition reads the dual purity cokernel; on the factors, the det
         # criterion and the adjugate index (in _compare) must agree with it
         rng = random.Random(161)
         square = wide = dual_checked = 0
@@ -780,10 +780,9 @@ class TestOneSmithFormPerPairing:
         paths = Counter()
         for datum in self._datums(random.Random(211)):
             assert not datum.violations, datum.name
-            rep = build_rep(datum, 2)
             stack = LatticeMap.stack([f for _, f in branch_factors(datum)])
             intmat_calls.clear_all()
-            torsion = rep.stack_torsion
+            torsion = stack_torsion(datum)
             stacked = (stack.entries, stack.nrows, stack.ncols) in intmat_calls["eliminations"]
             assert torsion == cokernel(stack)[0], datum.name
             unimodular = is_onto(datum.dual_purity_cokernel)

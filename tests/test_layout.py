@@ -10,14 +10,24 @@ purity stack, a stratum is its basis, and ``--json`` has one renderer."""
 from __future__ import annotations
 
 import ast
+import contextlib
+import importlib
+import io
+import json
 import re
+import sys
 from collections import Counter
-from dataclasses import MISSING, fields
+from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
 
 import pytest
 
-from degenkit import galois, monodromy
+from degenkit import cli, curves, galois, monodromy, neron, schema
+from degenkit.degeneration import StratumOverride
+from degenkit.lattice import LatticeMap
+
+from conftest import load_fixture
+from test_cli import GOLDEN_CASES
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "degenkit"
 FORMAT_OWNERS = {"lattice.py", "generators.py"}
@@ -132,8 +142,8 @@ def test_no_smith_transform_v(path):
 # leave-one-out kernels and the decomposition check they fed, the exclusive
 # index from one adjugate (the star condition needs one determinant), the
 # fixed lattice of a set of generators, the closed-point bound and exact
-# torsion (read off the rep's stack), the mu × mu products psi_i with the
-# Hermite row lattice of their stack (a rep keeps the factors of each psi_i),
+# torsion (read off the stack torsion), the mu × mu products psi_i with the
+# Hermite row lattice of their stack (the Galois side keeps the factors of each psi_i),
 # four lattice operations no command called: the Q/Z-kernel, the saturated
 # kernel, the index of a sum and the column concatenation, the file loader
 # of the fixtures, and the recombination check of restricted cycles, which
@@ -195,33 +205,91 @@ def test_every_definition_is_reached():
     assert not unreached, f"defined in src/ but never referenced there: {unreached}"
 
 
-def _dataclass_fields(tree: ast.AST) -> list[tuple[str, str]]:
-    """(class, field) for every annotated field of a ``@dataclass`` class."""
-    out = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef) and any(
-                "dataclass" in _identifiers(d) for d in node.decorator_list):
-            out += [(node.name, stmt.target.id) for stmt in node.body
-                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
-    return out
+def _src_dataclasses() -> list[type]:
+    """Every dataclass that a module of src/ defines."""
+    modules = [importlib.import_module(f"degenkit.{path.stem}")
+               for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
+    return [cls for mod in modules for cls in vars(mod).values()
+            if isinstance(cls, type) and is_dataclass(cls) and cls.__module__ == mod.__name__]
 
 
-def _unread_fields(texts: list[str]) -> list[str]:
-    trees = [ast.parse(text) for text in texts]
-    read = {node.attr for tree in trees for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute)}
-    return sorted(f"{cls}.{name}" for tree in trees for cls, name in _dataclass_fields(tree)
-                  if name not in read)
+def _unread_fields(classes: list[type], run) -> list[str]:
+    """The fields of ``classes`` that no code in src/ reads, on an instance of
+    the field's own class, while ``run()`` runs.  Reads are resolved per class
+    at run time, so a read of the same name on another class or on an argparse
+    namespace does not count, nor does one by the methods that dataclass
+    generates (``__eq__``, ``__hash__``, ``__repr__``), by
+    ``dataclasses.replace`` or by a test."""
+    src_files = {mod.__file__ for mod in sys.modules.values()
+                 if getattr(mod, "__name__", "").startswith("degenkit.")}
+    read = set()
+    with pytest.MonkeyPatch.context() as mp:
+        for cls in classes:
+            def getattribute(self, name, cls=cls, names={f.name for f in fields(cls)},
+                             base=cls.__getattribute__):
+                if name in names and sys._getframe(1).f_code.co_filename in src_files:
+                    read.add((cls, name))
+                return base(self, name)
+            mp.setattr(cls, "__getattribute__", getattribute)
+        run()
+    return sorted(f"{cls.__name__}.{f.name}" for cls in classes for f in fields(cls)
+                  if (cls, f.name) not in read)
 
 
-def test_every_dataclass_field_is_read():
-    # a field that src/ never reads as an attribute is carried for nothing
-    texts = [p.read_text() for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
-    assert not _unread_fields(texts)
-    # the check sees a field added and never read
-    added = texts + ["from dataclasses import dataclass\n\n\n@dataclass(frozen=True)\n"
-                     "class Probe:\n    never_read_anywhere: int\n"]
-    assert _unread_fields(added) == ["Probe.never_read_anywhere"]
+def _run_commands(tmp_path: Path) -> None:
+    """Every golden argv list through ``cli.main``, then a stratum override
+    through ``trait`` and an invalid datum through ``analyze``, which no
+    fixture has."""
+    example = load_fixture("example_3_4")
+    documents = {
+        "override": replace(example, strata=(StratumOverride((0,), LatticeMap.identity(1)),)),
+        "invalid": replace(example, branches=(replace(
+            example.branches[0], pairing=LatticeMap.from_rows([[-1]])), example.branches[1])),
+    }
+    for name, datum in documents.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(schema.datum_to_dict(datum)))
+    argvs = [*GOLDEN_CASES.values(),
+             ["trait", str(tmp_path / "override.json"), "--profile", "1,0"],
+             ["analyze", str(tmp_path / "invalid.json")]]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        codes = [cli.main(argv) for argv in argvs]
+    assert codes[-2:] == [0, 2]
+
+
+def test_every_dataclass_field_is_read(tmp_path):
+    # a field that no command reads, on its own class, is carried for nothing
+    assert not _unread_fields(_src_dataclasses(), lambda: _run_commands(tmp_path))
+
+
+def test_field_reads_are_resolved_per_class(tmp_path):
+    # the check sees a field that only ``args.l`` reads by name, and one whose
+    # name src/ code reads on another class only
+    @dataclass(frozen=True)
+    class Probe:
+        l: int
+        never_read_anywhere: int
+
+    @dataclass(frozen=True)
+    class Other:
+        l: int
+
+    # code compiled as a src/ module, which reads l on whatever it is given
+    namespace: dict = {}
+    exec(compile("def read_l(value):\n    return value.l\n", cli.__file__, "exec"), namespace)
+    read_l = namespace["read_l"]
+
+    def run(probe_read: bool) -> None:
+        probe = Probe(3, 0)
+        assert probe.l == 3 and read_l(Other(2)) == 2     # a test's read does not count
+        if probe_read:
+            read_l(probe)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["oracle", "example_3_4", "--l", "3"]) == 0   # reads args.l
+
+    probes = [Probe, Other]
+    assert _unread_fields(probes, lambda: run(False)) == \
+        ["Probe.l", "Probe.never_read_anywhere"]
+    assert _unread_fields(probes, lambda: run(True)) == ["Probe.never_read_anywhere"]
 
 
 def test_a_stratum_is_its_basis():
@@ -251,18 +319,34 @@ def test_one_function_stacks_purity_maps():
     assert stackers == ["degeneration.restricted_purity"]
 
 
-def test_galois_rep_is_an_l_datum_value():
-    # a frozen (l, datum) pair with no mutable default: every group is read
-    # off the datum, and nothing writes into the rep
-    rep = galois.GaloisRep
-    assert rep.__dataclass_params__.frozen
-    assert [f.name for f in fields(rep)] == ["l", "datum"]
-    assert all(f.default is MISSING and f.default_factory is MISSING for f in fields(rep))
+def test_results_carry_only_computed_fields():
+    # identities that a proof fixes are rendered by cli, not carried: the
+    # certificate's verdict and its three proven flags, the Kummer fixed
+    # points and equality, the order of Psi and the verdict of a curve; and
+    # the Galois side is module functions over the datum, with no class
+    assert [f.name for f in fields(neron.ConverseCertificate)] == \
+        ["hypothesis_holds", "coker_at_psi", "coker_at_psi_a", "theta", "chi1", "chi2"]
+    assert [f.name for f in fields(neron.PsiGroup)] == ["branch_components", "group"]
+    assert [f.name for f in fields(curves.CurveReport)] == \
+        ["datum", "torsion_free", "equivalence_holds", "falsifications"]
+    assert not [obj for obj in vars(galois).values()
+                if isinstance(obj, type) and obj.__module__ == galois.__name__]
     for path in sorted(SRC.glob("*.py")):
         text = path.read_text()
-        found = _identifiers(ast.parse(text)) & {"share_cokernel", "_action_torsion",
-                                                 "block_torsion"}
+        found = _identifiers(ast.parse(text)) & {
+            "GaloisRep", "build_rep", "PsiFixedPoints", "psi_fixed_points",
+            "share_cokernel", "_action_torsion", "block_torsion"}
         assert not found and not re.search(r"\.(?:factors\b|action\()", text), path.name
+
+
+def test_untied_dual_refusal_lives_in_star_condition():
+    # one function refuses an explicit dual side without both polarizations
+    refusing = [f"{path.stem}.{node.name}" for path in sorted(SRC.glob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.FunctionDef) and any(
+                    isinstance(c, ast.Constant) and "explicit dual side needs" in str(c.value)
+                    for c in ast.walk(node))]
+    assert refusing == ["galois.star_condition"]
 
 
 def test_one_block_decision_for_composed_pairings():
