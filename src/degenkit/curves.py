@@ -159,27 +159,17 @@ def _cycle_basis(num_vertices: int, ends: list[tuple[int, int]],
     return basis, cotree
 
 
-def _is_connected(graph: DualGraph) -> bool:
-    index = {v.name: i for i, v in enumerate(graph.vertices)}
-    uf = _UnionFind(len(graph.vertices))
-    for e in graph.edges:
-        uf.union(index[e.ends[0]], index[e.ends[1]])
-    roots = {uf.find(i) for i in range(len(graph.vertices))}
-    return len(roots) <= 1
-
-
 def graph_to_datum(graph: DualGraph) -> DegenDatum:
     """Jacobian degeneration datum of the labelled graph (principally polarized)."""
-    if not _is_connected(graph):
-        raise InputError("dual graph is not connected")
-    if not any(any(e.label) for e in graph.edges):
-        raise InputError("no branch index is used by any edge")
     index = {v.name: i for i, v in enumerate(graph.vertices)}
     ends = [(index[e.ends[0]], index[e.ends[1]]) for e in graph.edges]
     order = _edge_order(graph)
     position = {k: i for i, k in enumerate(order)}
     closed_basis, _ = _cycle_basis(len(graph.vertices), ends, order)
     mu = len(closed_basis)
+    # a spanning forest with c trees leaves E - V + c cycles
+    if mu != len(graph.edges) - len(graph.vertices) + 1:
+        raise InputError("dual graph is not connected")
 
     branches = []
     for br in range(graph.n_branches):
@@ -189,11 +179,10 @@ def graph_to_datum(graph: DualGraph) -> DegenDatum:
         for k, e in enumerate(graph.edges):
             if e.label[br] == 0:
                 uf.union(ends[k][0], ends[k][1])
+        # a merged vertex keeps its root's id; an id no edge uses is a lone tree
         merged_ends = [(uf.find(ends[k][0]), uf.find(ends[k][1])) for k in surviving]
-        merged_vertices = len({uf.find(i) for i in range(len(graph.vertices))})
         surviving_order = sorted(range(len(surviving)), key=lambda t: position[surviving[t]])
-        branch_basis, cotree = _cycle_basis(merged_vertices if merged_vertices else 1,
-                                            _relabel(merged_ends), surviving_order)
+        branch_basis, cotree = _cycle_basis(len(graph.vertices), merged_ends, surviving_order)
         mu_i = len(branch_basis)
         # a closed cycle restricts to a cycle of the contracted graph, which is
         # the sum of the fundamental cycles weighted by its own cotree entries
@@ -225,17 +214,6 @@ def graph_to_datum(graph: DualGraph) -> DegenDatum:
         closed_point=Lattice(mu),
         branches=tuple(branches),
     )
-
-
-def _relabel(pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    seen: dict[int, int] = {}
-    out = []
-    for u, v in pairs:
-        for x in (u, v):
-            if x not in seen:
-                seen[x] = len(seen)
-        out.append((seen[u], seen[v]))
-    return out
 
 
 def curve_equivalences(graph: DualGraph) -> CurveReport:

@@ -26,6 +26,7 @@ from .lattice import (
     Lattice,
     LatticeMap,
     cokernel,
+    is_onto,
     is_prime,
 )
 
@@ -326,12 +327,6 @@ def validate(datum: DegenDatum) -> list[Violation]:
     for ov in datum.strata:
         out.extend(_override_violations(datum, ov))
     return out
-
-
-def is_onto(cokernel: tuple[FinAb, int]) -> bool:
-    """Whether a map with this (torsion, free rank) cokernel is onto."""
-    torsion, free_rank = cokernel
-    return torsion.is_trivial and free_rank == 0
 
 
 def _override_violations(datum: DegenDatum, ov: StratumOverride) -> list[Violation]:

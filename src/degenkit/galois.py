@@ -93,13 +93,12 @@ from math import gcd
 
 from .degeneration import (
     DegenDatum,
-    is_onto,
     require_prime_l,
     require_valid,
     restricted_purity,
 )
 from .errors import InputError
-from .lattice import FinAb, LatticeMap, cokernel
+from .lattice import FinAb, LatticeMap, cokernel, is_onto
 from .monodromy import TraitProfile, closed_point_pairing, composed_cokernel
 
 
@@ -110,7 +109,7 @@ def stack_torsion(datum: DegenDatum) -> FinAb:
     diag(phi_i)·P'.
 
     Its l-part is the closed-point bound, the l-part of the torsion of
-    ker(stack ⊗ Q/Z), with divisible rank 0 as the stack is injective.
+    ker(stack ⊗ Q/Z), which has no Q/Z summand as the stack is injective.
     T^G has no X' part, so the exact closed-point group at level l^r is
     ⊕ Z/gcd(d_k, l^r) over these invariant factors d_k: the bound itself
     once l^r reaches its exponent.  So the oracle reports the bound as the

@@ -32,17 +32,17 @@ No routine computes a transform it does not return.
   It works modulo a nonzero maximal minor D from the same Bareiss pass
   (D·Z^n lies in the lattice), so no entry of the elimination reaches 2·D²
   in absolute value.
-* ``solve_rational``, the one exact solver, and ``det_adjugate`` share one
-  fraction-free (Bareiss) Gauss–Jordan pass on ``(a | b)`` that returns
-  det a and det a · a^-1 · b: every intermediate entry is a minor of the
-  augmented matrix, so it is bounded by its Hadamard bound.  The solver
-  divides once at the end; with the identity on the right, the pass returns
-  (det a, adj a), and on a unimodular a, a^-1 = det a · adj a.
+* ``solve_rational``, the one exact solver, is one fraction-free (Bareiss)
+  Gauss–Jordan pass on ``(a | b)`` that returns det a and det a · a^-1 · b
+  in integers: every intermediate entry is a minor of the augmented matrix,
+  so it is bounded by its Hadamard bound.  Its callers divide by det a
+  exactly, or test that they can.  ``det_adjugate`` is the same pass with
+  the identity on the right, (det a, adj a); on a unimodular a,
+  a^-1 = det a · adj a.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 IntMatrix = list[list[int]]
@@ -227,11 +227,12 @@ def hnf_columns(m: IntMatrix, nrows: int, ncols: int) -> IntMatrix:
     # for the nonzero minor B = m[indep, picked]; so is every lattice vector
     independent = set(indep)
     others = [i for i in range(nrows) if i not in independent]
-    c = solve_rational([[cols[j][i] for i in indep] for j in picked], r,
-                       [[cols[j][i] for i in others] for j in picked], len(others))
+    det, c = solve_rational([[cols[j][i] for i in indep] for j in picked], r,
+                            [[cols[j][i] for i in others] for j in picked])
     out = dict(zip(indep, h))
     for t, i in enumerate(others):
-        out[i] = [int(sum(c[p][t] * h[p][j] for p in range(r))) for j in range(r)]
+        # exact: the combination of a lattice vector's rows is integral
+        out[i] = [sum(c[p][t] * h[p][j] for p in range(r)) // det for j in range(r)]
     return [out[i] for i in range(nrows)]
 
 
@@ -323,11 +324,12 @@ def positive_definite(m: IntMatrix, n: int) -> bool:
     return True
 
 
-def _gauss_jordan(a: IntMatrix, n: int, b: IntMatrix) -> tuple[int, IntMatrix]:
-    """(det a, det a · a^-1 · b) for square nonsingular a (n×n), by one
-    fraction-free pass on (a | b) that keeps a pivot multiple of the identity
-    on the left.  A row exchange negates one row, so the last pivot is det a;
-    every entry is a minor of (a | b) up to sign."""
+def solve_rational(a: IntMatrix, n: int, b: IntMatrix) -> tuple[int, IntMatrix]:
+    """(det a, det a · a^-1 · b) for square nonsingular a (n×n): the exact
+    solution of a·X = b is the second over the first.  One fraction-free
+    pass on (a | b) keeps a pivot multiple of the identity on the left.  A
+    row exchange negates one row, so the last pivot is det a; every entry is
+    a minor of (a | b) up to sign."""
     aug = [list(a[i]) + list(b[i]) for i in range(n)]
     prev = 1
     for k in range(n):
@@ -348,11 +350,5 @@ def _gauss_jordan(a: IntMatrix, n: int, b: IntMatrix) -> tuple[int, IntMatrix]:
 
 
 def det_adjugate(m: IntMatrix, n: int) -> tuple[int, IntMatrix]:
-    """(det m, adj m) for square nonsingular m: the identity on the right."""
-    return _gauss_jordan(m, n, identity(n))
-
-
-def solve_rational(a: IntMatrix, n: int, b: IntMatrix, bcols: int) -> list[list[Fraction]]:
-    """Solve a·X = b exactly over Q for square invertible a (n×n)."""
-    det, x = _gauss_jordan(a, n, b)
-    return [[Fraction(v, det) for v in row] for row in x]
+    """(det m, adj m) for square nonsingular m: the solver against the identity."""
+    return solve_rational(m, n, identity(n))

@@ -1,12 +1,12 @@
-"""Lattices, lattice maps, and finitely generated torsion invariants.
+"""Lattices, lattice maps, and finite abelian groups.
 
 A ``Lattice`` is just a free abelian group of known rank; a ``LatticeMap`` is
 an exact integer matrix between two of them.  ``FinAb`` stores a finite
-abelian group by its invariant-factor chain d_1 | d_2 | ..., plus a divisible
-rank so that kernels of maps tensored with Q/Z (finite torsion plus copies of
-Q/Z) have a home.  Q/Z-modules are never represented elementwise.
+abelian group by its invariant-factor chain d_1 | d_2 | ...; the cokernel of
+a map is that group plus a free rank, and the map is onto exactly when both
+are trivial (``is_onto``).
 
-All values are immutable; every operation is a pure function.
+All values are immutable; every operation is a pure function on Python ints.
 """
 
 from __future__ import annotations
@@ -142,8 +142,7 @@ class LatticeMap:
         return self.rank_of_image() == self.ncols
 
     def is_surjective(self) -> bool:
-        # surjective over Z: nrows invariant factors, every one of them 1
-        return self.smith_diagonal() == (1,) * self.nrows
+        return is_onto(cokernel(self))
 
     def adjugate(self) -> tuple[int, "LatticeMap"]:
         """(det, adj) of a nonsingular square map, from one fraction-free pass."""
@@ -160,34 +159,29 @@ class LatticeMap:
     def solve(self, b: "LatticeMap") -> "LatticeMap | None":
         """The integral X with self ∘ X = b, or None when there is none.
 
-        self must be injective, so X is unique when it exists: it is the
-        rational solution on a basis of independent rows, and it is the
-        answer when it is integral and satisfies the other rows too.
+        self must be injective, so X is unique when it exists: on a basis
+        of independent rows the solver gives det·X, and X is the answer
+        when det divides every entry and X satisfies the other rows too.
         """
         if b.target != self.target:
             raise InputError("solve needs a right-hand side with the same target")
         rows = intmat.independent_rows(self.entries, self.nrows, self.ncols)
         if len(rows) < self.ncols:
             raise InputError("solve needs an injective map")
-        x = intmat.solve_rational([self.entries[i] for i in rows], self.ncols,
-                                  [b.entries[i] for i in rows], b.ncols)
-        if any(v.denominator != 1 for row in x for v in row):
+        det, x = intmat.solve_rational([self.entries[i] for i in rows], self.ncols,
+                                       [b.entries[i] for i in rows])
+        if any(v % det for row in x for v in row):
             return None
-        x = LatticeMap(b.source, self.source, tuple(tuple(v.numerator for v in row) for row in x))
+        x = LatticeMap(b.source, self.source, tuple(tuple(v // det for v in row) for row in x))
         return x if self.compose(x).entries == b.entries else None
 
 
 @dataclass(frozen=True)
 class FinAb:
-    """Finite abelian group (plus optional divisible Q/Z-rank).
-
-    ``invariant_factors`` is the chain d_1 | d_2 | ... with every d_i >= 2.
-    ``divisible_rank`` counts Q/Z summands, used for kernels of maps tensored
-    with Q/Z; it is 0 for honestly finite groups.
-    """
+    """Finite abelian group by its invariant-factor chain d_1 | d_2 | ...,
+    with every d_i >= 2."""
 
     invariant_factors: tuple[int, ...] = ()
-    divisible_rank: int = 0
 
     def __post_init__(self) -> None:
         facs = self.invariant_factors
@@ -195,11 +189,9 @@ class FinAb:
             raise InputError(f"invariant factors must be >= 2: {facs}")
         if any(facs[i + 1] % facs[i] for i in range(len(facs) - 1)):
             raise InputError(f"invariant factors must form a divisibility chain: {facs}")
-        if self.divisible_rank < 0:
-            raise InputError("divisible rank must be non-negative")
 
     @classmethod
-    def from_cyclic_orders(cls, orders: list[int], divisible_rank: int = 0) -> "FinAb":
+    def from_cyclic_orders(cls, orders: list[int]) -> "FinAb":
         """Canonicalize a direct sum of cyclic groups Z/orders[i].
 
         Z/d + Z/n = Z/gcd(d, n) + Z/lcm(d, n), so each order is inserted into
@@ -214,44 +206,30 @@ class FinAb:
             for k, d in enumerate(chain):
                 chain[k], n = gcd(d, n), lcm(d, n)
             chain.append(n)
-        return cls(tuple(d for d in chain if d > 1), divisible_rank)
+        return cls(tuple(d for d in chain if d > 1))
 
     @classmethod
     def direct_sum(cls, groups: list["FinAb"]) -> "FinAb":
-        orders = [d for g in groups for d in g.invariant_factors]
-        dr = sum(g.divisible_rank for g in groups)
-        return cls.from_cyclic_orders(orders, dr)
+        return cls.from_cyclic_orders([d for g in groups for d in g.invariant_factors])
 
     @property
     def is_trivial(self) -> bool:
-        return not self.invariant_factors and self.divisible_rank == 0
+        return not self.invariant_factors
 
     @property
     def order(self) -> int:
-        if self.divisible_rank:
-            raise InputError("order of a group with divisible part")
         return prod(self.invariant_factors)
 
     @property
     def exponent(self) -> int:
-        if self.divisible_rank:
-            raise InputError("exponent of a group with divisible part")
         return self.invariant_factors[-1] if self.invariant_factors else 1
 
-    def torsion(self) -> "FinAb":
-        return FinAb(self.invariant_factors, 0)
-
     def primes(self) -> tuple[int, ...]:
-        ps: set[int] = set()
-        for d in self.invariant_factors:
-            ps.update(_factorint(d))
-        return tuple(sorted(ps))
+        # every invariant factor divides the exponent, so it has their primes
+        return tuple(sorted(_factorint(self.exponent)))
 
     def __str__(self) -> str:
-        parts = [f"Z/{d}" for d in self.invariant_factors]
-        if self.divisible_rank:
-            parts.append(f"(Q/Z)^{self.divisible_rank}")
-        return " + ".join(parts) if parts else "0"
+        return " + ".join(f"Z/{d}" for d in self.invariant_factors) or "0"
 
 
 def _factorint(n: int) -> dict[int, int]:
@@ -308,10 +286,14 @@ def cokernel(m: LatticeMap) -> tuple[FinAb, int]:
     return FinAb(tuple(torsion)), m.nrows - len(facs)
 
 
+def is_onto(coker: tuple[FinAb, int]) -> bool:
+    """Whether a map with this (torsion, free rank) cokernel is onto."""
+    torsion, free_rank = coker
+    return torsion.is_trivial and free_rank == 0
+
+
 def l_part(g: FinAb, l: int) -> FinAb:
     """l-primary component of a finite group."""
-    if g.divisible_rank:
-        raise InputError("l_part of a group with divisible part")
     if not is_prime(l):
         raise InputError(f"l_part needs a prime, got {l}")
     factors = []

@@ -41,7 +41,6 @@ from functools import cached_property
 from .degeneration import (
     DegenDatum,
     StratumOverride,
-    is_onto,
     require_valid,
     restricted_purity,
 )
@@ -51,6 +50,7 @@ from .lattice import (
     Lattice,
     LatticeMap,
     cokernel,
+    is_onto,
 )
 
 HEURISTIC_STRATUM = "derived stratum - heuristic"

@@ -228,8 +228,15 @@ def _parse_graph(data: dict, where: str) -> DualGraph:
             raise InputError(f"{ew}: expected an object with ends and label")
         if not isinstance(raw["label"], dict):
             raise InputError(f"{ew}.label: expected an object branch -> multiplicity")
-        labels.append({_int(k, f"{ew}.label"): _int(v, f"{ew}.label[{k}]")
-                       for k, v in raw["label"].items()})
+        label: dict[int, int] = {}
+        for k, v in raw["label"].items():
+            b = _int(k, f"{ew}.label")
+            if b < 1:
+                raise InputError(f"{ew}.label[{k}]: branch {b} is below 1")
+            if b in label:
+                raise InputError(f"{ew}.label[{k}]: branch {b} is named twice")
+            label[b] = _int(v, f"{ew}.label[{k}]")
+        labels.append(label)
     declared = data.get("n_branches")
     max_used = max((b for lab in labels for b in lab), default=0)
     n_branches = _int(declared, f"{where}.n_branches") if declared is not None else max_used

@@ -53,9 +53,9 @@ class IntmatCalls(dict):
     elimination, whichever routine reached it, is also under ``eliminations``:
     the calls of ``_diagonalize``; and every fraction-free (Bareiss) pass under
     ``bareiss``: the calls of ``_bareiss`` (rank, determinant, independent
-    rows, the Hermite modulus) and of ``_gauss_jordan`` (solve, adjugate),
-    whose first argument is the matrix.  The ``_gauss_jordan`` passes alone
-    are also under ``gauss_jordan``."""
+    rows, the Hermite modulus) and of ``solve_rational`` (solve, adjugate),
+    whose first argument is the matrix.  The ``solve_rational`` passes alone
+    are also under ``solve_rational``."""
 
     def smith_forms(self) -> list[tuple]:
         """The Smith eliminations behind the invariant factors."""
@@ -69,7 +69,7 @@ class IntmatCalls(dict):
 @pytest.fixture
 def intmat_calls(monkeypatch):
     calls = IntmatCalls({name: [] for name in
-                         COUNTED + ("eliminations", "bareiss", "gauss_jordan")})
+                         COUNTED + ("eliminations", "bareiss", "solve_rational")})
 
     def counting(original, *names):
         def wrapper(*args, **kwargs):
@@ -83,6 +83,6 @@ def intmat_calls(monkeypatch):
         monkeypatch.setattr(intmat, name, counting(getattr(intmat, name), name))
     monkeypatch.setattr(intmat, "_diagonalize", counting(intmat._diagonalize, "eliminations"))
     monkeypatch.setattr(intmat, "_bareiss", counting(intmat._bareiss, "bareiss"))
-    monkeypatch.setattr(intmat, "_gauss_jordan",
-                        counting(intmat._gauss_jordan, "bareiss", "gauss_jordan"))
+    monkeypatch.setattr(intmat, "solve_rational",
+                        counting(intmat.solve_rational, "bareiss", "solve_rational"))
     return calls

@@ -682,13 +682,13 @@ def fixed_lattice(factors: Factors, generators: tuple[int, ...]) -> LatticeMap:
     return kernel_saturated(LatticeMap.stack(maps))
 
 
-def closed_point_bound(datum: DegenDatum, l: int) -> FinAb:
-    """Upper bound for the l-part of the closed-point component group.
+def closed_point_bound(datum: DegenDatum, l: int) -> tuple[FinAb, int]:
+    """Upper bound for the l-part of the closed-point component group, and
+    the Q/Z rank of the kernel it is read off.
 
-    This is the l-part of the torsion of ker(stack(psi_1..psi_n) ⊗ Q/Z); it
-    contains the true l-part, with equality when n <= 1.  The divisible rank
-    of the kernel is reported alongside the torsion.  For n = 1, sp_1 and
-    sp'_1 are unimodular, so the bound is the l-part of coker(phi_1).
+    The bound is the l-part of the torsion of ker(stack(psi_1..psi_n) ⊗ Q/Z);
+    it contains the true l-part, with equality when n <= 1.  For n = 1, sp_1
+    and sp'_1 are unimodular, so the bound is the l-part of coker(phi_1).
     """
     if not is_prime(l):
         raise InputError(f"l must be prime, got {l}")
@@ -696,10 +696,10 @@ def closed_point_bound(datum: DegenDatum, l: int) -> FinAb:
         raise InputError("prime equals residue characteristic")
     require_valid(datum)
     if datum.n == 0:
-        return FinAb()
+        return FinAb(), 0
     stacked = LatticeMap.stack(psi_maps(datum))
-    kernel = torsion_kernel_qz(row_lattice(stacked))
-    return FinAb(l_part(kernel.torsion(), l).invariant_factors, kernel.divisible_rank)
+    torsion, qz_rank = torsion_kernel_qz(row_lattice(stacked))
+    return l_part(torsion, l), qz_rank
 
 
 def psi_maps(datum: DegenDatum) -> list[LatticeMap]:
@@ -744,10 +744,10 @@ def add_maps(a: LatticeMap, b: LatticeMap) -> LatticeMap:
     return LatticeMap(a.source, a.target, rows)
 
 
-def torsion_kernel_qz(m: LatticeMap) -> FinAb:
-    """ker(m ⊗ Q/Z): torsion invariants plus a divisible rank = nullity(m)."""
+def torsion_kernel_qz(m: LatticeMap) -> tuple[FinAb, int]:
+    """ker(m ⊗ Q/Z) as (its torsion, its Q/Z rank = nullity(m))."""
     facs = intmat.invariant_factors(m.entries, m.nrows, m.ncols)
-    return FinAb(tuple(d for d in facs if d > 1), m.ncols - len(facs))
+    return FinAb(tuple(d for d in facs if d > 1)), m.ncols - len(facs)
 
 
 def kernel_saturated(m: LatticeMap) -> LatticeMap:
@@ -823,8 +823,8 @@ def _presentation(phi: LatticeMap) -> tuple[list[int], LatticeMap]:
 def _solve_fractions(a: LatticeMap, vec: list[Fraction]) -> list[Fraction]:
     """a^-1·vec for square nonsingular a and a rational vector."""
     den = lcm(*(x.denominator for x in vec))
-    x = intmat.solve_rational(a.entries, a.nrows, [[int(v * den)] for v in vec], 1)
-    return [row[0] / den for row in x]
+    det, x = intmat.solve_rational(a.entries, a.nrows, [[int(v * den)] for v in vec])
+    return [Fraction(row[0], det * den) for row in x]
 
 
 def reference_trait_surjectivity(datum: DegenDatum,

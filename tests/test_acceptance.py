@@ -207,7 +207,7 @@ def test_criterion_9_lattice_core_soundness():
         assert facs == reference_smith_diagonal(rows, nr, nc)
         if len(facs) == nc:  # injective case
             injective_checked += 1
-            assert torsion_kernel_qz(m).torsion() == cokernel(m.transpose())[0]
+            assert torsion_kernel_qz(m) == (cokernel(m.transpose())[0], 0)
     elapsed = time.perf_counter() - t0
     assert injective_checked > 0
     _report(9, elapsed, f"1000 Smith diagonals match the reference; Q/Z-kernel == "

@@ -455,6 +455,89 @@ def test_human_and_json_numerics_agree(capsys):
     assert report["purity_cokernel"]["invariant_factors"] == [2]
 
 
+
+def _human_lines(report: dict, prefix: str = "") -> list[tuple[str, object]]:
+    """The human rendering of a JSON report, one (text before the value,
+    value) pair per line; the value is None on a line that opens an object."""
+    lines = []
+    for key in sorted(report):
+        value = report[key]
+        if isinstance(value, dict):
+            lines.append((f"{prefix}{key}:", None))
+            lines.extend(_human_lines(value, prefix + "  "))
+        else:
+            lines.append((f"{prefix}{key}: ", value))
+    return lines
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_human_rendering_of_every_golden(capsys, name):
+    # without --json the same report prints one line per key, its golden
+    # value after the key, and each group's divisible rank as a 0
+    argv = [arg for arg in GOLDEN_CASES[name] if arg != "--json"]
+    assert argv != GOLDEN_CASES[name]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0, err
+    golden = json.loads((GOLDEN / f"{name}.json").read_text())
+    lines = out.splitlines()
+    expected = _human_lines(golden)
+    assert len(lines) == len(expected)
+    for line, (head, value) in zip(lines, expected):
+        if value is None:
+            assert line == head
+        else:
+            assert line.startswith(head), (line, head)
+            rest = line[len(head):]
+            assert rest == value if isinstance(value, str) else json.loads(rest) == value, line
+    ranks = [value for head, value in expected if head.endswith("divisible_rank: ")]
+    assert ranks == [0] * out.count("divisible_rank: 0\n")
+
+
+@pytest.mark.parametrize("argv, option, text", [
+    (["trait", "example_3_4", "--profile", "1,x"], "--profile", "1,x"),
+    (["oracle", "example_3_4", "--l", "3", "--profile", "1;1"], "--profile", "1;1"),
+    (["psi", "example_3_4", "--kummer", "2,,3"], "--kummer", "2,,3"),
+    (["psi", "example_3_4", "--kummer", "2.5"], "--kummer", "2.5"),
+])
+def test_malformed_integer_lists_exit_2(capsys, monkeypatch, argv, option, text):
+    # --profile and --kummer share one parser, and a value it refuses prints
+    # that option's message and no report
+    parsed = []
+    original = cli._int_list
+
+    def counting(opt, value):
+        parsed.append((opt, value))
+        return original(opt, value)
+
+    monkeypatch.setattr(cli, "_int_list", counting)
+    for extra in ([], ["--json"]):
+        code, out, err = run_cli(capsys, argv + extra)
+        assert code == 2 and out == ""
+        assert err == f"error: {option}: not a comma-separated integer list: {text!r}\n"
+    assert parsed == [(option, text)] * 2
+
+
+@pytest.mark.parametrize("label, message", [
+    ({"0": 7, "1": 1}, "edges[0].label[0]: branch 0 is below 1"),
+    ({"-3": 2, "1": 2}, "edges[0].label[-3]: branch -3 is below 1"),
+    ({"1": 1, "01": 5}, "edges[0].label[01]: branch 1 is named twice"),
+    ({"2": 1, " 2": 1}, "edges[0].label[ 2]: branch 2 is named twice"),
+])
+def test_curve_label_keys_outside_the_branches_exit_2(capsys, tmp_path, label, message):
+    # a key below 1 names no branch, and two keys must not name the same one:
+    # neither is dropped or overwritten in silence
+    doc = tmp_path / "labels.json"
+    doc.write_text(json.dumps({
+        "format_version": "1", "kind": "graph", "name": "labels", "n_branches": 2,
+        "vertices": [{"name": "v0", "genus": 0}],
+        "edges": [{"ends": ["v0", "v0"], "label": label},
+                  {"ends": ["v0", "v0"], "label": {"2": 1}}],
+    }))
+    code, out, err = run_cli(capsys, ["curve", str(doc), "--json"])
+    assert code == 2 and out == ""
+    assert err == f"error: {doc}.{message}\n"
+
+
 class TestVerdictPayloads:
     def test_analyze_example(self, capsys):
         _, out, _ = run_cli(capsys, ["analyze", "example_3_4", "--json"])

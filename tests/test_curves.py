@@ -53,7 +53,7 @@ def branch_cycles(g, br):
     for k, e in enumerate(g.edges):
         if not e.label[br]:
             uf.union(*ends[k])
-    merged = curves._relabel([(uf.find(ends[k][0]), uf.find(ends[k][1])) for k in surviving])
+    merged = [(uf.find(ends[k][0]), uf.find(ends[k][1])) for k in surviving]
     sub_order = sorted(range(len(surviving)), key=lambda t: order.index(surviving[t]))
     basis, cotree = curves._cycle_basis(len(g.vertices), merged, sub_order)
     return surviving, basis, cotree
@@ -153,6 +153,14 @@ class TestGraphToDatum:
                   [(("v0", "v0"), (1,)), (("v1", "v1"), (1,))], 1)
         with pytest.raises(InputError, match="connected"):
             graph_to_datum(g)
+        # connected exactly when the cycle rank is E - V + 1, also where a
+        # vertex touches no edge
+        for edges in ([(("v0", "v0"), (1,))],
+                      [(("v0", "v1"), (1,)), (("v0", "v1"), (1,))],
+                      [(("v0", "v1"), (1,)), (("v2", "v2"), (1,))]):
+            g = graph([("v0", 0), ("v1", 0), ("v2", 0)], edges, 1)
+            with pytest.raises(InputError, match="^dual graph is not connected$"):
+                graph_to_datum(g)
 
     def test_multiplicity_weights_pairing(self):
         g = graph([("v0", 0)], [(("v0", "v0"), (3,))], 1)

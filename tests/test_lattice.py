@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degenkit import intmat
+from degenkit import intmat, lattice
 from degenkit.errors import InputError
 from degenkit.lattice import (
     MILLER_RABIN_BOUND,
@@ -149,15 +149,15 @@ class TestCokernel:
 
 class TestTorsionKernelQZ:
     def test_two_torsion(self):
-        assert torsion_kernel_qz(lm([[2]])) == FinAb((2,))
+        assert torsion_kernel_qz(lm([[2]])) == (FinAb((2,)), 0)
 
     def test_zero_map(self):
-        assert torsion_kernel_qz(lm([[0]])) == FinAb((), divisible_rank=1)
+        assert torsion_kernel_qz(lm([[0]])) == (FinAb(), 1)
 
     def test_example_3_4_matrix_enumeration(self):
         # frozen from the (1/2)Z/Z grid enumeration
         assert enumerate_qz_kernel([[2, 1], [0, 1]], 2) == [2]
-        assert torsion_kernel_qz(lm([[2, 1], [0, 1]])) == FinAb((2,))
+        assert torsion_kernel_qz(lm([[2, 1], [0, 1]])) == (FinAb((2,)), 0)
 
     def test_equals_transpose_cokernel_on_injective(self):
         rng = random.Random(11)
@@ -170,8 +170,9 @@ class TestTorsionKernelQZ:
             if not m.is_injective():
                 continue
             checked += 1
-            assert torsion_kernel_qz(m).torsion() == cokernel(m.transpose())[0]
-            assert torsion_kernel_qz(m).divisible_rank == 0
+            torsion, qz_rank = torsion_kernel_qz(m)
+            assert torsion == cokernel(m.transpose())[0]
+            assert qz_rank == 0
 
 
 class TestKernelSaturated:
@@ -224,10 +225,6 @@ class TestLPart:
     def test_crt_oracle(self):
         # CRT: Z/12 + Z/2 = (Z/4 + Z/2) x Z/3
         assert l_part(FinAb.from_cyclic_orders([12, 2]), 2) == FinAb.from_cyclic_orders([4, 2])
-
-    def test_rejects_divisible(self):
-        with pytest.raises(InputError):
-            l_part(FinAb((), divisible_rank=1), 2)
 
     def test_reassembly_over_all_primes(self):
         rng = random.Random(3)
@@ -322,7 +319,22 @@ class TestFinAb:
     def test_str(self):
         assert str(FinAb()) == "0"
         assert str(FinAb((2, 4))) == "Z/2 + Z/4"
-        assert str(FinAb((2,), divisible_rank=1)) == "Z/2 + (Q/Z)^1"
+
+    def test_primes_factor_the_exponent_once(self, monkeypatch):
+        # every invariant factor divides the exponent, so its primes are all
+        factored = []
+        original = lattice._factorint
+        monkeypatch.setattr(lattice, "_factorint",
+                            lambda n: factored.append(n) or original(n))
+        rng = random.Random(13)
+        for _ in range(300):
+            orders = [rng.randint(1, 400) for _ in range(rng.randint(0, 5))]
+            group = FinAb.from_cyclic_orders(orders)
+            factored.clear()
+            expected = sorted({p for n in orders for p in range(2, n + 1)
+                               if n % p == 0 and is_prime(p)})
+            assert list(group.primes()) == expected, orders
+            assert factored == [group.exponent]
 
 
 class TestEmptyShapes:
@@ -330,7 +342,7 @@ class TestEmptyShapes:
         zero_map = LatticeMap.zero(Lattice(0), Lattice(0))
         assert smith_diagonal(zero_map) == ()
         assert cokernel(zero_map) == (FinAb(), 0)
-        assert torsion_kernel_qz(zero_map) == FinAb()
+        assert torsion_kernel_qz(zero_map) == (FinAb(), 0)
         assert kernel_saturated(zero_map).ncols == 0
 
     def test_zero_source(self):
@@ -340,4 +352,4 @@ class TestEmptyShapes:
 
     def test_zero_target(self):
         m = LatticeMap.zero(Lattice(2), Lattice(0))
-        assert torsion_kernel_qz(m) == FinAb((), divisible_rank=2)
+        assert torsion_kernel_qz(m) == (FinAb(), 2)

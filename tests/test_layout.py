@@ -24,7 +24,7 @@ import pytest
 
 from degenkit import cli, curves, galois, monodromy, neron, schema
 from degenkit.degeneration import StratumOverride
-from degenkit.lattice import LatticeMap
+from degenkit.lattice import FinAb, LatticeMap
 
 from conftest import load_fixture
 from test_cli import GOLDEN_CASES
@@ -182,10 +182,33 @@ def test_cli_has_one_path_to_the_trait_group():
 REACHED_FROM_OUTSIDE = {"random_polarized_datum", "random_profile"}
 
 
-def _references(tree: ast.AST) -> Counter:
-    """How often each name is read as a variable or an attribute."""
+def _references(tree: ast.AST, attributes_only: bool = False) -> Counter:
+    """How often each name is read as a variable or an attribute, or as an
+    attribute only."""
+    kinds = ast.Attribute if attributes_only else (ast.Name, ast.Attribute)
     return Counter(node.id if isinstance(node, ast.Name) else node.attr
-                   for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
+                   for node in ast.walk(tree) if isinstance(node, kinds))
+
+
+def _unreached(trees: list[ast.AST]) -> list[str]:
+    """The functions, methods and classes that src/ never references outside
+    their own definition; a method counts as referenced only when it is
+    read as an attribute, so a variable of the same name does not reach it."""
+    methods = {id(node) for tree in trees for cls in ast.walk(tree)
+               if isinstance(cls, ast.ClassDef) for node in cls.body
+               if isinstance(node, ast.FunctionDef)}
+    total = sum((_references(tree) for tree in trees), Counter())
+    attributes = sum((_references(tree, True) for tree in trees), Counter())
+    unreached = []
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            is_method = id(node) in methods
+            count = attributes if is_method else total
+            if count[node.name] - _references(node, is_method)[node.name] == 0:
+                unreached.append(node.name)
+    return sorted(unreached)
 
 
 def test_every_definition_is_reached():
@@ -194,15 +217,47 @@ def test_every_definition_is_reached():
     # and the commands are reached through cli.main's globals() lookup
     trees = [ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))
              if p.name != "__init__.py"]
-    total = sum((_references(tree) for tree in trees), Counter())
-    unreached = sorted(
-        node.name for tree in trees for node in ast.walk(tree)
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.name.startswith("cmd_")
-        and not (node.name.startswith("__") and node.name.endswith("__"))
-        and node.name not in REACHED_FROM_OUTSIDE
-        and total[node.name] - _references(node)[node.name] == 0)
+    unreached = [name for name in _unreached(trees)
+                 if not name.startswith("cmd_")
+                 and not (name.startswith("__") and name.endswith("__"))
+                 and name not in REACHED_FROM_OUTSIDE]
     assert not unreached, f"defined in src/ but never referenced there: {unreached}"
+
+
+def test_a_variable_does_not_reach_a_method():
+    # FinAb.torsion() once had no caller, and a local variable of that
+    # name hid it from a check that counted every name
+    tree = ast.parse("class Group:\n"
+                     "    def torsion(self):\n"
+                     "        return self\n"
+                     "    def order(self):\n"
+                     "        return 1\n"
+                     "def use(group):\n"
+                     "    torsion = group.order\n"
+                     "    return Group, torsion\n")
+    assert _unreached([tree]) == ["torsion", "use"]
+
+
+def test_integers_and_finite_groups_only():
+    # a finite group is its invariant factors; the solver returns integers,
+    # so nothing imports fractions; one pass solves, and one function, next
+    # to the cokernel, decides whether a map is onto
+    assert [f.name for f in fields(FinAb)] == ["invariant_factors"]
+    onto = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names}
+        imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        assert "fractions" not in imported, path.name
+        assert "_gauss_jordan" not in _identifiers(tree), path.name
+        onto += [f"{path.stem}.{node.name}" for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef) and node.name == "is_onto"]
+    assert onto == ["lattice.is_onto"]
+    tree = ast.parse((SRC / "lattice.py").read_text())
+    surjective = next(node for node in ast.walk(tree)
+                      if isinstance(node, ast.FunctionDef) and node.name == "is_surjective")
+    assert {"is_onto", "cokernel"} <= _identifiers(surjective)
 
 
 def _src_dataclasses() -> list[type]:

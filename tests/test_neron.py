@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -353,7 +354,8 @@ class TestConverseCheck:
             at_psi = a.transpose().compose(LatticeMap.block_diagonal([psi1, psi2]))
             at_psi_a = at_psi.compose(a)
             mu = a.ncols
-            theta = intmat.solve_rational(at_psi_a.entries, mu, at_psi.entries, a.nrows)
+            det, num = intmat.solve_rational(at_psi_a.entries, mu, at_psi.entries)
+            theta = [[Fraction(v, det) for v in row] for row in num]
             integral = all(f.denominator == 1 for row in theta for f in row)
             unimodular = a.nrows == mu and abs(determinant(a)) == 1
             cert = converse_check(p_map, q_map, psi1, psi2)
