@@ -11,8 +11,12 @@ failed rendering prints nothing.  Exit codes: 0 ok, 1 mathematical
 falsification event, 2 input error, so CI can tell "the math broke" from
 "the file broke".
 
-Input files are looked up as given, then under $DEGENKIT_FIXTURES, then in
-the fixture corpus shipped with the package.
+``main`` hands the arguments after a known command straight to that
+command's parser in the one cached parser, as argparse would; anything else
+(no argument, ``-h``, an unknown command) goes through the whole parser.
+
+Each input is opened once: as given, else under $DEGENKIT_FIXTURES or in the
+package's fixtures.  One that exists but cannot be read is exit code 2.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ import json
 import os
 import sys
 from functools import cache
-from importlib import resources
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -42,31 +45,26 @@ from .lattice import FinAb, LatticeMap, l_part
 _PLAIN_INT = {int}
 
 
-def _fixture_dir() -> Path | None:
-    env = os.environ.get("DEGENKIT_FIXTURES")
-    if env:
-        return Path(env)
-    try:
-        return Path(str(resources.files("degenkit") / "fixtures"))
-    except (ModuleNotFoundError, TypeError):
-        return None
-
-
 def resolve_input(path: str) -> Path:
-    p = Path(path)
-    if p.exists():
-        return p
-    base = _fixture_dir()
-    if base is not None:
-        for cand in (base / path, base / f"{path}.json"):
-            if cand.exists():
-                return cand
+    """The fixture a name stands for, under $DEGENKIT_FIXTURES or in the package."""
+    base = Path(os.environ.get("DEGENKIT_FIXTURES") or Path(__file__).parent / "fixtures")
+    for cand in (base / path, base / f"{path}.json"):
+        if cand.exists():
+            return cand
     raise InputError(f"input file not found: {path}")
 
 
 def _load(path: str, expect: str) -> tuple[DegenDatum | DualGraph, dict]:
-    resolved = resolve_input(path)
-    raw = resolved.read_bytes()
+    resolved = Path(path)
+    try:
+        try:
+            with open(resolved, "rb") as file:
+                raw = file.read()
+        except (FileNotFoundError, NotADirectoryError, ValueError):  # no such file
+            resolved = resolve_input(path)
+            raw = resolved.read_bytes()
+    except OSError as exc:
+        raise InputError(f"{resolved}: cannot read the input ({exc.strerror})") from exc
     doc = schema.parse_document(schema.parse_json_bytes(raw, str(resolved)), where=str(resolved))
     kind = "degeneration" if isinstance(doc, DegenDatum) else "graph"
     if kind != expect:
@@ -143,7 +141,11 @@ def _render_json(value: object, newline: str = "\n") -> str:
         for key in sorted(value):
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            items.append(encode_basestring_ascii(key) + ": " + _render_json(value[key], inner))
+            item = value[key]
+            kind = type(item)  # exact types only: a bool or a subclass recurses
+            text = (encode_basestring_ascii(item) if kind is str else int.__repr__(item)
+                    if kind is int else _render_json(item, inner))
+            items.append(encode_basestring_ascii(key) + ": " + text)
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
@@ -170,7 +172,7 @@ def _base_report(command: str, echo: dict) -> dict:
 
 def _int_list(option: str, text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.split(","))
+        return tuple(map(schema.decimal_int, text.split(",")))
     except ValueError as exc:
         raise InputError(f"{option}: not a comma-separated integer list: {text!r}") from exc
 
@@ -417,7 +419,16 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    argv = sys.argv[1:] if argv is None else argv
+    commands = parser._subparsers._group_actions[0].choices  # the parsers by command
+    if argv and argv[0] in commands:
+        namespace = argparse.Namespace(command=argv[0])
+        args, extra = commands[argv[0]].parse_known_args(argv[1:], namespace)
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    else:
+        args = parser.parse_args(argv)
     # looked up per call, so a replaced module attribute is the one called
     command = globals()[f"cmd_{args.command}"]
     try:

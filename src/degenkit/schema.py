@@ -7,13 +7,15 @@ One format, version "1", two kinds:
 * ``graph``: vertices with genera, edges with endpoint pair and a label map
   branch-index -> multiplicity (JSON keys are 1-based strings).
 
-Matrices are row-major arrays of arrays of integers; strings are accepted
-for big integers.  Parse errors carry the JSON path of the offending field.
+Matrices are row-major arrays of arrays of integers; big integers may also
+be strings of ASCII digits with an optional sign.  Parse errors carry the
+JSON path of the offending field.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from typing import Any
 
 from .curves import DualGraph, GraphEdge, GraphVertex
@@ -47,6 +49,13 @@ def parse_document(data: dict, where: str = "input") -> DegenDatum | DualGraph:
     raise InputError(f"{where}.kind: expected \"degeneration\" or \"graph\", got {kind!r}")
 
 
+def decimal_int(text: str) -> int:
+    """int(text) for an optional sign and ASCII digits only; ValueError otherwise."""
+    if re.fullmatch(r"[+-]?[0-9]+", text) is None:
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 def _int(value: Any, where: str) -> int:
     if isinstance(value, bool):
         raise InputError(f"{where}: expected an integer, got a boolean")
@@ -54,7 +63,7 @@ def _int(value: Any, where: str) -> int:
         return value
     if isinstance(value, str):
         try:
-            return int(value, 10)
+            return decimal_int(value)
         except ValueError as exc:
             raise InputError(f"{where}: not an integer string: {value!r}") from exc
     raise InputError(f"{where}: expected an integer, got {type(value).__name__}")
@@ -75,10 +84,10 @@ def _matrix(value: Any, where: str, nrows: int, ncols: int) -> LatticeMap:
         # is; only another row can fail, so only it is read entry by entry
         # with the location of each
         if set(map(type, row)) <= _PLAIN_INT:
-            rows.append(row)
+            rows.append(tuple(row))
         else:
-            rows.append([_int(v, f"{where}[{i}][{j}]") for j, v in enumerate(row)])
-    return LatticeMap.from_rows(rows, source_rank=ncols, target_rank=nrows)
+            rows.append(tuple(_int(v, f"{where}[{i}][{j}]") for j, v in enumerate(row)))
+    return LatticeMap(Lattice(ncols), Lattice(nrows), tuple(rows))
 
 
 def _parse_datum(data: dict, where: str) -> DegenDatum:

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -69,6 +72,97 @@ def test_parser_is_built_once_and_commands_resolve_per_call(capsys, monkeypatch)
     finally:
         cli._parser.cache_clear()
     assert len(builds) == 1
+
+
+COMMANDS = ["analyze", "trait", "oracle", "converse", "psi", "curve", "generate"]
+DISPATCH_CASES = [
+    ["analyze", "example_3_4"],
+    ["analyze", "--json", "example_3_4"],
+    ["analyze", "example_3_4", "--js"],
+    ["analyze", "--", "example_3_4"],
+    ["trait", "example_3_4", "--profile", "1,1", "--l", "2", "--json"],
+    ["trait", "--l", "3", "--json", "--profile", "2,3", "example_3_4"],
+    ["trait", "--profile=1,2", "example_3_4"],
+    ["oracle", "example_3_4", "--l", "2", "--r", "5", "--profile", "1,1"],
+    ["oracle", "--json", "--profile", "1,2", "--r", "3", "example_3_4", "--l=3"],
+    ["oracle", "example_3_4", "--l", "2", "--prof", "1,1"],
+    ["converse", "generated_ta_seed7", "--json"],
+    ["converse", "--json", "generated_ta_seed7"],
+    ["psi", "example_3_4", "--kummer", "2,3"],
+    ["psi", "--kummer", "2,3", "--json", "example_3_4"],
+    ["curve", "genus2_graph"],
+    ["curve", "--json", "genus2_graph"],
+    ["generate", "datum", "--seed", "5"],
+    ["generate", "--seed", "5", "--out", "x.json", "graph"],
+    # refusals: a missing required option or file, an unknown option, an
+    # extra argument, a bad integer or choice, an unknown command, help
+    ["trait", "example_3_4"],
+    ["oracle", "example_3_4", "--profile", "1,1"],
+    ["generate", "datum"],
+    ["analyze"],
+    ["analyze", "example_3_4", "--bogus"],
+    ["psi", "example_3_4", "--kummer", "2,3", "extra", "--more"],
+    ["oracle", "example_3_4", "--l", "two"],
+    ["trait", "example_3_4", "--profile", "1,1", "--l", "2.5"],
+    ["oracle", "example_3_4", "--l"],
+    ["generate", "lattice", "--seed", "1"],
+    ["analyse", "example_3_4"],
+    ["--json", "analyze", "example_3_4"],
+    [],
+    ["-h"],
+    ["analyze", "-h"],
+]
+
+
+def _parse_outcome(capsys, parse):
+    """(namespace as a dict, or the exit code; stdout; stderr) of one parse."""
+    try:
+        result = parse()
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", DISPATCH_CASES, ids=lambda argv: " ".join(argv) or "(none)")
+def test_dispatch_matches_argparse(capsys, monkeypatch, argv):
+    # main hands a known command's arguments to that command's parser alone;
+    # the namespace, or the exit code and the printed text, are the full parser's
+    parsed = []
+    for name in COMMANDS:
+        monkeypatch.setattr(cli, f"cmd_{name}", parsed.append)
+    expected = _parse_outcome(capsys, lambda: vars(cli.build_parser().parse_args(argv)))
+    actual = _parse_outcome(capsys, lambda: cli.main(argv) or vars(parsed.pop()))
+    assert actual == expected
+    assert not parsed
+
+
+def test_a_known_command_skips_the_full_parser(capsys, monkeypatch):
+    def refuse(argv=None, namespace=None):
+        raise AssertionError("the full parser ran")
+
+    monkeypatch.setattr(cli._parser(), "parse_args", refuse)
+    assert run_cli(capsys, ["analyze", "example_3_4", "--json"])[0] == 0
+    with pytest.raises(AssertionError):
+        cli.main([])
+
+
+def test_module_entry_point(tmp_path):
+    # python -m degenkit.cli reads its arguments from sys.argv
+    env = {k: v for k, v in os.environ.items() if k != "DEGENKIT_FIXTURES"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "degenkit.cli", *argv], cwd=tmp_path,
+                              env=env, capture_output=True, timeout=120)
+
+    done = run("analyze", "example_3_4", "--json")
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == (GOLDEN / "analyze_example_3_4.json").read_bytes()
+    done = run()
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert done.stderr.startswith(b"usage: degenkit [-h]")
+    assert done.stderr.endswith(b"degenkit: error: the following arguments are required: command\n")
 
 
 def test_reports_are_byte_identical_across_runs(capsys):
@@ -498,6 +592,11 @@ def test_human_rendering_of_every_golden(capsys, name):
     (["oracle", "example_3_4", "--l", "3", "--profile", "1;1"], "--profile", "1;1"),
     (["psi", "example_3_4", "--kummer", "2,,3"], "--kummer", "2,,3"),
     (["psi", "example_3_4", "--kummer", "2.5"], "--kummer", "2.5"),
+    # int() reads these, but an integer is a sign and ASCII digits only
+    (["trait", "example_3_4", "--profile", "1_0,1"], "--profile", "1_0,1"),
+    (["trait", "example_3_4", "--profile", " 2, 3"], "--profile", " 2, 3"),
+    (["oracle", "example_3_4", "--l", "3", "--profile", "\u0661,1"], "--profile", "\u0661,1"),
+    (["psi", "example_3_4", "--kummer", "1_0,3"], "--kummer", "1_0,3"),
 ])
 def test_malformed_integer_lists_exit_2(capsys, monkeypatch, argv, option, text):
     # --profile and --kummer share one parser, and a value it refuses prints
@@ -517,11 +616,18 @@ def test_malformed_integer_lists_exit_2(capsys, monkeypatch, argv, option, text)
     assert parsed == [(option, text)] * 2
 
 
+def test_integer_lists_take_a_sign_and_leading_zeros(capsys):
+    code, out, _ = run_cli(capsys, ["psi", "example_3_4", "--kummer", "+2,03", "--json"])
+    assert code == 0
+    assert json.loads(out)["psi"]["kummer"]["multipliers"] == [2, 3]
+
+
 @pytest.mark.parametrize("label, message", [
     ({"0": 7, "1": 1}, "edges[0].label[0]: branch 0 is below 1"),
     ({"-3": 2, "1": 2}, "edges[0].label[-3]: branch -3 is below 1"),
     ({"1": 1, "01": 5}, "edges[0].label[01]: branch 1 is named twice"),
-    ({"2": 1, " 2": 1}, "edges[0].label[ 2]: branch 2 is named twice"),
+    ({"2": 1, "+2": 1}, "edges[0].label[+2]: branch 2 is named twice"),
+    ({"2": 1, " 2": 1}, "edges[0].label: not an integer string: ' 2'"),
 ])
 def test_curve_label_keys_outside_the_branches_exit_2(capsys, tmp_path, label, message):
     # a key below 1 names no branch, and two keys must not name the same one:
@@ -536,6 +642,52 @@ def test_curve_label_keys_outside_the_branches_exit_2(capsys, tmp_path, label, m
     code, out, err = run_cli(capsys, ["curve", str(doc), "--json"])
     assert code == 2 and out == ""
     assert err == f"error: {doc}.{message}\n"
+
+
+@pytest.mark.parametrize("given, echoed, where", [
+    ("./{}.json", "./good.json", "bad.json"),
+    ("sub//{}.json", "sub//good.json", "sub/bad.json"),
+    ("{}", "good", "{tmp}/fixtures/bad.json"),  # found under $DEGENKIT_FIXTURES
+])
+def test_input_naming(capsys, tmp_path, monkeypatch, given, echoed, where):
+    # the report echoes the argument as given; an error names the file it read
+    # as pathlib spells it
+    raw = cli.resolve_input("example_3_4").read_bytes()
+    for home in (tmp_path, tmp_path / "sub", tmp_path / "fixtures"):
+        home.mkdir(exist_ok=True)
+        (home / "good.json").write_bytes(raw)
+        (home / "bad.json").write_text('{"format_version": "2"}')
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("DEGENKIT_FIXTURES", str(tmp_path / "fixtures"))
+    code, out, _ = run_cli(capsys, ["analyze", given.format("good"), "--json"])
+    assert code == 0
+    assert json.loads(out)["input"]["path"] == echoed
+    code, _, err = run_cli(capsys, ["analyze", given.format("bad")])
+    assert code == 2
+    assert err == f"error: {where.format(tmp=tmp_path)}.format_version: expected \"1\", got '2'\n"
+
+
+def test_shipped_fixture_naming(capsys, monkeypatch):
+    monkeypatch.delenv("DEGENKIT_FIXTURES", raising=False)
+    code, out, _ = run_cli(capsys, ["analyze", "example_3_4", "--json"])
+    assert code == 0
+    assert json.loads(out)["input"]["path"] == "example_3_4"
+    shipped = Path(cli.__file__).parent / "fixtures" / "example_3_4.json"
+    code, _, err = run_cli(capsys, ["curve", "example_3_4"])
+    assert code == 2
+    assert err == f'error: {shipped}: expected a graph input, found kind "degeneration"\n'
+
+
+@pytest.mark.parametrize("given", ["{tmp}", "lost"])
+def test_unreadable_input_exits_2(capsys, tmp_path, monkeypatch, given):
+    # a directory where the input should be is bad input, not a falsification
+    (tmp_path / "fixtures" / "lost.json").mkdir(parents=True)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("DEGENKIT_FIXTURES", str(tmp_path / "fixtures"))
+    named = tmp_path if given == "{tmp}" else tmp_path / "fixtures" / "lost.json"
+    code, out, err = run_cli(capsys, ["analyze", given.format(tmp=tmp_path)])
+    assert (code, out) == (2, "")
+    assert err == f"error: {named}: cannot read the input (Is a directory)\n"
 
 
 class TestVerdictPayloads:

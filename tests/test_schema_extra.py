@@ -168,6 +168,13 @@ class TestMatrixEntries:
         (True, "expected an integer, got a boolean"),
         (2.0, "expected an integer, got float"),
         ("two", "not an integer string: 'two'"),
+        # int() reads these four, so a stray blank or underscore would change
+        # the number instead of being refused
+        ("1_0", "not an integer string: '1_0'"),
+        (" 2", "not an integer string: ' 2'"),
+        ("2 ", "not an integer string: '2 '"),
+        ("\u0663", "not an integer string: '\u0663'"),
+        ("+", "not an integer string: '+'"),
         (None, "expected an integer, got NoneType"),
     ])
     def test_bad_entry_is_located(self, bad, message):
@@ -179,6 +186,8 @@ class TestMatrixEntries:
         big = 10 ** 40 + 1
         datum = parse_document(one_branch_doc([[big, 0], [str(big), -3]]))
         assert datum.branches[0].pairing.entries == ((big, 0), (big, -3))
+        datum = parse_document(one_branch_doc([["+2", "-0"], ["007", "-3"]]))
+        assert datum.branches[0].pairing.entries == ((2, 0), (7, -3))
 
     def test_rows_of_plain_ints_are_not_parsed_entry_by_entry(self, monkeypatch):
         located = []
