@@ -366,7 +366,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
     doc["name"] = f"{doc['name']}-seed{args.seed}"
     text = _render_json(doc)
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        try:
+            Path(args.out).write_text(text + "\n")
+        except OSError as exc:
+            raise InputError(f"{args.out}: cannot write the output ({exc.strerror})") from exc
     else:
         print(text)
     return 0
@@ -378,6 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Toric-additivity verdicts, component groups, and monodromy "
                     "cross-checks for semiabelian degeneration data.")
     sub = parser.add_subparsers(dest="command", required=True)
+    integer = schema.decimal_int    # a sign and ASCII digits, as in the input files
 
     def add(name: str, help_text: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
@@ -390,11 +394,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_trait = add("trait", "composed pairing and component group of a trait")
     p_trait.add_argument("--profile", required=True,
                          help="comma-separated branch multiplicities a_1,...,a_n")
-    p_trait.add_argument("--l", type=int, default=None, help="also report the l-part")
+    p_trait.add_argument("--l", type=integer, default=None, help="also report the l-part")
 
     p_oracle = add("oracle", "lattice-side vs Galois-side cross-check")
-    p_oracle.add_argument("--l", type=int, required=True, help="prime l != residue char")
-    p_oracle.add_argument("--r", type=int, default=4, help="lowest finite level l^r (default 4)")
+    p_oracle.add_argument("--l", type=integer, required=True, help="prime l != residue char")
+    p_oracle.add_argument("--r", type=integer, default=4,
+                          help="lowest finite level l^r (default 4)")
     p_oracle.add_argument("--profile", default=None,
                           help="also cross-check the trait component group")
 
@@ -408,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("generate", help="emit a random input document")
     p_gen.add_argument("what", choices=["datum", "ta-datum", "graph"])
-    p_gen.add_argument("--seed", type=int, required=True, help="generator seed")
+    p_gen.add_argument("--seed", type=integer, required=True, help="generator seed")
     p_gen.add_argument("--out", default=None, help="write to a file instead of stdout")
     return parser
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .degeneration import Branch, DegenDatum, analyze
 from .errors import InputError
-from .lattice import Lattice, LatticeMap
+from .lattice import LatticeMap
 
 
 @dataclass(frozen=True)
@@ -203,15 +203,14 @@ def graph_to_datum(graph: DualGraph) -> DegenDatum:
                     row[b] += w * ca * cb
         branches.append(Branch(
             name=f"D{br + 1}",
-            lattice=Lattice(mu_i),
-            pairing=LatticeMap.from_rows(pairing_rows, source_rank=mu_i, target_rank=mu_i),
-            specialization=LatticeMap.from_rows(sp_rows, source_rank=mu, target_rank=mu_i),
+            pairing=LatticeMap.from_rows(pairing_rows, mu_i),
+            specialization=LatticeMap.from_rows(sp_rows, mu),
         ))
     return DegenDatum(
         name=graph.name,
         abelian_rank=sum(v.genus for v in graph.vertices),
         residue_char=graph.residue_char,
-        closed_point=Lattice(mu),
+        mu=mu,
         branches=tuple(branches),
     )
 

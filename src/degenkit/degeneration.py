@@ -1,12 +1,15 @@
 """Degeneration data and the three toric-additivity verdicts.
 
 A ``DegenDatum`` is the strictly local picture of a semiabelian degeneration:
-the character lattice X of the maximal torus at the closed point, one branch
-record per boundary divisor (branch lattice X_i, monodromy pairing
+the rank mu of the character lattice X of the maximal torus at the closed
+point, one branch record per boundary divisor (monodromy pairing
 phi_i : X'_i -> X_i^dual, specialization sp_i : X -> X_i), and optionally an
-explicit dual side (X', sp'_i) plus polarization maps.  When the dual side is
-omitted the datum is taken principally polarized: X' = X, sp' = sp, and every
-pairing must be symmetric positive definite.
+explicit dual side (rank X', sp'_i) plus polarization maps.  Every lattice is
+a free Z-module known by its rank, and every rank but mu and rank X' is a
+shape of these maps: rank X_i is the row count of phi_i and sp_i, and
+rank X'_i the column count of phi_i.  When the dual side is omitted the
+datum is taken principally polarized: X' = X, sp' = sp, and every pairing
+must be symmetric positive definite.
 
 The stacked specializations form the purity matrix X -> ⊕X_i.  Toric
 additivity asks that it be an isomorphism; the l-adic variant asks that no
@@ -23,7 +26,6 @@ from . import intmat
 from .errors import InputError
 from .lattice import (
     FinAb,
-    Lattice,
     LatticeMap,
     cokernel,
     is_onto,
@@ -33,26 +35,26 @@ from .lattice import (
 
 @dataclass(frozen=True)
 class Branch:
-    """One boundary-divisor branch: lattice X_i, pairing, specialization."""
+    """One boundary-divisor branch: pairing and specialization, whose shared
+    row count is rank X_i."""
 
     name: str
-    lattice: Lattice                # X_i
     pairing: LatticeMap             # phi_i : X'_i -> X_i^dual
     specialization: LatticeMap      # sp_i : X -> X_i
 
     def __post_init__(self) -> None:
-        if self.pairing.target.rank != self.lattice.rank:
+        if self.pairing.nrows != self.specialization.nrows:
             raise InputError(
-                f"branch '{self.name}': pairing has {self.pairing.target.rank} rows, "
-                f"branch rank is {self.lattice.rank}")
-        if self.specialization.target.rank != self.lattice.rank:
-            raise InputError(
-                f"branch '{self.name}': specialization targets rank "
-                f"{self.specialization.target.rank}, branch rank is {self.lattice.rank}")
+                f"branch '{self.name}': pairing has {self.pairing.nrows} rows, "
+                f"specialization has {self.specialization.nrows}")
+
+    @property
+    def rank(self) -> int:
+        return self.pairing.nrows
 
     @property
     def dual_rank(self) -> int:
-        return self.pairing.source.rank
+        return self.pairing.ncols
 
 
 @dataclass(frozen=True)
@@ -69,9 +71,9 @@ class DegenDatum:
     name: str
     abelian_rank: int
     residue_char: int
-    closed_point: Lattice                                   # X
+    mu: int                                                 # rank X
     branches: tuple[Branch, ...]
-    dual_closed_point: Lattice | None = None                # X'
+    dual_mu: int | None = None                              # rank X'
     dual_specializations: tuple[LatticeMap, ...] | None = None  # sp'_i : X' -> X'_i
     polarization: LatticeMap | None = None                  # lambda : X -> X'
     branch_polarizations: tuple[LatticeMap, ...] | None = None  # lambda_i : X_i -> X'_i
@@ -82,38 +84,41 @@ class DegenDatum:
             raise InputError("abelian rank must be non-negative")
         if self.residue_char < 0:
             raise InputError("residue characteristic must be 0 or a prime")
+        if self.mu < 0:
+            raise InputError(f"closed-point rank must be non-negative, got {self.mu}")
+        if self.dual_mu is not None and self.dual_mu < 0:
+            raise InputError(f"dual closed-point rank must be non-negative, got {self.dual_mu}")
         for b in self.branches:
-            if b.specialization.source.rank != self.closed_point.rank:
+            if b.specialization.ncols != self.mu:
                 raise InputError(
                     f"branch '{b.name}': specialization source rank "
-                    f"{b.specialization.source.rank} != closed-point rank {self.closed_point.rank}")
-        if (self.dual_closed_point is None) != (self.dual_specializations is None):
-            raise InputError("dual side needs both its lattice and its specializations")
+                    f"{b.specialization.ncols} != closed-point rank {self.mu}")
+        if (self.dual_mu is None) != (self.dual_specializations is None):
+            raise InputError("dual side needs both its rank and its specializations")
         if self.dual_specializations is not None:
             if len(self.dual_specializations) != self.n:
                 raise InputError("one dual specialization per branch required")
             for b, sp in zip(self.branches, self.dual_specializations):
-                if sp.source.rank != self.dual_closed_point.rank:
+                if sp.ncols != self.dual_mu:
                     raise InputError(
                         f"branch '{b.name}': dual specialization source rank mismatch")
-                if sp.target.rank != b.dual_rank:
+                if sp.nrows != b.dual_rank:
                     raise InputError(
                         f"branch '{b.name}': dual specialization targets rank "
-                        f"{sp.target.rank}, pairing source rank is {b.dual_rank}")
+                        f"{sp.nrows}, pairing source rank is {b.dual_rank}")
         else:
             for b in self.branches:
-                if b.dual_rank != b.lattice.rank:
+                if b.dual_rank != b.rank:
                     raise InputError(
                         f"branch '{b.name}': non-square pairing needs an explicit dual side")
         if self.polarization is not None:
-            if self.polarization.source.rank != self.closed_point.rank or \
-                    self.polarization.target.rank != self.dual_closed.rank:
+            if self.polarization.ncols != self.mu or self.polarization.nrows != self.mu_prime:
                 raise InputError("polarization must map X to X'")
         if self.branch_polarizations is not None:
             if len(self.branch_polarizations) != self.n:
                 raise InputError("one branch polarization per branch required")
             for b, lam in zip(self.branches, self.branch_polarizations):
-                if lam.source.rank != b.lattice.rank or lam.target.rank != b.dual_rank:
+                if lam.ncols != b.rank or lam.nrows != b.dual_rank:
                     raise InputError(f"branch '{b.name}': polarization must map X_i to X'_i")
         seen: set[tuple[int, ...]] = set()
         for ov in self.strata:
@@ -132,20 +137,17 @@ class DegenDatum:
         return len(self.branches)
 
     @property
-    def mu(self) -> int:
-        return self.closed_point.rank
-
-    @property
     def branch_mus(self) -> tuple[int, ...]:
-        return tuple(b.lattice.rank for b in self.branches)
+        return tuple(b.rank for b in self.branches)
 
     @property
     def is_principal(self) -> bool:
-        return self.dual_closed_point is None
+        return self.dual_mu is None
 
     @property
-    def dual_closed(self) -> Lattice:
-        return self.dual_closed_point if self.dual_closed_point is not None else self.closed_point
+    def mu_prime(self) -> int:
+        """rank X', which is mu on a principal datum."""
+        return self.mu if self.dual_mu is None else self.dual_mu
 
     def dual_sp(self, i: int) -> LatticeMap:
         if self.dual_specializations is not None:
@@ -243,12 +245,10 @@ def restricted_purity(datum: DegenDatum, active: Iterable[int],
     branch.  The one place a purity stack is built."""
     if dual:
         maps = [datum.dual_sp(j) for j in active]
-        source = datum.dual_closed
     else:
         maps = [datum.branches[j].specialization for j in active]
-        source = datum.closed_point
     if not maps:
-        return LatticeMap.zero(source, Lattice(0))
+        return LatticeMap.zero(0, datum.mu_prime if dual else datum.mu)
     return LatticeMap.stack(maps)
 
 
@@ -279,10 +279,10 @@ def validate(datum: DegenDatum) -> list[Violation]:
             out.append(Violation("specialization not surjective", i))
         if dual and not dual_onto and not datum.dual_sp(i).is_surjective():
             out.append(Violation("dual specialization not surjective", i))
-        square = b.dual_rank == b.lattice.rank
+        square = b.dual_rank == b.rank
         if not square:
             out.append(Violation("branch dual rank mismatch", i,
-                                 f"rank X'_i = {b.dual_rank}, rank X_i = {b.lattice.rank}"))
+                                 f"rank X'_i = {b.dual_rank}, rank X_i = {b.rank}"))
         lam = explicit[i] if explicit is not None else None
         polarized = lam is not None or datum.is_principal    # by lam, or by the identity
         reason = None
@@ -296,13 +296,13 @@ def validate(datum: DegenDatum) -> list[Violation]:
                 out.append(Violation("polarization not injective", i))
             else:
                 out.append(Violation(f"pairing {reason}", i))
-    if datum.dual_closed.rank != datum.mu:
+    if datum.mu_prime != datum.mu:
         out.append(Violation("dual rank mismatch",
-                             detail=f"rank X' = {datum.dual_closed.rank}, rank X = {datum.mu}"))
+                             detail=f"rank X' = {datum.mu_prime}, rank X = {datum.mu}"))
     if datum.purity_cokernel[1] != sum(datum.branch_mus) - datum.mu:
         out.append(Violation("purity map not injective"))
     if dual and datum.dual_purity_cokernel[1] != \
-            sum(b.dual_rank for b in datum.branches) - datum.dual_closed.rank:
+            sum(b.dual_rank for b in datum.branches) - datum.mu_prime:
         out.append(Violation("dual purity map not injective"))
     if datum.mu > sum(datum.branch_mus):
         out.append(Violation("toric rank inequality violated",
@@ -333,9 +333,9 @@ def _override_violations(datum: DegenDatum, ov: StratumOverride) -> list[Violati
     def invalid(detail: str) -> list[Violation]:
         return [Violation("stratum override invalid", detail=detail)]
 
-    amb = sum(datum.branches[j].lattice.rank for j in ov.branches)
-    if ov.inclusion.target.rank != amb:
-        return invalid(f"inclusion targets rank {ov.inclusion.target.rank}, "
+    amb = sum(datum.branches[j].rank for j in ov.branches)
+    if ov.inclusion.nrows != amb:
+        return invalid(f"inclusion targets rank {ov.inclusion.nrows}, "
                        f"ambient rank is {amb}")
     if not ov.inclusion.is_injective():
         return invalid("inclusion not injective")
@@ -351,7 +351,7 @@ def _override_violations(datum: DegenDatum, ov: StratumOverride) -> list[Violati
         return out if datum.is_principal else out + invalid(
             "no dual inclusion on a non-principal datum")
     damb = sum(datum.branches[j].dual_rank for j in ov.branches)
-    if dual.target.rank != damb or not dual.is_injective():
+    if dual.nrows != damb or not dual.is_injective():
         return out + invalid("bad dual inclusion")
     dual_restricted = restricted_purity(datum, ov.branches, dual=True)
     if dual.solve(dual_restricted) is None:

@@ -12,7 +12,7 @@ from random import Random
 from . import intmat
 from .curves import DualGraph, GraphEdge, GraphVertex
 from .degeneration import Branch, DegenDatum, validate
-from .lattice import Lattice, LatticeMap
+from .lattice import LatticeMap
 
 ENTRY_BOUND = 9
 
@@ -72,21 +72,19 @@ def random_datum(rng: Random, max_mu: int = 4, max_n: int = 3,
     while True:
         n = rng.randint(min_n, max_n)
         if n == 0:
-            return DegenDatum("random", rng.randint(0, 2), residue_char,
-                              Lattice(0), ())
+            return DegenDatum("random", rng.randint(0, 2), residue_char, 0, ())
         branch_mus = [rng.randint(1, max(1, max_mu - 1)) for _ in range(n)]
         total = sum(branch_mus)
         mu = rng.randint(1, min(max_mu, total))
         rows = [[rng.randint(-2, 2) for _ in range(mu)] for _ in range(total)]
-        stacked = LatticeMap.from_rows(rows, source_rank=mu, target_rank=total)
+        stacked = LatticeMap.from_rows(rows, mu)
         if not stacked.is_injective():
             continue
         blocks = []
         pos = 0
         ok = True
         for mu_i in branch_mus:
-            block = LatticeMap.from_rows(rows[pos:pos + mu_i], source_rank=mu,
-                                         target_rank=mu_i)
+            block = LatticeMap.from_rows(rows[pos:pos + mu_i], mu)
             if not block.is_surjective():
                 ok = False
                 break
@@ -95,13 +93,9 @@ def random_datum(rng: Random, max_mu: int = 4, max_n: int = 3,
         if not ok:
             continue
         branches = tuple(
-            Branch(f"D{i + 1}", Lattice(mu_i),
-                   LatticeMap.from_rows(random_spd(rng, mu_i),
-                                        source_rank=mu_i, target_rank=mu_i),
-                   blocks[i])
+            Branch(f"D{i + 1}", LatticeMap.from_rows(random_spd(rng, mu_i), mu_i), blocks[i])
             for i, mu_i in enumerate(branch_mus))
-        datum = DegenDatum("random", rng.randint(0, 2), residue_char,
-                           Lattice(mu), branches)
+        datum = DegenDatum("random", rng.randint(0, 2), residue_char, mu, branches)
         if not validate(datum):
             return datum
 
@@ -111,7 +105,7 @@ def random_ta_datum(rng: Random, max_mu: int = 4, max_n: int = 3,
     """Random toric-additive datum: the purity matrix is unimodular by design."""
     n = rng.randint(min_n, max_n)
     if n == 0:
-        return DegenDatum("random-ta", rng.randint(0, 2), residue_char, Lattice(0), ())
+        return DegenDatum("random-ta", rng.randint(0, 2), residue_char, 0, ())
     while True:
         branch_mus = [rng.randint(1, 2) for _ in range(n)]
         mu = sum(branch_mus)
@@ -121,13 +115,11 @@ def random_ta_datum(rng: Random, max_mu: int = 4, max_n: int = 3,
     branches = []
     pos = 0
     for i, mu_i in enumerate(branch_mus):
-        sp = LatticeMap.from_rows(purity[pos:pos + mu_i], source_rank=mu, target_rank=mu_i)
-        pairing = LatticeMap.from_rows(random_spd(rng, mu_i), source_rank=mu_i,
-                                       target_rank=mu_i)
-        branches.append(Branch(f"D{i + 1}", Lattice(mu_i), pairing, sp))
+        sp = LatticeMap.from_rows(purity[pos:pos + mu_i], mu)
+        pairing = LatticeMap.from_rows(random_spd(rng, mu_i), mu_i)
+        branches.append(Branch(f"D{i + 1}", pairing, sp))
         pos += mu_i
-    return DegenDatum("random-ta", rng.randint(0, 2), residue_char,
-                      Lattice(mu), tuple(branches))
+    return DegenDatum("random-ta", rng.randint(0, 2), residue_char, mu, tuple(branches))
 
 
 def random_polarized_datum(rng: Random, max_mu: int = 3, max_n: int = 3,
@@ -146,33 +138,30 @@ def random_polarized_datum(rng: Random, max_mu: int = 3, max_n: int = 3,
     mu = base.mu
     w = random_unimodular(rng, mu)
     w_inv = _unimodular_inverse(w, mu)
-    branch_ws = [random_unimodular(rng, b.lattice.rank) for b in base.branches]
+    branch_ws = [random_unimodular(rng, b.rank) for b in base.branches]
     dual_sps = []
     branches = []
     pols = []
     for b, wi in zip(base.branches, branch_ws):
-        k = b.lattice.rank
+        k = b.rank
         wi_inv = _unimodular_inverse(wi, k)
         sp_rows = intmat.matmul(
             intmat.matmul(wi, k, k, b.specialization.entries, k, mu), k, mu,
             w_inv, mu, mu)
-        dual_sps.append(LatticeMap.from_rows(sp_rows, source_rank=mu, target_rank=k))
+        dual_sps.append(LatticeMap.from_rows(sp_rows, mu))
         s = random_spd(rng, k)
         pairing_rows = intmat.matmul(s, k, k, wi_inv, k, k)
-        branches.append(Branch(b.name, b.lattice,
-                               LatticeMap.from_rows(pairing_rows, source_rank=k,
-                                                    target_rank=k),
-                               b.specialization))
-        pols.append(LatticeMap.from_rows(wi, source_rank=k, target_rank=k))
+        branches.append(Branch(b.name, LatticeMap.from_rows(pairing_rows, k), b.specialization))
+        pols.append(LatticeMap.from_rows(wi, k))
     return DegenDatum(
         name=base.name + "-polarized",
         abelian_rank=base.abelian_rank,
         residue_char=base.residue_char,
-        closed_point=base.closed_point,
+        mu=mu,
         branches=tuple(branches),
-        dual_closed_point=Lattice(mu),
+        dual_mu=mu,
         dual_specializations=tuple(dual_sps),
-        polarization=LatticeMap.from_rows(w, source_rank=mu, target_rank=mu),
+        polarization=LatticeMap.from_rows(w, mu),
         branch_polarizations=tuple(pols),
     )
 

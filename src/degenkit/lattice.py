@@ -1,10 +1,11 @@
 """Lattices, lattice maps, and finite abelian groups.
 
-A ``Lattice`` is just a free abelian group of known rank; a ``LatticeMap`` is
-an exact integer matrix between two of them.  ``FinAb`` stores a finite
-abelian group by its invariant-factor chain d_1 | d_2 | ...; the cokernel of
-a map is that group plus a free rank, and the map is onto exactly when both
-are trivial (``is_onto``).
+A lattice is a free abelian group Z^r, known by its rank r alone; a
+``LatticeMap`` Z^n -> Z^m is an exact m × n integer matrix, whose shape is
+the two ranks.  ``FinAb`` stores a finite abelian group by its
+invariant-factor chain d_1 | d_2 | ...; the cokernel of a map is that group
+plus a free rank, and the map is onto exactly when both are trivial
+(``is_onto``).
 
 All values are immutable; every operation is a pure function on Python ints.
 """
@@ -20,48 +21,30 @@ from .errors import InputError
 Rows = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class Lattice:
-    rank: int
-
-    def __post_init__(self) -> None:
-        if self.rank < 0:
-            raise InputError(f"lattice rank must be non-negative, got {self.rank}")
-
-    def __repr__(self) -> str:
-        return f"Z^{self.rank}"
-
-
 def _freeze(rows: list[list[int]]) -> Rows:
     return tuple(map(tuple, rows))
 
 
 @dataclass(frozen=True)
 class LatticeMap:
-    """Homomorphism source -> target as a (target.rank × source.rank) matrix."""
+    """Homomorphism Z^ncols -> Z^nrows as an exact (nrows × ncols) matrix,
+    nrows = len(entries)."""
 
-    source: Lattice
-    target: Lattice
     entries: Rows
+    ncols: int
 
     def __post_init__(self) -> None:
-        if len(self.entries) != self.target.rank:
-            raise InputError(
-                f"matrix has {len(self.entries)} rows, target rank is {self.target.rank}")
         for i, row in enumerate(self.entries):
-            if len(row) != self.source.rank:
-                raise InputError(
-                    f"matrix row {i} has {len(row)} entries, source rank is {self.source.rank}")
+            if len(row) != self.ncols:
+                raise InputError(f"matrix row {i} has {len(row)} entries, expected {self.ncols}")
 
     @classmethod
-    def from_rows(cls, rows: list[list[int]], source_rank: int | None = None,
-                  target_rank: int | None = None) -> "LatticeMap":
-        tr = len(rows) if target_rank is None else target_rank
-        if source_rank is None:
+    def from_rows(cls, rows: list[list[int]], ncols: int | None = None) -> "LatticeMap":
+        if ncols is None:
             if not rows:
-                raise InputError("source rank of an empty matrix must be given explicitly")
-            source_rank = len(rows[0])
-        return cls(Lattice(source_rank), Lattice(tr), _freeze(rows))
+                raise InputError("the column count of an empty matrix must be given explicitly")
+            ncols = len(rows[0])
+        return cls(_freeze(rows), ncols)
 
     @classmethod
     def identity(cls, rank: int) -> "LatticeMap":
@@ -73,63 +56,55 @@ class LatticeMap:
         rows = intmat.zeros(n, n)
         for i, v in enumerate(values):
             rows[i][i] = v
-        return cls(Lattice(n), Lattice(n), _freeze(rows))
+        return cls(_freeze(rows), n)
 
     @classmethod
-    def zero(cls, source: Lattice, target: Lattice) -> "LatticeMap":
-        return cls(source, target, _freeze(intmat.zeros(target.rank, source.rank)))
+    def zero(cls, nrows: int, ncols: int) -> "LatticeMap":
+        return cls(_freeze(intmat.zeros(nrows, ncols)), ncols)
 
     @classmethod
     def stack(cls, maps: list["LatticeMap"]) -> "LatticeMap":
         """Vertical stack of maps with a common source."""
         if not maps:
             raise InputError("cannot stack zero maps without a source")
-        src = maps[0].source
-        for m in maps:
-            if m.source != src:
-                raise InputError("stacked maps must share their source")
-        rows = tuple(r for m in maps for r in m.entries)
-        return cls(src, Lattice(sum(m.target.rank for m in maps)), rows)
+        ncols = maps[0].ncols
+        if any(m.ncols != ncols for m in maps):
+            raise InputError("stacked maps must share their source")
+        return cls(tuple(r for m in maps for r in m.entries), ncols)
 
     @classmethod
     def block_diagonal(cls, maps: list["LatticeMap"]) -> "LatticeMap":
-        sr = sum(m.source.rank for m in maps)
-        tr = sum(m.target.rank for m in maps)
-        out = intmat.zeros(tr, sr)
+        sr = sum(m.ncols for m in maps)
+        out = intmat.zeros(sum(m.nrows for m in maps), sr)
         i0 = j0 = 0
         for m in maps:
             for i, row in enumerate(m.entries):
                 for j, v in enumerate(row):
                     out[i0 + i][j0 + j] = v
-            i0 += m.target.rank
-            j0 += m.source.rank
-        return cls(Lattice(sr), Lattice(tr), _freeze(out))
+            i0 += m.nrows
+            j0 += m.ncols
+        return cls(_freeze(out), sr)
 
     # -- plumbing -----------------------------------------------------------
 
     @property
     def nrows(self) -> int:
-        return self.target.rank
-
-    @property
-    def ncols(self) -> int:
-        return self.source.rank
+        return len(self.entries)
 
     def compose(self, other: "LatticeMap") -> "LatticeMap":
         """self ∘ other (apply other first)."""
-        if other.target != self.source:
+        if other.nrows != self.ncols:
             raise InputError("composition rank mismatch")
         m = intmat.matmul(self.entries, self.nrows, self.ncols,
                           other.entries, other.nrows, other.ncols)
-        return LatticeMap(other.source, self.target, _freeze(m))
+        return LatticeMap(_freeze(m), other.ncols)
 
     def transpose(self) -> "LatticeMap":
-        return LatticeMap(Lattice(self.target.rank), Lattice(self.source.rank),
-                          _freeze(intmat.transpose(self.entries, self.nrows, self.ncols)))
+        return LatticeMap(_freeze(intmat.transpose(self.entries, self.nrows, self.ncols)),
+                          self.nrows)
 
     def scaled(self, c: int) -> "LatticeMap":
-        return LatticeMap(self.source, self.target,
-                          _freeze([[c * v for v in row] for row in self.entries]))
+        return LatticeMap(_freeze([[c * v for v in row] for row in self.entries]), self.ncols)
 
     def smith_diagonal(self) -> tuple[int, ...]:
         """The nonzero Smith diagonal, 1s included."""
@@ -149,12 +124,12 @@ class LatticeMap:
         if self.nrows != self.ncols:
             raise InputError("adjugate of a non-square map")
         det, adj = intmat.det_adjugate(self.entries, self.nrows)
-        return det, LatticeMap(self.source, self.target, _freeze(adj))
+        return det, LatticeMap(_freeze(adj), self.ncols)
 
     def image_basis(self) -> "LatticeMap":
         """Canonical (Hermite) basis of the image: equal images iff equal bases."""
         h = intmat.hnf_columns(self.entries, self.nrows, self.ncols)
-        return LatticeMap(Lattice(len(h[0]) if h else 0), self.target, _freeze(h))
+        return LatticeMap(_freeze(h), len(h[0]) if h else 0)
 
     def solve(self, b: "LatticeMap") -> "LatticeMap | None":
         """The integral X with self ∘ X = b, or None when there is none.
@@ -163,7 +138,7 @@ class LatticeMap:
         of independent rows the solver gives det·X, and X is the answer
         when det divides every entry and X satisfies the other rows too.
         """
-        if b.target != self.target:
+        if b.nrows != self.nrows:
             raise InputError("solve needs a right-hand side with the same target")
         rows = intmat.independent_rows(self.entries, self.nrows, self.ncols)
         if len(rows) < self.ncols:
@@ -172,7 +147,7 @@ class LatticeMap:
                                        [b.entries[i] for i in rows])
         if any(v % det for row in x for v in row):
             return None
-        x = LatticeMap(b.source, self.source, tuple(tuple(v // det for v in row) for row in x))
+        x = LatticeMap(tuple(tuple(v // det for v in row) for row in x), b.ncols)
         return x if self.compose(x).entries == b.entries else None
 
 

@@ -47,7 +47,6 @@ from .degeneration import (
 from .errors import InputError
 from .lattice import (
     FinAb,
-    Lattice,
     LatticeMap,
     cokernel,
     is_onto,
@@ -108,7 +107,7 @@ class ComposedPairing:
         blocks = [phi.scaled(self.profile.multiplicities[j])
                   for j, phi in zip(self.active, self.pairings)]
         middle = LatticeMap.block_diagonal(blocks) if blocks \
-            else LatticeMap.zero(Lattice(0), Lattice(0))
+            else LatticeMap.zero(0, 0)
         return self.stratum.inclusion.transpose().compose(middle).compose(
             self.dual_stratum.inclusion)
 

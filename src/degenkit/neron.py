@@ -26,7 +26,6 @@ from .degeneration import (
 from .errors import FalsificationError, InputError
 from .lattice import (
     FinAb,
-    Lattice,
     LatticeMap,
     Rows,
     cokernel,
@@ -121,7 +120,7 @@ def converse_check(p_map: LatticeMap, q_map: LatticeMap,
     - X = ker P ⊕ ker Q, the images of chi2 and chi1;
     - P restricted to ker Q is unimodular, with inverse theta_1.
     """
-    if p_map.source != q_map.source:
+    if p_map.ncols != q_map.ncols:
         raise InputError("P and Q must share their source")
     if not p_map.is_surjective() or not q_map.is_surjective():
         raise InputError("P and Q must be surjective")
@@ -147,9 +146,8 @@ def converse_check(p_map: LatticeMap, q_map: LatticeMap,
         raise FalsificationError("certified decomposition failed the isomorphism checks")
     theta = adj.scaled(det).entries     # A^-1 = adj A / det A = det A · adj A
     r1 = p_map.nrows
-    theta1 = LatticeMap.from_rows([row[:r1] for row in theta], source_rank=r1, target_rank=mu)
-    theta2 = LatticeMap.from_rows([row[r1:] for row in theta],
-                                  source_rank=mu - r1, target_rank=mu)
+    theta1 = LatticeMap.from_rows([row[:r1] for row in theta], r1)
+    theta2 = LatticeMap.from_rows([row[r1:] for row in theta], mu - r1)
     return ConverseCertificate(True, coker1, coker2, theta=theta,
                                chi1=theta1.compose(p_map), chi2=theta2.compose(q_map))
 
@@ -169,8 +167,8 @@ def converse_inputs_from_datum(datum: DegenDatum) -> tuple[LatticeMap, LatticeMa
     """
     require_valid(datum)
     if datum.n == 0:
-        zero = LatticeMap.zero(datum.closed_point, Lattice(0))
-        empty = LatticeMap.zero(Lattice(0), Lattice(0))
+        zero = LatticeMap.zero(0, datum.mu)
+        empty = LatticeMap.zero(0, 0)
         return zero, zero, empty, empty
     lams = datum.branch_polarizations
     if lams is None and not datum.is_principal:

@@ -21,7 +21,7 @@ from typing import Any
 from .curves import DualGraph, GraphEdge, GraphVertex
 from .degeneration import Branch, DegenDatum, StratumOverride
 from .errors import InputError
-from .lattice import Lattice, LatticeMap
+from .lattice import LatticeMap
 
 FORMAT_VERSION = "1"
 _PLAIN_INT = {int}
@@ -69,6 +69,13 @@ def _int(value: Any, where: str) -> int:
     raise InputError(f"{where}: expected an integer, got {type(value).__name__}")
 
 
+def _rank(value: Any, where: str) -> int:
+    rank = _int(value, where)
+    if rank < 0:
+        raise InputError(f"{where}: must be non-negative, got {rank}")
+    return rank
+
+
 def _matrix(value: Any, where: str, nrows: int, ncols: int) -> LatticeMap:
     if not isinstance(value, list):
         raise InputError(f"{where}: expected an array of rows")
@@ -87,7 +94,7 @@ def _matrix(value: Any, where: str, nrows: int, ncols: int) -> LatticeMap:
             rows.append(tuple(row))
         else:
             rows.append(tuple(_int(v, f"{where}[{i}][{j}]") for j, v in enumerate(row)))
-    return LatticeMap(Lattice(ncols), Lattice(nrows), tuple(rows))
+    return LatticeMap(tuple(rows), ncols)
 
 
 def _parse_datum(data: dict, where: str) -> DegenDatum:
@@ -97,7 +104,7 @@ def _parse_datum(data: dict, where: str) -> DegenDatum:
     cp = data.get("closed_point")
     if not isinstance(cp, dict) or "rank" not in cp:
         raise InputError(f"{where}.closed_point: expected an object with a rank")
-    mu = _int(cp["rank"], f"{where}.closed_point.rank")
+    mu = _rank(cp["rank"], f"{where}.closed_point.rank")
     raw_branches = data.get("branches")
     if not isinstance(raw_branches, list):
         raise InputError(f"{where}.branches: expected an array")
@@ -111,7 +118,7 @@ def _parse_datum(data: dict, where: str) -> DegenDatum:
         dcp = dual.get("closed_point")
         if not isinstance(dcp, dict) or "rank" not in dcp:
             raise InputError(f"{where}.dual.closed_point: expected an object with a rank")
-        dual_mu = _int(dcp["rank"], f"{where}.dual.closed_point.rank")
+        dual_mu = _rank(dcp["rank"], f"{where}.dual.closed_point.rank")
         raw_dbranches = dual.get("branches")
         if not isinstance(raw_dbranches, list) or len(raw_dbranches) != len(raw_branches):
             raise InputError(f"{where}.dual.branches: expected one entry per branch")
@@ -119,7 +126,7 @@ def _parse_datum(data: dict, where: str) -> DegenDatum:
         for i, db in enumerate(raw_dbranches):
             if not isinstance(db, dict):
                 raise InputError(f"{where}.dual.branches[{i}]: expected an object")
-            dual_ranks.append(_int(db.get("rank"), f"{where}.dual.branches[{i}].rank"))
+            dual_ranks.append(_rank(db.get("rank"), f"{where}.dual.branches[{i}].rank"))
 
     branches = []
     for i, raw in enumerate(raw_branches):
@@ -127,16 +134,14 @@ def _parse_datum(data: dict, where: str) -> DegenDatum:
         if not isinstance(raw, dict):
             raise InputError(f"{bw}: expected an object")
         bname = raw.get("name", f"D{i + 1}")
-        rank = _int(raw.get("rank"), f"{bw}.rank")
+        rank = _rank(raw.get("rank"), f"{bw}.rank")
         drank = dual_ranks[i] if dual_ranks is not None else rank
         pairing = _matrix(raw.get("pairing"), f"{bw}.pairing", rank, drank)
         sp = _matrix(raw.get("specialization"), f"{bw}.specialization", rank, mu)
-        branches.append(Branch(str(bname), Lattice(rank), pairing, sp))
+        branches.append(Branch(str(bname), pairing, sp))
 
-    dual_cp = None
     dual_sps = None
     if dual is not None:
-        dual_cp = Lattice(dual_mu)
         dual_sps = tuple(
             _matrix(dual["branches"][i].get("specialization"),
                     f"{where}.dual.branches[{i}].specialization",
@@ -159,7 +164,7 @@ def _parse_datum(data: dict, where: str) -> DegenDatum:
                 raise InputError(f"{where}.polarization.branches: expected one matrix per branch")
             branch_pols = tuple(
                 _matrix(raw_bp[i], f"{where}.polarization.branches[{i}]",
-                        branches[i].dual_rank, branches[i].lattice.rank)
+                        branches[i].dual_rank, branches[i].rank)
                 for i in range(len(branches)))
 
     strata: list[StratumOverride] = []
@@ -171,6 +176,8 @@ def _parse_datum(data: dict, where: str) -> DegenDatum:
         sw = f"{where}.strata[{k}]"
         if not isinstance(raw, dict) or "branches" not in raw or "inclusion" not in raw:
             raise InputError(f"{sw}: expected an object with branches and inclusion")
+        if not isinstance(raw["branches"], list):
+            raise InputError(f"{sw}.branches: expected an array")
         idxs = []
         for b in raw["branches"]:
             if isinstance(b, str):
@@ -183,7 +190,7 @@ def _parse_datum(data: dict, where: str) -> DegenDatum:
                     raise InputError(f"{sw}.branches: index out of range")
                 idxs.append(j)
         idxs = sorted(set(idxs))
-        ambient = sum(branches[j].lattice.rank for j in idxs)
+        ambient = sum(branches[j].rank for j in idxs)
         raw_inc = raw["inclusion"]
         if not isinstance(raw_inc, list):
             raise InputError(f"{sw}.inclusion: expected an array of rows")
@@ -203,9 +210,9 @@ def _parse_datum(data: dict, where: str) -> DegenDatum:
             name=str(name),
             abelian_rank=abelian_rank,
             residue_char=residue_char,
-            closed_point=Lattice(mu),
+            mu=mu,
             branches=tuple(branches),
-            dual_closed_point=dual_cp,
+            dual_mu=dual_mu,
             dual_specializations=dual_sps,
             polarization=pol,
             branch_polarizations=branch_pols,
@@ -282,16 +289,16 @@ def datum_to_dict(datum: DegenDatum) -> dict:
         "branches": [
             {
                 "name": b.name,
-                "rank": b.lattice.rank,
+                "rank": b.rank,
                 "pairing": [list(r) for r in b.pairing.entries],
                 "specialization": [list(r) for r in b.specialization.entries],
             }
             for b in datum.branches
         ],
     }
-    if datum.dual_closed_point is not None:
+    if datum.dual_mu is not None:
         out["dual"] = {
-            "closed_point": {"rank": datum.dual_closed_point.rank},
+            "closed_point": {"rank": datum.dual_mu},
             "branches": [
                 {"rank": datum.branches[i].dual_rank,
                  "specialization": [list(r) for r in datum.dual_specializations[i].entries]}

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from degenkit.lattice import FinAb, Lattice, LatticeMap, cokernel
+from degenkit.lattice import FinAb, LatticeMap, cokernel
 from degenkit.monodromy import TraitProfile
 
 from oracles import add_maps, beside, kernel_saturated, psi_maps, sum_index
@@ -31,7 +31,7 @@ def mod_lr_quotient(action: LatticeMap, fixed: LatticeMap, modulus: int) -> FinA
     total = action.ncols
     lifted = beside([action, LatticeMap.identity(action.nrows).scaled(-modulus)])
     pairs = kernel_saturated(lifted)
-    kernel = LatticeMap(pairs.source, Lattice(total), pairs.entries[:total])
+    kernel = LatticeMap(pairs.entries[:total], pairs.ncols)
     relations = LatticeMap.identity(total).scaled(modulus)
     change = kernel.solve(beside([fixed, relations]))
     assert change is not None, "fixed vectors outside the finite-level kernel"
@@ -40,7 +40,7 @@ def mod_lr_quotient(action: LatticeMap, fixed: LatticeMap, modulus: int) -> FinA
 
 def block_inclusion(total: int, start: int, size: int) -> LatticeMap:
     rows = [[1 if i - start == j else 0 for j in range(size)] for i in range(total)]
-    return LatticeMap.from_rows(rows, source_rank=size, target_rank=total)
+    return LatticeMap.from_rows(rows, size)
 
 
 @dataclass(frozen=True)
@@ -119,7 +119,7 @@ def decomposition_check(rep: FullRep) -> bool:
 
 
 def torsion_phi_group(rep: FullRep, profile: TraitProfile, r: int) -> FinAb:
-    action = LatticeMap.zero(Lattice(rep.total), Lattice(rep.total))
+    action = LatticeMap.zero(rep.total, rep.total)
     for a, nil in zip(profile.multiplicities, rep.nilpotents):
         if a:
             action = add_maps(action, nil.scaled(a))

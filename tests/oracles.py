@@ -65,7 +65,6 @@ from degenkit.degeneration import (
 from degenkit.errors import InputError
 from degenkit.lattice import (
     FinAb,
-    Lattice,
     LatticeMap,
     cokernel,
     is_prime,
@@ -377,7 +376,7 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 def image_lattices_equal(a: LatticeMap, b: LatticeMap) -> bool:
     """Equal column lattices, by comparing canonical Hermite bases."""
-    if a.target != b.target:
+    if a.nrows != b.nrows:
         return False
     return a.image_basis() == b.image_basis()
 
@@ -389,7 +388,7 @@ def leading_principal_minors(m: list[list[int]], n: int) -> list[int]:
 
 def reference_pairing_violation(phi: LatticeMap, lam: LatticeMap) -> str | None:
     """phi∘lam symmetric positive definite, always composing with lam."""
-    if phi.source.rank != lam.target.rank:
+    if phi.ncols != lam.nrows:
         return "polarization target does not match pairing source"
     m = phi.compose(lam)
     if m.nrows != m.ncols:
@@ -435,9 +434,9 @@ def reference_validate(datum: DegenDatum) -> list[Violation]:
             out.append(Violation("specialization not surjective", i))
         if datum.dual_specializations is not None and not datum.dual_sp(i).is_surjective():
             out.append(Violation("dual specialization not surjective", i))
-        if b.dual_rank != b.lattice.rank:
+        if b.dual_rank != b.rank:
             out.append(Violation("branch dual rank mismatch", i,
-                                 f"rank X'_i = {b.dual_rank}, rank X_i = {b.lattice.rank}"))
+                                 f"rank X'_i = {b.dual_rank}, rank X_i = {b.rank}"))
         if not b.pairing.is_injective():
             out.append(Violation("pairing not injective", i))
         lam = branch_polarization(datum, i)
@@ -448,9 +447,9 @@ def reference_validate(datum: DegenDatum) -> list[Violation]:
                 reason = reference_pairing_violation(b.pairing, lam)
                 if reason is not None:
                     out.append(Violation(f"pairing {reason}", i))
-    if datum.dual_closed.rank != datum.mu:
+    if datum.mu_prime != datum.mu:
         out.append(Violation("dual rank mismatch",
-                             detail=f"rank X' = {datum.dual_closed.rank}, rank X = {datum.mu}"))
+                             detail=f"rank X' = {datum.mu_prime}, rank X = {datum.mu}"))
     if not purity_matrix(datum).is_injective():
         out.append(Violation("purity map not injective"))
     if datum.dual_specializations is not None and not dual_purity_matrix(datum).is_injective():
@@ -478,17 +477,17 @@ def reference_validate(datum: DegenDatum) -> list[Violation]:
 
 def _reference_override_violations(datum: DegenDatum, ov: StratumOverride) -> list[Violation]:
     out: list[Violation] = []
-    amb = sum(datum.branches[j].lattice.rank for j in ov.branches)
-    if ov.inclusion.target.rank != amb:
+    amb = sum(datum.branches[j].rank for j in ov.branches)
+    if ov.inclusion.nrows != amb:
         out.append(Violation("stratum override invalid",
-                             detail=f"inclusion targets rank {ov.inclusion.target.rank}, "
+                             detail=f"inclusion targets rank {ov.inclusion.nrows}, "
                                     f"ambient rank is {amb}"))
         return out
     if not ov.inclusion.is_injective():
         out.append(Violation("stratum override invalid", detail="inclusion not injective"))
         return out
     rows = [r for j in ov.branches for r in datum.branches[j].specialization.entries]
-    restricted = LatticeMap.from_rows(rows, source_rank=datum.mu, target_rank=amb)
+    restricted = LatticeMap.from_rows(rows, datum.mu)
     if ov.inclusion.solve(restricted) is None:
         out.append(Violation("stratum override invalid",
                              detail="restricted purity does not factor through the override"))
@@ -503,12 +502,11 @@ def _reference_override_violations(datum: DegenDatum, ov: StratumOverride) -> li
                                  detail="no dual inclusion on a non-principal datum"))
         return out
     damb = sum(datum.branches[j].dual_rank for j in ov.branches)
-    if dual.target.rank != damb or not dual.is_injective():
+    if dual.nrows != damb or not dual.is_injective():
         out.append(Violation("stratum override invalid", detail="bad dual inclusion"))
     else:
         rows = [r for j in ov.branches for r in datum.dual_sp(j).entries]
-        restricted = LatticeMap.from_rows(rows, source_rank=datum.dual_closed.rank,
-                                          target_rank=damb)
+        restricted = LatticeMap.from_rows(rows, datum.mu_prime)
         if dual.solve(restricted) is None:
             out.append(Violation("stratum override invalid",
                                  detail="restricted dual purity does not factor through "
@@ -556,7 +554,7 @@ def row_basis(m: LatticeMap) -> LatticeMap:
     rows = intmat.independent_rows(m.entries, m.nrows, m.ncols)
     if len(rows) == m.nrows:
         return m
-    return LatticeMap(m.source, Lattice(len(rows)), tuple(m.entries[i] for i in rows))
+    return LatticeMap(tuple(m.entries[i] for i in rows), m.ncols)
 
 
 # (sp_i, f_i) per branch, f_i = phi_i·sp'_i: the two factors of each psi_i = sp_i^t·f_i
@@ -591,7 +589,7 @@ def exclusive_parts(factors: Factors) -> tuple[LatticeMap, ...]:
 
 def _running_row_bases(maps: tuple[LatticeMap, ...], rank: int) -> list[LatticeMap]:
     """Row bases of the stacks of maps[:k], k = 0..len(maps); at most rank rows each."""
-    bases = [LatticeMap.zero(Lattice(rank), Lattice(0))]
+    bases = [LatticeMap.zero(0, rank)]
     for m in maps:
         last = bases[-1]
         bases.append(last if last.nrows == rank else row_basis(LatticeMap.stack([last, m])))
@@ -621,8 +619,7 @@ def exclusive_index(factors: Factors) -> int | None:
     index, start = 1, 0
     for b in bases:
         stop = start + b.nrows
-        block = LatticeMap(Lattice(b.nrows), adj.target,
-                           tuple(row[start:stop] for row in adj.entries))
+        block = LatticeMap(tuple(row[start:stop] for row in adj.entries), b.nrows)
         index *= d ** b.nrows // cokernel(block)[0].order
         start = stop
     return index // d
@@ -728,20 +725,20 @@ def beside(maps: list[LatticeMap]) -> LatticeMap:
     """Column concatenation of maps with a common target: (m_1 | m_2 | ...)."""
     if not maps:
         raise InputError("cannot concatenate zero maps without a target")
-    target = maps[0].target
+    nrows = maps[0].nrows
     for m in maps:
-        if m.target != target:
+        if m.nrows != nrows:
             raise InputError("concatenated maps must share their target")
-    rows = tuple(tuple(v for m in maps for v in m.entries[i]) for i in range(target.rank))
-    return LatticeMap(Lattice(sum(m.ncols for m in maps)), target, rows)
+    rows = tuple(tuple(v for m in maps for v in m.entries[i]) for i in range(nrows))
+    return LatticeMap(rows, sum(m.ncols for m in maps))
 
 
 def add_maps(a: LatticeMap, b: LatticeMap) -> LatticeMap:
     """a + b, for maps with equal source and target."""
-    if a.source != b.source or a.target != b.target:
+    if a.ncols != b.ncols or a.nrows != b.nrows:
         raise InputError("sum of maps needs equal source and target")
     rows = tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a.entries, b.entries))
-    return LatticeMap(a.source, a.target, rows)
+    return LatticeMap(rows, a.ncols)
 
 
 def torsion_kernel_qz(m: LatticeMap) -> tuple[FinAb, int]:
@@ -759,7 +756,7 @@ def kernel_saturated(m: LatticeMap) -> LatticeMap:
     v = intmat.identity(m.ncols)
     rank = len(reference_smith_diagonal(m.entries, m.nrows, m.ncols, v))
     k = tuple(tuple(row[rank:]) for row in v)
-    return LatticeMap(Lattice(m.ncols - rank), m.source, k)
+    return LatticeMap(k, m.ncols - rank)
 
 
 def sum_index(maps: list[LatticeMap]) -> int | None:
@@ -817,7 +814,7 @@ def _presentation(phi: LatticeMap) -> tuple[list[int], LatticeMap]:
     facs = reference_smith_diagonal(phi.entries, phi.nrows, phi.ncols, v)
     if phi.nrows != phi.ncols or len(facs) < phi.ncols:
         raise InputError("degenerate pairing")
-    return facs, LatticeMap.from_rows(v, source_rank=phi.ncols)
+    return facs, LatticeMap.from_rows(v, phi.ncols)
 
 
 def _solve_fractions(a: LatticeMap, vec: list[Fraction]) -> list[Fraction]:
@@ -860,8 +857,7 @@ def reference_trait_surjectivity(datum: DegenDatum,
             columns.append([int(c) % f for c, f in zip(coords, ups_facs) if f > 1])
             psi_orders.append(d)
         offset += v.nrows
-    images = LatticeMap.from_rows(columns, source_rank=len(ups_orders),
-                                  target_rank=len(columns)).transpose()
+    images = LatticeMap.from_rows(columns, len(ups_orders)).transpose()
     surjective = beside([images, LatticeMap.diagonal(ups_orders)]).is_surjective()
     return FinAb(tuple(ups_orders)), FinAb.from_cyclic_orders(psi_orders), surjective
 
@@ -875,22 +871,21 @@ def sub_datum(datum: DegenDatum, active: tuple[int, ...] | list[int]) -> DegenDa
     pos = 0
     for j in active:
         offsets.append(pos)
-        pos += datum.branches[j].lattice.rank
+        pos += datum.branches[j].rank
     def block(inc: LatticeMap, start: int, size: int) -> LatticeMap:
         rows = [list(inc.entries[start + k]) for k in range(size)]
-        return LatticeMap.from_rows(rows, source_rank=inc.ncols, target_rank=size)
+        return LatticeMap.from_rows(rows, inc.ncols)
 
     branches = []
     for off, j in zip(offsets, active):
         b = datum.branches[j]
-        branches.append(Branch(b.name, b.lattice, b.pairing,
-                               block(stratum.inclusion, off, b.lattice.rank)))
+        branches.append(Branch(b.name, b.pairing, block(stratum.inclusion, off, b.rank)))
     if datum.is_principal:
         return DegenDatum(
             name=f"{datum.name}|{','.join(datum.branches[j].name for j in active)}",
             abelian_rank=datum.abelian_rank,
             residue_char=datum.residue_char,
-            closed_point=stratum.inclusion.source,
+            mu=stratum.inclusion.ncols,
             branches=tuple(branches),
         )
     dual_stratum = stratum_lattice(datum, active, dual=True)
@@ -909,9 +904,9 @@ def sub_datum(datum: DegenDatum, active: tuple[int, ...] | list[int]) -> DegenDa
         name=f"{datum.name}|{','.join(datum.branches[j].name for j in active)}",
         abelian_rank=datum.abelian_rank,
         residue_char=datum.residue_char,
-        closed_point=stratum.inclusion.source,
+        mu=stratum.inclusion.ncols,
         branches=tuple(branches),
-        dual_closed_point=dual_stratum.inclusion.source,
+        dual_mu=dual_stratum.inclusion.ncols,
         dual_specializations=dual_sps,
         branch_polarizations=branch_pols,
     )
@@ -930,12 +925,12 @@ def dual_datum(datum: DegenDatum) -> DegenDatum:
     if datum.is_principal and datum.polarization is None and datum.branch_polarizations is None:
         # X' = X, sp' = sp, phi symmetric: the swap only transposes pairings
         branches = tuple(
-            Branch(b.name, b.lattice, b.pairing.transpose(), b.specialization)
+            Branch(b.name, b.pairing.transpose(), b.specialization)
             for b in datum.branches)
         return DegenDatum(datum.name, datum.abelian_rank, datum.residue_char,
-                          datum.closed_point, branches, strata=_swapped_strata(datum))
+                          datum.mu, branches, strata=_swapped_strata(datum))
     branches = tuple(
-        Branch(b.name, Lattice(b.dual_rank), b.pairing.transpose(), datum.dual_sp(i))
+        Branch(b.name, b.pairing.transpose(), datum.dual_sp(i))
         for i, b in enumerate(datum.branches))
     new_dual_sps = tuple(b.specialization for b in datum.branches)
     lam0 = closed_polarization(datum)
@@ -950,17 +945,17 @@ def dual_datum(datum: DegenDatum) -> DegenDatum:
         e = lcm(*[abs(det) // gcd(det, *(x for row in adj.entries for x in row))
                   for det, adj in inverses])
         scaled = [[[x * e // det for x in row] for row in adj.entries] for det, adj in inverses]
-        new_pol = LatticeMap.from_rows(scaled[0], source_rank=datum.dual_closed.rank)
+        new_pol = LatticeMap.from_rows(scaled[0], datum.mu_prime)
         new_branch_pols = tuple(
-            LatticeMap.from_rows(scaled[i + 1], source_rank=datum.branches[i].dual_rank)
+            LatticeMap.from_rows(scaled[i + 1], datum.branches[i].dual_rank)
             for i in range(datum.n))
     return DegenDatum(
         name=datum.name,
         abelian_rank=datum.abelian_rank,
         residue_char=datum.residue_char,
-        closed_point=datum.dual_closed,
+        mu=datum.mu_prime,
         branches=branches,
-        dual_closed_point=datum.closed_point,
+        dual_mu=datum.mu,
         dual_specializations=new_dual_sps,
         polarization=new_pol,
         branch_polarizations=new_branch_pols,
@@ -994,7 +989,7 @@ def branch_polarization(datum: DegenDatum, i: int) -> LatticeMap | None:
     if datum.branch_polarizations is not None:
         return datum.branch_polarizations[i]
     if datum.is_principal:
-        return LatticeMap.identity(datum.branches[i].lattice.rank)
+        return LatticeMap.identity(datum.branches[i].rank)
     return None
 
 
@@ -1015,15 +1010,15 @@ def kummer_rescale(datum: DegenDatum, multipliers: tuple[int, ...] | list[int]) 
     """Rescale the i-th pairing by m_i (each m_i tame: coprime to p when p > 0)."""
     ms = _tame_multipliers(datum, multipliers)
     branches = tuple(
-        Branch(b.name, b.lattice, b.pairing.scaled(m), b.specialization)
+        Branch(b.name, b.pairing.scaled(m), b.specialization)
         for b, m in zip(datum.branches, ms))
     return DegenDatum(
         name=datum.name,
         abelian_rank=datum.abelian_rank,
         residue_char=datum.residue_char,
-        closed_point=datum.closed_point,
+        mu=datum.mu,
         branches=branches,
-        dual_closed_point=datum.dual_closed_point,
+        dual_mu=datum.dual_mu,
         dual_specializations=datum.dual_specializations,
         polarization=datum.polarization,
         branch_polarizations=datum.branch_polarizations,

@@ -171,7 +171,7 @@ def test_criterion_7_converse_certificates():
         # complementary idempotents
         chi1, chi2 = cert.chi1, cert.chi2
         assert chi1.compose(chi1) == chi1 and chi2.compose(chi2) == chi2
-        assert chi1.compose(chi2) == LatticeMap.zero(chi1.source, chi1.target)
+        assert chi1.compose(chi2) == LatticeMap.zero(chi1.nrows, chi1.ncols)
     failing = converse_check(*converse_inputs_from_datum(load_fixture("example_3_4")))
     assert not failing.hypothesis_holds
     elapsed = time.perf_counter() - t0
@@ -202,7 +202,7 @@ def test_criterion_9_lattice_core_soundness():
         nr = rng.randint(1, 6)
         nc = rng.randint(1, 6)
         rows = [[rng.randint(-10 ** 6, 10 ** 6) for _ in range(nc)] for _ in range(nr)]
-        m = LatticeMap.from_rows(rows, source_rank=nc, target_rank=nr)
+        m = LatticeMap.from_rows(rows, nc)
         facs = intmat.invariant_factors(rows, nr, nc)
         assert facs == reference_smith_diagonal(rows, nr, nc)
         if len(facs) == nc:  # injective case

@@ -104,6 +104,8 @@ DISPATCH_CASES = [
     ["psi", "example_3_4", "--kummer", "2,3", "extra", "--more"],
     ["oracle", "example_3_4", "--l", "two"],
     ["trait", "example_3_4", "--profile", "1,1", "--l", "2.5"],
+    ["oracle", "example_3_4", "--l", "0_3"],
+    ["oracle", "example_3_4", "--l", " 2"],
     ["oracle", "example_3_4", "--l"],
     ["generate", "lattice", "--seed", "1"],
     ["analyse", "example_3_4"],
@@ -616,6 +618,27 @@ def test_malformed_integer_lists_exit_2(capsys, monkeypatch, argv, option, text)
     assert parsed == [(option, text)] * 2
 
 
+@pytest.mark.parametrize("argv, option, text", [
+    (["oracle", "example_3_4", "--l", "0_3"], "--l", "0_3"),
+    (["trait", "example_3_4", "--profile", "1,1", "--l", " 2"], "--l", " 2"),
+    (["oracle", "example_3_4", "--l", "3", "--r", "\u0664"], "--r", "\u0664"),
+    (["generate", "datum", "--seed", "1_0"], "--seed", "1_0"),
+])
+def test_integer_options_take_a_sign_and_ascii_digits_only(capsys, argv, option, text):
+    # int() reads each of these, but an integer is a sign and ASCII digits only
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert info.value.code == 2 and captured.out == ""
+    assert captured.err.endswith(f"error: argument {option}: invalid decimal_int value: {text!r}\n")
+
+
+def test_integer_options_take_a_sign_and_leading_zeros(capsys):
+    code, out, _ = run_cli(capsys, ["oracle", "example_3_4", "--l", "+03", "--r", "04", "--json"])
+    assert code == 0
+    assert json.loads(out)["oracle"]["l"] == 3
+
+
 def test_integer_lists_take_a_sign_and_leading_zeros(capsys):
     code, out, _ = run_cli(capsys, ["psi", "example_3_4", "--kummer", "+2,03", "--json"])
     assert code == 0
@@ -832,6 +855,14 @@ class TestGenerate:
             assert code == 0
             code, _, err = run_cli(capsys, [command, str(out), "--json"])
             assert code == 0, err
+
+
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        out = tmp_path / "missing" / "x.json"
+        code, stdout, err = run_cli(capsys, ["generate", "datum", "--seed", "1", "--out", str(out)])
+        assert (code, stdout) == (2, "")
+        assert err == f"error: {out}: cannot write the output (No such file or directory)\n"
+        assert not out.parent.exists()
 
 
 class TestFixtureResolution:

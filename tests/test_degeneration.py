@@ -23,7 +23,7 @@ from degenkit.degeneration import (
 from degenkit.errors import InputError
 from degenkit.generators import random_datum, random_polarized_datum, random_ta_datum
 from degenkit.intmat import bareiss_det
-from degenkit.lattice import FinAb, Lattice, LatticeMap
+from degenkit.lattice import FinAb, LatticeMap
 from degenkit.monodromy import TraitProfile, compose_trait, trait_component_group
 from degenkit.schema import datum_to_dict
 
@@ -40,11 +40,9 @@ from oracles import (
 
 def simple_datum(specializations, pairings, mu, name="test"):
     branches = tuple(
-        Branch(f"D{i + 1}", Lattice(len(sp)),
-               LatticeMap.from_rows(ph, source_rank=len(ph), target_rank=len(ph)),
-               LatticeMap.from_rows(sp, source_rank=mu, target_rank=len(sp)))
+        Branch(f"D{i + 1}", LatticeMap.from_rows(ph, len(ph)), LatticeMap.from_rows(sp, mu))
         for i, (sp, ph) in enumerate(zip(specializations, pairings)))
-    return DegenDatum(name, 0, 0, Lattice(mu), branches)
+    return DegenDatum(name, 0, 0, mu, branches)
 
 
 class TestValidate:
@@ -76,7 +74,7 @@ class TestValidate:
         assert "purity map not injective" in messages
 
     def test_non_prime_residue_char(self, example_3_4):
-        datum = DegenDatum("bad", 0, 4, example_3_4.closed_point, example_3_4.branches)
+        datum = DegenDatum("bad", 0, 4, example_3_4.mu, example_3_4.branches)
         messages = [v.invariant for v in validate(datum)]
         assert "residue characteristic not 0 or prime" in messages
 
@@ -89,7 +87,7 @@ def _explicit_pols(datum):
     """Branch polarizations with the principal defaults written out."""
     if datum.branch_polarizations is not None:
         return list(datum.branch_polarizations)
-    return [LatticeMap.identity(b.lattice.rank) for b in datum.branches]
+    return [LatticeMap.identity(b.rank) for b in datum.branches]
 
 
 def _explicit_dual(datum, polarized):
@@ -97,7 +95,7 @@ def _explicit_dual(datum, polarized):
     spelled out, so that either side can be changed alone."""
     if not datum.is_principal:
         return datum
-    return replace(datum, dual_closed_point=datum.closed_point,
+    return replace(datum, dual_mu=datum.mu,
                    dual_specializations=tuple(b.specialization for b in datum.branches),
                    polarization=LatticeMap.identity(datum.mu) if polarized else None,
                    branch_polarizations=tuple(_explicit_pols(datum)) if polarized else None)
@@ -106,8 +104,7 @@ def _explicit_dual(datum, polarized):
 def _with_pairing(datum, k, rows):
     b = datum.branches[k]
     branches = list(datum.branches)
-    branches[k] = replace(b, pairing=LatticeMap.from_rows(
-        rows, source_rank=b.dual_rank, target_rank=b.lattice.rank))
+    branches[k] = replace(b, pairing=LatticeMap.from_rows(rows, b.dual_rank))
     return replace(datum, branches=tuple(branches))
 
 
@@ -134,19 +131,19 @@ def _singular_pairing(rng, datum, k):
 
 
 def _singular_polarization(rng, datum, k):
-    if rng.random() < 0.3 and datum.dual_closed.rank == datum.mu:
+    if rng.random() < 0.3 and datum.mu_prime == datum.mu:
         rows = _rows(closed_polarization(datum) or LatticeMap.identity(datum.mu))
         rows[rng.randrange(len(rows))] = [0] * datum.mu
-        return replace(datum, polarization=LatticeMap.from_rows(rows, source_rank=datum.mu))
+        return replace(datum, polarization=LatticeMap.from_rows(rows, datum.mu))
     pols = _explicit_pols(datum)
     rows = _rows(pols[k])
     rows[rng.randrange(len(rows))] = [0] * len(rows[0])
-    pols[k] = LatticeMap.from_rows(rows, source_rank=pols[k].ncols, target_rank=len(rows))
+    pols[k] = LatticeMap.from_rows(rows, pols[k].ncols)
     return replace(datum, branch_polarizations=tuple(pols))
 
 
 def _noncommuting_polarization(rng, datum, k):
-    if rng.random() < 0.5 and datum.dual_closed.rank == datum.mu:
+    if rng.random() < 0.5 and datum.mu_prime == datum.mu:
         closed = closed_polarization(datum) or LatticeMap.identity(datum.mu)
         return replace(datum, polarization=closed.scaled(2))
     pols = _explicit_pols(datum)
@@ -161,18 +158,16 @@ def _nonsquare_pairing(rng, datum, k):
     polarized = rng.random() < 0.75
     datum = _explicit_dual(datum, polarized)
     b = datum.branches[k]
-    pairing = LatticeMap.from_rows([row + [0] for row in _rows(b.pairing)],
-                                   source_rank=b.dual_rank + 1, target_rank=b.lattice.rank)
+    pairing = LatticeMap.from_rows([row + [0] for row in _rows(b.pairing)], b.dual_rank + 1)
     branches = list(datum.branches)
     branches[k] = replace(b, pairing=pairing)
     sps = list(datum.dual_specializations)
-    extra = [rng.randint(-1, 1) for _ in range(datum.dual_closed.rank)]
-    sps[k] = LatticeMap.from_rows(_rows(sps[k]) + [extra], source_rank=datum.dual_closed.rank)
+    extra = [rng.randint(-1, 1) for _ in range(datum.mu_prime)]
+    sps[k] = LatticeMap.from_rows(_rows(sps[k]) + [extra], datum.mu_prime)
     pols = datum.branch_polarizations
     if pols is not None:
         pols = list(pols)
-        pols[k] = LatticeMap.from_rows(_rows(pols[k]) + [[0] * b.lattice.rank],
-                                       source_rank=b.lattice.rank)
+        pols[k] = LatticeMap.from_rows(_rows(pols[k]) + [[0] * b.rank], b.rank)
         pols = tuple(pols)
     return replace(datum, branches=tuple(branches), dual_specializations=tuple(sps),
                    branch_polarizations=pols)
@@ -183,36 +178,33 @@ def _noninjective_purity(rng, datum, k):
     dual = rng.random() < 0.5
     if dual:
         datum = _explicit_dual(datum, rng.random() < 0.5)
-        width = datum.dual_closed.rank + 1
-        sps = tuple(LatticeMap.from_rows([row + [0] for row in _rows(sp)], source_rank=width,
-                                         target_rank=sp.nrows)
+        width = datum.mu_prime + 1
+        sps = tuple(LatticeMap.from_rows([row + [0] for row in _rows(sp)], width)
                     for sp in datum.dual_specializations)
         pol = datum.polarization
         if pol is not None:
-            pol = LatticeMap.from_rows(_rows(pol) + [[0] * pol.ncols], source_rank=pol.ncols)
-        return replace(datum, dual_closed_point=Lattice(width), dual_specializations=sps,
+            pol = LatticeMap.from_rows(_rows(pol) + [[0] * pol.ncols], pol.ncols)
+        return replace(datum, dual_mu=width, dual_specializations=sps,
                        polarization=pol)
     width = datum.mu + 1
     branches = tuple(replace(b, specialization=LatticeMap.from_rows(
-        [row + [0] for row in _rows(b.specialization)], source_rank=width,
-        target_rank=b.lattice.rank)) for b in datum.branches)
+        [row + [0] for row in _rows(b.specialization)], width)) for b in datum.branches)
     pol = datum.polarization
     if pol is not None:
-        pol = LatticeMap.from_rows([row + [0] for row in _rows(pol)], source_rank=width,
-                                   target_rank=pol.nrows)
-    return replace(datum, closed_point=Lattice(width), branches=branches, polarization=pol)
+        pol = LatticeMap.from_rows([row + [0] for row in _rows(pol)], width)
+    return replace(datum, mu=width, branches=branches, polarization=pol)
 
 
 def _bad_override(rng, datum, k):
     active = tuple(sorted(rng.sample(range(datum.n), rng.randint(1, datum.n))))
-    amb = sum(datum.branches[j].lattice.rank for j in active)
+    amb = sum(datum.branches[j].rank for j in active)
     damb = sum(datum.branches[j].dual_rank for j in active)
     kind = rng.randrange(5)
     dual = None
     if kind == 0:
         inc = LatticeMap.identity(amb + 1)
     elif kind == 1:
-        inc = LatticeMap.zero(Lattice(1), Lattice(amb))
+        inc = LatticeMap.zero(amb, 1)
     elif kind == 2:
         inc = LatticeMap.identity(amb).scaled(2)
     else:
@@ -258,9 +250,9 @@ def test_validate_matches_reference_on_mutations(make):
 def test_nonsquare_pairing_with_definite_composite_is_not_injective():
     # phi : Z^2 -> Z^1 and lambda : Z^1 -> Z^2 compose to [1], but phi kills e_2
     datum = DegenDatum(
-        "wide", 0, 0, Lattice(1),
-        (Branch("D1", Lattice(1), LatticeMap.from_rows([[1, 0]]), LatticeMap.from_rows([[1]])),),
-        dual_closed_point=Lattice(1),
+        "wide", 0, 0, 1,
+        (Branch("D1", LatticeMap.from_rows([[1, 0]]), LatticeMap.from_rows([[1]])),),
+        dual_mu=1,
         dual_specializations=(LatticeMap.from_rows([[1], [0]]),),
         polarization=LatticeMap.identity(1),
         branch_polarizations=(LatticeMap.from_rows([[1], [0]]),))
@@ -273,7 +265,7 @@ def test_nonsquare_pairing_with_definite_composite_is_not_injective():
 def _override_on_branch_2(dual_inclusion=None):
     datum = random_polarized_datum(random.Random(3), max_mu=3, max_n=2, min_n=2)
     assert not datum.is_principal
-    k = datum.branches[1].lattice.rank
+    k = datum.branches[1].rank
     return replace(datum, strata=(
         StratumOverride((1,), LatticeMap.identity(k), dual_inclusion),))
 
@@ -425,7 +417,7 @@ class TestAnalyze:
             assert analyze(datum).toric_additive
 
     def test_zero_branch_ta(self):
-        datum = DegenDatum("empty", 1, 0, Lattice(0), ())
+        datum = DegenDatum("empty", 1, 0, 0, ())
         assert analyze(datum).toric_additive
 
     def test_verdict_consistency_random(self):
@@ -456,12 +448,12 @@ class TestLToricAdditive:
         assert not is_l_toric_additive(example_3_4, 2)
 
     def test_rejects_residue_char(self, example_3_4):
-        datum = DegenDatum("p3", 0, 3, example_3_4.closed_point, example_3_4.branches)
+        datum = DegenDatum("p3", 0, 3, example_3_4.mu, example_3_4.branches)
         with pytest.raises(InputError, match="residue characteristic"):
             is_l_toric_additive(datum, 3)
 
     def test_zero_branches(self):
-        datum = DegenDatum("empty", 0, 0, Lattice(0), ())
+        datum = DegenDatum("empty", 0, 0, 0, ())
         assert is_l_toric_additive(datum, 5)
 
 
@@ -492,8 +484,8 @@ class TestDualDatum:
         base = load_fixture("example_3_4")
         two = LatticeMap.from_rows([[2]])
         datum = DegenDatum(
-            "scaled", 0, 0, base.closed_point, base.branches,
-            dual_closed_point=base.closed_point,
+            "scaled", 0, 0, base.mu, base.branches,
+            dual_mu=base.mu,
             dual_specializations=tuple(b.specialization for b in base.branches),
             polarization=LatticeMap.from_rows([[2, 0], [0, 2]]),
             branch_polarizations=(two, two),

@@ -35,7 +35,6 @@ from degenkit.generators import (
 )
 from degenkit.lattice import (
     FinAb,
-    Lattice,
     LatticeMap,
     cokernel,
     is_onto,
@@ -77,8 +76,8 @@ from oracles import (
 from test_intmat import wall_clock_budget
 
 
-def lm(rows, source=None, target=None):
-    return LatticeMap.from_rows(rows, source_rank=source, target_rank=target)
+def lm(rows, ncols=None):
+    return LatticeMap.from_rows(rows, ncols)
 
 
 def factors_of(psi: tuple[LatticeMap, ...]) -> Factors:
@@ -92,7 +91,7 @@ class TestBuildRep:
     that the galois module reads off the datum."""
 
     def test_no_branches(self):
-        datum = DegenDatum("empty", 2, 0, Lattice(0), ())
+        datum = DegenDatum("empty", 2, 0, 0, ())
         assert full_model.full_rep(datum, 3).total == 4     # 2d with d = alpha = 2
         assert branch_factors(datum) == ()
         assert stack_torsion(datum).is_trivial
@@ -107,8 +106,8 @@ class TestBuildRep:
         assert fixed_lattice(factors, (0, 1)).ncols == 0
 
     def test_single_branch_elementary(self):
-        datum = DegenDatum("one", 0, 0, Lattice(1),
-                           (Branch("D1", Lattice(1), lm([[5]]), lm([[1]])),))
+        datum = DegenDatum("one", 0, 0, 1,
+                           (Branch("D1", lm([[5]]), lm([[1]])),))
         # X' generator goes to 5 times the X^dual generator
         assert psi_blocks(branch_factors(datum))[0].entries == ((5,),)
         assert stack_torsion(datum) == FinAb((5,))
@@ -148,7 +147,7 @@ class TestBuildRep:
                         full_model.closed_point_torsion(full, r)
 
     def test_rejects_residue_char(self, example_3_4):
-        datum = DegenDatum("p3", 0, 3, example_3_4.closed_point, example_3_4.branches)
+        datum = DegenDatum("p3", 0, 3, example_3_4.mu, example_3_4.branches)
         with pytest.raises(InputError, match="residue characteristic"):
             star_condition(datum, 3)
 
@@ -159,8 +158,8 @@ class TestStarCondition:
         assert star_condition(example_3_4, 3)
 
     def test_single_branch_always(self):
-        datum = DegenDatum("one", 0, 0, Lattice(1),
-                           (Branch("D1", Lattice(1), lm([[6]]), lm([[1]])),))
+        datum = DegenDatum("one", 0, 0, 1,
+                           (Branch("D1", lm([[6]]), lm([[1]])),))
         assert star_condition(datum, 2)
         assert star_condition(datum, 3)
 
@@ -174,7 +173,7 @@ class TestDecompositionCheck:
         assert not decomposition_check(branch_factors(example_3_4), 2)
 
     def test_no_branches_vacuous(self):
-        assert decomposition_check(branch_factors(DegenDatum("empty", 1, 0, Lattice(0), ())), 2)
+        assert decomposition_check(branch_factors(DegenDatum("empty", 1, 0, 0, ())), 2)
 
 
 class TestTheoremEquivalence:
@@ -211,8 +210,8 @@ class TestTheoremEquivalence:
 
 class TestTorsionPhiGroup:
     def test_single_branch_multiplication(self):
-        datum = DegenDatum("one", 0, 0, Lattice(1),
-                           (Branch("D1", Lattice(1), lm([[12]]), lm([[1]])),))
+        datum = DegenDatum("one", 0, 0, 1,
+                           (Branch("D1", lm([[12]]), lm([[1]])),))
         for l, r in ((2, 5), (3, 3)):
             action = action_torsion(datum, TraitProfile((1,)))
             assert torsion_phi_group(action, l, r) == l_part(FinAb((12,)), l)
@@ -267,8 +266,8 @@ class TestClosedPointTorsion:
                     assert bound.order % (exact.order if not exact.is_trivial else 1) == 0
 
     def test_n1_exact(self):
-        datum = DegenDatum("one", 0, 0, Lattice(1),
-                           (Branch("D1", Lattice(1), lm([[8]]), lm([[1]])),))
+        datum = DegenDatum("one", 0, 0, 1,
+                           (Branch("D1", lm([[8]]), lm([[1]])),))
         assert torsion_phi_group(stack_torsion(datum), 2, 5) == FinAb((8,))
 
 
@@ -301,7 +300,7 @@ class TestClosedForm:
         stacked = LatticeMap.stack(list(psi))
         assume(stacked.is_injective())   # as on every valid datum
         torsion = cokernel(stacked)[0]
-        no_fixed_part = LatticeMap.zero(Lattice(0), stacked.source)
+        no_fixed_part = LatticeMap.zero(stacked.ncols, 0)
         for r in range(1, 7):
             assert torsion_phi_group(torsion, l, r) == \
                 full_model.mod_lr_quotient(stacked, no_fixed_part, l ** r)
@@ -345,7 +344,7 @@ class TestProvenIdentities:
     def test_stack_torsion_l_part_is_the_closed_point_bound(self):
         # the oracle reads its bound off stack_torsion; n = 0 included
         rng = random.Random(154)
-        datums = [DegenDatum("empty", 1, 0, Lattice(0), ())]
+        datums = [DegenDatum("empty", 1, 0, 0, ())]
         datums += [random_datum(rng, max_mu=4, max_n=3) for _ in range(30)]
         assert any(datum.n == 0 for datum in datums)
         for datum in datums:
@@ -368,7 +367,7 @@ class TestProvenIdentities:
 
 def _action(datum: DegenDatum, profile: tuple[int, ...]) -> LatticeMap:
     """sum a_i·psi_i, from the mu × mu products psi_i."""
-    expected = LatticeMap.zero(Lattice(datum.mu), Lattice(datum.mu))
+    expected = LatticeMap.zero(datum.mu, datum.mu)
     for a, m in zip(profile, psi_maps(datum)):
         expected = add_maps(expected, m.scaled(a))
     return expected
@@ -482,19 +481,19 @@ class TestExclusiveIndex:
         # B = diag(2, 3): V_1 = Z·e_1 and V_2 = Z·e_2, index (6/3)·(6/2)/6 = 1
         assert exclusive_index(factors_of((lm([[2, 0], [0, 0]]), lm([[0, 0], [0, 3]])))) == 1
         # B = ((1, 1), (1, -1)): V_1 = Z·(1, 1) and V_2 = Z·(1, -1), index 2
-        factors = factors_of((lm([[1, 1]], target=1), lm([[1, -1]], target=1)))
+        factors = factors_of((lm([[1, 1]]), lm([[1, -1]])))
         assert exclusive_index(factors) == 2
         assert not reference_star_condition(factors, 2)
         assert reference_star_condition(factors, 3)
         # R = 3 > mu = 2: V_2 = ker psi_1 = 0
-        wide = factors_of((LatticeMap.identity(2), lm([[1, 1]], target=1)))
+        wide = factors_of((LatticeMap.identity(2), lm([[1, 1]])))
         assert exclusive_index(wide) is None
         assert not reference_star_condition(wide, 2)
         self._compare(wide, 2)
         self._compare(factors, 3)
         # f_1 has dependent rows, so its row basis is ((1, 0)): B = ((1, 0), (1, 3))
         # has det 3 with h_i = (1, 1); V_1 = Z·(3, -1) and V_2 = Z·(0, 1) have index 3
-        factors = factors_of((lm([[1, 0], [2, 0]]), lm([[1, 3]], target=1)))
+        factors = factors_of((lm([[1, 0], [2, 0]]), lm([[1, 3]])))
         for l in (2, 3, 5):
             assert reference_star_condition(factors, l) == (l != 3)
             assert exclusive_index(factors) == 3
@@ -502,12 +501,12 @@ class TestExclusiveIndex:
         # a square stack of determinant 0 falls back to the row bases, which
         # find it singular
         assert not reference_star_condition(
-            factors_of((lm([[1, 1]], target=1), lm([[2, 2]], target=1))), 2)
+            factors_of((lm([[1, 1]]), lm([[2, 2]]))), 2)
 
     def test_det_divisible_by_l_yet_star_holds(self):
         # B = ((2, 2), (0, 3)): det 6, h_1 = 2, h_2 = 3, so |det B| / prod h_i = 1;
         # V_1 = ker B_2 = Z·(1, 0) and V_2 = ker B_1 = Z·(1, -1) span Z^2
-        factors = factors_of((lm([[2, 2]], target=1), lm([[0, 3]], target=1)))
+        factors = factors_of((lm([[2, 2]]), lm([[0, 3]])))
         bases, det = _row_bases_and_det(factors)
         assert [cokernel(b)[0].order for b in bases] == [2, 3]
         assert exclusive_index(factors) == 1
@@ -516,7 +515,7 @@ class TestExclusiveIndex:
             assert reference_star_condition(factors, l)
             self._compare(factors, l)
         # B = ((2, 0), (1, 3)): det 6 and h_i = (2, 1), so the quotient 3 fails at 3 only
-        factors = factors_of((lm([[2, 0]], target=1), lm([[1, 3]], target=1)))
+        factors = factors_of((lm([[2, 0]]), lm([[1, 3]])))
         assert reference_star_condition(factors, 2)
         assert not reference_star_condition(factors, 3)
         for l in (2, 3):
@@ -585,7 +584,7 @@ class TestSharedCokernel:
         phi_f = compose_trait(datum, TraitProfile((1,) * datum.n)).matrix
         if name in ("generated_ta_seed7", "product_tate"):
             assert datum.is_principal and datum.verdict.toric_additive
-            blocks = [(b.pairing.entries, b.lattice.rank, b.dual_rank) for b in datum.branches]
+            blocks = [(b.pairing.entries, b.rank, b.dual_rank) for b in datum.branches]
             purity = purity_matrix(datum)
             assert added == [] and sorted(with_profile) == \
                 sorted(blocks + [(purity.entries, purity.nrows, purity.ncols)])
@@ -601,10 +600,10 @@ class TestSharedCokernel:
     def test_override_runs_both_eliminations(self, capsys, intmat_calls, tmp_path):
         # the override widens the stratum over {D1, D2} to Z^2: phi_f = 1, while
         # the action psi_1 + psi_2 = ((4, 2), (2, 2)) has cokernel Z/2 + Z/2
-        branches = tuple(Branch(f"D{i + 1}", Lattice(1), lm([[1]]), lm([sp], source=2))
+        branches = tuple(Branch(f"D{i + 1}", lm([[1]]), lm([sp], 2))
                          for i, sp in enumerate([[2, 1], [0, 1], [1, 0]]))
         override = StratumOverride((0, 1), LatticeMap.identity(2))
-        datum = DegenDatum("three", 0, 0, Lattice(2), branches, strata=(override,))
+        datum = DegenDatum("three", 0, 0, 2, branches, strata=(override,))
         path = tmp_path / "override.json"
         path.write_text(json.dumps(datum_to_dict(datum)))
         profile = TraitProfile((1, 1, 0))
@@ -619,7 +618,7 @@ class TestSharedCokernel:
         group = report["component_group"]
         # the reference: the cokernel of the sum of the products psi_i, at level r
         reference = full_model.mod_lr_quotient(
-            _action(datum, profile.multiplicities), LatticeMap.zero(Lattice(0), Lattice(2)),
+            _action(datum, profile.multiplicities), LatticeMap.zero(2, 0),
             2 ** group["r"])
         assert group["galois_side"] == {"invariant_factors": list(reference.invariant_factors),
                                         "divisible_rank": 0} == \
@@ -737,7 +736,7 @@ def _widened(datum: DegenDatum) -> DegenDatum:
     """The datum with one more branch, specialized by the sum of the purity
     rows: P becomes tall, so the datum is valid but not toric additive."""
     row = [sum(col) for col in zip(*purity_matrix(datum).entries)]
-    extra = Branch("E", Lattice(1), lm([[3]]), lm([row], source=datum.mu))
+    extra = Branch("E", lm([[3]]), lm([row], datum.mu))
     return replace(datum, branches=datum.branches + (extra,))
 
 
@@ -745,13 +744,13 @@ def _doubled(datum: DegenDatum) -> DegenDatum | None:
     """The datum with the row r_j of a rank-1 branch replaced by 2·r_j + r_i
     for another rank-1 branch i: still primitive, so sp_j stays onto, while
     P stays square with |det P| = 2.  None without two rank-1 branches."""
-    ones = [j for j, b in enumerate(datum.branches) if b.lattice.rank == 1]
+    ones = [j for j, b in enumerate(datum.branches) if b.rank == 1]
     if len(ones) < 2:
         return None
     i, j = ones[:2]
     r_i, r_j = datum.branches[i].specialization.entries[0], \
         datum.branches[j].specialization.entries[0]
-    sp = lm([[2 * b + a for a, b in zip(r_i, r_j)]], source=datum.mu)
+    sp = lm([[2 * b + a for a, b in zip(r_i, r_j)]], datum.mu)
     branches = list(datum.branches)
     branches[j] = replace(branches[j], specialization=sp)
     return replace(datum, branches=tuple(branches))
@@ -815,7 +814,7 @@ class TestOneSmithFormPerPairing:
         for _ in range(120):
             k = rng.randint(1, 8)
             phi = lm(random_spd(rng, k))
-            datum = DegenDatum("one", 0, 0, Lattice(k),
-                               (Branch("D1", Lattice(k), phi, LatticeMap.identity(k)),))
+            datum = DegenDatum("one", 0, 0, k,
+                               (Branch("D1", phi, LatticeMap.identity(k)),))
             for a in (1, 2, 3, 4, 6, 12):
                 assert datum.pairing_cokernel(0, a) == cokernel(phi.scaled(a))[0], (phi, a)

@@ -70,7 +70,7 @@ def test_hnf_rank_and_index_match_reference(case):
     assert intmat.rank(m, nrows, ncols) == r
     index = prod(h[i][i] for i in range(nrows)) if r == nrows else None
     assert column_lattice_index(m, nrows, ncols) == index
-    assert LatticeMap.from_rows(m, ncols, nrows).is_surjective() == (index == 1)
+    assert LatticeMap.from_rows(m, ncols).is_surjective() == (index == 1)
 
 
 # more rows than columns and rank below the column count, through Z^inner
@@ -111,7 +111,7 @@ def test_smith_edge_cases(name):
     assert intmat.invariant_factors(m, nrows, ncols) == diag
     index = prod(diag) if len(diag) == nrows else None
     assert column_lattice_index(m, nrows, ncols) == index
-    assert LatticeMap.from_rows(m, ncols, nrows).is_surjective() == (index == 1)
+    assert LatticeMap.from_rows(m, ncols).is_surjective() == (index == 1)
 
 
 @settings(max_examples=150, deadline=None)
@@ -190,9 +190,7 @@ def products(draw):
     ar = draw(st.integers(0, 5))
     if draw(st.booleans()):
         shapes = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=4))
-        b = LatticeMap.block_diagonal([LatticeMap.from_rows(rand(r, c), source_rank=c,
-                                                            target_rank=r)
-                                       for r, c in shapes])
+        b = LatticeMap.block_diagonal([LatticeMap.from_rows(rand(r, c), c) for r, c in shapes])
         ac, bc = b.nrows, b.ncols
         b = [list(row) for row in b.entries]
     else:
@@ -258,8 +256,7 @@ def _pivot_rows(h: list[list[int]], nrows: int, r: int) -> list[int]:
 
 def _solve(a: list[list[int]], nrows: int, ncols: int,
            b: list[list[int]], bcols: int) -> list[list[int]] | None:
-    x = LatticeMap.from_rows(a, source_rank=ncols, target_rank=nrows).solve(
-        LatticeMap.from_rows(b, source_rank=bcols, target_rank=nrows))
+    x = LatticeMap.from_rows(a, ncols).solve(LatticeMap.from_rows(b, bcols))
     return None if x is None else [list(row) for row in x.entries]
 
 

@@ -23,7 +23,7 @@ from pathlib import Path
 import pytest
 
 from degenkit import cli, curves, galois, monodromy, neron, schema
-from degenkit.degeneration import StratumOverride
+from degenkit.degeneration import Branch, StratumOverride
 from degenkit.lattice import FinAb, LatticeMap
 
 from conftest import load_fixture
@@ -103,7 +103,9 @@ def test_only_allowed_intmat_names_outside_lattice(path):
     assert not bad, f"{path.name} uses intmat directly: {bad}"
 
 
-REMOVED = {"smith", "integral_solve", "SNFDecomposition", "smith_normal_form"}
+# Smith transforms, the general integral solve, and the Lattice type, which
+# held nothing but a rank that the matrix shapes already carry
+REMOVED = {"smith", "integral_solve", "SNFDecomposition", "smith_normal_form", "Lattice"}
 
 
 def _identifiers(tree: ast.AST) -> set[str]:
@@ -357,6 +359,14 @@ def test_a_stratum_is_its_basis():
                 if isinstance(node, ast.FunctionDef) and node.name == "stratum_lattice")
     assert not _identifiers(body) & {"solve", "FalsificationError"}
     assert {"require_valid", "restricted_purity", "image_basis"} <= _identifiers(body)
+
+
+def test_a_lattice_is_its_rank():
+    # a map is its entries and column count, its row count is len(entries),
+    # and a branch's ranks are the shape of its pairing
+    assert [f.name for f in fields(LatticeMap)] == ["entries", "ncols"]
+    assert [f.name for f in fields(Branch)] == ["name", "pairing", "specialization"]
+    assert LatticeMap.zero(3, 0).nrows == 3
 
 
 def test_one_function_stacks_purity_maps():

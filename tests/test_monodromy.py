@@ -25,7 +25,7 @@ from degenkit.generators import (
     random_ta_datum,
     random_unimodular,
 )
-from degenkit.lattice import FinAb, Lattice, LatticeMap, is_onto, l_part
+from degenkit.lattice import FinAb, LatticeMap, is_onto, l_part
 from degenkit.monodromy import (
     HEURISTIC_STRATUM,
     TRAIT_MISSES_DIVISOR,
@@ -47,15 +47,15 @@ from oracles import (
 )
 
 
-def lm(rows, source=None, target=None):
-    return LatticeMap.from_rows(rows, source_rank=source, target_rank=target)
+def lm(rows, ncols=None):
+    return LatticeMap.from_rows(rows, ncols)
 
 
 def _three_branch(strata=()) -> DegenDatum:
     """A non-toric-additive datum with three rank-1 branches over Z^2."""
-    branches = tuple(Branch(f"D{i + 1}", Lattice(1), lm([[1]]), lm([sp], source=2))
+    branches = tuple(Branch(f"D{i + 1}", lm([[1]]), lm([sp], 2))
                      for i, sp in enumerate([[2, 1], [0, 1], [1, 0]]))
-    return DegenDatum("three", 0, 0, Lattice(2), branches, strata=tuple(strata))
+    return DegenDatum("three", 0, 0, 2, branches, strata=tuple(strata))
 
 
 class TestStratumLattice:
@@ -126,7 +126,7 @@ class TestComposeTrait:
 
     def test_depends_only_on_tuple(self, example_3_4):
         # recomputing through a freshly constructed equal datum changes nothing
-        clone = DegenDatum(example_3_4.name, 0, 0, example_3_4.closed_point,
+        clone = DegenDatum(example_3_4.name, 0, 0, example_3_4.mu,
                            example_3_4.branches)
         for profile in [(1, 1), (3, 2), (0, 1)]:
             assert compose_trait(example_3_4, TraitProfile(profile)).matrix.entries == \
@@ -150,7 +150,7 @@ class TestComponentGroup:
         with pytest.raises(InputError, match="degenerate pairing"):
             component_group(lm([[0]]))
         with pytest.raises(InputError, match="degenerate pairing"):
-            component_group(lm([[1, 0]], target=1))
+            component_group(lm([[1, 0]]))
 
     def test_order_equals_det(self):
         rng = random.Random(7)
@@ -231,7 +231,7 @@ class TestTraitComponentGroup:
         # stratum basis is no longer the purity map, and no mu × mu
         # elimination runs
         override = StratumOverride((0, 1), lm([[1, 1], [0, 1]]))
-        datum = DegenDatum(product_tate.name, 0, 0, product_tate.closed_point,
+        datum = DegenDatum(product_tate.name, 0, 0, product_tate.mu,
                            product_tate.branches, strata=(override,))
         cases = [(datum, (2, 3))]
         rng = random.Random(199)
@@ -266,7 +266,7 @@ def _with_override(rng: random.Random, datum: DegenDatum, every: bool = False) -
 
     def basis(dual: bool) -> LatticeMap:
         h = restricted_purity(datum, active, dual).image_basis()
-        return h.compose(lm(random_unimodular(rng, h.ncols), h.ncols, h.ncols))
+        return h.compose(lm(random_unimodular(rng, h.ncols), h.ncols))
 
     dual_inclusion = None if datum.is_principal else basis(True)
     return replace(datum, strata=(StratumOverride(active, basis(False), dual_inclusion),))
@@ -329,7 +329,7 @@ class TestStratumContract:
         # no dual inclusion on a non-principal datum: validation refuses both
         missing = _three_branch([StratumOverride((0, 1), lm([[3, 0], [0, 1]]))])
         datum = random_polarized_datum(random.Random(3), max_mu=3, max_n=2, min_n=2)
-        k = datum.branches[1].lattice.rank
+        k = datum.branches[1].rank
         no_dual = replace(datum, strata=(StratumOverride((1,), LatticeMap.identity(k)),))
         for bad, active in ((missing, (0, 1)), (no_dual, (1,))):
             assert bad.violations
@@ -397,8 +397,8 @@ def test_trait_and_oracle_solve_nothing_and_converse_once(capsys, tmp_path, prod
 
 class TestClosedPointBound:
     def test_n1_equality(self):
-        datum = DegenDatum("one", 0, 0, Lattice(1),
-                           (Branch("D1", Lattice(1), lm([[3]]), lm([[1]])),))
+        datum = DegenDatum("one", 0, 0, 1,
+                           (Branch("D1", lm([[3]]), lm([[1]])),))
         assert closed_point_bound(datum, 3) == (FinAb((3,)), 0)
         assert closed_point_bound(datum, 2) == (FinAb(), 0)
         # for n = 1, sp and sp' are unimodular: the bound is the l-part of
@@ -412,7 +412,7 @@ class TestClosedPointBound:
                 (l_part(component_group(datum.branches[0].pairing), l), 0)
 
     def test_n0_trivial(self):
-        datum = DegenDatum("empty", 0, 0, Lattice(0), ())
+        datum = DegenDatum("empty", 0, 0, 0, ())
         assert closed_point_bound(datum, 5) == (FinAb(), 0)
 
     def test_example_3_4_psi_maps(self, example_3_4):
@@ -426,7 +426,7 @@ class TestClosedPointBound:
         assert closed_point_bound(example_3_4, 2) == (FinAb((2,)), 0)
 
     def test_rejects_residue_char(self, example_3_4):
-        datum = DegenDatum("p2", 0, 2, example_3_4.closed_point, example_3_4.branches)
+        datum = DegenDatum("p2", 0, 2, example_3_4.mu, example_3_4.branches)
         with pytest.raises(InputError, match="residue characteristic"):
             closed_point_bound(datum, 2)
 

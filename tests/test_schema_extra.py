@@ -8,7 +8,7 @@ import re
 
 import pytest
 
-from degenkit import schema
+from degenkit import cli, schema
 from degenkit.degeneration import (
     Branch,
     DegenDatum,
@@ -19,22 +19,22 @@ from degenkit.degeneration import (
 )
 from degenkit.errors import InputError
 from degenkit.generators import random_graph, random_polarized_datum, random_ta_datum
-from degenkit.lattice import Lattice, LatticeMap
+from degenkit.lattice import LatticeMap
 from degenkit.monodromy import TraitProfile, compose_trait, stratum_lattice
 from degenkit.schema import datum_to_dict, graph_to_dict, parse_document
 
 from conftest import fixture_path
 
 
-def lm(rows, source=None, target=None):
-    return LatticeMap.from_rows(rows, source_rank=source, target_rank=target)
+def lm(rows, ncols=None):
+    return LatticeMap.from_rows(rows, ncols)
 
 
 def three_branch_datum(strata=()):
     branches = tuple(
-        Branch(f"D{i + 1}", Lattice(1), lm([[1]]), lm([sp], source=2))
+        Branch(f"D{i + 1}", lm([[1]]), lm([sp], 2))
         for i, sp in enumerate([[2, 1], [0, 1], [1, 0]]))
-    return DegenDatum("three", 0, 0, Lattice(2), branches, strata=tuple(strata))
+    return DegenDatum("three", 0, 0, 2, branches, strata=tuple(strata))
 
 
 class TestRoundTrip:
@@ -118,10 +118,10 @@ class TestResidueCharGating:
         # same lattices as example_3_4 but in residue characteristic 2:
         # the cokernel torsion is a 2-group, so no failing prime is reported
         branches = (
-            Branch("D1", Lattice(1), lm([[1]]), lm([[2, 1]], source=2)),
-            Branch("D2", Lattice(1), lm([[1]]), lm([[0, 1]], source=2)),
+            Branch("D1", lm([[1]]), lm([[2, 1]], 2)),
+            Branch("D2", lm([[1]]), lm([[0, 1]], 2)),
         )
-        datum = DegenDatum("p2", 0, 2, Lattice(2), branches)
+        datum = DegenDatum("p2", 0, 2, 2, branches)
         verdict = analyze(datum)
         assert not verdict.toric_additive
         assert verdict.failing_primes == ()
@@ -129,9 +129,9 @@ class TestResidueCharGating:
 
     def test_interrogating_p_is_rejected(self):
         branches = (
-            Branch("D1", Lattice(1), lm([[1]]), lm([[1]], source=1)),
+            Branch("D1", lm([[1]]), lm([[1]], 1)),
         )
-        datum = DegenDatum("p3", 0, 3, Lattice(1), branches)
+        datum = DegenDatum("p3", 0, 3, 1, branches)
         from degenkit.degeneration import is_l_toric_additive
         with pytest.raises(InputError):
             is_l_toric_additive(datum, 3)
@@ -144,9 +144,9 @@ class TestPermutationInvariance:
         def datum(order):
             sps = {"A": [1, 0], "B": [0, 1], "C": [1, 1]}
             branches = tuple(
-                Branch(name, Lattice(1), lm([[1]]), lm([sps[name]], source=2))
+                Branch(name, lm([[1]]), lm([sps[name]], 2))
                 for name in order)
-            return DegenDatum("perm", 0, 0, Lattice(2), branches)
+            return DegenDatum("perm", 0, 0, 2, branches)
 
         first = datum(["A", "B", "C"])
         second = datum(["A", "C", "B"])
@@ -205,3 +205,51 @@ class TestMatrixEntries:
                       for b in datum.branches)
         assert entries > len(located)
         assert not [w for w in located if re.search(r"\[\d+\]\[\d+\]$", w)]
+
+
+def dual_doc():
+    """A one-branch datum with an explicit dual side, every rank 1."""
+    return {"format_version": "1", "kind": "degeneration", "name": "dual",
+            "closed_point": {"rank": 1},
+            "branches": [{"name": "D1", "rank": 1, "pairing": [[1]], "specialization": [[1]]}],
+            "dual": {"closed_point": {"rank": 1},
+                     "branches": [{"rank": 1, "specialization": [[1]]}]}}
+
+
+def _analyze(capsys, tmp_path, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code = cli.main(["analyze", str(path)])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, path
+
+
+@pytest.mark.parametrize("keys", [
+    ("closed_point",), ("branches", 0), ("dual", "closed_point"), ("dual", "branches", 0),
+], ids=lambda keys: ".".join(map(str, keys)))
+def test_negative_rank_is_refused_with_its_path(capsys, tmp_path, keys):
+    doc = dual_doc()
+    node = doc
+    for key in keys:
+        node = node[key]
+    node["rank"] = -1
+    code, out, err, path = _analyze(capsys, tmp_path, doc)
+    where = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}{where}.rank: must be non-negative, got -1\n"
+
+
+@pytest.mark.parametrize("mu, dual_mu", [(-1, None), (1, -2)])
+def test_negative_closed_point_rank_is_refused_by_the_datum(mu, dual_mu):
+    with pytest.raises(InputError, match="rank must be non-negative"):
+        DegenDatum("negative", 0, 0, mu, (), dual_mu=dual_mu,
+                   dual_specializations=None if dual_mu is None else ())
+
+
+@pytest.mark.parametrize("branches", [5, None, "D1", {}], ids=repr)
+def test_stratum_branches_must_be_an_array(capsys, tmp_path, branches):
+    doc = one_branch_doc([[1, 0], [0, 1]])
+    doc["strata"] = [{"branches": branches, "inclusion": [[1, 0], [0, 1]]}]
+    code, out, err, path = _analyze(capsys, tmp_path, doc)
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}.strata[0].branches: expected an array\n"
