@@ -219,10 +219,11 @@ def _derived_level(group: FinAb, l: int, r: int) -> int:
     """The level L = max(r, v), where l^v is the exponent of the lattice-side group."""
     if r < 1:
         raise InputError("level r must be >= 1")
-    level = r
-    while l ** level < group.exponent:
-        level += 1
-    return level
+    v, exponent = 0, group.exponent    # l^v, as the group is an l-group
+    while exponent > 1:
+        exponent //= l
+        v += 1
+    return max(r, v)
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
@@ -248,10 +249,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         profile = _parse_profile(args.profile, datum.n)
         composed = monodromy.compose_trait(datum, profile)
         trait_group = monodromy.trait_component_group(datum, composed)
-        # where both strata keep closed-point coordinates, phi_f is the action
-        # sum a_i·psi_i, and one cokernel serves both sides
-        torsion = trait_group if composed.closed_point_coordinates \
-            else galois.action_torsion(datum, profile)
+        # on a derived stratum the action sum a_i·psi_i has the torsion of
+        # coker phi_f (galois module docstring); only an override can differ
+        torsion = galois.action_torsion(datum, profile) \
+            if datum.stratum_override(profile.active) is not None else trait_group
         lattice_group = l_part(trait_group, args.l)
         level = _derived_level(lattice_group, args.l, args.r)
         galois_group = galois.torsion_phi_group(torsion, args.l, level)

@@ -19,12 +19,25 @@ object and never the mu × mu product psi_i:
   y in Z^mu, are all z^t·f_i, z in Z^mu_i.  So the stacks of the psi_i and
   of the f_i have one row lattice L, hence one set of nonzero invariant
   factors d_k: Z^mu / L ≅ ⊕ Z/d_k ⊕ Z^(mu - rank L) (Smith form).
-- sum a_i·psi_i = (sp_j)^t·diag(a_j·phi_j)·(sp'_j) over the j with
-  a_j != 0: the trait's composed pairing in closed-point coordinates,
-  whose cokernel ``monodromy.composed_cokernel`` takes.  Where a trait's
-  strata are flagged so (``ComposedPairing.closed_point_coordinates``), the
-  oracle reads the action's torsion off the trait group: no product and no
-  comparison.
+- sum a_i·psi_i = R^t·diag(a_j·phi_j)·R' over the j with a_j != 0, where
+  R and R' stack the sp_j and sp'_j (restricted purity): the trait's
+  composed pairing on R and R' (``monodromy.closed_point_pairing``), whose
+  cokernel ``monodromy.composed_cokernel`` takes.
+
+Derived strata.  A stratum basis B that the code derives factors R = B·Q
+with Q onto: Q = 1 where B is R itself, and B is a basis of im R where it
+is R's Hermite basis.  So, with R' = B'·Q' likewise, sum a_i·psi_i =
+Q^t·phi_f·Q' with phi_f = B^t·diag(a_j·phi_j)·B', and its torsion is that
+of coker phi_f, the trait group:
+
+- Q' onto gives im(phi_f·Q') = im phi_f.
+- Q onto has a right inverse S, so S^t·Q^t = 1 and Q^t is split
+  injective: Z^mu = Q^t(Z^r) ⊕ C with C = ker S^t free.
+- So coker(sum a_i·psi_i) = Q^t(Z^r) / Q^t(im phi_f) ⊕ C ≅ coker phi_f ⊕ C.
+
+The oracle therefore computes the action's torsion only under an override,
+whose inclusion contains the image of R but may strictly contain it: there
+Q need not be onto, the sides can differ, and exit 1 stays reachable.
 
 Block reduction of the stack.  The stacked f_i are diag(phi_i)·P', with P'
 the dual purity map (sp'_1; ...; sp'_n).  When P' is unimodular, that is,
@@ -157,5 +170,6 @@ def torsion_phi_group(torsion: FinAb, l: int, r: int) -> FinAb:
     """
     if r < 1:
         raise InputError("level r must be >= 1")
-    modulus = l ** r
-    return FinAb(tuple(g for g in (gcd(d, modulus) for d in torsion.invariant_factors) if g > 1))
+    # v_l(d) < d.bit_length() as l >= 2, so the power past it changes no gcd
+    return FinAb(tuple(g for g in (gcd(d, l ** min(r, d.bit_length()))
+                                   for d in torsion.invariant_factors) if g > 1))

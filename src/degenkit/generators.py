@@ -55,17 +55,6 @@ def random_spd(rng: Random, n: int) -> list[list[int]]:
             return m
 
 
-def random_profile(rng: Random, n: int, transversal: bool = False,
-                   allow_zero: bool = False) -> list[int]:
-    while True:
-        if transversal:
-            prof = [rng.randint(0, 1) for _ in range(n)]
-        else:
-            prof = [rng.randint(0, 3) for _ in range(n)]
-        if allow_zero or any(prof) or n == 0:
-            return prof
-
-
 def random_datum(rng: Random, max_mu: int = 4, max_n: int = 3,
                  residue_char: int = 0, min_n: int = 0) -> DegenDatum:
     """Random valid principally polarized datum; toric additivity is not forced."""

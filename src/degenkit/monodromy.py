@@ -7,12 +7,14 @@ the J-restricted purity map.  The composed pairing is
     phi_f = B^t · diag(a_j · phi_j) · B'
 
 where B and B' are bases of the primal and dual stratum images.  A stratum
-is its basis: an override's inclusion as given, else, when the restricted
-purity map is injective, the closed-point coordinates (B = restricted purity
-itself), which reproduce the closed-point pairing matrices exactly, else a
-canonical Hermite basis of the image.  The projection X -> Y is solved only
-by ``converse``, which prints it.  The component group of a nondegenerate
-pairing is its cokernel.
+is its basis (``stratum_lattice``): an override's inclusion as given, else
+the restricted purity map R itself where the subset is every branch or R is
+injective, else a canonical Hermite basis of the image.  A derived basis
+factors R = B·Q with Q onto (Q = 1 on R itself), so the Galois action on the
+stratum is Q^t·phi_f·Q' and has the torsion of coker phi_f (``galois``
+module docstring); only an override can make the two differ.  The
+projection Q is solved only by ``converse``, which prints it.  The
+component group of a nondegenerate pairing is its cokernel.
 
 Block lemma: coker(U^t·M·V) ≅ coker M for unimodular U and V, since
 U^t and V are automorphisms of the two lattices.  A trait through every
@@ -72,34 +74,16 @@ class TraitProfile:
 
 
 @dataclass(frozen=True)
-class StratumData:
-    """Stratum lattice Y for a branch subset J, as its basis in ⊕_{j in J} X_j."""
-
-    inclusion: LatticeMap    # Y -> ⊕_{j in J} X_j, columns span the stratum image
-    active: tuple[int, ...]
-    heuristic: bool = False
-    # the basis is the restricted (dual) purity map itself
-    closed_point_coordinates: bool = False
-
-
-@dataclass(frozen=True)
 class ComposedPairing:
     profile: TraitProfile
-    stratum: StratumData
-    dual_stratum: StratumData
+    basis: LatticeMap          # Y -> ⊕_{j in J} X_j, the stratum's basis
+    dual_basis: LatticeMap     # Y' -> ⊕_{j in J} X'_j
     pairings: tuple[LatticeMap, ...]    # phi_j over the active j
     warnings: tuple[str, ...] = ()
 
     @property
     def active(self) -> tuple[int, ...]:
-        return self.stratum.active
-
-    @property
-    def closed_point_coordinates(self) -> bool:
-        """Both strata bases are the restricted (dual) purity maps, so phi_f
-        is the Galois action sum a_i·psi_i (``galois`` module docstring)."""
-        return self.stratum.closed_point_coordinates and \
-            self.dual_stratum.closed_point_coordinates
+        return self.profile.active
 
     @cached_property
     def matrix(self) -> LatticeMap:
@@ -108,8 +92,7 @@ class ComposedPairing:
                   for j, phi in zip(self.active, self.pairings)]
         middle = LatticeMap.block_diagonal(blocks) if blocks \
             else LatticeMap.zero(0, 0)
-        return self.stratum.inclusion.transpose().compose(middle).compose(
-            self.dual_stratum.inclusion)
+        return self.basis.transpose().compose(middle).compose(self.dual_basis)
 
 
 def _dual_is_primal(datum: DegenDatum, override: StratumOverride | None) -> bool:
@@ -122,13 +105,13 @@ def _dual_is_primal(datum: DegenDatum, override: StratumOverride | None) -> bool
 
 
 def stratum_lattice(datum: DegenDatum, active: tuple[int, ...] | list[int],
-                    dual: bool = False) -> StratumData:
-    """Stratum lattice over the branch subset J (the image of restricted purity).
+                    dual: bool = False) -> LatticeMap:
+    """Basis of the stratum lattice over the branch subset J (the image of
+    restricted purity), as a map into ⊕_{j in J} X_j (X'_j when dual).
 
-    For a toric-additive datum this is exactly ⊕_{j in J} X_j; for J equal to
-    the whole branch set it is the closed-point lattice X carried by the
-    purity map.  Intermediate strata of a non-toric-additive datum are derived
-    and flagged heuristic; explicit overrides from the input file win.
+    For a toric-additive datum the stratum is exactly ⊕_{j in J} X_j; for J
+    equal to the whole branch set it is the closed-point lattice X carried by
+    the purity map.  Explicit overrides from the input file win.
 
     Validation decided every override rule: an override has its dual
     inclusion where the dual side needs one, and each inclusion contains the
@@ -143,23 +126,22 @@ def stratum_lattice(datum: DegenDatum, active: tuple[int, ...] | list[int],
         raise InputError("stratum subset names a missing branch")
     override = datum.stratum_override(active)
     if override is not None:
-        inc = override.dual_inclusion if dual and not _dual_is_primal(datum, override) \
+        return override.dual_inclusion if dual and not _dual_is_primal(datum, override) \
             else override.inclusion
-        return StratumData(inc, active)
     restricted = restricted_purity(datum, active, dual)
-    whole = len(active) == datum.n
-    heuristic = not whole and not datum.verdict.toric_additive
-    if whole or restricted.is_injective():
+    if len(active) == datum.n or restricted.is_injective():
         # Y is the source lattice itself, in its own basis
-        return StratumData(restricted, active, heuristic, closed_point_coordinates=True)
-    return StratumData(restricted.image_basis(), active, heuristic)
+        return restricted
+    return restricted.image_basis()
 
 
 def compose_trait(datum: DegenDatum, profile: TraitProfile) -> ComposedPairing:
     """Monodromy pairing of the trait with the given multiplicity tuple.
 
     Where the dual stratum is the primal one (``_dual_is_primal``), the
-    primal stratum is reused.
+    primal basis is reused.  An intermediate stratum of a
+    non-toric-additive datum that no override gives is derived, and flagged
+    heuristic.
     """
     require_valid(datum)
     if len(profile.multiplicities) != datum.n:
@@ -169,27 +151,26 @@ def compose_trait(datum: DegenDatum, profile: TraitProfile) -> ComposedPairing:
     active = profile.active
     if datum.n > 0 and not active:
         warnings.append(TRAIT_MISSES_DIVISOR)
-    stratum = stratum_lattice(datum, active, dual=False)
-    if _dual_is_primal(datum, datum.stratum_override(active)):
-        dual_stratum = stratum
-    else:
-        dual_stratum = stratum_lattice(datum, active, dual=True)
-    if stratum.heuristic or dual_stratum.heuristic:
+    override = datum.stratum_override(active)
+    basis = stratum_lattice(datum, active)
+    dual_basis = basis if _dual_is_primal(datum, override) \
+        else stratum_lattice(datum, active, dual=True)
+    if override is None and len(active) != datum.n and not datum.verdict.toric_additive:
         warnings.append(HEURISTIC_STRATUM)
     pairings = tuple(datum.branches[j].pairing for j in active)
-    return ComposedPairing(profile, stratum, dual_stratum, pairings, tuple(warnings))
+    return ComposedPairing(profile, basis, dual_basis, pairings, tuple(warnings))
 
 
 def closed_point_pairing(datum: DegenDatum, profile: TraitProfile) -> ComposedPairing:
-    """The composed pairing in closed-point coordinates, overrides or not:
+    """The composed pairing on the restricted purity maps, overrides or not:
     the Galois action sum a_i·psi_i (``galois`` module docstring)."""
     if len(profile.multiplicities) != datum.n:
         raise InputError(
             f"profile has {len(profile.multiplicities)} entries, datum has {datum.n} branches")
     active = profile.active
-    strata = [StratumData(restricted_purity(datum, active, dual), active,
-                          closed_point_coordinates=True) for dual in (False, True)]
-    return ComposedPairing(profile, *strata, tuple(datum.branches[j].pairing for j in active))
+    return ComposedPairing(profile, restricted_purity(datum, active),
+                           restricted_purity(datum, active, dual=True),
+                           tuple(datum.branches[j].pairing for j in active))
 
 
 def composed_cokernel(datum: DegenDatum, composed: ComposedPairing) -> tuple[FinAb, int]:
@@ -208,6 +189,6 @@ def trait_component_group(datum: DegenDatum, composed: ComposedPairing) -> FinAb
     """Component group coker phi_f = ker(phi_f ⊗ Q/Z) of a trait, refused
     unless phi_f is square and nondegenerate."""
     torsion, free_rank = composed_cokernel(datum, composed)
-    if free_rank or composed.stratum.inclusion.ncols != composed.dual_stratum.inclusion.ncols:
+    if free_rank or composed.basis.ncols != composed.dual_basis.ncols:
         raise InputError("degenerate pairing")
     return torsion

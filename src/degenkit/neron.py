@@ -159,9 +159,10 @@ def converse_inputs_from_datum(datum: DegenDatum) -> tuple[LatticeMap, LatticeMa
     P is the first specialization; Q is the stratum surjection onto the
     remaining branches with Psi2 the composed pairing there (direct sum of the
     branch pairings whenever the restricted purity is surjective).  Q is the
-    identity where the stratum keeps closed-point coordinates, and otherwise
-    the one solve inclusion ∘ Q = restricted purity, the one projection any
-    command needs.  The principal default polarizations are identities and
+    identity where the stratum basis is the restricted purity map itself,
+    the unique solution as the basis is injective, and otherwise the one
+    solve basis ∘ Q = restricted purity, the one projection any command
+    needs.  The principal default polarizations are identities and
     are not multiplied in.  With one branch the rest is empty, its stratum
     has rank 0, and Q is 0 × mu with Psi2 empty.
     """
@@ -178,16 +179,17 @@ def converse_inputs_from_datum(datum: DegenDatum) -> tuple[LatticeMap, LatticeMa
     if lams is not None:
         psi1 = psi1.compose(lams[0])
     rest = tuple(range(1, datum.n))
-    stratum = stratum_lattice(datum, rest)
-    if stratum.closed_point_coordinates:
+    basis = stratum_lattice(datum, rest)
+    restricted = restricted_purity(datum, rest)
+    if basis == restricted:
         q_map = LatticeMap.identity(datum.mu)
     else:
-        q_map = stratum.inclusion.solve(restricted_purity(datum, rest))
+        q_map = basis.solve(restricted)
         if q_map is None:
             raise FalsificationError("restricted purity does not factor through its stratum")
     # pairing on the stratum, polarized: B^t · diag(phi_j) · diag(lambda_j) · B
     blocks = LatticeMap.block_diagonal([datum.branches[j].pairing for j in rest])
     if lams is not None:
         blocks = blocks.compose(LatticeMap.block_diagonal([lams[j] for j in rest]))
-    psi2 = stratum.inclusion.transpose().compose(blocks).compose(stratum.inclusion)
+    psi2 = basis.transpose().compose(blocks).compose(basis)
     return p_map, q_map, psi1, psi2

@@ -32,6 +32,8 @@ def parse_json_bytes(raw: bytes, where: str) -> dict:
         data = json.loads(raw.decode("utf-8"))
     except ValueError as exc:  # also bad UTF-8 and integer literals over the digit limit
         raise InputError(f"{where}: not valid JSON ({exc})") from exc
+    except RecursionError as exc:
+        raise InputError(f"{where}: not valid JSON (nested too deeply)") from exc
     if not isinstance(data, dict):
         raise InputError(f"{where}: top level must be a JSON object")
     return data

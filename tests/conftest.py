@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -21,6 +22,19 @@ def load_document(path: Path):
 
 def load_fixture(name: str):
     return load_document(fixture_path(name))
+
+
+def random_profile(rng: Random, n: int, transversal: bool = False,
+                   allow_zero: bool = False) -> list[int]:
+    """Branch multiplicities for a trait: 0-3 each, or 0-1 when transversal;
+    not all zero unless zeros are allowed."""
+    while True:
+        if transversal:
+            prof = [rng.randint(0, 1) for _ in range(n)]
+        else:
+            prof = [rng.randint(0, 3) for _ in range(n)]
+        if allow_zero or any(prof) or n == 0:
+            return prof
 
 
 @pytest.fixture

@@ -796,14 +796,14 @@ def trait_surjectivity_check(datum: DegenDatum, profile: TraitProfile) -> TraitS
     if not is_transversal(profile):
         raise InputError("profile is not transversal")
     composed = compose_trait(datum, profile)
-    bprime = composed.dual_stratum.inclusion
+    bprime = composed.dual_basis
     if bprime.nrows != bprime.ncols or abs(determinant(bprime)) != 1:
         raise InputError("dual stratum basis is not unimodular; "
                          "cannot transport the Psi generators")
     upsilon = component_group(composed.matrix)
     psi_active = FinAb.direct_sum([component_group(datum.branches[j].pairing)
                                    for j in composed.active])
-    bt = composed.stratum.inclusion.transpose()
+    bt = composed.basis.transpose()
     return TraitSurjectivity(upsilon, psi_active, bt.entries, bt.is_surjective(), composed)
 
 
@@ -838,7 +838,7 @@ def reference_trait_surjectivity(datum: DegenDatum,
     composed = compose_trait(datum, profile)
     ups_facs, ups_v = _presentation(composed.matrix)
     ups_orders = [d for d in ups_facs if d > 1]
-    bprime = composed.dual_stratum.inclusion
+    bprime = composed.dual_basis
     if bprime.nrows != bprime.ncols:
         raise InputError("dual stratum is not full; cannot transport the Psi generators")
     psi_orders: list[int] = []
@@ -866,7 +866,7 @@ def sub_datum(datum: DegenDatum, active: tuple[int, ...] | list[int]) -> DegenDa
     """Restriction of the datum to a branch subset, over the derived stratum."""
     require_valid(datum)
     active = tuple(sorted(set(active)))
-    stratum = stratum_lattice(datum, active, dual=False)
+    basis = stratum_lattice(datum, active, dual=False)
     offsets = []
     pos = 0
     for j in active:
@@ -879,23 +879,23 @@ def sub_datum(datum: DegenDatum, active: tuple[int, ...] | list[int]) -> DegenDa
     branches = []
     for off, j in zip(offsets, active):
         b = datum.branches[j]
-        branches.append(Branch(b.name, b.pairing, block(stratum.inclusion, off, b.rank)))
+        branches.append(Branch(b.name, b.pairing, block(basis, off, b.rank)))
     if datum.is_principal:
         return DegenDatum(
             name=f"{datum.name}|{','.join(datum.branches[j].name for j in active)}",
             abelian_rank=datum.abelian_rank,
             residue_char=datum.residue_char,
-            mu=stratum.inclusion.ncols,
+            mu=basis.ncols,
             branches=tuple(branches),
         )
-    dual_stratum = stratum_lattice(datum, active, dual=True)
+    dual_basis = stratum_lattice(datum, active, dual=True)
     d_offsets = []
     pos = 0
     for j in active:
         d_offsets.append(pos)
         pos += datum.branches[j].dual_rank
     dual_sps = tuple(
-        block(dual_stratum.inclusion, off, datum.branches[j].dual_rank)
+        block(dual_basis, off, datum.branches[j].dual_rank)
         for off, j in zip(d_offsets, active))
     branch_pols = None
     if datum.branch_polarizations is not None:
@@ -904,9 +904,9 @@ def sub_datum(datum: DegenDatum, active: tuple[int, ...] | list[int]) -> DegenDa
         name=f"{datum.name}|{','.join(datum.branches[j].name for j in active)}",
         abelian_rank=datum.abelian_rank,
         residue_char=datum.residue_char,
-        mu=stratum.inclusion.ncols,
+        mu=basis.ncols,
         branches=tuple(branches),
-        dual_mu=dual_stratum.inclusion.ncols,
+        dual_mu=dual_basis.ncols,
         dual_specializations=dual_sps,
         branch_polarizations=branch_pols,
     )

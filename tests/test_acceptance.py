@@ -17,7 +17,6 @@ from degenkit.galois import action_torsion, star_condition, torsion_phi_group
 from degenkit.generators import (
     random_datum,
     random_graph,
-    random_profile,
     random_ta_datum,
 )
 from degenkit.lattice import FinAb, LatticeMap, cokernel, l_part
@@ -28,7 +27,7 @@ from degenkit.neron import (
     psi_group,
 )
 
-from conftest import load_fixture
+from conftest import load_fixture, random_profile
 from oracles import (
     branch_factors,
     component_group,

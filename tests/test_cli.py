@@ -406,8 +406,7 @@ def test_trait_prints_the_multiplied_out_phi_f_on_every_golden(capsys, name):
         composed = monodromy.compose_trait(datum, TraitProfile(profile))
         middle = LatticeMap.block_diagonal([datum.branches[j].pairing.scaled(profile[j])
                                             for j in composed.active])
-        expected = composed.stratum.inclusion.transpose().compose(middle).compose(
-            composed.dual_stratum.inclusion)
+        expected = composed.basis.transpose().compose(middle).compose(composed.dual_basis)
         assert json.loads(out)["trait"]["phi_f"] == [list(row) for row in expected.entries]
     if argv[0] == "trait":
         golden = json.loads((GOLDEN / f"{name}.json").read_text())["trait"]["phi_f"]
@@ -528,6 +527,20 @@ class TestOracleLevels:
         assert closed["r_used"] == 20
         assert closed["exact_torsion"]["invariant_factors"] == [2 ** 20]
         assert closed["bound_is_strict"] is False
+
+    def test_a_large_level_within_budget(self, capsys):
+        # l^r is never formed at the asked level: 3^(3·10^7) alone took about a minute
+        argv = ["oracle", "example_3_4", "--l", "3", "--profile", "243,1", "--json"]
+        with wall_clock_budget(2):
+            code, out, err = run_cli(capsys, argv + ["--r", "100000000"])
+        assert code == 0, err
+        high = json.loads(out)["oracle"]
+        assert high["component_group"].pop("r") == high["closed_point"].pop("r_used") == 10 ** 8
+        # the same groups as at the derived levels: phi_f = ((972, 486), (486, 244))
+        low = json.loads(run_cli(capsys, argv)[1])["oracle"]
+        assert (low["component_group"].pop("r"), low["closed_point"].pop("r_used")) == (5, 4)
+        assert high == low
+        assert high["component_group"]["galois_side"]["invariant_factors"] == [243]
 
     def test_galois_side_growing_past_the_level_is_a_disagreement(self, capsys, monkeypatch):
         # equal to the lattice side, Z/2 + Z/2, at the derived level 4 only
@@ -767,6 +780,15 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, ["analyze", str(bad)])
         assert code == 2
         assert "not valid JSON" in err
+
+    @pytest.mark.parametrize("command", ["analyze", "curve"])
+    def test_deeply_nested_json(self, capsys, tmp_path, command):
+        # the decoder recurses once per level and gives up with a RecursionError
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000)
+        code, out, err = run_cli(capsys, [command, str(deep)])
+        assert (code, out) == (2, "")
+        assert err == f"error: {deep}: not valid JSON (nested too deeply)\n"
 
     def test_schema_violation(self, capsys, tmp_path):
         doc = tmp_path / "doc.json"

@@ -6,6 +6,7 @@ import json
 import random
 from collections import Counter
 from dataclasses import replace
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -17,6 +18,7 @@ from degenkit.degeneration import (
     DegenDatum,
     StratumOverride,
     is_l_toric_additive,
+    restricted_purity,
 )
 from degenkit.errors import InputError
 from degenkit.galois import (
@@ -28,7 +30,6 @@ from degenkit.galois import (
 from degenkit.generators import (
     random_datum,
     random_polarized_datum,
-    random_profile,
     random_spd,
     random_ta_datum,
     random_unimodular,
@@ -44,12 +45,13 @@ from degenkit.monodromy import (
     TraitProfile,
     closed_point_pairing,
     compose_trait,
+    stratum_lattice,
     trait_component_group,
 )
 from degenkit.schema import datum_to_dict
 
 import galois_full as full_model
-from conftest import fixture_path, load_fixture
+from conftest import fixture_path, load_fixture, random_profile
 from oracles import (
     Factors,
     add_maps,
@@ -293,6 +295,17 @@ class TestClosedForm:
             assert torsion_phi_group(torsion, l, r) == \
                 full_model.mod_lr_quotient(action, kernel_saturated(action), l ** r)
 
+    def test_level_past_the_bit_length_changes_nothing(self):
+        # gcd(d, l^r) with r cut at d.bit_length(), against the full power l^r
+        rng = random.Random(227)
+        for _ in range(300):
+            torsion = FinAb.from_cyclic_orders(
+                [rng.choice((2, 3, 5)) ** rng.randint(0, 9) * rng.randint(1, 40)
+                 for _ in range(3)])
+            l, r = rng.choice((2, 3, 5)), rng.randint(1, 40)
+            expected = [g for g in (gcd(d, l ** r) for d in torsion.invariant_factors) if g > 1]
+            assert list(torsion_phi_group(torsion, l, r).invariant_factors) == expected
+
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 3).flatmap(square_maps), st.sampled_from([2, 3]))
     def test_closed_point_matches_explicit_kernel(self, maps, l):
@@ -388,7 +401,7 @@ class TestFactors:
             profiles = [tuple(random_profile(rng, datum.n, allow_zero=True)) for _ in range(3)]
             for profile in profiles + [(0,) * datum.n, (1,) * datum.n]:
                 expected = _action(datum, profile)
-                # the composed pairing in closed-point coordinates is the action
+                # the composed pairing on the restricted purity maps is the action
                 action = closed_point_pairing(datum, TraitProfile(profile))
                 assert action.matrix.entries == expected.entries, (datum.name, profile)
                 assert action_torsion(datum, TraitProfile(profile)) == cokernel(expected)[0]
@@ -522,13 +535,10 @@ class TestExclusiveIndex:
             self._compare(factors, l)
 
 
-def _keeps_closed_point_coordinates(datum: DegenDatum, stratum, dual: bool) -> bool:
-    """Whether the stratum's basis is the restricted (dual) purity map itself."""
-    maps = [datum.dual_sp(j) if dual else datum.branches[j].specialization
-            for j in stratum.active]
-    return datum.stratum_override(stratum.active) is None and \
-        stratum.inclusion.ncols == datum.mu and \
-        stratum.inclusion.entries == tuple(row for m in maps for row in m.entries)
+def _on_restricted_purity(datum: DegenDatum, composed) -> bool:
+    """Whether both strata bases are the restricted (dual) purity maps themselves."""
+    return composed.basis == restricted_purity(datum, composed.active) and \
+        composed.dual_basis == restricted_purity(datum, composed.active, dual=True)
 
 
 def _oracle_eliminations(capsys, intmat_calls, path, argv) -> tuple[int, dict, list]:
@@ -541,8 +551,9 @@ def _oracle_eliminations(capsys, intmat_calls, path, argv) -> tuple[int, dict, l
 
 class TestSharedCokernel:
     """phi_f = B^t·diag(a_j·phi_j)·B' is the action sum a_j·psi_j entry for
-    entry when B and B' are the restricted purity maps, which the strata
-    flag, so the oracle factors it once for both sides."""
+    entry when B and B' are the restricted purity maps, and has its torsion
+    on every derived stratum, so the oracle factors it once for both sides
+    unless an override gives the stratum."""
 
     def test_composed_pairing_is_the_action_in_closed_point_coordinates(self):
         rng = random.Random(181)
@@ -551,20 +562,35 @@ class TestSharedCokernel:
             profiles = [tuple(random_profile(rng, datum.n, allow_zero=True)) for _ in range(4)]
             for profile in profiles + [(0,) * datum.n, (1,) * datum.n]:
                 composed = compose_trait(datum, TraitProfile(profile))
-                # the flag is set exactly where the basis is restricted purity
-                assert composed.stratum.closed_point_coordinates == \
-                    _keeps_closed_point_coordinates(datum, composed.stratum, False)
-                assert composed.dual_stratum.closed_point_coordinates == \
-                    _keeps_closed_point_coordinates(datum, composed.dual_stratum, True)
-                assert composed.closed_point_coordinates == \
-                    (composed.stratum.closed_point_coordinates and
-                     composed.dual_stratum.closed_point_coordinates)
-                if composed.closed_point_coordinates:
+                # the bases are the strata of the active set
+                assert composed.basis == stratum_lattice(datum, composed.active)
+                assert composed.dual_basis == stratum_lattice(datum, composed.active, dual=True)
+                if _on_restricted_purity(datum, composed):
                     assert composed.matrix == _action(datum, profile), (datum.name, profile)
                     kept += 1
                 else:
                     moved += 1
         assert kept > 300 and moved > 100, (kept, moved)
+
+    def test_derived_strata_share_the_torsion_at_size(self):
+        """On a Hermite basis of the stratum, sum a_i·psi_i = Q^t·phi_f·Q'
+        with Q and Q' onto, so its torsion is the trait group (galois module
+        docstring), which the oracle reports for both sides."""
+        rng = random.Random(223)
+        gens = (random_datum, random_ta_datum, random_polarized_datum)
+        cases = Counter()
+        for k in range(700):
+            datum = gens[k % 3](rng, max_mu=8, max_n=5, min_n=2)
+            for _ in range(4):
+                profile = TraitProfile(tuple(random_profile(rng, datum.n)))
+                composed = compose_trait(datum, profile)
+                assert datum.stratum_override(composed.active) is None
+                if _on_restricted_purity(datum, composed):
+                    continue
+                assert action_torsion(datum, profile) == \
+                    trait_component_group(datum, composed), (datum.name, profile)
+                cases[datum.is_principal] += 1
+        assert sum(cases.values()) >= 1000 and cases[False] > 200, cases
 
     @pytest.mark.parametrize("name", ["example_3_4", "generated_ta_seed7", "product_tate",
                                       "tate_u1u2", "generated_nonta_seed11"])
@@ -630,11 +656,11 @@ class TestSharedCokernel:
 
     def test_galois_side_is_the_cokernel_of_the_action(self, capsys, intmat_calls, tmp_path):
         """Profiles with a zero entry, and overrides over every branch: the
-        Galois side is the cokernel of sum a_i·psi_i, factored once per oracle
-        op (shared with the trait group where both strata keep closed-point
-        coordinates), or not at all where the blocks give it, as they give
-        the trait group too: a valid override over every branch is
-        unimodular where P and P' are."""
+        Galois side is the cokernel of sum a_i·psi_i, whose torsion is the
+        trait group's on a derived stratum, Hermite basis or not, and which
+        is factored on its own only under an override, or not at all where
+        the blocks give it, as they give the trait group too: a valid
+        override over every branch is unimodular where P and P' are."""
         rng = random.Random(191)
         cases = Counter()
         for k, datum in enumerate(_random_datums(rng, 120)):
@@ -658,22 +684,28 @@ class TestSharedCokernel:
             blocks = all(profile) and is_onto(datum.purity_cokernel) and \
                 is_onto(datum.dual_purity_cokernel)
             composed = compose_trait(datum, TraitProfile(tuple(profile)))
-            shared = composed.closed_point_coordinates
-            # an override's phi_f may equal the action by chance (mu = 1, say)
-            twin = not shared and composed.matrix == action
+            phi_f = composed.matrix
+            # the action is factored on its own only under an override
+            shared = datum.stratum_override(composed.active) is None
+            # phi_f is the action on the restricted purity maps, and an
+            # override's may equal it by chance (mu = 1, say)
+            twin = phi_f == action
             assert added.count((action.entries, datum.mu, datum.mu)) == \
-                (0 if blocks else 1 + twin)
-            # off the blocks the trait group adds phi_f, which is the action
-            # where it is shared; on them neither side factors anything
+                (0 if blocks else (0 if shared else 1) + twin)
+            # off the blocks the trait group adds phi_f, shared on a derived
+            # stratum, Hermite or not; on them neither side factors anything
             assert len(added) == (0 if blocks else 1 + (0 if shared else 1)), \
                 (datum.name, profile)
+            if not blocks:
+                assert (phi_f.entries, phi_f.nrows, phi_f.ncols) in added
             group = report["component_group"]
             l, r = int(argv[1]), group["r"]
             reference = full_model.mod_lr_quotient(action, kernel_saturated(action), l ** r)
             assert group["galois_side"] == {"invariant_factors": list(reference.invariant_factors),
                                             "divisible_rank": 0}, (datum.name, profile)
-            cases[bool(datum.strata), blocks, shared] += 1
-        # zeros shared and not shared, overrides on the blocks and off them
+            cases[bool(datum.strata), blocks, _on_restricted_purity(datum, composed)] += 1
+        # zeros on the restricted purity maps and on Hermite bases, overrides
+        # on the blocks and off them
         assert cases[False, False, True] > 10 and cases[False, False, False] > 10, cases
         assert cases[True, True, False] > 5 and cases[True, False, False] > 10, cases
 

@@ -103,9 +103,11 @@ def test_only_allowed_intmat_names_outside_lattice(path):
     assert not bad, f"{path.name} uses intmat directly: {bad}"
 
 
-# Smith transforms, the general integral solve, and the Lattice type, which
-# held nothing but a rank that the matrix shapes already carry
-REMOVED = {"smith", "integral_solve", "SNFDecomposition", "smith_normal_form", "Lattice"}
+# Smith transforms, the general integral solve, the Lattice type, which
+# held nothing but a rank that the matrix shapes already carry, and the
+# stratum record, which held nothing but its basis and flags
+REMOVED = {"smith", "integral_solve", "SNFDecomposition", "smith_normal_form", "Lattice",
+           "StratumData"}
 
 
 def _identifiers(tree: ast.AST) -> set[str]:
@@ -127,6 +129,14 @@ def _identifiers(tree: ast.AST) -> set[str]:
 def test_no_smith_transforms_or_general_solve(path):
     found = _identifiers(ast.parse(path.read_text())) & REMOVED
     assert not found, f"{path.name} defines or references {sorted(found)}"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_closed_point_flag(path):
+    # the flag that said a stratum basis was restricted purity: a derived
+    # basis shares the action's torsion either way, so not even a docstring
+    # names it
+    assert "closed_point_coordinates" not in path.read_text()
 
 
 # V of a Smith form, the kernels and presentations read off it, and the flag
@@ -179,9 +189,9 @@ def test_cli_has_one_path_to_the_trait_group():
     assert "component_group" not in _identifiers(tree)
 
 
-# the generators that only tests and the benchmark call, until the benchmark's
-# own change moves them
-REACHED_FROM_OUTSIDE = {"random_polarized_datum", "random_profile"}
+# the generator that only tests and the benchmark call, until the benchmark's
+# own change moves it
+REACHED_FROM_OUTSIDE = {"random_polarized_datum"}
 
 
 def _references(tree: ast.AST, attributes_only: bool = False) -> Counter:
@@ -350,10 +360,16 @@ def test_field_reads_are_resolved_per_class(tmp_path):
 
 
 def test_a_stratum_is_its_basis():
-    # four fields, no lattice, projection or override flag; stratum_lattice
-    # re-decides no override rule and solves nothing
-    assert [f.name for f in fields(monodromy.StratumData)] == \
-        ["inclusion", "active", "heuristic", "closed_point_coordinates"]
+    # a stratum is the LatticeMap of its basis, and a composed pairing holds
+    # the two bases with no flag; stratum_lattice re-decides no override
+    # rule and solves nothing
+    example = load_fixture("example_3_4")
+    override = replace(example, strata=(StratumOverride((0,), LatticeMap.identity(1)),))
+    for datum, active in ((example, (0, 1)), (example, ()), (override, (0,))):
+        for dual in (False, True):
+            assert type(monodromy.stratum_lattice(datum, active, dual)) is LatticeMap
+    assert [f.name for f in fields(monodromy.ComposedPairing)] == \
+        ["profile", "basis", "dual_basis", "pairings", "warnings"]
     tree = ast.parse((SRC / "monodromy.py").read_text())
     body = next(node for node in ast.walk(tree)
                 if isinstance(node, ast.FunctionDef) and node.name == "stratum_lattice")

@@ -21,7 +21,6 @@ from degenkit.errors import InputError
 from degenkit.generators import (
     random_datum,
     random_polarized_datum,
-    random_profile,
     random_ta_datum,
     random_unimodular,
 )
@@ -37,6 +36,7 @@ from degenkit.monodromy import (
 from degenkit.neron import converse_inputs_from_datum
 from degenkit.schema import datum_to_dict
 
+from conftest import random_profile
 from oracles import (
     add_maps,
     closed_point_bound,
@@ -60,30 +60,30 @@ def _three_branch(strata=()) -> DegenDatum:
 
 class TestStratumLattice:
     def test_full_subset_is_closed_point(self, example_3_4):
-        data = stratum_lattice(example_3_4, (0, 1))
-        assert data.inclusion.ncols == 2
-        assert data.inclusion.entries == ((2, 1), (0, 1))
-        # the projection X -> Y is the identity in closed-point coordinates
-        assert data.closed_point_coordinates
-        assert data.inclusion.solve(restricted_purity(example_3_4, (0, 1))).entries == \
+        basis = stratum_lattice(example_3_4, (0, 1))
+        assert basis.ncols == 2
+        assert basis.entries == ((2, 1), (0, 1))
+        # the projection X -> Y is the identity where the basis is restricted purity
+        assert basis == restricted_purity(example_3_4, (0, 1))
+        assert basis.solve(restricted_purity(example_3_4, (0, 1))).entries == \
             ((1, 0), (0, 1))
-        assert not data.heuristic  # the deepest stratum is stored, not derived
+        # the deepest stratum is stored, not derived
+        assert HEURISTIC_STRATUM not in compose_trait(example_3_4, TraitProfile((1, 1))).warnings
 
     def test_ta_datum_gives_full_blocks(self, product_tate):
-        data = stratum_lattice(product_tate, (0,))
-        assert data.inclusion.ncols == 1
-        assert data.inclusion.entries == ((1,),)
-        assert data.inclusion.solve(restricted_purity(product_tate, (0,))).entries == ((1, 0),)
+        basis = stratum_lattice(product_tate, (0,))
+        assert basis.ncols == 1
+        assert basis.entries == ((1,),)
+        assert basis.solve(restricted_purity(product_tate, (0,))).entries == ((1, 0),)
 
     def test_empty_subset(self, example_3_4):
-        data = stratum_lattice(example_3_4, ())
-        assert data.inclusion.ncols == 0
+        assert stratum_lattice(example_3_4, ()).ncols == 0
 
     def test_heuristic_flag_on_proper_subset(self):
         # non-TA datum with three branches: intermediate strata are derived
         datum = _three_branch()
-        assert stratum_lattice(datum, (0, 1)).heuristic
-        assert not stratum_lattice(datum, (0, 1, 2)).heuristic
+        assert HEURISTIC_STRATUM in compose_trait(datum, TraitProfile((1, 1, 0))).warnings
+        assert HEURISTIC_STRATUM not in compose_trait(datum, TraitProfile((1, 1, 1))).warnings
 
 
 class TestComposeTrait:
@@ -97,8 +97,8 @@ class TestComposeTrait:
 
     def test_single_active_branch(self, example_3_4):
         composed = compose_trait(example_3_4, TraitProfile((1, 0)))
-        assert composed.stratum.inclusion.ncols == 1
-        assert composed.stratum.inclusion.entries == ((1,),)
+        assert composed.basis.ncols == 1
+        assert composed.basis.entries == ((1,),)
         assert composed.matrix.entries == ((1,),)
 
     def test_all_zero_profile_warns(self, example_3_4):
@@ -243,7 +243,7 @@ class TestTraitComponentGroup:
         for datum, profile in cases:
             assert not datum.violations and _unimodular_purity(datum)
             composed = compose_trait(datum, TraitProfile(profile))
-            assert not composed.stratum.closed_point_coordinates
+            assert composed.basis is datum.stratum_override(composed.active).inclusion
             intmat_calls.clear_all()
             group = trait_component_group(datum, composed)
             shapes = [(nrows, ncols) for _, nrows, ncols in intmat_calls["eliminations"]]
@@ -289,9 +289,9 @@ def _contract_datums(product_tate: DegenDatum) -> list[DegenDatum]:
 
 class TestStratumContract:
     """A stratum is its basis: an override's inclusion as given, else the
-    restricted (dual) purity map in closed-point coordinates, else the
-    Hermite basis of its image.  Each is injective and contains the restricted
-    image, which ``stratum_lattice`` no longer checks by a solve."""
+    restricted (dual) purity map itself, else the Hermite basis of its
+    image.  Each is injective and contains the restricted image, which
+    ``stratum_lattice`` no longer checks by a solve."""
 
     def test_every_subset_of_every_datum(self, product_tate):
         kinds = {"override": 0, "closed point": 0, "hermite": 0}
@@ -300,15 +300,15 @@ class TestStratumContract:
             for size in range(datum.n + 1):
                 for active in combinations(range(datum.n), size):
                     for dual in (False, True):
-                        stratum = stratum_lattice(datum, active, dual)
+                        inc = stratum_lattice(datum, active, dual)
                         restricted = restricted_purity(datum, active, dual)
-                        inc = stratum.inclusion
-                        assert stratum.active == active and inc.is_injective()
+                        # a basis of a sublattice of the restricted target ⊕_{j in J} X_j
+                        assert inc.nrows == restricted.nrows and inc.is_injective()
                         override = datum.stratum_override(active)
                         if override is not None:
                             assert inc in (override.inclusion, override.dual_inclusion)
                             kinds["override"] += 1
-                        elif stratum.closed_point_coordinates:
+                        elif size == datum.n or restricted.is_injective():
                             assert inc == restricted
                             kinds["closed point"] += 1
                         else:
@@ -320,7 +320,7 @@ class TestStratumContract:
                 # converse's Q: inclusion ∘ Q = restricted purity on the rest
                 rest = tuple(range(1, datum.n))
                 _, q_map, _, _ = converse_inputs_from_datum(datum)
-                assert stratum_lattice(datum, rest).inclusion.compose(q_map) == \
+                assert stratum_lattice(datum, rest).compose(q_map) == \
                     restricted_purity(datum, rest)
         assert min(kinds.values()) > 40, kinds
 
@@ -364,8 +364,8 @@ def solves(monkeypatch):
 
 def test_trait_and_oracle_solve_nothing_and_converse_once(capsys, tmp_path, product_tate,
                                                          solves):
-    # partial profiles, the override's own subset and every branch; off
-    # closed-point coordinates converse solves for Q once
+    # partial profiles, the override's own subset and every branch; where
+    # the basis is not restricted purity itself converse solves for Q once
     rng = random.Random(223)
     ok = {"trait": 0, "oracle": 0, "converse": 0}
     converse_solved = validated = 0

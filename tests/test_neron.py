@@ -15,7 +15,6 @@ from degenkit.errors import InputError
 from degenkit.generators import (
     random_datum,
     random_polarized_datum,
-    random_profile,
     random_ta_datum,
 )
 from degenkit.lattice import FinAb, LatticeMap, cokernel
@@ -27,7 +26,7 @@ from degenkit.neron import (
     rescaled_psi,
 )
 
-from conftest import load_fixture
+from conftest import load_fixture, random_profile
 from oracles import (
     add_maps,
     determinant,

@@ -68,16 +68,15 @@ class TestStratumOverride:
         override = StratumOverride((0, 1), lm([[1, 0], [0, 1]]))
         datum = three_branch_datum([override])
         assert validate(datum) == []
-        data = stratum_lattice(datum, (0, 1))
-        assert data.inclusion is override.inclusion and not data.closed_point_coordinates
-        assert data.inclusion.entries == ((1, 0), (0, 1))
+        basis = stratum_lattice(datum, (0, 1))
+        assert basis is override.inclusion and basis != restricted_purity(datum, (0, 1))
+        assert basis.entries == ((1, 0), (0, 1))
         # the projection X -> Y solves inclusion ∘ Q = restricted purity
-        assert data.inclusion.solve(restricted_purity(datum, (0, 1))).entries == \
+        assert basis.solve(restricted_purity(datum, (0, 1))).entries == \
             ((2, 1), (0, 1))
         derived = stratum_lattice(three_branch_datum(), (0, 1))
-        assert derived.closed_point_coordinates
-        assert derived.inclusion == restricted_purity(three_branch_datum(), (0, 1))
-        assert derived.inclusion.entries != data.inclusion.entries
+        assert derived == restricted_purity(three_branch_datum(), (0, 1))
+        assert derived.entries != basis.entries
 
     def test_override_changes_composed_pairing(self):
         # with the saturated override the pairing is the plain block diagonal;
@@ -110,7 +109,7 @@ class TestStratumOverride:
         }
         datum = parse_document(doc)
         assert datum.strata[0].branches == (0, 1)
-        assert stratum_lattice(datum, (0, 1)).inclusion is datum.strata[0].inclusion
+        assert stratum_lattice(datum, (0, 1)) is datum.strata[0].inclusion
 
 
 class TestResidueCharGating:
