@@ -171,8 +171,9 @@ def _base_report(command: str, echo: dict) -> dict:
 
 
 def _int_list(option: str, text: str) -> tuple[int, ...]:
+    """The integers of a comma-separated list; "" is the empty list."""
     try:
-        return tuple(map(schema.decimal_int, text.split(",")))
+        return tuple(map(schema.decimal_int, text.split(","))) if text else ()
     except ValueError as exc:
         raise InputError(f"{option}: not a comma-separated integer list: {text!r}") from exc
 
@@ -284,8 +285,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def cmd_converse(args: argparse.Namespace) -> int:
     datum, echo = _load(args.file, "degeneration")
-    p_map, q_map, psi1, psi2 = neron.converse_inputs_from_datum(datum)
-    cert = neron.converse_check(p_map, q_map, psi1, psi2)
+    (p_map, q_map, psi1, psi2), cert = neron.datum_converse(datum)
     report = _base_report("converse", echo)
     report.update(_datum_common(datum))
     payload = {
@@ -300,7 +300,7 @@ def cmd_converse(args: argparse.Namespace) -> int:
     }
     if cert.hypothesis_holds:
         # theta = A^-1, so the chi_i are complementary idempotents that split
-        # X = ker P ⊕ ker Q (neron.converse_check)
+        # X = ker P ⊕ ker Q (neron._certificate)
         payload.update(theta=[[str(f) for f in row] for row in cert.theta],
                        chi1=_matrix_list(cert.chi1), chi2=_matrix_list(cert.chi2),
                        idempotent=True, kernel_decomposition=True, a_is_isomorphism=True)

@@ -9,17 +9,23 @@ and both are legal inputs everywhere.
 No routine computes a transform it does not return.
 
 * ``invariant_factors`` is the one Smith entry point: an elimination on a
-  shrinking block, which computes no transform.  A tall input is
-  transposed.  Each pivot is the smallest nonzero |entry| of the block,
-  found in one scan.  Euclid clears its column by row operations,
-  then its row by column operations, which change the pivot row alone once
-  the column is clear, so a unit pivot skips the row sweep; while remainders
-  are left, the pivot is re-picked within that column or row.  A pivot that
-  does not divide the whole block has an offending row added to its row.
-  The finished row and column leave the block, and so do zero rows; a
-  single row gives its gcd.  No bit bound is proven.  On dense input with
-  entries in [-9, 9] the block stayed within the determinant's bit length
-  at 64×64.
+  shrinking block (Cohen, GTM 138, §2.4), which computes no transform.  A
+  tall input is transposed.  Each pivot is the smallest nonzero |entry| of
+  the block, found in one scan.  A unit pivot p clears its column with the
+  exact quotients x·p and is done: the row sweep would change the
+  discarded pivot row alone.  Any other pivot runs Euclid with
+  nearest-integer quotients q = (2x + p) // (2p), so every remainder has
+  |r| <= |p|/2, and least-absolute-remainder Euclid never takes more steps
+  than the floor version (Kronecker; Knuth, TAOCP vol. 2, §4.5.3).  It
+  clears its column by row operations, then its row by column operations,
+  which change the pivot row alone once the column is clear; while
+  remainders are left, the least one is the next pivot, in that column or
+  row.  A pivot that does not divide the whole block has an offending row
+  added to its row.  The finished row and column leave the block, and so
+  do zero rows; a single row gives its gcd.  No bit bound is proven.  On
+  dense square input with entries in [-9, 9] no entry of the block
+  outgrew the determinant's bit length, measured on two or three seeds
+  each at 32×32, 48×48, 64×64 and 96×96.
 * ``matmul`` multiplies over the nonzeros of both factors.
 * ``rank``, ``independent_rows`` and ``bareiss_det`` are one Bareiss
   fraction-free pass, and ``positive_definite`` is the same pass without
@@ -114,26 +120,38 @@ def _diagonalize(m: IntMatrix, nrows: int, ncols: int) -> list[int]:
         piv = block.pop(i)
         j = piv.index(best) if best in piv else piv.index(-best)
         while True:
-            # clear column j off the pivot row; the least remainder is the next pivot
             p = piv[j]
+            if p == 1 or p == -1:
+                # x·p is exact, and the row sweep would change the discarded
+                # pivot row alone
+                for k, row in enumerate(block):
+                    x = row[j]
+                    if x:
+                        q = x * p
+                        block[k] = [a - q * b for a, b in zip(row, piv)]
+                break
+            # clear column j off the pivot row with nearest-integer quotients;
+            # the least remainder is the next pivot
+            p2 = 2 * p
             at, least = -1, 0
             for k, row in enumerate(block):
-                if row[j]:
-                    q = row[j] // p
-                    row = block[k] = [a - q * b for a, b in zip(row, piv)]
-                    if row[j] and (not least or abs(row[j]) < least):
-                        at, least = k, abs(row[j])
+                x = row[j]
+                if x:
+                    q = (2 * x + p) // p2
+                    if q:
+                        row = block[k] = [a - q * b for a, b in zip(row, piv)]
+                        x = row[j]
+                    if x and (not least or abs(x) < least):
+                        at, least = k, abs(x)
             if at >= 0:
                 piv, block[at] = block[at], piv
                 continue
-            if p in (1, -1):
-                break  # the row sweep would change the discarded pivot row alone
             # clear row j; column j is zero off the pivot row, so a column
             # operation changes the pivot row alone
             at, least = -1, 0
             for c, x in enumerate(piv):
                 if x and c != j:
-                    x = piv[c] = x % p
+                    x = piv[c] = x - p * ((2 * x + p) // p2)
                     if x and (not least or abs(x) < least):
                         at, least = c, abs(x)
             if at >= 0:

@@ -114,7 +114,8 @@ class LatticeMap:
         return intmat.rank(self.entries, self.nrows, self.ncols)
 
     def is_injective(self) -> bool:
-        return self.rank_of_image() == self.ncols
+        # fewer rows than columns decide it without a pass
+        return self.nrows >= self.ncols and self.rank_of_image() == self.ncols
 
     def is_surjective(self) -> bool:
         return is_onto(cokernel(self))

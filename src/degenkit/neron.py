@@ -4,12 +4,20 @@ Psi is the direct sum of the branch component groups.  Rescaling multiplies
 the i-th pairing by a tame integer m_i; the invariants of the rescaled group
 under the covering group action are Psi, a proven identity (l-parts away from
 the residue characteristic come from the unrescaled pairing, the p-part is
-acted on trivially and is the same in both groups).  ``converse_check``
-runs the converse certificate: compare the cokernels of A^t·Psi and
-A^t·Psi·A.  Equal cokernels are the hypothesis, which is also the
-integrality of the splitting theta; under it, the one check left is that A
-is an isomorphism, and theta, the idempotents and the kernel decomposition
-follow from A^-1.
+acted on trivially and is the same in both groups).  The converse
+certificate compares the cokernels of A^t·Psi and A^t·Psi·A.  Equal
+cokernels are the hypothesis, which is also the integrality of the
+splitting theta; under it, the one check left is that A is an isomorphism,
+and theta, the idempotents and the kernel decomposition follow from A^-1.
+
+``converse_check`` tests every precondition of hand-made maps before the
+certificate.  On a datum, validation and construction prove all of them
+but one: P = sp_1 is onto; Psi1 = phi_1∘lambda_1 is square and positive
+definite; Psi2 = B^t·diag(phi_j∘lambda_j)·B is too, as B is injective; P
+and Q share their source; and Q is onto where it is the identity or is
+solved against a Hermite basis B of im R, as R = B·Q for the restricted
+purity map R.  So ``datum_converse`` tests nothing but an override's Q,
+through ``converse_check``.
 """
 
 from __future__ import annotations
@@ -98,7 +106,26 @@ def rescaled_psi(datum: DegenDatum,
 
 def converse_check(p_map: LatticeMap, q_map: LatticeMap,
                    psi1: LatticeMap, psi2: LatticeMap) -> ConverseCertificate:
-    """Converse certificate from the two specializations and block pairings.
+    """Converse certificate from the two specializations and block pairings,
+    after testing its preconditions: P and Q onto with a shared source, and
+    Psi1 and Psi2 square of ranks rank P and rank Q, symmetric and positive
+    definite."""
+    if p_map.ncols != q_map.ncols:
+        raise InputError("P and Q must share their source")
+    if not p_map.is_surjective() or not q_map.is_surjective():
+        raise InputError("P and Q must be surjective")
+    for name, psi, rk in (("Psi1", psi1, p_map.nrows), ("Psi2", psi2, q_map.nrows)):
+        if psi.nrows != rk or psi.ncols != rk:
+            raise InputError(f"{name} must be square of rank {rk}")
+        reason = pairing_violation(psi)
+        if reason is not None:
+            raise InputError(f"{name} is {reason}")
+    return _certificate(p_map, q_map, psi1, psi2)
+
+
+def _certificate(p_map: LatticeMap, q_map: LatticeMap,
+                 psi1: LatticeMap, psi2: LatticeMap) -> ConverseCertificate:
+    """The converse certificate, on inputs that meet its preconditions.
 
     Tests the hypothesis im(A^t·Psi) = im(A^t·Psi·A) for A = (P; Q); when it
     holds, certifies that A is an isomorphism and reads the splitting off it.
@@ -120,16 +147,6 @@ def converse_check(p_map: LatticeMap, q_map: LatticeMap,
     - X = ker P ⊕ ker Q, the images of chi2 and chi1;
     - P restricted to ker Q is unimodular, with inverse theta_1.
     """
-    if p_map.ncols != q_map.ncols:
-        raise InputError("P and Q must share their source")
-    if not p_map.is_surjective() or not q_map.is_surjective():
-        raise InputError("P and Q must be surjective")
-    for name, psi, rk in (("Psi1", psi1, p_map.nrows), ("Psi2", psi2, q_map.nrows)):
-        if psi.nrows != rk or psi.ncols != rk:
-            raise InputError(f"{name} must be square of rank {rk}")
-        reason = pairing_violation(psi)
-        if reason is not None:
-            raise InputError(f"{name} is {reason}")
     a = LatticeMap.stack([p_map, q_map])
     at_psi = a.transpose().compose(LatticeMap.block_diagonal([psi1, psi2]))
     coker2, free = cokernel(at_psi.compose(a))
@@ -193,3 +210,15 @@ def converse_inputs_from_datum(datum: DegenDatum) -> tuple[LatticeMap, LatticeMa
         blocks = blocks.compose(LatticeMap.block_diagonal([lams[j] for j in rest]))
     psi2 = basis.transpose().compose(blocks).compose(basis)
     return p_map, q_map, psi1, psi2
+
+
+def datum_converse(datum: DegenDatum) -> tuple[tuple[LatticeMap, LatticeMap, LatticeMap,
+                                                     LatticeMap], ConverseCertificate]:
+    """The converse inputs of a datum and their certificate.  Only a Q
+    solved against an override's inclusion can fail to be onto, as the
+    inclusion may strictly contain the image; that case alone runs
+    ``converse_check`` (module docstring)."""
+    inputs = converse_inputs_from_datum(datum)
+    if datum.stratum_override(tuple(range(1, datum.n))) is not None:
+        return inputs, converse_check(*inputs)
+    return inputs, _certificate(*inputs)

@@ -2,8 +2,9 @@
 
 Nothing here touches the package's normal-form code paths: invariant factors
 come from gcds of minors or from a plain Smith elimination over the whole
-trailing block, and group structures from literal element enumeration in
-(Z/N)^k, so an agreement is meaningful evidence.
+trailing block, how many of them a prime divides from a rank mod p, and
+group structures from literal element enumeration in (Z/N)^k, so an
+agreement is meaningful evidence.
 
 The last section keeps checks that the package now skips because a proven
 identity decides them: the long form of ``degeneration.validate``, the
@@ -149,6 +150,28 @@ def reference_smith_diagonal(m: list[list[int]], nrows: int, ncols: int,
                 break
             row_sub(k, bad, -1)
     return [abs(d[t][t]) for t in range(min(nrows, ncols))]
+
+
+def rank_mod_p(m: list[list[int]], nrows: int, ncols: int, p: int) -> int:
+    """Rank of m over F_p by plain Gauss elimination with inverses mod p.
+
+    Exactly the invariant factors not divisible by p survive reduction mod
+    p, so the rank over Q minus this rank counts the d_i with p | d_i."""
+    rows = [[x % p for x in row] for row in m]
+    r = 0
+    for c in range(ncols):
+        k = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if k is None:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        inv = pow(rows[r][c], -1, p)
+        rows[r] = [x * inv % p for x in rows[r]]
+        for i in range(r + 1, nrows):
+            f = rows[i][c]
+            if f:
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
+        r += 1
+    return r
 
 
 def cofactor_det(m: list[list[int]]) -> int:

@@ -230,11 +230,11 @@ def test_trait_surjectivity_factors_composed_pairing_once(intmat_calls):
     assert len(intmat_calls.smith_forms()) == 4
 
 
-@pytest.mark.parametrize("name, eliminations", [("generated_ta_seed7", 5), ("product_tate", 5)])
+@pytest.mark.parametrize("name, eliminations", [("generated_ta_seed7", 3), ("product_tate", 3)])
 def test_converse_certificate_needs_no_smith_form(capsys, intmat_calls, name, eliminations):
     # validation (the purity cokernel, which is 0, so no specialization is
-    # tested on its own), then P and Q surjective and the two cokernels: the
-    # certified path reads its splitting off A^-1
+    # tested on its own), then the two cokernels: validation proved P and Q
+    # onto, and the certified path reads its splitting off A^-1
     code, out, err = run_cli(capsys, ["converse", name, "--json"])
     assert code == 0, err
     payload = json.loads(out)["converse"]
@@ -245,6 +245,65 @@ def test_converse_certificate_needs_no_smith_form(capsys, intmat_calls, name, el
         LatticeMap.block_diagonal([psi1, psi2]))
     assert payload["coker_at_psi"]["invariant_factors"] == \
         list(cokernel(at_psi)[0].invariant_factors)
+
+
+@pytest.mark.parametrize("name", ["generated_ta_seed7", "product_tate", "example_3_4"])
+def test_converse_decides_definiteness_only_in_validation(capsys, monkeypatch, name):
+    # validation proves Psi1 and Psi2 positive definite (Psi2 = B^t·blocks·B
+    # with B injective), so every Sylvester pass is one of validate's, one
+    # per polarized branch
+    callers = []
+    original = degeneration.intmat.positive_definite
+
+    def counting(m, n):
+        frame, names = sys._getframe(1), set()
+        while frame is not None:
+            names.add(frame.f_code.co_name)
+            frame = frame.f_back
+        callers.append("validate" in names)
+        return original(m, n)
+
+    monkeypatch.setattr(degeneration.intmat, "positive_definite", counting)
+    code, _, err = run_cli(capsys, ["converse", name, "--json"])
+    assert code == 0, err
+    datum = cli._load(name, "degeneration")[0]
+    assert callers == [True] * datum.n
+
+
+def test_converse_tests_the_q_of_an_override(capsys, tmp_path):
+    # the override on {D2, D3} is I_2, which contains the image of the
+    # restricted purity map R = ((1, 1), (1, -1)), so the datum is valid; but
+    # Q = R has det -2, and only an override's Q can fail to be onto
+    doc = tmp_path / "override_q.json"
+    doc.write_text(json.dumps({
+        "format_version": "1", "kind": "degeneration", "name": "override_q",
+        "closed_point": {"rank": 2},
+        "branches": [{"name": f"D{i + 1}", "rank": 1, "pairing": [[1]],
+                      "specialization": [sp]}
+                     for i, sp in enumerate([[1, 0], [1, 1], [1, -1]])],
+        "strata": [{"branches": ["D2", "D3"], "inclusion": [[1, 0], [0, 1]]}],
+    }))
+    code, _, err = run_cli(capsys, ["analyze", str(doc)])
+    assert code == 0, err
+    code, out, err = run_cli(capsys, ["converse", str(doc)])
+    assert (code, out) == (2, "")
+    assert err == "error: P and Q must be surjective\n"
+
+
+def test_empty_lists_on_a_zero_branch_datum(capsys, tmp_path):
+    # the one profile of a datum without branches is the empty one
+    doc = tmp_path / "bare.json"
+    doc.write_text(json.dumps({
+        "format_version": "1", "kind": "degeneration", "name": "bare",
+        "closed_point": {"rank": 0}, "branches": [],
+    }))
+    for argv in (["trait", str(doc), "--profile", ""],
+                 ["oracle", str(doc), "--l", "2", "--profile", ""],
+                 ["psi", str(doc), "--kummer", ""]):
+        code, _, err = run_cli(capsys, argv)
+        assert code == 0, (argv, err)
+    code, out, err = run_cli(capsys, ["trait", "example_3_4", "--profile", ""])
+    assert (code, out, err) == (2, "", "error: --profile: expected 2 entries, got 0\n")
 
 
 def test_converse_decides_a_square_a_in_one_bareiss_pass(capsys, intmat_calls):

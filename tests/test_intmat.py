@@ -7,7 +7,11 @@ column xgcd Hermite form (``oracles.reference_hnf``).  Empty, zero, single-row, 
 the divisibility fix-up, have fixed cases.  Up to 64×64 they are
 checked by certificates that need no reference: the divisibility chain,
 ∏ d_i = |det|, the shape of the Hermite form, and equality of lattices: m is
-h·X for an integral X whose columns span Z^r.
+h·X for an integral X whose columns span Z^r.  Up to 48×48, on the shapes
+the commands factor (purity stacks, A^t·Psi·A and A^t·Psi products) and on
+U·diag(chain)·V, the invariant factors meet the global facts of a Smith
+form: their count is the rank, d_1 is the gcd of the entries, they form a
+chain, ∏ d_i = |det| on square input, and #{i : p | d_i} = rank - rank_p.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 import random
 import signal
 from contextlib import contextmanager
-from math import prod
+from math import gcd, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -31,6 +35,7 @@ from oracles import (
     column_lattice_index,
     leading_principal_minors,
     minor_gcd_invariant_factors,
+    rank_mod_p,
     reference_hnf,
     reference_smith_diagonal,
 )
@@ -357,3 +362,88 @@ def test_dense_64_solves_against_its_hermite_basis_within_budget():
     assert x is not None and y is not None
     assert intmat.matmul(h, 64, 64, x, 64, 64) == m
     assert intmat.matmul(m, 64, 64, y, 64, 64) == h
+
+
+# -- global facts of the Smith form at size ------------------------------------
+
+def _smith_global_facts(m: list[list[int]], nrows: int, ncols: int) -> list[int]:
+    """The invariant factors of m, after checking every fact that needs no
+    reference elimination; rank_p comes from tests/oracles.py."""
+    facs = intmat.invariant_factors(m, nrows, ncols)
+    r = intmat.rank(m, nrows, ncols)
+    assert len(facs) == r
+    assert all(d > 0 for d in facs)
+    assert all(b % a == 0 for a, b in zip(facs, facs[1:]))
+    if facs:
+        assert facs[0] == gcd(*(x for row in m for x in row))
+    if nrows == ncols:
+        assert (prod(facs) if r == nrows else 0) == abs(intmat.bareiss_det(m, nrows))
+    for p in (2, 3):
+        assert sum(d % p == 0 for d in facs) == r - rank_mod_p(m, nrows, ncols, p)
+    return facs
+
+
+def _purity_stack(rng: random.Random, mu: int) -> list[list[int]]:
+    """A purity-style stack: ⌈mu/8⌉ + 1 branches of rank 2..8, with at least
+    mu rows together and entries in [-2, 2]."""
+    n = -(-mu // 8) + 1
+    while True:
+        ranks = [rng.randint(2, 8) for _ in range(n)]
+        if sum(ranks) >= mu:
+            break
+    return [[rng.choice((-2, -1, 0, 0, 1, 1, 2)) for _ in range(mu)] for _ in range(sum(ranks))]
+
+
+def _spd_blocks(rng: random.Random, size: int) -> list[list[int]]:
+    """Block-diagonal positive definite pairing: R^t·R plus a positive
+    diagonal in each block of at most 8."""
+    out = intmat.zeros(size, size)
+    start = 0
+    while start < size:
+        k = min(rng.randint(2, 8), size - start)
+        r = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)]
+        block = intmat.matmul(intmat.transpose(r, k, k), k, k, r, k, k)
+        for i in range(k):
+            for j in range(k):
+                out[start + i][start + j] = block[i][j] + (rng.randint(1, 9) if i == j else 0)
+        start += k
+    return out
+
+
+@pytest.mark.parametrize("mu, seed", [(12, 0), (24, 1), (36, 2), (48, 3)])
+def test_smith_global_facts_on_purity_stacks(mu, seed):
+    m = _purity_stack(random.Random(seed), mu)
+    _smith_global_facts(m, len(m), mu)
+
+
+@pytest.mark.parametrize("mu, seed", [(12, 4), (15, 5), (24, 6), (36, 7), (48, 8)])
+def test_smith_global_facts_on_converse_products(mu, seed):
+    # A^t·Psi·A and A^t·Psi, the two Smith forms of a converse certificate;
+    # the last factor of A^t·Psi·A has 100 bits and more
+    rng = random.Random(seed)
+    a = _purity_stack(rng, mu)
+    k = len(a)
+    at_psi = intmat.matmul(intmat.transpose(a, k, mu), mu, k, _spd_blocks(rng, k), k, k)
+    at_psi_a = intmat.matmul(at_psi, mu, k, a, k, mu)
+    facs = _smith_global_facts(at_psi_a, mu, mu)
+    assert facs[-1].bit_length() >= 100
+    _smith_global_facts(at_psi, mu, k)
+
+
+@pytest.mark.parametrize("nrows, ncols, seed", [(12, 12, 9), (20, 31, 10), (36, 28, 11),
+                                                (48, 48, 12), (48, 40, 13)])
+def test_smith_global_facts_on_a_disguised_chain(nrows, ncols, seed):
+    # U·D·V with D a diagonal of signed, non-unit pivots along a divisibility
+    # chain and a zero tail: its invariant factors are |D|'s nonzero diagonal
+    rng = random.Random(seed)
+    chain, d = [], 1
+    for _ in range(min(nrows, ncols) - 2):
+        d *= rng.choice((1, 1, 2, 3, 5))
+        chain.append(d * rng.choice((-1, 1)))
+    diag = intmat.zeros(nrows, ncols)
+    for i, c in enumerate(chain):
+        diag[i][i] = c
+    u, v = random_unimodular(rng, nrows), random_unimodular(rng, ncols)
+    m = intmat.matmul(intmat.matmul(u, nrows, nrows, diag, nrows, ncols), nrows, ncols,
+                      v, ncols, ncols)
+    assert _smith_global_facts(m, nrows, ncols) == [abs(c) for c in chain]
