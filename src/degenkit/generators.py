@@ -17,13 +17,13 @@ from .lattice import LatticeMap
 ENTRY_BOUND = 9
 
 
-def random_unimodular(rng: Random, n: int, steps: int | None = None) -> list[list[int]]:
+def random_unimodular(rng: Random, n: int) -> list[list[int]]:
     """Random unimodular matrix with entries bounded by ENTRY_BOUND."""
     if n == 0:
         return []
     while True:
         m = intmat.identity(n)
-        for _ in range(steps if steps is not None else 3 * n):
+        for _ in range(3 * n):
             op = rng.randrange(3)
             i = rng.randrange(n)
             j = rng.randrange(n)

@@ -42,7 +42,6 @@ from functools import cached_property
 
 from .degeneration import (
     DegenDatum,
-    StratumOverride,
     require_valid,
     restricted_purity,
 )
@@ -95,15 +94,6 @@ class ComposedPairing:
         return self.basis.transpose().compose(middle).compose(self.dual_basis)
 
 
-def _dual_is_primal(datum: DegenDatum, override: StratumOverride | None) -> bool:
-    """Whether the dual stratum over a subset is the primal one.
-
-    On a principal datum sp'_j = sp_j, and an override without a dual
-    inclusion serves both sides with its primal one.
-    """
-    return datum.is_principal and (override is None or override.dual_inclusion is None)
-
-
 def stratum_lattice(datum: DegenDatum, active: tuple[int, ...] | list[int],
                     dual: bool = False) -> LatticeMap:
     """Basis of the stratum lattice over the branch subset J (the image of
@@ -126,7 +116,7 @@ def stratum_lattice(datum: DegenDatum, active: tuple[int, ...] | list[int],
         raise InputError("stratum subset names a missing branch")
     override = datum.stratum_override(active)
     if override is not None:
-        return override.dual_inclusion if dual and not _dual_is_primal(datum, override) \
+        return override.dual_inclusion if dual and override.dual_inclusion is not None \
             else override.inclusion
     restricted = restricted_purity(datum, active, dual)
     if len(active) == datum.n or restricted.is_injective():
@@ -138,10 +128,10 @@ def stratum_lattice(datum: DegenDatum, active: tuple[int, ...] | list[int],
 def compose_trait(datum: DegenDatum, profile: TraitProfile) -> ComposedPairing:
     """Monodromy pairing of the trait with the given multiplicity tuple.
 
-    Where the dual stratum is the primal one (``_dual_is_primal``), the
-    primal basis is reused.  An intermediate stratum of a
-    non-toric-additive datum that no override gives is derived, and flagged
-    heuristic.
+    Where the dual stratum is the primal one, on a principal datum with no
+    dual inclusion given, the primal basis is reused.  An intermediate
+    stratum of a non-toric-additive datum that no override gives is
+    derived, and flagged heuristic.
     """
     require_valid(datum)
     if len(profile.multiplicities) != datum.n:
@@ -153,8 +143,8 @@ def compose_trait(datum: DegenDatum, profile: TraitProfile) -> ComposedPairing:
         warnings.append(TRAIT_MISSES_DIVISOR)
     override = datum.stratum_override(active)
     basis = stratum_lattice(datum, active)
-    dual_basis = basis if _dual_is_primal(datum, override) \
-        else stratum_lattice(datum, active, dual=True)
+    dual_is_primal = datum.is_principal and (override is None or override.dual_inclusion is None)
+    dual_basis = basis if dual_is_primal else stratum_lattice(datum, active, dual=True)
     if override is None and len(active) != datum.n and not datum.verdict.toric_additive:
         warnings.append(HEURISTIC_STRATUM)
     pairings = tuple(datum.branches[j].pairing for j in active)

@@ -10,14 +10,15 @@ cokernels are the hypothesis, which is also the integrality of the
 splitting theta; under it, the one check left is that A is an isomorphism,
 and theta, the idempotents and the kernel decomposition follow from A^-1.
 
-``converse_check`` tests every precondition of hand-made maps before the
-certificate.  On a datum, validation and construction prove all of them
-but one: P = sp_1 is onto; Psi1 = phi_1∘lambda_1 is square and positive
-definite; Psi2 = B^t·diag(phi_j∘lambda_j)·B is too, as B is injective; P
-and Q share their source; and Q is onto where it is the identity or is
-solved against a Hermite basis B of im R, as R = B·Q for the restricted
-purity map R.  So ``datum_converse`` tests nothing but an override's Q,
-through ``converse_check``.
+On a datum, validation and construction prove every precondition of the
+certificate but one: P = sp_1 is onto; Psi1 = phi_1∘lambda_1 is square and
+positive definite; Psi2 = B^t·diag(phi_j∘lambda_j)·B is too, as B is
+injective; P and Q share their source; and Q is onto where it is the
+identity or is solved against a Hermite basis B of im R, as R = B·Q for the
+restricted purity map R.  Only an override's inclusion may strictly contain
+im R, and then Q is onto exactly when the two images are equal, so
+``converse_inputs_from_datum`` tests that one precondition where it solves
+Q.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from math import gcd
 
 from .degeneration import (
     DegenDatum,
-    pairing_violation,
     require_valid,
     restricted_purity,
 )
@@ -104,28 +104,10 @@ def rescaled_psi(datum: DegenDatum,
     return FinAb.direct_sum([datum.pairing_cokernel(i, m) for i, m in enumerate(ms)])
 
 
-def converse_check(p_map: LatticeMap, q_map: LatticeMap,
-                   psi1: LatticeMap, psi2: LatticeMap) -> ConverseCertificate:
-    """Converse certificate from the two specializations and block pairings,
-    after testing its preconditions: P and Q onto with a shared source, and
-    Psi1 and Psi2 square of ranks rank P and rank Q, symmetric and positive
-    definite."""
-    if p_map.ncols != q_map.ncols:
-        raise InputError("P and Q must share their source")
-    if not p_map.is_surjective() or not q_map.is_surjective():
-        raise InputError("P and Q must be surjective")
-    for name, psi, rk in (("Psi1", psi1, p_map.nrows), ("Psi2", psi2, q_map.nrows)):
-        if psi.nrows != rk or psi.ncols != rk:
-            raise InputError(f"{name} must be square of rank {rk}")
-        reason = pairing_violation(psi)
-        if reason is not None:
-            raise InputError(f"{name} is {reason}")
-    return _certificate(p_map, q_map, psi1, psi2)
-
-
-def _certificate(p_map: LatticeMap, q_map: LatticeMap,
-                 psi1: LatticeMap, psi2: LatticeMap) -> ConverseCertificate:
-    """The converse certificate, on inputs that meet its preconditions.
+def converse_certificate(p_map: LatticeMap, q_map: LatticeMap,
+                         psi1: LatticeMap, psi2: LatticeMap) -> ConverseCertificate:
+    """The converse certificate, on inputs that meet its preconditions
+    (module docstring).
 
     Tests the hypothesis im(A^t·Psi) = im(A^t·Psi·A) for A = (P; Q); when it
     holds, certifies that A is an isomorphism and reads the splitting off it.
@@ -179,9 +161,10 @@ def converse_inputs_from_datum(datum: DegenDatum) -> tuple[LatticeMap, LatticeMa
     identity where the stratum basis is the restricted purity map itself,
     the unique solution as the basis is injective, and otherwise the one
     solve basis ∘ Q = restricted purity, the one projection any command
-    needs.  The principal default polarizations are identities and
-    are not multiplied in.  With one branch the rest is empty, its stratum
-    has rank 0, and Q is 0 × mu with Psi2 empty.
+    needs; a Q solved against an override is refused unless it is onto.
+    The principal default polarizations are identities and are not
+    multiplied in.  With one branch the rest is empty, its stratum has rank
+    0, and Q is 0 × mu with Psi2 empty.
     """
     require_valid(datum)
     if datum.n == 0:
@@ -204,21 +187,11 @@ def converse_inputs_from_datum(datum: DegenDatum) -> tuple[LatticeMap, LatticeMa
         q_map = basis.solve(restricted)
         if q_map is None:
             raise FalsificationError("restricted purity does not factor through its stratum")
+        if datum.stratum_override(rest) is not None and not q_map.is_surjective():
+            raise InputError("P and Q must be surjective")
     # pairing on the stratum, polarized: B^t · diag(phi_j) · diag(lambda_j) · B
     blocks = LatticeMap.block_diagonal([datum.branches[j].pairing for j in rest])
     if lams is not None:
         blocks = blocks.compose(LatticeMap.block_diagonal([lams[j] for j in rest]))
     psi2 = basis.transpose().compose(blocks).compose(basis)
     return p_map, q_map, psi1, psi2
-
-
-def datum_converse(datum: DegenDatum) -> tuple[tuple[LatticeMap, LatticeMap, LatticeMap,
-                                                     LatticeMap], ConverseCertificate]:
-    """The converse inputs of a datum and their certificate.  Only a Q
-    solved against an override's inclusion can fail to be onto, as the
-    inclusion may strictly contain the image; that case alone runs
-    ``converse_check`` (module docstring)."""
-    inputs = converse_inputs_from_datum(datum)
-    if datum.stratum_override(tuple(range(1, datum.n))) is not None:
-        return inputs, converse_check(*inputs)
-    return inputs, _certificate(*inputs)

@@ -8,7 +8,10 @@ agreement is meaningful evidence.
 
 The last section keeps checks that the package now skips because a proven
 identity decides them: the long form of ``degeneration.validate``, the
-image-lattice comparison behind ``neron.converse_check``, every leading
+image-lattice comparison behind ``neron.converse_certificate``, the
+precondition tests of that certificate on hand-made maps
+(``converse_check``; on a datum validation proves all but the one that
+``neron.converse_inputs_from_datum`` tests where it solves Q), every leading
 principal minor, where ``intmat.positive_definite`` stops at the first one
 <= 0, and the branchwise reassembly behind ``neron.rescaled_psi``.  They
 do use the package's lattice maps; what they add is the work the identities
@@ -60,6 +63,7 @@ from degenkit.degeneration import (
     StratumOverride,
     Violation,
     analyze,
+    pairing_violation,
     require_valid,
     restricted_purity,
 )
@@ -77,7 +81,7 @@ from degenkit.monodromy import (
     compose_trait,
     stratum_lattice,
 )
-from degenkit.neron import _tame_multipliers
+from degenkit.neron import ConverseCertificate, _tame_multipliers, converse_certificate
 
 
 def minor_gcd_invariant_factors(rows: list[list[int]]) -> list[int]:
@@ -402,6 +406,25 @@ def image_lattices_equal(a: LatticeMap, b: LatticeMap) -> bool:
     if a.nrows != b.nrows:
         return False
     return a.image_basis() == b.image_basis()
+
+
+def converse_check(p_map: LatticeMap, q_map: LatticeMap,
+                   psi1: LatticeMap, psi2: LatticeMap) -> ConverseCertificate:
+    """Converse certificate from the two specializations and block pairings,
+    after testing its preconditions: P and Q onto with a shared source, and
+    Psi1 and Psi2 square of ranks rank P and rank Q, symmetric and positive
+    definite."""
+    if p_map.ncols != q_map.ncols:
+        raise InputError("P and Q must share their source")
+    if not p_map.is_surjective() or not q_map.is_surjective():
+        raise InputError("P and Q must be surjective")
+    for name, psi, rk in (("Psi1", psi1, p_map.nrows), ("Psi2", psi2, q_map.nrows)):
+        if psi.nrows != rk or psi.ncols != rk:
+            raise InputError(f"{name} must be square of rank {rk}")
+        reason = pairing_violation(psi)
+        if reason is not None:
+            raise InputError(f"{name} is {reason}")
+    return converse_certificate(p_map, q_map, psi1, psi2)
 
 
 def leading_principal_minors(m: list[list[int]], n: int) -> list[int]:

@@ -21,16 +21,13 @@ from degenkit.generators import (
 )
 from degenkit.lattice import FinAb, LatticeMap, cokernel, l_part
 from degenkit.monodromy import TraitProfile, compose_trait
-from degenkit.neron import (
-    converse_check,
-    converse_inputs_from_datum,
-    psi_group,
-)
+from degenkit.neron import converse_inputs_from_datum, psi_group
 
 from conftest import load_fixture, random_profile
 from oracles import (
     branch_factors,
     component_group,
+    converse_check,
     decomposition_check,
     determinant,
     reference_psi_fixed_points,

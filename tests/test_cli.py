@@ -5,8 +5,10 @@ from __future__ import annotations
 import importlib.util
 import json
 import os
+import random
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -15,11 +17,18 @@ from hypothesis import strategies as st
 
 from degenkit import cli, degeneration, monodromy, neron
 from degenkit.curves import CurveReport
+from degenkit.degeneration import Branch, DegenDatum, StratumOverride, restricted_purity
+from degenkit.generators import random_spd, random_unimodular
 from degenkit.lattice import MILLER_RABIN_BOUND, FinAb, LatticeMap, cokernel, l_part
 from degenkit.monodromy import TraitProfile
-from degenkit.schema import parse_document
+from degenkit.schema import datum_to_dict, parse_document
 
-from oracles import branch_factors, purity_matrix, trait_surjectivity_check
+from oracles import (
+    branch_factors,
+    image_lattices_equal,
+    purity_matrix,
+    trait_surjectivity_check,
+)
 from test_intmat import wall_clock_budget
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -247,6 +256,16 @@ def test_converse_certificate_needs_no_smith_form(capsys, intmat_calls, name, el
         list(cokernel(at_psi)[0].invariant_factors)
 
 
+def _under_validate() -> bool:
+    """Whether the caller runs under ``degeneration.validate``."""
+    frame = sys._getframe(2)
+    while frame is not None:
+        if frame.f_code.co_name == "validate":
+            return True
+        frame = frame.f_back
+    return False
+
+
 @pytest.mark.parametrize("name", ["generated_ta_seed7", "product_tate", "example_3_4"])
 def test_converse_decides_definiteness_only_in_validation(capsys, monkeypatch, name):
     # validation proves Psi1 and Psi2 positive definite (Psi2 = B^t·blocks·B
@@ -256,11 +275,7 @@ def test_converse_decides_definiteness_only_in_validation(capsys, monkeypatch, n
     original = degeneration.intmat.positive_definite
 
     def counting(m, n):
-        frame, names = sys._getframe(1), set()
-        while frame is not None:
-            names.add(frame.f_code.co_name)
-            frame = frame.f_back
-        callers.append("validate" in names)
+        callers.append(_under_validate())
         return original(m, n)
 
     monkeypatch.setattr(degeneration.intmat, "positive_definite", counting)
@@ -288,6 +303,75 @@ def test_converse_tests_the_q_of_an_override(capsys, tmp_path):
     code, out, err = run_cli(capsys, ["converse", str(doc)])
     assert (code, out) == (2, "")
     assert err == "error: P and Q must be surjective\n"
+
+
+def _rest_override_datum(rng: random.Random, q_onto: bool) -> DegenDatum:
+    """A valid principal datum whose branches past the first stack to
+    R = B·Q, with B given as their stratum override.  Q is unimodular, so
+    im B = im R, or has determinant ±2 or ±3, so im B strictly contains im R."""
+    while True:
+        mu = rng.randint(2, 3)
+        ranks = [rng.randint(1, 2) for _ in range(rng.randint(2, 3))]
+        if sum(ranks) < mu:
+            continue
+        q_map = LatticeMap.from_rows(random_unimodular(rng, mu), mu)
+        if not q_onto:
+            d = rng.choice([2, 3])
+            q_map = LatticeMap.from_rows([[d * v for v in q_map.entries[0]],
+                                          *q_map.entries[1:]], mu)
+        inclusion = LatticeMap.from_rows(
+            [[rng.randint(-2, 2) for _ in range(mu)] for _ in range(sum(ranks))], mu)
+        if not inclusion.is_injective():
+            continue
+        rows = inclusion.compose(q_map).entries
+        blocks, pos = [random_unimodular(rng, mu)[:rng.randint(1, mu)]], 0
+        for k in ranks:
+            blocks.append(rows[pos:pos + k])
+            pos += k
+        branches = tuple(Branch(f"D{i + 1}", LatticeMap.from_rows(random_spd(rng, len(b)), len(b)),
+                                LatticeMap.from_rows(b, mu)) for i, b in enumerate(blocks))
+        override = StratumOverride(tuple(range(1, len(branches))), inclusion)
+        datum = DegenDatum("rest_override", 0, 0, mu, branches, strata=(override,))
+        if not datum.violations:
+            return datum
+
+
+def test_converse_refuses_exactly_an_override_strictly_above_the_image(capsys, tmp_path,
+                                                                        monkeypatch):
+    # Q, solved against the override B, is onto exactly when im B = im R;
+    # that is the one precondition validation leaves open, tested once where
+    # Q is solved, and never without an override
+    outside_validate = []
+    original = LatticeMap.is_surjective
+
+    def counting(self):
+        if not _under_validate():
+            outside_validate.append(self)
+        return original(self)
+
+    monkeypatch.setattr(LatticeMap, "is_surjective", counting)
+    rng = random.Random(29)
+    solved_runs = 0
+    for q_onto in (True, False) * 60:
+        datum = _rest_override_datum(rng, q_onto)
+        rest = tuple(range(1, datum.n))
+        inclusion, restricted = datum.strata[0].inclusion, restricted_purity(datum, rest)
+        equal = image_lattices_equal(inclusion, restricted)
+        assert equal == q_onto
+        for name, doc in (("override", datum), ("derived", replace(datum, strata=()))):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(datum_to_dict(doc)))
+            outside_validate.clear()
+            code, out, err = run_cli(capsys, ["converse", str(path)])
+            if name == "override" and not equal:
+                assert (code, out, err) == (2, "", "error: P and Q must be surjective\n")
+            else:
+                assert (code, err) == (0, ""), err
+            solved = name == "override" and inclusion != restricted
+            assert len(outside_validate) == int(solved)
+            solved_runs += solved
+    # a Q equal to 1 (B = R) is not solved; every other override's Q is
+    assert solved_runs >= 100
 
 
 def test_empty_lists_on_a_zero_branch_datum(capsys, tmp_path):

@@ -164,8 +164,12 @@ def test_no_smith_transform_v(path):
 # decides it), the dual datum, and the Step-5 projection, which no report
 # carries; the default polarizations, the transversality of a profile, the
 # Kummer-rescaled datum, and the component group of a lone pairing (the
-# trait group refuses a degenerate phi_f on the cokernel it is given); and the
-# purity stacks that ``degeneration.restricted_purity`` builds over any subset
+# trait group refuses a degenerate phi_f on the cokernel it is given); the
+# purity stacks that ``degeneration.restricted_purity`` builds over any subset;
+# the converse preconditions on hand-made maps and the fork that sent an
+# override's datum to them (``converse_inputs_from_datum`` tests the one
+# precondition validation leaves open); and the dual-stratum rule that
+# validation already enforces
 UNUSED = {"exclusive_parts", "_running_row_bases", "decomposition_check", "exclusive_index",
           "fixed_lattice", "closed_point_bound", "closed_point_torsion", "psi_maps",
           "row_lattice", "psi_blocks", "torsion_kernel_qz", "kernel_saturated", "sum_index",
@@ -173,7 +177,8 @@ UNUSED = {"exclusive_parts", "_running_row_bases", "decomposition_check", "exclu
           "row_basis", "determinant", "dual_datum", "_swapped_strata",
           "trait_surjectivity_check", "TraitSurjectivity", "kummer_rescale",
           "closed_polarization", "branch_polarization", "is_transversal", "component_group",
-          "_restricted_purity", "purity_matrix", "dual_purity_matrix"}
+          "_restricted_purity", "purity_matrix", "dual_purity_matrix",
+          "converse_check", "datum_converse", "_dual_is_primal"}
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -187,6 +192,17 @@ def test_cli_has_one_path_to_the_trait_group():
     # unimodular strata and off phi_f elsewhere; cli factors no pairing itself
     tree = ast.parse((SRC / "cli.py").read_text())
     assert "component_group" not in _identifiers(tree)
+
+
+def test_cli_has_one_path_to_the_converse_certificate():
+    # cmd_converse splits the datum and certifies the split, with no other
+    # neron function between them
+    tree = ast.parse((SRC / "cli.py").read_text())
+    body = next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == "cmd_converse")
+    called = {node.attr for node in ast.walk(body) if isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name) and node.value.id == "neron"}
+    assert called == {"converse_inputs_from_datum", "converse_certificate"}
 
 
 # the generator that only tests and the benchmark call, until the benchmark's
@@ -362,7 +378,8 @@ def test_field_reads_are_resolved_per_class(tmp_path):
 def test_a_stratum_is_its_basis():
     # a stratum is the LatticeMap of its basis, and a composed pairing holds
     # the two bases with no flag; stratum_lattice re-decides no override
-    # rule and solves nothing
+    # rule (validation refuses a non-principal override without a dual
+    # inclusion) and solves nothing
     example = load_fixture("example_3_4")
     override = replace(example, strata=(StratumOverride((0,), LatticeMap.identity(1)),))
     for datum, active in ((example, (0, 1)), (example, ()), (override, (0,))):
@@ -373,7 +390,7 @@ def test_a_stratum_is_its_basis():
     tree = ast.parse((SRC / "monodromy.py").read_text())
     body = next(node for node in ast.walk(tree)
                 if isinstance(node, ast.FunctionDef) and node.name == "stratum_lattice")
-    assert not _identifiers(body) & {"solve", "FalsificationError"}
+    assert not _identifiers(body) & {"solve", "FalsificationError", "is_principal"}
     assert {"require_valid", "restricted_purity", "image_basis"} <= _identifiers(body)
 
 

@@ -20,7 +20,6 @@ from degenkit.generators import (
 from degenkit.lattice import FinAb, LatticeMap, cokernel
 from degenkit.monodromy import TraitProfile, stratum_lattice
 from degenkit.neron import (
-    converse_check,
     converse_inputs_from_datum,
     psi_group,
     rescaled_psi,
@@ -29,6 +28,7 @@ from degenkit.neron import (
 from conftest import load_fixture, random_profile
 from oracles import (
     add_maps,
+    converse_check,
     determinant,
     enumerate_qz_kernel,
     image_lattices_equal,
