@@ -9,7 +9,9 @@ per-value cost once an indent is asked for.  A report integer past the
 interpreter's digit limit is an input error in both renderings, and a
 failed rendering prints nothing.  Exit codes: 0 ok, 1 mathematical
 falsification event, 2 input error, so CI can tell "the math broke" from
-"the file broke".
+"the file broke"; and 141 (128 + SIGPIPE, as a shell reports a process
+that SIGPIPE ended) with nothing on stderr when the reader of stdout has
+gone.
 
 ``main`` hands the arguments after a known command straight to that
 command's parser in the one cached parser, as argparse would; anything else
@@ -439,13 +441,23 @@ def main(argv: list[str] | None = None) -> int:
     # looked up per call, so a replaced module attribute is the one called
     command = globals()[f"cmd_{args.command}"]
     try:
-        return command(args)
+        code = command(args)
+        sys.stdout.flush()  # a reader that has gone shows here, not at exit
+        return code
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FalsificationError as exc:
         print(f"falsification: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # what the buffer still holds goes to os.devnull, so the interpreter's
+        # exit flush stays quiet; SIGPIPE keeps its disposition, as callers
+        # may run main in-process
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

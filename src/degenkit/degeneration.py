@@ -229,11 +229,9 @@ def pairing_violation(m: LatticeMap) -> str | None:
     """
     if m.nrows != m.ncols:
         return "composed pairing is not square"
-    rows = m.entries
-    n = m.nrows
-    if any(rows[i][j] != rows[j][i] for i in range(n) for j in range(i + 1, n)):
+    if not m.is_symmetric():
         return "not symmetric"
-    if not intmat.positive_definite(rows, n):
+    if not intmat.positive_definite(m.entries, m.nrows):
         return "not positive definite"
     return None
 

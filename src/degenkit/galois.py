@@ -22,7 +22,10 @@ object and never the mu × mu product psi_i:
 - sum a_i·psi_i = R^t·diag(a_j·phi_j)·R' over the j with a_j != 0, where
   R and R' stack the sp_j and sp'_j (restricted purity): the trait's
   composed pairing on R and R' (``monodromy.closed_point_pairing``), whose
-  cokernel ``monodromy.composed_cokernel`` takes.
+  cokernel ``monodromy.composed_cokernel`` takes.  Where R' = R and every
+  phi_j is symmetric (as on a principal datum without branch polarizations),
+  so is the sum, and only its upper triangle is computed (``monodromy``
+  module docstring).
 
 Derived strata.  A stratum basis B that the code derives factors R = B·Q
 with Q onto: Q = 1 where B is R itself, and B is a basis of im R where it
@@ -118,8 +121,8 @@ from .monodromy import TraitProfile, closed_point_pairing, composed_cokernel
 def stack_torsion(datum: DegenDatum) -> FinAb:
     """Cokernel torsion of the stacked psi_i: ⊕ coker phi_i where the dual
     purity map is unimodular, else that of the stacked f_i = phi_i·sp'_i,
-    which have the same row lattice (module docstring), multiplied out as
-    diag(phi_i)·P'.
+    which have the same row lattice (module docstring): diag(phi_i)·P',
+    formed as the stack of the products phi_i·sp'_i.
 
     Its l-part is the closed-point bound, the l-part of the torsion of
     ker(stack ⊗ Q/Z), which has no Q/Z summand as the stack is injective.
@@ -131,8 +134,9 @@ def stack_torsion(datum: DegenDatum) -> FinAb:
     # P' is injective on a valid datum, so onto makes it unimodular
     if is_onto(datum.dual_purity_cokernel):
         return FinAb.direct_sum([datum.pairing_cokernel(i) for i in range(datum.n)])
-    pairings = LatticeMap.block_diagonal([b.pairing for b in datum.branches])
-    return cokernel(pairings.compose(restricted_purity(datum, range(datum.n), dual=True)))[0]
+    stacked = LatticeMap.block_compose([b.pairing for b in datum.branches],
+                                       restricted_purity(datum, range(datum.n), dual=True))
+    return cokernel(stacked)[0]
 
 
 def action_torsion(datum: DegenDatum, profile: TraitProfile) -> FinAb:

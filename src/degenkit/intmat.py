@@ -27,6 +27,9 @@ No routine computes a transform it does not return.
   outgrew the determinant's bit length, measured on two or three seeds
   each at 32×32, 48×48, 64×64 and 96×96.
 * ``matmul`` multiplies over the nonzeros of both factors.
+  ``transposed_matmul`` takes a^t·b as the dot products of the columns of
+  a and b, so no transpose is formed; where its caller knows the product
+  is symmetric it computes the upper triangle and mirrors it.
 * ``rank``, ``independent_rows`` and ``bareiss_det`` are one Bareiss
   fraction-free pass, and ``positive_definite`` is the same pass without
   row exchanges on the upper triangle of a symmetric matrix: every
@@ -50,6 +53,7 @@ No routine computes a transform it does not return.
 from __future__ import annotations
 
 from math import gcd
+from operator import mul
 
 IntMatrix = list[list[int]]
 
@@ -82,6 +86,27 @@ def matmul(a: IntMatrix, ar: int, ac: int, b: IntMatrix, br: int, bc: int) -> In
                 for j, w in brow:
                     orow[j] += v * w
         out.append(orow)
+    return out
+
+
+def transposed_matmul(a: IntMatrix, ar: int, ac: int, b: IntMatrix, br: int, bc: int,
+                      symmetric: bool) -> IntMatrix:
+    """a^t·b, entry (i, j) the dot product of column i of a with column j of
+    b.  A symmetric product (the caller's proof; then ac == bc) has its upper
+    triangle computed and mirrored."""
+    if ar != br:
+        raise ValueError(f"cannot multiply the transpose of {ar}x{ac} by {br}x{bc}")
+    if not ar:
+        return zeros(ac, bc)
+    acols = list(zip(*a))
+    bcols = list(zip(*b))
+    if not symmetric:
+        return [[sum(map(mul, x, y)) for y in bcols] for x in acols]
+    out = zeros(ac, ac)
+    for i, x in enumerate(acols):
+        row = out[i]
+        for j in range(i, ac):
+            row[j] = out[j][i] = sum(map(mul, x, bcols[j]))
     return out
 
 

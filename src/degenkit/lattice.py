@@ -73,17 +73,19 @@ class LatticeMap:
         return cls(tuple(r for m in maps for r in m.entries), ncols)
 
     @classmethod
-    def block_diagonal(cls, maps: list["LatticeMap"]) -> "LatticeMap":
-        sr = sum(m.ncols for m in maps)
-        out = intmat.zeros(sum(m.nrows for m in maps), sr)
-        i0 = j0 = 0
-        for m in maps:
-            for i, row in enumerate(m.entries):
-                for j, v in enumerate(row):
-                    out[i0 + i][j0 + j] = v
-            i0 += m.nrows
-            j0 += m.ncols
-        return cls(_freeze(out), sr)
+    def block_compose(cls, blocks: list["LatticeMap"], other: "LatticeMap") -> "LatticeMap":
+        """diag(blocks) ∘ other, with no zero block formed: the stack of the
+        products block_j ∘ other_j, where other_j is the next block_j.ncols
+        rows of other."""
+        if sum(m.ncols for m in blocks) != other.nrows:
+            raise InputError("block composition rank mismatch")
+        rows: list[list[int]] = []
+        i = 0
+        for m in blocks:
+            rows += intmat.matmul(m.entries, m.nrows, m.ncols,
+                                  other.entries[i:i + m.ncols], m.ncols, other.ncols)
+            i += m.ncols
+        return cls(_freeze(rows), other.ncols)
 
     # -- plumbing -----------------------------------------------------------
 
@@ -98,6 +100,18 @@ class LatticeMap:
         m = intmat.matmul(self.entries, self.nrows, self.ncols,
                           other.entries, other.nrows, other.ncols)
         return LatticeMap(_freeze(m), other.ncols)
+
+    def transpose_compose(self, other: "LatticeMap", symmetric: bool) -> "LatticeMap":
+        """self^t ∘ other, with no transpose formed; one triangle, mirrored,
+        where the caller has proven the product symmetric."""
+        if other.nrows != self.nrows:
+            raise InputError("composition rank mismatch")
+        m = intmat.transposed_matmul(self.entries, self.nrows, self.ncols,
+                                     other.entries, other.nrows, other.ncols, symmetric)
+        return LatticeMap(_freeze(m), other.ncols)
+
+    def is_symmetric(self) -> bool:
+        return self.nrows == self.ncols and tuple(zip(*self.entries)) == self.entries
 
     def transpose(self) -> "LatticeMap":
         return LatticeMap(_freeze(intmat.transpose(self.entries, self.nrows, self.ncols)),

@@ -33,6 +33,14 @@ of phi_j, 1s included (``DegenDatum.pairing_cokernel``): one Smith form per
 branch pairing serves every profile.  phi_f itself is multiplied out only
 when it is read (``ComposedPairing.matrix``): ``trait`` prints it and the
 dense path factors it, while the block path never forms it.
+
+Products from blocks: diag(a_j·phi_j)·B' is the stack of the a_j·phi_j·B'_j,
+B'_j the rows of B' in X'_j, so no zero block is formed, and B^t times that
+stack is a table of column dot products, with no transpose formed.  Where
+B' = B and every phi_j is symmetric, phi_f = B^t·diag(a_j·phi_j)·B is
+symmetric, so only its upper triangle is computed.  The test is made on the
+phi_j themselves: on a principal datum validation proves phi_j∘lambda_j
+symmetric, which is phi_j only where lambda_j is the identity.
 """
 
 from __future__ import annotations
@@ -86,12 +94,14 @@ class ComposedPairing:
 
     @cached_property
     def matrix(self) -> LatticeMap:
-        """phi_f : Y' -> Y^dual, multiplied out on first use."""
+        """phi_f : Y' -> Y^dual, multiplied out from its blocks on first use
+        (module docstring)."""
         blocks = [phi.scaled(self.profile.multiplicities[j])
                   for j, phi in zip(self.active, self.pairings)]
-        middle = LatticeMap.block_diagonal(blocks) if blocks \
-            else LatticeMap.zero(0, 0)
-        return self.basis.transpose().compose(middle).compose(self.dual_basis)
+        symmetric = self.dual_basis == self.basis and all(phi.is_symmetric()
+                                                          for phi in self.pairings)
+        return self.basis.transpose_compose(LatticeMap.block_compose(blocks, self.dual_basis),
+                                            symmetric=symmetric)
 
 
 def stratum_lattice(datum: DegenDatum, active: tuple[int, ...] | list[int],

@@ -10,6 +10,13 @@ cokernels are the hypothesis, which is also the integrality of the
 splitting theta; under it, the one check left is that A is an isomorphism,
 and theta, the idempotents and the kernel decomposition follow from A^-1.
 
+Both products come from the blocks of Psi = diag(Psi1, Psi2), with no zero
+block formed: Psi·A is the stack of Psi1·P and Psi2·Q.  Psi is symmetric,
+so A^t·Psi = (Psi·A)^t, and only the upper triangle of the symmetric
+A^t·Psi·A = A^t·(Psi·A) is computed; so too for Psi2, a congruence of the
+symmetric diag(phi_j∘lambda_j).  Validation proves each phi_j∘lambda_j
+symmetric; on hand-made maps the symmetry is a precondition.
+
 On a datum, validation and construction prove every precondition of the
 certificate but one: P = sp_1 is onto; Psi1 = phi_1∘lambda_1 is square and
 positive definite; Psi2 = B^t·diag(phi_j∘lambda_j)·B is too, as B is
@@ -130,11 +137,13 @@ def converse_certificate(p_map: LatticeMap, q_map: LatticeMap,
     - P restricted to ker Q is unimodular, with inverse theta_1.
     """
     a = LatticeMap.stack([p_map, q_map])
-    at_psi = a.transpose().compose(LatticeMap.block_diagonal([psi1, psi2]))
-    coker2, free = cokernel(at_psi.compose(a))
+    psi_a = LatticeMap.block_compose([psi1, psi2], a)
+    coker2, free = cokernel(a.transpose_compose(psi_a, symmetric=True))
     if free:
         raise InputError("stacked specializations are not injective")
-    coker1 = cokernel(at_psi)[0]       # of free rank 0 too, as A^t is onto over Q
+    # A^t·Psi = (Psi·A)^t, as Psi is symmetric; of free rank 0 too, as A^t
+    # is onto over Q
+    coker1 = cokernel(psi_a.transpose())[0]
     if coker1 != coker2:
         return ConverseCertificate(False, coker1, coker2)
 
@@ -189,9 +198,10 @@ def converse_inputs_from_datum(datum: DegenDatum) -> tuple[LatticeMap, LatticeMa
             raise FalsificationError("restricted purity does not factor through its stratum")
         if datum.stratum_override(rest) is not None and not q_map.is_surjective():
             raise InputError("P and Q must be surjective")
-    # pairing on the stratum, polarized: B^t · diag(phi_j) · diag(lambda_j) · B
-    blocks = LatticeMap.block_diagonal([datum.branches[j].pairing for j in rest])
+    # pairing on the stratum, polarized: B^t · diag(phi_j∘lambda_j) · B, each
+    # phi_j∘lambda_j symmetric by validation
+    blocks = [datum.branches[j].pairing for j in rest]
     if lams is not None:
-        blocks = blocks.compose(LatticeMap.block_diagonal([lams[j] for j in rest]))
-    psi2 = basis.transpose().compose(blocks).compose(basis)
+        blocks = [phi.compose(lams[j]) for phi, j in zip(blocks, rest)]
+    psi2 = basis.transpose_compose(LatticeMap.block_compose(blocks, basis), symmetric=True)
     return p_map, q_map, psi1, psi2

@@ -58,7 +58,9 @@ def genus2_graph():
 
 
 SMITH_FORMS = ("invariant_factors",)
-COUNTED = SMITH_FORMS + ("rank", "hnf_columns", "matmul")
+# a·b and a^t·b, both called as (a, ar, ac, b, br, bc, ...)
+PRODUCTS = ("matmul", "transposed_matmul")
+COUNTED = SMITH_FORMS + ("rank", "hnf_columns") + PRODUCTS
 
 
 class IntmatCalls(dict):
@@ -70,6 +72,10 @@ class IntmatCalls(dict):
     rows, the Hermite modulus) and of ``solve_rational`` (solve, adjugate),
     whose first argument is the matrix.  The ``solve_rational`` passes alone
     are also under ``solve_rational``."""
+
+    def products(self) -> list[tuple]:
+        """The matrix products, a·b and a^t·b alike."""
+        return [args for name in PRODUCTS for args in self[name]]
 
     def smith_forms(self) -> list[tuple]:
         """The Smith eliminations behind the invariant factors."""

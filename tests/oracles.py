@@ -46,7 +46,10 @@ datum and the component group of a single pairing, whose refusal
 The purity maps over every branch are ``degeneration.restricted_purity``
 over all of them, and the index of a column lattice, once an ``intmat``
 entry point, is read off the package's invariant factors; the package now
-asks only whether a map is onto (``LatticeMap.is_surjective``).
+asks only whether a map is onto (``LatticeMap.is_surjective``).  The
+zero-padded block diagonal (``block_diagonal``) is the reference for the
+products that the package forms from their blocks
+(``LatticeMap.block_compose`` and ``LatticeMap.transpose_compose``).
 """
 
 from __future__ import annotations
@@ -777,6 +780,19 @@ def beside(maps: list[LatticeMap]) -> LatticeMap:
             raise InputError("concatenated maps must share their target")
     rows = tuple(tuple(v for m in maps for v in m.entries[i]) for i in range(nrows))
     return LatticeMap(rows, sum(m.ncols for m in maps))
+
+
+def block_diagonal(maps: list[LatticeMap]) -> LatticeMap:
+    """diag(maps), zero-padded: the reference for the products that the
+    package forms from their blocks."""
+    out = intmat.zeros(sum(m.nrows for m in maps), sum(m.ncols for m in maps))
+    i0 = j0 = 0
+    for m in maps:
+        for i, row in enumerate(m.entries):
+            out[i0 + i][j0:j0 + m.ncols] = row
+        i0 += m.nrows
+        j0 += m.ncols
+    return LatticeMap.from_rows(out, j0)
 
 
 def add_maps(a: LatticeMap, b: LatticeMap) -> LatticeMap:

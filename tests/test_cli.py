@@ -18,12 +18,13 @@ from hypothesis import strategies as st
 from degenkit import cli, degeneration, monodromy, neron
 from degenkit.curves import CurveReport
 from degenkit.degeneration import Branch, DegenDatum, StratumOverride, restricted_purity
-from degenkit.generators import random_spd, random_unimodular
+from degenkit.generators import random_polarized_datum, random_spd, random_unimodular
 from degenkit.lattice import MILLER_RABIN_BOUND, FinAb, LatticeMap, cokernel, l_part
 from degenkit.monodromy import TraitProfile
 from degenkit.schema import datum_to_dict, parse_document
 
 from oracles import (
+    block_diagonal,
     branch_factors,
     image_lattices_equal,
     purity_matrix,
@@ -176,6 +177,24 @@ def test_module_entry_point(tmp_path):
     assert done.stderr.endswith(b"degenkit: error: the following arguments are required: command\n")
 
 
+@pytest.mark.parametrize("argv", [["analyze", "example_3_4", "--json"],
+                                  ["generate", "datum", "--seed", "1"]])
+def test_a_closed_stdout_exits_141_quietly(tmp_path, argv):
+    # the reader of the pipe has gone before the report is written: exit
+    # 128 + SIGPIPE, never 1, which is kept for a falsification, and no
+    # traceback, not even from the interpreter's exit flush
+    env = {k: v for k, v in os.environ.items() if k != "DEGENKIT_FIXTURES"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "degenkit.cli", *argv], cwd=tmp_path,
+                              env=env, stdout=write_end, stderr=subprocess.PIPE, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, b"")
+
+
 def test_reports_are_byte_identical_across_runs(capsys):
     argv = ["oracle", "example_3_4", "--l", "2", "--r", "4", "--profile", "1,1", "--json"]
     _, first, _ = run_cli(capsys, argv)
@@ -250,10 +269,12 @@ def test_converse_certificate_needs_no_smith_form(capsys, intmat_calls, name, el
     assert payload["verdict"] == "TA-certified"
     assert len(intmat_calls["eliminations"]) == eliminations
     p_map, q_map, psi1, psi2 = neron.converse_inputs_from_datum(cli._load(name, "degeneration")[0])
-    at_psi = LatticeMap.stack([p_map, q_map]).transpose().compose(
-        LatticeMap.block_diagonal([psi1, psi2]))
+    a = LatticeMap.stack([p_map, q_map])
+    at_psi = a.transpose().compose(block_diagonal([psi1, psi2]))
     assert payload["coker_at_psi"]["invariant_factors"] == \
         list(cokernel(at_psi)[0].invariant_factors)
+    assert payload["coker_at_psi_a"]["invariant_factors"] == \
+        list(cokernel(at_psi.compose(a))[0].invariant_factors)
 
 
 def _under_validate() -> bool:
@@ -521,14 +542,15 @@ def test_oracle_forms_no_phi_f_and_no_f_i(capsys, intmat_calls):
     # principal and toric additive: the stack torsion and the trait group
     # are read off the pairings, and both strata keep closed-point
     # coordinates, so the action is shared: neither phi_f = P^t·M·P nor any
-    # f_i = phi_i·sp'_i is multiplied out, and no other product either
+    # f_i = phi_i·sp'_i is multiplied out, and no other product either,
+    # plain or transposed
     datum = cli._load("generated_ta_seed7", "degeneration")[0]
     intmat_calls.clear_all()
     code, out, err = run_cli(capsys, ["oracle", "generated_ta_seed7", "--l", "2",
                                       "--profile", ",".join(["1"] * datum.n), "--json"])
     assert code == 0, err
     assert json.loads(out)["oracle"]["component_group"]["agree"]
-    assert intmat_calls["matmul"] == []
+    assert intmat_calls.products() == []
 
 
 @pytest.mark.parametrize("name", sorted(n for n, argv in GOLDEN_CASES.items()
@@ -546,14 +568,97 @@ def test_trait_prints_the_multiplied_out_phi_f_on_every_golden(capsys, name):
         code, out, err = run_cli(capsys, ["trait", argv[1], "--json", "--profile",
                                           ",".join(map(str, profile))])
         assert code == 0, err
-        composed = monodromy.compose_trait(datum, TraitProfile(profile))
-        middle = LatticeMap.block_diagonal([datum.branches[j].pairing.scaled(profile[j])
-                                            for j in composed.active])
-        expected = composed.basis.transpose().compose(middle).compose(composed.dual_basis)
+        expected = _reference_phi_f(monodromy.compose_trait(datum, TraitProfile(profile)))
         assert json.loads(out)["trait"]["phi_f"] == [list(row) for row in expected.entries]
     if argv[0] == "trait":
         golden = json.loads((GOLDEN / f"{name}.json").read_text())["trait"]["phi_f"]
         assert golden == [list(row) for row in expected.entries]
+
+
+def _reference_phi_f(composed: monodromy.ComposedPairing) -> LatticeMap:
+    """B^t·diag(a_j·phi_j)·B' through the zero-padded block diagonal, both
+    triangles multiplied out."""
+    middle = block_diagonal([phi.scaled(composed.profile.multiplicities[j])
+                             for j, phi in zip(composed.active, composed.pairings)])
+    return composed.basis.transpose().compose(middle).compose(composed.dual_basis)
+
+
+def _trait_phi_f(capsys, intmat_calls, tmp_path, datum, profile) -> tuple[list, list]:
+    """phi_f as ``trait --json`` prints it, and the symmetry flag of each
+    transposed product taken."""
+    path = tmp_path / f"{datum.name}.json"
+    path.write_text(json.dumps(datum_to_dict(datum)))
+    intmat_calls.clear_all()
+    code, out, err = run_cli(capsys, ["trait", str(path), "--json", "--profile",
+                                      ",".join(map(str, profile))])
+    assert code == 0, err
+    return json.loads(out)["trait"]["phi_f"], [args[6] for args in
+                                               intmat_calls["transposed_matmul"]]
+
+
+def _principal_with_dual_inclusion(example: DegenDatum) -> DegenDatum:
+    # the inclusions 1 and [[1, 1], [0, 1]] both contain the purity image
+    return replace(example, strata=(StratumOverride(
+        (0, 1), LatticeMap.identity(2), LatticeMap.from_rows([[1, 1], [0, 1]])),))
+
+
+def _principal_with_polarizations() -> DegenDatum:
+    # principal, with lambda = lambda_1 = [[1, 1], [0, 1]]: validation proves
+    # phi_1∘lambda_1 = [[2, 1], [1, 2]] symmetric, and phi_1 is not
+    lam = LatticeMap.from_rows([[1, 1], [0, 1]])
+    return DegenDatum(name="principal-polarized", abelian_rank=0, residue_char=0, mu=2,
+                      branches=(Branch("D1", LatticeMap.from_rows([[2, -1], [1, 1]]),
+                                       LatticeMap.identity(2)),),
+                      polarization=lam, branch_polarizations=(lam,))
+
+
+def test_trait_takes_one_triangle_only_where_phi_f_is_symmetric(capsys, intmat_calls,
+                                                                tmp_path, example_3_4):
+    # one triangle needs B' = B and every phi_j symmetric: random polarized
+    # datums mostly have neither, a dual inclusion breaks the first, and
+    # explicit polarizations on a principal datum the second
+    rng = random.Random(30)
+    cases = [(random_polarized_datum(rng, max_mu=4, max_n=3, min_n=1), None)
+             for _ in range(12)]
+    cases += [(_principal_with_dual_inclusion(example_3_4), False),
+              (_principal_with_polarizations(), False), (example_3_4, True)]
+    full = 0
+    for datum, symmetric in cases:
+        assert not datum.violations, datum.name
+        profile = tuple(range(1, datum.n + 1))
+        phi_f, flags = _trait_phi_f(capsys, intmat_calls, tmp_path, datum, profile)
+        expected = _reference_phi_f(monodromy.compose_trait(datum, TraitProfile(profile)))
+        assert phi_f == [list(row) for row in expected.entries], datum.name
+        if not expected.is_symmetric():
+            assert flags == [False], datum.name
+            full += 1
+        if symmetric is not None:
+            assert flags == [symmetric], datum.name
+    assert full >= 8
+
+
+def test_a_hand_made_pairing_with_one_basis_takes_the_full_product():
+    # one basis object on both sides, but phi_1 is not symmetric
+    basis = LatticeMap.from_rows([[1, 2], [0, 1], [3, -1]])
+    phi = LatticeMap.from_rows([[1, 2, 0], [0, 1, 5], [4, 0, 1]])
+    composed = monodromy.ComposedPairing(TraitProfile((2,)), basis, basis, (phi,))
+    assert composed.matrix == _reference_phi_f(composed)
+    assert not composed.matrix.is_symmetric()
+
+
+def test_rank_zero_branches_and_zero_profiles_give_the_reference_phi_f(
+        capsys, intmat_calls, tmp_path, example_3_4):
+    bare = parse_document({
+        "format_version": "1", "kind": "degeneration", "name": "rank0",
+        "closed_point": {"rank": 1},
+        "branches": [{"name": "D1", "rank": 1, "pairing": [[2]], "specialization": [[1]]},
+                     {"name": "D0", "rank": 0, "pairing": [], "specialization": []}],
+    })
+    for datum in (bare, example_3_4):
+        for profile in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 3)):
+            phi_f, _ = _trait_phi_f(capsys, intmat_calls, tmp_path, datum, profile)
+            expected = _reference_phi_f(monodromy.compose_trait(datum, TraitProfile(profile)))
+            assert phi_f == [list(row) for row in expected.entries], (datum.name, profile)
 
 
 def test_oracle_without_branches(capsys, tmp_path):

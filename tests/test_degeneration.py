@@ -378,7 +378,7 @@ def test_validate_multiplies_and_ranks_no_identity(intmat_calls):
         assert validate(datum) == []
     assert not [args for args in intmat_calls["rank"]
                 if args[1] == args[2] and is_identity(args[0], args[1])]
-    assert not [args for args in intmat_calls["matmul"]
+    assert not [args for args in intmat_calls.products()
                 if (args[1] == args[2] and is_identity(args[0], args[1]))
                 or (args[4] == args[5] and is_identity(args[3], args[4]))]
 

@@ -31,6 +31,7 @@ from degenkit.generators import random_unimodular
 from degenkit.lattice import LatticeMap
 
 from oracles import (
+    block_diagonal,
     cofactor_det,
     column_lattice_index,
     leading_principal_minors,
@@ -195,7 +196,7 @@ def products(draw):
     ar = draw(st.integers(0, 5))
     if draw(st.booleans()):
         shapes = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=4))
-        b = LatticeMap.block_diagonal([LatticeMap.from_rows(rand(r, c), c) for r, c in shapes])
+        b = block_diagonal([LatticeMap.from_rows(rand(r, c), c) for r, c in shapes])
         ac, bc = b.nrows, b.ncols
         b = [list(row) for row in b.entries]
     else:
@@ -213,6 +214,62 @@ def test_matmul_matches_triple_loop(case):
     a, ar, ac, b, bc = case
     assert intmat.matmul(a, ar, ac, b, ac, bc) == [
         [sum(a[i][k] * b[k][j] for k in range(ac)) for j in range(bc)] for i in range(ar)]
+
+
+@st.composite
+def block_products(draw):
+    """(blocks, c, b, symmetric): blocks M_j of 0-4 rows and columns, square
+    or not, perhaps none; c with a row for each block column and b with a
+    row for each block row; entries to 3 or past 2^64.  Where symmetric, every
+    M_j is a symmetric square and b is c."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    entry = draw(st.sampled_from([3, 2 ** 80]))
+    symmetric = draw(st.booleans())
+    if symmetric:
+        shapes = [(k, k) for k in draw(st.lists(st.integers(0, 4), max_size=4))]
+    else:
+        shapes = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=4))
+
+    def rand(r: int, c: int) -> list[list[int]]:
+        return [[rng.randint(-entry, entry) for _ in range(c)] for _ in range(r)]
+
+    blocks = []
+    for r, c in shapes:
+        m = rand(r, c)
+        if symmetric:
+            m = [[m[min(i, j)][max(i, j)] for j in range(c)] for i in range(r)]
+        blocks.append(LatticeMap.from_rows(m, c))
+    cc = draw(st.integers(0, 4))
+    c = LatticeMap.from_rows(rand(sum(k for _, k in shapes), cc), cc)
+    bc = draw(st.integers(0, 4))
+    b = c if symmetric else LatticeMap.from_rows(rand(sum(r for r, _ in shapes), bc), bc)
+    return blocks, c, b, symmetric
+
+
+@settings(max_examples=300, deadline=None)
+@given(block_products())
+@example(([], LatticeMap.zero(0, 3), LatticeMap.zero(0, 2), False))
+@example(([], LatticeMap.zero(0, 2), LatticeMap.zero(0, 2), True))
+def test_products_from_blocks_match_the_block_diagonal(case):
+    # diag(M_j)·C as the stack of the M_j·C_j, and B^t times it as column
+    # dot products, against the zero-padded block diagonal and a formed
+    # transpose; on symmetric input the mirrored triangle is the full product
+    blocks, c, b, symmetric = case
+    stacked = LatticeMap.block_compose(blocks, c)
+    assert stacked == block_diagonal(blocks).compose(c)
+    full = b.transpose().compose(stacked)
+    assert b.transpose_compose(stacked, symmetric=False) == full
+    if symmetric:
+        assert full.is_symmetric()
+        assert b.transpose_compose(stacked, symmetric=True) == full
+
+
+def test_products_from_blocks_check_their_shapes():
+    two = LatticeMap.identity(2)
+    with pytest.raises(InputError, match="block composition rank mismatch"):
+        LatticeMap.block_compose([LatticeMap.identity(1)], two)
+    with pytest.raises(InputError, match="composition rank mismatch"):
+        two.transpose_compose(LatticeMap.identity(3), symmetric=False)
 
 
 @st.composite

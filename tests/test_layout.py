@@ -168,8 +168,9 @@ def test_no_smith_transform_v(path):
 # purity stacks that ``degeneration.restricted_purity`` builds over any subset;
 # the converse preconditions on hand-made maps and the fork that sent an
 # override's datum to them (``converse_inputs_from_datum`` tests the one
-# precondition validation leaves open); and the dual-stratum rule that
-# validation already enforces
+# precondition validation leaves open); the dual-stratum rule that
+# validation already enforces; and the zero-padded block diagonal, where
+# products are formed from their blocks
 UNUSED = {"exclusive_parts", "_running_row_bases", "decomposition_check", "exclusive_index",
           "fixed_lattice", "closed_point_bound", "closed_point_torsion", "psi_maps",
           "row_lattice", "psi_blocks", "torsion_kernel_qz", "kernel_saturated", "sum_index",
@@ -178,7 +179,7 @@ UNUSED = {"exclusive_parts", "_running_row_bases", "decomposition_check", "exclu
           "trait_surjectivity_check", "TraitSurjectivity", "kummer_rescale",
           "closed_polarization", "branch_polarization", "is_transversal", "component_group",
           "_restricted_purity", "purity_matrix", "dual_purity_matrix",
-          "converse_check", "datum_converse", "_dual_is_primal"}
+          "converse_check", "datum_converse", "_dual_is_primal", "block_diagonal"}
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)

@@ -28,6 +28,7 @@ from degenkit.neron import (
 from conftest import load_fixture, random_profile
 from oracles import (
     add_maps,
+    block_diagonal,
     converse_check,
     determinant,
     enumerate_qz_kernel,
@@ -326,7 +327,7 @@ class TestConverseCheck:
                 assert q_map == LatticeMap.zero(0, datum.mu)
                 assert psi2 == LatticeMap.zero(0, 0)
             a = LatticeMap.stack([p_map, q_map])
-            at_psi = a.transpose().compose(LatticeMap.block_diagonal([psi1, psi2]))
+            at_psi = a.transpose().compose(block_diagonal([psi1, psi2]))
             at_psi_a = at_psi.compose(a)
             equal = image_lattices_equal(at_psi, at_psi_a)
             assert equal == (cokernel(at_psi) == cokernel(at_psi_a))
@@ -350,7 +351,7 @@ class TestConverseCheck:
             datum = make(rng, max_mu=5, max_n=4, min_n=2)
             p_map, q_map, psi1, psi2 = converse_inputs_from_datum(datum)
             a = LatticeMap.stack([p_map, q_map])
-            at_psi = a.transpose().compose(LatticeMap.block_diagonal([psi1, psi2]))
+            at_psi = a.transpose().compose(block_diagonal([psi1, psi2]))
             at_psi_a = at_psi.compose(a)
             mu = a.ncols
             det, num = intmat.solve_rational(at_psi_a.entries, mu, at_psi.entries)
