@@ -9,9 +9,9 @@ per-value cost once an indent is asked for.  A report integer past the
 interpreter's digit limit is an input error in both renderings, and a
 failed rendering prints nothing.  Exit codes: 0 ok, 1 mathematical
 falsification event, 2 input error, so CI can tell "the math broke" from
-"the file broke"; and 141 (128 + SIGPIPE, as a shell reports a process
-that SIGPIPE ended) with nothing on stderr when the reader of stdout has
-gone.
+"the file broke", also when the reader of stderr has gone; and 141 (128 +
+SIGPIPE, as a shell reports a process that SIGPIPE ended) with nothing on
+stderr when the reader of stdout has gone.
 
 ``main`` hands the arguments after a known command straight to that
 command's parser in the one cached parser, as argparse would; anything else
@@ -31,6 +31,7 @@ import sys
 from functools import cache
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import TextIO
 
 from . import galois, monodromy, neron, schema
 from .curves import DualGraph, curve_equivalences
@@ -39,10 +40,9 @@ from .degeneration import (
     analyze,
     is_l_toric_additive,
     require_prime_l,
-    toric_rank_profile,
 )
 from .errors import FalsificationError, InputError
-from .lattice import FinAb, LatticeMap, l_part
+from .lattice import FinAb, l_part
 
 _PLAIN_INT = {int}
 
@@ -77,27 +77,22 @@ def _load(path: str, expect: str) -> tuple[DegenDatum | DualGraph, dict]:
 
 def _finab_dict(g: FinAb) -> dict:
     # every reported group is finite; format "1" keeps its divisible rank
-    return {"invariant_factors": list(g.invariant_factors), "divisible_rank": 0}
-
-
-def _matrix_list(m: LatticeMap) -> list[list[int]]:
-    return [list(r) for r in m.entries]
+    return {"invariant_factors": g.invariant_factors, "divisible_rank": 0}
 
 
 def _datum_common(datum: DegenDatum) -> dict:
     verdict = analyze(datum)
-    mu, mus, deficit = toric_rank_profile(datum)
+    torsion, free_rank = datum.purity_cokernel
     return {
         "verdict": {
             "toric_additive": verdict.toric_additive,
             "weakly_toric_additive": verdict.weakly_toric_additive,
-            "failing_primes": list(verdict.failing_primes),
+            "failing_primes": verdict.failing_primes,
         },
-        "rank_profile": {"mu": mu, "branch_mu": list(mus), "deficit": deficit},
-        "purity_cokernel": {
-            "invariant_factors": list(verdict.purity_torsion.invariant_factors),
-            "free_rank": verdict.purity_free_rank,
-        },
+        "rank_profile": {"mu": datum.mu, "branch_mu": datum.branch_mus,
+                         "deficit": sum(datum.branch_mus) - datum.mu},
+        "purity_cokernel": {"invariant_factors": torsion.invariant_factors,
+                            "free_rank": free_rank},
     }
 
 
@@ -159,8 +154,6 @@ def _render_human(report: dict, prefix: str = "") -> list[str]:
         if isinstance(value, dict):
             lines.append(f"{prefix}{key}:")
             lines.extend(_render_human(value, prefix + "  "))
-        elif isinstance(value, list) and value and isinstance(value[0], (dict, list)):
-            lines.append(f"{prefix}{key}: {json.dumps(value)}")
         else:
             rendered = json.dumps(value) if not isinstance(value, str) else value
             lines.append(f"{prefix}{key}: {rendered}")
@@ -202,11 +195,11 @@ def cmd_trait(args: argparse.Namespace) -> int:
     group = monodromy.trait_component_group(datum, composed)
     report = _base_report("trait", echo)
     report.update(_datum_common(datum))
-    report["warnings"] = list(composed.warnings)
+    report["warnings"].extend(composed.warnings)
     payload = {
-        "profile": list(profile.multiplicities),
+        "profile": profile.multiplicities,
         "active_branches": [datum.branches[j].name for j in composed.active],
-        "phi_f": _matrix_list(composed.matrix),
+        "phi_f": composed.matrix.entries,
         "upsilon": _finab_dict(group),
     }
     if args.l is not None:
@@ -262,7 +255,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         stable = galois_group == galois.torsion_phi_group(torsion, args.l, level + 1)
         groups_agree = stable and lattice_group == galois_group
         payload["component_group"] = {
-            "profile": list(profile.multiplicities),
+            "profile": profile.multiplicities,
             "r": level,
             "lattice_side": _finab_dict(lattice_group),
             "galois_side": _finab_dict(galois_group),
@@ -292,10 +285,10 @@ def cmd_converse(args: argparse.Namespace) -> int:
     report = _base_report("converse", echo)
     report.update(_datum_common(datum))
     payload = {
-        "P": _matrix_list(p_map),
-        "Q": _matrix_list(q_map),
-        "Psi1": _matrix_list(psi1),
-        "Psi2": _matrix_list(psi2),
+        "P": p_map.entries,
+        "Q": q_map.entries,
+        "Psi1": psi1.entries,
+        "Psi2": psi2.entries,
         "verdict": "TA-certified" if cert.hypothesis_holds else "hypothesis-failed",
         "hypothesis_holds": cert.hypothesis_holds,
         "coker_at_psi": _finab_dict(cert.coker_at_psi),
@@ -305,7 +298,7 @@ def cmd_converse(args: argparse.Namespace) -> int:
         # theta = A^-1, so the chi_i are complementary idempotents that split
         # X = ker P ⊕ ker Q (neron.converse_certificate)
         payload.update(theta=[[str(f) for f in row] for row in cert.theta],
-                       chi1=_matrix_list(cert.chi1), chi2=_matrix_list(cert.chi2),
+                       chi1=cert.chi1.entries, chi2=cert.chi2.entries,
                        idempotent=True, kernel_decomposition=True, a_is_isomorphism=True)
     report["converse"] = payload
     _emit(report, args.json)
@@ -326,7 +319,7 @@ def cmd_psi(args: argparse.Namespace) -> int:
         multipliers = _int_list("--kummer", args.kummer)
         # the fixed points of the rescaled group are Psi (neron.rescaled_psi)
         payload["kummer"] = {
-            "multipliers": list(multipliers),
+            "multipliers": multipliers,
             "rescaled_psi": _finab_dict(neron.rescaled_psi(datum, multipliers)),
             "fixed_points": _finab_dict(group.group),
             "equals_psi": True,
@@ -445,19 +438,26 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.flush()  # a reader that has gone shows here, not at exit
         return code
     except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _finish(sys.stderr, f"error: {exc}\n", 2)
     except FalsificationError as exc:
-        print(f"falsification: {exc}", file=sys.stderr)
-        return 1
+        return _finish(sys.stderr, f"falsification: {exc}\n", 1)
     except BrokenPipeError:
-        # what the buffer still holds goes to os.devnull, so the interpreter's
-        # exit flush stays quiet; SIGPIPE keeps its disposition, as callers
-        # may run main in-process
+        return _finish(sys.stdout, "", 141)
+
+
+def _finish(stream: TextIO, message: str, code: int) -> int:
+    """Write the message to the stream and return the code.  A stream whose
+    reader has gone is pointed at os.devnull, so the interpreter's exit flush
+    stays quiet and the code stands; SIGPIPE keeps its disposition, as
+    callers may run main in-process."""
+    try:
+        stream.write(message)
+        stream.flush()
+    except BrokenPipeError:
         devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        os.dup2(devnull, stream.fileno())
         os.close(devnull)
-        return 141
+    return code
 
 
 if __name__ == "__main__":

@@ -224,12 +224,12 @@ def curve_equivalences(graph: DualGraph) -> CurveReport:
     """
     datum = graph_to_datum(graph)
     verdict = analyze(datum)
-    torsion_free = verdict.purity_torsion.is_trivial
+    torsion_free = datum.purity_cokernel[0].is_trivial
     equivalence = verdict.toric_additive == verdict.weakly_toric_additive
     falsifications = []
     if not torsion_free:
         falsifications.append(
-            f"purity cokernel has torsion {verdict.purity_torsion} on graph '{graph.name}': "
+            f"purity cokernel has torsion {datum.purity_cokernel[0]} on graph '{graph.name}': "
             f"{_graph_signature(graph)}")
     if not equivalence:
         falsifications.append(

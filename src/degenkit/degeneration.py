@@ -198,7 +198,7 @@ class DegenDatum:
         torsion, free_rank = self.purity_cokernel
         weakly = free_rank == 0
         failing = tuple(q for q in torsion.primes() if q != self.residue_char)
-        return Verdict(weakly and torsion.is_trivial, weakly, failing, torsion, free_rank)
+        return Verdict(weakly and torsion.is_trivial, weakly, failing)
 
 
 @dataclass(frozen=True)
@@ -218,8 +218,6 @@ class Verdict:
     toric_additive: bool
     weakly_toric_additive: bool
     failing_primes: tuple[int, ...]       # primes l != p dividing a purity invariant factor
-    purity_torsion: FinAb
-    purity_free_rank: int
 
 
 def pairing_violation(m: LatticeMap) -> str | None:
@@ -382,14 +380,7 @@ def require_prime_l(datum: DegenDatum, l: int) -> None:
 def is_l_toric_additive(datum: DegenDatum, l: int) -> bool:
     """Verdict for one prime l != p: purity square and l-torsion-free."""
     require_prime_l(datum, l)
-    verdict = analyze(datum)
-    # the purity map is injective, so weak toric additivity means it is square
-    return verdict.weakly_toric_additive and all(
-        d % l for d in verdict.purity_torsion.invariant_factors)
-
-
-def toric_rank_profile(datum: DegenDatum) -> tuple[int, tuple[int, ...], int]:
-    """(mu, (mu_1..mu_n), deficit); deficit = 0 iff weakly toric additive."""
     require_valid(datum)
-    mus = datum.branch_mus
-    return datum.mu, mus, sum(mus) - datum.mu
+    torsion, free_rank = datum.purity_cokernel
+    # the purity map is injective, so a zero free rank means it is square
+    return free_rank == 0 and all(d % l for d in torsion.invariant_factors)

@@ -2,9 +2,11 @@
 
 Nothing here touches the package's normal-form code paths: invariant factors
 come from gcds of minors or from a plain Smith elimination over the whole
-trailing block, how many of them a prime divides from a rank mod p, and
-group structures from literal element enumeration in (Z/N)^k, so an
-agreement is meaningful evidence.
+trailing block, how many of them a prime divides from a rank mod p, their
+exact p-parts from an elimination over Z/p^(v+1) (v the p-valuation of a
+nonzero maximal minor from a plain Bareiss pass), and group structures
+from literal element enumeration in (Z/N)^k, so an agreement is meaningful
+evidence.
 
 The last section keeps checks that the package now skips because a proven
 identity decides them: the long form of ``degeneration.validate``, the
@@ -179,6 +181,60 @@ def rank_mod_p(m: list[list[int]], nrows: int, ncols: int, p: int) -> int:
                 rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
         r += 1
     return r
+
+
+def _rank_and_maximal_minor(m: list[list[int]], nrows: int, ncols: int) -> tuple[int, int]:
+    """(r, D): the rank of m and a nonzero r×r minor, by a plain Bareiss pass
+    with full pivoting; D = 1 when r = 0.  Each pivot is a leading minor of
+    the permuted matrix, so the last one is ± an r×r minor."""
+    a = [list(row) for row in m]
+    prev, r = 1, 0
+    while r < min(nrows, ncols):
+        at = next(((i, j) for i in range(r, nrows) for j in range(r, ncols) if a[i][j]), None)
+        if at is None:
+            break
+        a[r], a[at[0]] = a[at[0]], a[r]
+        for row in a:
+            row[r], row[at[1]] = row[at[1]], row[r]
+        piv = a[r][r]
+        for i in range(r + 1, nrows):
+            a[i] = a[i][:r + 1] + [(a[i][j] * piv - a[i][r] * a[r][j]) // prev
+                                   for j in range(r + 1, ncols)]
+        prev, r = piv, r + 1
+    return r, prev
+
+
+def smith_p_valuations(m: list[list[int]], nrows: int, ncols: int, p: int) -> list[int]:
+    """The p-adic valuations of the invariant factors of m, in chain order.
+
+    Every invariant factor divides a nonzero r×r minor D, so with v = v_p(D)
+    none is divisible by p^(v+1) = q: the Smith form of m mod q, in the local
+    ring Z/q, has exactly r nonzero entries p^(e_i)·unit with e_i = v_p(d_i).
+    It comes from an elimination that pivots on an entry of least valuation,
+    which divides every other entry of its row and column; a block entry x
+    has valuation log_p gcd(x, q)."""
+    r, minor = _rank_and_maximal_minor(m, nrows, ncols)
+    q = p * _p_part(minor, p)
+    block = [[x % q for x in row] for row in m]
+    out = []
+    while True:
+        g, i, j = min(((gcd(x, q), i, j) for i, row in enumerate(block)
+                       for j, x in enumerate(row) if x), default=(0, 0, 0))
+        if not g:
+            break
+        piv = block.pop(i)
+        inv = pow(piv[j] // g, -1, q)     # the unit part of the pivot
+        for k, row in enumerate(block):
+            if row[j]:
+                c = row[j] // g * inv
+                block[k] = [(x - c * y) % q for x, y in zip(row, piv)]
+        # column j is clear off the pivot row, so clearing the pivot row by
+        # column operations changes it alone
+        for row in block:
+            del row[j]
+        out.append(_log_p(g, p))
+    assert len(out) == r
+    return out
 
 
 def cofactor_det(m: list[list[int]]) -> int:

@@ -195,6 +195,26 @@ def test_a_closed_stdout_exits_141_quietly(tmp_path, argv):
     assert (done.returncode, done.stderr) == (141, b"")
 
 
+@pytest.mark.parametrize(("argv", "code"), [(["analyze", "nonexistent.json"], 2),
+                                            (["trait", "example_3_4", "--profile", "1"], 2),
+                                            (["analyze", "example_3_4", "--json"], 0)])
+def test_a_closed_stderr_keeps_the_exit_code(tmp_path, argv, code):
+    # the reader of stderr has gone before the error is written: an input
+    # error still exits 2, not 1, which is kept for a falsification, and not
+    # 120 from the interpreter's exit flush; a report still reaches stdout
+    env = {k: v for k, v in os.environ.items() if k != "DEGENKIT_FIXTURES"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "degenkit.cli", *argv], cwd=tmp_path,
+                              env=env, stdout=subprocess.PIPE, stderr=write_end, timeout=120)
+    finally:
+        os.close(write_end)
+    report = (GOLDEN / "analyze_example_3_4.json").read_bytes() if code == 0 else b""
+    assert (done.returncode, done.stdout) == (code, report)
+
+
 def test_reports_are_byte_identical_across_runs(capsys):
     argv = ["oracle", "example_3_4", "--l", "2", "--r", "4", "--profile", "1,1", "--json"]
     _, first, _ = run_cli(capsys, argv)
@@ -829,8 +849,9 @@ def _human_lines(report: dict, prefix: str = "") -> list[tuple[str, object]]:
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
 def test_human_rendering_of_every_golden(capsys, name):
-    # without --json the same report prints one line per key, its golden
-    # value after the key, and each group's divisible rank as a 0
+    # without --json the same report prints one line per key, after the key
+    # its golden value byte for byte as json.dumps prints it (a string as it
+    # is), and each group's divisible rank as a 0
     argv = [arg for arg in GOLDEN_CASES[name] if arg != "--json"]
     assert argv != GOLDEN_CASES[name]
     code, out, err = run_cli(capsys, argv)
@@ -845,7 +866,14 @@ def test_human_rendering_of_every_golden(capsys, name):
         else:
             assert line.startswith(head), (line, head)
             rest = line[len(head):]
-            assert rest == value if isinstance(value, str) else json.loads(rest) == value, line
+            if isinstance(value, str):
+                assert rest == value, line
+            else:
+                # json.dumps of the parsed value gives back the line's bytes:
+                # a dict inside a list keeps the report's key order, which
+                # the sorted golden does not
+                parsed = json.loads(rest)
+                assert parsed == value and json.dumps(parsed) == rest, line
     ranks = [value for head, value in expected if head.endswith("divisible_rank: ")]
     assert ranks == [0] * out.count("divisible_rank: 0\n")
 

@@ -16,7 +16,6 @@ from degenkit.degeneration import (
     analyze,
     is_l_toric_additive,
     restricted_purity,
-    toric_rank_profile,
     Violation,
     validate,
 )
@@ -401,14 +400,13 @@ class TestAnalyze:
         assert v.weakly_toric_additive
         assert not v.toric_additive
         assert v.failing_primes == (2,)
-        assert v.purity_torsion == FinAb((2,))
-        assert v.purity_free_rank == 0
+        assert example_3_4.purity_cokernel == (FinAb((2,)), 0)
 
     def test_tate_not_weak(self, tate_u1u2):
         v = analyze(tate_u1u2)
         assert not v.weakly_toric_additive
         assert not v.toric_additive
-        assert v.purity_free_rank == 1
+        assert tate_u1u2.purity_cokernel[1] == 1
 
     def test_single_branch_always_ta(self):
         rng = random.Random(17)
@@ -458,16 +456,22 @@ class TestLToricAdditive:
 
 
 class TestRankProfile:
+    # (mu, (mu_1..mu_n), deficit) of a valid datum, as the reports print it
     def test_genus2_deformation(self, genus2_graph):
         from degenkit.curves import graph_to_datum
-        mu, mus, deficit = toric_rank_profile(graph_to_datum(genus2_graph))
-        assert (mu, mus, deficit) == (2, (1, 1), 0)
+        d = graph_to_datum(genus2_graph)
+        assert not d.violations
+        assert (d.mu, d.branch_mus, sum(d.branch_mus) - d.mu) == (2, (1, 1), 0)
 
     def test_tate(self, tate_u1u2):
-        assert toric_rank_profile(tate_u1u2) == (1, (1, 1), 1)
+        d = tate_u1u2
+        assert not d.violations
+        assert (d.mu, d.branch_mus, sum(d.branch_mus) - d.mu) == (1, (1, 1), 1)
 
     def test_product(self, product_tate):
-        assert toric_rank_profile(product_tate) == (2, (1, 1), 0)
+        d = product_tate
+        assert not d.violations
+        assert (d.mu, d.branch_mus, sum(d.branch_mus) - d.mu) == (2, (1, 1), 0)
 
 
 class TestDualDatum:

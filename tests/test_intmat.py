@@ -12,6 +12,10 @@ the commands factor (purity stacks, A^t·Psi·A and A^t·Psi products) and on
 U·diag(chain)·V, the invariant factors meet the global facts of a Smith
 form: their count is the rank, d_1 is the gcd of the entries, they form a
 chain, ∏ d_i = |det| on square input, and #{i : p | d_i} = rank - rank_p.
+Up to 64×64 on U·diag(chain)·V, and at mu 24–48 on the converse products
+and the composed trait of non-toric-additive datums, their p-adic
+valuations for p = 2, 3, 5 and 7 equal those of an elimination over
+Z/p^(v+1) (``oracles.smith_p_valuations``).
 """
 
 from __future__ import annotations
@@ -25,9 +29,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from degenkit import intmat
+from degenkit import intmat, monodromy, neron
+from degenkit.degeneration import Branch, DegenDatum
 from degenkit.errors import InputError
-from degenkit.generators import random_unimodular
+from degenkit.generators import random_spd, random_unimodular
 from degenkit.lattice import LatticeMap
 
 from oracles import (
@@ -39,6 +44,7 @@ from oracles import (
     rank_mod_p,
     reference_hnf,
     reference_smith_diagonal,
+    smith_p_valuations,
 )
 
 
@@ -487,15 +493,13 @@ def test_smith_global_facts_on_converse_products(mu, seed):
     _smith_global_facts(at_psi, mu, k)
 
 
-@pytest.mark.parametrize("nrows, ncols, seed", [(12, 12, 9), (20, 31, 10), (36, 28, 11),
-                                                (48, 48, 12), (48, 40, 13)])
-def test_smith_global_facts_on_a_disguised_chain(nrows, ncols, seed):
-    # U·D·V with D a diagonal of signed, non-unit pivots along a divisibility
-    # chain and a zero tail: its invariant factors are |D|'s nonzero diagonal
-    rng = random.Random(seed)
+def _disguised_chain(rng: random.Random, nrows: int, ncols: int,
+                     steps: tuple[int, ...]) -> tuple[list[list[int]], list[int]]:
+    """(U·D·V, chain): D a diagonal of signed pivots along a divisibility
+    chain, each the last times a choice from steps, and a zero tail of two."""
     chain, d = [], 1
     for _ in range(min(nrows, ncols) - 2):
-        d *= rng.choice((1, 1, 2, 3, 5))
+        d *= rng.choice(steps)
         chain.append(d * rng.choice((-1, 1)))
     diag = intmat.zeros(nrows, ncols)
     for i, c in enumerate(chain):
@@ -503,4 +507,84 @@ def test_smith_global_facts_on_a_disguised_chain(nrows, ncols, seed):
     u, v = random_unimodular(rng, nrows), random_unimodular(rng, ncols)
     m = intmat.matmul(intmat.matmul(u, nrows, nrows, diag, nrows, ncols), nrows, ncols,
                       v, ncols, ncols)
+    return m, chain
+
+
+@pytest.mark.parametrize("nrows, ncols, seed", [(12, 12, 9), (20, 31, 10), (36, 28, 11),
+                                                (48, 48, 12), (48, 40, 13)])
+def test_smith_global_facts_on_a_disguised_chain(nrows, ncols, seed):
+    # U·D·V with D a diagonal of signed, non-unit pivots along a divisibility
+    # chain and a zero tail: its invariant factors are |D|'s nonzero diagonal
+    m, chain = _disguised_chain(random.Random(seed), nrows, ncols, (1, 1, 2, 3, 5))
     assert _smith_global_facts(m, nrows, ncols) == [abs(c) for c in chain]
+
+
+# -- exact p-parts of the Smith form at size -----------------------------------
+
+def _valuation(d: int, p: int) -> int:
+    e = 0
+    while d % p == 0:
+        d //= p
+        e += 1
+    return e
+
+
+def _smith_p_parts(m: list[list[int]], nrows: int, ncols: int) -> list[int]:
+    """The invariant factors of m, after checking their p-adic valuations at
+    p = 2, 3, 5 and 7 against an elimination mod p^(v+1) (tests/oracles.py)."""
+    facs = intmat.invariant_factors(m, nrows, ncols)
+    assert all(d > 0 for d in facs)
+    for p in (2, 3, 5, 7):
+        assert [_valuation(d, p) for d in facs] == smith_p_valuations(m, nrows, ncols, p), p
+    return facs
+
+
+@pytest.mark.parametrize("nrows, ncols, seed", [(24, 24, 14), (40, 31, 15), (31, 52, 16),
+                                                (64, 64, 17)])
+def test_smith_p_parts_on_a_disguised_chain(nrows, ncols, seed):
+    # chains that carry several powers of each of 2, 3, 5 and 7
+    m, chain = _disguised_chain(random.Random(seed), nrows, ncols,
+                                (1, 1, 2, 3, 4, 5, 7, 9, 25, 49))
+    assert _smith_p_parts(m, nrows, ncols) == [abs(c) for c in chain]
+    assert all(_valuation(chain[-1], p) >= 3 for p in (2, 3, 5, 7))
+
+
+def _wide_datum(rng: random.Random, mu: int) -> DegenDatum:
+    """A valid principal datum that is not toric additive: ⌈mu/5⌉ + 1
+    branches of rank 2..8 with at least mu rows together, specializations
+    with entries in [-2, 2] and positive definite pairings."""
+    n = -(-mu // 5) + 1
+    for _ in range(20):
+        ranks = [rng.randint(2, 8) for _ in range(n)]
+        if sum(ranks) < mu:
+            continue
+        branches = tuple(
+            Branch(f"D{i + 1}", LatticeMap.from_rows(random_spd(rng, k), k),
+                   LatticeMap.from_rows([[rng.choice((-2, -1, 0, 0, 1, 1, 2))
+                                          for _ in range(mu)] for _ in range(k)], mu))
+            for i, k in enumerate(ranks))
+        datum = DegenDatum("wide", 0, 0, mu, branches)
+        if not datum.violations and not datum.verdict.toric_additive:
+            return datum
+    raise AssertionError(f"no valid non-toric-additive datum at mu {mu} in 20 tries")
+
+
+@pytest.mark.parametrize("mu, seed", [(24, 18), (36, 19), (48, 20)])
+def test_smith_p_parts_on_converse_products_and_phi_f(mu, seed):
+    # A^t·Psi·A and A^t·Psi of the converse split, and a composed trait
+    # phi_f, of a non-toric-additive datum: the Smith forms converse and
+    # trait take
+    rng = random.Random(seed)
+    datum = _wide_datum(rng, mu)
+    p_map, q_map, psi1, psi2 = neron.converse_inputs_from_datum(datum)
+    a = LatticeMap.stack([p_map, q_map])
+    k = a.nrows
+    psi = block_diagonal([psi1, psi2]).entries
+    at_psi = intmat.matmul(intmat.transpose(a.entries, k, mu), mu, k, psi, k, k)
+    at_psi_a = intmat.matmul(at_psi, mu, k, a.entries, k, mu)
+    assert _smith_p_parts(at_psi_a, mu, mu)[-1].bit_length() >= 100
+    _smith_p_parts(at_psi, mu, k)
+    profile = monodromy.TraitProfile(tuple(rng.randint(1, 4) for _ in range(datum.n)))
+    phi_f = monodromy.compose_trait(datum, profile).matrix
+    assert (phi_f.nrows, phi_f.ncols) == (mu, mu)
+    assert _smith_p_parts(phi_f.entries, mu, mu)[-1] > 1

@@ -5,7 +5,8 @@ from the package, ``intmat`` has one Smith elimination with one path and one
 entry point, no routine without a command stays in the package, every
 definition there is referenced there and every dataclass field read there,
 one function decides how a composed pairing is factored, one builds every
-purity stack, a stratum is its basis, and ``--json`` has one renderer."""
+purity stack, a stratum is its basis, reports hold the computed tuples, and
+``--json`` has one renderer."""
 
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from pathlib import Path
 import pytest
 
 from degenkit import cli, curves, galois, monodromy, neron, schema
-from degenkit.degeneration import Branch, StratumOverride
+from degenkit.degeneration import Branch, StratumOverride, Verdict
 from degenkit.lattice import FinAb, LatticeMap
 
 from conftest import load_fixture
@@ -169,8 +170,9 @@ def test_no_smith_transform_v(path):
 # the converse preconditions on hand-made maps and the fork that sent an
 # override's datum to them (``converse_inputs_from_datum`` tests the one
 # precondition validation leaves open); the dual-stratum rule that
-# validation already enforces; and the zero-padded block diagonal, where
-# products are formed from their blocks
+# validation already enforces; the zero-padded block diagonal, where
+# products are formed from their blocks; and the rank-profile wrapper and the
+# list copy of a matrix, where reports hold the datum's ranks and the entries
 UNUSED = {"exclusive_parts", "_running_row_bases", "decomposition_check", "exclusive_index",
           "fixed_lattice", "closed_point_bound", "closed_point_torsion", "psi_maps",
           "row_lattice", "psi_blocks", "torsion_kernel_qz", "kernel_saturated", "sum_index",
@@ -179,7 +181,8 @@ UNUSED = {"exclusive_parts", "_running_row_bases", "decomposition_check", "exclu
           "trait_surjectivity_check", "TraitSurjectivity", "kummer_rescale",
           "closed_polarization", "branch_polarization", "is_transversal", "component_group",
           "_restricted_purity", "purity_matrix", "dual_purity_matrix",
-          "converse_check", "datum_converse", "_dual_is_primal", "block_diagonal"}
+          "converse_check", "datum_converse", "_dual_is_primal", "block_diagonal",
+          "toric_rank_profile", "_matrix_list"}
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -421,8 +424,12 @@ def test_one_function_stacks_purity_maps():
 def test_results_carry_only_computed_fields():
     # identities that a proof fixes are rendered by cli, not carried: the
     # certificate's verdict and its three proven flags, the Kummer fixed
-    # points and equality, the order of Psi and the verdict of a curve; and
-    # the Galois side is module functions over the datum, with no class
+    # points and equality, the order of Psi and the verdict of a curve; the
+    # verdicts carry no copy of the purity cokernel, which the datum's memo
+    # holds; and the Galois side is module functions over the datum, with no
+    # class
+    assert [f.name for f in fields(Verdict)] == \
+        ["toric_additive", "weakly_toric_additive", "failing_primes"]
     assert [f.name for f in fields(neron.ConverseCertificate)] == \
         ["hypothesis_holds", "coker_at_psi", "coker_at_psi_a", "theta", "chi1", "chi2"]
     assert [f.name for f in fields(neron.PsiGroup)] == ["branch_components", "group"]
@@ -497,6 +504,19 @@ def test_intmat_has_one_smith_elimination():
 def test_no_old_smith_helpers(path):
     found = _identifiers(ast.parse(path.read_text())) & OLD_SMITH_HELPERS
     assert not found, f"{path.name} defines or references {sorted(found)}"
+
+
+def test_reports_hold_the_computed_values():
+    # both renderers print a tuple as they print a list, so no report builder
+    # copies a computed tuple into a list
+    tree = ast.parse((SRC / "cli.py").read_text())
+    builders = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+                and (node.name.startswith("cmd_") or node.name in {"_datum_common", "_finab_dict"})]
+    assert len(builders) == 9
+    copies = sorted({f.name for f in builders for node in ast.walk(f)
+                     if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                     and node.func.id == "list"})
+    assert not copies, f"cli builds list copies in {copies}"
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)

@@ -124,7 +124,7 @@ class TestResidueCharGating:
         verdict = analyze(datum)
         assert not verdict.toric_additive
         assert verdict.failing_primes == ()
-        assert verdict.purity_torsion.invariant_factors == (2,)
+        assert datum.purity_cokernel[0].invariant_factors == (2,)
 
     def test_interrogating_p_is_rejected(self):
         branches = (
