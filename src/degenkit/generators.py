@@ -156,7 +156,7 @@ def random_polarized_datum(rng: Random, max_mu: int = 3, max_n: int = 3,
 
 
 def _unimodular_inverse(m: list[list[int]], n: int) -> list[list[int]]:
-    det, adj = intmat.det_adjugate(m, n)   # det = ±1, so m^-1 = det·adj
+    det, adj = intmat.solve_rational(m, n, intmat.identity(n))   # det = ±1: m^-1 = det·adj
     return [[det * v for v in row] for row in adj]
 
 

@@ -30,24 +30,25 @@ No routine computes a transform it does not return.
   ``transposed_matmul`` takes a^t·b as the dot products of the columns of
   a and b, so no transpose is formed; where its caller knows the product
   is symmetric it computes the upper triangle and mirrors it.
-* ``rank``, ``independent_rows`` and ``bareiss_det`` are one Bareiss
-  fraction-free pass, and ``positive_definite`` is the same pass without
-  row exchanges on the upper triangle of a symmetric matrix: every
-  intermediate entry is a minor of the input, so it is bounded by the
-  Hadamard bound.  A row that becomes zero is dropped, so on a tall stack of
-  low rank the active rows shrink toward the rank.
+* ``rank`` and ``bareiss_det`` are one Bareiss fraction-free pass, and
+  ``positive_definite`` is the same pass without row exchanges on the upper
+  triangle of a symmetric matrix: every intermediate entry is a minor of the
+  input, so it is bounded by the Hadamard bound.  A row that becomes zero is
+  dropped, so on a tall stack of low rank the active rows shrink toward the
+  rank.
 * ``hnf_columns`` returns the canonical column-style Hermite basis of the
   column span, so two sublattices are equal iff their HNFs are identical.
   It works modulo a nonzero maximal minor D from the same Bareiss pass
   (D·Z^n lies in the lattice), so no entry of the elimination reaches 2·D²
   in absolute value.
 * ``solve_rational``, the one exact solver, is one fraction-free (Bareiss)
-  Gauss–Jordan pass on ``(a | b)`` that returns det a and det a · a^-1 · b
-  in integers: every intermediate entry is a minor of the augmented matrix,
-  so it is bounded by its Hadamard bound.  Its callers divide by det a
-  exactly, or test that they can.  ``det_adjugate`` is the same pass with
-  the identity on the right, (det a, adj a); on a unimodular a,
-  a^-1 = det a · adj a.
+  Gauss–Jordan pass on ``(a | b)`` for an ``a`` of full column rank n, tall
+  or square.  Each pivot is searched in every row not yet pivoted, and the
+  pass returns the minor d of the n pivot rows and d · X in integers, X the
+  solution on those rows: every intermediate entry is a minor of the
+  augmented matrix, so it is bounded by its Hadamard bound.  On a square a,
+  d = det a.  Its callers divide by d exactly, or test that they can, and
+  check X against the other rows.
 """
 
 from __future__ import annotations
@@ -240,11 +241,6 @@ def _bareiss(m: IntMatrix, nrows: int, ncols: int) -> tuple[list[int], list[int]
     return cols, rows, minors
 
 
-def independent_rows(m: IntMatrix, nrows: int, ncols: int) -> list[int]:
-    """Indices, ascending, of rows of m that form a basis of its rational row space."""
-    return sorted(_bareiss(m, nrows, ncols)[1])
-
-
 def rank(m: IntMatrix, nrows: int, ncols: int) -> int:
     return len(_bareiss(m, nrows, ncols)[0])
 
@@ -368,19 +364,20 @@ def positive_definite(m: IntMatrix, n: int) -> bool:
 
 
 def solve_rational(a: IntMatrix, n: int, b: IntMatrix) -> tuple[int, IntMatrix]:
-    """(det a, det a · a^-1 · b) for square nonsingular a (n×n): the exact
-    solution of a·X = b is the second over the first.  One fraction-free
-    pass on (a | b) keeps a pivot multiple of the identity on the left.  A
-    row exchange negates one row, so the last pivot is det a; every entry is
-    a minor of (a | b) up to sign."""
-    aug = [list(a[i]) + list(b[i]) for i in range(n)]
+    """(d, d·X) for a of full column rank n with len(a) >= n rows: d is the
+    minor of the n pivot rows, up to sign, and X solves a·X = b on those
+    rows; on a square a, d = det a and X = a^-1 · b.  One fraction-free pass
+    on (a | b) keeps a pivot multiple of the identity on the pivot rows.  A
+    row exchange negates one row, so on a square a the last pivot is det a;
+    every entry is a minor of (a | b) up to sign."""
+    aug = [list(row) + list(rhs) for row, rhs in zip(a, b)]
     prev = 1
     for k in range(n):
         # rows hold the columns k.. of the augmented matrix: the columns before
         # k hold only prev on the diagonal of the pivoted rows, and zeros
-        piv = next((i for i in range(k, n) if aug[i][0]), None)
+        piv = next((i for i in range(k, len(aug)) if aug[i][0]), None)
         if piv is None:
-            raise ValueError("singular matrix in Gauss-Jordan pass")
+            raise ValueError("rank-deficient matrix in Gauss-Jordan pass")
         if piv != k:
             aug[k], aug[piv] = aug[piv], [-x for x in aug[k]]
         pivot, tail = aug[k][0], aug[k][1:]
@@ -389,9 +386,4 @@ def solve_rational(a: IntMatrix, n: int, b: IntMatrix) -> tuple[int, IntMatrix]:
                [pivot * x // prev for x in row[1:]]
                for i, row in enumerate(aug)]
         prev = pivot
-    return prev, aug
-
-
-def det_adjugate(m: IntMatrix, n: int) -> tuple[int, IntMatrix]:
-    """(det m, adj m) for square nonsingular m: the solver against the identity."""
-    return solve_rational(m, n, identity(n))
+    return prev, aug[:n]

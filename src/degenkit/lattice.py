@@ -134,13 +134,6 @@ class LatticeMap:
     def is_surjective(self) -> bool:
         return is_onto(cokernel(self))
 
-    def adjugate(self) -> tuple[int, "LatticeMap"]:
-        """(det, adj) of a nonsingular square map, from one fraction-free pass."""
-        if self.nrows != self.ncols:
-            raise InputError("adjugate of a non-square map")
-        det, adj = intmat.det_adjugate(self.entries, self.nrows)
-        return det, LatticeMap(_freeze(adj), self.ncols)
-
     def image_basis(self) -> "LatticeMap":
         """Canonical (Hermite) basis of the image: equal images iff equal bases."""
         h = intmat.hnf_columns(self.entries, self.nrows, self.ncols)
@@ -149,17 +142,17 @@ class LatticeMap:
     def solve(self, b: "LatticeMap") -> "LatticeMap | None":
         """The integral X with self ∘ X = b, or None when there is none.
 
-        self must be injective, so X is unique when it exists: on a basis
-        of independent rows the solver gives det·X, and X is the answer
-        when det divides every entry and X satisfies the other rows too.
+        self must be injective, so X is unique when it exists: one pass of
+        the solver picks pivot rows and gives their minor d and d·X, and X
+        is the answer when d divides every entry and self ∘ X = b on every
+        row.
         """
         if b.nrows != self.nrows:
             raise InputError("solve needs a right-hand side with the same target")
-        rows = intmat.independent_rows(self.entries, self.nrows, self.ncols)
-        if len(rows) < self.ncols:
-            raise InputError("solve needs an injective map")
-        det, x = intmat.solve_rational([self.entries[i] for i in rows], self.ncols,
-                                       [b.entries[i] for i in rows])
+        try:
+            det, x = intmat.solve_rational(self.entries, self.ncols, b.entries)
+        except ValueError:
+            raise InputError("solve needs an injective map") from None
         if any(v % det for row in x for v in row):
             return None
         x = LatticeMap(tuple(tuple(v // det for v in row) for row in x), b.ncols)

@@ -127,9 +127,11 @@ def converse_certificate(p_map: LatticeMap, q_map: LatticeMap,
     The hypothesis is also the integrality test: the splitting theta solving
     A^t·Psi·A·theta = A^t·Psi is integral exactly when every column of
     A^t·Psi lies in im(A^t·Psi·A).  The theorem left to check is that A is
-    square with |det A| = 1; everything else follows from that:
+    an isomorphism.  A is injective, so A·theta = 1 has an integral
+    solution exactly when it is; the one solve finds it and checks it on
+    every row.  Everything else follows:
 
-    - theta = A^-1, the unique solution, which is det A · adj A;
+    - theta = A^-1, the unique solution;
     - chi1 + chi2 = theta_1∘P + theta_2∘Q = theta·A = 1;
     - chi1 and chi2 are complementary idempotents, as A·theta = 1 gives
       P·theta_1 = 1, Q·theta_2 = 1 and P·theta_2 = Q·theta_1 = 0;
@@ -147,15 +149,12 @@ def converse_certificate(p_map: LatticeMap, q_map: LatticeMap,
     if coker1 != coker2:
         return ConverseCertificate(False, coker1, coker2)
 
-    mu = a.ncols
-    # A is injective, so a square A is nonsingular: one pass gives det A and adj A
-    det, adj = a.adjugate() if a.nrows == mu else (0, a)
-    if abs(det) != 1:
+    inverse = a.solve(LatticeMap.identity(a.nrows))
+    if inverse is None:
         raise FalsificationError("certified decomposition failed the isomorphism checks")
-    theta = adj.scaled(det).entries     # A^-1 = adj A / det A = det A · adj A
-    r1 = p_map.nrows
+    theta, r1 = inverse.entries, p_map.nrows
     theta1 = LatticeMap.from_rows([row[:r1] for row in theta], r1)
-    theta2 = LatticeMap.from_rows([row[r1:] for row in theta], mu - r1)
+    theta2 = LatticeMap.from_rows([row[r1:] for row in theta], q_map.nrows)
     return ConverseCertificate(True, coker1, coker2, theta=theta,
                                chi1=theta1.compose(p_map), chi2=theta2.compose(q_map))
 

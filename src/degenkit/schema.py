@@ -173,7 +173,7 @@ def _parse_datum(data: dict, where: str) -> DegenDatum:
     raw_strata = data.get("strata", [])
     if not isinstance(raw_strata, list):
         raise InputError(f"{where}.strata: expected an array")
-    name_to_index = {b.name: i for i, b in enumerate(branches)}
+    names = [b.name for b in branches]
     for k, raw in enumerate(raw_strata):
         sw = f"{where}.strata[{k}]"
         if not isinstance(raw, dict) or "branches" not in raw or "inclusion" not in raw:
@@ -183,9 +183,12 @@ def _parse_datum(data: dict, where: str) -> DegenDatum:
         idxs = []
         for b in raw["branches"]:
             if isinstance(b, str):
-                if b not in name_to_index:
+                if b not in names:
                     raise InputError(f"{sw}.branches: unknown branch name {b!r}")
-                idxs.append(name_to_index[b])
+                if names.count(b) > 1:
+                    raise InputError(f"{sw}.branches: branch name {b!r} is shared by "
+                                     "several branches; give its index")
+                idxs.append(names.index(b))
             else:
                 j = _int(b, f"{sw}.branches") - 1
                 if j < 0 or j >= len(branches):
@@ -235,7 +238,7 @@ def _parse_graph(data: dict, where: str) -> DualGraph:
         vw = f"{where}.vertices[{i}]"
         if not isinstance(raw, dict) or "name" not in raw:
             raise InputError(f"{vw}: expected an object with a name")
-        vertices.append(GraphVertex(str(raw["name"]), _int(raw.get("genus", 0), f"{vw}.genus")))
+        vertices.append(GraphVertex(str(raw["name"]), _rank(raw.get("genus", 0), f"{vw}.genus")))
     raw_edges = data.get("edges")
     if not isinstance(raw_edges, list):
         raise InputError(f"{where}.edges: expected an array")
@@ -318,7 +321,7 @@ def datum_to_dict(datum: DegenDatum) -> dict:
     if datum.strata:
         out["strata"] = [
             {
-                "branches": [datum.branches[j].name for j in ov.branches],
+                "branches": [j + 1 for j in ov.branches],
                 "inclusion": [list(r) for r in ov.inclusion.entries],
                 **({"dual_inclusion": [list(r) for r in ov.dual_inclusion.entries]}
                    if ov.dual_inclusion is not None else {}),

@@ -68,8 +68,8 @@ class IntmatCalls(dict):
     per call, with every matrix frozen to a tuple of row tuples.  Every Smith
     elimination, whichever routine reached it, is also under ``eliminations``:
     the calls of ``_diagonalize``; and every fraction-free (Bareiss) pass under
-    ``bareiss``: the calls of ``_bareiss`` (rank, determinant, independent
-    rows, the Hermite modulus) and of ``solve_rational`` (solve, adjugate),
+    ``bareiss``: the calls of ``_bareiss`` (rank, determinant, the Hermite
+    modulus) and of ``solve_rational`` (every exact solve, A^-1 included),
     whose first argument is the matrix.  The ``solve_rational`` passes alone
     are also under ``solve_rational``."""
 

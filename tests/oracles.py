@@ -653,10 +653,18 @@ def determinant(m: LatticeMap) -> int:
     return intmat.bareiss_det(m.entries, m.nrows)
 
 
+def adjugate(m: LatticeMap) -> tuple[int, LatticeMap]:
+    """(det, adj) of a nonsingular square map: the solver against the identity."""
+    if m.nrows != m.ncols:
+        raise InputError("adjugate of a non-square map")
+    det, adj = intmat.solve_rational(m.entries, m.nrows, intmat.identity(m.nrows))
+    return det, LatticeMap.from_rows(adj, m.ncols)
+
+
 def row_basis(m: LatticeMap) -> LatticeMap:
     """Rows of the matrix, in order, that form a basis of its rational row
     space: at most ncols of them, with the same kernel."""
-    rows = intmat.independent_rows(m.entries, m.nrows, m.ncols)
+    rows = sorted(intmat._bareiss(m.entries, m.nrows, m.ncols)[1])
     if len(rows) == m.nrows:
         return m
     return LatticeMap(tuple(m.entries[i] for i in rows), m.ncols)
@@ -719,7 +727,7 @@ def exclusive_index(factors: Factors) -> int | None:
     bases = [row_basis(f) for _, f in factors]
     if sum(b.nrows for b in bases) > _toric_rank(factors):
         return None
-    det, adj = LatticeMap.stack(bases).adjugate()
+    det, adj = adjugate(LatticeMap.stack(bases))
     d = abs(det)
     index, start = 1, 0
     for b in bases:
@@ -1059,7 +1067,7 @@ def dual_datum(datum: DegenDatum) -> DegenDatum:
         if any(l is None for l in lams):
             raise InputError("dual datum needs polarizations on every branch or none")
         # lambda^-1 = adj/det; e clears every denominator of every inverse
-        inverses = [l.adjugate() for l in lams]
+        inverses = [adjugate(l) for l in lams]
         e = lcm(*[abs(det) // gcd(det, *(x for row in adj.entries for x in row))
                   for det, adj in inverses])
         scaled = [[[x * e // det for x in row] for row in adj.entries] for det, adj in inverses]

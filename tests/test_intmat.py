@@ -23,10 +23,11 @@ from __future__ import annotations
 import random
 import signal
 from contextlib import contextmanager
+from fractions import Fraction
 from math import gcd, prod
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from degenkit import intmat, monodromy, neron
@@ -130,7 +131,7 @@ def test_smith_edge_cases(name):
 @given(tall)
 def test_kernel_from_independent_rows_is_kernel_of_all_rows(case):
     m, nrows, ncols = case
-    rows = intmat.independent_rows(m, nrows, ncols)
+    rows = sorted(intmat._bareiss(m, nrows, ncols)[1])
     assert len(rows) == intmat.rank(m, nrows, ncols)
     assert intmat.rank([m[i] for i in rows], len(rows), ncols) == len(rows)
     # the saturated kernels from the reference Smith forms of those rows and of every row
@@ -168,9 +169,9 @@ def test_det_adjugate_matches_cofactors(case):
     det = cofactor_det(m)
     if det == 0:
         with pytest.raises(ValueError):
-            intmat.det_adjugate(m, n)
+            intmat.solve_rational(m, n, intmat.identity(n))
         return
-    assert intmat.det_adjugate(m, n) == (det, [
+    assert intmat.solve_rational(m, n, intmat.identity(n)) == (det, [
         [(-1) ** (i + j) * cofactor_det([row[:i] + row[i + 1:] for k, row in enumerate(m)
                                          if k != j]) for j in range(n)] for i in range(n)])
 
@@ -179,12 +180,101 @@ def test_adjugate_of_a_unimodular_matrix_is_its_inverse_up_to_sign():
     rng = random.Random(65)
     for n in (1, 5, 12):
         m = random_unimodular(rng, n)
-        det, adj = intmat.det_adjugate(m, n)
+        det, adj = intmat.solve_rational(m, n, intmat.identity(n))
         assert abs(det) == 1
         assert intmat.matmul(m, n, n, [[det * v for v in row] for row in adj], n, n) \
             == intmat.identity(n)
-    with pytest.raises(InputError, match="non-square"):
-        LatticeMap.from_rows([[1, 0]]).adjugate()
+    with pytest.raises(InputError, match="injective"):
+        LatticeMap.from_rows([[1, 0]]).solve(LatticeMap.identity(1))
+
+
+def _fraction_solve(a: list[list[int]], n: int,
+                    b: list[list[int]]) -> list[list[Fraction]] | None:
+    """The rational X with a·X = b on every row, by Gauss–Jordan over
+    Fractions, or None when there is none; a has full column rank n."""
+    rows = [[Fraction(v) for v in row + rhs] for row, rhs in zip(a, b)]
+    for k in range(n):
+        piv = next(i for i in range(k, len(rows)) if rows[i][k])
+        rows[k], rows[piv] = rows[piv], rows[k]
+        rows[k] = [v / rows[k][k] for v in rows[k]]
+        rows = [row if i == k or not row[k] else [x - row[k] * y for x, y in zip(row, rows[k])]
+                for i, row in enumerate(rows)]
+    if any(any(row[n:]) for row in rows[n:]):
+        return None
+    return [row[n:] for row in rows[:n]]
+
+
+@st.composite
+def tall_systems(draw):
+    """(a, n, b): a of full column rank n with more rows than columns, whose
+    first rows may be zero or multiples of its last, so that a pivot may lie
+    below row n; b = a·Y for an integral Y, at times with one entry moved by
+    1, so that the system may have no solution."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    n = draw(st.integers(1, 5))
+    nrows = n + draw(st.integers(1, 5))
+    a = _matrix(nrows, n, n, draw(st.sampled_from([1, 3, 20])), rng)
+    for i in range(draw(st.integers(0, nrows - n))):
+        a[i] = [rng.randint(-2, 2) * v for v in a[-1]]
+    assume(intmat.rank(a, nrows, n) == n)
+    bcols = draw(st.integers(0, 3))
+    y = [[rng.randint(-5, 5) for _ in range(bcols)] for _ in range(n)]
+    b = intmat.matmul(a, nrows, n, y, n, bcols)
+    if bcols and draw(st.booleans()):
+        b[rng.randrange(nrows)][rng.randrange(bcols)] += 1
+    return a, n, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(tall_systems())
+def test_tall_solve_matches_fractions(case):
+    a, n, b = case
+    nrows, bcols = len(a), len(b[0])
+    d, dx = intmat.solve_rational(a, n, b)
+    assert d and len(dx) == n
+    x = [[Fraction(v, d) for v in row] for row in dx]
+    # X solves the system on a set of rows of full rank: the pivot rows
+    solved = [row for row, rhs in zip(a, b)
+              if all(sum(v * x[j][c] for j, v in enumerate(row)) == rhs[c]
+                     for c in range(bcols))]
+    assert intmat.rank(solved, len(solved), n) == n
+    ref = _fraction_solve(a, n, b)
+    if ref is not None:
+        assert x == ref
+    got = LatticeMap.from_rows(a, n).solve(LatticeMap.from_rows(b, bcols))
+    if ref is None or any(v.denominator != 1 for row in ref for v in row):
+        assert got is None
+    else:
+        assert got.entries == tuple(tuple(map(int, row)) for row in ref)
+
+
+# (a, b, the integral X or None): a pivot of the first two lie below row n
+TALL_CASES = {
+    "zero top rows": ([[0, 0], [0, 0], [1, 2], [3, 4]], [[0], [0], [-1], [-1]], [[1], [-1]]),
+    "dependent top rows": ([[1, 2], [2, 4], [0, 1]], [[3], [6], [1]], [[1], [1]]),
+    "no solution": ([[1], [1]], [[1], [2]], None),
+    "no integral solution": ([[2], [4]], [[1], [2]], None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TALL_CASES))
+def test_tall_solve_edge_cases(name):
+    a, b, x = TALL_CASES[name]
+    n = len(a[0])
+    ref = _fraction_solve(a, n, b)
+    d, dx = intmat.solve_rational(a, n, b)
+    if ref is not None:
+        assert [[Fraction(v, d) for v in row] for row in dx] == ref
+    got = LatticeMap.from_rows(a, n).solve(LatticeMap.from_rows(b, 1))
+    assert (got.entries if got else None) == (x and tuple(map(tuple, x)))
+
+
+def test_rank_deficient_tall_solve_is_refused():
+    a, b = [[1, 2], [2, 4], [3, 6]], [[1], [2], [3]]
+    with pytest.raises(ValueError):
+        intmat.solve_rational(a, 2, b)
+    with pytest.raises(InputError, match="injective"):
+        LatticeMap.from_rows(a).solve(LatticeMap.from_rows(b))
 
 
 @st.composite

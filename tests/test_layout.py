@@ -5,8 +5,8 @@ from the package, ``intmat`` has one Smith elimination with one path and one
 entry point, no routine without a command stays in the package, every
 definition there is referenced there and every dataclass field read there,
 one function decides how a composed pairing is factored, one builds every
-purity stack, a stratum is its basis, reports hold the computed tuples, and
-``--json`` has one renderer."""
+purity stack, a stratum is its basis, reports hold the computed tuples,
+``--json`` has one renderer, and a solve is one pass of the one solver."""
 
 from __future__ import annotations
 
@@ -171,8 +171,10 @@ def test_no_smith_transform_v(path):
 # override's datum to them (``converse_inputs_from_datum`` tests the one
 # precondition validation leaves open); the dual-stratum rule that
 # validation already enforces; the zero-padded block diagonal, where
-# products are formed from their blocks; and the rank-profile wrapper and the
-# list copy of a matrix, where reports hold the datum's ranks and the entries
+# products are formed from their blocks; the rank-profile wrapper and the
+# list copy of a matrix, where reports hold the datum's ranks and the entries;
+# and the row-basis pre-pass and the adjugates, where one solver pass
+# searches every row for its pivots and A^-1 is a solve against the identity
 UNUSED = {"exclusive_parts", "_running_row_bases", "decomposition_check", "exclusive_index",
           "fixed_lattice", "closed_point_bound", "closed_point_torsion", "psi_maps",
           "row_lattice", "psi_blocks", "torsion_kernel_qz", "kernel_saturated", "sum_index",
@@ -182,7 +184,8 @@ UNUSED = {"exclusive_parts", "_running_row_bases", "decomposition_check", "exclu
           "closed_polarization", "branch_polarization", "is_transversal", "component_group",
           "_restricted_purity", "purity_matrix", "dual_purity_matrix",
           "converse_check", "datum_converse", "_dual_is_primal", "block_diagonal",
-          "toric_rank_profile", "_matrix_list"}
+          "toric_rank_profile", "_matrix_list", "independent_rows", "det_adjugate",
+          "adjugate"}
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -498,6 +501,15 @@ def test_intmat_has_one_smith_elimination():
     args = funcs["_diagonalize"].args
     assert [a.arg for a in args.args] == ["m", "nrows", "ncols"]
     assert not (args.defaults or args.kwonlyargs or args.vararg or args.kwarg)
+
+
+def test_a_solve_is_one_solver_pass(intmat_calls):
+    # no Bareiss pre-pass picks independent rows: the solver searches every
+    # row for its pivots, here below a zero row and a dependent one
+    a = LatticeMap.from_rows([[0, 0], [1, 2], [2, 4], [3, 5]])
+    assert a.solve(LatticeMap.from_rows([[0], [3], [6], [8]])) == \
+        LatticeMap.from_rows([[1], [1]])
+    assert len(intmat_calls["solve_rational"]) == len(intmat_calls["bareiss"]) == 1
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)

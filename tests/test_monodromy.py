@@ -9,7 +9,7 @@ from itertools import combinations
 
 import pytest
 
-from degenkit import cli, degeneration
+from degenkit import cli, degeneration, neron
 from degenkit.degeneration import (
     Branch,
     DegenDatum,
@@ -340,24 +340,32 @@ class TestStratumContract:
 
 @pytest.fixture
 def solves(monkeypatch):
-    """The ``LatticeMap.solve`` calls made outside ``validate``; those made
-    under it are counted under ``validating``."""
-    calls = {"outside": 0, "validating": 0}
-    depth = [0]
-    validate, solve = degeneration.validate, LatticeMap.solve
+    """The ``LatticeMap.solve`` calls made outside ``validate`` and
+    ``neron.converse_certificate``; those made under the first are counted
+    under ``validating``, and those under the second, the solve for
+    theta = A^-1, under ``certifying``."""
+    calls = {"outside": 0, "validating": 0, "certifying": 0}
+    within: list[str] = []
 
-    def validating(datum):
-        depth[0] += 1
-        try:
-            return validate(datum)
-        finally:
-            depth[0] -= 1
+    def counted(original, name):
+        def wrapper(*args):
+            within.append(name)
+            try:
+                return original(*args)
+            finally:
+                within.pop()
+        return wrapper
+
+    solve = LatticeMap.solve
 
     def solving(self, b):
-        calls["validating" if depth[0] else "outside"] += 1
+        calls[within[-1] if within else "outside"] += 1
         return solve(self, b)
 
-    monkeypatch.setattr(degeneration, "validate", validating)
+    monkeypatch.setattr(degeneration, "validate",
+                        counted(degeneration.validate, "validating"))
+    monkeypatch.setattr(neron, "converse_certificate",
+                        counted(neron.converse_certificate, "certifying"))
     monkeypatch.setattr(LatticeMap, "solve", solving)
     return calls
 
@@ -365,10 +373,11 @@ def solves(monkeypatch):
 def test_trait_and_oracle_solve_nothing_and_converse_once(capsys, tmp_path, product_tate,
                                                          solves):
     # partial profiles, the override's own subset and every branch; where
-    # the basis is not restricted purity itself converse solves for Q once
+    # the basis is not restricted purity itself converse solves for Q once,
+    # and it solves for theta = A^-1 once exactly when it certifies
     rng = random.Random(223)
     ok = {"trait": 0, "oracle": 0, "converse": 0}
-    converse_solved = validated = 0
+    converse_solved = validated = certified = 0
     for k, datum in enumerate(_contract_datums(product_tate)[::2]):
         path = tmp_path / f"d{k}.json"
         path.write_text(json.dumps(datum_to_dict(datum)))
@@ -381,18 +390,20 @@ def test_trait_and_oracle_solve_nothing_and_converse_once(capsys, tmp_path, prod
                   for p in profiles]
         argvs.append(["converse", str(path)])
         for argv in argvs:
-            solves["outside"] = solves["validating"] = 0
+            solves["outside"] = solves["validating"] = solves["certifying"] = 0
             code = cli.main(argv)
-            capsys.readouterr()
+            out = capsys.readouterr().out
             ok[argv[0]] += code == 0
             validated += solves["validating"]
             if argv[0] == "converse":
                 assert solves["outside"] <= 1, argv
+                assert solves["certifying"] == ("TA-certified" in out), argv
                 converse_solved += solves["outside"]
+                certified += solves["certifying"]
             else:
-                assert solves["outside"] == 0, argv
-    assert min(ok.values()) > 30 and converse_solved > 10 and validated > 30, \
-        (ok, converse_solved, validated)
+                assert solves["outside"] == solves["certifying"] == 0, argv
+    assert min(ok.values()) > 30 and converse_solved > 10 and validated > 30 \
+        and certified > 10, (ok, converse_solved, validated, certified)
 
 
 class TestClosedPointBound:

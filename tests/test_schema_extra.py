@@ -53,6 +53,18 @@ class TestRoundTrip:
             datum = random_ta_datum(rng, min_n=1)
             assert parse_document(datum_to_dict(datum)) == datum
 
+    @pytest.mark.parametrize("j", [0, 1])
+    def test_shared_branch_names_round_trip_by_index(self, j):
+        # a stratum is written by branch index, so it stays on its branch
+        # when two branches share a name
+        branches = tuple(Branch(name, lm([[1]]), lm([sp], 2))
+                         for name, sp in (("D", [2, 1]), ("D", [0, 1]), ("D3", [1, 0])))
+        datum = DegenDatum("shared", 0, 0, 2, branches,
+                           strata=(StratumOverride((j,), lm([[1]])),))
+        doc = datum_to_dict(datum)
+        assert doc["strata"][0]["branches"] == [j + 1]
+        assert parse_document(doc) == datum
+
     def test_graph_round_trip(self):
         import random
         rng = random.Random(10)
@@ -252,3 +264,26 @@ def test_stratum_branches_must_be_an_array(capsys, tmp_path, branches):
     code, out, err, path = _analyze(capsys, tmp_path, doc)
     assert (code, out) == (2, "")
     assert err == f"error: {path}.strata[0].branches: expected an array\n"
+
+
+def test_a_shared_branch_name_is_refused_in_a_stratum(capsys, tmp_path):
+    doc = one_branch_doc([[1, 0], [0, 1]])
+    doc["branches"] *= 2
+    doc["closed_point"]["rank"] = 2
+    doc["strata"] = [{"branches": ["D1"], "inclusion": [[1, 0], [0, 1]]}]
+    code, out, err, path = _analyze(capsys, tmp_path, doc)
+    assert (code, out) == (2, "")
+    assert err == (f"error: {path}.strata[0].branches: branch name 'D1' is shared by "
+                   "several branches; give its index\n")
+
+
+def test_a_negative_genus_is_refused_with_its_path(capsys, tmp_path):
+    doc = {"format_version": "1", "kind": "graph", "name": "g",
+           "vertices": [{"name": "a", "genus": -1}],
+           "edges": [{"ends": ["a", "a"], "label": {"1": 1}}]}
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(doc))
+    code = cli.main(["curve", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: {path}.vertices[0].genus: must be non-negative, got -1\n"
